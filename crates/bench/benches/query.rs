@@ -55,7 +55,7 @@ fn bench_query(c: &mut Criterion) {
                 b.iter(|| {
                     let q = &queries[qi % queries.len()];
                     qi += 1;
-                    black_box(engine::top_k_join_correlation(&idx, q, &opts))
+                    black_box(engine::top_k_with_plan_stats(&idx, q, &opts).0)
                 })
             },
         );

@@ -40,6 +40,7 @@ use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
 use sketch_bench::{artifact, time_ms, Args, LatencySummary};
 use sketch_datagen::{generate_open_data, split_corpus, OpenDataConfig};
 use sketch_index::{engine, QueryOptions, SketchIndex};
+use sketch_obs::Trace;
 
 fn main() {
     let args = Args::from_env();
@@ -191,7 +192,7 @@ fn main() {
             if with_reports {
                 engine::top_k_with_reports(index, &qs, &opts, 0.05).len()
             } else {
-                engine::top_k_join_correlation(index, &qs, &opts).len()
+                engine::top_k_with_plan_stats(index, &qs, &opts).0.len()
             }
         });
         total_results += n_results;
@@ -236,9 +237,10 @@ fn main() {
     }
     if churn_every == 0 && args.get_or("batch", false) {
         let query_sketches: Vec<_> = split.queries.iter().map(|q| builder.build(q)).collect();
-        let (batch_results, t_batch) =
-            time_ms(|| engine::top_k_batch(index, &query_sketches, &opts));
-        let n: usize = batch_results.iter().map(Vec::len).sum();
+        let (batch_results, t_batch) = time_ms(|| {
+            engine::execute(index, &query_sketches, &opts, None, &mut Trace::disabled())
+        });
+        let n: usize = batch_results.iter().map(|out| out.results.len()).sum();
         assert_eq!(n, total_results, "batch must answer like the loop");
         let qps = query_sketches.len() as f64 / (t_batch / 1000.0);
         load_lines.push(format!(

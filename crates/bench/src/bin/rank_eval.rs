@@ -110,7 +110,7 @@ fn main() {
                         k: opts.overlap_candidates,
                         ..opts
                     };
-                    let ranked = engine::top_k_join_correlation(&index, q, &full);
+                    let ranked = engine::top_k_with_plan_stats(&index, q, &full).0;
                     let mut flags: Vec<bool> =
                         ranked.iter().map(|r| relevant.contains(&r.id)).collect();
                     let retrieved = flags.iter().filter(|&&f| f).count();

@@ -1,5 +1,6 @@
-//! The two-stage query planner for approximate top-k join-correlation
-//! queries (paper Definition 3 + Section 4, evaluated in Section 5.5):
+//! The query engine for approximate top-k join-correlation queries
+//! (paper Definition 3 + Section 4, evaluated in Section 5.5). There is
+//! one way to run a query — [`execute`] — and it is one pipeline:
 //!
 //! **Stage 1 — retrieve.** The top-N candidates by key overlap come out
 //! of the inverted index (ties broken by sketch id, so the candidate set
@@ -10,10 +11,14 @@
 //! after-join correlation, and attaches the estimator-matched confidence
 //! interval ([`sketch_stats::scored_estimate`]: Fisher z for Pearson,
 //! fixed-seed bootstrap for the robust estimators — per-worker scratch,
-//! bit-identical across thread counts). The list is then re-ranked by
-//! the [`QueryOptions::scorer`] (`s1..s4` of `sketch-ranking`) and
-//! truncated to `k` — NaN scores rank last deterministically, so a
-//! degenerate candidate can never poison the selection.
+//! bit-identical across thread counts), exhaustively or under the
+//! two-pass plan of [`crate::plan`]. The list is then re-ranked by the
+//! [`QueryOptions::scorer`] (`s1..s4` of `sketch-ranking`) and truncated
+//! to `k` — NaN scores rank last deterministically, so a degenerate
+//! candidate can never poison the selection.
+//!
+//! **Stage 3 — report (only when asked).** The `k` winners are re-joined
+//! for the Section 4 uncertainty report.
 //!
 //! Stage 2 is structure-of-arrays end to end: each worker refills one
 //! [`JoinSample`] buffer per candidate ([`join_sketches_into`]) and the
@@ -22,8 +27,11 @@
 //! per-candidate sample allocation, no row-wise intermediary. Only the
 //! `k` winners' samples are rebuilt afterwards (for reports), so the
 //! ~`overlap_candidates` losers never materialize anything.
+//!
+//! [`top_k_with_reports`], [`top_k_with_plan_stats`], [`shard_candidates`]
+//! and [`report_for_doc`] are few-line projections of the same internals.
 
-use correlation_sketches::{join_sketches, join_sketches_into, CorrelationSketch, JoinSample};
+use correlation_sketches::{join_sketches_into, CorrelationSketch, EstimateReport, JoinSample};
 use sketch_obs::Trace;
 use sketch_ranking::{desc_score_nan_last, score_bounds, score_estimates, Scorer};
 use sketch_stats::{scored_estimate, BootstrapScratch, CorrelationEstimator, ScoredEstimate};
@@ -44,9 +52,10 @@ pub struct QueryOptions {
     /// Minimum join-sample size for a candidate to receive an estimate
     /// (below this the estimate is `None` and the candidate ranks last).
     pub min_sample: usize,
-    /// Worker threads for candidate join + estimation. `0` and `1` both
-    /// mean serial; results are bit-identical for every value (the
-    /// fan-out uses deterministic contiguous chunking, like
+    /// Worker threads. One query fans them out over its candidates
+    /// (join + estimation), many queries fan them out over the queries.
+    /// `0` and `1` both mean serial; results are bit-identical for every
+    /// value (the fan-out uses deterministic contiguous chunking, like
     /// `correlation_sketches::build_sketches_parallel`).
     pub threads: usize,
     /// Scoring function for the re-rank stage: `s1` ranks by the raw
@@ -78,20 +87,6 @@ impl Default for QueryOptions {
     }
 }
 
-/// A retrieved candidate: the joined sample plus retrieval metadata,
-/// handed to scoring functions.
-#[derive(Debug)]
-pub struct Candidate<'a> {
-    /// Document id in the index.
-    pub doc: DocId,
-    /// The candidate's sketch.
-    pub sketch: &'a CorrelationSketch,
-    /// Number of overlapping sketch keys found during retrieval.
-    pub overlap: usize,
-    /// The reconstructed join sample (query ⨝ candidate).
-    pub sample: JoinSample,
-}
-
 /// One ranked query answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
@@ -107,11 +102,7 @@ pub struct QueryResult {
     /// non-degenerate.
     pub estimate: Option<f64>,
     /// Lower endpoint of the estimator-matched confidence interval at
-    /// [`QueryOptions::confidence`]; present whenever `estimate` is on
-    /// the scored paths ([`top_k_join_correlation`],
-    /// [`top_k_with_reports`], the batch variants), absent on the
-    /// custom-closure path ([`top_k_with_scorer`]), which skips
-    /// interval computation.
+    /// [`QueryOptions::confidence`]; present whenever `estimate` is.
     pub ci_lo: Option<f64>,
     /// Upper endpoint of the confidence interval.
     pub ci_hi: Option<f64>,
@@ -119,47 +110,69 @@ pub struct QueryResult {
     pub score: f64,
 }
 
-/// Retrieve the overlap candidates for `query` and materialize their join
-/// samples. This is steps 1–2 of the pipeline; use
-/// [`top_k_join_correlation`] for the full query.
-#[must_use]
-pub fn retrieve_candidates<'a>(
-    index: &'a SketchIndex,
-    query: &CorrelationSketch,
-    overlap_candidates: usize,
-) -> Vec<Candidate<'a>> {
-    retrieve_candidates_threaded(index, query, overlap_candidates, 1)
+/// A query result together with the full uncertainty report of
+/// [`correlation_sketches::JoinSample::report`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportedResult {
+    /// The ranked result.
+    pub result: QueryResult,
+    /// Estimate + Hoeffding CI + HFD length + Fisher SE; `None` when the
+    /// join sample was too small or degenerate — and on every row of a
+    /// query executed without reports.
+    pub report: Option<EstimateReport>,
 }
 
-/// As [`retrieve_candidates`], fanning the joins out over up to `threads`
-/// scoped worker threads. Deterministic: contiguous chunks of the
-/// retrieval order are joined independently and re-concatenated, so the
-/// output is bit-identical to the serial build for every thread count
-/// (`0` is treated as `1`; counts above the candidate count are capped).
-#[must_use]
-pub fn retrieve_candidates_threaded<'a>(
-    index: &'a SketchIndex,
-    query: &CorrelationSketch,
-    overlap_candidates: usize,
-    threads: usize,
-) -> Vec<Candidate<'a>> {
-    let hits = index.overlap_candidates(query, overlap_candidates);
-    // Estimation is skipped (min_sample usize::MAX): callers of the
-    // candidate API estimate themselves.
-    join_map(index, query, &hits, threads, usize::MAX, |_, _| None::<f64>)
-        .into_iter()
-        .map(|(cand, _)| cand)
-        .collect()
+/// One query's answer from [`execute`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryOutput {
+    /// The top `k`, best first.
+    pub results: Vec<ReportedResult>,
+    /// What the plan spent: estimator invocations per pass, pruned
+    /// candidates, promotion rounds.
+    pub stats: PlanStats,
 }
 
-/// Per-worker scratch for the scored stage-2 pass: one [`JoinSample`]
-/// buffer refilled per candidate plus the bootstrap resample buffers.
-/// Every candidate's output is a pure function of its own join sample,
-/// so buffer reuse (and the thread count) never changes a bit of it.
+/// Per-worker scratch, reused across every candidate (and every query)
+/// of the worker's chunk: the retrieval counter buffer, one
+/// [`JoinSample`] refilled per candidate, and the bootstrap resample
+/// buffers. Every candidate's output is a pure function of its own join
+/// sample, so buffer reuse (and the thread count) never changes a bit of
+/// it.
 #[derive(Default)]
-struct StageScratch {
+struct Scratch {
+    counts: Vec<u32>,
     sample: JoinSample,
     ci: BootstrapScratch,
+}
+
+/// Fan `run` out over contiguous chunks of `items` on up to `threads`
+/// scoped threads, one fresh [`Scratch`] per worker, and concatenate the
+/// outputs in order — deterministic for every thread count (`0` is
+/// treated as `1`; counts above the item count are capped). A serial
+/// pass runs on the caller's `scratch` directly.
+fn chunked<I: Sync, T: Send>(
+    items: &[I],
+    threads: usize,
+    scratch: &mut Scratch,
+    run: impl Fn(&[I], &mut Scratch) -> Vec<T> + Sync,
+) -> Vec<T> {
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        return run(items, scratch);
+    }
+    let chunk_len = items.len().div_ceil(threads);
+    let mut out = Vec::with_capacity(items.len());
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk_len)
+            .map(|chunk| scope.spawn(move || run(chunk, &mut Scratch::default())))
+            .collect();
+        for h in handles {
+            out.extend(h.join().expect("query workers do not panic"));
+        }
+    });
+    out
 }
 
 /// One candidate's stage-2 output: retrieval metadata and the scored
@@ -172,82 +185,52 @@ struct ScoredRow {
     est: Option<ScoredEstimate>,
 }
 
-/// Join one contiguous chunk of the hit list into the worker's scratch
-/// buffer and estimate + CI each candidate from the buffer's contiguous
-/// `x[]`/`y[]` columns.
-fn scored_chunk(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    chunk: &[(DocId, usize)],
-    opts: &QueryOptions,
-    scratch: &mut StageScratch,
-) -> Vec<ScoredRow> {
-    // The admission gate folds in the estimator's honest minimum: a call
-    // below it is guaranteed to error, so skipping it changes no output,
-    // only spares the doomed invocation — which keeps the planner's
-    // invocation accounting honest on both plans.
-    let min_sample = opts.min_sample.max(opts.estimator.min_samples());
-    chunk
-        .iter()
-        .filter_map(|&(doc, overlap)| {
-            let sketch = index.get(doc)?;
-            // Hashers are uniform across an index; join cannot fail.
-            join_sketches_into(query, sketch, &mut scratch.sample).ok()?;
-            let sample = &scratch.sample;
-            let est = (sample.len() >= min_sample)
-                .then(|| {
-                    scored_estimate(
-                        opts.estimator,
-                        &sample.x,
-                        &sample.y,
-                        opts.confidence,
-                        &mut scratch.ci,
-                    )
-                    .ok()
-                })
-                .flatten();
-            Some(ScoredRow {
-                doc,
-                overlap,
-                sample_size: scratch.sample.len(),
-                est,
-            })
-        })
-        .collect()
-}
-
 /// The fused join + estimate + CI pass over a hit list — the expensive,
-/// embarrassingly parallel part, fanned out over scoped threads with
-/// deterministic contiguous chunking and one [`StageScratch`] per
-/// worker (`scratch` is used directly when the pass runs serially).
+/// embarrassingly parallel part: each worker joins its chunk's
+/// candidates into its scratch buffer and estimates each one from the
+/// buffer's contiguous `x[]`/`y[]` columns.
 fn estimate_hits(
     index: &SketchIndex,
     query: &CorrelationSketch,
     hits: &[(DocId, usize)],
     opts: &QueryOptions,
     threads: usize,
-    scratch: &mut StageScratch,
+    scratch: &mut Scratch,
 ) -> Vec<ScoredRow> {
-    let threads = threads.clamp(1, hits.len().max(1));
-    if threads == 1 {
-        return scored_chunk(index, query, hits, opts, scratch);
-    }
-    let chunk_len = hits.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(hits.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = hits
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    scored_chunk(index, query, chunk, opts, &mut StageScratch::default())
+    // The admission gate folds in the estimator's honest minimum: a call
+    // below it is guaranteed to error, so skipping it changes no output,
+    // only spares the doomed invocation — which keeps the planner's
+    // invocation accounting honest on both plans.
+    let min_sample = opts.min_sample.max(opts.estimator.min_samples());
+    chunked(hits, threads, scratch, |chunk, scratch| {
+        chunk
+            .iter()
+            .filter_map(|&(doc, overlap)| {
+                let sketch = index.get(doc)?;
+                // Hashers are uniform across an index; join cannot fail.
+                join_sketches_into(query, sketch, &mut scratch.sample).ok()?;
+                let sample = &scratch.sample;
+                let est = (sample.len() >= min_sample)
+                    .then(|| {
+                        scored_estimate(
+                            opts.estimator,
+                            &sample.x,
+                            &sample.y,
+                            opts.confidence,
+                            &mut scratch.ci,
+                        )
+                        .ok()
+                    })
+                    .flatten();
+                Some(ScoredRow {
+                    doc,
+                    overlap,
+                    sample_size: sample.len(),
+                    est,
                 })
             })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("query workers do not panic"));
-        }
-    });
-    out
+            .collect()
+    })
 }
 
 /// Stage 2 under the configured plan: either one exhaustive pass with
@@ -270,11 +253,11 @@ fn plan_rows(
     hits: &[(DocId, usize)],
     opts: &QueryOptions,
     threads: usize,
-    scratch: &mut StageScratch,
+    scratch: &mut Scratch,
     trace: &mut Trace,
 ) -> (Vec<ScoredRow>, PlanStats) {
     let effective_min = opts.min_sample.max(opts.estimator.min_samples());
-    let exhaustive = |scratch: &mut StageScratch, trace: &mut Trace| {
+    let exhaustive = |scratch: &mut Scratch, trace: &mut Trace| {
         let guard = trace.begin("estimate");
         let rows = estimate_hits(index, query, hits, opts, threads, scratch);
         trace.end(guard);
@@ -405,154 +388,175 @@ fn plan_rows(
     (rows, stats)
 }
 
-/// Stages 1–2 of the pipeline: retrieve, then estimate under the
-/// configured plan.
-fn scored_rows(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    opts: &QueryOptions,
-    trace: &mut Trace,
-) -> (Vec<ScoredRow>, PlanStats) {
-    let guard = trace.begin("retrieval");
-    let hits = index.overlap_candidates(query, opts.overlap_candidates);
-    trace.end(guard);
-    plan_rows(
-        index,
-        query,
-        &hits,
-        opts,
-        opts.threads,
-        &mut StageScratch::default(),
-        trace,
-    )
-}
-
-/// Join one contiguous chunk of the hit list and apply the `estimate`
-/// kernel to each materialized sample, reusing one bootstrap scratch
-/// for the whole chunk. Each candidate's output is a pure function of
-/// its own join sample, so chunking (and therefore the thread count)
-/// never changes a bit of the output.
-fn join_chunk<'a, E>(
-    index: &'a SketchIndex,
-    query: &CorrelationSketch,
-    chunk: &[(DocId, usize)],
-    min_sample: usize,
-    estimate: &(impl Fn(&JoinSample, &mut BootstrapScratch) -> Option<E> + Sync),
-    scratch: &mut BootstrapScratch,
-) -> Vec<(Candidate<'a>, Option<E>)> {
-    chunk
-        .iter()
-        .filter_map(|&(doc, overlap)| {
-            let sketch = index.get(doc)?;
-            // Hashers are uniform across an index; join cannot fail.
-            let sample = join_sketches(query, sketch).ok()?;
-            let est = (sample.len() >= min_sample)
-                .then(|| estimate(&sample, scratch))
-                .flatten();
-            Some((
-                Candidate {
-                    doc,
-                    sketch,
-                    overlap,
-                    sample,
-                },
-                est,
-            ))
-        })
-        .collect()
-}
-
-/// Stage 2 for an already-retrieved hit list, generic over the estimate
-/// kernel (the scored pipeline attaches `ScoredEstimate`s; the
-/// custom-closure and candidate APIs use cheaper kernels).
-fn join_map<'a, E: Send>(
-    index: &'a SketchIndex,
-    query: &CorrelationSketch,
-    hits: &[(DocId, usize)],
-    threads: usize,
-    min_sample: usize,
-    estimate: impl Fn(&JoinSample, &mut BootstrapScratch) -> Option<E> + Sync,
-) -> Vec<(Candidate<'a>, Option<E>)> {
-    let threads = threads.clamp(1, hits.len().max(1));
-    if threads == 1 {
-        return join_chunk(
-            index,
-            query,
-            hits,
-            min_sample,
-            &estimate,
-            &mut BootstrapScratch::new(),
-        );
-    }
-    let chunk_len = hits.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(hits.len());
-    let estimate = &estimate;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = hits
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    join_chunk(
-                        index,
-                        query,
-                        chunk,
-                        min_sample,
-                        estimate,
-                        &mut BootstrapScratch::new(),
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("query workers do not panic"));
-        }
-    });
-    out
-}
-
-/// Execute a top-k join-correlation query with a custom scorer closure
-/// (bypassing [`QueryOptions::scorer`]).
-///
-/// `scorer` maps a candidate and its (optional) correlation estimate to a
-/// ranking score; higher is better. Candidates are returned sorted by
-/// score (descending, NaN deterministically last, ties broken by overlap
-/// then sketch id then doc id), truncated to `opts.k` via bounded-heap
-/// selection (the scorer itself runs serially — join and estimation are
-/// what `opts.threads` parallelizes).
-///
-/// The closure consumes only the point estimate, so this path skips the
-/// confidence-interval computation entirely (no bootstrap work for the
-/// robust estimators) and the returned results carry no CI fields.
-#[must_use]
-pub fn top_k_with_scorer(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    opts: &QueryOptions,
-    scorer: impl Fn(&Candidate<'_>, Option<f64>) -> f64,
-) -> Vec<QueryResult> {
-    let hits = index.overlap_candidates(query, opts.overlap_candidates);
-    let joined = join_map(
-        index,
-        query,
-        &hits,
-        opts.threads,
-        opts.min_sample,
-        |s, _| s.estimate(opts.estimator).ok(),
-    );
-    let rows = joined.into_iter().map(|(cand, est)| {
-        let score = scorer(&cand, est);
-        QueryResult {
-            doc: cand.doc,
-            id: cand.sketch.id().to_string(),
-            overlap: cand.overlap,
-            sample_size: cand.sample.len(),
-            estimate: est,
-            ci_lo: None,
-            ci_hi: None,
+/// The re-rank stage: score the whole row list with the configured
+/// scorer (list-level — `s4` normalizes CI lengths across the list) and
+/// keep the top `opts.k` via bounded-heap selection. Sketch ids are
+/// resolved here, for ranking's tie-break and the returned results.
+fn rank_rows(index: &SketchIndex, rows: Vec<ScoredRow>, opts: &QueryOptions) -> Vec<QueryResult> {
+    let estimates: Vec<Option<ScoredEstimate>> = rows.iter().map(|r| r.est).collect();
+    let scores = score_estimates(opts.scorer, &estimates);
+    let items = rows
+        .into_iter()
+        .zip(scores)
+        .map(|(row, score)| QueryResult {
+            doc: row.doc,
+            id: sketch_id(index, row.doc),
+            overlap: row.overlap,
+            sample_size: row.sample_size,
+            estimate: row.est.map(|e| e.estimate),
+            ci_lo: row.est.map(|e| e.ci_lo),
+            ci_hi: row.est.map(|e| e.ci_hi),
             score,
-        }
-    });
-    crate::select::top_k_by(rows, opts.k, result_order)
+        });
+    crate::select::top_k_by(items, opts.k, result_order)
+}
+
+/// The sketch id of a stage-2 row (`estimate_hits` only emits rows for
+/// live docs, so the fallback is unreachable).
+fn sketch_id(index: &SketchIndex, doc: DocId) -> String {
+    index
+        .get(doc)
+        .map(|s| s.id().to_string())
+        .unwrap_or_default()
+}
+
+/// The ranking's total order: descending score with NaN ranked last —
+/// a degenerate candidate (constant column → undefined correlation)
+/// sorts deterministically to the bottom instead of poisoning the
+/// selection heap — then descending overlap, then ascending sketch id
+/// (insertion-order independent), then doc id (reachable only through
+/// duplicate ids).
+pub(crate) fn result_order(a: &QueryResult, b: &QueryResult) -> std::cmp::Ordering {
+    desc_score_nan_last(a.score, b.score)
+        .then(b.overlap.cmp(&a.overlap))
+        .then_with(|| a.id.cmp(&b.id))
+        .then(a.doc.cmp(&b.doc))
+}
+
+/// One query through every stage, fanning `opts.threads` over its
+/// candidates and recording each stage as a span of `trace`.
+fn run_query(
+    index: &SketchIndex,
+    query: &CorrelationSketch,
+    opts: &QueryOptions,
+    alpha: Option<f64>,
+    scratch: &mut Scratch,
+    trace: &mut Trace,
+) -> QueryOutput {
+    let guard = trace.begin("retrieval");
+    let hits =
+        index.overlap_candidates_with_scratch(query, opts.overlap_candidates, &mut scratch.counts);
+    trace.end(guard);
+    let (rows, stats) = plan_rows(index, query, &hits, opts, opts.threads, scratch, trace);
+    let guard = trace.begin("rank");
+    let ranked = rank_rows(index, rows, opts);
+    trace.end(guard);
+    // The stage-2 pass never materializes per-candidate samples, so the
+    // reports re-join just the `opts.k` winners into the reused buffer —
+    // `k` extra merge walks instead of `overlap_candidates` sample
+    // allocations, the cheaper side of the trade at every realistic
+    // `k ≪ overlap_candidates`.
+    let guard = alpha.map(|_| trace.begin("reports"));
+    let results = ranked
+        .into_iter()
+        .map(|result| ReportedResult {
+            report: alpha.and_then(|alpha| {
+                report_for_doc(index, query, result.doc, opts, alpha, &mut scratch.sample)
+            }),
+            result,
+        })
+        .collect();
+    if let Some(guard) = guard {
+        trace.end(guard);
+    }
+    QueryOutput { results, stats }
+}
+
+/// Execute top-k join-correlation queries — the engine's one entry
+/// point. Answer `i` corresponds to `queries[i]`, ranked by
+/// [`QueryOptions::scorer`] (by default `s1`, the absolute correlation
+/// estimate — negative correlations count as much as positive ones;
+/// `s2`–`s4` penalize uncertain estimates by their confidence interval;
+/// candidates without an estimate score zero), and always carries its
+/// [`PlanStats`]. With `alpha = Some(a)` each result also carries the
+/// Section 4 uncertainty report (Hoeffding interval at significance `a`,
+/// HFD length, Fisher SE); with `None` no report work is done.
+///
+/// A single query fans `opts.threads` out over its *candidates* and
+/// records its stages into `trace` (`retrieval`, then `estimate` or
+/// `cheap_pass`/`band_estimate` depending on the plan, `rank`,
+/// `reports`). Several queries fan the threads out over the *queries*
+/// (contiguous chunks, each worker reusing one scratch for its whole
+/// chunk) and record no per-query spans — the workers run concurrently
+/// and a trace records from one thread. Either way the plan statistics,
+/// summed over the queries, are folded into the trace's notes; a
+/// disabled trace costs nothing. Every answer is bit-identical for every
+/// thread count, batch size, and trace state — which is what lets a
+/// server answer traced and untraced requests from one cache entry.
+#[must_use]
+pub fn execute(
+    index: &SketchIndex,
+    queries: &[CorrelationSketch],
+    opts: &QueryOptions,
+    alpha: Option<f64>,
+    trace: &mut Trace,
+) -> Vec<QueryOutput> {
+    let scratch = &mut Scratch::default();
+    let outputs = if let [query] = queries {
+        vec![run_query(index, query, opts, alpha, scratch, trace)]
+    } else {
+        let serial = &QueryOptions {
+            threads: 1,
+            ..*opts
+        };
+        chunked(queries, opts.threads, scratch, |chunk, scratch| {
+            let run = |q| run_query(index, q, serial, alpha, scratch, &mut Trace::disabled());
+            chunk.iter().map(run).collect()
+        })
+    };
+    if trace.is_enabled() {
+        let mut total = PlanStats::default();
+        outputs.iter().for_each(|o| total.absorb(&o.stats));
+        trace.note("plan_two_pass", u64::from(total.two_pass));
+        trace.note("plan_candidates", total.candidates as u64);
+        trace.note("plan_cheap_invocations", total.cheap_invocations as u64);
+        trace.note(
+            "plan_expensive_invocations",
+            total.expensive_invocations as u64,
+        );
+        trace.note("plan_pruned", total.pruned as u64);
+        trace.note("plan_promotion_rounds", total.promotion_rounds as u64);
+    }
+    outputs
+}
+
+/// [`execute`] for one query with uncertainty reports and no trace.
+#[must_use]
+pub fn top_k_with_reports(
+    index: &SketchIndex,
+    query: &CorrelationSketch,
+    opts: &QueryOptions,
+    alpha: f64,
+) -> Vec<ReportedResult> {
+    let (scratch, trace) = (&mut Scratch::default(), &mut Trace::disabled());
+    run_query(index, query, opts, Some(alpha), scratch, trace).results
+}
+
+/// [`execute`] for one query without reports: the ranked results and
+/// the plan's execution statistics — the observability hook the planner
+/// benches and the lossless-pruning oracle are built on.
+#[must_use]
+pub fn top_k_with_plan_stats(
+    index: &SketchIndex,
+    query: &CorrelationSketch,
+    opts: &QueryOptions,
+) -> (Vec<QueryResult>, PlanStats) {
+    let (scratch, trace) = (&mut Scratch::default(), &mut Trace::disabled());
+    let out = run_query(index, query, opts, None, scratch, trace);
+    (
+        out.results.into_iter().map(|r| r.result).collect(),
+        out.stats,
+    )
 }
 
 /// One shard-local candidate row for scatter-gather serving: stage-2
@@ -609,16 +613,12 @@ pub fn shard_candidates(
         &hits,
         opts,
         opts.threads,
-        &mut StageScratch::default(),
+        &mut Scratch::default(),
     )
     .into_iter()
     .map(|row| ShardCandidate {
         doc: row.doc,
-        // `scored_chunk` only emits rows for live docs.
-        id: index
-            .get(row.doc)
-            .map(|s| s.id().to_string())
-            .unwrap_or_default(),
+        id: sketch_id(index, row.doc),
         overlap: row.overlap,
         sample_size: row.sample_size,
         est: row.est,
@@ -626,175 +626,12 @@ pub fn shard_candidates(
     .collect()
 }
 
-/// The re-rank stage: score the whole row list with the configured
-/// scorer (list-level — `s4` normalizes CI lengths across the list) and
-/// keep the top `opts.k` via bounded-heap selection. Sketch ids are
-/// resolved here, for ranking's tie-break and the returned results.
-fn rank_rows(index: &SketchIndex, rows: Vec<ScoredRow>, opts: &QueryOptions) -> Vec<QueryResult> {
-    let estimates: Vec<Option<ScoredEstimate>> = rows.iter().map(|r| r.est).collect();
-    let scores = score_estimates(opts.scorer, &estimates);
-    let items = rows
-        .into_iter()
-        .zip(scores)
-        .map(|(row, score)| QueryResult {
-            doc: row.doc,
-            // `scored_chunk` only emits rows for live docs.
-            id: index
-                .get(row.doc)
-                .map(|s| s.id().to_string())
-                .unwrap_or_default(),
-            overlap: row.overlap,
-            sample_size: row.sample_size,
-            estimate: row.est.map(|e| e.estimate),
-            ci_lo: row.est.map(|e| e.ci_lo),
-            ci_hi: row.est.map(|e| e.ci_hi),
-            score,
-        });
-    crate::select::top_k_by(items, opts.k, result_order)
-}
-
-/// The ranking's total order: descending score with NaN ranked last —
-/// a degenerate candidate (constant column → undefined correlation →
-/// NaN through a custom scorer) sorts deterministically to the bottom
-/// instead of poisoning the selection heap — then descending overlap,
-/// then ascending sketch id (insertion-order independent), then doc id
-/// (reachable only through duplicate ids).
-pub(crate) fn result_order(a: &QueryResult, b: &QueryResult) -> std::cmp::Ordering {
-    desc_score_nan_last(a.score, b.score)
-        .then(b.overlap.cmp(&a.overlap))
-        .then_with(|| a.id.cmp(&b.id))
-        .then(a.doc.cmp(&b.doc))
-}
-
-/// Execute a top-k join-correlation query ranked by
-/// [`QueryOptions::scorer`] — by default `s1`, the absolute correlation
-/// estimate (negative correlations count as much as positive ones);
-/// `s2`–`s4` penalize uncertain estimates by their confidence interval.
-/// Candidates without an estimate score zero.
-#[must_use]
-pub fn top_k_join_correlation(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    opts: &QueryOptions,
-) -> Vec<QueryResult> {
-    top_k_with_plan_stats(index, query, opts).0
-}
-
-/// As [`top_k_join_correlation`], also returning the plan's execution
-/// statistics (estimator invocations per pass, pruned candidates,
-/// promotion rounds) — the observability hook the planner benches and
-/// the lossless-pruning oracle are built on. The ranked results are
-/// bit-identical to [`top_k_join_correlation`] under the same options.
-#[must_use]
-pub fn top_k_with_plan_stats(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    opts: &QueryOptions,
-) -> (Vec<QueryResult>, PlanStats) {
-    let (rows, stats) = scored_rows(index, query, opts, &mut Trace::disabled());
-    (rank_rows(index, rows, opts), stats)
-}
-
-/// A query result together with the full uncertainty report of
-/// [`correlation_sketches::JoinSample::report`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportedResult {
-    /// The ranked result.
-    pub result: QueryResult,
-    /// Estimate + Hoeffding CI + HFD length + Fisher SE; `None` when the
-    /// join sample was too small or degenerate.
-    pub report: Option<correlation_sketches::EstimateReport>,
-}
-
-/// As [`top_k_join_correlation`], but each answer carries the Section 4
-/// uncertainty report (Hoeffding interval, HFD length, Fisher SE) so a
-/// caller can display confidence alongside the estimate — and, on the
-/// result itself, the `(estimate, ci_lo, ci_hi)` triple the ranking
-/// scorer consumed.
-///
-/// The stage-2 pass never materializes per-candidate samples, so report
-/// construction re-joins just the `opts.k` winners into one reused
-/// buffer — `k` extra merge walks instead of `overlap_candidates` sample
-/// allocations, the cheaper side of the trade at every realistic
-/// `k ≪ overlap_candidates`.
-#[must_use]
-pub fn top_k_with_reports(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    opts: &QueryOptions,
-    alpha: f64,
-) -> Vec<ReportedResult> {
-    top_k_with_reports_traced(index, query, opts, alpha, &mut Trace::disabled()).0
-}
-
-/// As [`top_k_with_reports`], recording stage spans (`retrieval`, then
-/// `estimate` or `cheap_pass`/`band_estimate` depending on the plan,
-/// `rank`, `reports`) and the [`PlanStats`] notes into `trace`, and
-/// returning the plan statistics alongside the answers. With a
-/// disabled trace this is exactly [`top_k_with_reports`] — the ranked
-/// bytes are bit-identical either way, which is what lets a server
-/// answer traced and untraced requests from one cache entry.
-#[must_use]
-pub fn top_k_with_reports_traced(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    opts: &QueryOptions,
-    alpha: f64,
-    trace: &mut Trace,
-) -> (Vec<ReportedResult>, PlanStats) {
-    let (rows, stats) = scored_rows(index, query, opts, trace);
-    note_plan_stats(trace, &stats);
-    let rank_guard = trace.begin("rank");
-    let results = rank_rows(index, rows, opts);
-    trace.end(rank_guard);
-    let report_guard = trace.begin("reports");
-    let mut sample = JoinSample::default();
-    let reported = results
-        .into_iter()
-        .map(|result| attach_report(index, query, result, opts, alpha, &mut sample))
-        .collect();
-    trace.end(report_guard);
-    (reported, stats)
-}
-
-/// Fold the planner's execution statistics into a trace's notes.
-fn note_plan_stats(trace: &mut Trace, stats: &PlanStats) {
-    if !trace.is_enabled() {
-        return;
-    }
-    trace.note("plan_two_pass", u64::from(stats.two_pass));
-    trace.note("plan_candidates", stats.candidates as u64);
-    trace.note("plan_cheap_invocations", stats.cheap_invocations as u64);
-    trace.note(
-        "plan_expensive_invocations",
-        stats.expensive_invocations as u64,
-    );
-    trace.note("plan_pruned", stats.pruned as u64);
-    trace.note("plan_promotion_rounds", stats.promotion_rounds as u64);
-}
-
-/// Attach the Section 4 uncertainty report to a ranked result, re-joining
-/// the winner's sketch into the reused `sample` buffer — the one place
-/// the report gate (`min_sample`, degenerate-sample `ok()`) lives, so the
-/// single-query and batch paths can never drift apart.
-fn attach_report(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    result: QueryResult,
-    opts: &QueryOptions,
-    alpha: f64,
-    sample: &mut JoinSample,
-) -> ReportedResult {
-    let report = report_for_doc(index, query, result.doc, opts, alpha, sample);
-    ReportedResult { result, report }
-}
-
 /// The Section 4 uncertainty report for one document: re-join its
 /// sketch with the query into the reused `sample` buffer and build the
-/// report, under exactly the gate the ranked paths apply (`min_sample`,
-/// degenerate-sample `ok()`). Public so a sharded worker can answer
-/// report fetches for coordinator-chosen winners with bytes identical
-/// to what [`top_k_with_reports`] would attach single-process.
+/// report — the one place the report gate (`min_sample`,
+/// degenerate-sample `ok()`) lives. Public so a sharded worker can
+/// answer report fetches for coordinator-chosen winners with bytes
+/// identical to what [`execute`] would attach single-process.
 #[must_use]
 pub fn report_for_doc(
     index: &SketchIndex,
@@ -803,7 +640,7 @@ pub fn report_for_doc(
     opts: &QueryOptions,
     alpha: f64,
     sample: &mut JoinSample,
-) -> Option<correlation_sketches::EstimateReport> {
+) -> Option<EstimateReport> {
     index
         .get(doc)
         .and_then(|sketch| join_sketches_into(query, sketch, sample).ok())
@@ -814,153 +651,20 @@ pub fn report_for_doc(
         })
 }
 
-/// Per-worker scratch for the batch path: the retrieval counter buffer
-/// plus the stage-2 join + bootstrap buffers, all reused across every
-/// query of the worker's chunk.
-#[derive(Default)]
-struct BatchScratch {
-    counts: Vec<u32>,
-    stage: StageScratch,
-}
-
-/// One query of a batch, executed serially with reusable worker scratch,
-/// ranked by [`QueryOptions::scorer`].
-fn batch_one(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    opts: &QueryOptions,
-    scratch: &mut BatchScratch,
-) -> (Vec<QueryResult>, PlanStats) {
-    let hits =
-        index.overlap_candidates_with_scratch(query, opts.overlap_candidates, &mut scratch.counts);
-    // Joins run serial within a batched query (the batch fans out over
-    // queries); plan_rows is thread-count invariant, so the answer is
-    // still bit-identical to the single-query path. Per-query tracing is
-    // off here — batch workers run concurrently and a trace records from
-    // one thread; the batch entry points record batch-level spans and
-    // fold the per-query plan stats instead.
-    let (rows, stats) = plan_rows(
-        index,
-        query,
-        &hits,
-        opts,
-        1,
-        &mut scratch.stage,
-        &mut Trace::disabled(),
-    );
-    (rank_rows(index, rows, opts), stats)
-}
-
-/// Fan a per-query closure out over contiguous chunks of `queries` —
-/// deterministic for every thread count, with one scratch per worker.
-fn batch_map<T: Send>(
-    queries: &[CorrelationSketch],
-    threads: usize,
-    run_one: impl Fn(&CorrelationSketch, &mut BatchScratch) -> T + Sync,
-) -> Vec<T> {
-    let threads = threads.clamp(1, queries.len().max(1));
-    if threads == 1 {
-        let mut scratch = BatchScratch::default();
-        return queries.iter().map(|q| run_one(q, &mut scratch)).collect();
-    }
-    let chunk_len = queries.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(queries.len());
-    let run_one = &run_one;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch = BatchScratch::default();
-                    chunk
-                        .iter()
-                        .map(|q| run_one(q, &mut scratch))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("batch query workers do not panic"));
-        }
-    });
-    out
-}
-
-/// Execute many top-k join-correlation queries as one batch.
-///
-/// Answer `i` corresponds to `queries[i]` and is bit-identical to
-/// `top_k_join_correlation(index, &queries[i], opts)` — but the batch
-/// amortizes work across queries: `opts.threads` fans out over *queries*
-/// (contiguous chunks, like the single-query join fan-out) and each
-/// worker reuses one retrieval counter buffer for its whole chunk
-/// instead of allocating per query. Deterministic for every thread
-/// count.
-#[must_use]
-pub fn top_k_batch(
-    index: &SketchIndex,
-    queries: &[CorrelationSketch],
-    opts: &QueryOptions,
-) -> Vec<Vec<QueryResult>> {
-    batch_map(queries, opts.threads, |query, scratch| {
-        batch_one(index, query, opts, scratch).0
-    })
-}
-
-/// As [`top_k_batch`], with each answer carrying the Section 4
-/// uncertainty report — bit-identical to looping
-/// [`top_k_with_reports`] over `queries`.
-#[must_use]
-pub fn top_k_batch_with_reports(
-    index: &SketchIndex,
-    queries: &[CorrelationSketch],
-    opts: &QueryOptions,
-    alpha: f64,
-) -> Vec<Vec<ReportedResult>> {
-    top_k_batch_with_reports_traced(index, queries, opts, alpha, &mut Trace::disabled()).0
-}
-
-/// As [`top_k_batch_with_reports`], recording one `batch_execute` span
-/// plus the batch's *summed* [`PlanStats`] notes into `trace` (batch
-/// workers run concurrently, so per-query spans are not recorded), and
-/// returning those summed statistics. The answers are bit-identical to
-/// [`top_k_batch_with_reports`].
-#[must_use]
-pub fn top_k_batch_with_reports_traced(
-    index: &SketchIndex,
-    queries: &[CorrelationSketch],
-    opts: &QueryOptions,
-    alpha: f64,
-    trace: &mut Trace,
-) -> (Vec<Vec<ReportedResult>>, PlanStats) {
-    let guard = trace.begin("batch_execute");
-    let per_query = batch_map(queries, opts.threads, |query, scratch| {
-        let (results, stats) = batch_one(index, query, opts, scratch);
-        let reported: Vec<ReportedResult> = results
-            .into_iter()
-            .map(|result| {
-                attach_report(index, query, result, opts, alpha, &mut scratch.stage.sample)
-            })
-            .collect();
-        (reported, stats)
-    });
-    trace.end(guard);
-    let mut total = PlanStats::default();
-    let answers = per_query
-        .into_iter()
-        .map(|(reported, stats)| {
-            total.absorb(&stats);
-            reported
-        })
-        .collect();
-    note_plan_stats(trace, &total);
-    (answers, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use correlation_sketches::{SketchBuilder, SketchConfig};
     use sketch_table::ColumnPair;
+
+    /// The ranked results alone.
+    fn top_k(
+        index: &SketchIndex,
+        query: &CorrelationSketch,
+        opts: &QueryOptions,
+    ) -> Vec<QueryResult> {
+        top_k_with_plan_stats(index, query, opts).0
+    }
 
     /// Corpus with one strongly correlated, one anti-correlated, one
     /// noisy, and one non-joinable column.
@@ -1021,7 +725,7 @@ mod tests {
     #[test]
     fn correlated_columns_rank_above_noise() {
         let (idx, q) = fixture();
-        let results = top_k_join_correlation(&idx, &q, &QueryOptions::default());
+        let results = top_k(&idx, &q, &QueryOptions::default());
         assert_eq!(results.len(), 3, "disjoint table must not be retrieved");
         let names: Vec<&str> = results.iter().map(|r| r.id.as_str()).collect();
         assert_eq!(names[2], "noise/k/v", "noise must rank last: {names:?}");
@@ -1033,7 +737,7 @@ mod tests {
     #[test]
     fn negative_correlation_ranks_high() {
         let (idx, q) = fixture();
-        let results = top_k_join_correlation(&idx, &q, &QueryOptions::default());
+        let results = top_k(&idx, &q, &QueryOptions::default());
         let neg = results.iter().find(|r| r.id == "negative/k/v").unwrap();
         assert!(neg.estimate.unwrap() < -0.95);
         assert!(neg.score > 0.9, "abs() scoring must rank it high");
@@ -1046,13 +750,13 @@ mod tests {
             k: 1,
             ..Default::default()
         };
-        assert_eq!(top_k_join_correlation(&idx, &q, &opts).len(), 1);
+        assert_eq!(top_k(&idx, &q, &opts).len(), 1);
 
         let opts = QueryOptions {
             overlap_candidates: 2,
             ..Default::default()
         };
-        assert_eq!(top_k_join_correlation(&idx, &q, &opts).len(), 2);
+        assert_eq!(top_k(&idx, &q, &opts).len(), 2);
     }
 
     #[test]
@@ -1062,30 +766,9 @@ mod tests {
             min_sample: 10_000, // nothing can reach this
             ..Default::default()
         };
-        for r in top_k_join_correlation(&idx, &q, &opts) {
+        for r in top_k(&idx, &q, &opts) {
             assert!(r.estimate.is_none());
             assert_eq!(r.score, 0.0);
-        }
-    }
-
-    #[test]
-    fn custom_scorer_changes_order() {
-        let (idx, q) = fixture();
-        // Score by overlap only: ranking degenerates to retrieval order.
-        let results = top_k_with_scorer(&idx, &q, &QueryOptions::default(), |cand, _| {
-            cand.overlap as f64
-        });
-        assert!(results[0].overlap >= results[1].overlap);
-    }
-
-    #[test]
-    fn retrieve_candidates_exposes_samples() {
-        let (idx, q) = fixture();
-        let cands = retrieve_candidates(&idx, &q, 100);
-        assert_eq!(cands.len(), 3);
-        for c in &cands {
-            assert_eq!(c.sample.len(), c.overlap);
-            assert!(!c.sample.is_empty());
         }
     }
 
@@ -1142,35 +825,16 @@ mod tests {
             threads: 1,
             ..Default::default()
         };
-        let expected = top_k_join_correlation(&idx, &q, &serial);
+        let expected = top_k(&idx, &q, &serial);
         assert!(expected.len() >= 10);
         // 0 (treated as 1), several in-range counts, and counts far above
         // the candidate count must all be bit-identical.
         for threads in [0usize, 2, 3, 7, 16, 1000] {
             let opts = QueryOptions { threads, ..serial };
-            assert_eq!(
-                top_k_join_correlation(&idx, &q, &opts),
-                expected,
-                "threads={threads}"
-            );
+            assert_eq!(top_k(&idx, &q, &opts), expected, "threads={threads}");
             let reports = top_k_with_reports(&idx, &q, &opts, 0.05);
             let serial_reports = top_k_with_reports(&idx, &q, &serial, 0.05);
             assert_eq!(reports, serial_reports, "reports, threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_retrieve_candidates_identical_to_serial() {
-        let (idx, q) = wide_fixture(25);
-        let serial = retrieve_candidates(&idx, &q, 100);
-        for threads in [0usize, 2, 5, 64] {
-            let par = retrieve_candidates_threaded(&idx, &q, 100, threads);
-            assert_eq!(par.len(), serial.len(), "threads={threads}");
-            for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.doc, b.doc);
-                assert_eq!(a.overlap, b.overlap);
-                assert_eq!(a.sample, b.sample);
-            }
         }
     }
 
@@ -1181,7 +845,7 @@ mod tests {
         let fused = top_k_with_reports(&idx, &q, &opts, 0.05);
         // The pre-fusion implementation ranked first, then re-joined and
         // re-estimated every winner; reproduce it literally.
-        let prefusion: Vec<ReportedResult> = top_k_join_correlation(&idx, &q, &opts)
+        let prefusion: Vec<ReportedResult> = top_k(&idx, &q, &opts)
             .into_iter()
             .map(|result| {
                 let report = idx
@@ -1203,10 +867,10 @@ mod tests {
             k: 50,
             ..Default::default()
         };
-        let full = top_k_join_correlation(&idx, &q, &opts);
+        let full = top_k(&idx, &q, &opts);
         let removed_id = full[0].id.clone();
         assert!(idx.remove(&removed_id));
-        let after = top_k_join_correlation(&idx, &q, &opts);
+        let after = top_k(&idx, &q, &opts);
         assert!(after.iter().all(|r| r.id != removed_id));
         assert_eq!(after.len(), full.len() - 1);
         // The surviving results keep their relative order, with doc ids
@@ -1221,13 +885,13 @@ mod tests {
         let b = SketchBuilder::new(SketchConfig::with_size(16));
         let q = b.build(&ColumnPair::new("q", "k", "v", vec!["a".into()], vec![1.0]));
         let idx = SketchIndex::new();
-        assert!(top_k_join_correlation(&idx, &q, &QueryOptions::default()).is_empty());
+        assert!(top_k(&idx, &q, &QueryOptions::default()).is_empty());
     }
 
     #[test]
     fn ci_fields_accompany_estimates() {
         let (idx, q) = fixture();
-        let results = top_k_join_correlation(&idx, &q, &QueryOptions::default());
+        let results = top_k(&idx, &q, &QueryOptions::default());
         assert!(!results.is_empty());
         for r in &results {
             let (est, lo, hi) = (r.estimate.unwrap(), r.ci_lo.unwrap(), r.ci_hi.unwrap());
@@ -1239,7 +903,7 @@ mod tests {
             min_sample: 10_000,
             ..QueryOptions::default()
         };
-        for r in top_k_join_correlation(&idx, &q, &opts) {
+        for r in top_k(&idx, &q, &opts) {
             assert!(r.estimate.is_none() && r.ci_lo.is_none() && r.ci_hi.is_none());
         }
     }
@@ -1329,7 +993,7 @@ mod tests {
                 scorer,
                 ..QueryOptions::default()
             };
-            top_k_join_correlation(&idx, &query, &opts)
+            top_k(&idx, &query, &opts)
                 .first()
                 .map(|r| r.id.clone())
                 .unwrap()
@@ -1341,9 +1005,8 @@ mod tests {
     }
 
     /// Regression for the NaN-poisoning bug class: constant-value
-    /// columns (undefined correlation) and a custom scorer that returns
-    /// NaN must rank last deterministically — never first, never a
-    /// panic.
+    /// columns (undefined correlation) and NaN scores must rank last
+    /// deterministically — never first, never a panic.
     #[test]
     fn constant_columns_and_nan_scores_rank_last() {
         let b = SketchBuilder::new(SketchConfig::with_size(128));
@@ -1378,7 +1041,7 @@ mod tests {
                 scorer,
                 ..QueryOptions::default()
             };
-            let results = top_k_join_correlation(&idx, &query, &opts);
+            let results = top_k(&idx, &query, &opts);
             assert_eq!(results.len(), 3, "{scorer}");
             assert_eq!(results[0].id, "good/k/v", "{scorer}: {results:?}");
             for dead in &results[1..] {
@@ -1391,22 +1054,34 @@ mod tests {
             assert_eq!(results[2].id, "flat-b/k/v");
         }
 
-        // A hostile custom scorer that emits NaN for the healthy column:
-        // NaN ranks below every real score, results never panic.
-        let nan_for_good = |cand: &Candidate<'_>, est: Option<f64>| {
-            if cand.sketch.id().starts_with("good") {
-                f64::NAN
-            } else {
-                est.map_or(-1.0, f64::abs)
-            }
-        };
-        let results = top_k_with_scorer(&idx, &query, &QueryOptions::default(), nan_for_good);
-        assert_eq!(results.len(), 3);
-        assert_eq!(
-            results[2].id, "good/k/v",
-            "NaN score must sort last: {results:?}"
-        );
-        assert!(results[2].score.is_nan());
+        // A NaN score injected into otherwise healthy results: the
+        // ranking order puts it below every real score — the -1.0 of a
+        // candidate with nothing going for it included — and the
+        // selection heap never panics, whatever the arrival order or `k`.
+        let scored: Vec<QueryResult> = top_k(&idx, &query, &QueryOptions::default())
+            .into_iter()
+            .map(|r| QueryResult {
+                score: if r.id.starts_with("good") {
+                    f64::NAN
+                } else {
+                    r.estimate.map_or(-1.0, f64::abs)
+                },
+                ..r
+            })
+            .collect();
+        for rot in 0..scored.len() {
+            let mut arrival = scored.clone();
+            arrival.rotate_left(rot);
+            let results = crate::select::top_k_by(arrival.clone(), 3, result_order);
+            assert_eq!(results.len(), 3);
+            assert_eq!(
+                results[2].id, "good/k/v",
+                "NaN score must sort last: {results:?}"
+            );
+            assert!(results[2].score.is_nan());
+            let best = crate::select::top_k_by(arrival, 1, result_order);
+            assert_eq!(best[0].id, "flat-a/k/v", "NaN must never win: {best:?}");
+        }
     }
 
     /// The planner's headline contract on a deterministic corpus:
@@ -1476,11 +1151,7 @@ mod tests {
                 ..base
             };
             let (got, stats) = top_k_with_plan_stats(&idx, &q, &two);
-            assert_eq!(
-                got,
-                top_k_join_correlation(&idx, &q, &base),
-                "{scorer}/{estimator}"
-            );
+            assert_eq!(got, top_k(&idx, &q, &base), "{scorer}/{estimator}");
             assert!(!stats.two_pass, "{scorer}/{estimator}: {stats:?}");
             assert_eq!(stats.cheap_invocations, 0);
             assert_eq!(stats.pruned, 0);
@@ -1508,9 +1179,47 @@ mod tests {
             let (got, stats) = top_k_with_plan_stats(&idx, &q, &opts);
             assert_eq!(got, expected, "threads={threads}");
             assert_eq!(stats, expected_stats, "threads={threads}");
-            let batch = top_k_batch(&idx, std::slice::from_ref(&q), &opts);
-            assert_eq!(batch, vec![expected.clone()], "batch, threads={threads}");
+            let batch: Vec<Vec<QueryResult>> = [[q.clone()].as_slice(), &[q.clone(), q.clone()]]
+                .into_iter()
+                .flat_map(|qs| execute(&idx, qs, &opts, None, &mut Trace::disabled()))
+                .map(|o| o.results.into_iter().map(|r| r.result).collect())
+                .collect();
+            assert_eq!(batch, vec![expected.clone(); 3], "batch, threads={threads}");
         }
+    }
+
+    /// What only [`execute`] can show: reports appear exactly when asked
+    /// for, one query is traced stage by stage, several are not, and the
+    /// plan notes are the sum over the batch either way.
+    #[test]
+    fn execute_attaches_reports_and_spans_only_as_asked() {
+        let (idx, q) = wide_fixture(20);
+        let opts = QueryOptions::default();
+        let note = |t: &Trace, name| t.notes().iter().find(|n| n.0 == name).map(|n| n.1);
+        let names = |t: &Trace| t.spans().iter().map(|s| s.name).collect::<Vec<_>>();
+
+        let mut one = Trace::enabled();
+        let reported = execute(&idx, std::slice::from_ref(&q), &opts, Some(0.05), &mut one);
+        assert_eq!(names(&one), ["retrieval", "estimate", "rank", "reports"]);
+        assert_eq!(
+            reported[0].results,
+            top_k_with_reports(&idx, &q, &opts, 0.05)
+        );
+        assert!(reported[0].results.iter().all(|r| r.report.is_some()));
+
+        let mut many = Trace::enabled();
+        let plain = execute(&idx, &[q.clone(), q.clone()], &opts, None, &mut many);
+        assert!(names(&many).is_empty(), "{:?}", names(&many));
+        for out in &plain {
+            assert_eq!(out.stats, reported[0].stats);
+            assert!(out.results.iter().all(|r| r.report.is_none()));
+            let results = out.results.iter().map(|r| &r.result);
+            assert!(results.eq(reported[0].results.iter().map(|r| &r.result)));
+        }
+        let candidates = reported[0].stats.candidates as u64;
+        assert_eq!(note(&one, "plan_candidates"), Some(candidates));
+        assert_eq!(note(&many, "plan_candidates"), Some(2 * candidates));
+        assert!(execute(&idx, &[], &opts, None, &mut Trace::disabled()).is_empty());
     }
 
     /// k at (or above) the candidate count leaves nothing to prune: the
@@ -1529,7 +1238,7 @@ mod tests {
             plan: PlanMode::Exhaustive,
             ..opts
         };
-        assert_eq!(got, top_k_join_correlation(&idx, &q, &base));
+        assert_eq!(got, top_k(&idx, &q, &base));
         assert!(!stats.two_pass);
         assert_eq!(stats.cheap_invocations, 0);
     }

@@ -9,11 +9,12 @@
 //!
 //! * [`SketchIndex`] — an in-memory inverted index mapping hashed keys to
 //!   the sketches containing them, with top-N retrieval by key overlap;
-//! * [`engine`] — the two-stage query pipeline of Sections 4 and 5.5:
-//!   retrieve the top-N candidates by overlap, then join + estimate +
-//!   confidence interval in one fused pass, and re-rank with one of the
-//!   `s1..s4` scorers of `sketch-ranking`
-//!   ([`QueryOptions::scorer`]/[`QueryOptions::confidence`]).
+//! * [`engine`] — the query pipeline of Sections 4 and 5.5 behind one
+//!   entry point, [`engine::execute`]: retrieve the top-N candidates by
+//!   overlap, then join + estimate + confidence interval in one fused
+//!   pass, re-rank with one of the `s1..s4` scorers of `sketch-ranking`
+//!   ([`QueryOptions::scorer`]/[`QueryOptions::confidence`]), and
+//!   attach uncertainty reports when asked.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,10 +25,7 @@ pub mod merge;
 pub mod plan;
 mod select;
 
-pub use engine::{
-    top_k_batch, top_k_batch_with_reports, Candidate, QueryOptions, QueryResult, ReportedResult,
-    ShardCandidate,
-};
+pub use engine::{QueryOptions, QueryOutput, QueryResult, ReportedResult, ShardCandidate};
 pub use inverted::{DocId, SketchIndex};
 pub use merge::{merge_shard_candidates, MergeOutcome, MergedWinner, ShardRows};
 pub use plan::{PlanMode, PlanStats};

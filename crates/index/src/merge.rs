@@ -289,7 +289,7 @@ mod tests {
             let (union, parts, query) = sharded_fixture(40, shards);
             for scorer in Scorer::ALL {
                 let o = opts(6, 30, scorer);
-                let expected = engine::top_k_join_correlation(&union, &query, &o);
+                let expected = engine::top_k_with_plan_stats(&union, &query, &o).0;
                 let rows: Vec<Vec<ShardCandidate>> = parts
                     .iter()
                     .map(|p| engine::shard_candidates(p, &query, &o))
@@ -344,7 +344,7 @@ mod tests {
         );
         assert!(out.shipped >= o.k);
         assert!(out.threshold > 0.0);
-        let expected = engine::top_k_join_correlation(&union, &query, &o);
+        let expected = engine::top_k_with_plan_stats(&union, &query, &o).0;
         let got: Vec<QueryResult> = out.winners.iter().map(|w| w.result.clone()).collect();
         assert_eq!(got, expected);
     }

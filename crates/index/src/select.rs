@@ -1,6 +1,6 @@
 //! Bounded top-k selection.
 //!
-//! Both retrieval (`overlap_candidates`) and ranking (`top_k_with_scorer`)
+//! Both retrieval (`overlap_candidates`) and ranking (`engine::execute`)
 //! keep only `k` winners out of a much larger candidate stream. A full
 //! sort is `O(n log n)` over everything including the discarded tail;
 //! selecting through a size-`k` binary heap is `O(n log k)` and touches

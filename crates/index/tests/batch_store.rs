@@ -2,7 +2,8 @@
 //! and index construction from a packed binary corpus store.
 
 use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
-use sketch_index::{engine, QueryOptions, SketchIndex};
+use sketch_index::{engine, QueryOptions, QueryResult, ReportedResult, SketchIndex};
+use sketch_obs::Trace;
 use sketch_store::{pack_corpus, PackOptions};
 use sketch_table::ColumnPair;
 
@@ -59,6 +60,31 @@ impl Drop for TempDir {
     }
 }
 
+/// `engine::execute` over a batch with reports, untraced.
+fn execute_batch_with_reports(
+    index: &SketchIndex,
+    queries: &[CorrelationSketch],
+    opts: &QueryOptions,
+    alpha: f64,
+) -> Vec<Vec<ReportedResult>> {
+    engine::execute(index, queries, opts, Some(alpha), &mut Trace::disabled())
+        .into_iter()
+        .map(|out| out.results)
+        .collect()
+}
+
+/// `engine::execute` over a batch without reports: the ranked results.
+fn execute_batch(
+    index: &SketchIndex,
+    queries: &[CorrelationSketch],
+    opts: &QueryOptions,
+) -> Vec<Vec<QueryResult>> {
+    engine::execute(index, queries, opts, None, &mut Trace::disabled())
+        .into_iter()
+        .map(|out| out.results.into_iter().map(|r| r.result).collect())
+        .collect()
+}
+
 #[test]
 fn batch_identical_to_looping_for_every_thread_count() {
     let (corpus, queries) = fixture(30, 12);
@@ -72,7 +98,7 @@ fn batch_identical_to_looping_for_every_thread_count() {
     // The reference: one serial single-query call per query sketch.
     let looped: Vec<Vec<_>> = queries
         .iter()
-        .map(|q| engine::top_k_join_correlation(&index, q, &serial))
+        .map(|q| engine::top_k_with_plan_stats(&index, q, &serial).0)
         .collect();
     let looped_reports: Vec<Vec<_>> = queries
         .iter()
@@ -83,12 +109,12 @@ fn batch_identical_to_looping_for_every_thread_count() {
     for threads in [0usize, 1, 2, 7, 16] {
         let opts = QueryOptions { threads, ..serial };
         assert_eq!(
-            engine::top_k_batch(&index, &queries, &opts),
+            execute_batch(&index, &queries, &opts),
             looped,
             "threads={threads}"
         );
         assert_eq!(
-            engine::top_k_batch_with_reports(&index, &queries, &opts, 0.05),
+            execute_batch_with_reports(&index, &queries, &opts, 0.05),
             looped_reports,
             "reports, threads={threads}"
         );
@@ -103,12 +129,12 @@ fn batch_of_one_and_empty_batch() {
         threads: 4,
         ..QueryOptions::default()
     };
-    assert!(engine::top_k_batch(&index, &[], &opts).is_empty());
-    let single = engine::top_k_batch(&index, &queries[..1], &opts);
+    assert!(execute_batch(&index, &[], &opts).is_empty());
+    let single = execute_batch(&index, &queries[..1], &opts);
     assert_eq!(single.len(), 1);
     assert_eq!(
         single[0],
-        engine::top_k_join_correlation(&index, &queries[0], &opts)
+        engine::top_k_with_plan_stats(&index, &queries[0], &opts).0
     );
 }
 
@@ -135,8 +161,8 @@ fn from_store_equals_insertion_order_index() {
         let opts = QueryOptions::default();
         for q in &queries {
             assert_eq!(
-                engine::top_k_join_correlation(&from_store, q, &opts),
-                engine::top_k_join_correlation(&direct, q, &opts),
+                engine::top_k_with_plan_stats(&from_store, q, &opts).0,
+                engine::top_k_with_plan_stats(&direct, q, &opts).0,
             );
         }
     }

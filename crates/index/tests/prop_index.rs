@@ -74,7 +74,7 @@ proptest! {
         }
         let q = builder.build(&pair_from("q".into(), &qk, &qv));
         let opts = QueryOptions { k, ..QueryOptions::default() };
-        let results = engine::top_k_join_correlation(&index, &q, &opts);
+        let results = engine::top_k_with_plan_stats(&index, &q, &opts).0;
         prop_assert!(results.len() <= k);
         for w in results.windows(2) {
             prop_assert!(w[0].score >= w[1].score);
@@ -119,7 +119,7 @@ proptest! {
         index.insert(builder.build(&decoy)).unwrap();
 
         let results =
-            engine::top_k_join_correlation(&index, &q_sketch, &QueryOptions::default());
+            engine::top_k_with_plan_stats(&index, &q_sketch, &QueryOptions::default()).0;
         prop_assert!(!results.is_empty());
         prop_assert_eq!(results[0].doc, 0);
         prop_assert!((results[0].estimate.unwrap() - 1.0).abs() < 1e-9);

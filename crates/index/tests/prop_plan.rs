@@ -104,7 +104,7 @@ fn replay_plan(
         threads: 1,
         ..*opts
     };
-    let cheap = engine::top_k_join_correlation(
+    let cheap = engine::top_k_with_plan_stats(
         &case.index,
         query,
         &QueryOptions {
@@ -112,8 +112,9 @@ fn replay_plan(
             confidence: pass1_confidence,
             ..full_list
         },
-    );
-    let expensive = engine::top_k_join_correlation(&case.index, query, &full_list);
+    )
+    .0;
+    let expensive = engine::top_k_with_plan_stats(&case.index, query, &full_list).0;
 
     let effective_min = opts.min_sample.max(opts.estimator.min_samples());
     // Admitted candidates: (score upper/lower bound, expensive score).

@@ -338,6 +338,8 @@ fn r3_applies(path: &str) -> bool {
         "crates/server/src/conn.rs",
         "crates/server/src/api.rs",
         "crates/server/src/http.rs",
+        "crates/server/src/pipeline.rs",
+        "crates/server/src/server.rs",
         "crates/server/src/coordinator.rs",
     ]
     .iter()
@@ -550,7 +552,9 @@ mod tests {
         assert!(r1_applies("crates/index/src/engine.rs"));
         assert!(!r1_applies("crates/server/src/api.rs"));
         assert!(r3_applies("crates/server/src/http.rs"));
-        assert!(!r3_applies("crates/server/src/server.rs"));
+        assert!(r3_applies("crates/server/src/pipeline.rs"));
+        assert!(r3_applies("crates/server/src/server.rs"));
+        assert!(!r3_applies("crates/server/src/snapshot.rs"));
         assert!(r5_applies("crates/hashing/src/murmur3.rs"));
         assert!(!r5_applies("crates/server/src/server.rs"));
         assert!(r6_applies("crates/core/src/binary.rs"));

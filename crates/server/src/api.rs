@@ -186,12 +186,14 @@ fn parse_trace(obj: json::Obj<'_>) -> Result<bool, String> {
     }
 }
 
-/// Cheap pre-parse screen: a request can only have asked for a trace if
-/// the literal key `"trace"` appears in its bytes. The handlers use it
-/// on the memo-miss path (where a full parse is imminent anyway) to
-/// start the trace *before* the parse, so the parse span is captured. A
-/// false positive merely records spans that are never rendered; a false
-/// negative is impossible.
+/// Cheap pre-parse screen for the literal key `"trace"` in the request
+/// bytes. The pipeline uses it on the memo-miss path (where a full parse
+/// is imminent anyway) to start the trace *before* the parse, so the
+/// parse span is captured. It is only a hint — the post-parse
+/// `req.trace` check is the source of truth: a false positive merely
+/// records spans that are never rendered, and a false negative (an
+/// escaped key such as `"tr\u0061ce"`, which `json::parse` decodes to
+/// `trace`) loses only the parse span.
 #[must_use]
 pub(crate) fn wants_trace_hint(body: &[u8]) -> bool {
     body.windows(7).any(|w| w == b"\"trace\"")

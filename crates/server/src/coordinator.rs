@@ -1,5 +1,6 @@
-//! The scatter-gather coordinator: a front end that partitions `/query`
-//! and `/query_batch` over N worker servers (one per corpus partition,
+//! The scatter-gather coordinator: the request `pipeline`'s `Cluster`
+//! backend — a front end that partitions a `/query` or `/query_batch`
+//! cache miss over N worker servers (one per corpus partition,
 //! see `sketch_store::shard_corpus`) and merges their candidate rows
 //! into the *same answer bytes* a single process would serve over the
 //! union corpus.
@@ -48,20 +49,19 @@
 //! runs over the shards that did answer. Never a hang (every socket op
 //! is deadline-bounded), never a silently short list.
 
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use sketch_index::{merge_shard_candidates, DocId, ReportedResult, ShardCandidate, ShardRows};
 use sketch_obs::{promtext, Trace};
 
-use crate::api::{self, BatchRequest, QueryBody, QueryParams, QueryRequest, ShardState};
-use crate::cache::{self, ParseMemo, QueryCache};
+use crate::api::{self, QueryBody, QueryParams, ShardState};
 use crate::client::HttpClient;
-use crate::conn::{self, Body, ConnLimits};
-use crate::http::Request;
-use crate::metrics;
+use crate::conn::{Body, ConnLimits};
+use crate::metrics::{self, ShardView};
+use crate::pipeline::{self, Backend, FrontEnd, Kind, Parsed};
 use crate::server::ServerError;
 use crate::stats::ServerStats;
 
@@ -126,21 +126,13 @@ impl CoordinatorConfig {
     }
 }
 
-/// Last-known facts about one worker, updated by every successful call
-/// and by the background health poller.
-#[derive(Debug, Clone, Copy)]
-struct WorkerState {
-    generation: u64,
-    sketches: u64,
-    healthy: bool,
-}
-
 /// One worker: its resolved address, a pool of keep-alive connections,
-/// and the last-known state.
+/// and the last-known state — updated by every successful call and by
+/// the background health poller.
 struct WorkerSlot {
     addr: SocketAddr,
     pool: Mutex<Vec<HttpClient>>,
-    state: Mutex<WorkerState>,
+    state: Mutex<ShardView>,
 }
 
 impl WorkerSlot {
@@ -148,7 +140,7 @@ impl WorkerSlot {
         Self {
             addr,
             pool: Mutex::new(Vec::new()),
-            state: Mutex::new(WorkerState {
+            state: Mutex::new(ShardView {
                 generation: 0,
                 sketches: 0,
                 healthy: false,
@@ -156,12 +148,12 @@ impl WorkerSlot {
         }
     }
 
-    fn state(&self) -> WorkerState {
+    fn state(&self) -> ShardView {
         *self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn observe(&self, generation: u64, sketches: u64) {
-        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = WorkerState {
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = ShardView {
             generation,
             sketches,
             healthy: true,
@@ -240,26 +232,16 @@ impl WorkerSlot {
     }
 }
 
-/// Everything the front-end threads and the health poller share.
-struct Ctx {
+/// The pipeline's cluster backend — a cache miss scatters to the
+/// workers and gathers — and everything the front-end threads and the
+/// health poller share.
+struct Cluster {
+    front: FrontEnd,
     slots: Vec<WorkerSlot>,
-    defaults: QueryParams,
-    cache: QueryCache,
-    /// Raw-body-hash → canonical fingerprint memos: a repeated
-    /// byte-identical body skips the JSON parse in front of the cache
-    /// (see [`crate::cache::ParseMemo`]). Both memos also carry the
-    /// request's trace flag (the hit path never parses, but must still
-    /// know whether to splice a span tree in); the batch memo
-    /// additionally carries the query count the hit path accounts.
-    memo_query: ParseMemo<(u128, bool)>,
-    memo_batch: ParseMemo<(u128, u64, bool)>,
-    slow_query: Option<Duration>,
     worker_timeout: Duration,
-    stats: ServerStats,
-    shutdown: AtomicBool,
 }
 
-impl Ctx {
+impl Cluster {
     /// The last-known `(generation, sketches)` vector, in shard order.
     fn known_generations(&self) -> Vec<(u64, u64)> {
         self.slots
@@ -276,9 +258,9 @@ impl Ctx {
 /// deterministic, graceful stop.
 pub struct CoordinatorHandle {
     addr: SocketAddr,
-    ctx: Arc<Ctx>,
+    ctx: Arc<Cluster>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    poller: Option<std::thread::JoinHandle<()>>,
+    poller: std::thread::JoinHandle<()>,
 }
 
 impl CoordinatorHandle {
@@ -301,22 +283,15 @@ impl CoordinatorHandle {
     /// Live coordinator counters.
     #[must_use]
     pub fn stats(&self) -> &ServerStats {
-        &self.ctx.stats
+        &self.ctx.front.stats
     }
 
     /// Graceful shutdown: stop accepting, finish in-flight requests,
     /// join every thread. Returns the final `/stats` payload.
     #[must_use = "the returned stats summary describes the coordinator's whole life"]
     pub fn shutdown(self) -> String {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
-        for w in self.workers {
-            let _ = w.join();
-        }
-        if let Some(p) = self.poller {
-            let _ = p.join();
-        }
-        let hash = api::generation_hash(&self.ctx.known_generations());
-        self.ctx.stats.to_json(hash, self.ctx.cache.len())
+        let threads = self.workers.into_iter().chain([self.poller]);
+        pipeline::stop(&*self.ctx, threads)
     }
 }
 
@@ -327,8 +302,8 @@ impl CoordinatorHandle {
 /// # Errors
 ///
 /// [`ServerError::Io`] when a worker address cannot be resolved, a
-/// worker stays unreachable past `startup_timeout`, or the public
-/// address cannot be bound.
+/// worker stays unreachable past `startup_timeout`, the public address
+/// cannot be bound, or a thread cannot be spawned.
 pub fn start_coordinator(config: CoordinatorConfig) -> Result<CoordinatorHandle, ServerError> {
     if config.workers.is_empty() {
         return Err(ServerError::Io(std::io::Error::new(
@@ -376,61 +351,28 @@ pub fn start_coordinator(config: CoordinatorConfig) -> Result<CoordinatorHandle,
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
-    let ctx = Arc::new(Ctx {
+    let ctx = Arc::new(Cluster {
+        front: FrontEnd::new(config.cache_capacity, config.defaults, config.slow_query),
         slots,
-        defaults: config.defaults,
-        cache: QueryCache::new(config.cache_capacity),
-        memo_query: ParseMemo::new(cache::memo_capacity(config.cache_capacity)),
-        memo_batch: ParseMemo::new(cache::memo_capacity(config.cache_capacity)),
-        slow_query: config.slow_query,
         worker_timeout: config.worker_timeout,
-        stats: ServerStats::default(),
-        shutdown: AtomicBool::new(false),
     });
-
     let limits = ConnLimits {
         keep_alive_idle: config.keep_alive_idle,
         request_timeout: config.request_timeout,
     };
-    let workers = (0..config.threads.max(1))
-        .map(|i| {
-            let listener = listener.try_clone()?;
-            let ctx = Arc::clone(&ctx);
-            Ok(std::thread::Builder::new()
-                .name(format!("sketch-coord-{i}"))
-                .spawn(move || {
-                    conn::accept_loop(
-                        &listener,
-                        &ctx.shutdown,
-                        &ctx.stats.requests,
-                        &ctx.stats.errors,
-                        limits,
-                        |req| route(&ctx, req),
-                    );
-                })
-                .expect("spawning a coordinator thread succeeds"))
-        })
-        .collect::<Result<Vec<_>, std::io::Error>>()?;
-
+    let (addr, workers) = pipeline::listen(&ctx, &config.addr, config.threads, limits)?;
     let poller = {
         let ctx = Arc::clone(&ctx);
         let interval = config.poll_interval;
-        let timeout = config.worker_timeout;
         std::thread::Builder::new()
             .name("sketch-coord-poll".to_string())
-            .spawn(move || poller_loop(&ctx, interval, timeout))
-            .expect("spawning the health poller succeeds")
+            .spawn(move || poller_loop(&ctx, interval, ctx.worker_timeout))?
     };
-
     Ok(CoordinatorHandle {
         addr,
         ctx,
         workers,
-        poller: Some(poller),
+        poller,
     })
 }
 
@@ -438,10 +380,10 @@ pub fn start_coordinator(config: CoordinatorConfig) -> Result<CoordinatorHandle,
 /// mutation on a worker's store reaches the coordinator's cache key
 /// (generation-vector hash) without any query traffic, and how a dead
 /// worker's `healthy` flag clears so `/healthz` reports it.
-fn poller_loop(ctx: &Ctx, interval: Duration, timeout: Duration) {
+fn poller_loop(ctx: &Cluster, interval: Duration, timeout: Duration) {
     let tick = interval.min(Duration::from_millis(50));
     let mut next_poll = Instant::now();
-    while !ctx.shutdown.load(Ordering::Relaxed) {
+    while !ctx.front.shutdown.load(Ordering::Relaxed) {
         if Instant::now() >= next_poll {
             next_poll = Instant::now() + interval;
             let before = ctx.known_generations();
@@ -453,126 +395,34 @@ fn poller_loop(ctx: &Ctx, interval: Duration, timeout: Duration) {
                 }
             });
             if ctx.known_generations() != before {
-                ServerStats::bump(&ctx.stats.refreshes);
+                ServerStats::bump(&ctx.front.stats.refreshes);
             }
         }
         std::thread::sleep(tick);
     }
 }
 
-/// Dispatch one public request (same 405/404 discipline as the server).
-fn route(ctx: &Ctx, req: &Request) -> (u16, Body, Option<&'static str>) {
-    let path = req
-        .path
-        .split_once('?')
-        .map_or(req.path.as_str(), |(path, _query)| path);
-    let (status, body) = route_path(ctx, req, path);
-    let allow = (status == 405).then_some(match path {
-        "/healthz" | "/stats" | "/metrics" => "GET",
-        _ => "POST",
-    });
-    (status, body, allow)
-}
-
-fn route_path(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
-    match (req.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            ServerStats::bump(&ctx.stats.healthz);
-            (200, Body::Owned(healthz_body(ctx)))
-        }
-        ("GET", "/stats") => {
-            ServerStats::bump(&ctx.stats.stats);
-            let hash = api::generation_hash(&ctx.known_generations());
-            (200, Body::Owned(ctx.stats.to_json(hash, ctx.cache.len())))
-        }
-        ("GET", "/metrics") => {
-            ServerStats::bump(&ctx.stats.metrics);
-            let shards: Vec<metrics::ShardView> = ctx
-                .slots
-                .iter()
-                .map(|s| {
-                    let st = s.state();
-                    metrics::ShardView {
-                        generation: st.generation,
-                        sketches: st.sketches,
-                        healthy: st.healthy,
-                    }
-                })
-                .collect();
-            (
-                200,
-                Body::Text(
-                    metrics::render_coordinator(
-                        &ctx.stats,
-                        &shards,
-                        ctx.cache.len() as u64,
-                        ctx.cache.evictions(),
-                    ),
-                    promtext::CONTENT_TYPE,
-                ),
-            )
-        }
-        ("POST", "/query") => {
-            ServerStats::bump(&ctx.stats.query);
-            let t0 = Instant::now();
-            let response = handle_query(ctx, &req.body);
-            if response.0 < 300 {
-                ctx.stats
-                    .latency
-                    .record_us(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            response
-        }
-        ("POST", "/query_batch") => {
-            ServerStats::bump(&ctx.stats.query_batch);
-            let t0 = Instant::now();
-            let response = handle_batch(ctx, &req.body);
-            if response.0 < 300 {
-                ctx.stats
-                    .latency
-                    .record_us(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            response
-        }
-        (_, "/healthz" | "/stats" | "/metrics" | "/query" | "/query_batch") => {
-            (405, Body::Owned(api::render_error("method not allowed")))
-        }
-        _ => (404, Body::Owned(api::render_error("no such endpoint"))),
-    }
-}
-
 /// `GET /healthz`: coordinator liveness plus the per-shard view —
 /// integration tests and the smoke script wait on `generation` bumps
 /// and `healthy` flips here.
-fn healthz_body(ctx: &Ctx) -> String {
-    let states: Vec<WorkerState> = ctx.slots.iter().map(WorkerSlot::state).collect();
+fn healthz_body(ctx: &Cluster) -> String {
+    let states: Vec<ShardView> = ctx.slots.iter().map(WorkerSlot::state).collect();
     let status = if states.iter().all(|s| s.healthy) {
         "ok"
     } else {
         "degraded"
     };
-    let mut out = String::with_capacity(64 + states.len() * 64);
-    out.push_str("{\"status\":\"");
-    out.push_str(status);
-    out.push_str("\",\"workers\":");
-    out.push_str(&states.len().to_string());
-    out.push_str(",\"shards\":[");
-    for (i, s) in states.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"shard\":");
-        out.push_str(&i.to_string());
-        out.push_str(",\"generation\":");
-        out.push_str(&s.generation.to_string());
-        out.push_str(",\"sketches\":");
-        out.push_str(&s.sketches.to_string());
-        out.push_str(",\"healthy\":");
-        out.push_str(if s.healthy { "true" } else { "false" });
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    let shards: Vec<String> = (states.iter().enumerate())
+        .map(|(i, s)| {
+            let (generation, sketches, healthy) = (s.generation, s.sketches, s.healthy);
+            format!(
+                "{{\"shard\":{i},\"generation\":{generation},\"sketches\":{sketches},\
+                 \"healthy\":{healthy}}}"
+            )
+        })
+        .collect();
+    let (workers, shards) = (states.len(), shards.join(","));
+    format!("{{\"status\":\"{status}\",\"workers\":{workers},\"shards\":[{shards}]}}")
 }
 
 /// One shard's phase-1 outcome: its candidate rows at a generation, or
@@ -592,7 +442,7 @@ struct ShardFetch {
 }
 
 impl ShardFetch {
-    fn degraded_from(state: WorkerState, query_count: usize) -> Self {
+    fn degraded_from(state: ShardView, query_count: usize) -> Self {
         Self {
             generation: state.generation,
             sketches: state.sketches,
@@ -615,7 +465,7 @@ impl ShardFetch {
 /// worker that fails (or whose answer does not carry `query_count` row
 /// lists) comes back degraded with its last-known state; successes
 /// update the slot's state.
-fn scatter(ctx: &Ctx, path: &str, wire: &str, query_count: usize) -> Vec<ShardFetch> {
+fn scatter(ctx: &Cluster, path: &str, wire: &str, query_count: usize) -> Vec<ShardFetch> {
     std::thread::scope(|s| {
         let handles: Vec<_> = ctx
             .slots
@@ -687,7 +537,7 @@ struct Gather {
 /// the caller re-scatters.
 #[allow(clippy::result_unit_err)]
 fn gather(
-    ctx: &Ctx,
+    ctx: &Cluster,
     fetches: &[ShardFetch],
     bodies: &[QueryBody],
     params: &QueryParams,
@@ -802,20 +652,6 @@ fn gather(
         .collect())
 }
 
-/// Close out a public request: slow-query logging and the trace splice,
-/// both no-ops unless this request enabled tracing.
-fn close(ctx: &Ctx, trace: &Trace, want_trace: bool, status: u16, body: Body) -> (u16, Body) {
-    conn::finish_traced(
-        &ctx.stats,
-        ctx.slow_query,
-        "sketch-coord",
-        trace,
-        want_trace,
-        status,
-        body,
-    )
-}
-
 /// Replay the per-shard scatter round trips (measured inside the
 /// scatter threads) into the trace as indexed `shard_rtt` spans,
 /// nested under the still-open `scatter` span.
@@ -828,228 +664,101 @@ fn record_shard_rtts(trace: &mut Trace, fetches: &[ShardFetch]) {
     }
 }
 
-fn handle_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let raw = api::raw_fingerprint(body);
-    let generation = api::generation_hash(&ctx.known_generations());
-    let mut trace = Trace::new(ctx.slow_query.is_some());
-    // A memo hit proves these exact bytes parsed to this canonical
-    // fingerprint (and trace flag) before — skip the parse when the
-    // answer is cached.
-    if let Some((fp, want_trace)) = ctx.memo_query.get(raw) {
-        if want_trace && !trace.is_enabled() {
-            trace = Trace::enabled();
-        }
-        let guard = trace.begin("cache_probe");
-        let cached = ctx.cache.get(&(fp, generation));
-        trace.end(guard);
-        if let Some(cached) = cached {
-            ServerStats::bump(&ctx.stats.cache_hits);
-            return close(ctx, &trace, want_trace, 200, Body::Shared(cached));
-        }
-    } else if !trace.is_enabled() && api::wants_trace_hint(body) {
-        trace = Trace::enabled();
-    }
-    let guard = trace.begin("parse");
-    let parsed = QueryRequest::parse(body, &ctx.defaults);
-    trace.end(guard);
-    let req = match parsed {
-        Ok(req) => req,
-        Err(msg) => {
-            return close(
-                ctx,
-                &trace,
-                false,
-                400,
-                Body::Owned(api::render_error(&msg)),
-            )
-        }
-    };
-    if req.trace && !trace.is_enabled() {
-        trace = Trace::enabled();
-    }
-    let want_trace = req.trace;
-    let fingerprint = req.fingerprint();
-    ctx.memo_query.put(raw, (fingerprint, want_trace));
-    let guard = trace.begin("cache_probe");
-    let cached = ctx.cache.get(&(fingerprint, generation));
-    trace.end(guard);
-    if let Some(cached) = cached {
-        ServerStats::bump(&ctx.stats.cache_hits);
-        return close(ctx, &trace, want_trace, 200, Body::Shared(cached));
-    }
-    ServerStats::bump(&ctx.stats.cache_misses);
+impl Backend for Cluster {
+    const TAG: &'static str = "sketch-coord";
+    const EXTRA: &'static [(&'static str, &'static str)] = &[];
 
-    let params = req.params;
-    let wire = api::render_shard_query_request(&req.body, &params);
-    let bodies = [req.body];
-    for attempt in 0..MAX_ATTEMPTS {
-        let guard = trace.begin_indexed("scatter", attempt as u32);
-        let fetches = scatter(ctx, "/shard_query", &wire, 1);
-        record_shard_rtts(&mut trace, &fetches);
-        trace.end(guard);
-        if fetches.iter().all(|f| f.degraded) {
-            return close(
-                ctx,
-                &trace,
-                want_trace,
-                503,
-                Body::Owned(api::render_error("every shard is unreachable")),
-            );
-        }
-        let guard = trace.begin_indexed("gather", attempt as u32);
-        let gathered = gather(ctx, &fetches, &bodies, &params);
-        trace.end(guard);
-        let Ok(mut gathers) = gathered else {
-            continue;
+    fn front(&self) -> &FrontEnd {
+        &self.front
+    }
+
+    fn generation(&self) -> u64 {
+        api::generation_hash(&self.known_generations())
+    }
+
+    /// Scatter → gather → render, re-scattering while a mutation races
+    /// the two phases. A fully healthy answer is cached under the
+    /// *actual* phase-1 generation vector (which may be newer than the
+    /// one the lookup used), so a cached body can never be replayed
+    /// against a different mixture; a degraded one is never cached.
+    fn miss(&self, req: Parsed, trace: &mut Trace) -> Result<(String, Option<u64>), &'static str> {
+        let (path, wire) = match (req.kind, req.queries.as_slice()) {
+            (Kind::Single, [query]) => (
+                "/shard_query",
+                api::render_shard_query_request(query, &req.params),
+            ),
+            (_, queries) => (
+                "/shard_query_batch",
+                api::render_shard_batch_request(queries, &req.params),
+            ),
         };
-        let g = gathers.remove(0);
-        trace.note("merged", g.merged as u64);
-        trace.note("shipped", g.shipped as u64);
-        trace.note(
-            "degraded_shards",
-            fetches.iter().filter(|f| f.degraded).count() as u64,
-        );
-        let shards: Vec<ShardState> = fetches.iter().map(ShardFetch::shard_state).collect();
-        let guard = trace.begin("render");
-        let rendered =
-            api::render_coordinator_response(&shards, &params, g.merged, g.shipped, &g.results);
-        trace.end(guard);
-        let (status, answered) = finish(ctx, &fetches, fingerprint, rendered);
-        return close(ctx, &trace, want_trace, status, answered);
+        for attempt in 0..MAX_ATTEMPTS {
+            let guard = trace.begin_indexed("scatter", attempt as u32);
+            let fetches = scatter(self, path, &wire, req.queries.len());
+            record_shard_rtts(trace, &fetches);
+            trace.end(guard);
+            let degraded = fetches.iter().filter(|f| f.degraded).count();
+            if degraded == fetches.len() {
+                return Err("every shard is unreachable");
+            }
+            let guard = trace.begin_indexed("gather", attempt as u32);
+            let gathered = gather(self, &fetches, &req.queries, &req.params);
+            trace.end(guard);
+            let Ok(gathers) = gathered else {
+                continue;
+            };
+            let merged: Vec<usize> = gathers.iter().map(|g| g.merged).collect();
+            let shipped: Vec<usize> = gathers.iter().map(|g| g.shipped).collect();
+            let (all_merged, all_shipped) = (merged.iter().sum(), shipped.iter().sum());
+            trace.note("merged", all_merged as u64);
+            trace.note("shipped", all_shipped as u64);
+            trace.note("degraded_shards", degraded as u64);
+            let shards: Vec<ShardState> = fetches.iter().map(ShardFetch::shard_state).collect();
+            let answers: Vec<Vec<ReportedResult>> =
+                gathers.into_iter().map(|g| g.results).collect();
+            let guard = trace.begin("render");
+            let rendered = match (req.kind, answers.as_slice()) {
+                (Kind::Single, [answer]) => api::render_coordinator_response(
+                    &shards,
+                    &req.params,
+                    all_merged,
+                    all_shipped,
+                    answer,
+                ),
+                _ => api::render_coordinator_batch_response(
+                    &shards,
+                    &req.params,
+                    &merged,
+                    &shipped,
+                    &answers,
+                ),
+            };
+            trace.end(guard);
+            if degraded > 0 {
+                ServerStats::bump(&self.front.stats.degraded);
+                return Ok((rendered, None));
+            }
+            let actual: Vec<(u64, u64)> =
+                fetches.iter().map(|f| (f.generation, f.sketches)).collect();
+            return Ok((rendered, Some(api::generation_hash(&actual))));
+        }
+        Err("shard generations kept changing mid-query; retry")
     }
-    close(
-        ctx,
-        &trace,
-        want_trace,
-        503,
-        Body::Owned(api::render_error(
-            "shard generations kept changing mid-query; retry",
-        )),
-    )
-}
 
-fn handle_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let raw = api::raw_fingerprint(body);
-    let generation = api::generation_hash(&ctx.known_generations());
-    let mut trace = Trace::new(ctx.slow_query.is_some());
-    if let Some((fp, batched, want_trace)) = ctx.memo_batch.get(raw) {
-        if want_trace && !trace.is_enabled() {
-            trace = Trace::enabled();
+    fn endpoint(&self, path: &str, _body: &[u8]) -> (u16, Body) {
+        let stats = &self.front.stats;
+        if path == "/healthz" {
+            ServerStats::bump(&stats.healthz);
+            return (200, Body::Owned(healthz_body(self)));
         }
-        let guard = trace.begin("cache_probe");
-        let cached = ctx.cache.get(&(fp, generation));
-        trace.end(guard);
-        if let Some(cached) = cached {
-            ServerStats::bump(&ctx.stats.cache_hits);
-            ctx.stats
-                .batched_queries
-                .fetch_add(batched, Ordering::Relaxed);
-            return close(ctx, &trace, want_trace, 200, Body::Shared(cached));
-        }
-    } else if !trace.is_enabled() && api::wants_trace_hint(body) {
-        trace = Trace::enabled();
-    }
-    let guard = trace.begin("parse");
-    let parsed = BatchRequest::parse(body, &ctx.defaults);
-    trace.end(guard);
-    let req = match parsed {
-        Ok(req) => req,
-        Err(msg) => {
-            return close(
-                ctx,
-                &trace,
-                false,
-                400,
-                Body::Owned(api::render_error(&msg)),
-            )
-        }
-    };
-    if req.trace && !trace.is_enabled() {
-        trace = Trace::enabled();
-    }
-    let want_trace = req.trace;
-    ctx.stats
-        .batched_queries
-        .fetch_add(req.queries.len() as u64, Ordering::Relaxed);
-    let fingerprint = req.fingerprint();
-    ctx.memo_batch
-        .put(raw, (fingerprint, req.queries.len() as u64, want_trace));
-    let guard = trace.begin("cache_probe");
-    let cached = ctx.cache.get(&(fingerprint, generation));
-    trace.end(guard);
-    if let Some(cached) = cached {
-        ServerStats::bump(&ctx.stats.cache_hits);
-        return close(ctx, &trace, want_trace, 200, Body::Shared(cached));
-    }
-    ServerStats::bump(&ctx.stats.cache_misses);
-
-    let wire = api::render_shard_batch_request(&req.queries, &req.params);
-    for attempt in 0..MAX_ATTEMPTS {
-        let guard = trace.begin_indexed("scatter", attempt as u32);
-        let fetches = scatter(ctx, "/shard_query_batch", &wire, req.queries.len());
-        record_shard_rtts(&mut trace, &fetches);
-        trace.end(guard);
-        if fetches.iter().all(|f| f.degraded) {
-            return close(
-                ctx,
-                &trace,
-                want_trace,
-                503,
-                Body::Owned(api::render_error("every shard is unreachable")),
-            );
-        }
-        let guard = trace.begin_indexed("gather", attempt as u32);
-        let gathered = gather(ctx, &fetches, &req.queries, &req.params);
-        trace.end(guard);
-        let Ok(gathers) = gathered else {
-            continue;
-        };
-        trace.note("merged", gathers.iter().map(|g| g.merged as u64).sum());
-        trace.note("shipped", gathers.iter().map(|g| g.shipped as u64).sum());
-        trace.note(
-            "degraded_shards",
-            fetches.iter().filter(|f| f.degraded).count() as u64,
-        );
-        let shards: Vec<ShardState> = fetches.iter().map(ShardFetch::shard_state).collect();
-        let merged: Vec<usize> = gathers.iter().map(|g| g.merged).collect();
-        let shipped: Vec<usize> = gathers.iter().map(|g| g.shipped).collect();
-        let answers: Vec<Vec<ReportedResult>> = gathers.into_iter().map(|g| g.results).collect();
-        let guard = trace.begin("render");
-        let rendered = api::render_coordinator_batch_response(
+        ServerStats::bump(&stats.metrics);
+        let shards: Vec<ShardView> = self.slots.iter().map(WorkerSlot::state).collect();
+        let body = metrics::render_coordinator(
+            stats,
             &shards,
-            &req.params,
-            &merged,
-            &shipped,
-            &answers,
+            self.front.cache.len() as u64,
+            self.front.cache.evictions(),
         );
-        trace.end(guard);
-        let (status, answered) = finish(ctx, &fetches, fingerprint, rendered);
-        return close(ctx, &trace, want_trace, status, answered);
+        (200, Body::Text(body, promtext::CONTENT_TYPE))
     }
-    close(
-        ctx,
-        &trace,
-        want_trace,
-        503,
-        Body::Owned(api::render_error(
-            "shard generations kept changing mid-query; retry",
-        )),
-    )
-}
-
-/// Account for degradation and cache the rendered body — but only a
-/// fully healthy answer, and only under the *actual* phase-1 generation
-/// vector (which may be newer than the one the lookup used), so a
-/// cached body can never be replayed against a different mixture.
-fn finish(ctx: &Ctx, fetches: &[ShardFetch], fingerprint: u128, rendered: String) -> (u16, Body) {
-    if fetches.iter().any(|f| f.degraded) {
-        ServerStats::bump(&ctx.stats.degraded);
-    } else {
-        let actual: Vec<(u64, u64)> = fetches.iter().map(|f| (f.generation, f.sketches)).collect();
-        ctx.cache.put(
-            (fingerprint, api::generation_hash(&actual)),
-            Arc::from(rendered.as_str()),
-        );
-    }
-    (200, Body::Owned(rendered))
 }

@@ -17,9 +17,16 @@
 //! | `GET /corpus`        | store generation + shard/tombstone shape |
 //! | `GET /healthz`       | liveness + served generation |
 //! | `GET /stats`         | request counters, cache hits, latency percentiles |
+//! | `GET /metrics`       | the same counters as Prometheus text |
 //!
 //! # Design invariants
 //!
+//! * **One request pipeline.** `/query` and `/query_batch`, on a single
+//!   server and on a [`coordinator`], run the same memo → cache → parse →
+//!   *miss* → cache → trace sequence (`pipeline`), generic over the
+//!   request kind and over the backend that computes a miss: `Local`
+//!   runs [`sketch_index::engine::execute`] on the current snapshot,
+//!   `Cluster` scatters to its workers and gathers.
 //! * **Snapshot reads.** Queries run on an immutable
 //!   [`IndexSnapshot`](snapshot::IndexSnapshot) behind an `Arc`; the only
 //!   synchronized step is cloning that `Arc`. No query ever blocks on a
@@ -47,6 +54,7 @@ mod conn;
 pub mod coordinator;
 pub mod http;
 mod metrics;
+mod pipeline;
 pub mod server;
 pub mod signal;
 pub mod snapshot;

@@ -19,7 +19,9 @@ use sketch_obs::promtext;
 
 use crate::stats::ServerStats;
 
-/// One worker shard's last-known state, as the coordinator exposes it.
+/// One worker shard's last-known state, as the coordinator keeps and
+/// exposes it.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardView {
     pub generation: u64,
     pub sketches: u64,

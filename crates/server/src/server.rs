@@ -1,6 +1,7 @@
-//! The server itself: a fixed pool of worker threads accepting on one
-//! shared listener, routing requests against the current
-//! [`IndexSnapshot`](crate::snapshot::IndexSnapshot), plus a background
+//! The server itself: the request `pipeline`'s `Local` backend — a
+//! fixed pool of worker threads accepting on one shared listener,
+//! answering cache misses from the current
+//! [`IndexSnapshot`](crate::snapshot::IndexSnapshot) — plus a background
 //! refresher thread that polls the store manifest and swaps fresh
 //! snapshots in off the hot path.
 //!
@@ -17,11 +18,12 @@
 //!   requests). Connection streams use a short read timeout, and every
 //!   timeout tick honors shutdown — even mid-request on a stalled
 //!   client — so graceful shutdown always completes.
-//! * **Queries never take a lock**: a worker loads the current snapshot
-//!   `Arc` (the only synchronized step — an `RwLock` held for one
-//!   refcount increment) and runs the whole query on that immutable
-//!   snapshot. A refresh swapping a new snapshot in mid-query is
-//!   invisible to the request being served.
+//! * **Queries never take a lock**: a cache miss loads the current
+//!   snapshot `Arc` (the only synchronized step — an `RwLock` held for
+//!   one refcount increment), runs the whole query on that immutable
+//!   snapshot and is cached under that snapshot's generation. A refresh
+//!   swapping a new snapshot in mid-query is invisible to the request
+//!   being served.
 //! * **The refresher** polls `manifest.cskm` every `poll_interval`.
 //!   Polling is one tiny file read; only when the generation moved does
 //!   it clone the index, apply the new deltas (or rebuild after a
@@ -30,9 +32,9 @@
 //! * **The cache** is keyed by `(query fingerprint, generation)`; see
 //!   [`crate::cache`].
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -41,10 +43,9 @@ use sketch_obs::{promtext, Trace};
 use sketch_store::StoreError;
 
 use crate::api::{self, BatchRequest, QueryParams, QueryRequest};
-use crate::cache::{self, ParseMemo, QueryCache};
-use crate::conn::{self, Body, ConnLimits};
-use crate::http::Request;
+use crate::conn::{Body, ConnLimits};
 use crate::metrics;
+use crate::pipeline::{self, Backend, FrontEnd, Kind, Parsed};
 use crate::snapshot::{refresh_with_generation, IndexSnapshot, RefreshOutcome, SnapshotCell};
 use crate::stats::ServerStats;
 
@@ -143,22 +144,14 @@ impl From<std::io::Error> for ServerError {
     }
 }
 
-/// Everything the workers and the refresher share.
-struct Ctx {
+/// The pipeline's local backend — a cache miss runs the engine on the
+/// current snapshot — and everything the workers and the refresher
+/// share.
+struct Local {
+    front: FrontEnd,
     store: PathBuf,
     load_threads: usize,
-    defaults: QueryParams,
     cell: SnapshotCell,
-    cache: QueryCache,
-    /// Raw-body-hash → canonical fingerprint memos, so a repeated
-    /// byte-identical body skips the JSON parse in front of the cache
-    /// (the parse dominates the warm path on large queries). Both memos
-    /// also carry the request's trace flag (the hit path never parses,
-    /// but must still know whether to splice a span tree in); the batch
-    /// memo additionally carries the query count the hit path accounts.
-    memo_query: ParseMemo<(u128, bool)>,
-    memo_batch: ParseMemo<(u128, u64, bool)>,
-    slow_query: Option<Duration>,
     poll_interval: Duration,
     /// `/corpus` body cached per served generation, so polling
     /// dashboards don't re-stat the store (manifest + every delta
@@ -168,8 +161,6 @@ struct Ctx {
     /// refresher pins the served generation — hiding exactly the
     /// disk-vs-served divergence a dashboard needs to see.
     corpus_info: Mutex<Option<(u64, Instant, Arc<str>)>>,
-    stats: ServerStats,
-    shutdown: AtomicBool,
 }
 
 /// A running server. Dropping the handle without calling
@@ -177,9 +168,9 @@ struct Ctx {
 /// process); call `shutdown` for a deterministic, graceful stop.
 pub struct ServerHandle {
     addr: SocketAddr,
-    ctx: Arc<Ctx>,
+    ctx: Arc<Local>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    refresher: Option<std::thread::JoinHandle<()>>,
+    refresher: std::thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -192,7 +183,7 @@ impl ServerHandle {
     /// The store generation currently being served.
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.ctx.cell.load().generation()
+        self.ctx.generation()
     }
 
     /// Live sketches in the served snapshot.
@@ -204,7 +195,7 @@ impl ServerHandle {
     /// Live server counters.
     #[must_use]
     pub fn stats(&self) -> &ServerStats {
-        &self.ctx.stats
+        &self.ctx.front.stats
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish,
@@ -212,15 +203,8 @@ impl ServerHandle {
     /// payload.
     #[must_use = "the returned stats summary describes the server's whole life"]
     pub fn shutdown(self) -> String {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
-        for w in self.workers {
-            let _ = w.join();
-        }
-        if let Some(r) = self.refresher {
-            let _ = r.join();
-        }
-        let generation = self.ctx.cell.load().generation();
-        self.ctx.stats.to_json(generation, self.ctx.cache.len())
+        let threads = self.workers.into_iter().chain([self.refresher]);
+        pipeline::stop(&*self.ctx, threads)
     }
 }
 
@@ -229,84 +213,51 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// [`ServerError`] when the store cannot be loaded or the address
-/// cannot be bound.
+/// [`ServerError`] when the store cannot be loaded, the address cannot
+/// be bound, or a thread cannot be spawned.
 pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let snapshot = IndexSnapshot::from_store(&config.store, config.load_threads)?;
-    let initial_generation = snapshot.generation();
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
-    let ctx = Arc::new(Ctx {
-        store: config.store,
-        load_threads: config.load_threads,
-        defaults: config.defaults,
-        cell: SnapshotCell::new(snapshot),
-        cache: QueryCache::new(config.cache_capacity),
-        // With caching disabled the memo could never produce a hit, so
-        // disable it too rather than pay its insert on every miss.
-        memo_query: ParseMemo::new(cache::memo_capacity(config.cache_capacity)),
-        memo_batch: ParseMemo::new(cache::memo_capacity(config.cache_capacity)),
-        slow_query: config.slow_query,
-        poll_interval: config.poll_interval,
-        corpus_info: Mutex::new(None),
-        stats: ServerStats::default(),
-        shutdown: AtomicBool::new(false),
-    });
+    let front = FrontEnd::new(config.cache_capacity, config.defaults, config.slow_query);
     // Until the refresher's first poll, the freshest on-disk generation
     // the process has observed is the one it just loaded.
-    ctx.stats
+    front
+        .stats
         .store_generation
-        .store(initial_generation, Ordering::Relaxed);
-
+        .store(snapshot.generation(), Ordering::Relaxed);
+    let ctx = Arc::new(Local {
+        front,
+        store: config.store,
+        load_threads: config.load_threads,
+        cell: SnapshotCell::new(snapshot),
+        poll_interval: config.poll_interval,
+        corpus_info: Mutex::new(None),
+    });
     let limits = ConnLimits {
         keep_alive_idle: config.keep_alive_idle,
         request_timeout: config.request_timeout,
     };
-    let workers = (0..config.threads.max(1))
-        .map(|i| {
-            let listener = listener.try_clone()?;
-            let ctx = Arc::clone(&ctx);
-            Ok(std::thread::Builder::new()
-                .name(format!("sketch-serve-{i}"))
-                .spawn(move || {
-                    conn::accept_loop(
-                        &listener,
-                        &ctx.shutdown,
-                        &ctx.stats.requests,
-                        &ctx.stats.errors,
-                        limits,
-                        |req| route(&ctx, req),
-                    );
-                })
-                .expect("spawning a worker thread succeeds"))
-        })
-        .collect::<Result<Vec<_>, std::io::Error>>()?;
-
+    let (addr, workers) = pipeline::listen(&ctx, &config.addr, config.threads, limits)?;
     let refresher = {
         let ctx = Arc::clone(&ctx);
-        let interval = config.poll_interval;
         std::thread::Builder::new()
             .name("sketch-serve-refresh".to_string())
-            .spawn(move || refresher_loop(&ctx, interval))
-            .expect("spawning the refresher thread succeeds")
+            .spawn(move || refresher_loop(&ctx, ctx.poll_interval))?
     };
-
     Ok(ServerHandle {
         addr,
         ctx,
         workers,
-        refresher: Some(refresher),
+        refresher,
     })
 }
 
-fn refresher_loop(ctx: &Ctx, interval: Duration) {
+fn refresher_loop(ctx: &Local, interval: Duration) {
+    let stats = &ctx.front.stats;
     // Tick in small steps so shutdown is observed promptly even with
     // long poll intervals.
     let tick = interval.min(Duration::from_millis(50));
     let mut next_poll = Instant::now();
-    while !ctx.shutdown.load(Ordering::Relaxed) {
+    while !ctx.front.shutdown.load(Ordering::Relaxed) {
         if Instant::now() >= next_poll {
             next_poll = Instant::now() + interval;
             // Contained like worker panics: an escaped panic here would
@@ -320,13 +271,13 @@ fn refresher_loop(ctx: &Ctx, interval: Duration) {
                     // Even an Unchanged poll refreshes the on-disk view,
                     // keeping the /metrics generation-lag gauge honest
                     // while a later refresh is failing.
-                    ctx.stats
+                    stats
                         .store_generation
                         .store(store_generation, Ordering::Relaxed);
                     match outcome {
                         RefreshOutcome::Unchanged => {}
-                        RefreshOutcome::Refreshed(_) => ServerStats::bump(&ctx.stats.refreshes),
-                        RefreshOutcome::Rebuilt => ServerStats::bump(&ctx.stats.rebuilds),
+                        RefreshOutcome::Refreshed(_) => ServerStats::bump(&stats.refreshes),
+                        RefreshOutcome::Rebuilt => ServerStats::bump(&stats.rebuilds),
                     }
                 }
                 Ok(Err(e)) => {
@@ -335,7 +286,7 @@ fn refresher_loop(ctx: &Ctx, interval: Duration) {
                     eprintln!("sketch-serve: refresh failed (will retry): {e}");
                 }
                 Err(_) => {
-                    ServerStats::bump(&ctx.stats.errors);
+                    ServerStats::bump(&stats.errors);
                     eprintln!("sketch-serve: refresh panicked (will retry)");
                 }
             }
@@ -344,402 +295,192 @@ fn refresher_loop(ctx: &Ctx, interval: Duration) {
     }
 }
 
-/// Dispatch one request. Returns `(status, body, allow)` — `allow` is
-/// the `Allow` header value, set only on 405 (RFC 9110 §15.5.6
-/// requires it).
-fn route(ctx: &Ctx, req: &Request) -> (u16, Body, Option<&'static str>) {
-    // Probes and load balancers routinely append query parameters
-    // (`/healthz?probe=1`); routing only cares about the path.
-    let path = req
-        .path
-        .split_once('?')
-        .map_or(req.path.as_str(), |(path, _query)| path);
-    let (status, body) = route_path(ctx, req, path);
-    let allow = (status == 405).then_some(match path {
-        "/healthz" | "/stats" | "/corpus" | "/metrics" => "GET",
-        _ => "POST",
-    });
-    (status, body, allow)
-}
-
-fn route_path(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
-    match (req.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            ServerStats::bump(&ctx.stats.healthz);
-            let snap = ctx.cell.load();
-            (
-                200,
-                Body::Owned(format!(
-                    "{{\"status\":\"ok\",\"generation\":{},\"sketches\":{}}}",
-                    snap.generation(),
-                    snap.index().len()
-                )),
-            )
-        }
-        ("GET", "/stats") => {
-            ServerStats::bump(&ctx.stats.stats);
-            let snap = ctx.cell.load();
-            (
-                200,
-                Body::Owned(ctx.stats.to_json(snap.generation(), ctx.cache.len())),
-            )
-        }
-        ("GET", "/metrics") => {
-            ServerStats::bump(&ctx.stats.metrics);
-            let snap = ctx.cell.load();
-            (
-                200,
-                Body::Text(
-                    metrics::render_server(
-                        &ctx.stats,
-                        snap.generation(),
-                        snap.index().len() as u64,
-                        ctx.cache.len() as u64,
-                        ctx.cache.evictions(),
-                    ),
-                    promtext::CONTENT_TYPE,
-                ),
-            )
-        }
-        ("GET", "/corpus") => {
-            ServerStats::bump(&ctx.stats.corpus);
-            let snap = ctx.cell.load();
-            let generation = snap.generation();
-            // Poison-tolerant: the slot only ever holds a complete
-            // `Some`, so state after a caught panic is still valid.
-            let cached = ctx
-                .corpus_info
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clone();
-            if let Some((g, at, body)) = cached {
-                if g == generation && at.elapsed() < ctx.poll_interval {
-                    return (200, Body::Shared(body));
-                }
-            }
-            match sketch_store::stat_corpus(&ctx.store) {
-                Ok(info) => {
-                    let body: Arc<str> = Arc::from(
-                        format!(
-                            "{{\"served_generation\":{},\"serving_sketches\":{},\
-                             \"distinct_keys\":{},\"store\":{}}}",
-                            generation,
-                            snap.index().len(),
-                            snap.index().distinct_keys(),
-                            info.to_json()
-                        )
-                        .as_str(),
-                    );
-                    *ctx.corpus_info
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) =
-                        Some((generation, Instant::now(), Arc::clone(&body)));
-                    (200, Body::Shared(body))
-                }
-                // Transient: a compact can briefly race the stat read.
-                Err(e) => (503, Body::Owned(api::render_error(&e.to_string()))),
-            }
-        }
-        ("POST", "/query") => {
-            ServerStats::bump(&ctx.stats.query);
-            let t0 = Instant::now();
-            let response = handle_query(ctx, &req.body);
-            // Only answered queries feed the histogram — microsecond
-            // 400 rejections would otherwise drag p50/p95 down and
-            // mask real served-query latency.
-            if response.0 < 300 {
-                ctx.stats
-                    .latency
-                    .record_us(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            response
-        }
-        ("POST", "/query_batch") => {
-            ServerStats::bump(&ctx.stats.query_batch);
-            let t0 = Instant::now();
-            let response = handle_batch(ctx, &req.body);
-            if response.0 < 300 {
-                ctx.stats
-                    .latency
-                    .record_us(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            response
-        }
+impl Backend for Local {
+    const TAG: &'static str = "sketch-serve";
+    const EXTRA: &'static [(&'static str, &'static str)] = &[
+        ("/corpus", "GET"),
         // The internal scatter-gather endpoints a coordinator fans out
         // to. They answer from the same snapshot as `/query` but ship
         // bit-exact candidate rows / reports instead of ranked JSON,
         // and are deliberately uncached — the coordinator caches merged
         // responses under the shard-generation vector.
-        ("POST", "/shard_query") => {
-            ServerStats::bump(&ctx.stats.shard);
-            handle_shard_query(ctx, &req.body)
-        }
-        ("POST", "/shard_query_batch") => {
-            ServerStats::bump(&ctx.stats.shard);
-            handle_shard_batch(ctx, &req.body)
-        }
-        ("POST", "/shard_reports") => {
-            ServerStats::bump(&ctx.stats.shard);
-            handle_shard_reports(ctx, &req.body)
-        }
-        // Any other method on an endpoint that exists (HEAD, PUT,
-        // OPTIONS, …) is 405, not "no such endpoint".
-        (
-            _,
-            "/healthz" | "/stats" | "/corpus" | "/metrics" | "/query" | "/query_batch"
-            | "/shard_query" | "/shard_query_batch" | "/shard_reports",
-        ) => (405, Body::Owned(api::render_error("method not allowed"))),
-        _ => (404, Body::Owned(api::render_error("no such endpoint"))),
+        ("/shard_query", "POST"),
+        ("/shard_query_batch", "POST"),
+        ("/shard_reports", "POST"),
+    ];
+
+    fn front(&self) -> &FrontEnd {
+        &self.front
     }
-}
 
-/// Close out `/query` / `/query_batch`: slow-query logging and the
-/// trace splice, both no-ops unless this request enabled tracing.
-fn finish(ctx: &Ctx, trace: &Trace, want_trace: bool, status: u16, body: Body) -> (u16, Body) {
-    conn::finish_traced(
-        &ctx.stats,
-        ctx.slow_query,
-        "sketch-serve",
-        trace,
-        want_trace,
-        status,
-        body,
-    )
-}
+    fn generation(&self) -> u64 {
+        self.cell.load().generation()
+    }
 
-fn handle_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let raw = api::raw_fingerprint(body);
-    let snap = ctx.cell.load();
-    let mut trace = Trace::new(ctx.slow_query.is_some());
-    // A memo hit proves these exact bytes parsed to this canonical
-    // fingerprint (and trace flag) before — skip the parse when the
-    // answer is cached.
-    if let Some((fp, want_trace)) = ctx.memo_query.get(raw) {
-        if want_trace && !trace.is_enabled() {
-            trace = Trace::enabled();
-        }
-        let guard = trace.begin("cache_probe");
-        let cached = ctx.cache.get(&(fp, snap.generation()));
+    /// Snapshot → sketch the query columns → [`engine::execute`] →
+    /// render. Queries never take a lock: the whole miss runs on one
+    /// immutable snapshot, whose generation the answer is cached under.
+    fn miss(&self, req: Parsed, trace: &mut Trace) -> Result<(String, Option<u64>), &'static str> {
+        let snap = self.cell.load();
+        let guard = trace.begin("build_query");
+        let sketches: Vec<_> = req
+            .queries
+            .into_iter()
+            .map(|q| snap.build_query(&q.id, q.keys, q.values))
+            .collect();
         trace.end(guard);
-        if let Some(cached) = cached {
-            ServerStats::bump(&ctx.stats.cache_hits);
-            return finish(ctx, &trace, want_trace, 200, Body::Shared(cached));
-        }
-    } else if !trace.is_enabled() && api::wants_trace_hint(body) {
-        trace = Trace::enabled();
-    }
-    let guard = trace.begin("parse");
-    let parsed = QueryRequest::parse(body, &ctx.defaults);
-    trace.end(guard);
-    let req = match parsed {
-        Ok(req) => req,
-        Err(msg) => {
-            return finish(
-                ctx,
-                &trace,
-                false,
-                400,
-                Body::Owned(api::render_error(&msg)),
-            )
-        }
-    };
-    if req.trace && !trace.is_enabled() {
-        trace = Trace::enabled();
-    }
-    let fp = req.fingerprint();
-    ctx.memo_query.put(raw, (fp, req.trace));
-    let key = (fp, snap.generation());
-    let guard = trace.begin("cache_probe");
-    let cached = ctx.cache.get(&key);
-    trace.end(guard);
-    if let Some(cached) = cached {
-        ServerStats::bump(&ctx.stats.cache_hits);
-        return finish(ctx, &trace, req.trace, 200, Body::Shared(cached));
-    }
-    ServerStats::bump(&ctx.stats.cache_misses);
-    let guard = trace.begin("build_query");
-    let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
-    trace.end(guard);
-    let guard = trace.begin("execute");
-    let (results, plan) = engine::top_k_with_reports_traced(
-        snap.index(),
-        &sketch,
-        &req.params.to_options(),
-        req.params.alpha,
-        &mut trace,
-    );
-    trace.end(guard);
-    ctx.stats.absorb_plan(&plan);
-    let guard = trace.begin("render");
-    let rendered = api::render_query_response(snap.generation(), &req.params, &results);
-    trace.end(guard);
-    // The cache stores only the untraced body: a traced request and its
-    // untraced twin must read back byte-identical result payloads.
-    ctx.cache.put(key, Arc::from(rendered.as_str()));
-    finish(ctx, &trace, req.trace, 200, Body::Owned(rendered))
-}
-
-fn handle_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let raw = api::raw_fingerprint(body);
-    let snap = ctx.cell.load();
-    let mut trace = Trace::new(ctx.slow_query.is_some());
-    if let Some((fp, batched, want_trace)) = ctx.memo_batch.get(raw) {
-        if want_trace && !trace.is_enabled() {
-            trace = Trace::enabled();
-        }
-        let guard = trace.begin("cache_probe");
-        let cached = ctx.cache.get(&(fp, snap.generation()));
+        let guard = trace.begin(match req.kind {
+            Kind::Single => "execute",
+            Kind::Batch => "batch_execute",
+        });
+        let (opts, alpha) = (req.params.to_options(), Some(req.params.alpha));
+        let outputs = engine::execute(snap.index(), &sketches, &opts, alpha, trace);
         trace.end(guard);
-        if let Some(cached) = cached {
-            ServerStats::bump(&ctx.stats.cache_hits);
-            ctx.stats
-                .batched_queries
-                .fetch_add(batched, Ordering::Relaxed);
-            return finish(ctx, &trace, want_trace, 200, Body::Shared(cached));
+        let answers: Vec<_> = outputs
+            .into_iter()
+            .map(|out| {
+                self.front.stats.absorb_plan(&out.stats);
+                out.results
+            })
+            .collect();
+        let guard = trace.begin("render");
+        let generation = snap.generation();
+        let rendered = match (req.kind, answers.as_slice()) {
+            (Kind::Single, [answer]) => api::render_query_response(generation, &req.params, answer),
+            (_, answers) => api::render_batch_response(generation, &req.params, answers),
+        };
+        trace.end(guard);
+        Ok((rendered, Some(generation)))
+    }
+
+    fn endpoint(&self, path: &str, body: &[u8]) -> (u16, Body) {
+        let stats = &self.front.stats;
+        let snap = self.cell.load();
+        match path {
+            "/healthz" => {
+                ServerStats::bump(&stats.healthz);
+                let body = format!(
+                    "{{\"status\":\"ok\",\"generation\":{},\"sketches\":{}}}",
+                    snap.generation(),
+                    snap.index().len()
+                );
+                (200, Body::Owned(body))
+            }
+            "/metrics" => {
+                ServerStats::bump(&stats.metrics);
+                let body = metrics::render_server(
+                    stats,
+                    snap.generation(),
+                    snap.index().len() as u64,
+                    self.front.cache.len() as u64,
+                    self.front.cache.evictions(),
+                );
+                (200, Body::Text(body, promtext::CONTENT_TYPE))
+            }
+            "/corpus" => {
+                ServerStats::bump(&stats.corpus);
+                self.corpus(&snap)
+            }
+            _ => {
+                ServerStats::bump(&stats.shard);
+                let answered = match path {
+                    "/shard_query" => self.shard_query(&snap, body),
+                    "/shard_query_batch" => self.shard_batch(&snap, body),
+                    _ => self.shard_reports(&snap, body),
+                };
+                match answered {
+                    Ok(body) => (200, Body::Owned(body)),
+                    Err(msg) => (400, Body::Owned(api::render_error(&msg))),
+                }
+            }
         }
-    } else if !trace.is_enabled() && api::wants_trace_hint(body) {
-        trace = Trace::enabled();
     }
-    let guard = trace.begin("parse");
-    let parsed = BatchRequest::parse(body, &ctx.defaults);
-    trace.end(guard);
-    let req = match parsed {
-        Ok(req) => req,
-        Err(msg) => {
-            return finish(
-                ctx,
-                &trace,
-                false,
-                400,
-                Body::Owned(api::render_error(&msg)),
-            )
+}
+
+impl Local {
+    /// `GET /corpus`: store generation + shard/tombstone shape.
+    fn corpus(&self, snap: &IndexSnapshot) -> (u16, Body) {
+        let generation = snap.generation();
+        // Poison-tolerant: the slot only ever holds a complete
+        // `Some`, so state after a caught panic is still valid.
+        let slot = || {
+            self.corpus_info
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        if let Some((g, at, body)) = slot().clone() {
+            if g == generation && at.elapsed() < self.poll_interval {
+                return (200, Body::Shared(body));
+            }
         }
-    };
-    if req.trace && !trace.is_enabled() {
-        trace = Trace::enabled();
+        match sketch_store::stat_corpus(&self.store) {
+            Ok(info) => {
+                let body: Arc<str> = Arc::from(format!(
+                    "{{\"served_generation\":{},\"serving_sketches\":{},\
+                     \"distinct_keys\":{},\"store\":{}}}",
+                    generation,
+                    snap.index().len(),
+                    snap.index().distinct_keys(),
+                    info.to_json()
+                ));
+                *slot() = Some((generation, Instant::now(), Arc::clone(&body)));
+                (200, Body::Shared(body))
+            }
+            // Transient: a compact can briefly race the stat read.
+            Err(e) => (503, Body::Owned(api::render_error(&e.to_string()))),
+        }
     }
-    let fp = req.fingerprint();
-    ctx.memo_batch
-        .put(raw, (fp, req.queries.len() as u64, req.trace));
-    let key = (fp, snap.generation());
-    let guard = trace.begin("cache_probe");
-    let cached = ctx.cache.get(&key);
-    trace.end(guard);
-    if let Some(cached) = cached {
-        ServerStats::bump(&ctx.stats.cache_hits);
-        ctx.stats
-            .batched_queries
-            .fetch_add(req.queries.len() as u64, Ordering::Relaxed);
-        return finish(ctx, &trace, req.trace, 200, Body::Shared(cached));
+
+    /// `POST /shard_query`: this worker's half of a scattered `/query` —
+    /// the shard-local candidate rows (estimated exhaustively; see
+    /// [`engine::shard_candidates`]), bit-exact on the wire.
+    fn shard_query(&self, snap: &IndexSnapshot, body: &[u8]) -> Result<String, String> {
+        let req = QueryRequest::parse(body, &self.front.defaults)?;
+        let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
+        let rows = engine::shard_candidates(snap.index(), &sketch, &req.params.to_options());
+        let (generation, sketches) = (snap.generation(), snap.index().len());
+        Ok(api::render_shard_query_response(
+            generation, sketches, &rows,
+        ))
     }
-    ServerStats::bump(&ctx.stats.cache_misses);
-    ctx.stats
-        .batched_queries
-        .fetch_add(req.queries.len() as u64, Ordering::Relaxed);
-    let guard = trace.begin("build_query");
-    let sketches: Vec<_> = req
-        .queries
-        .into_iter()
-        .map(|q| snap.build_query(&q.id, q.keys, q.values))
-        .collect();
-    trace.end(guard);
-    let (answers, plan) = engine::top_k_batch_with_reports_traced(
-        snap.index(),
-        &sketches,
-        &req.params.to_options(),
-        req.params.alpha,
-        &mut trace,
-    );
-    ctx.stats.absorb_plan(&plan);
-    let guard = trace.begin("render");
-    let rendered = api::render_batch_response(snap.generation(), &req.params, &answers);
-    trace.end(guard);
-    ctx.cache.put(key, Arc::from(rendered.as_str()));
-    finish(ctx, &trace, req.trace, 200, Body::Owned(rendered))
-}
 
-/// `POST /shard_query`: this worker's half of a scattered `/query` —
-/// the shard-local candidate rows (estimated exhaustively; see
-/// [`engine::shard_candidates`]), bit-exact on the wire.
-fn handle_shard_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let req = match QueryRequest::parse(body, &ctx.defaults) {
-        Ok(req) => req,
-        Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
-    };
-    let snap = ctx.cell.load();
-    let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
-    let rows = engine::shard_candidates(snap.index(), &sketch, &req.params.to_options());
-    (
-        200,
-        Body::Owned(api::render_shard_query_response(
-            snap.generation(),
-            snap.index().len(),
-            &rows,
-        )),
-    )
-}
+    /// `POST /shard_query_batch`: the scattered `/query_batch` half — one
+    /// candidate-row list per query, all from one snapshot.
+    fn shard_batch(&self, snap: &IndexSnapshot, body: &[u8]) -> Result<String, String> {
+        let req = BatchRequest::parse(body, &self.front.defaults)?;
+        let opts = req.params.to_options();
+        let queries: Vec<_> = req
+            .queries
+            .into_iter()
+            .map(|q| {
+                let sketch = snap.build_query(&q.id, q.keys, q.values);
+                engine::shard_candidates(snap.index(), &sketch, &opts)
+            })
+            .collect();
+        let (generation, sketches) = (snap.generation(), snap.index().len());
+        Ok(api::render_shard_batch_response(
+            generation, sketches, &queries,
+        ))
+    }
 
-/// `POST /shard_query_batch`: the scattered `/query_batch` half — one
-/// candidate-row list per query, all from one snapshot.
-fn handle_shard_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let req = match BatchRequest::parse(body, &ctx.defaults) {
-        Ok(req) => req,
-        Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
-    };
-    let snap = ctx.cell.load();
-    let opts = req.params.to_options();
-    let queries: Vec<_> = req
-        .queries
-        .into_iter()
-        .map(|q| {
-            let sketch = snap.build_query(&q.id, q.keys, q.values);
-            engine::shard_candidates(snap.index(), &sketch, &opts)
-        })
-        .collect();
-    (
-        200,
-        Body::Owned(api::render_shard_batch_response(
-            snap.generation(),
-            snap.index().len(),
-            &queries,
-        )),
-    )
-}
-
-/// `POST /shard_reports`: full uncertainty reports for the shard-local
-/// docs the coordinator's merge actually shipped — the fetch that
-/// early termination avoids for everything else.
-fn handle_shard_reports(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let req = match QueryRequest::parse(body, &ctx.defaults) {
-        Ok(req) => req,
-        Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
-    };
-    let docs = match api::extract_docs(body) {
-        Ok(docs) => docs,
-        Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
-    };
-    let snap = ctx.cell.load();
-    let opts = req.params.to_options();
-    let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
-    let mut sample = correlation_sketches::JoinSample::default();
-    let reports: Vec<_> = docs
-        .into_iter()
-        .map(|doc| {
-            engine::report_for_doc(
-                snap.index(),
-                &sketch,
-                doc,
-                &opts,
-                req.params.alpha,
-                &mut sample,
-            )
-        })
-        .collect();
-    (
-        200,
-        Body::Owned(api::render_shard_reports_response(
+    /// `POST /shard_reports`: full uncertainty reports for the shard-local
+    /// docs the coordinator's merge actually shipped — the fetch that
+    /// early termination avoids for everything else.
+    fn shard_reports(&self, snap: &IndexSnapshot, body: &[u8]) -> Result<String, String> {
+        let req = QueryRequest::parse(body, &self.front.defaults)?;
+        let docs = api::extract_docs(body)?;
+        let (opts, alpha) = (req.params.to_options(), req.params.alpha);
+        let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
+        let mut sample = correlation_sketches::JoinSample::default();
+        let reports: Vec<_> = docs
+            .into_iter()
+            .map(|doc| {
+                engine::report_for_doc(snap.index(), &sketch, doc, &opts, alpha, &mut sample)
+            })
+            .collect();
+        Ok(api::render_shard_reports_response(
             snap.generation(),
             &reports,
-        )),
-    )
+        ))
+    }
 }

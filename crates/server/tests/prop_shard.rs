@@ -406,12 +406,16 @@ fn coordinator_batch_matches_single_process() {
         .iter()
         .map(|q| union_snap.build_query(&q.id, q.keys.clone(), q.values.clone()))
         .collect();
-    let answers = engine::top_k_batch_with_reports(
+    let answers = engine::execute(
         union_snap.index(),
         &query_sketches,
         &opts,
-        req.params.alpha,
-    );
+        Some(req.params.alpha),
+        &mut sketch_obs::Trace::disabled(),
+    )
+    .into_iter()
+    .map(|out| out.results)
+    .collect::<Vec<_>>();
 
     let mut merged = Vec::new();
     let mut shipped = Vec::new();

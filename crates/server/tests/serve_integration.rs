@@ -306,12 +306,16 @@ fn batch_answers_match_engine_and_cache() {
         .iter()
         .map(|q| snap.build_query(&q.id, q.keys.clone(), q.values.clone()))
         .collect();
-    let answers = sketch_index::engine::top_k_batch_with_reports(
+    let answers = sketch_index::engine::execute(
         snap.index(),
         &sketches,
         &req.params.to_options(),
-        req.params.alpha,
-    );
+        Some(req.params.alpha),
+        &mut sketch_obs::Trace::disabled(),
+    )
+    .into_iter()
+    .map(|out| out.results)
+    .collect::<Vec<_>>();
     assert_eq!(
         resp.body,
         api::render_batch_response(snap.generation(), &req.params, &answers)

@@ -60,7 +60,7 @@ fn main() {
     for q in split.queries.iter().take(20) {
         let t0 = Instant::now();
         let q_sketch = builder.build(q);
-        let results = engine::top_k_join_correlation(&index, &q_sketch, &opts);
+        let results = engine::top_k_with_plan_stats(&index, &q_sketch, &opts).0;
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         latencies.push(ms);
         if let Some(top) = results.first() {

@@ -55,7 +55,7 @@ fn main() {
 
     // Online: one sketch build + one index query.
     let query_sketch = builder.build(&query_pair);
-    let results = engine::top_k_join_correlation(
+    let results = engine::top_k_with_plan_stats(
         &index,
         &query_sketch,
         &QueryOptions {
@@ -63,7 +63,8 @@ fn main() {
             k: 10,
             ..QueryOptions::default()
         },
-    );
+    )
+    .0;
 
     println!("\ntop-10 candidate columns by |estimated correlation|:");
     println!(

@@ -30,7 +30,7 @@ fn pipeline_estimates_match_ground_truth_for_large_joins() {
     let mut checked = 0usize;
     for q in split.queries.iter().take(10) {
         let q_sketch = builder.build(q);
-        let results = engine::top_k_join_correlation(
+        let results = engine::top_k_with_plan_stats(
             &index,
             &q_sketch,
             &QueryOptions {
@@ -38,7 +38,8 @@ fn pipeline_estimates_match_ground_truth_for_large_joins() {
                 k: 20,
                 ..QueryOptions::default()
             },
-        );
+        )
+        .0;
         for r in results {
             if r.sample_size < 60 {
                 continue;
@@ -124,8 +125,8 @@ fn sketches_survive_persistence_through_the_whole_pipeline() {
 
     let q_sketch = builder.build(&split.queries[0]);
     let opts = QueryOptions::default();
-    let a = engine::top_k_join_correlation(&direct, &q_sketch, &opts);
-    let b = engine::top_k_join_correlation(&reloaded, &q_sketch, &opts);
+    let a = engine::top_k_with_plan_stats(&direct, &q_sketch, &opts).0;
+    let b = engine::top_k_with_plan_stats(&reloaded, &q_sketch, &opts).0;
     assert_eq!(a, b);
 }
 
