@@ -2,7 +2,8 @@
 //! study: end-to-end top-k join-correlation queries against the inverted
 //! index at increasing corpus sizes, plus the `top_k_with_reports` path
 //! (the PR-over-PR perf tripwire) at 1/2/4 worker threads over a
-//! ~5k-sketch corpus.
+//! ~5k-sketch corpus, and the request decode that precedes every served
+//! miss.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -10,6 +11,7 @@ use std::hint::black_box;
 use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
 use sketch_datagen::{generate_open_data, split_corpus, OpenDataConfig};
 use sketch_index::{engine, QueryOptions, SketchIndex};
+use sketch_server::api::{self, QueryBody, QueryParams, QueryRequest};
 
 fn build_index(
     tables: usize,
@@ -95,7 +97,42 @@ fn bench_reports_5k(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_query, bench_reports_5k, bench_retrieval_only);
+criterion_group!(
+    benches,
+    bench_request_decode,
+    bench_query,
+    bench_reports_5k,
+    bench_retrieval_only
+);
+
+/// What a served miss pays before the engine runs: one 1.5k-row `/query`
+/// body (the ledger's median pool column is 1549 rows, ~48 kB) through
+/// `QueryRequest::parse`. `json::parse` alone on the same bytes — the
+/// tree the decode used to start from — is the floor the old path could
+/// not beat.
+fn bench_request_decode(c: &mut Criterion) {
+    let rows = 1_500u32;
+    let column = QueryBody {
+        id: "pool/column".to_string(),
+        keys: (0..rows)
+            .map(|i| format!("key-{:07}", i.wrapping_mul(7_919) % 10_000_000))
+            .collect(),
+        values: (0..rows).map(|i| f64::from(i).sin() * 1_000.0).collect(),
+    };
+    let defaults = QueryParams::default();
+    let body = api::render_shard_query_request(&column, &defaults);
+    eprintln!("request_decode_48k body: {} bytes", body.len());
+    let mut group = c.benchmark_group("request_decode_48k");
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.bench_function("query_request_parse", |b| {
+        b.iter(|| black_box(QueryRequest::parse(black_box(body.as_bytes()), &defaults)))
+    });
+    group.bench_function("json_parse_tree", |b| {
+        b.iter(|| black_box(correlation_sketches::json::parse(black_box(&body))))
+    });
+    group.finish();
+}
 
 fn bench_retrieval_only(c: &mut Criterion) {
     let (idx, queries) = build_index(200, 1024, 0xbe_ed);

@@ -341,6 +341,9 @@ fn r3_applies(path: &str) -> bool {
         "crates/server/src/pipeline.rs",
         "crates/server/src/server.rs",
         "crates/server/src/coordinator.rs",
+        // Every untrusted body byte is lexed here before any of the
+        // above sees it.
+        "crates/core/src/json.rs",
     ]
     .iter()
     .any(|p| path.ends_with(p))
@@ -554,6 +557,8 @@ mod tests {
         assert!(r3_applies("crates/server/src/http.rs"));
         assert!(r3_applies("crates/server/src/pipeline.rs"));
         assert!(r3_applies("crates/server/src/server.rs"));
+        assert!(r3_applies("crates/core/src/json.rs"));
+        assert!(!r3_applies("crates/core/src/persist.rs"));
         assert!(!r3_applies("crates/server/src/snapshot.rs"));
         assert!(r5_applies("crates/hashing/src/murmur3.rs"));
         assert!(!r5_applies("crates/server/src/server.rs"));

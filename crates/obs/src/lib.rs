@@ -99,9 +99,19 @@ impl Trace {
     /// A live trace whose epoch is now.
     #[must_use]
     pub fn enabled() -> Self {
+        Self::enabled_at(Instant::now())
+    }
+
+    /// A live trace whose epoch is `epoch` — for a caller that learns it
+    /// wants a trace only after the first stage ran (the request's
+    /// `"trace"` flag is known once the body is decoded): take an
+    /// `Instant` before the stage, and [`record`](Self::record) the
+    /// stage into the trace started there.
+    #[must_use]
+    pub fn enabled_at(epoch: Instant) -> Self {
         Self {
             inner: Some(Box::new(Inner {
-                epoch: Instant::now(),
+                epoch,
                 spans: Vec::with_capacity(16),
                 open: Vec::with_capacity(4),
                 notes: Vec::with_capacity(8),
@@ -410,5 +420,27 @@ mod tests {
         let mut t = Trace::enabled();
         t.record("before", NO_INDEX, early, Duration::from_micros(10));
         assert_eq!(t.spans()[0].start_us, 0);
+    }
+
+    #[test]
+    fn enabled_at_back_dates_the_epoch() {
+        let early = Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
+        let epoch = Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
+        let mut t = Trace::enabled_at(epoch);
+        // The stage that ran before the trace existed starts it.
+        t.record("parse", NO_INDEX, epoch, Duration::from_micros(10));
+        // A start before the epoch still clamps.
+        t.record("before", NO_INDEX, early, Duration::from_micros(10));
+        let live = t.begin("after");
+        t.end(live);
+        let starts: Vec<u64> = t.spans().iter().map(|s| s.start_us).collect();
+        assert_eq!(starts[..2], [0, 0]);
+        assert!(
+            starts[2] >= 2_000,
+            "offsets count from the epoch: {starts:?}"
+        );
+        assert!(t.total_us() >= 2_000);
     }
 }

@@ -8,10 +8,18 @@
 //! is byte-identical to a single-process [`engine::top_k_with_reports`]
 //! call" testable as exact byte equality.
 //!
+//! Requests go the other way in one pass: body bytes through a pull
+//! [`Reader`] straight into [`QueryRequest`] / [`BatchRequest`], the
+//! `trace` flag learned along the way — no `json::Value` tree on the
+//! public request path. The tree ([`json::parse`]) remains under the
+//! coordinator-side decoders of worker *responses* and the two client
+//! helpers ([`extract_u64`], [`is_error_body`]): that JSON wire is due
+//! to be replaced by the binary record encoding, not tuned.
+//!
 //! [`engine::top_k_with_reports`]: sketch_index::engine::top_k_with_reports
 
-use correlation_sketches::json::{self, push_f64, push_string};
-use correlation_sketches::EstimateReport;
+use correlation_sketches::json::{self, push_f64, push_string, Reader};
+use correlation_sketches::{EstimateReport, SketchError};
 use sketch_hashing::murmur3_x64_128;
 use sketch_index::{DocId, PlanMode, QueryOptions, ReportedResult, Scorer, ShardCandidate};
 use sketch_stats::{ConfidenceInterval, CorrelationEstimator, ScoredEstimate};
@@ -120,120 +128,279 @@ pub struct BatchRequest {
 /// this serves.
 pub const MAX_SELECTION: usize = 100_000;
 
-fn bounded(v: &json::Value, field: &str) -> Result<usize, String> {
-    let n = usize::try_from(v.as_u64(field).map_err(|e| e.to_string())?)
-        .map_err(|e| format!("{field}: {e}"))?;
+// ---------------------------------------------------------------------
+// Request decoding: body bytes → typed request in one pass over a
+// `json::Reader`. No `json::Value` tree is built: each known field is
+// decoded where it stands, straight into the slot it ends up in, and
+// every other field is skipped — checked as strictly as a full parse
+// would check it, but kept nowhere.
+//
+// The accepted language: one JSON object; fields in any order; a field
+// that appears twice counts the first time only; unknown fields may
+// hold anything well-formed; nesting up to the reader's ceiling.
+// ---------------------------------------------------------------------
+
+/// Body bytes one `keys`/`values` row is assumed to take when sizing the
+/// first of the two arrays before its length is known: a quoted key of
+/// ten-odd bytes and a decimal value, with their commas. Shorter rows
+/// cost the doublings an unsized `Vec` would have paid anyway.
+const ROW_BYTES: usize = 24;
+
+/// Walk a request body — one JSON object and nothing after it —
+/// handing each field's name to `field` with the reader on its value.
+fn request_fields(
+    body: &[u8],
+    mut field: impl FnMut(&mut Reader<'_>, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
+    let mut r = Reader::new(text);
+    r.object("request", |r, name| field(r, &name))?;
+    r.finish()
+}
+
+/// Decode an array, each element through `item`.
+fn list<T>(
+    r: &mut Reader<'_>,
+    what: &str,
+    capacity: usize,
+    mut item: impl FnMut(&mut Reader<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::with_capacity(capacity);
+    r.array(what, |r| {
+        out.push(item(r)?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+fn missing(field: &str) -> String {
+    SketchError::Corrupt(format!("missing field '{field}'")).to_string()
+}
+
+/// Decode a field's value into `slot` the first time the field appears;
+/// a repeat is skipped.
+fn first<T>(
+    slot: &mut Option<T>,
+    r: &mut Reader<'_>,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, String>,
+) -> Result<(), String> {
+    match slot {
+        Some(_) => r.skip_value(),
+        None => {
+            *slot = Some(decode(r)?);
+            Ok(())
+        }
+    }
+}
+
+fn bounded(r: &mut Reader<'_>, field: &str) -> Result<usize, String> {
+    let n = usize::try_from(r.u64(field)?).map_err(|e| format!("{field}: {e}"))?;
     if n > MAX_SELECTION {
         return Err(format!("{field} must be <= {MAX_SELECTION}, got {n}"));
     }
     Ok(n)
 }
 
-fn parse_params(obj: json::Obj<'_>, defaults: &QueryParams) -> Result<QueryParams, String> {
-    let mut params = *defaults;
-    if let Some(v) = obj.opt("k") {
-        params.k = bounded(v, "k")?;
+/// A probability strictly inside (0, 1).
+fn open_unit(r: &mut Reader<'_>, field: &str) -> Result<f64, String> {
+    let p = r.f64(field)?;
+    if !(p > 0.0 && p < 1.0) {
+        return Err(format!("{field} must be in (0, 1), got {p}"));
     }
-    if let Some(v) = obj.opt("candidates") {
-        params.candidates = bounded(v, "candidates")?;
-    }
-    if let Some(v) = obj.opt("estimator") {
-        params.estimator = v
-            .as_str("estimator")
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("estimator: {e}"))?;
-    }
-    if let Some(v) = obj.opt("min_sample") {
-        params.min_sample = usize::try_from(v.as_u64("min_sample").map_err(|e| e.to_string())?)
-            .map_err(|e| format!("min_sample: {e}"))?;
-    }
-    if let Some(v) = obj.opt("alpha") {
-        let alpha = v.as_f64("alpha").map_err(|e| e.to_string())?;
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return Err(format!("alpha must be in (0, 1), got {alpha}"));
+    Ok(p)
+}
+
+/// A string field naming an estimator, scorer or plan.
+fn named<T: std::str::FromStr>(r: &mut Reader<'_>, field: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    r.string(field)?
+        .parse()
+        .map_err(|e| format!("{field}: {e}"))
+}
+
+/// The fields of one query column, as far as they have been seen.
+#[derive(Default)]
+struct ColumnFields {
+    id: Option<String>,
+    keys: Option<Vec<String>>,
+    values: Option<Vec<f64>>,
+    /// Capacity for whichever of `keys`/`values` comes first (the second
+    /// takes the first's length). Bounded by the caller: reserving from
+    /// it must not let a body claim more memory than its own size.
+    rows_hint: usize,
+}
+
+impl ColumnFields {
+    /// Decode `name`'s value if it is a column field; `false` leaves the
+    /// value unread.
+    fn read(&mut self, r: &mut Reader<'_>, name: &str) -> Result<bool, String> {
+        match name {
+            "id" => first(&mut self.id, r, |r| Ok(r.string("id")?.into_owned())),
+            "keys" => {
+                let rows = self.values.as_ref().map_or(self.rows_hint, Vec::len);
+                first(&mut self.keys, r, |r| {
+                    list(r, "keys", rows, |r| Ok(r.string("keys[]")?.into_owned()))
+                })
+            }
+            "values" => {
+                let rows = self.keys.as_ref().map_or(self.rows_hint, Vec::len);
+                first(&mut self.values, r, |r| {
+                    list(r, "values", rows, |r| r.f64("values[]"))
+                })
+            }
+            _ => return Ok(false),
         }
-        params.alpha = alpha;
+        .map(|()| true)
     }
-    if let Some(v) = obj.opt("scorer") {
-        params.scorer = v
-            .as_str("scorer")
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("scorer: {e}"))?;
-    }
-    if let Some(v) = obj.opt("confidence") {
-        let confidence = v.as_f64("confidence").map_err(|e| e.to_string())?;
-        if !(confidence > 0.0 && confidence < 1.0) {
-            return Err(format!("confidence must be in (0, 1), got {confidence}"));
+
+    fn finish(self) -> Result<QueryBody, String> {
+        let id = self.id.unwrap_or_else(|| "query".to_string());
+        let keys = self.keys.ok_or_else(|| missing("keys"))?;
+        let values = self.values.ok_or_else(|| missing("values"))?;
+        if keys.len() != values.len() {
+            return Err(format!(
+                "keys ({}) and values ({}) must have equal length",
+                keys.len(),
+                values.len()
+            ));
         }
-        params.confidence = confidence;
-    }
-    if let Some(v) = obj.opt("plan") {
-        params.plan = v
-            .as_str("plan")
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("plan: {e}"))?;
-    }
-    Ok(params)
-}
-
-fn parse_trace(obj: json::Obj<'_>) -> Result<bool, String> {
-    match obj.opt("trace") {
-        Some(v) => v.as_bool("trace").map_err(|e| e.to_string()),
-        None => Ok(false),
+        if keys.is_empty() {
+            return Err("keys must be non-empty".into());
+        }
+        if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
+            return Err(format!("values must be finite, got {bad}"));
+        }
+        Ok(QueryBody { id, keys, values })
     }
 }
 
-/// Cheap pre-parse screen for the literal key `"trace"` in the request
-/// bytes. The pipeline uses it on the memo-miss path (where a full parse
-/// is imminent anyway) to start the trace *before* the parse, so the
-/// parse span is captured. It is only a hint — the post-parse
-/// `req.trace` check is the source of truth: a false positive merely
-/// records spans that are never rendered, and a false negative (an
-/// escaped key such as `"tr\u0061ce"`, which `json::parse` decodes to
-/// `trace`) loses only the parse span.
-#[must_use]
-pub(crate) fn wants_trace_hint(body: &[u8]) -> bool {
-    body.windows(7).any(|w| w == b"\"trace\"")
+/// The fields `/query` and `/query_batch` share: the ranking parameters
+/// and the trace flag.
+#[derive(Default)]
+struct SharedFields {
+    k: Option<usize>,
+    candidates: Option<usize>,
+    estimator: Option<CorrelationEstimator>,
+    min_sample: Option<usize>,
+    alpha: Option<f64>,
+    scorer: Option<Scorer>,
+    confidence: Option<f64>,
+    plan: Option<PlanMode>,
+    trace: Option<bool>,
 }
 
-fn parse_body(obj: json::Obj<'_>) -> Result<QueryBody, String> {
-    let id = match obj.opt("id") {
-        Some(v) => v.as_str("id").map_err(|e| e.to_string())?.to_string(),
-        None => "query".to_string(),
+impl SharedFields {
+    /// Decode `name`'s value if it is a shared field; `false` leaves the
+    /// value unread.
+    fn read(&mut self, r: &mut Reader<'_>, name: &str) -> Result<bool, String> {
+        match name {
+            "k" => first(&mut self.k, r, |r| bounded(r, "k")),
+            "candidates" => first(&mut self.candidates, r, |r| bounded(r, "candidates")),
+            "estimator" => first(&mut self.estimator, r, |r| named(r, "estimator")),
+            "min_sample" => first(&mut self.min_sample, r, |r| {
+                usize::try_from(r.u64("min_sample")?).map_err(|e| format!("min_sample: {e}"))
+            }),
+            "alpha" => first(&mut self.alpha, r, |r| open_unit(r, "alpha")),
+            "scorer" => first(&mut self.scorer, r, |r| named(r, "scorer")),
+            "confidence" => first(&mut self.confidence, r, |r| open_unit(r, "confidence")),
+            "plan" => first(&mut self.plan, r, |r| named(r, "plan")),
+            "trace" => first(&mut self.trace, r, |r| r.bool("trace")),
+            _ => return Ok(false),
+        }
+        .map(|()| true)
+    }
+
+    /// The parameters with absent fields taken from `defaults`, and the
+    /// trace flag.
+    fn resolve(self, defaults: &QueryParams) -> (QueryParams, bool) {
+        let params = QueryParams {
+            k: self.k.unwrap_or(defaults.k),
+            candidates: self.candidates.unwrap_or(defaults.candidates),
+            estimator: self.estimator.unwrap_or(defaults.estimator),
+            min_sample: self.min_sample.unwrap_or(defaults.min_sample),
+            alpha: self.alpha.unwrap_or(defaults.alpha),
+            scorer: self.scorer.unwrap_or(defaults.scorer),
+            confidence: self.confidence.unwrap_or(defaults.confidence),
+            plan: self.plan.unwrap_or(defaults.plan),
+        };
+        (params, self.trace.unwrap_or(false))
+    }
+}
+
+/// Decode a `/query`-shaped body; `other` is handed every field that is
+/// neither a column field nor a shared one, and must read or skip it.
+fn decode_query(
+    body: &[u8],
+    defaults: &QueryParams,
+    mut other: impl FnMut(&mut Reader<'_>, &str) -> Result<(), String>,
+) -> Result<QueryRequest, String> {
+    let mut column = ColumnFields {
+        rows_hint: body.len() / ROW_BYTES,
+        ..ColumnFields::default()
     };
-    let keys = obj
-        .get("keys")
-        .and_then(|v| v.as_array("keys"))
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(|v| v.as_str("keys[]").map(str::to_string))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())?;
-    let values = obj
-        .get("values")
-        .and_then(|v| v.as_array("values"))
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(|v| v.as_f64("values[]"))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())?;
-    if keys.len() != values.len() {
-        return Err(format!(
-            "keys ({}) and values ({}) must have equal length",
-            keys.len(),
-            values.len()
-        ));
+    let mut shared = SharedFields::default();
+    request_fields(body, |r, name| {
+        if column.read(r, name)? || shared.read(r, name)? {
+            Ok(())
+        } else {
+            other(r, name)
+        }
+    })?;
+    let (params, trace) = shared.resolve(defaults);
+    Ok(QueryRequest {
+        body: column.finish()?,
+        params,
+        trace,
+    })
+}
+
+/// The `queries` array of a `/query_batch` body. An element's arrays
+/// start unsized: a batch may hold many columns, and each sizing its own
+/// from the whole body's length would multiply the body's claim on
+/// memory by their number.
+fn decode_queries(r: &mut Reader<'_>) -> Result<Vec<QueryBody>, String> {
+    let mut queries = Vec::new();
+    r.array("queries", |r| {
+        let mut column = ColumnFields::default();
+        let query = r
+            .object("queries[]", |r, name| {
+                if column.read(r, &name)? {
+                    Ok(())
+                } else {
+                    r.skip_value()
+                }
+            })
+            .and_then(|()| column.finish());
+        queries.push(query.map_err(|e| format!("queries[{}]: {e}", queries.len()))?);
+        Ok(())
+    })?;
+    Ok(queries)
+}
+
+/// Decode `name`'s value if it is the `docs` field of a
+/// `/shard_reports` body; skip it otherwise.
+fn read_docs(docs: &mut Option<Vec<DocId>>, r: &mut Reader<'_>, name: &str) -> Result<(), String> {
+    if name != "docs" {
+        return r.skip_value();
     }
-    if keys.is_empty() {
-        return Err("keys must be non-empty".into());
-    }
-    if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
-        return Err(format!("values must be finite, got {bad}"));
-    }
-    Ok(QueryBody { id, keys, values })
+    first(docs, r, |r| {
+        list(r, "docs", 0, |r| {
+            DocId::try_from(r.u64("docs[]")?).map_err(|e| format!("docs[]: {e}"))
+        })
+    })
+}
+
+/// Decode a `POST /shard_reports` body — a `/query` body plus the
+/// shard-local `docs` to report on — in one pass.
+pub(crate) fn parse_reports_request(
+    body: &[u8],
+    defaults: &QueryParams,
+) -> Result<(QueryRequest, Vec<DocId>), String> {
+    let mut docs = None;
+    let req = decode_query(body, defaults, |r, name| read_docs(&mut docs, r, name))?;
+    Ok((req, docs.ok_or_else(|| missing("docs"))?))
 }
 
 impl QueryRequest {
@@ -244,14 +411,7 @@ impl QueryRequest {
     ///
     /// A human-readable reason, safe to echo in a 400 response.
     pub fn parse(body: &[u8], defaults: &QueryParams) -> Result<Self, String> {
-        let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
-        let value = json::parse(text)?;
-        let obj = value.as_object("request").map_err(|e| e.to_string())?;
-        Ok(Self {
-            body: parse_body(obj)?,
-            params: parse_params(obj, defaults)?,
-            trace: parse_trace(obj)?,
-        })
+        decode_query(body, defaults, |r, _| r.skip_value())
     }
 
     /// The canonical fingerprint of this request (parameters included),
@@ -260,11 +420,7 @@ impl QueryRequest {
     /// order, whitespace, or spelled-out defaults.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
-        let mut bytes = Vec::with_capacity(64 + self.body.keys.len() * 16);
-        bytes.extend_from_slice(b"query\x00");
-        push_params(&mut bytes, &self.params);
-        push_query(&mut bytes, &self.body);
-        fingerprint_of(&bytes)
+        canonical_fingerprint(b"query\x00", &self.params, std::slice::from_ref(&self.body))
     }
 }
 
@@ -276,44 +432,33 @@ impl BatchRequest {
     ///
     /// A human-readable reason, safe to echo in a 400 response.
     pub fn parse(body: &[u8], defaults: &QueryParams) -> Result<Self, String> {
-        let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
-        let value = json::parse(text)?;
-        let obj = value.as_object("request").map_err(|e| e.to_string())?;
-        let params = parse_params(obj, defaults)?;
-        let queries = obj
-            .get("queries")
-            .and_then(|v| v.as_array("queries"))
-            .map_err(|e| e.to_string())?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let q = v
-                    .as_object("queries[]")
-                    .map_err(|e| e.to_string())
-                    .and_then(parse_body);
-                q.map_err(|e| format!("queries[{i}]: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut queries = None;
+        let mut shared = SharedFields::default();
+        request_fields(body, |r, name| {
+            if name == "queries" {
+                first(&mut queries, r, decode_queries)
+            } else if shared.read(r, name)? {
+                Ok(())
+            } else {
+                r.skip_value()
+            }
+        })?;
+        let queries = queries.ok_or_else(|| missing("queries"))?;
         if queries.is_empty() {
             return Err("queries must be non-empty".into());
         }
+        let (params, trace) = shared.resolve(defaults);
         Ok(Self {
             queries,
             params,
-            trace: parse_trace(obj)?,
+            trace,
         })
     }
 
     /// Canonical fingerprint of the whole batch, for cache keying.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
-        let mut bytes = Vec::with_capacity(64 * self.queries.len());
-        bytes.extend_from_slice(b"batch\x00");
-        push_params(&mut bytes, &self.params);
-        for q in &self.queries {
-            push_query(&mut bytes, q);
-        }
-        fingerprint_of(&bytes)
+        canonical_fingerprint(b"batch\x00", &self.params, &self.queries)
     }
 }
 
@@ -335,6 +480,35 @@ fn fingerprint_of(bytes: &[u8]) -> u128 {
 #[must_use]
 pub fn raw_fingerprint(bytes: &[u8]) -> u128 {
     fingerprint_of(bytes)
+}
+
+/// Hash the canonical byte form of a request: `tag`, the resolved
+/// parameters, then each query column length-prefixed. The scratch
+/// buffer is sized exactly — a row is 16 bytes of key length and value
+/// bits *plus* the key's own bytes, so a per-row guess either wastes the
+/// buffer or regrows (and copies) it on every miss.
+fn canonical_fingerprint(tag: &[u8; 6], params: &QueryParams, queries: &[QueryBody]) -> u128 {
+    let len = tag.len() + params_len(params) + queries.iter().map(query_len).sum::<usize>();
+    let mut bytes = Vec::with_capacity(len);
+    bytes.extend_from_slice(tag);
+    push_params(&mut bytes, params);
+    for q in queries {
+        push_query(&mut bytes, q);
+    }
+    debug_assert_eq!(bytes.len(), len, "fingerprint scratch sized exactly");
+    fingerprint_of(&bytes)
+}
+
+/// Bytes [`push_params`] appends: six 8-byte numbers and three
+/// NUL-terminated names.
+fn params_len(p: &QueryParams) -> usize {
+    6 * 8 + 3 + p.estimator.name().len() + p.scorer.name().len() + p.plan.name().len()
+}
+
+/// Bytes [`push_query`] appends.
+fn query_len(q: &QueryBody) -> usize {
+    let rows = q.keys.iter().zip(&q.values);
+    16 + q.id.len() + rows.map(|(k, _)| 16 + k.len()).sum::<usize>()
 }
 
 fn push_params(bytes: &mut Vec<u8>, p: &QueryParams) {
@@ -663,27 +837,17 @@ pub fn render_shard_reports_request(
     out
 }
 
-/// Extract the `docs` array of a `/shard_reports` request (the rest of
-/// the body parses through [`QueryRequest::parse`], which tolerates
-/// the extra field).
+/// Extract the `docs` array of a `/shard_reports` request: a walk that
+/// skips every other field without decoding it. (The worker itself
+/// decodes the request and its `docs` together, in one pass.)
 ///
 /// # Errors
 ///
 /// A human-readable reason, safe to echo in a 400 response.
 pub fn extract_docs(body: &[u8]) -> Result<Vec<DocId>, String> {
-    let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
-    let value = json::parse(text)?;
-    let obj = value.as_object("request").map_err(|e| e.to_string())?;
-    obj.get("docs")
-        .and_then(|v| v.as_array("docs"))
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(|v| {
-            v.as_u64("docs[]")
-                .map_err(|e| e.to_string())
-                .and_then(|d| DocId::try_from(d).map_err(|e| format!("docs[]: {e}")))
-        })
-        .collect()
+    let mut docs = None;
+    request_fields(body, |r, name| read_docs(&mut docs, r, name))?;
+    docs.ok_or_else(|| missing("docs"))
 }
 
 fn push_shard_row(out: &mut String, row: &ShardCandidate) {
@@ -1216,6 +1380,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// Fingerprints key the response cache and show up in logs, so no
+    /// change to how a request is decoded or hashed may move them. The
+    /// constants are what the tree-walking decoder computed (the commit
+    /// before the one-pass reader) for a single request, a batch, and a
+    /// re-ordered body that spells out every default.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let single = r#"{"id":"taxi","keys":["a","b","café"],"values":[1.5,-2.25,1e3],"k":3,"estimator":"spearman"}"#;
+        let batch = r#"{"queries":[{"keys":["a"],"values":[1]},{"id":"q2","keys":["b","😀"],"values":[2,-0]}],"scorer":"s4","plan":"two-pass@0.995"}"#;
+        let spelled = r#"{ "plan":"exhaustive", "values":[1.5,-2.25,1e3], "confidence":0.95, "scorer":"s1", "alpha":0.05, "min_sample":3, "estimator":"pearson", "candidates":100, "k":10, "keys":["a","b","café"], "id":"query", "trace":true }"#;
+        let minimal = r#"{"keys":["a","b","café"],"values":[1.5,-2.25,1e3]}"#;
+        let query = |body: &str| {
+            QueryRequest::parse(body.as_bytes(), &defaults())
+                .unwrap()
+                .fingerprint()
+        };
+        assert_eq!(query(single), 0x77d7_e383_4b8f_1ad5_d4f8_6a05_c085_6d88);
+        assert_eq!(query(spelled), 0x79a9_c276_ab82_cc96_32ba_d19d_a132_63a4);
+        assert_eq!(query(minimal), query(spelled));
+        let batch = BatchRequest::parse(batch.as_bytes(), &defaults()).unwrap();
+        assert_eq!(
+            batch.fingerprint(),
+            0x243f_90b1_1c1c_fb00_525f_a535_c9d2_e7a8
+        );
     }
 
     #[test]

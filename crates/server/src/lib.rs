@@ -52,6 +52,8 @@ pub mod cache;
 pub mod client;
 mod conn;
 pub mod coordinator;
+#[cfg(test)]
+mod decode_battery;
 pub mod http;
 mod metrics;
 mod pipeline;

@@ -4,12 +4,13 @@
 //! Both front ends answer a query the same way until the moment the
 //! answer has to be computed: hash the raw body, consult the parse memo,
 //! probe the response cache under the current generation, and only on a
-//! miss parse → fingerprint → probe again → *compute* → cache → splice
-//! the trace. That sequence, the routing table in front of it and the
-//! accept pool underneath it are written once here, generic over the
-//! request [`Kind`] (a single query is a batch of one) and over a
-//! [`Backend`] that supplies the one step that differs: `Local`
-//! ([`crate::server`]) runs the engine on its snapshot, `Cluster`
+//! miss decode → fingerprint → probe again → *compute* → cache → splice
+//! the trace (started, when only the decoded body asks for one, back at
+//! the instant the decode began). That sequence, the routing table in
+//! front of it and the accept pool underneath it are written once here,
+//! generic over the request [`Kind`] (a single query is a batch of one)
+//! and over a [`Backend`] that supplies the one step that differs:
+//! `Local` ([`crate::server`]) runs the engine on its snapshot, `Cluster`
 //! ([`crate::coordinator`]) scatters to its workers and gathers.
 
 use std::net::{SocketAddr, TcpListener};
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sketch_obs::Trace;
+use sketch_obs::{Trace, NO_INDEX};
 
 use crate::api::{self, BatchRequest, QueryBody, QueryParams, QueryRequest};
 use crate::cache::{self, CacheKey, ParseMemo, QueryCache};
@@ -277,12 +278,9 @@ fn answer<B: Backend>(backend: &B, kind: Kind, body: &[u8]) -> (u16, Body) {
     let generation = backend.generation();
     let memo = front.memo.get(raw).filter(|m| m.kind == kind);
     // Trace when the slow-query log needs every request traced, or the
-    // request asked: the memo knows for bytes seen before; for new
-    // bytes a cheap scan starts the trace *before* the parse, so the
-    // parse span is captured.
-    let mut trace = Trace::new(
-        front.slow_query.is_some() || memo.map_or_else(|| api::wants_trace_hint(body), |m| m.trace),
-    );
+    // request asked: the memo knows for bytes seen before; new bytes say
+    // so only once decoded, below.
+    let mut trace = Trace::new(front.slow_query.is_some() || memo.is_some_and(|m| m.trace));
     // Close out: slow-query logging and the trace splice, both no-ops
     // unless this request enabled tracing.
     let finish = |trace: &Trace, want_trace, status, body| {
@@ -297,19 +295,23 @@ fn answer<B: Backend>(backend: &B, kind: Kind, body: &[u8]) -> (u16, Body) {
             return finish(&trace, m.trace, 200, Body::Shared(hit));
         }
     }
-    let guard = trace.begin("parse");
+    let decode_started = Instant::now();
     let parsed = kind.parse(body, &front.defaults);
-    trace.end(guard);
+    // The decoded flag is the source of truth for new bytes, wherever in
+    // the body and however spelled: a trace asked for only now starts
+    // where the decode did, so its `parse` span is never lost.
+    if !trace.is_enabled() && parsed.as_ref().is_ok_and(|req| req.memo.trace) {
+        trace = Trace::enabled_at(decode_started);
+    }
+    if trace.is_enabled() {
+        let took = decode_started.elapsed();
+        trace.record("parse", NO_INDEX, decode_started, took);
+    }
     let req = match parsed {
         Ok(req) => req,
         Err(msg) => return finish(&trace, false, 400, Body::Owned(api::render_error(&msg))),
     };
     let m = req.memo;
-    // The parsed flag is the source of truth; when the scan missed it
-    // (an escaped key), only the parse span is lost.
-    if m.trace && !trace.is_enabled() {
-        trace = Trace::enabled();
-    }
     front.memo.put(raw, m);
     if let Some(hit) = front.probe(&mut trace, (m.fingerprint, generation), m.batched) {
         return finish(&trace, m.trace, 200, Body::Shared(hit));
@@ -346,6 +348,8 @@ mod tests {
         generation: AtomicU64,
         degraded: AtomicBool,
         executed: AtomicU64,
+        /// Misses that arrived with a live trace.
+        traced: AtomicU64,
     }
 
     fn stub(cache_capacity: usize) -> Stub {
@@ -354,6 +358,7 @@ mod tests {
             generation: AtomicU64::new(1),
             degraded: AtomicBool::new(false),
             executed: AtomicU64::new(0),
+            traced: AtomicU64::new(0),
         }
     }
 
@@ -369,8 +374,14 @@ mod tests {
             self.generation.load(Ordering::Relaxed)
         }
 
-        fn miss(&self, req: Parsed, _: &mut Trace) -> Result<(String, Option<u64>), &'static str> {
+        fn miss(
+            &self,
+            req: Parsed,
+            trace: &mut Trace,
+        ) -> Result<(String, Option<u64>), &'static str> {
             self.executed.fetch_add(1, Ordering::Relaxed);
+            self.traced
+                .fetch_add(u64::from(trace.is_enabled()), Ordering::Relaxed);
             let generation = self.generation();
             let body = format!(
                 "{{\"generation\":{generation},\"n\":{}}}",
@@ -400,14 +411,17 @@ mod tests {
     const X_ESCAPED: &str = r#"{"keys":["a","b"],"values":[1.0,2.0],"tr\u0061ce":true}"#;
     const Y: &str = r#"{"keys":["c"],"values":[3.0]}"#;
     const Y_TRACED: &str = r#"{"keys":["c"],"values":[3.0],"trace":true}"#;
+    const Z: &str = r#"{"keys":["trace"],"values":[4.0]}"#;
     const BAD: &str = r#"{"keys":["a"],"values":[]}"#;
 
     /// `(what, query, [Δcache_hits, Δcache_misses, Δexecuted, Δcached],
     /// answer)`: one request per row against one stub. The answer is
     /// `"<generation>"`, `"<generation> traced"`, or `"400"`; a row whose
     /// label starts with `bump` / `degrade` first moves the stub's
-    /// generation / also marks it degraded.
-    const SCRIPT: [(&str, &str, [u64; 4], &str); 13] = [
+    /// generation / also marks it degraded. Every traced row sends bytes
+    /// the memo has not seen, so its span tree must include `parse`; and
+    /// only a traced row may hand the backend a live trace.
+    const SCRIPT: [(&str, &str, [u64; 4], &str); 14] = [
         ("cold", X, [0, 1, 1, 1], "1"),
         ("memo hit, cache hit", X, [1, 0, 0, 0], "1"),
         (
@@ -423,7 +437,7 @@ mod tests {
             "1 traced",
         ),
         (
-            "escaped trace key still traces",
+            "escaped trace key traces, parse span and all",
             X_ESCAPED,
             [1, 0, 0, 0],
             "1 traced",
@@ -438,6 +452,12 @@ mod tests {
             "2 traced",
         ),
         ("untraced twin: same entry", Y, [1, 0, 0, 0], "2"),
+        (
+            "a key that reads \"trace\" asks for none",
+            Z,
+            [0, 1, 1, 1],
+            "2",
+        ),
         ("degrade: answered, not cached", X, [0, 1, 1, 0], "3"),
         ("still degraded: re-executes", X, [0, 1, 1, 0], "3"),
         ("bump: old entries are unreachable", Y, [0, 1, 1, 0], "4"),
@@ -476,6 +496,7 @@ mod tests {
             }
             let request = post(path, spell(kind, query));
             let (was, batched_was) = (observe(), load(&stats.batched_queries));
+            let live_was = load(&stub.traced);
             let (status, body, _) = route(&stub, &request);
             let (what, body) = (format!("{kind:?}: {what}"), body.as_str());
             let now = observe();
@@ -495,11 +516,17 @@ mod tests {
             let (generation, traced) = answer.split_once(' ').unwrap_or((answer, ""));
             let prefix = format!("{{\"generation\":{generation},\"n\":1");
             assert_eq!(body.starts_with(&prefix), answered, "{what}: {body}");
-            assert_eq!(body.contains("\"trace\":{"), traced == "traced", "{what}");
+            let traced = traced == "traced";
+            assert_eq!(body.contains("\"trace\":{"), traced, "{what}");
+            assert_eq!(body.contains("\"name\":\"parse\""), traced, "{what}");
+            // An untraced request never costs a `Trace`: what reaches
+            // the backend is the disabled one, no spans, no allocation.
+            let live = u64::from(traced) * delta[2];
+            assert_eq!(load(&stub.traced) - live_was, live, "{what}");
         }
         assert_eq!(
             stats.latency.snapshot().iter().sum::<u64>(),
-            12,
+            13,
             "400s are untimed"
         );
         let batched = load(&stats.batched_queries);
@@ -512,8 +539,8 @@ mod tests {
     /// `/stats` documents — queries inside answered batches.
     #[test]
     fn front_half_is_one_pipeline_for_both_kinds() {
-        assert_eq!(run_script(Kind::Single), [6, 6, 0]);
-        assert_eq!(run_script(Kind::Batch), [6, 6, 12]);
+        assert_eq!(run_script(Kind::Single), [6, 7, 0]);
+        assert_eq!(run_script(Kind::Batch), [6, 7, 13]);
     }
 
     /// One body can be valid on both endpoints; the memo must not let

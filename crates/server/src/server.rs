@@ -467,8 +467,7 @@ impl Local {
     /// docs the coordinator's merge actually shipped — the fetch that
     /// early termination avoids for everything else.
     fn shard_reports(&self, snap: &IndexSnapshot, body: &[u8]) -> Result<String, String> {
-        let req = QueryRequest::parse(body, &self.front.defaults)?;
-        let docs = api::extract_docs(body)?;
+        let (req, docs) = api::parse_reports_request(body, &self.front.defaults)?;
         let (opts, alpha) = (req.params.to_options(), req.params.alpha);
         let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
         let mut sample = correlation_sketches::JoinSample::default();
