@@ -2,15 +2,19 @@
 //! study: end-to-end top-k join-correlation queries against the inverted
 //! index at increasing corpus sizes, plus the `top_k_with_reports` path
 //! (the PR-over-PR perf tripwire) at 1/2/4 worker threads over a
-//! ~5k-sketch corpus, and the request decode that precedes every served
-//! miss.
+//! ~5k-sketch corpus, the request decode that precedes every served
+//! miss, and stage 1 on its own on the ledger's lake: count-only
+//! retrieval, retrieval that emits the join, and count retrieval followed
+//! by the merge joins it replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
+use correlation_sketches::{
+    join_sketches_into, CorrelationSketch, JoinSample, SketchBuilder, SketchConfig,
+};
 use sketch_datagen::{generate_open_data, split_corpus, OpenDataConfig};
-use sketch_index::{engine, QueryOptions, SketchIndex};
+use sketch_index::{engine, JoinedHits, QueryOptions, SketchIndex};
 use sketch_server::api::{self, QueryBody, QueryParams, QueryRequest};
 
 fn build_index(
@@ -18,13 +22,25 @@ fn build_index(
     sketch_size: usize,
     seed: u64,
 ) -> (SketchIndex, Vec<CorrelationSketch>) {
-    let corpus_tables = generate_open_data(&OpenDataConfig {
+    let config = OpenDataConfig {
         tables,
         min_rows: 50,
         max_rows: 1_000,
         ..OpenDataConfig::nyc(seed)
-    });
-    let split = split_corpus(&corpus_tables, 0.2, seed);
+    };
+    build_lake(&config, 0.2, sketch_size, 16)
+}
+
+/// Index the corpus side of a generated lake and sketch the first
+/// `queries` columns of its query side.
+fn build_lake(
+    config: &OpenDataConfig,
+    query_fraction: f64,
+    sketch_size: usize,
+    queries: usize,
+) -> (SketchIndex, Vec<CorrelationSketch>) {
+    let corpus_tables = generate_open_data(config);
+    let split = split_corpus(&corpus_tables, query_fraction, config.seed);
     let builder = SketchBuilder::new(SketchConfig::with_size(sketch_size));
     let sketches =
         correlation_sketches::build_sketches_parallel(&split.corpus, *builder.config(), 8);
@@ -35,7 +51,7 @@ fn build_index(
     let queries = split
         .queries
         .iter()
-        .take(16)
+        .take(queries)
         .map(|p| builder.build(p))
         .collect();
     (idx, queries)
@@ -134,8 +150,18 @@ fn bench_request_decode(c: &mut Criterion) {
     group.finish();
 }
 
+/// Stage 1 on the ledger's lake (1600 NYC-style tables, 30% query split,
+/// sketch size 1024 → 2813 indexed sketches), top-100 of 64 pool
+/// queries: `top100` counts and selects, `top100_joined` also emits the
+/// hundred join samples, and `top100_then_merge` is what the engine did
+/// before postings carried values — count, then one merge walk per hit.
 fn bench_retrieval_only(c: &mut Criterion) {
-    let (idx, queries) = build_index(200, 1024, 0xbe_ed);
+    let config = OpenDataConfig {
+        tables: 1_600,
+        ..OpenDataConfig::nyc(0x0055_5eed)
+    };
+    let (idx, queries) = build_lake(&config, 0.3, 1024, 64);
+    eprintln!("overlap_retrieval corpus: {} sketches", idx.len());
     let mut group = c.benchmark_group("overlap_retrieval");
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
@@ -145,6 +171,29 @@ fn bench_retrieval_only(c: &mut Criterion) {
             let q = &queries[qi % queries.len()];
             qi += 1;
             black_box(idx.overlap_candidates(q, 100))
+        })
+    });
+    group.bench_function("top100_joined", |b| {
+        let (mut qi, mut joined) = (0usize, JoinedHits::default());
+        b.iter(|| {
+            let q = &queries[qi % queries.len()];
+            qi += 1;
+            idx.retrieve_joined(q, 100, &mut joined);
+            black_box(joined.hits().len())
+        })
+    });
+    group.bench_function("top100_then_merge", |b| {
+        let (mut qi, mut sample) = (0usize, JoinSample::default());
+        b.iter(|| {
+            let q = &queries[qi % queries.len()];
+            qi += 1;
+            let mut rows = 0usize;
+            for (doc, _) in idx.overlap_candidates(q, 100) {
+                let sketch = idx.get(doc).expect("retrieved docs are live");
+                join_sketches_into(q, sketch, &mut sample).expect("one hasher per lake");
+                rows += black_box(&sample).len();
+            }
+            rows
         })
     });
     group.finish();

@@ -20,8 +20,8 @@ use crate::sketch::CorrelationSketch;
 /// The columns are stored structure-of-arrays: `x`/`y` are contiguous
 /// `f64` slices the estimator kernels (`sketch_stats::kernel`) consume
 /// directly, with no row-wise intermediary. [`join_sketches_into`]
-/// refills an existing sample in place so the query hot path can reuse
-/// one buffer per worker across candidates.
+/// refills an existing sample in place so a caller joining many pairs
+/// can reuse one buffer.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JoinSample {
     /// Hashed keys of the joined rows, ascending by unit hash.
@@ -179,8 +179,10 @@ pub fn join_sketches(
 /// As [`join_sketches`], refilling a caller-owned [`JoinSample`] instead
 /// of allocating one. `out` is cleared and overwritten unconditionally
 /// (its capacity is reused), so the result is identical to
-/// [`join_sketches`] for every prior state of `out` — the engine's
-/// stage-2 pass runs one buffer per worker across all candidates.
+/// [`join_sketches`] for every prior state of `out`. The query engine
+/// gets its samples from the index instead (postings carry values); the
+/// one pairwise join it still runs — a shard worker's report for a
+/// coordinator-chosen doc — reuses one buffer per worker this way.
 ///
 /// # Errors
 ///

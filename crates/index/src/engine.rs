@@ -2,41 +2,48 @@
 //! (paper Definition 3 + Section 4, evaluated in Section 5.5). There is
 //! one way to run a query — [`execute`] — and it is one pipeline:
 //!
-//! **Stage 1 — retrieve.** The top-N candidates by key overlap come out
-//! of the inverted index (ties broken by sketch id, so the candidate set
-//! is insertion-order independent).
+//! **Stage 1 — retrieve + gather.** The top-N candidates by key overlap
+//! come out of the inverted index (ties broken by sketch id, so the
+//! candidate set is insertion-order independent) *with their join
+//! samples*: postings carry the candidates' values, so the walk that
+//! counts overlaps also emits each winner's `(x_query, y_candidate)` rows
+//! (Theorem 1 sample) into one per-worker arena
+//! ([`SketchIndex::retrieve_joined`]).
 //!
-//! **Stage 2 — estimate + rank.** One fused pass joins each candidate's
-//! sketch with the query sketch (Theorem 1 sample), estimates the
-//! after-join correlation, and attaches the estimator-matched confidence
-//! interval ([`sketch_stats::scored_estimate`]: Fisher z for Pearson,
-//! fixed-seed bootstrap for the robust estimators — per-worker scratch,
-//! bit-identical across thread counts), exhaustively or under the
-//! two-pass plan of [`crate::plan`]. The list is then re-ranked by the
-//! [`QueryOptions::scorer`] (`s1..s4` of `sketch-ranking`) and truncated
-//! to `k` — NaN scores rank last deterministically, so a degenerate
-//! candidate can never poison the selection.
+//! **Stage 2 — estimate + rank.** Each candidate's after-join correlation
+//! is estimated from its arena slices, with the estimator-matched
+//! confidence interval ([`sketch_stats::scored_estimate`]: Fisher z for
+//! Pearson, fixed-seed bootstrap for the robust estimators — per-worker
+//! scratch, bit-identical across thread counts), exhaustively or under
+//! the two-pass plan of [`crate::plan`]. No join happens here: every
+//! pass of either plan reads the same slices. The list is then re-ranked
+//! by the [`QueryOptions::scorer`] (`s1..s4` of `sketch-ranking`) and
+//! truncated to `k` — NaN scores rank last deterministically, so a
+//! degenerate candidate can never poison the selection.
 //!
-//! **Stage 3 — report (only when asked).** The `k` winners are re-joined
-//! for the Section 4 uncertainty report.
+//! **Stage 3 — report (only when asked).** The Section 4 uncertainty
+//! report of each of the `k` winners, from the slices stage 1 left.
 //!
-//! Stage 2 is structure-of-arrays end to end: each worker refills one
-//! [`JoinSample`] buffer per candidate ([`join_sketches_into`]) and the
-//! estimators consume its contiguous `x[]`/`y[]` columns directly
-//! through the chunked kernels of `sketch_stats::kernel` — no
-//! per-candidate sample allocation, no row-wise intermediary. Only the
-//! `k` winners' samples are rebuilt afterwards (for reports), so the
-//! ~`overlap_candidates` losers never materialize anything.
+//! Stage 2 is structure-of-arrays end to end: the estimators consume the
+//! arena's contiguous `x[]`/`y[]` columns directly through the chunked
+//! kernels of `sketch_stats::kernel` — no per-candidate sample
+//! allocation, no row-wise intermediary, and no merge walk.
 //!
-//! [`top_k_with_reports`], [`top_k_with_plan_stats`], [`shard_candidates`]
-//! and [`report_for_doc`] are few-line projections of the same internals.
+//! [`top_k_with_reports`], [`top_k_with_plan_stats`] and
+//! [`shard_candidates`] are few-line projections of the same internals;
+//! [`report_for_doc`] answers for one coordinator-chosen doc, which no
+//! retrieval of its own selected, and so is the one place a pairwise
+//! join remains.
 
 use correlation_sketches::{join_sketches_into, CorrelationSketch, EstimateReport, JoinSample};
 use sketch_obs::Trace;
 use sketch_ranking::{desc_score_nan_last, score_bounds, score_estimates, Scorer};
-use sketch_stats::{scored_estimate, BootstrapScratch, CorrelationEstimator, ScoredEstimate};
+use sketch_stats::{
+    fisher_z_se, hfd_interval, hoeffding_interval, scored_estimate, BootstrapScratch,
+    CorrelationEstimator, ScoredEstimate, ValueBounds,
+};
 
-use crate::inverted::{DocId, SketchIndex};
+use crate::inverted::{DocId, JoinedHits, SketchIndex};
 use crate::plan::{kth_largest, PlanMode, PlanStats};
 
 /// Options for a top-k join-correlation query.
@@ -53,7 +60,7 @@ pub struct QueryOptions {
     /// (below this the estimate is `None` and the candidate ranks last).
     pub min_sample: usize,
     /// Worker threads. One query fans them out over its candidates
-    /// (join + estimation), many queries fan them out over the queries.
+    /// (estimation), many queries fan them out over the queries.
     /// `0` and `1` both mean serial; results are bit-identical for every
     /// value (the fan-out uses deterministic contiguous chunking, like
     /// `correlation_sketches::build_sketches_parallel`).
@@ -132,29 +139,40 @@ pub struct QueryOutput {
     pub stats: PlanStats,
 }
 
-/// Per-worker scratch, reused across every candidate (and every query)
-/// of the worker's chunk: the retrieval counter buffer, one
-/// [`JoinSample`] refilled per candidate, and the bootstrap resample
-/// buffers. Every candidate's output is a pure function of its own join
-/// sample, so buffer reuse (and the thread count) never changes a bit of
-/// it.
+/// Per-worker scratch, reused across every query of the worker's chunk:
+/// the retrieval's counters and join-sample arena, and the bootstrap
+/// resample buffers. Every candidate's output is a pure function of its
+/// own join sample, so buffer reuse (and the thread count) never changes
+/// a bit of it.
 #[derive(Default)]
 struct Scratch {
-    counts: Vec<u32>,
-    sample: JoinSample,
+    joined: JoinedHits,
     ci: BootstrapScratch,
 }
 
+thread_local! {
+    /// The calling thread's scratch. A server worker answers query after
+    /// query on one thread; keeping the arena between them spares every
+    /// query several hundred kB of freshly mapped pages.
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
+}
+
+/// Run `f` on the calling thread's scratch. Nothing below re-enters: the
+/// workers [`chunked`] spawns are other threads with scratch of their own.
+fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+}
+
 /// Fan `run` out over contiguous chunks of `items` on up to `threads`
-/// scoped threads, one fresh [`Scratch`] per worker, and concatenate the
+/// scoped threads, one fresh scratch per worker, and concatenate the
 /// outputs in order — deterministic for every thread count (`0` is
 /// treated as `1`; counts above the item count are capped). A serial
 /// pass runs on the caller's `scratch` directly.
-fn chunked<I: Sync, T: Send>(
+fn chunked<I: Sync, T: Send, S: Default>(
     items: &[I],
     threads: usize,
-    scratch: &mut Scratch,
-    run: impl Fn(&[I], &mut Scratch) -> Vec<T> + Sync,
+    scratch: &mut S,
+    run: impl Fn(&[I], &mut S) -> Vec<T> + Sync,
 ) -> Vec<T> {
     let threads = threads.clamp(1, items.len().max(1));
     if threads == 1 {
@@ -166,7 +184,7 @@ fn chunked<I: Sync, T: Send>(
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || run(chunk, &mut Scratch::default())))
+            .map(|chunk| scope.spawn(move || run(chunk, &mut S::default())))
             .collect();
         for h in handles {
             out.extend(h.join().expect("query workers do not panic"));
@@ -175,69 +193,64 @@ fn chunked<I: Sync, T: Send>(
     out
 }
 
-/// One candidate's stage-2 output: retrieval metadata and the scored
-/// estimate — everything ranking needs, with no join sample attached.
+/// One candidate's stage-2 output: its join-sample size and scored
+/// estimate. Rows travel in lists aligned with the hits they were
+/// estimated from.
 #[derive(Debug, Clone, Copy)]
 struct ScoredRow {
-    doc: DocId,
-    overlap: usize,
     sample_size: usize,
     est: Option<ScoredEstimate>,
 }
 
-/// The fused join + estimate + CI pass over a hit list — the expensive,
-/// embarrassingly parallel part: each worker joins its chunk's
-/// candidates into its scratch buffer and estimates each one from the
-/// buffer's contiguous `x[]`/`y[]` columns.
+/// The estimate + CI pass over the hits numbered `which` — the expensive,
+/// embarrassingly parallel part: each worker estimates its chunk's
+/// candidates straight from the retrieval arena's contiguous `x[]`/`y[]`
+/// slices.
 fn estimate_hits(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    hits: &[(DocId, usize)],
+    joined: &JoinedHits,
+    which: &[usize],
     opts: &QueryOptions,
     threads: usize,
-    scratch: &mut Scratch,
+    ci: &mut BootstrapScratch,
 ) -> Vec<ScoredRow> {
     // The admission gate folds in the estimator's honest minimum: a call
     // below it is guaranteed to error, so skipping it changes no output,
     // only spares the doomed invocation — which keeps the planner's
     // invocation accounting honest on both plans.
     let min_sample = opts.min_sample.max(opts.estimator.min_samples());
-    chunked(hits, threads, scratch, |chunk, scratch| {
+    chunked(which, threads, ci, |chunk, ci| {
         chunk
             .iter()
-            .filter_map(|&(doc, overlap)| {
-                let sketch = index.get(doc)?;
-                // Hashers are uniform across an index; join cannot fail.
-                join_sketches_into(query, sketch, &mut scratch.sample).ok()?;
-                let sample = &scratch.sample;
-                let est = (sample.len() >= min_sample)
-                    .then(|| {
-                        scored_estimate(
-                            opts.estimator,
-                            &sample.x,
-                            &sample.y,
-                            opts.confidence,
-                            &mut scratch.ci,
-                        )
-                        .ok()
-                    })
+            .map(|&hit| {
+                let (x, y) = joined.sample(hit);
+                let est = (x.len() >= min_sample)
+                    .then(|| scored_estimate(opts.estimator, x, y, opts.confidence, ci).ok())
                     .flatten();
-                Some(ScoredRow {
-                    doc,
-                    overlap,
-                    sample_size: sample.len(),
+                ScoredRow {
+                    sample_size: x.len(),
                     est,
-                })
+                }
             })
             .collect()
     })
 }
 
+/// [`estimate_hits`] over every hit, in retrieval order.
+fn estimate_all(
+    joined: &JoinedHits,
+    opts: &QueryOptions,
+    threads: usize,
+    ci: &mut BootstrapScratch,
+) -> Vec<ScoredRow> {
+    let all: Vec<usize> = (0..joined.hits().len()).collect();
+    estimate_hits(joined, &all, opts, threads, ci)
+}
+
 /// Stage 2 under the configured plan: either one exhaustive pass with
 /// the requested estimator, or the two-pass prune-then-spend pipeline
-/// of [`crate::plan`]. Returns the scored rows (in retrieval order,
-/// exactly as the exhaustive pass would) plus the plan's execution
-/// statistics.
+/// of [`crate::plan`]. Returns one scored row per hit (in retrieval
+/// order, exactly as the exhaustive pass would) plus the plan's
+/// execution statistics.
 ///
 /// Two-pass losslessness (module docs of [`crate::plan`] give the full
 /// argument): survivors are re-estimated by the same pure function the
@@ -248,18 +261,16 @@ fn estimate_hits(
 /// with `est: None`; their exhaustive scores lie in `[0, τ*)`, and
 /// score 0 keeps them in that range, below every survivor.
 fn plan_rows(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    hits: &[(DocId, usize)],
+    joined: &JoinedHits,
     opts: &QueryOptions,
     threads: usize,
-    scratch: &mut Scratch,
+    ci: &mut BootstrapScratch,
     trace: &mut Trace,
 ) -> (Vec<ScoredRow>, PlanStats) {
     let effective_min = opts.min_sample.max(opts.estimator.min_samples());
-    let exhaustive = |scratch: &mut Scratch, trace: &mut Trace| {
+    let exhaustive = |ci: &mut BootstrapScratch, trace: &mut Trace| {
         let guard = trace.begin("estimate");
-        let rows = estimate_hits(index, query, hits, opts, threads, scratch);
+        let rows = estimate_all(joined, opts, threads, ci);
         trace.end(guard);
         let stats = PlanStats {
             candidates: rows.len(),
@@ -272,12 +283,12 @@ fn plan_rows(
         (rows, stats)
     };
     let Some(pass1_confidence) = opts.plan.pruning_confidence(opts.scorer, opts.estimator) else {
-        return exhaustive(scratch, trace);
+        return exhaustive(ci, trace);
     };
     // With every candidate in the top-k nothing can be pruned; skip the
     // cheap pass instead of paying for it.
-    if hits.len() <= opts.k {
-        return exhaustive(scratch, trace);
+    if joined.hits().len() <= opts.k {
+        return exhaustive(ci, trace);
     }
 
     // Pass 1: Pearson + Fisher-z CI over every candidate, at the plan's
@@ -288,7 +299,7 @@ fn plan_rows(
         ..*opts
     };
     let cheap_guard = trace.begin("cheap_pass");
-    let cheap = estimate_hits(index, query, hits, &cheap_opts, threads, scratch);
+    let cheap = estimate_all(joined, &cheap_opts, threads, ci);
     trace.end(cheap_guard);
     let cheap_min = opts
         .min_sample
@@ -334,15 +345,10 @@ fn plan_rows(
     let mut rounds = 0usize;
     let tau = loop {
         if !to_estimate.is_empty() {
-            let sub_hits: Vec<(DocId, usize)> = to_estimate
-                .iter()
-                .map(|&i| (cheap[i].doc, cheap[i].overlap))
-                .collect();
-            let rows = estimate_hits(index, query, &sub_hits, opts, threads, scratch);
-            debug_assert_eq!(rows.len(), to_estimate.len(), "band docs are live");
-            for (&slot, row) in to_estimate.iter().zip(rows) {
-                est[slot] = row.est;
-                in_band[slot] = true;
+            let rows = estimate_hits(joined, &to_estimate, opts, threads, ci);
+            for (&hit, row) in to_estimate.iter().zip(rows) {
+                est[hit] = row.est;
+                in_band[hit] = true;
             }
             rounds += 1;
         }
@@ -388,37 +394,9 @@ fn plan_rows(
     (rows, stats)
 }
 
-/// The re-rank stage: score the whole row list with the configured
-/// scorer (list-level — `s4` normalizes CI lengths across the list) and
-/// keep the top `opts.k` via bounded-heap selection. Sketch ids are
-/// resolved here, for ranking's tie-break and the returned results.
-fn rank_rows(index: &SketchIndex, rows: Vec<ScoredRow>, opts: &QueryOptions) -> Vec<QueryResult> {
-    let estimates: Vec<Option<ScoredEstimate>> = rows.iter().map(|r| r.est).collect();
-    let scores = score_estimates(opts.scorer, &estimates);
-    let items = rows
-        .into_iter()
-        .zip(scores)
-        .map(|(row, score)| QueryResult {
-            doc: row.doc,
-            id: sketch_id(index, row.doc),
-            overlap: row.overlap,
-            sample_size: row.sample_size,
-            estimate: row.est.map(|e| e.estimate),
-            ci_lo: row.est.map(|e| e.ci_lo),
-            ci_hi: row.est.map(|e| e.ci_hi),
-            score,
-        });
-    crate::select::top_k_by(items, opts.k, result_order)
-}
-
-/// The sketch id of a stage-2 row (`estimate_hits` only emits rows for
-/// live docs, so the fallback is unreachable).
-fn sketch_id(index: &SketchIndex, doc: DocId) -> String {
-    index
-        .get(doc)
-        .map(|s| s.id().to_string())
-        .unwrap_or_default()
-}
+/// What the ranking order reads of a candidate: score, overlap, sketch
+/// id, doc.
+type RankKey<'a> = (f64, usize, &'a str, DocId);
 
 /// The ranking's total order: descending score with NaN ranked last —
 /// a degenerate candidate (constant column → undefined correlation)
@@ -426,11 +404,83 @@ fn sketch_id(index: &SketchIndex, doc: DocId) -> String {
 /// selection heap — then descending overlap, then ascending sketch id
 /// (insertion-order independent), then doc id (reachable only through
 /// duplicate ids).
+fn rank_order(a: RankKey<'_>, b: RankKey<'_>) -> std::cmp::Ordering {
+    desc_score_nan_last(a.0, b.0)
+        .then(b.1.cmp(&a.1))
+        .then_with(|| a.2.cmp(b.2))
+        .then(a.3.cmp(&b.3))
+}
+
+/// [`rank_order`] over finished results.
 pub(crate) fn result_order(a: &QueryResult, b: &QueryResult) -> std::cmp::Ordering {
-    desc_score_nan_last(a.score, b.score)
-        .then(b.overlap.cmp(&a.overlap))
-        .then_with(|| a.id.cmp(&b.id))
-        .then(a.doc.cmp(&b.doc))
+    rank_order(
+        (a.score, a.overlap, &a.id, a.doc),
+        (b.score, b.overlap, &b.id, b.doc),
+    )
+}
+
+/// The re-rank stage: score the whole row list with the configured
+/// scorer (list-level — `s4` normalizes CI lengths across the list) and
+/// keep the top `opts.k` via bounded-heap selection on ids borrowed from
+/// the index, so only the winners' ids are copied out. Each result comes
+/// with its hit number (for its report).
+fn rank_rows(
+    index: &SketchIndex,
+    joined: &JoinedHits,
+    rows: &[ScoredRow],
+    opts: &QueryOptions,
+) -> Vec<(usize, QueryResult)> {
+    let estimates: Vec<Option<ScoredEstimate>> = rows.iter().map(|r| r.est).collect();
+    let scores = score_estimates(opts.scorer, &estimates);
+    let keyed = joined.hits().iter().zip(scores).enumerate().map(
+        |(hit, (&(doc, overlap), score))| -> (usize, RankKey<'_>) {
+            (hit, (score, overlap, index.id_of(doc), doc))
+        },
+    );
+    crate::select::top_k_by(keyed, opts.k, |a, b| rank_order(a.1, b.1))
+        .into_iter()
+        .map(|(hit, (score, overlap, id, doc))| {
+            let row = rows[hit];
+            let result = QueryResult {
+                doc,
+                id: id.to_string(),
+                overlap,
+                sample_size: row.sample_size,
+                estimate: row.est.map(|e| e.estimate),
+                ci_lo: row.est.map(|e| e.ci_lo),
+                ci_hi: row.est.map(|e| e.ci_hi),
+                score,
+            };
+            (hit, result)
+        })
+        .collect()
+}
+
+/// The Section 4 uncertainty report of one join sample — the one place
+/// the report gate lives (`min_sample`; a sample too degenerate for the
+/// estimator or an interval has no report), whether the columns are
+/// arena slices or a pairwise re-join. `bounds` is the union of the two
+/// sketches' full-column value ranges, `None` if either column was empty.
+/// Field for field [`JoinSample::report`].
+fn sample_report(
+    x: &[f64],
+    y: &[f64],
+    bounds: Option<ValueBounds>,
+    opts: &QueryOptions,
+    alpha: f64,
+) -> Option<EstimateReport> {
+    if x.len() < opts.min_sample {
+        return None;
+    }
+    let bounds = bounds?;
+    Some(EstimateReport {
+        estimate: opts.estimator.estimate(x, y).ok()?,
+        estimator: opts.estimator,
+        sample_size: x.len(),
+        hoeffding: hoeffding_interval(x, y, bounds, alpha).ok()?,
+        hfd_length: hfd_interval(x, y, bounds, alpha).ok()?.length(),
+        fisher_se: fisher_z_se(x.len()),
+    })
 }
 
 /// One query through every stage, fanning `opts.threads` over its
@@ -444,24 +494,24 @@ fn run_query(
     trace: &mut Trace,
 ) -> QueryOutput {
     let guard = trace.begin("retrieval");
-    let hits =
-        index.overlap_candidates_with_scratch(query, opts.overlap_candidates, &mut scratch.counts);
+    index.retrieve_joined(query, opts.overlap_candidates, &mut scratch.joined);
     trace.end(guard);
-    let (rows, stats) = plan_rows(index, query, &hits, opts, opts.threads, scratch, trace);
+    let joined = &scratch.joined;
+    let (rows, stats) = plan_rows(joined, opts, opts.threads, &mut scratch.ci, trace);
     let guard = trace.begin("rank");
-    let ranked = rank_rows(index, rows, opts);
+    let ranked = rank_rows(index, joined, &rows, opts);
     trace.end(guard);
-    // The stage-2 pass never materializes per-candidate samples, so the
-    // reports re-join just the `opts.k` winners into the reused buffer —
-    // `k` extra merge walks instead of `overlap_candidates` sample
-    // allocations, the cheaper side of the trade at every realistic
-    // `k ≪ overlap_candidates`.
     let guard = alpha.map(|_| trace.begin("reports"));
     let results = ranked
         .into_iter()
-        .map(|result| ReportedResult {
+        .map(|(hit, result)| ReportedResult {
             report: alpha.and_then(|alpha| {
-                report_for_doc(index, query, result.doc, opts, alpha, &mut scratch.sample)
+                let (x, y) = joined.sample(hit);
+                let bounds = query
+                    .value_bounds()
+                    .zip(index.get(result.doc)?.value_bounds())
+                    .map(|(q, d)| ValueBounds::union(q, d));
+                sample_report(x, y, bounds, opts, alpha)
             }),
             result,
         })
@@ -501,10 +551,10 @@ pub fn execute(
     alpha: Option<f64>,
     trace: &mut Trace,
 ) -> Vec<QueryOutput> {
-    let scratch = &mut Scratch::default();
-    let outputs = if let [query] = queries {
-        vec![run_query(index, query, opts, alpha, scratch, trace)]
-    } else {
+    let outputs = with_scratch(|scratch| {
+        if let [query] = queries {
+            return vec![run_query(index, query, opts, alpha, scratch, trace)];
+        }
         let serial = &QueryOptions {
             threads: 1,
             ..*opts
@@ -513,7 +563,7 @@ pub fn execute(
             let run = |q| run_query(index, q, serial, alpha, scratch, &mut Trace::disabled());
             chunk.iter().map(run).collect()
         })
-    };
+    });
     if trace.is_enabled() {
         let mut total = PlanStats::default();
         outputs.iter().for_each(|o| total.absorb(&o.stats));
@@ -538,8 +588,8 @@ pub fn top_k_with_reports(
     opts: &QueryOptions,
     alpha: f64,
 ) -> Vec<ReportedResult> {
-    let (scratch, trace) = (&mut Scratch::default(), &mut Trace::disabled());
-    run_query(index, query, opts, Some(alpha), scratch, trace).results
+    let trace = &mut Trace::disabled();
+    with_scratch(|scratch| run_query(index, query, opts, Some(alpha), scratch, trace)).results
 }
 
 /// [`execute`] for one query without reports: the ranked results and
@@ -551,8 +601,8 @@ pub fn top_k_with_plan_stats(
     query: &CorrelationSketch,
     opts: &QueryOptions,
 ) -> (Vec<QueryResult>, PlanStats) {
-    let (scratch, trace) = (&mut Scratch::default(), &mut Trace::disabled());
-    let out = run_query(index, query, opts, None, scratch, trace);
+    let trace = &mut Trace::disabled();
+    let out = with_scratch(|scratch| run_query(index, query, opts, None, scratch, trace));
     (
         out.results.into_iter().map(|r| r.result).collect(),
         out.stats,
@@ -606,31 +656,28 @@ pub fn shard_candidates(
     query: &CorrelationSketch,
     opts: &QueryOptions,
 ) -> Vec<ShardCandidate> {
-    let hits = index.overlap_candidates(query, opts.overlap_candidates);
-    estimate_hits(
-        index,
-        query,
-        &hits,
-        opts,
-        opts.threads,
-        &mut Scratch::default(),
-    )
-    .into_iter()
-    .map(|row| ShardCandidate {
-        doc: row.doc,
-        id: sketch_id(index, row.doc),
-        overlap: row.overlap,
-        sample_size: row.sample_size,
-        est: row.est,
+    with_scratch(|scratch| {
+        index.retrieve_joined(query, opts.overlap_candidates, &mut scratch.joined);
+        let joined = &scratch.joined;
+        estimate_all(joined, opts, opts.threads, &mut scratch.ci)
+            .into_iter()
+            .zip(joined.hits())
+            .map(|(row, &(doc, overlap))| ShardCandidate {
+                doc,
+                id: index.id_of(doc).to_string(),
+                overlap,
+                sample_size: row.sample_size,
+                est: row.est,
+            })
+            .collect()
     })
-    .collect()
 }
 
-/// The Section 4 uncertainty report for one document: re-join its
-/// sketch with the query into the reused `sample` buffer and build the
-/// report — the one place the report gate (`min_sample`,
-/// degenerate-sample `ok()`) lives. Public so a sharded worker can
-/// answer report fetches for coordinator-chosen winners with bytes
+/// The Section 4 uncertainty report for one document: join its sketch
+/// with the query into the reused `sample` buffer and build the report
+/// through the same gate [`execute`] uses. Public so a sharded worker can
+/// answer report fetches for coordinator-chosen winners — docs no
+/// retrieval of its own selected, hence the pairwise join — with bytes
 /// identical to what [`execute`] would attach single-process.
 #[must_use]
 pub fn report_for_doc(
@@ -641,14 +688,8 @@ pub fn report_for_doc(
     alpha: f64,
     sample: &mut JoinSample,
 ) -> Option<EstimateReport> {
-    index
-        .get(doc)
-        .and_then(|sketch| join_sketches_into(query, sketch, sample).ok())
-        .and_then(|()| {
-            (sample.len() >= opts.min_sample)
-                .then(|| sample.report(opts.estimator, alpha).ok())
-                .flatten()
-        })
+    join_sketches_into(query, index.get(doc)?, sample).ok()?;
+    sample_report(&sample.x, &sample.y, sample.bounds, opts, alpha)
 }
 
 #[cfg(test)]

@@ -20,8 +20,35 @@
 //! slot→doc translation (`live`) is maintained at the edges. Removal
 //! incrementally unthreads the sketch from its posting lists
 //! (`O(sketch size · posting length)`) rather than rebuilding.
+//!
+//! # Postings carry values
+//!
+//! A posting is `(slot, x_k)`: the sketch's slot **and the value it
+//! stores for that key** — `h(k) → [(slot, x_k)]`, kept per key as two
+//! parallel columns (`slots`, `values`) and maintained by the same
+//! `insert`/`remove`/`compact` that maintain the slots. Retrieval already
+//! visits every (query key, candidate) match; with the value in the
+//! posting the same visit yields the join row `(x_query, y_candidate)`,
+//! so [`SketchIndex::retrieve_joined`] hands the estimators each
+//! winner's join sample without a merge walk per candidate. The price is
+//! memory: 12 bytes per posting (`u32` slot + `f64` value) where a
+//! slot-only posting took 4, plus one more `Vec` header per distinct
+//! key. Counting reads only the `slots` column, so the count walk touches
+//! the same bytes as before. Removal finds the slot by binary search
+//! (slots only grow, so every list is ascending) and shifts both columns
+//! — the same `O(sketch size · posting length)` bound.
+//!
+//! # The postings map skips SipHash
+//!
+//! A [`KeyHash`] is already the output of a seeded murmur3, so the map
+//! hashes it with one multiply instead of SipHash — which is what pays
+//! for the fatter postings at load time. Hash flooding is not a concern
+//! here: only operator-packed corpora are ever *inserted* (`insert`,
+//! `apply_delta`, the store loaders); query keys from the outside are
+//! only ever *looked up*, which cannot grow a bucket chain.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use correlation_sketches::{CorrelationSketch, DeltaRecord, SketchError};
 use sketch_hashing::{KeyHash, TupleHasher};
@@ -31,12 +58,111 @@ use sketch_hashing::{KeyHash, TupleHasher};
 /// see the module docs for the equivalence contract this buys.
 pub type DocId = u32;
 
-/// In-memory inverted index: `h(k) → [sketches containing k]`.
+/// Hasher of the postings map (module docs: why not SipHash). The
+/// multiply by an odd constant carries the key's low bits into the high
+/// ones, which the 32-bit tuple hasher leaves zero and the table reads
+/// its control bytes from.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHashHasher(u64);
+
+impl Hasher for KeyHashHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    /// `KeyHash` hashes through `write_u64`; this keeps the trait total.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+}
+
+/// One key's postings as two parallel columns, ascending by slot.
+#[derive(Debug, Default, Clone)]
+struct PostingList {
+    slots: Vec<u32>,
+    /// `values[i]` is the value slot `slots[i]`'s sketch stores for this key.
+    values: Vec<f64>,
+}
+
+/// A retrieval's output and its scratch, reused across queries by one
+/// worker: the top-N hits of [`SketchIndex::retrieve_joined`] and, for
+/// each, the join sample with the query as two contiguous columns of one
+/// shared arena. Every field is overwritten by the next retrieval, so a
+/// reused value answers exactly as a fresh one.
+#[derive(Debug, Default)]
+pub struct JoinedHits {
+    hits: Vec<(DocId, usize)>,
+    /// Hit `i`'s rows are `starts[i]..starts[i + 1]` of `x` and `y`.
+    starts: Vec<usize>,
+    /// The arena: every hit's rows back to back, then one spare row.
+    x: Vec<f64>,
+    y: Vec<f64>,
+    /// Per-slot overlap counters of the count walk.
+    counts: Vec<u32>,
+    /// Per-slot [`Cursor`]s of the gather walk.
+    cursors: Vec<Cursor>,
+}
+
+/// Where the gather walk writes a slot's next posting: an arena row, and
+/// in the low bit whether the slot was selected. A selected slot's row
+/// advances with every write; an unselected slot's stays on the arena's
+/// spare row, where such writes land on top of each other and are never
+/// read. That makes the walk's inner loop branch-free — whether a posting
+/// belongs to a winner is a coin the predictor loses a third of the time
+/// (on the ledger's lake the gather walk took ≈ 225 µs per query with an
+/// `if selected`, ≈ 120 µs this way).
+#[derive(Debug, Clone, Copy)]
+struct Cursor(usize);
+
+impl Cursor {
+    fn new(row: usize, selected: bool) -> Self {
+        Self(row << 1 | usize::from(selected))
+    }
+
+    fn row(self) -> usize {
+        self.0 >> 1
+    }
+
+    fn advanced(self) -> Self {
+        Self(self.0 + ((self.0 & 1) << 1))
+    }
+}
+
+impl JoinedHits {
+    /// The retrieved `(doc, overlap)` pairs, exactly
+    /// [`SketchIndex::overlap_candidates`]' answer.
+    #[must_use]
+    pub fn hits(&self) -> &[(DocId, usize)] {
+        &self.hits
+    }
+
+    /// Hit `i`'s join sample `(x_query[], y_candidate[])`, ascending by
+    /// `(g(k), h(k))` — bit for bit the `x`/`y` of
+    /// `join_sketches(query, index.get(doc))`, one row per shared key.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below `hits().len()`.
+    #[must_use]
+    pub fn sample(&self, i: usize) -> (&[f64], &[f64]) {
+        let rows = self.starts[i]..self.starts[i + 1];
+        (&self.x[rows.clone()], &self.y[rows])
+    }
+}
+
+/// In-memory inverted index: `h(k) → [(sketch containing k, its x_k)]`.
 ///
 /// Insertion is `O(sketch size)`; removal is `O(sketch size · posting
 /// length)`; retrieval of overlap candidates is `O(Σ posting-list
 /// lengths)` over the query sketch's keys — the same set-overlap-search
-/// shape as the Lucene index the paper used.
+/// shape as the Lucene index the paper used — and emits the winners'
+/// join samples on the way ([`Self::retrieve_joined`]).
 ///
 /// ```
 /// use correlation_sketches::{SketchBuilder, SketchConfig};
@@ -72,9 +198,9 @@ pub struct SketchIndex {
     /// Live sketch id → slot. On duplicate ids the latest insert wins
     /// (ids are unique in any store-backed corpus; see [`Self::insert`]).
     by_id: HashMap<String, u32>,
-    /// Posting lists of slot numbers, incrementally maintained: removal
-    /// unthreads the slot from every list its sketch appears in.
-    postings: HashMap<KeyHash, Vec<u32>>,
+    /// Posting lists of `(slot, value)`, incrementally maintained:
+    /// removal unthreads the slot from every list its sketch appears in.
+    postings: HashMap<KeyHash, PostingList, BuildHasherDefault<KeyHashHasher>>,
     /// Store generation this index has applied (see
     /// [`Self::refresh_from_store`]). `0` for indices not built from a
     /// store.
@@ -151,7 +277,9 @@ impl SketchIndex {
         }
         let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 inserts");
         for e in sketch.entries() {
-            self.postings.entry(e.key).or_default().push(slot);
+            let list = self.postings.entry(e.key).or_default();
+            list.slots.push(slot);
+            list.values.push(e.value);
         }
         self.by_id.insert(sketch.id().to_string(), slot);
         self.live.push(slot);
@@ -174,8 +302,12 @@ impl SketchIndex {
             if let std::collections::hash_map::Entry::Occupied(mut list) =
                 self.postings.entry(e.key)
             {
-                list.get_mut().retain(|&s| s != slot);
-                if list.get().is_empty() {
+                let PostingList { slots, values } = list.get_mut();
+                if let Ok(at) = slots.binary_search(&slot) {
+                    slots.remove(at);
+                    values.remove(at);
+                }
+                if slots.is_empty() {
                     list.remove();
                 }
             }
@@ -318,46 +450,106 @@ impl SketchIndex {
     /// the final tie-break, reachable only through duplicate ids in a
     /// JSON corpus). Documents with zero overlap are never returned.
     ///
-    /// Slots are dense, so overlap counts accumulate into a flat
-    /// `Vec<u32>` indexed by slot — one cache-friendly increment per
-    /// posting, no hashing — and the winners are picked with a bounded
-    /// heap (`O(docs · log top_n)`) instead of a full sort. Removed
-    /// sketches are already absent from every posting list, so no
-    /// liveness filtering happens in the hot loop.
+    /// This is the count-only projection of [`Self::retrieve_joined`]:
+    /// the same count walk and selection, without the gather.
     #[must_use]
     pub fn overlap_candidates(
         &self,
         query: &CorrelationSketch,
         top_n: usize,
     ) -> Vec<(DocId, usize)> {
-        self.overlap_candidates_with_scratch(query, top_n, &mut Vec::new())
+        self.count_and_select(query, top_n, &mut Vec::new())
     }
 
-    /// As [`Self::overlap_candidates`], accumulating counts into a
-    /// caller-owned scratch buffer. Batch query paths issue thousands of
-    /// retrievals; reusing one counter array per worker amortizes the
-    /// per-query allocation away. `scratch` is cleared and re-zeroed
-    /// here, so the results are identical to the allocating variant.
-    #[must_use]
-    pub fn overlap_candidates_with_scratch(
+    /// Stage 1 of a query, emitting the join: retrieve the hits of
+    /// [`Self::overlap_candidates`] into `out` **together with each hit's
+    /// join sample** ([`JoinedHits::sample`]).
+    ///
+    /// Two walks over the posting lists of the query's keys, in the
+    /// query's sketch order. The *count walk* adds one per posting into a
+    /// flat per-slot counter (slots are dense: no hashing, and removed
+    /// sketches are already absent from every list, so no liveness
+    /// filter), and a bounded heap picks the winners. Their counts are
+    /// their sample sizes, so each gets a `[start, end)` range of the
+    /// arena up front; the *gather walk* then writes `(x_query, value)` at
+    /// the cursor of every posting, which advances through the range of a
+    /// selected slot and parks every other slot on a spare row. A sketch's
+    /// keys are unique and strictly ascending by `(g(k), h(k))` (the
+    /// builder and every decoder enforce it), so a slot meets each shared
+    /// key exactly once, in the order a merge walk of the two sketches
+    /// would — the rows are those of `join_sketches`, bit for bit.
+    ///
+    /// A query built under a different hasher than the index shares no
+    /// key space with it (its join with every doc is a
+    /// [`SketchError::HasherMismatch`]), so it retrieves nothing here.
+    pub fn retrieve_joined(&self, query: &CorrelationSketch, top_n: usize, out: &mut JoinedHits) {
+        out.hits = if self.hasher == Some(query.hasher()) {
+            self.count_and_select(query, top_n, &mut out.counts)
+        } else {
+            Vec::new()
+        };
+        out.starts.clear();
+        let mut total = 0usize;
+        for &(_, overlap) in &out.hits {
+            out.starts.push(total);
+            total += overlap;
+        }
+        out.starts.push(total);
+        if total == 0 {
+            return;
+        }
+        // Rows `..total` are each written exactly once by the gather and
+        // row `total` is the spare, so whatever an earlier retrieval left
+        // in the arena need not be cleared.
+        out.x.resize(total + 1, 0.0);
+        out.y.resize(total + 1, 0.0);
+        out.cursors.clear();
+        out.cursors
+            .resize(self.slots.len(), Cursor::new(total, false));
+        for (&(doc, _), &start) in out.hits.iter().zip(&out.starts) {
+            out.cursors[self.live[doc as usize] as usize] = Cursor::new(start, true);
+        }
+        let (xs, ys, cursors) = (&mut out.x[..], &mut out.y[..], &mut out.cursors[..]);
+        self.walk_postings(query, |x, list| {
+            for (&slot, &y) in list.slots.iter().zip(&list.values) {
+                let cursor = &mut cursors[slot as usize];
+                xs[cursor.row()] = x;
+                ys[cursor.row()] = y;
+                *cursor = cursor.advanced();
+            }
+        });
+    }
+
+    /// The one posting walk: the posting list of every query key that has
+    /// one, with the query's value for that key, in the query's sketch
+    /// order.
+    fn walk_postings(&self, query: &CorrelationSketch, mut visit: impl FnMut(f64, &PostingList)) {
+        for e in query.entries() {
+            if let Some(list) = self.postings.get(&e.key) {
+                visit(e.value, list);
+            }
+        }
+    }
+
+    /// Count every slot's overlap with `query` into `counts` (cleared and
+    /// re-zeroed here) and select the `top_n` live docs under the
+    /// retrieval order.
+    fn count_and_select(
         &self,
         query: &CorrelationSketch,
         top_n: usize,
-        scratch: &mut Vec<u32>,
+        counts: &mut Vec<u32>,
     ) -> Vec<(DocId, usize)> {
         if top_n == 0 || self.live.is_empty() {
             return Vec::new();
         }
-        scratch.clear();
-        scratch.resize(self.slots.len(), 0);
-        let counts = scratch;
-        for e in query.entries() {
-            if let Some(list) = self.postings.get(&e.key) {
-                for &slot in list {
-                    counts[slot as usize] += 1;
-                }
+        counts.clear();
+        counts.resize(self.slots.len(), 0);
+        self.walk_postings(query, |_, list| {
+            for &slot in &list.slots {
+                counts[slot as usize] += 1;
             }
-        }
+        });
         let hits = self
             .live
             .iter()
@@ -366,14 +558,15 @@ impl SketchIndex {
             .map(|(doc, &slot)| (doc as DocId, counts[slot as usize] as usize));
         crate::select::top_k_by(hits, top_n, |a, b| {
             b.1.cmp(&a.1)
-                .then_with(|| self.tie_break_id(a.0).cmp(self.tie_break_id(b.0)))
+                .then_with(|| self.id_of(a.0).cmp(self.id_of(b.0)))
                 .then(a.0.cmp(&b.0))
         })
     }
 
-    /// The sketch id used to break retrieval ties; live docs always
-    /// resolve (the empty-string fallback keeps the comparator total).
-    fn tie_break_id(&self, doc: DocId) -> &str {
+    /// The sketch id of a doc — retrieval's and ranking's tie-break. Live
+    /// docs always resolve (the empty-string fallback keeps comparators
+    /// total).
+    pub(crate) fn id_of(&self, doc: DocId) -> &str {
         self.get(doc).map_or("", CorrelationSketch::id)
     }
 }

@@ -8,11 +8,13 @@
 //! our from-scratch stand-in for that machinery:
 //!
 //! * [`SketchIndex`] — an in-memory inverted index mapping hashed keys to
-//!   the sketches containing them, with top-N retrieval by key overlap;
+//!   the sketches containing them and the values they store, with top-N
+//!   retrieval by key overlap that emits the winners' join samples;
 //! * [`engine`] — the query pipeline of Sections 4 and 5.5 behind one
 //!   entry point, [`engine::execute`]: retrieve the top-N candidates by
-//!   overlap, then join + estimate + confidence interval in one fused
-//!   pass, re-rank with one of the `s1..s4` scorers of `sketch-ranking`
+//!   overlap together with their join samples, then estimate +
+//!   confidence interval per candidate, re-rank with one of the `s1..s4`
+//!   scorers of `sketch-ranking`
 //!   ([`QueryOptions::scorer`]/[`QueryOptions::confidence`]), and
 //!   attach uncertainty reports when asked.
 
@@ -26,7 +28,7 @@ pub mod plan;
 mod select;
 
 pub use engine::{QueryOptions, QueryOutput, QueryResult, ReportedResult, ShardCandidate};
-pub use inverted::{DocId, SketchIndex};
+pub use inverted::{DocId, JoinedHits, SketchIndex};
 pub use merge::{merge_shard_candidates, MergeOutcome, MergedWinner, ShardRows};
 pub use plan::{PlanMode, PlanStats};
 pub use sketch_ranking::Scorer;

@@ -8,12 +8,13 @@
 //! boundary never needs the expensive estimator:
 //!
 //! 1. **Pass 1** runs Pearson + Fisher-z CIs over every candidate (the
-//!    same fused SoA stage-2 kernel, just with the cheapest estimator).
+//!    same SoA stage-2 pass over the join samples retrieval left, just
+//!    with the cheapest estimator).
 //! 2. Each candidate's CI is mapped through the active scorer to a score
 //!    interval `[lb, ub]` ([`sketch_ranking::score_bounds`]); the k-th
 //!    best lower bound seeds the contested band.
-//! 3. **Pass 2** re-joins and re-estimates only the band with the
-//!    requested estimator. The k-th best *actual* band score `τ*` then
+//! 3. **Pass 2** re-estimates only the band, from the same samples, with
+//!    the requested estimator. The k-th best *actual* band score `τ*` then
 //!    drives a promotion fixed point: any pruned candidate whose upper
 //!    bound still reaches `τ*` is promoted into the band and
 //!    re-estimated, until no candidate's bound crosses the threshold.
