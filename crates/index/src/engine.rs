@@ -461,20 +461,30 @@ fn rank_rows(
 /// estimator or an interval has no report), whether the columns are
 /// arena slices or a pairwise re-join. `bounds` is the union of the two
 /// sketches' full-column value ranges, `None` if either column was empty.
-/// Field for field [`JoinSample::report`].
+/// Field for field [`JoinSample::report`]. `estimate` is the point
+/// estimate stage 2 already holds for this sample, if it has one — the
+/// same pure function of `(estimator, x, y)` the report would evaluate,
+/// which under PM1 is a bootstrap; only a sample without one (pruned,
+/// interval failed, or a doc no stage 2 saw) is estimated here, in `ci`.
 fn sample_report(
     x: &[f64],
     y: &[f64],
     bounds: Option<ValueBounds>,
+    estimate: Option<f64>,
     opts: &QueryOptions,
     alpha: f64,
+    ci: &mut BootstrapScratch,
 ) -> Option<EstimateReport> {
     if x.len() < opts.min_sample {
         return None;
     }
     let bounds = bounds?;
+    let estimate = match estimate {
+        Some(estimate) => estimate,
+        None => opts.estimator.estimate_with_scratch(x, y, ci).ok()?,
+    };
     Some(EstimateReport {
-        estimate: opts.estimator.estimate(x, y).ok()?,
+        estimate,
         estimator: opts.estimator,
         sample_size: x.len(),
         hoeffding: hoeffding_interval(x, y, bounds, alpha).ok()?,
@@ -496,8 +506,8 @@ fn run_query(
     let guard = trace.begin("retrieval");
     index.retrieve_joined(query, opts.overlap_candidates, &mut scratch.joined);
     trace.end(guard);
-    let joined = &scratch.joined;
-    let (rows, stats) = plan_rows(joined, opts, opts.threads, &mut scratch.ci, trace);
+    let Scratch { joined, ci } = scratch;
+    let (rows, stats) = plan_rows(joined, opts, opts.threads, ci, trace);
     let guard = trace.begin("rank");
     let ranked = rank_rows(index, joined, &rows, opts);
     trace.end(guard);
@@ -511,7 +521,7 @@ fn run_query(
                     .value_bounds()
                     .zip(index.get(result.doc)?.value_bounds())
                     .map(|(q, d)| ValueBounds::union(q, d));
-                sample_report(x, y, bounds, opts, alpha)
+                sample_report(x, y, bounds, result.estimate, opts, alpha, ci)
             }),
             result,
         })
@@ -675,7 +685,8 @@ pub fn shard_candidates(
 
 /// The Section 4 uncertainty report for one document: join its sketch
 /// with the query into the reused `sample` buffer and build the report
-/// through the same gate [`execute`] uses. Public so a sharded worker can
+/// through the same gate [`execute`] uses, estimating in the calling
+/// thread's scratch. Public so a sharded worker can
 /// answer report fetches for coordinator-chosen winners — docs no
 /// retrieval of its own selected, hence the pairwise join — with bytes
 /// identical to what [`execute`] would attach single-process.
@@ -689,7 +700,10 @@ pub fn report_for_doc(
     sample: &mut JoinSample,
 ) -> Option<EstimateReport> {
     join_sketches_into(query, index.get(doc)?, sample).ok()?;
-    sample_report(&sample.x, &sample.y, sample.bounds, opts, alpha)
+    with_scratch(|scratch| {
+        let (x, y) = (&sample.x, &sample.y);
+        sample_report(x, y, sample.bounds, None, opts, alpha, &mut scratch.ci)
+    })
 }
 
 #[cfg(test)]
@@ -882,22 +896,41 @@ mod tests {
     #[test]
     fn fused_reports_equal_prefusion_recomputation() {
         let (idx, q) = fixture();
-        let opts = QueryOptions::default();
-        let fused = top_k_with_reports(&idx, &q, &opts, 0.05);
-        // The pre-fusion implementation ranked first, then re-joined and
-        // re-estimated every winner; reproduce it literally.
-        let prefusion: Vec<ReportedResult> = top_k(&idx, &q, &opts)
-            .into_iter()
-            .map(|result| {
-                let report = idx
-                    .get(result.doc)
-                    .and_then(|sketch| correlation_sketches::join_sketches(&q, sketch).ok())
-                    .filter(|s| s.len() >= opts.min_sample)
-                    .and_then(|s| s.report(opts.estimator, 0.05).ok());
-                ReportedResult { result, report }
-            })
-            .collect();
-        assert_eq!(fused, prefusion);
+        // Pearson, the bootstrap estimator (whose report estimate is now
+        // the ranked row's, not a third bootstrap) and a robust one.
+        for estimator in [
+            CorrelationEstimator::Pearson,
+            CorrelationEstimator::Pm1Bootstrap { seed: 0x5eed },
+            CorrelationEstimator::Spearman,
+        ] {
+            let opts = QueryOptions {
+                estimator,
+                ..Default::default()
+            };
+            let fused = top_k_with_reports(&idx, &q, &opts, 0.05);
+            assert!(fused.iter().any(|r| r.report.is_some()), "{estimator}");
+            // The pre-fusion implementation ranked first, then re-joined
+            // and re-estimated every winner; reproduce it literally.
+            let prefusion: Vec<ReportedResult> = top_k(&idx, &q, &opts)
+                .into_iter()
+                .map(|result| {
+                    let report = idx
+                        .get(result.doc)
+                        .and_then(|sketch| correlation_sketches::join_sketches(&q, sketch).ok())
+                        .filter(|s| s.len() >= opts.min_sample)
+                        .and_then(|s| s.report(opts.estimator, 0.05).ok());
+                    ReportedResult { result, report }
+                })
+                .collect();
+            assert_eq!(fused, prefusion, "{estimator}");
+            // A coordinator-chosen doc has no ranked row to take the
+            // estimate from: the fallback computes the same report.
+            let mut sample = JoinSample::default();
+            for r in &fused {
+                let fetched = report_for_doc(&idx, &q, r.result.doc, &opts, 0.05, &mut sample);
+                assert_eq!(fetched, r.report, "{estimator} {}", r.result.id);
+            }
+        }
     }
 
     #[test]

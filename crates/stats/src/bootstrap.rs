@@ -2,33 +2,47 @@
 //! bootstrap confidence interval (paper Section 5.3, estimator 5, and the
 //! `ci_b` risk factor of Section 4.4; Wilcox 1996).
 //!
-//! # Kernel layout (PR 6)
+//! # One replicate pass over one word stream
 //!
-//! The Pearson-backed resample loops run on the fused SoA kernel of
-//! [`crate::kernel`]: the columns are centered once at their full-sample
-//! means, each resample draws an index block into [`BootstrapScratch`],
-//! and [`kernel::gather_sums`] accumulates the five Pearson sums in one
-//! chunked pass — no `bx`/`by` materialization, no second pass, no
-//! per-resample validation (the full columns are validated once; every
-//! resample is a multiset of validated rows). The RNG index stream is
-//! unchanged from the pre-kernel implementation, so resample *identity*
-//! is preserved exactly; replicate values differ from the old two-pass
-//! path only by float reassociation (property-tested tolerance in
-//! `tests/prop_kernel.rs`). The generic robust-estimator path (Spearman,
-//! Qn, …) still materializes resamples — those statistics need the
-//! actual values — but shares the same draw/attempt semantics.
+//! Every estimator and interval here is a projection of one loop,
+//! `replicate_pass`: draw a resample, evaluate the statistic, hand the
+//! value to whoever still wants it — the adaptive running mean (the PM1
+//! estimate) and the replicate buffer the quantile steps select from.
+//! A scored PM1 call needs both, seeded alike, so [`pm1_with_ci`] feeds
+//! both from the same draws, each under the stopping rule and attempt
+//! budget it has standalone: the estimate is the adaptive-rule prefix
+//! mean of the interval's replicates, summed in draw order. Replicates
+//! of `r` have `sd ≤ 1`, so the default rule
+//! (`2(1 − Φ(0.01·(count + 1)/sd)) < 5e-4`) closes the mean by replicate
+//! 348 < 599 and the estimate costs no resample of its own; any other
+//! [`BootstrapConfig`] keeps drawing for as long as its rule asks.
 //!
-//! Quantile steps select order statistics with `select_nth_unstable_by`
-//! instead of sorting all replicates; the k-th element under the
-//! `total_cmp` total order is the same multiset element either way, so
-//! interval endpoints are bit-identical to the sorting implementation.
-
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+//! A resample is `n` indices `word % n` over the raw words of
+//! `StdRng::seed_from_u64(seed)` — a stream that depends on the seed
+//! alone, so [`BootstrapScratch`] keeps a bounded prefix of it
+//! ([`WordStream`]) for every later call under that seed: each
+//! candidate of a query, each query under one estimator. A kept word is
+//! the word the generator yields at that position, so reuse cannot
+//! change a bit; [`IndexDraw`] takes the remainder exactly, without a
+//! division.
+//!
+//! # Kernel layout
+//!
+//! The Pearson passes run on the fused SoA kernel of [`crate::kernel`]:
+//! the columns are centered once at their full-sample means and
+//! [`kernel::gather_sums_by`] reduces each word to its index and
+//! accumulates the five Pearson sums in one chunked pass — no index
+//! block, no `bx`/`by` materialization, no per-resample validation (the
+//! full columns are validated once; every resample is a multiset of
+//! validated rows). Replicates differ from a two-pass `pearson` over
+//! materialized resamples only by float reassociation (property-tested
+//! tolerance in `tests/prop_kernel.rs`). The generic robust-estimator
+//! path (Spearman, Qn, …) materializes resamples — those statistics
+//! need the values — from the same words through the same draw.
 
 use crate::ci::ConfidenceInterval;
 use crate::error::{validate_pairs, StatsError};
-use crate::kernel;
+use crate::kernel::{self, IndexDraw, WordStream};
 use crate::normal::normal_cdf;
 use crate::pearson::pearson;
 
@@ -74,20 +88,23 @@ pub struct BootstrapResult {
 /// Reusable buffers for the bootstrap estimators and intervals. One
 /// scratch per worker amortizes the per-candidate allocations away on
 /// the query hot path; results are identical to the allocating variants
-/// (the buffers are resized and overwritten before every use), so
-/// scratch reuse never affects determinism.
+/// (the buffers are resized and overwritten before every use, and kept
+/// words are the generator's own), so scratch reuse never affects
+/// determinism.
 ///
-/// `idx`/`cx`/`cy` serve the fused Pearson kernel (index blocks and
-/// mean-centered columns); `bx`/`by` serve the generic robust-estimator
-/// path, which must materialize each resample.
+/// `cx`/`cy` serve the fused Pearson kernel (mean-centered columns);
+/// `bx`/`by` the generic robust-estimator path, which must materialize
+/// each resample; `stream` holds the last seed's words — 8 bytes per
+/// index the longest call under it drew, at most
+/// [`kernel::KEPT_WORDS`] of them (6 MiB).
 #[derive(Debug, Default, Clone)]
 pub struct BootstrapScratch {
     bx: Vec<f64>,
     by: Vec<f64>,
     rs: Vec<f64>,
-    idx: Vec<u32>,
     cx: Vec<f64>,
     cy: Vec<f64>,
+    stream: WordStream,
 }
 
 impl BootstrapScratch {
@@ -95,26 +112,6 @@ impl BootstrapScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// Fill `bx`/`by` with one resample (with replacement) of the paired
-/// sample.
-fn fill_resample(x: &[f64], y: &[f64], rng: &mut StdRng, bx: &mut [f64], by: &mut [f64]) {
-    let n = x.len();
-    for i in 0..n {
-        let j = rng.random_range(0..n);
-        bx[i] = x[j];
-        by[i] = y[j];
-    }
-}
-
-/// Fill `idx` with one resample's index block. Draws the *same* RNG
-/// stream as [`fill_resample`] (`n` calls of `random_range(0..n)`), so
-/// the fused and materializing paths visit identical resamples.
-fn fill_indices(n: usize, rng: &mut StdRng, idx: &mut [u32]) {
-    for slot in idx.iter_mut() {
-        *slot = rng.random_range(0..n) as u32;
     }
 }
 
@@ -131,11 +128,130 @@ fn center_columns(x: &[f64], y: &[f64], cx: &mut Vec<f64>, cy: &mut Vec<f64>) {
     cy.extend(y.iter().map(|v| v - my));
 }
 
-/// Whether the fused u32-index kernel can address this sample. Columns
-/// beyond `u32::MAX` rows (32 GiB per column) fall back to the
-/// materializing path rather than truncate indices.
-fn fits_u32(n: usize) -> bool {
-    u32::try_from(n).is_ok()
+/// The PM1 estimate as a consumer of a replicate pass: the running mean
+/// of the replicates it is handed, closed by the paper's adaptive rule.
+#[derive(Default)]
+struct AdaptiveMean {
+    cfg: BootstrapConfig,
+    sum: f64,
+    sum_sq: f64,
+    count: usize,
+    stopped: bool,
+}
+
+impl AdaptiveMean {
+    fn new(cfg: &BootstrapConfig) -> Self {
+        Self {
+            cfg: *cfg,
+            ..Self::default()
+        }
+    }
+
+    /// Whether the mean takes the next attempt's replicate: not stopped,
+    /// under its resample cap, within its attempt budget (twice the cap).
+    fn open(&self, attempts: usize) -> bool {
+        !self.stopped
+            && self.count < self.cfg.max_resamples
+            && attempts < self.cfg.max_resamples.saturating_mul(2)
+    }
+
+    fn push(&mut self, r: f64) {
+        self.count += 1;
+        self.sum += r;
+        self.sum_sq += r * r;
+        if self.count >= self.cfg.min_resamples {
+            let sd = self.result().std_dev;
+            // The next resample r* changes the mean by (r* − mean)/(count+1).
+            // P(|change| > θ) = P(|r* − mean| > θ(count+1))
+            //                 ≈ 2(1 − Φ(θ(count+1)/sd)).
+            let z = self.cfg.mean_change_threshold * (self.count as f64 + 1.0) / sd;
+            let p_change = 2.0 * (1.0 - normal_cdf(z));
+            self.stopped = sd == 0.0 || p_change < self.cfg.stop_probability;
+        }
+    }
+
+    /// The mean so far (`count > 0`).
+    fn result(&self) -> BootstrapResult {
+        let mean = self.sum / self.count as f64;
+        let var = (self.sum_sq / self.count as f64 - mean * mean).max(0.0);
+        BootstrapResult {
+            estimate: mean.clamp(-1.0, 1.0),
+            resamples: self.count,
+            std_dev: var.sqrt(),
+        }
+    }
+
+    fn finish(&self) -> Result<BootstrapResult, StatsError> {
+        if self.count == 0 {
+            return Err(StatsError::ZeroVariance);
+        }
+        Ok(self.result())
+    }
+}
+
+/// The one replicate loop. Each attempt draws one resample's statistic
+/// (`None` for a degenerate resample) and hands it to the consumers still
+/// open: the adaptive `mean`, and the buffer `rs` (left unsorted) until
+/// it holds `replicates` values or its attempt budget (4× the target)
+/// runs out. Deterministic for a given draw closure — per-candidate
+/// seeding, never thread or iteration state, is what keeps scored
+/// queries bit-identical across thread counts.
+fn replicate_pass(
+    mut mean: Option<&mut AdaptiveMean>,
+    replicates: usize,
+    rs: &mut Vec<f64>,
+    mut draw: impl FnMut() -> Option<f64>,
+) -> Result<(), StatsError> {
+    rs.clear();
+    let mut attempts = 0usize;
+    loop {
+        let mean = mean.as_deref_mut().filter(|m| m.open(attempts));
+        let rs_open = rs.len() < replicates && attempts < replicates * 4;
+        if mean.is_none() && !rs_open {
+            break;
+        }
+        attempts += 1;
+        let Some(r) = draw() else {
+            continue;
+        };
+        if let Some(mean) = mean {
+            mean.push(r);
+        }
+        if rs_open {
+            rs.push(r);
+        }
+    }
+    if rs.len() < replicates / 2 {
+        return Err(StatsError::ZeroVariance);
+    }
+    Ok(())
+}
+
+/// [`replicate_pass`] of Pearson's `r` on the fused kernel path over the
+/// resamples of `seed`, replicates left in `scratch.rs`.
+fn pearson_pass(
+    x: &[f64],
+    y: &[f64],
+    seed: u64,
+    mean: Option<&mut AdaptiveMean>,
+    replicates: usize,
+    scratch: &mut BootstrapScratch,
+) -> Result<(), StatsError> {
+    validate_pairs(x, y, 2)?;
+    // Fail fast if the full sample is degenerate.
+    pearson(x, y)?;
+
+    let n = x.len();
+    let BootstrapScratch {
+        rs, cx, cy, stream, ..
+    } = scratch;
+    center_columns(x, y, cx, cy);
+    let words = stream.rewind(seed);
+    let draw = IndexDraw::new(n);
+    replicate_pass(mean, replicates, rs, || {
+        let sums = kernel::gather_sums_by(cx, cy, words.next(n), |w| draw.index(w));
+        kernel::pearson_from_gather(n, &sums)
+    })
 }
 
 /// PM1 bootstrap estimate of Pearson's correlation.
@@ -171,84 +287,9 @@ pub fn pm1_bootstrap_with_scratch(
     cfg: &BootstrapConfig,
     scratch: &mut BootstrapScratch,
 ) -> Result<BootstrapResult, StatsError> {
-    validate_pairs(x, y, 2)?;
-    // Fail fast if the full sample is degenerate.
-    pearson(x, y)?;
-
-    let n = x.len();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    if fits_u32(n) {
-        let BootstrapScratch { idx, cx, cy, .. } = scratch;
-        center_columns(x, y, cx, cy);
-        idx.clear();
-        idx.resize(n, 0);
-        adaptive_mean_loop(cfg, || {
-            fill_indices(n, &mut rng, idx);
-            kernel::pearson_from_gather(n, &kernel::gather_sums(cx, cy, idx))
-        })
-    } else {
-        let BootstrapScratch { bx, by, .. } = scratch;
-        bx.clear();
-        bx.resize(n, 0.0);
-        by.clear();
-        by.resize(n, 0.0);
-        adaptive_mean_loop(cfg, || {
-            fill_resample(x, y, &mut rng, bx, by);
-            pearson(bx, by).ok()
-        })
-    }
-}
-
-/// The adaptive-stopping running-mean loop shared by the fused and
-/// materializing PM1 paths. `draw` produces one resample's correlation
-/// (`None` for a degenerate resample).
-fn adaptive_mean_loop(
-    cfg: &BootstrapConfig,
-    mut draw: impl FnMut() -> Option<f64>,
-) -> Result<BootstrapResult, StatsError> {
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    let mut count = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = cfg.max_resamples.saturating_mul(2);
-
-    while count < cfg.max_resamples && attempts < max_attempts {
-        attempts += 1;
-        let Some(r) = draw() else {
-            continue;
-        };
-        count += 1;
-        sum += r;
-        sum_sq += r * r;
-
-        if count >= cfg.min_resamples {
-            let mean = sum / count as f64;
-            let var = (sum_sq / count as f64 - mean * mean).max(0.0);
-            let sd = var.sqrt();
-            if sd == 0.0 {
-                break;
-            }
-            // The next resample r* changes the mean by (r* − mean)/(count+1).
-            // P(|change| > θ) = P(|r* − mean| > θ(count+1))
-            //                 ≈ 2(1 − Φ(θ(count+1)/sd)).
-            let z = cfg.mean_change_threshold * (count as f64 + 1.0) / sd;
-            let p_change = 2.0 * (1.0 - normal_cdf(z));
-            if p_change < cfg.stop_probability {
-                break;
-            }
-        }
-    }
-
-    if count == 0 {
-        return Err(StatsError::ZeroVariance);
-    }
-    let mean = sum / count as f64;
-    let var = (sum_sq / count as f64 - mean * mean).max(0.0);
-    Ok(BootstrapResult {
-        estimate: mean.clamp(-1.0, 1.0),
-        resamples: count,
-        std_dev: var.sqrt(),
-    })
+    let mut mean = AdaptiveMean::new(cfg);
+    pearson_pass(x, y, cfg.seed, Some(&mut mean), 0, scratch)?;
+    mean.finish()
 }
 
 /// Number of bootstrap replicates used by the modified percentile interval.
@@ -264,6 +305,19 @@ fn pm1_ci_indices(n: usize) -> (usize, usize) {
         180..=249 => (14, 586),
         _ => (16, 584),
     }
+}
+
+/// Wilcox's modified percentile interval of the replicates in `rs`, for
+/// a sample of `n` rows.
+fn modified_interval(rs: &mut [f64], n: usize) -> ConfidenceInterval {
+    let (a, c) = pm1_ci_indices(n);
+    let b = rs.len();
+    // Scale indices if we collected fewer than the nominal replicate count.
+    let scale = b as f64 / PM1_CI_REPLICATES as f64;
+    let lo_idx = (((a as f64) * scale).round() as usize).clamp(1, b) - 1;
+    let hi_idx = (((c as f64) * scale).round() as usize).clamp(1, b) - 1;
+    let (lo, hi) = order_stat_pair(rs, lo_idx.min(hi_idx), lo_idx.max(hi_idx));
+    ConfidenceInterval::new(lo, hi)
 }
 
 /// Modified percentile bootstrap (PM1) 95% confidence interval for
@@ -293,112 +347,38 @@ pub fn pm1_ci_with_scratch(
     seed: u64,
     scratch: &mut BootstrapScratch,
 ) -> Result<ConfidenceInterval, StatsError> {
-    collect_pearson_replicates(x, y, PM1_CI_REPLICATES, seed, scratch)?;
-    let (a, c) = pm1_ci_indices(x.len());
-    let b = scratch.rs.len();
-    // Scale indices if we collected fewer than the nominal replicate count.
-    let scale = b as f64 / PM1_CI_REPLICATES as f64;
-    let lo_idx = (((a as f64) * scale).round() as usize).clamp(1, b) - 1;
-    let hi_idx = (((c as f64) * scale).round() as usize).clamp(1, b) - 1;
-    let (lo, hi) = order_stat_pair(&mut scratch.rs, lo_idx.min(hi_idx), lo_idx.max(hi_idx));
-    Ok(ConfidenceInterval::new(lo, hi))
+    pearson_pass(x, y, seed, None, PM1_CI_REPLICATES, scratch)?;
+    Ok(modified_interval(&mut scratch.rs, x.len()))
+}
+
+/// The PM1 estimate under `cfg` and its interval at level `confidence`
+/// from one replicate pass — bit for bit [`pm1_bootstrap`] beside
+/// [`pm1_ci`] (at 95%, the only level Wilcox's index adjustment is
+/// tabulated for) or [`pearson_percentile_ci`] over 599 replicates (at
+/// any other level), all seeded with `cfg.seed`.
+///
+/// # Errors
+///
+/// Same failure modes as [`pm1_bootstrap`].
+pub fn pm1_with_ci(
+    x: &[f64],
+    y: &[f64],
+    cfg: &BootstrapConfig,
+    confidence: f64,
+    scratch: &mut BootstrapScratch,
+) -> Result<(BootstrapResult, ConfidenceInterval), StatsError> {
+    let mut mean = AdaptiveMean::new(cfg);
+    pearson_pass(x, y, cfg.seed, Some(&mut mean), PM1_CI_REPLICATES, scratch)?;
+    let ci = if (confidence - 0.95).abs() < 1e-12 {
+        modified_interval(&mut scratch.rs, x.len())
+    } else {
+        percentile_interval(&mut scratch.rs, confidence)
+    };
+    Ok((mean.finish()?, ci))
 }
 
 /// A paired-sample statistic as the generic bootstrap consumes it.
 pub type PairedStat<'a> = dyn Fn(&[f64], &[f64]) -> Result<f64, StatsError> + 'a;
-
-/// Draw/attempt loop shared by every replicate collector: push successful
-/// replicate values into `rs` until `replicates` are collected or the
-/// attempt budget (4× the target) runs out. Deterministic for a given
-/// draw closure — per-candidate seeding, never thread or iteration
-/// state, is what keeps scored queries bit-identical across thread
-/// counts.
-fn collect_replicates_with(
-    replicates: usize,
-    rs: &mut Vec<f64>,
-    mut draw: impl FnMut() -> Option<f64>,
-) -> Result<(), StatsError> {
-    rs.clear();
-    let mut attempts = 0usize;
-    while rs.len() < replicates && attempts < replicates * 4 {
-        attempts += 1;
-        if let Some(r) = draw() {
-            rs.push(r);
-        }
-    }
-    if rs.len() < replicates / 2 {
-        return Err(StatsError::ZeroVariance);
-    }
-    Ok(())
-}
-
-/// Collect Pearson replicate values on the fused kernel path into
-/// `scratch.rs` (unsorted; quantile steps select order statistics
-/// directly).
-fn collect_pearson_replicates(
-    x: &[f64],
-    y: &[f64],
-    replicates: usize,
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Result<(), StatsError> {
-    validate_pairs(x, y, 2)?;
-    // Fail fast if the full sample is degenerate.
-    pearson(x, y)?;
-
-    let n = x.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    if fits_u32(n) {
-        let BootstrapScratch {
-            rs, idx, cx, cy, ..
-        } = scratch;
-        center_columns(x, y, cx, cy);
-        idx.clear();
-        idx.resize(n, 0);
-        collect_replicates_with(replicates, rs, || {
-            fill_indices(n, &mut rng, idx);
-            kernel::pearson_from_gather(n, &kernel::gather_sums(cx, cy, idx))
-        })
-    } else {
-        let BootstrapScratch { bx, by, rs, .. } = scratch;
-        bx.clear();
-        bx.resize(n, 0.0);
-        by.clear();
-        by.resize(n, 0.0);
-        collect_replicates_with(replicates, rs, || {
-            fill_resample(x, y, &mut rng, bx, by);
-            pearson(bx, by).ok()
-        })
-    }
-}
-
-/// Collect replicate values of an arbitrary paired statistic into
-/// `scratch.rs` (unsorted). The statistic needs materialized resample
-/// values, so this path gathers into `bx`/`by`; the RNG stream matches
-/// the fused path draw for draw.
-fn collect_stat_replicates(
-    stat: &PairedStat<'_>,
-    x: &[f64],
-    y: &[f64],
-    replicates: usize,
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Result<(), StatsError> {
-    validate_pairs(x, y, 2)?;
-    // Fail fast if the full sample is degenerate.
-    stat(x, y)?;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let BootstrapScratch { bx, by, rs, .. } = scratch;
-    bx.clear();
-    bx.resize(x.len(), 0.0);
-    by.clear();
-    by.resize(y.len(), 0.0);
-    collect_replicates_with(replicates, rs, || {
-        fill_resample(x, y, &mut rng, bx, by);
-        stat(bx, by).ok()
-    })
-}
 
 /// Select the `(lo, hi)` order statistics (0-based, `lo <= hi`) of `rs`
 /// under the `total_cmp` total order without sorting the whole buffer:
@@ -436,7 +416,8 @@ fn percentile_interval(rs: &mut [f64], confidence: f64) -> ConfidenceInterval {
 ///
 /// Draws `replicates` resamples with a fixed `seed` (fully deterministic)
 /// and returns the empirical `(α/2, 1 − α/2)` order statistics of the
-/// successful replicate values.
+/// successful replicate values — over materialized resamples (the
+/// statistic needs the values) of the fused path's index stream.
 ///
 /// # Errors
 ///
@@ -452,14 +433,32 @@ pub fn percentile_bootstrap_ci(
     seed: u64,
     scratch: &mut BootstrapScratch,
 ) -> Result<ConfidenceInterval, StatsError> {
-    collect_stat_replicates(stat, x, y, replicates, seed, scratch)?;
-    Ok(percentile_interval(&mut scratch.rs, confidence))
+    validate_pairs(x, y, 2)?;
+    // Fail fast if the full sample is degenerate.
+    stat(x, y)?;
+
+    let n = x.len();
+    let BootstrapScratch {
+        bx, by, rs, stream, ..
+    } = scratch;
+    // Every resample overwrites all `n` rows.
+    bx.resize(n, 0.0);
+    by.resize(n, 0.0);
+    let words = stream.rewind(seed);
+    let draw = IndexDraw::new(n);
+    replicate_pass(None, replicates, rs, || {
+        for ((bx, by), &word) in bx.iter_mut().zip(by.iter_mut()).zip(words.next(n)) {
+            let j = draw.index(word);
+            (*bx, *by) = (x[j], y[j]);
+        }
+        stat(bx, by).ok()
+    })?;
+    Ok(percentile_interval(rs, confidence))
 }
 
 /// As [`percentile_bootstrap_ci`] specialized to Pearson's `r` on the
 /// fused kernel path: no resample materialization, no per-replicate
-/// validation. Used by the scored pipeline for PM1 intervals at
-/// non-tabulated confidence levels.
+/// validation.
 ///
 /// # Errors
 ///
@@ -472,7 +471,7 @@ pub fn pearson_percentile_ci(
     seed: u64,
     scratch: &mut BootstrapScratch,
 ) -> Result<ConfidenceInterval, StatsError> {
-    collect_pearson_replicates(x, y, replicates, seed, scratch)?;
+    pearson_pass(x, y, seed, None, replicates, scratch)?;
     Ok(percentile_interval(&mut scratch.rs, confidence))
 }
 

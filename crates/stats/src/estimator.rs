@@ -1,7 +1,7 @@
 //! Unified interface over the five correlation estimators the paper
 //! evaluates (Section 5.3).
 
-use crate::bootstrap::{pm1_bootstrap, BootstrapConfig};
+use crate::bootstrap::{pm1_bootstrap_with_scratch, BootstrapConfig, BootstrapScratch};
 use crate::distance::distance_correlation;
 use crate::error::StatsError;
 use crate::kendall::kendall_tau;
@@ -99,6 +99,22 @@ impl CorrelationEstimator {
     /// smaller than [`Self::min_samples`] is a
     /// [`StatsError::TooFewSamples`].
     pub fn estimate(&self, x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
+        self.estimate_with_scratch(x, y, &mut BootstrapScratch::new())
+    }
+
+    /// As [`Self::estimate`], with PM1's resampling done in caller-owned
+    /// buffers (the other estimators do not touch them). Bit-identical
+    /// for every scratch state.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Self::estimate`].
+    pub fn estimate_with_scratch(
+        &self,
+        x: &[f64],
+        y: &[f64],
+        scratch: &mut BootstrapScratch,
+    ) -> Result<f64, StatsError> {
         crate::error::validate_pairs(x, y, self.min_samples())?;
         match self {
             Self::Pearson => pearson(x, y),
@@ -110,7 +126,7 @@ impl CorrelationEstimator {
                     seed: *seed,
                     ..BootstrapConfig::default()
                 };
-                pm1_bootstrap(x, y, &cfg).map(|b| b.estimate)
+                pm1_bootstrap_with_scratch(x, y, &cfg, scratch).map(|b| b.estimate)
             }
             Self::Kendall => kendall_tau(x, y),
             Self::DistanceCorrelation => distance_correlation(x, y),

@@ -1,5 +1,6 @@
-//! SoA sum kernels for the estimator hot path — std-only, portable,
-//! autovectorizable.
+//! SoA sum kernels for the estimator hot path — portable,
+//! autovectorizable, no intrinsics — and the index supply of the
+//! bootstrap's resamples.
 //!
 //! # Layout and chunking
 //!
@@ -43,6 +44,40 @@
 //! The kernels are raw sum machines: they accept NaN/∞ and simply
 //! propagate them (IEEE semantics); validation and degeneracy policy
 //! live in the callers ([`crate::pearson`], [`crate::bootstrap`]).
+//!
+//! # Index draws without a division
+//!
+//! A bootstrap index is `word % n` over a raw 64-bit generator word. A
+//! hardware 64-bit `div` per index was about three quarters of a
+//! resample (the five-sum gather the other quarter), so [`IndexDraw`]
+//! takes the remainder by a reciprocal precomputed once per call, and
+//! takes it *exactly*. With `m = ⌊(2⁶⁴−1)/n⌋`, write `2⁶⁴ = m·n + e`,
+//! `1 ≤ e ≤ n`. The estimated quotient `q = ⌊w·m/2⁶⁴⌋` satisfies
+//! `w·m/2⁶⁴ = w/n − (w/n)(e/2⁶⁴)`, and the subtracted term is below
+//! `e/n ≤ 1` because `w < 2⁶⁴`; hence `q ∈ {⌊w/n⌋ − 1, ⌊w/n⌋}` and
+//! `r = w − q·n ∈ [0, 2n)` without overflow (`q·n ≤ w`). One conditional
+//! subtraction of `n` lands `r` in `[0, n)` — spelled branch-free as
+//! `min(r, r − n)` in wrapping arithmetic: the estimate is one short
+//! for about `e/2n` of the words (half of them when `n` is a power of
+//! two), decided by the word's low bits, so a branch there would
+//! mispredict at that rate and give the division's cost back. The
+//! argument holds for every `n ≥ 1` and every word, so the index stream
+//! — and with it every resample — is unchanged; [`gather_sums_by`]
+//! fuses the reduction into the gather loop, so a resample reads
+//! generator words and never materializes an index block.
+//!
+//! The words themselves are a function of the seed alone, and every
+//! candidate of a query (and every query under one estimator) draws
+//! under the same seed. A [`WordStream`] therefore keeps the first
+//! [`KEPT_WORDS`] of its seed's stream, generated on first demand, and
+//! serves each later call from them; a resample that ends past the cap
+//! takes what the prefix still holds and the rest from the generator
+//! state at the prefix's end. Word `i` of a seed is the same word
+//! whichever way it is served, so neither reuse, nor the cap, nor what
+//! an earlier call left behind can change a bit of any resample.
+
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 /// Number of independent accumulator lanes. Eight f64 lanes fill two
 /// AVX2 registers (or one AVX-512 register) per sum and still fit the
@@ -88,6 +123,114 @@ fn reduce(lanes: &[f64; LANES]) -> f64 {
     total
 }
 
+/// Exact `word % n` by a precomputed reciprocal — the one index draw of
+/// every bootstrap path (module docs give the exactness argument).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexDraw {
+    n: u64,
+    recip: u64,
+}
+
+impl IndexDraw {
+    /// The draw over `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` (an empty sample has no index to draw).
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "index draw over an empty sample");
+        let n = n as u64;
+        Self {
+            n,
+            recip: u64::MAX / n,
+        }
+    }
+
+    /// `word % n`, bit for bit what `rng.random_range(0..n)` maps the
+    /// same generator word to.
+    #[must_use]
+    #[inline]
+    pub fn index(self, word: u64) -> usize {
+        let q = ((u128::from(word) * u128::from(self.recip)) >> 64) as u64;
+        let r = word.wrapping_sub(q.wrapping_mul(self.n));
+        r.min(r.wrapping_sub(self.n)) as usize
+    }
+}
+
+/// Words of one seed's stream a [`WordStream`] keeps: 6 MiB, the 599
+/// resamples of a full 1024-row join sample with a quarter to spare for
+/// degenerate attempts. A constant, not an option: a shorter prefix only
+/// sends more of a long call to the generator.
+pub const KEPT_WORDS: usize = 768 * 1024;
+
+/// The raw word stream of `StdRng::seed_from_u64(seed)` as the
+/// bootstrap reads it, one resample's words at a time: the kept prefix
+/// (module docs), and the cursor of the call reading it.
+#[derive(Debug, Clone)]
+pub struct WordStream {
+    seed: u64,
+    /// The generator, positioned just past `words`.
+    rng: StdRng,
+    words: Vec<u64>,
+    pos: usize,
+    /// Past the cap: the generator from the end of `words` on, and the
+    /// one resample's words it was last asked for.
+    past: Option<StdRng>,
+    tail: Vec<u64>,
+}
+
+impl Default for WordStream {
+    fn default() -> Self {
+        Self {
+            seed: 0,
+            rng: StdRng::seed_from_u64(0),
+            words: Vec::new(),
+            pos: 0,
+            past: None,
+            tail: Vec::new(),
+        }
+    }
+}
+
+impl WordStream {
+    /// Start a call at the first word of `seed`'s stream; a prefix kept
+    /// for another seed is dropped.
+    pub fn rewind(&mut self, seed: u64) -> &mut Self {
+        if self.seed != seed {
+            self.words.clear();
+            (self.seed, self.rng) = (seed, StdRng::seed_from_u64(seed));
+        }
+        (self.pos, self.past) = (0, None);
+        self
+    }
+
+    /// The next `n` words of the stream.
+    pub fn next(&mut self, n: usize) -> &[u64] {
+        let start = self.pos;
+        self.pos = start.saturating_add(n);
+        let Self { rng, words, .. } = self;
+        if self.pos <= KEPT_WORDS {
+            if words.capacity() < self.pos {
+                // Amortized doubling, but never past the cap.
+                let target = (2 * words.len()).clamp(self.pos, KEPT_WORDS);
+                words.reserve_exact(target - words.len());
+            }
+            words.extend((words.len()..self.pos).map(|_| rng.next_u64()));
+            return &words[start..self.pos];
+        }
+        // What the prefix still holds of this resample, then the
+        // generator from where the prefix ends.
+        let past = self.past.get_or_insert_with(|| rng.clone());
+        self.tail.clear();
+        self.tail
+            .extend_from_slice(&words[start.min(words.len())..]);
+        let fresh = n - self.tail.len();
+        self.tail.extend((0..fresh).map(|_| past.next_u64()));
+        &self.tail
+    }
+}
+
 /// Fused gather + five-sum kernel: accumulate the Pearson sums of the
 /// resample `(x[idx[i]], y[idx[i]])` in one chunked pass — no `bx`/`by`
 /// materialization, no second pass.
@@ -99,20 +242,38 @@ fn reduce(lanes: &[f64; LANES]) -> f64 {
 #[must_use]
 #[inline]
 pub fn gather_sums(x: &[f64], y: &[f64], idx: &[u32]) -> GatherSums {
+    gather_sums_by(x, y, idx, |j| j as usize)
+}
+
+/// [`gather_sums`] over any index source: element `i` of the resample is
+/// row `index(src[i])`. The bootstrap passes raw generator words and an
+/// [`IndexDraw`], so the reduction runs inside the gather loop.
+///
+/// # Panics
+///
+/// Panics if `index` yields a row out of bounds for `x`/`y`.
+#[must_use]
+#[inline]
+pub fn gather_sums_by<T: Copy>(
+    x: &[f64],
+    y: &[f64],
+    src: &[T],
+    index: impl Fn(T) -> usize,
+) -> GatherSums {
     let mut sx = [0.0f64; LANES];
     let mut sy = [0.0f64; LANES];
     let mut sxx = [0.0f64; LANES];
     let mut syy = [0.0f64; LANES];
     let mut sxy = [0.0f64; LANES];
 
-    let mut chunks = idx.chunks_exact(LANES);
+    let mut chunks = src.chunks_exact(LANES);
     for chunk in chunks.by_ref() {
         // Gather the chunk into dense lane temporaries first, then do
         // the pure-arithmetic lane update the vectorizer can lift whole.
         let mut xv = [0.0f64; LANES];
         let mut yv = [0.0f64; LANES];
         for lane in 0..LANES {
-            let j = chunk[lane] as usize;
+            let j = index(chunk[lane]);
             xv[lane] = x[j];
             yv[lane] = y[j];
         }
@@ -124,8 +285,9 @@ pub fn gather_sums(x: &[f64], y: &[f64], idx: &[u32]) -> GatherSums {
             sxy[lane] += xv[lane] * yv[lane];
         }
     }
-    for (lane, &j) in chunks.remainder().iter().enumerate() {
-        let (xv, yv) = (x[j as usize], y[j as usize]);
+    for (lane, &s) in chunks.remainder().iter().enumerate() {
+        let j = index(s);
+        let (xv, yv) = (x[j], y[j]);
         sx[lane] += xv;
         sy[lane] += yv;
         sxx[lane] += xv * xv;
@@ -352,6 +514,37 @@ mod tests {
             .map(|(i, v)| 2.0 * v + ((i as f64) * 1.3).cos())
             .collect();
         (x, y)
+    }
+
+    #[test]
+    fn word_stream_is_the_generator_stream_whatever_it_kept() {
+        // Blocks of every size, through and past the cap, must spell the
+        // generator's own words — on a fresh stream, after a call under
+        // another seed, and after calls that left a longer or shorter
+        // prefix (one ending inside the block that crosses the cap).
+        let expect = |seed: u64, len: usize| -> Vec<u64> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..len).map(|_| rng.next_u64()).collect()
+        };
+        let read = |stream: &mut WordStream, seed: u64, n: usize, blocks: usize| -> Vec<u64> {
+            let words = stream.rewind(seed);
+            (0..blocks).flat_map(|_| words.next(n).to_vec()).collect()
+        };
+        let mut stream = WordStream::default();
+        let per_cap = |n: usize| KEPT_WORDS / n;
+        for (seed, n, blocks) in [
+            (7u64, 333usize, 40usize),
+            (9, 50_000, per_cap(50_000) + 3),
+            (9, 1, 10),
+            (9, 49_999, per_cap(49_999)),
+            (9, 50_000, per_cap(50_000) + 2),
+            (9, KEPT_WORDS + 5, 2),
+            (7, 1024, 3),
+        ] {
+            let got = read(&mut stream, seed, n, blocks);
+            assert_eq!(got, expect(seed, n * blocks), "seed={seed} n={n}");
+        }
+        assert!(stream.words.len() <= KEPT_WORDS);
     }
 
     #[test]

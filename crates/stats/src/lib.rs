@@ -43,7 +43,7 @@ pub mod spearman;
 
 pub use bootstrap::{
     pearson_percentile_ci, percentile_bootstrap_ci, pm1_bootstrap, pm1_bootstrap_with_scratch,
-    pm1_ci, pm1_ci_with_scratch, BootstrapConfig, BootstrapResult, BootstrapScratch,
+    pm1_ci, pm1_ci_with_scratch, pm1_with_ci, BootstrapConfig, BootstrapResult, BootstrapScratch,
 };
 pub use ci::{
     bernstein_interval, fisher_z_interval, fisher_z_se, hfd_interval, hoeffding_interval,

@@ -9,7 +9,9 @@
 //!   back. Closed-form, O(1) after the moment pass.
 //! * **PM1 bootstrap** — Wilcox's modified percentile bootstrap interval
 //!   ([`crate::pm1_ci`]) at its native 95% level, the plain percentile
-//!   interval at any other level.
+//!   interval at any other level; estimate and interval come out of one
+//!   replicate pass ([`crate::pm1_with_ci`]), so a scored PM1 candidate
+//!   costs the interval's 599 resamples and no more.
 //! * **Robust estimators** (Spearman, RIN, Qn, Kendall, distance
 //!   correlation) — the plain percentile bootstrap
 //!   ([`crate::percentile_bootstrap_ci`]) of the estimator itself.
@@ -19,10 +21,7 @@
 //! [`BootstrapScratch`], so scored queries are bit-identical across
 //! thread counts and allocation-free on the hot path.
 
-use crate::bootstrap::{
-    pearson_percentile_ci, percentile_bootstrap_ci, pm1_bootstrap_with_scratch,
-    pm1_ci_with_scratch, BootstrapConfig, BootstrapScratch,
-};
+use crate::bootstrap::{percentile_bootstrap_ci, pm1_with_ci, BootstrapConfig, BootstrapScratch};
 use crate::ci::{fisher_z_interval, ConfidenceInterval};
 use crate::error::StatsError;
 use crate::estimator::CorrelationEstimator;
@@ -107,16 +106,10 @@ pub fn scored_estimate(
                 seed,
                 ..BootstrapConfig::default()
             };
-            let est = pm1_bootstrap_with_scratch(x, y, &cfg, scratch)?.estimate;
-            // Wilcox's small-sample index adjustment is tabulated for
-            // 95% only; other levels fall back to the plain percentile
-            // interval over the same replicate budget.
-            let ci = if (confidence - 0.95).abs() < 1e-12 {
-                pm1_ci_with_scratch(x, y, seed, scratch)?
-            } else {
-                pearson_percentile_ci(x, y, 599, confidence, seed, scratch)?
-            };
-            (est, ci)
+            // One replicate pass: the estimate is the adaptive-rule
+            // prefix mean of the interval's 599 replicates.
+            let (est, ci) = pm1_with_ci(x, y, &cfg, confidence, scratch)?;
+            (est.estimate, ci)
         }
         other => {
             let est = other.estimate(x, y)?;
@@ -197,11 +190,21 @@ mod tests {
             CorrelationEstimator::Pm1Bootstrap { seed: 7 },
         ] {
             let fresh = scored_estimate(est, &x, &y, 0.95, &mut BootstrapScratch::new()).unwrap();
-            // A scratch polluted by unrelated prior work must not change
-            // a single bit of the result.
+            // A scratch polluted by unrelated prior work — another
+            // estimator, another seed's kept words, a longer and a
+            // shorter sample under this seed — must not change a single
+            // bit of the result.
             let mut dirty = BootstrapScratch::new();
             let (a, b) = noisy_linear(333);
-            let _ = scored_estimate(CorrelationEstimator::Qn, &a, &b, 0.8, &mut dirty).unwrap();
+            let other = CorrelationEstimator::Pm1Bootstrap { seed: 8 };
+            for (prior, rows) in [
+                (CorrelationEstimator::Qn, 333),
+                (other, 333),
+                (est, 200),
+                (est, 12),
+            ] {
+                let _ = scored_estimate(prior, &a[..rows], &b[..rows], 0.8, &mut dirty).unwrap();
+            }
             let reused = scored_estimate(est, &x, &y, 0.95, &mut dirty).unwrap();
             assert_eq!(fresh, reused, "{est}");
         }
