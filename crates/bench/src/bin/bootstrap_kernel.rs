@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! cargo run --release -p sketch-bench --bin bootstrap_kernel -- \
-//!     [--ms 300] [--blocks 64] [--assert 2.0] [--json true] [--out auto]
+//!     [--ms 300] [--blocks 64] [--assert 2.0] [--json true]
 //! ```
 //!
 //! The gather table runs `n ∈ {32, 256, 4096}` (the span from tiny join
@@ -41,15 +41,14 @@
 //! ±25% run to run — the geomean is the stable summary). `--assert [min]`
 //! exits non-zero unless the geomean clears `min` (default 2.0, the PR
 //! gate). The draw and whole-call tables are reported, not gated: a
-//! ratio against hardware `div` is the machine's. `--out` writes the
-//! bench-JSON artifact (`auto` → `BENCH_bootstrap_kernel.json`) with
-//! all three tables.
+//! ratio against hardware `div` is the machine's. `--json` prints all
+//! three tables as one JSON object.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use sketch_bench::{artifact, Args};
+use sketch_bench::Args;
 use sketch_stats::{kernel, scored_estimate, BootstrapScratch, CorrelationEstimator};
 
 /// SplitMix64 step for the deterministic index blocks and column noise
@@ -277,10 +276,6 @@ fn main() {
     );
     if json {
         println!("{obj}");
-    }
-    if let Some(out) = args.get("out") {
-        let path = artifact::write_artifact(out, "bootstrap_kernel", &obj).expect("write artifact");
-        eprintln!("bootstrap_kernel: wrote {}", path.display());
     }
 
     if let Some(gate) = min_ratio {

@@ -1,18 +1,15 @@
 //! Shared plumbing for the experiment binaries (one per paper
-//! table/figure — see `src/bin/` and EXPERIMENTS.md at the workspace
-//! root).
+//! table/figure, the ablations and the two CI-gated harnesses — see
+//! `src/bin/`). Serving, store and cluster performance is measured by
+//! the ledger (`benchmark/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod artifact;
 pub mod corpus;
-pub mod shard;
 pub mod timing;
 
 pub use args::Args;
-pub use artifact::write_artifact;
 pub use corpus::{corpus_pairs, CorpusChoice};
-pub use shard::{ShardCluster, ShardReplay};
-pub use timing::{percentile, time_ms, LatencySummary};
+pub use timing::{time_ms, LatencySummary};

@@ -1,5 +1,5 @@
-//! Wall-clock measurement and percentile summaries (Table 2 and the
-//! Section 5.5 query-latency study report percentiles, not means).
+//! Wall-clock measurement and percentile summaries (Table 2 reports
+//! percentiles, not only means).
 
 use std::time::Instant;
 
@@ -35,23 +35,17 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Percentile summary in the shape of the paper's Table 2 rows, plus
-/// the p50/p95/p99 trio every serving benchmark reports (so
-/// `query_latency` and `serve_load` JSON are directly comparable).
+/// Percentile summary in the shape of the paper's Table 2 rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Mean.
     pub mean: f64,
     /// Sample standard deviation.
     pub std_dev: f64,
-    /// Median (50th percentile).
-    pub p50: f64,
     /// 75th percentile.
     pub p75: f64,
     /// 90th percentile.
     pub p90: f64,
-    /// 95th percentile.
-    pub p95: f64,
     /// 99th percentile.
     pub p99: f64,
     /// 99.9th percentile.
@@ -66,10 +60,8 @@ impl LatencySummary {
         Self {
             mean: m.mean().unwrap_or(0.0),
             std_dev: m.sample_std().unwrap_or(0.0),
-            p50: percentile(values, 50.0),
             p75: percentile(values, 75.0),
             p90: percentile(values, 90.0),
-            p95: percentile(values, 95.0),
             p99: percentile(values, 99.0),
             p999: percentile(values, 99.9),
         }
@@ -108,7 +100,7 @@ mod tests {
         for v in [&[7.0][..], &[7.0, 9.0][..]] {
             let s = LatencySummary::of(v);
             assert!(s.mean.is_finite() && s.std_dev.is_finite());
-            assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.p999);
+            assert!(s.p75 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.p999);
             assert!(s.p999 <= 9.0);
         }
     }
@@ -137,9 +129,8 @@ mod tests {
         let v: Vec<f64> = (1..=1000).map(f64::from).collect();
         let s = LatencySummary::of(&v);
         assert!((s.mean - 500.5).abs() < 1e-9);
-        assert!((s.p50 - 500.5).abs() < 1e-6);
-        assert!(s.p50 < s.p75 && s.p75 < s.p90 && s.p90 < s.p95);
-        assert!(s.p95 < s.p99 && s.p99 < s.p999);
+        assert!((s.p75 - 750.25).abs() < 1e-6);
+        assert!(s.p75 < s.p90 && s.p90 < s.p99 && s.p99 < s.p999);
     }
 
     #[test]

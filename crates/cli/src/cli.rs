@@ -1,6 +1,6 @@
 //! Flag parsing and the CLI error type.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Anything that can go wrong in a CLI invocation.
 #[derive(Debug)]
@@ -31,10 +31,13 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Parsed `--key value` flags.
+/// Parsed `--key value` flags. A command *takes* each flag it reads out
+/// of the set and calls [`CliArgs::finish`] before it does any work, so a
+/// flag it never asked for — a typo, another command's flag — is a usage
+/// error instead of a silently applied default.
 #[derive(Debug, Default)]
 pub struct CliArgs {
-    values: HashMap<String, String>,
+    values: BTreeMap<String, String>,
 }
 
 impl CliArgs {
@@ -44,7 +47,7 @@ impl CliArgs {
     ///
     /// [`CliError::Usage`] for positional arguments or dangling flags.
     pub fn parse(argv: &[String]) -> Result<Self, CliError> {
-        let mut values = HashMap::new();
+        let mut values = BTreeMap::new();
         let mut iter = argv.iter();
         while let Some(arg) = iter.next() {
             let key = arg.strip_prefix("--").ok_or_else(|| {
@@ -60,39 +63,66 @@ impl CliArgs {
         Ok(Self { values })
     }
 
-    /// Required string flag.
+    /// Take a required string flag.
     ///
     /// # Errors
     ///
     /// [`CliError::Usage`] when absent.
-    pub fn required(&self, key: &str) -> Result<&str, CliError> {
-        self.values
-            .get(key)
-            .map(String::as_str)
+    pub fn required(&mut self, key: &str) -> Result<String, CliError> {
+        self.optional(key)
             .ok_or_else(|| CliError::Usage(format!("missing required flag --{key}")))
     }
 
-    /// Optional string flag.
-    #[must_use]
-    pub fn optional(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+    /// Take an optional string flag.
+    pub fn optional(&mut self, key: &str) -> Option<String> {
+        self.values.remove(key)
     }
 
-    /// Optional typed flag with a default.
+    /// Take an optional typed flag.
     ///
     /// # Errors
     ///
     /// [`CliError::Usage`] when present but unparsable.
-    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError>
+    pub fn parse_opt<T: std::str::FromStr>(&mut self, key: &str) -> Result<Option<T>, CliError>
     where
         T::Err: std::fmt::Display,
     {
-        match self.values.get(key) {
-            Some(v) => v
-                .parse()
-                .map_err(|e| CliError::Usage(format!("--{key} {v}: {e}"))),
-            None => Ok(default),
+        self.optional(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| CliError::Usage(format!("--{key} {v}: {e}")))
+            })
+            .transpose()
+    }
+
+    /// Take an optional typed flag, with a default.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] when present but unparsable.
+    pub fn parse_or<T: std::str::FromStr>(&mut self, key: &str, default: T) -> Result<T, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        Ok(self.parse_opt(key)?.unwrap_or(default))
+    }
+
+    /// Every flag `command` reads has been taken: whatever is left is a
+    /// flag it does not know.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] naming the leftover flags and the command.
+    pub fn finish(self, command: &str) -> Result<(), CliError> {
+        if self.values.is_empty() {
+            return Ok(());
         }
+        let unknown: Vec<String> = self.values.keys().map(|k| format!("--{k}")).collect();
+        Err(CliError::Usage(format!(
+            "unknown flag{} {} for `corrsketch {command}` (`corrsketch help` lists its flags)",
+            if unknown.len() == 1 { "" } else { "s" },
+            unknown.join(", ")
+        )))
     }
 }
 
@@ -106,11 +136,21 @@ mod tests {
 
     #[test]
     fn parses_flags() {
-        let a = CliArgs::parse(&argv("--dir data --sketch-size 128")).unwrap();
+        let mut a = CliArgs::parse(&argv("--dir data --sketch-size 128")).unwrap();
         assert_eq!(a.required("dir").unwrap(), "data");
         assert_eq!(a.parse_or("sketch-size", 0usize).unwrap(), 128);
         assert_eq!(a.parse_or("missing", 42usize).unwrap(), 42);
         assert!(a.optional("nope").is_none());
+        a.finish("demo").unwrap();
+    }
+
+    #[test]
+    fn finish_names_the_flags_nobody_took() {
+        let mut a = CliArgs::parse(&argv("--k 3 --kk 4 --candidate 5")).unwrap();
+        assert_eq!(a.parse_or("k", 10usize).unwrap(), 3);
+        let err = a.finish("query").unwrap_err().to_string();
+        assert!(err.contains("unknown flags --candidate, --kk for"), "{err}");
+        assert!(err.contains("corrsketch query"), "{err}");
     }
 
     #[test]
@@ -127,13 +167,13 @@ mod tests {
 
     #[test]
     fn missing_required_flag_is_usage_error() {
-        let a = CliArgs::parse(&argv("--x 1")).unwrap();
+        let mut a = CliArgs::parse(&argv("--x 1")).unwrap();
         assert!(matches!(a.required("dir"), Err(CliError::Usage(_))));
     }
 
     #[test]
     fn bad_typed_value_is_usage_error() {
-        let a = CliArgs::parse(&argv("--k lots")).unwrap();
+        let mut a = CliArgs::parse(&argv("--k lots")).unwrap();
         assert!(matches!(a.parse_or("k", 1usize), Err(CliError::Usage(_))));
     }
 }

@@ -53,133 +53,43 @@ fn sketch_csv_dir(
     Ok((sketches, csvs.len()))
 }
 
-fn sketch_config(args: &CliArgs, default_size: usize) -> Result<SketchConfig, CliError> {
+fn sketch_config(args: &mut CliArgs, default_size: usize) -> Result<SketchConfig, CliError> {
     let size = args.parse_or("sketch-size", default_size)?;
-    let aggregation: Aggregation = args
-        .optional("aggregation")
-        .unwrap_or("mean")
-        .parse()
-        .map_err(CliError::Usage)?;
+    let aggregation = args.parse_or("aggregation", Aggregation::Mean)?;
     let seed = args.parse_or("seed", 0u64)?;
     Ok(SketchConfig::with_size(size)
         .aggregation(aggregation)
         .hasher(sketch_hashing::TupleHasher::new_64(seed)))
 }
 
-/// `corrsketch index` — sketch every `⟨categorical, numeric⟩` column pair
-/// of every `.csv` file in a directory into a newline-delimited JSON file.
-pub mod index {
-    use super::*;
-
-    /// Run the subcommand.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError`] on missing flags, unreadable files, or empty corpora.
-    pub fn run(args: &CliArgs) -> Result<String, CliError> {
-        let dir = args.required("dir")?;
-        let out = args.required("out")?;
-        let config = sketch_config(args, 256)?;
-        let builder = SketchBuilder::new(config);
-
-        let (sketches, tables) = sketch_csv_dir(dir, &builder)?;
-        let mut lines = String::new();
-        let pairs = sketches.len();
-        for sketch in &sketches {
-            lines.push_str(
-                &sketch
-                    .to_json()
-                    .map_err(|e| CliError::Data(e.to_string()))?,
-            );
-            lines.push('\n');
-        }
-        std::fs::write(out, lines)?;
-        Ok(format!(
-            "indexed {pairs} column pairs from {tables} tables into {out} \
-             (sketch size {}, aggregation {})",
-            match config.strategy {
-                correlation_sketches::SelectionStrategy::FixedSize(n) => n,
-                correlation_sketches::SelectionStrategy::Threshold(_) => 0,
-            },
-            config.aggregation
-        ))
+/// The configuration `sketch` was built under, so that whatever is built
+/// next joins with it and is comparably sized.
+fn config_of(sketch: &CorrelationSketch) -> SketchConfig {
+    SketchConfig {
+        strategy: sketch.strategy(),
+        hasher: sketch.hasher(),
+        aggregation: sketch.aggregation(),
     }
 }
 
-/// `corrsketch append` — sketch another directory of CSVs and append to
-/// an existing index file, reusing its hasher/aggregation configuration
-/// so old and new sketches remain joinable.
-pub mod append {
-    use super::*;
-
-    /// Run the subcommand.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError`] on missing flags, an empty/unreadable index, or
-    /// unreadable CSVs.
-    pub fn run(args: &CliArgs) -> Result<String, CliError> {
-        let dir = args.required("dir")?;
-        let index_path = args.required("index")?;
-        let existing = load_sketches(index_path)?;
-        let Some(first) = existing.first() else {
-            return Err(CliError::Data(format!(
-                "{index_path} contains no sketches; use `corrsketch index` first"
-            )));
-        };
-        let config = SketchConfig {
-            strategy: first.strategy(),
-            hasher: first.hasher(),
-            aggregation: first.aggregation(),
-        };
-        let builder = SketchBuilder::new(config);
-
-        let mut csvs: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("csv"))
-            .collect();
-        csvs.sort();
-        if csvs.is_empty() {
-            return Err(CliError::Data(format!("no .csv files in {dir}")));
-        }
-
-        let mut lines = String::new();
-        let mut pairs = 0usize;
-        for path in &csvs {
-            let table = load_table(path.to_str().expect("utf-8 path"))?;
-            for pair in table.column_pairs() {
-                lines.push_str(
-                    &builder
-                        .build(&pair)
-                        .to_json()
-                        .map_err(|e| CliError::Data(e.to_string()))?,
-                );
-                lines.push('\n');
-                pairs += 1;
-            }
-        }
-        use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new().append(true).open(index_path)?;
-        file.write_all(lines.as_bytes())?;
-        Ok(format!(
-            "appended {pairs} column pairs from {} tables to {index_path} \
-             ({} sketches total)",
-            csvs.len(),
-            existing.len() + pairs
-        ))
-    }
-}
-
-/// Load a newline-delimited JSON sketch file.
-fn load_sketches(path: &str) -> Result<Vec<CorrelationSketch>, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|line| {
-            CorrelationSketch::from_json(line).map_err(|e| CliError::Data(format!("{path}: {e}")))
-        })
+/// The non-empty items of a comma-separated flag value.
+fn comma_list(value: &str) -> Vec<String> {
+    value
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(String::from)
         .collect()
+}
+
+/// `--confidence`, when given: a level strictly inside `(0, 1)`.
+fn confidence_flag(args: &mut CliArgs) -> Result<Option<f64>, CliError> {
+    match args.parse_opt::<f64>("confidence")? {
+        Some(c) if !(c > 0.0 && c < 1.0) => Err(CliError::Usage(format!(
+            "--confidence must be in (0, 1), got {c}"
+        ))),
+        other => Ok(other),
+    }
 }
 
 /// `corrsketch corpus` — manage packed binary corpus stores (sharded
@@ -194,36 +104,27 @@ pub mod corpus {
         Manifest, PackOptions, FORMAT_VERSION,
     };
 
-    /// `corrsketch corpus pack` — pack sketches into a sharded binary
-    /// store, either straight from a directory of CSVs (`--dir`) or by
-    /// converting an existing newline-delimited JSON index (`--index`).
+    /// `corrsketch corpus pack` — sketch every `⟨categorical, numeric⟩`
+    /// column pair of every `.csv` file in a directory and pack the
+    /// sketches into a sharded binary store.
     ///
     /// # Errors
     ///
-    /// [`CliError`] on missing/conflicting flags, unreadable inputs, or
+    /// [`CliError`] on missing or unknown flags, unreadable inputs, or
     /// store write failures.
-    pub fn pack(args: &CliArgs) -> Result<String, CliError> {
+    pub fn pack(mut args: CliArgs) -> Result<String, CliError> {
+        let dir = args.required("dir")?;
         let out = args.required("out")?;
         let shards = args.parse_or("shards", 8usize)?;
         let threads = args.parse_or("threads", 1usize)?;
-        let (sketches, source) = match (args.optional("dir"), args.optional("index")) {
-            (Some(dir), None) => {
-                let builder = SketchBuilder::new(sketch_config(args, 256)?);
-                let (sketches, tables) = sketch_csv_dir(dir, &builder)?;
-                (sketches, format!("{tables} tables in {dir}"))
-            }
-            (None, Some(path)) => (load_sketches(path)?, path.to_string()),
-            _ => {
-                return Err(CliError::Usage(
-                    "corpus pack needs exactly one of --dir <csv-dir> or --index <json-file>"
-                        .into(),
-                ))
-            }
-        };
-        let manifest = pack_corpus(Path::new(out), &sketches, &PackOptions { shards, threads })
+        let builder = SketchBuilder::new(sketch_config(&mut args, 256)?);
+        args.finish("corpus pack")?;
+
+        let (sketches, tables) = sketch_csv_dir(&dir, &builder)?;
+        let manifest = pack_corpus(Path::new(&out), &sketches, &PackOptions { shards, threads })
             .map_err(store_err)?;
         Ok(format!(
-            "packed {} sketches from {source} into {} shards under {out}",
+            "packed {} sketches from {tables} tables in {dir} into {} shards under {out}",
             manifest.total,
             manifest.shards.len()
         ))
@@ -239,16 +140,19 @@ pub mod corpus {
     /// # Errors
     ///
     /// [`CliError`] on unreadable or corrupt stores.
-    pub fn info(args: &CliArgs) -> Result<String, CliError> {
+    pub fn info(mut args: CliArgs) -> Result<String, CliError> {
         let dir = args.required("store")?;
         let threads = args.parse_or("threads", 1usize)?;
+        let json = args.parse_or("json", false)?;
+        args.finish("corpus info")?;
+        let dir = dir.as_str();
         // One load: the reported shape and the verified checksums come
         // from the same manifest read.
         let (manifest, sketches) =
             read_corpus_with_manifest(Path::new(dir), threads).map_err(store_err)?;
         let tuples: usize = sketches.iter().map(CorrelationSketch::len).sum();
         let mem: usize = sketches.iter().map(CorrelationSketch::memory_bytes).sum();
-        if args.parse_or("json", false)? {
+        if json {
             // The full load above already verified every checksum; the
             // stat re-read only needs the manifest + delta shards.
             let info = sketch_store::stat_corpus(Path::new(dir)).map_err(store_err)?;
@@ -357,48 +261,32 @@ pub mod corpus {
                     DeltaRecord::Tombstone(_) => None,
                 });
         }
-        Ok(first.map(|first| SketchConfig {
-            strategy: first.strategy(),
-            hasher: first.hasher(),
-            aggregation: first.aggregation(),
-        }))
+        Ok(first.as_ref().map(config_of))
     }
 
-    /// `corrsketch corpus append` — sketch more columns (from CSVs or a
-    /// JSON index file) and append them to a live store as one delta
-    /// shard, without re-packing. CSV inputs reuse the store's sketch
-    /// configuration so old and new sketches stay joinable (the store
-    /// layer additionally rejects hasher-incompatible appends).
+    /// `corrsketch corpus append` — sketch the columns of more CSVs and
+    /// append them to a live store as one delta shard, without
+    /// re-packing. The new sketches reuse the store's sketch configuration
+    /// so old and new stay joinable (the store layer additionally rejects
+    /// hasher-incompatible appends); the sketch-config flags apply only
+    /// to a store that holds no sketch yet.
     ///
     /// # Errors
     ///
-    /// [`CliError`] on missing/conflicting flags, unreadable inputs,
-    /// id collisions with the live corpus, hasher-incompatible appends,
-    /// or store write failures.
-    pub fn append(args: &CliArgs) -> Result<String, CliError> {
+    /// [`CliError`] on missing or unknown flags, unreadable inputs, id
+    /// collisions with the live corpus, or store write failures.
+    pub fn append(mut args: CliArgs) -> Result<String, CliError> {
         let store = args.required("store")?;
+        let dir = args.required("dir")?;
         let threads = args.parse_or("threads", 1usize)?;
-        let (sketches, source) = match (args.optional("dir"), args.optional("index")) {
-            (Some(dir), None) => {
-                let config = match store_config(Path::new(store))? {
-                    Some(config) => config,
-                    None => sketch_config(args, 256)?,
-                };
-                let builder = SketchBuilder::new(config);
-                let (sketches, tables) = sketch_csv_dir(dir, &builder)?;
-                (sketches, format!("{tables} tables in {dir}"))
-            }
-            (None, Some(path)) => (load_sketches(path)?, path.to_string()),
-            _ => {
-                return Err(CliError::Usage(
-                    "corpus append needs exactly one of --dir <csv-dir> or --index <json-file>"
-                        .into(),
-                ))
-            }
-        };
-        let manifest = append_corpus(Path::new(store), &sketches, threads).map_err(store_err)?;
+        let fallback = sketch_config(&mut args, 256)?;
+        args.finish("corpus append")?;
+
+        let config = store_config(Path::new(&store))?.unwrap_or(fallback);
+        let (sketches, tables) = sketch_csv_dir(&dir, &SketchBuilder::new(config))?;
+        let manifest = append_corpus(Path::new(&store), &sketches, threads).map_err(store_err)?;
         Ok(format!(
-            "appended {} sketches from {source} to {store} \
+            "appended {} sketches from {tables} tables in {dir} to {store} \
              (generation {}, {} live sketches)",
             sketches.len(),
             manifest.generation,
@@ -414,22 +302,17 @@ pub mod corpus {
     ///
     /// [`CliError`] on missing flags, ids that are not live, or store
     /// write failures.
-    pub fn rm(args: &CliArgs) -> Result<String, CliError> {
+    pub fn rm(mut args: CliArgs) -> Result<String, CliError> {
         let store = args.required("store")?;
         let threads = args.parse_or("threads", 1usize)?;
-        let ids: Vec<String> = args
-            .required("ids")?
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect();
+        let ids = comma_list(&args.required("ids")?);
+        args.finish("corpus rm")?;
         if ids.is_empty() {
             return Err(CliError::Usage(
                 "corpus rm needs --ids <id>[,<id>…] (sketch ids like table/key/value)".into(),
             ));
         }
-        let manifest = remove_from_corpus(Path::new(store), &ids, threads).map_err(store_err)?;
+        let manifest = remove_from_corpus(Path::new(&store), &ids, threads).map_err(store_err)?;
         Ok(format!(
             "tombstoned {} sketches in {store} (generation {}, {} live sketches)",
             ids.len(),
@@ -449,19 +332,20 @@ pub mod corpus {
     ///
     /// [`CliError`] on missing flags, a zero worker count, unreadable
     /// stores, or write failures.
-    pub fn shard(args: &CliArgs) -> Result<String, CliError> {
+    pub fn shard(mut args: CliArgs) -> Result<String, CliError> {
         let store = args.required("store")?;
         let out = args.required("out")?;
         let workers: usize = args
             .required("workers")?
             .parse()
             .map_err(|e| CliError::Usage(format!("--workers: {e}")))?;
+        let threads = args.parse_or("threads", 1usize)?;
+        args.finish("corpus shard")?;
         if workers == 0 {
             return Err(CliError::Usage("--workers must be at least 1".into()));
         }
-        let threads = args.parse_or("threads", 1usize)?;
         let manifest =
-            sketch_store::shard_corpus(Path::new(store), Path::new(out), workers, threads)
+            sketch_store::shard_corpus(Path::new(&store), Path::new(&out), workers, threads)
                 .map_err(store_err)?;
         let mut report = format!(
             "partitioned {} live sketches of {store} (generation {}) into {} worker stores under {out}:\n",
@@ -486,14 +370,15 @@ pub mod corpus {
     /// # Errors
     ///
     /// [`CliError`] on unreadable/corrupt stores or write failures.
-    pub fn compact(args: &CliArgs) -> Result<String, CliError> {
+    pub fn compact(mut args: CliArgs) -> Result<String, CliError> {
         let store = args.required("store")?;
         let shards = args.parse_or("shards", 8usize)?;
         let threads = args.parse_or("threads", 1usize)?;
-        let before = Manifest::load(Path::new(store)).map_err(store_err)?;
+        args.finish("corpus compact")?;
+        let before = Manifest::load(Path::new(&store)).map_err(store_err)?;
         let before_records: u64 = before.shards.iter().map(|s| s.count).sum::<u64>()
             + before.deltas.iter().map(|d| d.records).sum::<u64>();
-        let manifest = compact_corpus(Path::new(store), &PackOptions { shards, threads })
+        let manifest = compact_corpus(Path::new(&store), &PackOptions { shards, threads })
             .map_err(store_err)?;
         Ok(format!(
             "compacted {store}: {} records across {} base + {} delta shards -> \
@@ -509,9 +394,9 @@ pub mod corpus {
     }
 }
 
-/// `corrsketch query` — top-k join-correlation query against an index,
-/// ranked by one of the confidence-aware `s1..s4` scorers through the
-/// same engine path the server uses.
+/// `corrsketch query` — top-k join-correlation query against a packed
+/// store, ranked by one of the confidence-aware `s1..s4` scorers through
+/// the same engine path the server uses.
 pub mod query {
     use super::*;
     use sketch_index::{engine, PlanMode, QueryOptions, Scorer, SketchIndex};
@@ -520,75 +405,48 @@ pub mod query {
     ///
     /// # Errors
     ///
-    /// [`CliError`] on missing flags, a hasher-incompatible index, or
-    /// missing query columns.
-    pub fn run(args: &CliArgs) -> Result<String, CliError> {
+    /// [`CliError`] on missing or unknown flags, an unreadable or empty
+    /// store, or missing query columns.
+    pub fn run(mut args: CliArgs) -> Result<String, CliError> {
+        let store = args.required("store")?;
         let table_path = args.required("table")?;
         let key = args.required("key")?;
         let value = args.required("value")?;
-        let k = args.parse_or("k", 10usize)?;
-        let candidates = args.parse_or("candidates", 100usize)?;
         let threads = args.parse_or("threads", 1usize)?;
-        let estimator: CorrelationEstimator = args
-            .optional("estimator")
-            .unwrap_or("pearson")
-            .parse()
-            .map_err(CliError::Usage)?;
-        // Default to s2 (Fisher-z penalization): s4 normalizes CI
-        // lengths *within the candidate list*, which is meaningful for
-        // the ~100-candidate lists of the evaluation but degenerate for
-        // tiny result sets (the longest-CI candidate is always zeroed).
-        // s2 penalizes by sample size alone and behaves well at any
-        // list size.
-        let scorer: Scorer = args
-            .optional("scorer")
-            .unwrap_or("s2")
-            .parse()
-            .map_err(CliError::Usage)?;
-        let confidence = args.parse_or("confidence", 0.95f64)?;
-        if !(confidence > 0.0 && confidence < 1.0) {
-            return Err(CliError::Usage(format!(
-                "--confidence must be in (0, 1), got {confidence}"
-            )));
-        }
-        // `--plan two-pass[@conf]` prunes on cheap Pearson CIs and
-        // spends --estimator only on the contested band; results are
-        // identical to exhaustive (the engine's losslessness contract).
-        let plan: PlanMode = args
-            .optional("plan")
-            .unwrap_or("exhaustive")
-            .parse()
-            .map_err(CliError::Usage)?;
+        let opts = QueryOptions {
+            overlap_candidates: args.parse_or("candidates", 100usize)?,
+            k: args.parse_or("k", 10usize)?,
+            estimator: args.parse_or("estimator", CorrelationEstimator::Pearson)?,
+            threads,
+            // Default to s2 (Fisher-z penalization): s4 normalizes CI
+            // lengths *within the candidate list*, which is meaningful
+            // for the ~100-candidate lists of the evaluation but
+            // degenerate for tiny result sets (the longest-CI candidate
+            // is always zeroed). s2 penalizes by sample size alone and
+            // behaves well at any list size.
+            scorer: args.parse_or("scorer", Scorer::S2)?,
+            confidence: confidence_flag(&mut args)?.unwrap_or(0.95),
+            // `--plan two-pass[@conf]` prunes on cheap Pearson CIs and
+            // spends --estimator only on the contested band; results are
+            // identical to exhaustive (the engine's losslessness
+            // contract).
+            plan: args.parse_or("plan", PlanMode::Exhaustive)?,
+            ..QueryOptions::default()
+        };
+        args.finish("query")?;
+        let (key, value) = (key.as_str(), value.as_str());
 
-        // The corpus can come from the JSON index file or from a packed
-        // binary store; both yield the same sketches in the same order,
-        // so results are identical either way (tested).
-        let (sketches, source) = match (args.optional("index"), args.optional("store")) {
-            (Some(path), None) => (load_sketches(path)?, path),
-            (None, Some(dir)) => (
-                sketch_store::read_corpus(Path::new(dir), threads).map_err(store_err)?,
-                dir,
-            ),
-            _ => {
-                return Err(CliError::Usage(
-                    "query needs exactly one of --index <json-file> or --store <store-dir>".into(),
-                ))
-            }
-        };
+        let sketches = sketch_store::read_corpus(Path::new(&store), threads).map_err(store_err)?;
         let Some(first) = sketches.first() else {
-            return Err(CliError::Data(format!("{source} contains no sketches")));
+            return Err(CliError::Data(format!("{store} contains no sketches")));
         };
-        // Reuse the index's full configuration so the query sketch is
+        // Reuse the store's full configuration so the query sketch is
         // joinable and comparably sized.
-        let config = SketchConfig {
-            strategy: first.strategy(),
-            hasher: first.hasher(),
-            aggregation: first.aggregation(),
-        };
+        let config = config_of(first);
         let index =
             SketchIndex::from_sketches(sketches).map_err(|e| CliError::Data(e.to_string()))?;
 
-        let table = load_table(table_path)?;
+        let table = load_table(&table_path)?;
         let pair = table.column_pair(key, value).ok_or_else(|| {
             CliError::Data(format!(
                 "{table_path}: need categorical '{key}' and numeric '{value}' columns \
@@ -599,18 +457,8 @@ pub mod query {
         })?;
         let q_sketch = SketchBuilder::new(config).build(&pair);
 
-        // The live engine path: retrieve, fused estimate + CI (joins
-        // fanned out over --threads workers), re-rank by the scorer.
-        let opts = QueryOptions {
-            overlap_candidates: candidates,
-            k,
-            estimator,
-            threads,
-            scorer,
-            confidence,
-            plan,
-            ..QueryOptions::default()
-        };
+        // The live engine path: retrieve, fused estimate + CI (fanned
+        // out over --threads workers), re-rank by the scorer.
         let (results, stats) = engine::top_k_with_plan_stats(&index, &q_sketch, &opts);
 
         let mut out = String::new();
@@ -621,10 +469,10 @@ pub mod query {
             key,
             value,
             index.len(),
-            scorer.name(),
-            estimator.name(),
-            confidence * 100.0,
-            plan
+            opts.scorer.name(),
+            opts.estimator.name(),
+            opts.confidence * 100.0,
+            opts.plan
         );
         if stats.two_pass {
             let _ = writeln!(
@@ -634,7 +482,7 @@ pub mod query {
                 stats.cheap_invocations,
                 stats.pruned,
                 stats.expensive_invocations,
-                estimator.name(),
+                opts.estimator.name(),
                 stats.promotion_rounds
             );
         }
@@ -674,15 +522,21 @@ pub mod estimate {
     /// # Errors
     ///
     /// [`CliError`] on missing flags/columns or degenerate samples.
-    pub fn run(args: &CliArgs) -> Result<String, CliError> {
-        let config = sketch_config(args, 1024)?;
+    pub fn run(mut args: CliArgs) -> Result<String, CliError> {
+        let config = sketch_config(&mut args, 1024)?;
         let builder = SketchBuilder::new(config);
+        let mut sides = Vec::new();
+        for side in ["left", "right"] {
+            sides.push((
+                args.required(side)?,
+                args.required(&format!("{side}-key"))?,
+                args.required(&format!("{side}-value"))?,
+            ));
+        }
+        args.finish("estimate")?;
 
         let mut pairs = Vec::new();
-        for side in ["left", "right"] {
-            let path = args.required(side)?;
-            let key = args.required(&format!("{side}-key"))?;
-            let value = args.required(&format!("{side}-value"))?;
+        for (path, key, value) in &sides {
             let table = load_table(path)?;
             let pair = table.column_pair(key, value).ok_or_else(|| {
                 CliError::Data(format!(
@@ -735,6 +589,63 @@ pub mod serve {
     use super::*;
     use std::time::Duration;
 
+    /// What `serve` reads the same way whether it serves a store or
+    /// coordinates workers.
+    struct FrontFlags {
+        addr: String,
+        threads: usize,
+        cache_capacity: usize,
+        poll_interval: Duration,
+        request_timeout: Duration,
+        slow_query: Option<Duration>,
+        defaults: sketch_server::QueryParams,
+    }
+
+    /// A duration flag given in milliseconds.
+    fn millis(args: &mut CliArgs, key: &str, default: u64) -> Result<Duration, CliError> {
+        args.parse_or(key, default).map(Duration::from_millis)
+    }
+
+    fn front_flags(args: &mut CliArgs) -> Result<FrontFlags, CliError> {
+        let host = args.optional("host");
+        let addr = format!(
+            "{}:{}",
+            host.as_deref().unwrap_or("127.0.0.1"),
+            args.parse_or("port", 0u16)?
+        );
+        // Corpus-level ranking defaults: requests that omit "scorer" /
+        // "confidence" / "plan" resolve to these (and they participate in
+        // the cache fingerprint exactly like spelled-out values).
+        let mut defaults = sketch_server::QueryParams::default();
+        defaults.scorer = args.parse_or("scorer", defaults.scorer)?;
+        defaults.confidence = confidence_flag(args)?.unwrap_or(defaults.confidence);
+        defaults.plan = args.parse_or("plan", defaults.plan)?;
+        Ok(FrontFlags {
+            addr,
+            threads: args.parse_or("threads", 4usize)?,
+            cache_capacity: args.parse_or("cache", 1024usize)?,
+            poll_interval: millis(args, "poll-ms", 200)?,
+            request_timeout: millis(args, "request-timeout-ms", 10_000)?,
+            // 0 keeps the slow-query log off (the default); any other
+            // value arms always-on internal tracing plus one structured
+            // stderr line per request at or over the threshold.
+            slow_query: Some(millis(args, "slow-query-ms", 0)?).filter(|d| !d.is_zero()),
+            defaults,
+        })
+    }
+
+    /// Print the readiness line *now* — the final report string is only
+    /// printed at shutdown, and launch scripts poll for this — then block
+    /// until a termination signal.
+    fn serve_until_terminated(ready: &str) {
+        println!("{ready}");
+        use std::io::Write as _;
+        let _ = std::io::stdout().flush();
+        while !sketch_server::signal::termination_requested() {
+            std::thread::sleep(Duration::from_millis(25));
+        }
+    }
+
     /// Run the subcommand. Blocks until a termination signal; the bound
     /// address is printed to stdout immediately so scripts can wait for
     /// readiness. With `--workers` (or `--coordinator true`) it boots
@@ -743,71 +654,40 @@ pub mod serve {
     ///
     /// # Errors
     ///
-    /// [`CliError`] on missing flags, unreadable stores, unreachable
-    /// workers, or unbindable addresses.
-    pub fn run(args: &CliArgs) -> Result<String, CliError> {
-        if args.parse_or("coordinator", false)? || args.optional("workers").is_some() {
-            return run_coordinator(args);
+    /// [`CliError`] on missing or unknown flags, unreadable stores,
+    /// unreachable workers, or unbindable addresses.
+    pub fn run(mut args: CliArgs) -> Result<String, CliError> {
+        let workers = args.optional("workers");
+        if args.parse_or("coordinator", false)? || workers.is_some() {
+            return run_coordinator(args, workers);
         }
         let store = args.required("store")?;
-        let mut config = sketch_server::ServerConfig::new(store);
-        config.addr = format!(
-            "{}:{}",
-            args.optional("host").unwrap_or("127.0.0.1"),
-            args.parse_or("port", 0u16)?
-        );
-        config.threads = args.parse_or("threads", 4usize)?;
-        config.load_threads = args.parse_or("load-threads", config.threads)?;
-        config.cache_capacity = args.parse_or("cache", 1024usize)?;
-        config.poll_interval = Duration::from_millis(args.parse_or("poll-ms", 200u64)?);
-        config.request_timeout =
-            Duration::from_millis(args.parse_or("request-timeout-ms", 10_000u64)?);
-        // 0 keeps the slow-query log off (the default); any other value
-        // arms always-on internal tracing plus one structured stderr
-        // line per request at or over the threshold.
-        let slow_ms = args.parse_or("slow-query-ms", 0u64)?;
-        config.slow_query = (slow_ms > 0).then(|| Duration::from_millis(slow_ms));
-        // Corpus-level ranking defaults: requests that omit "scorer" /
-        // "confidence" resolve to these (and they participate in the
-        // cache fingerprint exactly like spelled-out values).
-        if let Some(scorer) = args.optional("scorer") {
-            config.defaults.scorer = scorer.parse().map_err(CliError::Usage)?;
-        }
-        if let Some(confidence) = args.optional("confidence") {
-            let confidence: f64 = confidence
-                .parse()
-                .map_err(|e| CliError::Usage(format!("--confidence: {e}")))?;
-            if !(confidence > 0.0 && confidence < 1.0) {
-                return Err(CliError::Usage(format!(
-                    "--confidence must be in (0, 1), got {confidence}"
-                )));
-            }
-            config.defaults.confidence = confidence;
-        }
-        if let Some(plan) = args.optional("plan") {
-            config.defaults.plan = plan.parse().map_err(CliError::Usage)?;
-        }
+        let front = front_flags(&mut args)?;
+        let load_threads = args.parse_or("load-threads", front.threads)?;
+        args.finish("serve")?;
+        let config = sketch_server::ServerConfig {
+            addr: front.addr,
+            threads: front.threads,
+            load_threads,
+            cache_capacity: front.cache_capacity,
+            poll_interval: front.poll_interval,
+            request_timeout: front.request_timeout,
+            slow_query: front.slow_query,
+            defaults: front.defaults,
+            ..sketch_server::ServerConfig::new(&store)
+        };
 
         // Handlers must be in place before the (possibly slow) store
         // load: a supervisor's SIGTERM during startup should still take
         // the graceful exit path, not the default disposition.
         sketch_server::signal::install();
         let handle = sketch_server::start(config).map_err(|e| CliError::Data(e.to_string()))?;
-
-        // Readiness goes to stdout *now* — the final report string is
-        // only printed at shutdown, and launch scripts poll for this.
-        println!(
+        serve_until_terminated(&format!(
             "serving {store} at http://{} ({} sketches, generation {})",
             handle.addr(),
             handle.sketches(),
             handle.generation()
-        );
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-
-        while !sketch_server::signal::termination_requested() {
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        ));
         let summary = handle.shutdown();
         Ok(format!("graceful shutdown; final stats: {summary}"))
     }
@@ -815,76 +695,47 @@ pub mod serve {
     /// The coordinator mode: fan `/query` and `/query_batch` out over
     /// `--workers` (comma-separated `host:port`, **in partition order**
     /// — the order `corpus shard` wrote them) and merge losslessly.
-    fn run_coordinator(args: &CliArgs) -> Result<String, CliError> {
-        let workers: Vec<String> = args
-            .required("workers")?
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect();
+    fn run_coordinator(mut args: CliArgs, workers: Option<String>) -> Result<String, CliError> {
+        // `--coordinator true` alone lands here without the flag.
+        let workers = comma_list(&workers.map_or_else(|| args.required("workers"), Ok)?);
+        let front = front_flags(&mut args)?;
+        let worker_timeout = millis(&mut args, "worker-timeout-ms", 2_000)?;
+        let startup_timeout = millis(&mut args, "startup-timeout-ms", 10_000)?;
+        args.finish("serve --coordinator")?;
         if workers.is_empty() {
             return Err(CliError::Usage(
                 "--workers needs at least one host:port address".into(),
             ));
         }
-        let mut config = sketch_server::CoordinatorConfig::new(workers);
-        config.addr = format!(
-            "{}:{}",
-            args.optional("host").unwrap_or("127.0.0.1"),
-            args.parse_or("port", 0u16)?
-        );
-        config.threads = args.parse_or("threads", 4usize)?;
-        config.cache_capacity = args.parse_or("cache", 1024usize)?;
-        config.poll_interval = Duration::from_millis(args.parse_or("poll-ms", 200u64)?);
-        config.request_timeout =
-            Duration::from_millis(args.parse_or("request-timeout-ms", 10_000u64)?);
-        config.worker_timeout =
-            Duration::from_millis(args.parse_or("worker-timeout-ms", 2_000u64)?);
-        config.startup_timeout =
-            Duration::from_millis(args.parse_or("startup-timeout-ms", 10_000u64)?);
-        let slow_ms = args.parse_or("slow-query-ms", 0u64)?;
-        config.slow_query = (slow_ms > 0).then(|| Duration::from_millis(slow_ms));
-        if let Some(scorer) = args.optional("scorer") {
-            config.defaults.scorer = scorer.parse().map_err(CliError::Usage)?;
-        }
-        if let Some(confidence) = args.optional("confidence") {
-            let confidence: f64 = confidence
-                .parse()
-                .map_err(|e| CliError::Usage(format!("--confidence: {e}")))?;
-            if !(confidence > 0.0 && confidence < 1.0) {
-                return Err(CliError::Usage(format!(
-                    "--confidence must be in (0, 1), got {confidence}"
-                )));
-            }
-            config.defaults.confidence = confidence;
-        }
-        if let Some(plan) = args.optional("plan") {
-            config.defaults.plan = plan.parse().map_err(CliError::Usage)?;
-        }
+        let worker_count = workers.len();
+        let config = sketch_server::CoordinatorConfig {
+            addr: front.addr,
+            threads: front.threads,
+            cache_capacity: front.cache_capacity,
+            poll_interval: front.poll_interval,
+            request_timeout: front.request_timeout,
+            worker_timeout,
+            startup_timeout,
+            slow_query: front.slow_query,
+            defaults: front.defaults,
+            ..sketch_server::CoordinatorConfig::new(workers)
+        };
 
         sketch_server::signal::install();
-        let worker_count = config.workers.len();
         let handle =
             sketch_server::start_coordinator(config).map_err(|e| CliError::Data(e.to_string()))?;
-
-        println!(
+        serve_until_terminated(&format!(
             "coordinating {worker_count} workers at http://{} (generations {:?})",
             handle.addr(),
             handle.generations()
-        );
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-
-        while !sketch_server::signal::termination_requested() {
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        ));
         let summary = handle.shutdown();
         Ok(format!("graceful shutdown; final stats: {summary}"))
     }
 }
 
-/// `corrsketch inspect` — summary statistics of an index file.
+/// `corrsketch inspect` — summary statistics of a packed store's live
+/// sketches.
 pub mod inspect {
     use super::*;
     use correlation_sketches::distinct_value_estimate;
@@ -893,15 +744,17 @@ pub mod inspect {
     ///
     /// # Errors
     ///
-    /// [`CliError`] on unreadable or malformed index files.
-    pub fn run(args: &CliArgs) -> Result<String, CliError> {
-        let path = args.required("index")?;
-        let sketches = load_sketches(path)?;
+    /// [`CliError`] on missing or unknown flags, or an unreadable or
+    /// corrupt store.
+    pub fn run(mut args: CliArgs) -> Result<String, CliError> {
+        let store = args.required("store")?;
+        args.finish("inspect")?;
+        let sketches = sketch_store::read_corpus(Path::new(&store), 1).map_err(store_err)?;
         let total_entries: usize = sketches.iter().map(CorrelationSketch::len).sum();
         let bytes: usize = sketches.iter().map(CorrelationSketch::memory_bytes).sum();
         let saturated = sketches.iter().filter(|s| s.is_saturated()).count();
         let mut out = String::new();
-        let _ = writeln!(out, "index {path}:");
+        let _ = writeln!(out, "store {store}:");
         let _ = writeln!(out, "  sketches        : {}", sketches.len());
         let _ = writeln!(out, "  tuples          : {total_entries}");
         let _ = writeln!(out, "  memory (tuples) : {:.1} KiB", bytes as f64 / 1024.0);

@@ -1,22 +1,21 @@
 //! `corrsketch` — a command-line front end for the Correlation Sketches
-//! library: index a directory of CSV files once, then answer
-//! join-correlation queries against the index interactively.
+//! library: sketch a directory of CSV files into a packed corpus store
+//! once, then answer join-correlation queries against it — from the
+//! command line or as a long-running HTTP service.
 //!
 //! ```text
-//! corrsketch index    --dir data/ --out lake.sketches [--sketch-size 256]
-//! corrsketch query    --index lake.sketches --table q.csv --key day --value pickups
+//! corrsketch corpus pack --dir data/ --out lake-store [--sketch-size 256]
+//! corrsketch query    --store lake-store --table q.csv --key day --value pickups
+//! corrsketch inspect  --store lake-store
+//! corrsketch serve    --store lake-store --port 7351
 //! corrsketch estimate --left a.csv --left-key k --left-value x \
 //!                     --right b.csv --right-key k --right-value y
-//! corrsketch inspect  --index lake.sketches
 //! ```
 //!
-//! The index file is newline-delimited JSON, one sketch per line (the
-//! format of [`correlation_sketches::persist`]), so it is diffable,
-//! streamable, and appendable. For corpora of thousands of sketches the
-//! `corpus` command group packs the same sketches into a sharded binary
-//! store (`sketch-store`'s `.cskb` shards + manifest) that loads an
-//! order of magnitude faster; `query --store <dir>` answers from it
-//! directly.
+//! The store (`sketch-store`'s checksummed `.cskb` shards + manifest) is
+//! the one on-disk corpus format: `corpus append` / `rm` / `compact`
+//! mutate it in place, `corpus shard` partitions it for sharded serving,
+//! and the server and the CLI read the same files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +24,7 @@ pub mod cli;
 pub mod commands;
 
 pub use cli::{CliArgs, CliError};
-pub use commands::{append, corpus, estimate, index, inspect, query, serve};
+pub use commands::{corpus, estimate, inspect, query, serve};
 
 /// Entry point shared by `main` and the integration tests: dispatch a
 /// subcommand and return its rendered report.
@@ -47,12 +46,12 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         })?;
         let args = CliArgs::parse(rest)?;
         return match sub.as_str() {
-            "pack" => corpus::pack(&args),
-            "info" => corpus::info(&args),
-            "append" => corpus::append(&args),
-            "rm" => corpus::rm(&args),
-            "compact" => corpus::compact(&args),
-            "shard" => corpus::shard(&args),
+            "pack" => corpus::pack(args),
+            "info" => corpus::info(args),
+            "append" => corpus::append(args),
+            "rm" => corpus::rm(args),
+            "compact" => corpus::compact(args),
+            "shard" => corpus::shard(args),
             other => Err(CliError::Usage(format!(
                 "unknown corpus subcommand '{other}' \
                  (expected pack | info | append | rm | compact | shard)\n{USAGE}"
@@ -61,12 +60,10 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     }
     let args = CliArgs::parse(rest)?;
     match command.as_str() {
-        "index" => index::run(&args),
-        "append" => append::run(&args),
-        "query" => query::run(&args),
-        "serve" => serve::run(&args),
-        "estimate" => estimate::run(&args),
-        "inspect" => inspect::run(&args),
+        "query" => query::run(args),
+        "serve" => serve::run(args),
+        "estimate" => estimate::run(args),
+        "inspect" => inspect::run(args),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(CliError::Usage(format!(
             "unknown command '{other}'\n{USAGE}"
@@ -79,14 +76,16 @@ pub const USAGE: &str = "\
 corrsketch — join-correlation queries over CSV collections
 
 USAGE:
-  corrsketch index    --dir <csv-dir> --out <file>
+  corrsketch corpus pack --dir <csv-dir> --out <store-dir>
+                      [--shards 8] [--threads 1]
                       [--sketch-size 256] [--aggregation mean] [--seed 0]
-  corrsketch append   --dir <csv-dir> --index <file>   (reuses index config)
-  corrsketch corpus pack --out <store-dir> (--dir <csv-dir> | --index <file>)
-                      [--shards 8] [--threads 1] [--sketch-size 256]
+                      (sketches every <categorical, numeric> column pair
+                       of every .csv into a sharded binary store)
   corrsketch corpus info --store <store-dir> [--threads 1] [--json true]
-  corrsketch corpus append --store <store-dir> (--dir <csv-dir> | --index <file>)
-                      [--threads 1]                     (writes a delta shard)
+  corrsketch corpus append --store <store-dir> --dir <csv-dir> [--threads 1]
+                      (writes a delta shard; reuses the store's sketch
+                       configuration — [--sketch-size] [--aggregation]
+                       [--seed] apply only while the store is empty)
   corrsketch corpus rm --store <store-dir> --ids <id>[,<id>...]
                       [--threads 1]                     (tombstones live ids)
   corrsketch corpus compact --store <store-dir> [--shards 8] [--threads 1]
@@ -94,18 +93,24 @@ USAGE:
   corrsketch corpus shard --store <store-dir> --out <dir> --workers <n>
                       [--threads 1]  (partitions the live view into n
                        worker stores + partition.cskp, for sharded serving)
-  corrsketch query    (--index <file> | --store <store-dir>)
+  corrsketch query    --store <store-dir>
                       --table <csv> --key <col> --value <col>
                       [--k 10] [--candidates 100] [--estimator pearson]
                       [--scorer s1|s2|s3|s4] [--confidence 0.95] [--threads 1]
+                      [--plan exhaustive|two-pass[@0.99]]
                       (s1 = raw point estimate; s2..s4 penalize by the
                        confidence interval; paper aliases rp, rp*sez,
-                       rb*cib, rp*cih accepted. The jc/jc_est/random
-                       joinability baselines live in the sketch-ranking
-                       evaluation harness, not the query path)
+                       rb*cib, rp*cih accepted. two-pass prunes on cheap
+                       Pearson intervals and spends --estimator on the
+                       contested band only; same answer. The
+                       jc/jc_est/random joinability baselines live in the
+                       sketch-ranking evaluation harness, not the query
+                       path)
   corrsketch serve    --store <store-dir> [--host 127.0.0.1] [--port 0]
-                      [--threads 4] [--cache 1024] [--poll-ms 200]
-                      [--scorer s1] [--confidence 0.95]  (request defaults)
+                      [--threads 4] [--load-threads <threads>]
+                      [--cache 1024] [--poll-ms 200]
+                      [--scorer s1] [--confidence 0.95] [--plan exhaustive]
+                                                        (request defaults)
                       [--request-timeout-ms 10000]      (0 disables)
                       [--slow-query-ms 0]  (0 off; else trace internally
                        and log requests at/over the threshold to stderr)
@@ -114,12 +119,13 @@ USAGE:
                        text; graceful stop on SIGTERM)
   corrsketch serve    --coordinator true --workers <host:port>[,<host:port>…]
                       [--worker-timeout-ms 2000] [--startup-timeout-ms 10000]
-                      (scatter-gather over worker servers, one per
-                       `corpus shard` partition in manifest order; merged
-                       answers are bit-identical to a single server over
-                       the union corpus, minus degraded shards)
+                      (plus every serve flag above except --store and
+                       --load-threads. Scatter-gather over worker servers,
+                       one per `corpus shard` partition in manifest order;
+                       merged answers are bit-identical to a single server
+                       over the union corpus, minus degraded shards)
   corrsketch estimate --left <csv> --left-key <col> --left-value <col>
                       --right <csv> --right-key <col> --right-value <col>
-                      [--sketch-size 1024] [--aggregation mean]
-  corrsketch inspect  --index <file>
+                      [--sketch-size 1024] [--aggregation mean] [--seed 0]
+  corrsketch inspect  --store <store-dir>
   corrsketch help";

@@ -1,5 +1,5 @@
-//! End-to-end CLI tests: write CSV files to a temp dir, index them, query
-//! the index, and check the reports.
+//! End-to-end CLI tests: write CSV files to a temp dir, pack them into a
+//! corpus store, query the store, and check the reports.
 
 use std::path::PathBuf;
 
@@ -50,31 +50,58 @@ fn write_lake(dir: &TempDir) {
     std::fs::write(dir.path("noise.csv"), noise).unwrap();
 }
 
+/// `corpus pack` the lake under `dir` into `dir/store` (plus `extra`
+/// flags) and return the store path.
+fn pack_lake(dir: &TempDir, extra: &[&str]) -> String {
+    let store = dir.path("store");
+    let mut cmd = argv(&["corpus", "pack", "--dir", &dir.path(""), "--out", &store]);
+    cmd.extend(argv(extra));
+    sketch_cli::run(&cmd).unwrap();
+    store
+}
+
+/// Write `more/events.csv` — a fourth table correlated with the lake's
+/// demand signal — and return the sub-directory.
+fn write_events(dir: &TempDir) -> String {
+    let sub = dir.path("more");
+    std::fs::create_dir_all(&sub).unwrap();
+    let mut extra = String::from("day,events\n");
+    for i in 0..300 {
+        extra.push_str(&format!(
+            "d{i:03},{}\n",
+            ((i as f64) * 0.21).sin() * 10.0 + 20.0
+        ));
+    }
+    std::fs::write(format!("{sub}/events.csv"), extra).unwrap();
+    sub
+}
+
 #[test]
-fn index_query_roundtrip() {
+fn pack_query_roundtrip() {
     let dir = TempDir::new("roundtrip");
     write_lake(&dir);
-    let index_file = dir.path("lake.sketches");
+    let store = dir.path("store");
 
     let report = sketch_cli::run(&argv(&[
-        "index",
+        "corpus",
+        "pack",
         "--dir",
         &dir.path(""),
         "--out",
-        &index_file,
+        &store,
         "--sketch-size",
         "128",
     ]))
     .unwrap();
     assert!(
-        report.contains("indexed 3 column pairs from 3 tables"),
+        report.contains("packed 3 sketches from 3 tables"),
         "{report}"
     );
 
     let report = sketch_cli::run(&argv(&[
         "query",
-        "--index",
-        &index_file,
+        "--store",
+        &store,
         "--table",
         &dir.path("taxi.csv"),
         "--key",
@@ -98,30 +125,12 @@ fn index_query_roundtrip() {
 fn query_scorer_and_confidence_flags() {
     let dir = TempDir::new("scored-query");
     write_lake(&dir);
-    let index_file = dir.path("lake.sketches");
-    sketch_cli::run(&argv(&[
-        "index",
-        "--dir",
-        &dir.path(""),
-        "--out",
-        &index_file,
-        "--sketch-size",
-        "128",
-    ]))
-    .unwrap();
+    let store = pack_lake(&dir, &["--sketch-size", "128"]);
 
     let table = dir.path("taxi.csv");
     let query_with = |extra: &[&str]| {
         let mut a = vec![
-            "query",
-            "--index",
-            &index_file,
-            "--table",
-            &table,
-            "--key",
-            "day",
-            "--value",
-            "pickups",
+            "query", "--store", &store, "--table", &table, "--key", "day", "--value", "pickups",
         ];
         a.extend_from_slice(extra);
         sketch_cli::run(&argv(&a))
@@ -182,64 +191,86 @@ fn estimate_between_two_files() {
     assert!(report.contains("kendall"), "{report}");
 }
 
+/// `inspect --store` lists the live view: what was packed, plus what
+/// was appended, minus what was tombstoned — before any compaction.
 #[test]
-fn inspect_reports_index_stats() {
+fn inspect_lists_the_live_view() {
     let dir = TempDir::new("inspect");
     write_lake(&dir);
-    let index_file = dir.path("lake.sketches");
-    sketch_cli::run(&argv(&[
-        "index",
-        "--dir",
-        &dir.path(""),
-        "--out",
-        &index_file,
-    ]))
-    .unwrap();
-    let report = sketch_cli::run(&argv(&["inspect", "--index", &index_file])).unwrap();
+    let store = pack_lake(&dir, &[]);
+    let report = sketch_cli::run(&argv(&["inspect", "--store", &store])).unwrap();
     assert!(report.contains("sketches        : 3"), "{report}");
     assert!(report.contains("taxi/day/pickups"), "{report}");
-}
 
-#[test]
-fn append_extends_an_index_compatibly() {
-    let dir = TempDir::new("append");
-    write_lake(&dir);
-    let index_file = dir.path("lake.sketches");
+    let sub = write_events(&dir);
     sketch_cli::run(&argv(&[
-        "index",
-        "--dir",
-        &dir.path(""),
-        "--out",
-        &index_file,
-        "--seed",
-        "7",
+        "corpus", "append", "--store", &store, "--dir", &sub,
     ]))
     .unwrap();
+    sketch_cli::run(&argv(&[
+        "corpus",
+        "rm",
+        "--store",
+        &store,
+        "--ids",
+        "noise/day/reading",
+    ]))
+    .unwrap();
+    let report = sketch_cli::run(&argv(&["inspect", "--store", &store])).unwrap();
+    assert!(report.contains("sketches        : 3"), "{report}");
+    assert!(report.contains("events/day/events"), "{report}");
+    assert!(!report.contains("noise/day/reading"), "{report}");
+}
 
-    // Second batch in a sub-directory with an extra correlated table.
-    let sub = dir.path("more");
-    std::fs::create_dir_all(&sub).unwrap();
-    let days: Vec<String> = (0..300).map(|i| format!("d{i:03}")).collect();
-    let mut extra = String::from("day,events\n");
-    for (i, d) in days.iter().enumerate() {
-        extra.push_str(&format!(
-            "{d},{}\n",
-            ((i as f64) * 0.21).sin() * 10.0 + 20.0
-        ));
+/// `corpus append` sketches the new CSVs under the *store's*
+/// configuration, whatever the defaults are, so old and new sketches
+/// join.
+#[test]
+fn corpus_append_keeps_the_store_configuration() {
+    let dir = TempDir::new("append");
+    write_lake(&dir);
+    let store = pack_lake(
+        &dir,
+        &["--seed", "7", "--sketch-size", "64", "--aggregation", "max"],
+    );
+    let sub = write_events(&dir);
+
+    let report = sketch_cli::run(&argv(&[
+        "corpus", "append", "--store", &store, "--dir", &sub,
+    ]))
+    .unwrap();
+    assert!(report.contains("appended 1 sketches"), "{report}");
+    assert!(report.contains("4 live sketches"), "{report}");
+
+    let sketches = sketch_store::read_corpus(std::path::Path::new(&store), 1).unwrap();
+    assert_eq!(sketches.len(), 4);
+    for s in &sketches {
+        assert_eq!(
+            s.hasher(),
+            sketch_hashing::TupleHasher::new_64(7),
+            "{}",
+            s.id()
+        );
+        assert_eq!(
+            s.aggregation(),
+            sketch_table::Aggregation::Max,
+            "{}",
+            s.id()
+        );
+        assert_eq!(
+            s.strategy(),
+            correlation_sketches::SelectionStrategy::FixedSize(64),
+            "{}",
+            s.id()
+        );
     }
-    std::fs::write(format!("{sub}/events.csv"), extra).unwrap();
-
-    let report =
-        sketch_cli::run(&argv(&["append", "--dir", &sub, "--index", &index_file])).unwrap();
-    assert!(report.contains("appended 1 column pairs"), "{report}");
-    assert!(report.contains("4 sketches total"), "{report}");
 
     // The appended sketch must be joinable with the originals: querying
     // taxi must now surface the new events column with a real estimate.
     let report = sketch_cli::run(&argv(&[
         "query",
-        "--index",
-        &index_file,
+        "--store",
+        &store,
         "--table",
         &dir.path("taxi.csv"),
         "--key",
@@ -250,7 +281,11 @@ fn append_extends_an_index_compatibly() {
         "4",
     ]))
     .unwrap();
-    assert!(report.contains("events/day/events"), "{report}");
+    let events = report
+        .lines()
+        .find(|l| l.starts_with("events/day/events"))
+        .unwrap_or_else(|| panic!("{report}"));
+    assert!(events.contains("+1.000"), "{events}");
 }
 
 #[test]
@@ -261,14 +296,15 @@ fn helpful_errors() {
     assert!(help.contains("USAGE"));
 
     // Missing flags.
-    let err = sketch_cli::run(&argv(&["index", "--dir", "/nonexistent"]))
+    let err = sketch_cli::run(&argv(&["corpus", "pack", "--dir", "/nonexistent"]))
         .unwrap_err()
         .to_string();
     assert!(err.contains("--out"), "{err}");
 
     // Nonexistent directory.
     let err = sketch_cli::run(&argv(&[
-        "index",
+        "corpus",
+        "pack",
         "--dir",
         "/nonexistent-dir-xyz",
         "--out",
@@ -277,25 +313,84 @@ fn helpful_errors() {
     .unwrap_err()
     .to_string();
     assert!(err.contains("I/O"), "{err}");
+
+    // A flag the command does not read is refused by name, with the
+    // command named too, before any work: nothing is packed, and the
+    // query never opens its (nonexistent) store.
+    let dir = TempDir::new("typos");
+    write_lake(&dir);
+    let store = dir.path("store");
+    let err = sketch_cli::run(&argv(&[
+        "corpus",
+        "pack",
+        "--dir",
+        &dir.path(""),
+        "--out",
+        &store,
+        "--shrads",
+        "2",
+    ]))
+    .unwrap_err();
+    assert!(matches!(err, sketch_cli::CliError::Usage(_)), "{err:?}");
+    let err = err.to_string();
+    assert!(
+        err.contains("--shrads") && err.contains("corpus pack"),
+        "{err}"
+    );
+    assert!(
+        !std::path::Path::new(&store).exists(),
+        "packed despite the typo"
+    );
+
+    let err = sketch_cli::run(&argv(&[
+        "query",
+        "--store",
+        &store,
+        "--table",
+        &dir.path("taxi.csv"),
+        "--key",
+        "day",
+        "--value",
+        "pickups",
+        "--candidate",
+        "1",
+        "--kk",
+        "1",
+    ]))
+    .unwrap_err();
+    assert!(matches!(err, sketch_cli::CliError::Usage(_)), "{err:?}");
+    let err = err.to_string();
+    assert!(err.contains("--candidate") && err.contains("--kk"), "{err}");
+    assert!(err.contains("corrsketch query"), "{err}");
+
+    // Another command's flag is just as unknown: a coordinator has no
+    // store, and refuses one before contacting any worker.
+    let err = sketch_cli::run(&argv(&[
+        "serve",
+        "--coordinator",
+        "true",
+        "--workers",
+        "127.0.0.1:1",
+        "--store",
+        &store,
+    ]))
+    .unwrap_err()
+    .to_string();
+    assert!(
+        err.contains("--store") && err.contains("serve --coordinator"),
+        "{err}"
+    );
 }
 
 #[test]
 fn query_rejects_wrong_columns() {
     let dir = TempDir::new("wrongcols");
     write_lake(&dir);
-    let index_file = dir.path("lake.sketches");
-    sketch_cli::run(&argv(&[
-        "index",
-        "--dir",
-        &dir.path(""),
-        "--out",
-        &index_file,
-    ]))
-    .unwrap();
+    let store = pack_lake(&dir, &[]);
     let err = sketch_cli::run(&argv(&[
         "query",
-        "--index",
-        &index_file,
+        "--store",
+        &store,
         "--table",
         &dir.path("taxi.csv"),
         "--key",
@@ -366,76 +461,108 @@ fn corpus_pack_info_query_roundtrip() {
         2
     );
 
-    // Query the packed store; the ranking must match the JSON path.
-    let query = |source: &[&str]| {
-        let mut cmd = [
-            "query",
-            "--table",
-            &dir.path("taxi.csv"),
-            "--key",
-            "day",
-            "--value",
-            "pickups",
-            "--k",
-            "3",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>();
-        cmd.extend(source.iter().map(|s| s.to_string()));
-        sketch_cli::run(&cmd).unwrap()
-    };
-    let from_store = query(&["--store", &store_dir]);
+    // Query the packed store.
+    let from_store = sketch_cli::run(&argv(&[
+        "query",
+        "--store",
+        &store_dir,
+        "--table",
+        &dir.path("taxi.csv"),
+        "--key",
+        "day",
+        "--value",
+        "pickups",
+        "--k",
+        "3",
+    ]))
+    .unwrap();
     let taxi = from_store.find("taxi/day/pickups").expect("self match");
     let weather = from_store.find("weather/day/rain").expect("weather");
     let noise = from_store.find("noise/day/reading").expect("noise");
     assert!(taxi < weather && weather < noise, "{from_store}");
 }
 
+/// pack → `query --store` prints exactly what the engine answers in
+/// process over sketches that never touched a disk: same rows, same
+/// order, same rendered numbers — for every scorer, and under the
+/// two-pass plan with a bootstrap estimator.
 #[test]
-fn corpus_pack_from_json_index_is_equivalent() {
-    let dir = TempDir::new("corpus-convert");
-    write_lake(&dir);
-    let index_file = dir.path("lake.sketches");
-    let store_dir = dir.path("store");
-    sketch_cli::run(&argv(&[
-        "index",
-        "--dir",
-        &dir.path(""),
-        "--out",
-        &index_file,
-        "--sketch-size",
-        "128",
-    ]))
-    .unwrap();
-    sketch_cli::run(&argv(&[
-        "corpus",
-        "pack",
-        "--index",
-        &index_file,
-        "--out",
-        &store_dir,
-    ]))
-    .unwrap();
+fn query_store_matches_in_process_engine() {
+    use correlation_sketches::{SketchBuilder, SketchConfig};
+    use sketch_index::{engine, PlanMode, QueryOptions, SketchIndex};
 
-    // Same corpus, same order -> byte-identical query reports, except the
-    // header line naming the source.
-    let query = |source: &[&str]| {
-        let mut cmd: Vec<String> = argv(&[
+    let dir = TempDir::new("corpus-equivalence");
+    write_lake(&dir);
+    let store = pack_lake(&dir, &["--sketch-size", "128", "--shards", "2"]);
+
+    // `corpus pack` sketches the CSVs in sorted path order.
+    let builder = SketchBuilder::new(SketchConfig::with_size(128));
+    let mut pairs = Vec::new();
+    for name in ["noise", "taxi", "weather"] {
+        let text = std::fs::read_to_string(dir.path(&format!("{name}.csv"))).unwrap();
+        let table = sketch_table::Table::from_csv(name.to_string(), &text).unwrap();
+        pairs.extend(table.column_pairs());
+    }
+    let index = SketchIndex::from_sketches(pairs.iter().map(|p| builder.build(p))).unwrap();
+    let query = builder.build(pairs.iter().find(|p| p.id() == "taxi/day/pickups").unwrap());
+
+    for (scorer, estimator, plan) in [
+        ("s1", "pearson", "exhaustive"),
+        ("s2", "pearson", "exhaustive"),
+        ("s3", "spearman", "exhaustive"),
+        ("s4", "pearson", "exhaustive"),
+        ("s3", "pm1", "two-pass"),
+    ] {
+        let report = sketch_cli::run(&argv(&[
             "query",
+            "--store",
+            &store,
             "--table",
             &dir.path("taxi.csv"),
             "--key",
             "day",
             "--value",
             "pickups",
-        ]);
-        cmd.extend(source.iter().map(|s| s.to_string()));
-        sketch_cli::run(&cmd).unwrap()
-    };
-    let via_json = query(&["--index", &index_file]);
-    let via_store = query(&["--store", &store_dir]);
-    assert_eq!(via_json, via_store);
+            "--scorer",
+            scorer,
+            "--estimator",
+            estimator,
+            "--plan",
+            plan,
+        ]))
+        .unwrap();
+        let opts = QueryOptions {
+            scorer: scorer.parse().unwrap(),
+            estimator: estimator.parse().unwrap(),
+            plan: plan.parse::<PlanMode>().unwrap(),
+            ..QueryOptions::default()
+        };
+        let expected: Vec<String> = engine::top_k_with_plan_stats(&index, &query, &opts)
+            .0
+            .iter()
+            .map(|r| {
+                format!(
+                    "{} {} {} {:+.3} [{:+.3}, {:+.3}] {:.3}",
+                    r.id,
+                    r.overlap,
+                    r.sample_size,
+                    r.estimate.unwrap(),
+                    r.ci_lo.unwrap(),
+                    r.ci_hi.unwrap(),
+                    r.score
+                )
+            })
+            .collect();
+        assert_eq!(expected.len(), 3);
+        // The rows follow the column header; collapse the column padding.
+        let printed: Vec<String> = report
+            .lines()
+            .skip_while(|l| !l.starts_with("column"))
+            .skip(1)
+            .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+            .collect();
+        assert_eq!(printed, expected, "{scorer}/{estimator}/{plan}:\n{report}");
+    }
 }
 
 /// The mutable-corpus round trip: append → query --store → rm → compact,
@@ -462,17 +589,8 @@ fn corpus_append_rm_compact_roundtrip() {
 
     // Append a fourth, correlated table from a sub-directory. The
     // sketch configuration is inherited from the store, so no
-    // --sketch-size is needed (or allowed to disagree).
-    let sub = dir.path("more");
-    std::fs::create_dir_all(&sub).unwrap();
-    let mut extra = String::from("day,events\n");
-    for i in 0..300 {
-        extra.push_str(&format!(
-            "d{i:03},{}\n",
-            ((i as f64) * 0.21).sin() * 10.0 + 20.0
-        ));
-    }
-    std::fs::write(format!("{sub}/events.csv"), extra).unwrap();
+    // --sketch-size is needed.
+    let sub = write_events(&dir);
     let report = sketch_cli::run(&argv(&[
         "corpus", "append", "--store", &store_dir, "--dir", &sub,
     ]))
@@ -644,18 +762,18 @@ fn corpus_command_errors_are_usable() {
         .unwrap_err()
         .to_string();
     assert!(err.contains("shrink"), "{err}");
-    // pack needs exactly one source.
+    // pack needs its source.
     let err = sketch_cli::run(&argv(&["corpus", "pack", "--out", "/tmp/x"]))
         .unwrap_err()
         .to_string();
-    assert!(err.contains("--dir") && err.contains("--index"), "{err}");
-    // query refuses both sources at once.
+    assert!(err.contains("--dir"), "{err}");
+    // The store is the only corpus a query reads.
     let err = sketch_cli::run(&argv(&[
-        "query", "--index", "a", "--store", "b", "--table", "t.csv", "--key", "k", "--value", "v",
+        "query", "--table", "t.csv", "--key", "k", "--value", "v",
     ]))
     .unwrap_err()
     .to_string();
-    assert!(err.contains("exactly one"), "{err}");
+    assert!(err.contains("--store"), "{err}");
 }
 
 #[test]

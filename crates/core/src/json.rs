@@ -1,6 +1,6 @@
 //! A small dependency-free JSON toolkit shared by every layer that
-//! speaks JSON: sketch persistence ([`crate::persist`]), the CLI's
-//! machine-readable reports, and the `sketch-server` HTTP service.
+//! speaks JSON: the CLI's machine-readable reports and the
+//! `sketch-server` HTTP service.
 //!
 //! Reading is a pull [`Reader`] — one string lexer, one number lexer,
 //! nesting bounded — that a decoder drives directly when it knows the

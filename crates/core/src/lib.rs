@@ -56,8 +56,10 @@
 //! * [`multi`] — multi-column sketches `L_⟨K,X,Z,…⟩` (Section 3.1).
 //! * [`mutual_info`] — mutual-information estimation from join samples,
 //!   demonstrating the "any statistic" claim of Theorem 1.
-//! * [`persist`] / [`binary`] — JSON and compact-binary sketch codecs
-//!   (the binary payload is what `sketch-store` shards contain).
+//! * [`binary`] — the compact binary sketch codec (the payload of a
+//!   `sketch-store` shard record, and the one persisted sketch format).
+//! * [`json`] — the JSON reader and writers under the server's request
+//!   decode and every machine-readable report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,7 +75,6 @@ pub mod merge;
 pub mod multi;
 pub mod mutual_info;
 pub mod parallel;
-pub mod persist;
 pub mod sketch;
 pub mod stream;
 

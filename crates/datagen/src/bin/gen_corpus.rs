@@ -5,8 +5,8 @@
 //! ```text
 //! cargo run --release -p sketch-datagen --bin gen_corpus -- \
 //!     --style nyc --tables 50 --out /tmp/lake
-//! corrsketch index --dir /tmp/lake --out /tmp/lake.sketches
-//! corrsketch query --index /tmp/lake.sketches --table /tmp/lake/nyc_0.csv \
+//! corrsketch corpus pack --dir /tmp/lake --out /tmp/lake-store
+//! corrsketch query --store /tmp/lake-store --table /tmp/lake/nyc_0.csv \
 //!     --key key --value v0
 //! ```
 //!

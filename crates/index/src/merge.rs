@@ -42,8 +42,9 @@
 //!
 //! Only the `shipped` survivors ever need their full uncertainty
 //! report fetched from their shard; the `terminated` rows never ship
-//! one — that is the scatter-gather bandwidth win the `shard_eval`
-//! bench gates on.
+//! one — that is the scatter-gather bandwidth win, gated by
+//! `bound_terminates_rows_under_prunable_scorers` below and, over real
+//! sockets, by `prop_shard`'s `early_termination_ships_strictly_fewer_rows`.
 
 use sketch_ranking::{score_bounds, score_estimates};
 use sketch_stats::ScoredEstimate;

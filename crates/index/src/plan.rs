@@ -158,8 +158,8 @@ pub fn has_pearson_surrogate(estimator: CorrelationEstimator) -> bool {
     )
 }
 
-/// Per-query execution statistics of the planner — what `plan_eval`
-/// and `rank_eval` report as estimator-invocation cost.
+/// Per-query execution statistics of the planner — what `rank_eval`
+/// and the ledger report as estimator-invocation cost.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlanStats {
     /// Did the two-pass machinery engage (vs exhaustive, whether

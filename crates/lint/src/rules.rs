@@ -464,7 +464,6 @@ fn r5_applies(path: &str) -> bool {
         "crates/server/src/cache.rs",
         "crates/core/src/binary.rs",
         "crates/core/src/json.rs",
-        "crates/core/src/persist.rs",
     ]
     .iter()
     .any(|p| path.ends_with(p))
@@ -558,7 +557,7 @@ mod tests {
         assert!(r3_applies("crates/server/src/pipeline.rs"));
         assert!(r3_applies("crates/server/src/server.rs"));
         assert!(r3_applies("crates/core/src/json.rs"));
-        assert!(!r3_applies("crates/core/src/persist.rs"));
+        assert!(!r3_applies("crates/core/src/binary.rs"));
         assert!(!r3_applies("crates/server/src/snapshot.rs"));
         assert!(r5_applies("crates/hashing/src/murmur3.rs"));
         assert!(!r5_applies("crates/server/src/server.rs"));

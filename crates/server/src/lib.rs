@@ -18,6 +18,11 @@
 //! | `GET /healthz`       | liveness + served generation |
 //! | `GET /stats`         | request counters, cache hits, latency percentiles |
 //! | `GET /metrics`       | the same counters as Prometheus text |
+//! | `POST /shard_query`, `/shard_query_batch` | a worker's half of a coordinator's scatter: candidate rows with score bounds, no reports |
+//! | `POST /shard_reports` | full uncertainty reports for the shard-local docs the coordinator's merge kept |
+//!
+//! The `/shard_*` endpoints exist on a store-serving server only; a
+//! [`coordinator`] answers the first six and calls the rest.
 //!
 //! # Design invariants
 //!
@@ -36,7 +41,7 @@
 //!   mutation invalidates exactly the stale entries — and a cache hit is
 //!   byte-identical to the miss that populated it.
 //! * **Answers are the engine's answers.** A served response body is a
-//!   pure rendering of [`sketch_index::engine::top_k_with_reports`] at
+//!   pure rendering of what [`sketch_index::engine::execute`] returns at
 //!   the served generation — proven byte-identical in the
 //!   mutation-under-load integration test.
 //! * **Freshness off the hot path.** A background thread polls the store

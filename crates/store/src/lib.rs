@@ -3,12 +3,11 @@
 //!
 //! The paper's Section 5 experiments assume a pre-built corpus of
 //! sketches that can be loaded and queried at scale ("synopses can be
-//! pre-computed and indexed"). Newline-delimited JSON (the
-//! `correlation_sketches::persist` format) is great for diffing and
-//! appending but slow to parse for multi-thousand-sketch corpora and
-//! impossible to shard; this crate stores the same sketches as multiple
-//! compact binary shard files plus a small manifest, written and read in
-//! parallel with the workspace's deterministic-chunking pattern. On top
+//! pre-computed and indexed"). This crate is that corpus on disk — the
+//! one persisted form of a sketch collection: multiple compact binary
+//! shard files (checksummed `correlation_sketches::binary` records) plus
+//! a small manifest, written and read in parallel with the workspace's
+//! deterministic-chunking pattern. On top
 //! of the static base shards it supports *mutation without re-packing*:
 //! [`append_corpus`] and [`remove_from_corpus`] write small delta shards,
 //! and [`compact_corpus`] folds them back into base shards offline.

@@ -1,7 +1,8 @@
 //! Persisting and searching a sketch corpus: build sketches for a
-//! simulated data lake, serialize them to JSON (the offline indexing
-//! artifact), reload, and serve interactive top-k join-correlation
-//! queries — the deployment shape sketched in paper Sections 1 and 5.5.
+//! simulated data lake, pack them into a corpus store on disk (the
+//! offline indexing artifact), load the store into the inverted index,
+//! and serve interactive top-k join-correlation queries — the deployment
+//! shape sketched in paper Sections 1 and 5.5.
 //!
 //! ```text
 //! cargo run --release --example index_search
@@ -11,7 +12,8 @@ use std::time::Instant;
 
 use join_correlation::datagen::{generate_open_data, split_corpus, OpenDataConfig};
 use join_correlation::index::{engine, QueryOptions, SketchIndex};
-use join_correlation::sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
+use join_correlation::sketches::{SketchBuilder, SketchConfig};
+use join_correlation::store::{pack_corpus, stat_corpus, PackOptions};
 
 fn main() {
     let tables = generate_open_data(&OpenDataConfig {
@@ -20,35 +22,33 @@ fn main() {
     });
     let split = split_corpus(&tables, 0.2, 7);
     let builder = SketchBuilder::new(SketchConfig::with_size(512));
+    let store = std::env::temp_dir().join(format!("index-search-{}", std::process::id()));
 
-    // --- Offline: sketch every corpus column pair and persist. ---
+    // --- Offline: sketch every corpus column pair and pack the store. ---
     let t0 = Instant::now();
-    let serialized: Vec<String> = split
-        .corpus
-        .iter()
-        .map(|p| builder.build(p).to_json().expect("serializable"))
-        .collect();
-    let bytes: usize = serialized.iter().map(String::len).sum();
+    let sketches: Vec<_> = split.corpus.iter().map(|p| builder.build(p)).collect();
+    let options = PackOptions {
+        shards: 4,
+        threads: 2,
+    };
+    pack_corpus(&store, &sketches, &options).expect("writable temp dir");
     println!(
-        "offline: sketched + serialized {} column pairs in {:.1} ms ({:.1} KiB total)",
-        serialized.len(),
+        "offline: sketched + packed {} column pairs in {:.1} ms ({:.1} KiB on disk)",
+        sketches.len(),
         t0.elapsed().as_secs_f64() * 1e3,
-        bytes as f64 / 1024.0
+        stat_corpus(&store).expect("just packed").disk_bytes() as f64 / 1024.0
     );
 
-    // --- Startup: load the persisted sketches into the inverted index. ---
+    // --- Startup: load the packed store into the inverted index. ---
     let t0 = Instant::now();
-    let mut index = SketchIndex::new();
-    for json in &serialized {
-        let sketch = CorrelationSketch::from_json(json).expect("round-trip");
-        index.insert(sketch).expect("uniform hasher");
-    }
+    let index = SketchIndex::from_store(&store, 2).expect("just packed");
     println!(
         "startup: loaded {} sketches ({} distinct keys) in {:.1} ms",
         index.len(),
         index.distinct_keys(),
         t0.elapsed().as_secs_f64() * 1e3
     );
+    let _ = std::fs::remove_dir_all(&store);
 
     // --- Online: serve queries. ---
     let opts = QueryOptions {

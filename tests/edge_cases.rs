@@ -115,7 +115,7 @@ fn csv_with_bom_and_mixed_line_endings_parses() {
 }
 
 #[test]
-fn sketch_json_from_other_hasher_configs_still_loads_but_wont_join() {
+fn sketch_bytes_from_other_hasher_configs_still_load_but_wont_join() {
     let p = ColumnPair::new(
         "t",
         "k",
@@ -128,7 +128,7 @@ fn sketch_json_from_other_hasher_configs_still_loads_but_wont_join() {
         SketchConfig::with_size(16).hasher(join_correlation::hashing::TupleHasher::new_64(99)),
     )
     .build(&p);
-    let reloaded = CorrelationSketch::from_json(&other.to_json().unwrap()).unwrap();
+    let reloaded = CorrelationSketch::from_bytes(&other.to_bytes().unwrap()).unwrap();
     assert!(
         join_sketches(&a, &reloaded).is_err(),
         "configs must not mix silently"

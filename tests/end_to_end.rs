@@ -116,10 +116,10 @@ fn sketches_survive_persistence_through_the_whole_pipeline() {
     let mut reloaded = SketchIndex::new();
     for p in &split.corpus {
         let s = builder.build(p);
-        let json = s.to_json().unwrap();
+        let bytes = s.to_bytes().unwrap();
         direct.insert(s).unwrap();
         reloaded
-            .insert(CorrelationSketch::from_json(&json).unwrap())
+            .insert(CorrelationSketch::from_bytes(&bytes).unwrap())
             .unwrap();
     }
 

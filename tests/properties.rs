@@ -100,7 +100,7 @@ proptest! {
     #[test]
     fn sketch_serde_roundtrip(p in arb_pair("t"), size in 1usize..64) {
         let s = SketchBuilder::new(SketchConfig::with_size(size)).build(&p);
-        let back = CorrelationSketch::from_json(&s.to_json().unwrap()).unwrap();
+        let back = CorrelationSketch::from_bytes(&s.to_bytes().unwrap()).unwrap();
         prop_assert_eq!(s, back);
     }
 
