@@ -62,16 +62,6 @@ fn sketch_config(args: &mut CliArgs, default_size: usize) -> Result<SketchConfig
         .hasher(sketch_hashing::TupleHasher::new_64(seed)))
 }
 
-/// The configuration `sketch` was built under, so that whatever is built
-/// next joins with it and is comparably sized.
-fn config_of(sketch: &CorrelationSketch) -> SketchConfig {
-    SketchConfig {
-        strategy: sketch.strategy(),
-        hasher: sketch.hasher(),
-        aggregation: sketch.aggregation(),
-    }
-}
-
 /// The non-empty items of a comma-separated flag value.
 fn comma_list(value: &str) -> Vec<String> {
     value
@@ -98,10 +88,11 @@ fn confidence_flag(args: &mut CliArgs) -> Result<Option<f64>, CliError> {
 /// `compact` folds them back into base shards.
 pub mod corpus {
     use super::*;
-    use correlation_sketches::DeltaRecord;
+    use correlation_sketches::DeltaHead;
+    use sketch_store::shard::{decode_delta_heads, decode_shard_heads};
     use sketch_store::{
-        append_corpus, compact_corpus, pack_corpus, read_corpus_with_manifest, remove_from_corpus,
-        Manifest, PackOptions, FORMAT_VERSION,
+        append_corpus, compact_corpus, pack_corpus, remove_from_corpus, DirectoryState, Manifest,
+        PackOptions, FORMAT_VERSION,
     };
 
     /// `corrsketch corpus pack` — sketch every `⟨categorical, numeric⟩`
@@ -146,16 +137,13 @@ pub mod corpus {
         let json = args.parse_or("json", false)?;
         args.finish("corpus info")?;
         let dir = dir.as_str();
-        // One load: the reported shape and the verified checksums come
-        // from the same manifest read.
-        let (manifest, sketches) =
-            read_corpus_with_manifest(Path::new(dir), threads).map_err(store_err)?;
+        // The full load verifies every checksum; the stat re-read (the
+        // manifest, the id directory and the delta heads) gives the shape.
+        let sketches = sketch_store::read_corpus(Path::new(dir), threads).map_err(store_err)?;
         let tuples: usize = sketches.iter().map(CorrelationSketch::len).sum();
         let mem: usize = sketches.iter().map(CorrelationSketch::memory_bytes).sum();
+        let info = sketch_store::stat_corpus(Path::new(dir)).map_err(store_err)?;
         if json {
-            // The full load above already verified every checksum; the
-            // stat re-read only needs the manifest + delta shards.
-            let info = sketch_store::stat_corpus(Path::new(dir)).map_err(store_err)?;
             let mut out = String::new();
             out.push_str("{\"store\":");
             correlation_sketches::json::push_string(&mut out, dir);
@@ -167,66 +155,60 @@ pub mod corpus {
             );
             return Ok(out);
         }
-        let base_records: u64 = manifest.shards.iter().map(|s| s.count).sum();
-        let mut disk = 0u64;
+        let kib = |bytes: u64| bytes as f64 / 1024.0;
         let mut out = String::new();
         let _ = writeln!(out, "store {dir} (format v{FORMAT_VERSION}):");
-        let _ = writeln!(out, "  sketches (live) : {}", manifest.total);
+        let _ = writeln!(out, "  sketches (live) : {}", info.live);
         let _ = writeln!(
             out,
             "  generation      : {} (base at {})",
-            manifest.generation, manifest.base_generation
+            info.generation, info.base_generation
         );
-        let _ = writeln!(out, "  base records    : {base_records}");
-        let _ = writeln!(out, "  shards          : {}", manifest.shards.len());
-        for s in &manifest.shards {
-            let bytes = std::fs::metadata(Path::new(dir).join(&s.file))
-                .map(|m| m.len())
-                .unwrap_or(0);
-            disk += bytes;
+        let _ = writeln!(out, "  base records    : {}", info.base_records());
+        let _ = writeln!(out, "  shards          : {}", info.shards.len());
+        for s in &info.shards {
             let _ = writeln!(
                 out,
                 "    {:<20} records={:<6} {:.1} KiB",
                 s.file,
-                s.count,
-                bytes as f64 / 1024.0
+                s.records,
+                kib(s.bytes)
             );
         }
-        let _ = writeln!(out, "  delta shards    : {}", manifest.deltas.len());
-        let mut appends = 0u64;
-        let mut tombstones = 0u64;
-        for d in &manifest.deltas {
-            let path = Path::new(dir).join(&d.file);
-            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            disk += bytes;
-            // The full load above already verified every delta checksum;
-            // this re-read only tallies the append/tombstone split.
-            let records = sketch_store::read_delta_shard(&path).map_err(store_err)?;
-            let dead = records
-                .iter()
-                .filter(|r| matches!(r, DeltaRecord::Tombstone(_)))
-                .count() as u64;
-            tombstones += dead;
-            appends += d.records - dead;
+        let _ = writeln!(out, "  delta shards    : {}", info.deltas.len());
+        for d in &info.deltas {
             let _ = writeln!(
                 out,
                 "    {:<20} records={:<6} tombstones={:<4} gen={:<4} {:.1} KiB",
                 d.file,
                 d.records,
-                dead,
+                d.tombstones,
                 d.generation,
-                bytes as f64 / 1024.0
+                kib(d.bytes)
             );
         }
-        if !manifest.deltas.is_empty() {
+        if !info.deltas.is_empty() {
             let _ = writeln!(
                 out,
-                "  pending         : {appends} appends, {tombstones} tombstones \
-                 (reclaimable by `corpus compact`)"
+                "  pending         : {} appends, {} tombstones \
+                 (reclaimable by `corpus compact`)",
+                info.pending_appends(),
+                info.pending_tombstones()
             );
         }
+        let _ = writeln!(
+            out,
+            "  id directory    : {} ({:.1} KiB; {})",
+            info.directory.as_str(),
+            kib(info.directory_bytes),
+            match info.directory {
+                DirectoryState::Ok => "a write costs the delta",
+                DirectoryState::Absent | DirectoryState::Stale =>
+                    "a write re-validates every base shard until `corpus compact`",
+            }
+        );
         let _ = writeln!(out, "  tuples          : {tuples}");
-        let _ = writeln!(out, "  on disk         : {:.1} KiB", disk as f64 / 1024.0);
+        let _ = writeln!(out, "  on disk         : {:.1} KiB", kib(info.disk_bytes()));
         let _ = writeln!(out, "  memory (loaded) : {:.1} KiB", mem as f64 / 1024.0);
         let _ = writeln!(
             out,
@@ -235,33 +217,34 @@ pub mod corpus {
         Ok(out)
     }
 
-    /// The sketch configuration of the store's first record, read from
-    /// the first populated manifest-listed shard only — `corpus append`
-    /// needs just the configuration up front (the full corpus is loaded
-    /// and validated once, inside `append_corpus`), so a whole-store
-    /// read here would double the append cost.
+    /// The sketch configuration of the store's first record, from record
+    /// *heads* alone: those of the first populated base shard, else of
+    /// the pending deltas in log order. `corpus append` needs just the
+    /// configuration up front, and `append_corpus` opens no base shard,
+    /// so decoding sketches here would be most of the command's cost.
     fn store_config(dir: &Path) -> Result<Option<SketchConfig>, CliError> {
         let manifest = Manifest::load(dir).map_err(store_err)?;
-        let mut first = None;
+        let read = |file: &str| {
+            let path = dir.join(file);
+            std::fs::read(&path).map_err(|e| CliError::Data(format!("{}: {e}", path.display())))
+        };
         if let Some(s) = manifest.shards.iter().find(|s| s.count > 0) {
-            first = sketch_store::read_shard(&dir.join(&s.file))
-                .map_err(store_err)?
-                .into_iter()
-                .next();
+            let bytes = read(&s.file)?;
+            let heads = decode_shard_heads(&bytes).map_err(|e| store_err(e.into()))?;
+            if let Some(head) = heads.first() {
+                return Ok(Some(head.config()));
+            }
         }
         for d in &manifest.deltas {
-            if first.is_some() {
-                break;
+            let bytes = read(&d.file)?;
+            let heads = decode_delta_heads(&bytes).map_err(|e| store_err(e.into()))?;
+            for head in heads {
+                if let DeltaHead::Sketch(head) = head {
+                    return Ok(Some(head.config()));
+                }
             }
-            first = sketch_store::read_delta_shard(&dir.join(&d.file))
-                .map_err(store_err)?
-                .into_iter()
-                .find_map(|r| match r {
-                    DeltaRecord::Sketch(s) => Some(s),
-                    DeltaRecord::Tombstone(_) => None,
-                });
         }
-        Ok(first.as_ref().map(config_of))
+        Ok(None)
     }
 
     /// `corrsketch corpus append` — sketch the columns of more CSVs and
@@ -442,7 +425,7 @@ pub mod query {
         };
         // Reuse the store's full configuration so the query sketch is
         // joinable and comparably sized.
-        let config = config_of(first);
+        let config = first.head().config();
         let index =
             SketchIndex::from_sketches(sketches).map_err(|e| CliError::Data(e.to_string()))?;
 

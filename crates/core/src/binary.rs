@@ -29,6 +29,10 @@
 //! | +…     | 4    | entry count `n` (`u32`) |
 //! | +…     | 16·n | entries: `⟨h(k)⟩` as `u64`, then `x_k` as `f64` bits |
 //!
+//! The fields through the strategy argument are the payload's **head**
+//! ([`SketchHead`]): which sketch the record holds and whether it joins
+//! with a corpus, readable without touching an entry.
+//!
 //! Every byte is significant: decoding rejects trailing bytes, unknown
 //! enum codes, non-canonical flag bytes, and out-of-order entries, so a
 //! payload that decodes is exactly one that [`CorrelationSketch::to_bytes`]
@@ -39,7 +43,7 @@ use sketch_hashing::{HashBits, KeyHash, KeyHasher, TupleHasher};
 use sketch_stats::ValueBounds;
 use sketch_table::Aggregation;
 
-use crate::builder::SelectionStrategy;
+use crate::builder::{SelectionStrategy, SketchConfig};
 use crate::error::SketchError;
 use crate::sketch::{CorrelationSketch, SketchEntry};
 
@@ -113,7 +117,111 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The leading fields of a sketch payload — its id and the configuration
+/// it was built under — borrowed from the encoded bytes. Everything a
+/// reader needs that asks *which* sketch a record holds and whether it
+/// joins with a corpus, at the cost of a few dozen bytes: no entry is
+/// touched, so a head costs the same for a sketch of 8 tuples or 8192.
+///
+/// A head is a prefix decode: it vouches for the fields it carries, not
+/// for the entries behind them (that is [`CorrelationSketch::from_bytes`],
+/// which reads its own head through this type).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SketchHead<'a> {
+    /// Sketch id (`table/key/value`).
+    pub id: &'a str,
+    /// Hash functions the sketch was built with.
+    pub hasher: TupleHasher,
+    /// Aggregation applied to repeated keys.
+    pub aggregation: Aggregation,
+    /// Tuple selection strategy.
+    pub strategy: SelectionStrategy,
+}
+
+impl<'a> SketchHead<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Self, SketchError> {
+        let id_len = wire_len(r.u32("id length")?, "id length")?;
+        let id = std::str::from_utf8(r.take(id_len, "sketch id")?)
+            .map_err(|e| SketchError::Corrupt(format!("sketch id is not UTF-8: {e}")))?;
+
+        let hasher = match r.u8("hasher bits")? {
+            0 => TupleHasher::paper_32(
+                u32::try_from(r.u64("hasher seed")?)
+                    .map_err(|_| SketchError::Corrupt("b32 hasher seed exceeds u32".into()))?,
+            ),
+            1 => TupleHasher::new_64(r.u64("hasher seed")?),
+            other => {
+                return Err(SketchError::Corrupt(format!(
+                    "unknown hasher bits code {other}"
+                )))
+            }
+        };
+
+        let aggregation = agg_from_code(r.u8("aggregation code")?)?;
+
+        let strategy = match r.u8("strategy tag")? {
+            0 => SelectionStrategy::FixedSize(
+                usize::try_from(r.u64("fixed-size argument")?)
+                    .map_err(|_| SketchError::Corrupt("fixed_size exceeds usize".into()))?,
+            ),
+            1 => {
+                let t = r.f64("threshold argument")?;
+                if !t.is_finite() {
+                    return Err(SketchError::Corrupt("non-finite threshold".into()));
+                }
+                SelectionStrategy::Threshold(t)
+            }
+            other => {
+                return Err(SketchError::Corrupt(format!(
+                    "unknown strategy tag {other}"
+                )))
+            }
+        };
+        Ok(Self {
+            id,
+            hasher,
+            aggregation,
+            strategy,
+        })
+    }
+
+    /// Decode the head of a payload produced by
+    /// [`CorrelationSketch::write_bytes`], reading no further than the
+    /// strategy argument.
+    ///
+    /// # Errors
+    ///
+    /// [`SketchError::Truncated`] when the bytes end inside the head,
+    /// [`SketchError::Corrupt`] on a non-UTF-8 id or an unknown code.
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, SketchError> {
+        Self::read(&mut Reader { bytes, pos: 0 })
+    }
+
+    /// The configuration to build under so that the result joins with,
+    /// and is sized like, the sketch this head describes.
+    #[must_use]
+    pub fn config(&self) -> SketchConfig {
+        SketchConfig {
+            strategy: self.strategy,
+            hasher: self.hasher,
+            aggregation: self.aggregation,
+        }
+    }
+}
+
 impl CorrelationSketch {
+    /// This sketch's head: what [`SketchHead::from_bytes`] reads back
+    /// from its encoding.
+    #[must_use]
+    pub fn head(&self) -> SketchHead<'_> {
+        SketchHead {
+            id: &self.id,
+            hasher: self.hasher,
+            aggregation: self.aggregation,
+            strategy: self.strategy,
+        }
+    }
+
     /// Encode to the compact binary payload documented in the module
     /// docs. Appends to `out` (so shard writers can frame many records
     /// into one buffer without copies).
@@ -204,49 +312,13 @@ impl CorrelationSketch {
     /// bytes, trailing bytes, or violated sketch invariants.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SketchError> {
         let mut r = Reader { bytes, pos: 0 };
-
-        let id_len = wire_len(r.u32("id length")?, "id length")?;
-        let id = std::str::from_utf8(r.take(id_len, "sketch id")?)
-            .map_err(|e| SketchError::Corrupt(format!("sketch id is not UTF-8: {e}")))?
-            .to_string();
-
-        let seed_field = |r: &mut Reader<'_>| r.u64("hasher seed");
-        let hasher = match r.u8("hasher bits")? {
-            0 => {
-                let seed = seed_field(&mut r)?;
-                TupleHasher::paper_32(
-                    u32::try_from(seed)
-                        .map_err(|_| SketchError::Corrupt("b32 hasher seed exceeds u32".into()))?,
-                )
-            }
-            1 => TupleHasher::new_64(seed_field(&mut r)?),
-            other => {
-                return Err(SketchError::Corrupt(format!(
-                    "unknown hasher bits code {other}"
-                )))
-            }
-        };
-
-        let aggregation = agg_from_code(r.u8("aggregation code")?)?;
-
-        let strategy = match r.u8("strategy tag")? {
-            0 => SelectionStrategy::FixedSize(
-                usize::try_from(r.u64("fixed-size argument")?)
-                    .map_err(|_| SketchError::Corrupt("fixed_size exceeds usize".into()))?,
-            ),
-            1 => {
-                let t = r.f64("threshold argument")?;
-                if !t.is_finite() {
-                    return Err(SketchError::Corrupt("non-finite threshold".into()));
-                }
-                SelectionStrategy::Threshold(t)
-            }
-            other => {
-                return Err(SketchError::Corrupt(format!(
-                    "unknown strategy tag {other}"
-                )))
-            }
-        };
+        let SketchHead {
+            id,
+            hasher,
+            aggregation,
+            strategy,
+        } = SketchHead::read(&mut r)?;
+        let id = id.to_string();
 
         let bounds = match r.u8("bounds flag")? {
             0 => None,
@@ -381,6 +453,11 @@ pub fn encode_tombstone(id: &str) -> Result<Vec<u8>, SketchError> {
 /// [`SketchError::Corrupt`] on a wrong tag, trailing bytes, an empty id,
 /// or non-UTF-8 id bytes.
 pub fn decode_tombstone(payload: &[u8]) -> Result<String, SketchError> {
+    tombstone_id(payload).map(str::to_string)
+}
+
+/// [`decode_tombstone`], with the id borrowed from the payload.
+fn tombstone_id(payload: &[u8]) -> Result<&str, SketchError> {
     let mut r = Reader {
         bytes: payload,
         pos: 0,
@@ -393,8 +470,7 @@ pub fn decode_tombstone(payload: &[u8]) -> Result<String, SketchError> {
     }
     let id_len = wire_len(r.u32("tombstone id length")?, "tombstone id length")?;
     let id = std::str::from_utf8(r.take(id_len, "tombstone id")?)
-        .map_err(|e| SketchError::Corrupt(format!("tombstone id is not UTF-8: {e}")))?
-        .to_string();
+        .map_err(|e| SketchError::Corrupt(format!("tombstone id is not UTF-8: {e}")))?;
     if r.pos != payload.len() {
         return Err(SketchError::Corrupt(format!(
             "{} trailing bytes after tombstone",
@@ -405,6 +481,50 @@ pub fn decode_tombstone(payload: &[u8]) -> Result<String, SketchError> {
         return Err(SketchError::Corrupt("empty tombstone id".into()));
     }
     Ok(id)
+}
+
+/// The tag byte opening a delta payload, if it is one this build knows.
+fn delta_tag(payload: &[u8]) -> Result<u8, SketchError> {
+    match payload.first() {
+        Some(&tag @ (DELTA_TAG_SKETCH | DELTA_TAG_TOMBSTONE)) => Ok(tag),
+        Some(&other) => Err(SketchError::Corrupt(format!(
+            "unknown delta record tag {other}"
+        ))),
+        None => Err(SketchError::Truncated {
+            context: "delta record tag",
+            needed: 1,
+            available: 0,
+        }),
+    }
+}
+
+/// The head of one delta record, borrowed from its payload: which id it
+/// appends (and under which configuration) or retires. What replaying a
+/// delta log for its *ids* needs — the store's write path and its
+/// append/tombstone tallies — without decoding a single entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DeltaHead<'a> {
+    /// The record appends the sketch with this head.
+    Sketch(SketchHead<'a>),
+    /// The record retires the live sketch with this id (a tombstone is
+    /// all head: it is validated in full).
+    Tombstone(&'a str),
+}
+
+impl<'a> DeltaHead<'a> {
+    /// Decode the head of a tagged delta payload produced by
+    /// [`DeltaRecord::write_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// As [`DeltaRecord::from_bytes`] for the tag and for tombstones; as
+    /// [`SketchHead::from_bytes`] for appends.
+    pub fn from_bytes(payload: &'a [u8]) -> Result<Self, SketchError> {
+        match delta_tag(payload)? {
+            DELTA_TAG_SKETCH => SketchHead::from_bytes(&payload[1..]).map(Self::Sketch),
+            _ => tombstone_id(payload).map(Self::Tombstone),
+        }
+    }
 }
 
 impl DeltaRecord {
@@ -446,19 +566,9 @@ impl DeltaRecord {
     /// same validation as [`CorrelationSketch::from_bytes`] and
     /// [`decode_tombstone`].
     pub fn from_bytes(payload: &[u8]) -> Result<Self, SketchError> {
-        match payload.first() {
-            Some(&DELTA_TAG_SKETCH) => {
-                CorrelationSketch::from_bytes(&payload[1..]).map(Self::Sketch)
-            }
-            Some(&DELTA_TAG_TOMBSTONE) => decode_tombstone(payload).map(Self::Tombstone),
-            Some(&other) => Err(SketchError::Corrupt(format!(
-                "unknown delta record tag {other}"
-            ))),
-            None => Err(SketchError::Truncated {
-                context: "delta record tag",
-                needed: 1,
-                available: 0,
-            }),
+        match delta_tag(payload)? {
+            DELTA_TAG_SKETCH => CorrelationSketch::from_bytes(&payload[1..]).map(Self::Sketch),
+            _ => decode_tombstone(payload).map(Self::Tombstone),
         }
     }
 }
@@ -496,8 +606,20 @@ mod tests {
             SketchConfig::with_size(8).aggregation(Aggregation::Count),
         ] {
             let s = SketchBuilder::new(cfg).build(&pair(700));
-            let via_bin = CorrelationSketch::from_bytes(&s.to_bytes().unwrap()).unwrap();
+            let bytes = s.to_bytes().unwrap();
+            let via_bin = CorrelationSketch::from_bytes(&bytes).unwrap();
             assert_eq!(via_bin, s);
+            // The head is the same fields, read without the entries.
+            let head = SketchHead::from_bytes(&bytes).unwrap();
+            assert_eq!(head, s.head());
+            assert_eq!(head.config(), cfg);
+            assert_eq!(
+                SketchHead::from_bytes(&bytes[..head.id.len() + 23]),
+                Ok(head)
+            );
+            for cut in 0..head.id.len() + 23 {
+                assert!(SketchHead::from_bytes(&bytes[..cut]).is_err(), "{cut}");
+            }
         }
     }
 
@@ -611,6 +733,11 @@ mod tests {
             let mut payload = Vec::new();
             record.write_bytes(&mut payload).unwrap();
             assert_eq!(DeltaRecord::from_bytes(&payload).unwrap(), record);
+            let head = match &record {
+                DeltaRecord::Sketch(s) => DeltaHead::Sketch(s.head()),
+                DeltaRecord::Tombstone(id) => DeltaHead::Tombstone(id),
+            };
+            assert_eq!(DeltaHead::from_bytes(&payload).unwrap(), head);
         }
         assert_eq!(DeltaRecord::Sketch(s.clone()).id(), s.id());
         assert_eq!(DeltaRecord::Tombstone("x/y/z".into()).id(), "x/y/z");
@@ -624,5 +751,13 @@ mod tests {
             DeltaRecord::from_bytes(&[]),
             Err(SketchError::Truncated { .. })
         ));
+        assert_eq!(
+            DeltaHead::from_bytes(&[9, 0, 0]).unwrap_err(),
+            DeltaRecord::from_bytes(&[9, 0, 0]).unwrap_err()
+        );
+        assert_eq!(
+            DeltaHead::from_bytes(&[]).unwrap_err(),
+            DeltaRecord::from_bytes(&[]).unwrap_err()
+        );
     }
 }

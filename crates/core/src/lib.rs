@@ -79,7 +79,8 @@ pub mod sketch;
 pub mod stream;
 
 pub use binary::{
-    decode_tombstone, encode_tombstone, DeltaRecord, DELTA_TAG_SKETCH, DELTA_TAG_TOMBSTONE,
+    decode_tombstone, encode_tombstone, DeltaHead, DeltaRecord, SketchHead, DELTA_TAG_SKETCH,
+    DELTA_TAG_TOMBSTONE,
 };
 pub use builder::{SelectionStrategy, SketchBuilder, SketchConfig};
 pub use error::SketchError;

@@ -13,6 +13,37 @@
 //! sees exactly this order, so doc ids, tie-breaks, and query reports
 //! are reproducible across loads, thread counts, and compactions.
 //!
+//! # What a write verifies, and what only a load verifies
+//!
+//! A write ([`append_corpus`], [`remove_from_corpus`]) costs the delta,
+//! not the lake. It learns which of the ids it names are in the base,
+//! and the corpus hasher, from the id directory ([`crate::directory`])
+//! once that verifies — whole-file checksum, base generation, record
+//! count, and the byte length of every base shard against an
+//! `O(#shards)` stat — and the rest from the record *heads* (tag, id,
+//! hasher) of the pending delta shards, whose record checksums and counts
+//! it still verifies in full. Against that view it applies the rules a
+//! load applies, in the same order: no duplicate live id, no tombstone
+//! for an id that is not live, one hasher. **No base shard is
+//! opened**, so a write verifies that every base shard is present and of
+//! the recorded size, and nothing more about it: a bit flipped inside a
+//! base shard does not fail the write — it fails the next load
+//! ([`read_corpus`], `SketchIndex::from_store`, `corpus info`,
+//! [`compact_corpus`]), which still verifies every checksum of every
+//! file, with the same typed error naming the shard, and the write
+//! neither hides nor worsens it. Likewise only a load decodes the
+//! *entries* of a pending delta's sketches.
+//!
+//! A store whose directory is absent (packed before directories
+//! existed), stamped for another base, describing shards of other sizes
+//! (so also: a missing or resized base shard), truncated, or failing its
+//! checksum falls back to the full load — every base shard read,
+//! checksummed and decoded — and gets exactly that path's outcome. The
+//! only selection between the two is the one the code observes: does a
+//! directory that verifies exist. A load cross-checks a verified
+//! directory against the ids it decoded (typed `Corrupt` on
+//! disagreement).
+//!
 //! # Crash safety
 //!
 //! Appends and removes write their delta shard *before* atomically
@@ -21,16 +52,25 @@
 //! cleaned up by the next compact). Compaction and re-packing follow the
 //! invalidate-first discipline: the old manifest is deleted before any
 //! shard is rewritten, so a crash mid-compact leaves the directory
-//! loudly unreadable (missing manifest) rather than silently mixed.
+//! loudly unreadable (missing manifest) rather than silently mixed. The
+//! id directory is written after the base shards it describes and before
+//! the manifest that publishes them, so a manifest never sits beside a
+//! directory of its own base generation that describes other shards.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
-use correlation_sketches::{CorrelationSketch, DeltaRecord, SketchError};
+use correlation_sketches::{
+    encode_tombstone, CorrelationSketch, DeltaHead, DeltaRecord, SketchError, DELTA_TAG_SKETCH,
+};
+use sketch_hashing::TupleHasher;
 
+use crate::directory::{self, IdDirectory, DIRECTORY_NAME};
 use crate::error::StoreError;
 use crate::manifest::{DeltaMeta, Manifest, ShardMeta};
-use crate::shard::{read_delta_shard, read_shard, write_shard};
+use crate::shard::{
+    decode_delta_heads, encode_records, encode_shard, read_delta_shard, read_shard, KIND_DELTA,
+};
 
 /// How a corpus is packed.
 #[derive(Debug, Clone, Copy)]
@@ -115,9 +155,11 @@ fn try_par_map<T: Sync, U: Send>(
 }
 
 /// Write base shards for `sketches` into `dir` at `generation`, cleaning
-/// every stale base/delta file, with the invalidate-first discipline.
-/// Shared by [`pack_corpus`] (generation 0 → version-1 manifest) and
-/// [`compact_corpus`] (the compacting generation).
+/// every stale base/delta file, with the invalidate-first discipline:
+/// manifest removed, shards written, stale files deleted, id directory
+/// written, manifest renamed into place. Shared by [`pack_corpus`]
+/// (generation 0 → version-1 manifest) and [`compact_corpus`] (the
+/// compacting generation).
 fn write_base(
     dir: &Path,
     sketches: &[CorrelationSketch],
@@ -141,29 +183,38 @@ fn write_base(
         sketches.chunks(chunk_len).enumerate().collect()
     };
 
-    let metas: Vec<ShardMeta> = try_par_map(&chunks, opts.threads, |&(i, chunk)| {
+    // Each shard with the byte length written, for the id directory.
+    let written: Vec<(ShardMeta, u64)> = try_par_map(&chunks, opts.threads, |&(i, chunk)| {
         let file = shard_file_name(i);
-        write_shard(&dir.join(&file), chunk)?;
-        Ok(ShardMeta {
+        let path = dir.join(&file);
+        let bytes = encode_shard(chunk)?;
+        std::fs::write(&path, &bytes).map_err(StoreError::io(path))?;
+        let meta = ShardMeta {
             file,
             count: chunk.len() as u64,
-        })
+        };
+        Ok((meta, bytes.len() as u64))
     })?;
+    let (metas, shard_lens): (Vec<ShardMeta>, Vec<u64>) = written.into_iter().unzip();
 
     // Delete files a previous, larger pack (or the pre-compaction delta
     // log) left behind — they are no longer referenced and would
-    // otherwise linger as dead weight (or confuse a by-glob consumer).
+    // otherwise linger as dead weight (or confuse a by-glob consumer) —
+    // and the previous base's id directory, which describes none of the
+    // shards just written.
     let current: HashSet<&str> = metas.iter().map(|m| m.file.as_str()).collect();
     for entry in std::fs::read_dir(dir).map_err(StoreError::io(dir))? {
         let entry = entry.map_err(StoreError::io(dir))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let stale =
-            (is_shard_file_name(name) && !current.contains(name)) || is_delta_file_name(name);
+        let stale = (is_shard_file_name(name) && !current.contains(name))
+            || is_delta_file_name(name)
+            || name == DIRECTORY_NAME;
         if stale {
             std::fs::remove_file(entry.path()).map_err(StoreError::io(entry.path()))?;
         }
     }
+    directory::write(dir, generation, &shard_lens, sketches)?;
 
     let manifest = Manifest {
         generation,
@@ -179,7 +230,9 @@ fn write_base(
 /// The input order is preserved: shard `i` holds the `i`-th contiguous
 /// chunk, and [`read_corpus`] returns the sketches in exactly this order.
 /// Duplicate sketch ids are rejected up front (ids are primary keys in a
-/// store).
+/// store), and so is a corpus whose sketches disagree on the hasher: no
+/// two of its halves could be joined, so it would sit valid on disk but
+/// unindexable.
 ///
 /// Re-packing into a directory that already holds a store is safe: the
 /// old manifest is removed *before* any shard is written (so a pack
@@ -193,8 +246,9 @@ fn write_base(
 /// # Errors
 ///
 /// [`StoreError::Sketch`] with [`SketchError::DuplicateId`] on duplicate
-/// ids or [`SketchError::Corrupt`] on unencodable sketches;
-/// [`StoreError::Io`] on filesystem failure.
+/// ids, [`SketchError::HasherMismatch`] on mixed hashers, or
+/// [`SketchError::Corrupt`] on unencodable sketches; [`StoreError::Io`]
+/// on filesystem failure.
 pub fn pack_corpus(
     dir: &Path,
     sketches: &[CorrelationSketch],
@@ -205,35 +259,63 @@ pub fn pack_corpus(
         if !seen.insert(s.id()) {
             return Err(SketchError::DuplicateId(s.id().to_string()).into());
         }
+        if s.hasher() != sketches[0].hasher() {
+            return Err(SketchError::HasherMismatch.into());
+        }
     }
     write_base(dir, sketches, opts, 0)
 }
 
-/// The replayed live view of a corpus log: surviving records in log
-/// order, with the id-keyed bookkeeping needed to apply more deltas.
-struct LiveView {
+/// The replayed live view of a corpus log: what survives, in log order,
+/// with the id-keyed bookkeeping needed to apply more deltas. One replay
+/// serves both readers: a full load holds `LiveView<CorrelationSketch>`;
+/// a write holds `LiveView<TupleHasher>` — a slot reduced to the one
+/// field of its sketch a write asks about.
+struct LiveView<T> {
     /// Records in log order; tombstoned slots are `None`.
-    slots: Vec<Option<CorrelationSketch>>,
+    slots: Vec<Option<T>>,
     /// Live id → slot position.
     by_id: HashMap<String, usize>,
+    /// Base records the view holds no slot for (see [`replay_heads`]) —
+    /// live, and named by no record the replay goes on to apply — as
+    /// their count and what any one of their slots would hold. `None` in
+    /// a full load, and wherever there is no such record.
+    unnamed: Option<(usize, T)>,
 }
 
-impl LiveView {
-    fn new(capacity: usize) -> Self {
+impl<T> LiveView<T> {
+    /// A view with room for `records` log records — always a count of
+    /// records actually read, never a number a file merely states.
+    fn with_capacity(records: usize) -> Self {
         Self {
-            slots: Vec::with_capacity(capacity),
-            by_id: HashMap::with_capacity(capacity),
+            slots: Vec::with_capacity(records),
+            by_id: HashMap::with_capacity(records),
+            unnamed: None,
         }
     }
 
-    fn append(&mut self, sketch: CorrelationSketch) -> Result<(), SketchError> {
-        match self.by_id.entry(sketch.id().to_string()) {
+    fn live_count(&self) -> u64 {
+        let unnamed = self.unnamed.as_ref().map_or(0, |(count, _)| *count);
+        (self.by_id.len() + unnamed) as u64
+    }
+
+    /// The first live record in log order. Unnamed records are base
+    /// records, and the base opens the log.
+    fn first_live(&self) -> Option<&T> {
+        match &self.unnamed {
+            Some((_, item)) => Some(item),
+            None => self.slots.iter().flatten().next(),
+        }
+    }
+
+    fn append(&mut self, id: String, item: T) -> Result<(), SketchError> {
+        match self.by_id.entry(id) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 Err(SketchError::DuplicateId(e.key().clone()))
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(self.slots.len());
-                self.slots.push(Some(sketch));
+                self.slots.push(Some(item));
                 Ok(())
             }
         }
@@ -249,15 +331,68 @@ impl LiveView {
         }
     }
 
+    /// The replay must leave exactly the live count the manifest states.
+    fn check_total(&self, manifest: &Manifest) -> Result<(), SketchError> {
+        let live_count = self.live_count();
+        if live_count != manifest.total {
+            return Err(SketchError::Corrupt(format!(
+                "replaying the corpus log leaves {live_count} live records, \
+                 manifest says {}",
+                manifest.total
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl LiveView<CorrelationSketch> {
     fn apply(&mut self, record: DeltaRecord) -> Result<(), SketchError> {
         match record {
-            DeltaRecord::Sketch(s) => self.append(s),
+            DeltaRecord::Sketch(s) => self.append(s.id().to_string(), s),
             DeltaRecord::Tombstone(id) => self.tombstone(&id),
         }
     }
 
     fn into_live(self) -> Vec<CorrelationSketch> {
         self.slots.into_iter().flatten().collect()
+    }
+
+    /// This view as a write holds it.
+    fn heads(&self) -> LiveView<TupleHasher> {
+        let mut heads = LiveView::with_capacity(self.slots.len());
+        for (slot, sketch) in self.slots.iter().enumerate() {
+            heads
+                .slots
+                .push(sketch.as_ref().map(CorrelationSketch::hasher));
+            if let Some(s) = sketch {
+                heads.by_id.insert(s.id().to_string(), slot);
+            }
+        }
+        heads
+    }
+}
+
+/// What a write needs to know of a log record: its id, and the hasher it
+/// was appended under (`None`: the record is a tombstone).
+type IdEvent<'a> = (&'a str, Option<TupleHasher>);
+
+/// The [`IdEvent`]s of one pending delta shard, owning their ids.
+type ShardEvents = Vec<(String, Option<TupleHasher>)>;
+
+impl LiveView<TupleHasher> {
+    fn apply(&mut self, (id, appended_under): IdEvent<'_>) -> Result<(), SketchError> {
+        match appended_under {
+            Some(hasher) => self.append(id.to_string(), hasher),
+            None => self.tombstone(id),
+        }
+    }
+}
+
+/// Name the shard a typed corruption reason was found in.
+fn in_shard(file: &str) -> impl Fn(SketchError) -> StoreError + '_ {
+    move |source| StoreError::Shard {
+        file: file.to_string(),
+        source,
     }
 }
 
@@ -271,12 +406,8 @@ fn read_listed<T>(
 ) -> Result<T, StoreError> {
     match read(&dir.join(file)) {
         Ok(v) => Ok(v),
-        Err(StoreError::Sketch(e)) => Err(StoreError::Shard {
-            file: file.to_string(),
-            source: e,
-        }),
-        Err(StoreError::Io { path, source }) if source.kind() == std::io::ErrorKind::NotFound => {
-            let _ = path;
+        Err(StoreError::Sketch(e)) => Err(in_shard(file)(e)),
+        Err(StoreError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
             Err(StoreError::MissingShard {
                 file: file.to_string(),
             })
@@ -285,73 +416,65 @@ fn read_listed<T>(
     }
 }
 
+/// A shard must hold exactly the record count its manifest line states.
+fn check_count(file: &str, held: usize, listed: u64) -> Result<(), StoreError> {
+    if held as u64 != listed {
+        return Err(in_shard(file)(SketchError::Corrupt(format!(
+            "holds {held} records, manifest says {listed}"
+        ))));
+    }
+    Ok(())
+}
+
 /// Load the full corpus log (manifest, base shards, delta shards) and
 /// replay it into the live view. The backbone of every read path.
-fn load_live(dir: &Path, threads: usize) -> Result<(Manifest, LiveView), StoreError> {
+fn load_live(
+    dir: &Path,
+    threads: usize,
+) -> Result<(Manifest, LiveView<CorrelationSketch>), StoreError> {
     let manifest = Manifest::load(dir)?;
 
     let shard_contents: Vec<Vec<CorrelationSketch>> =
         try_par_map(&manifest.shards, threads, |meta| {
             let sketches = read_listed(dir, &meta.file, read_shard)?;
-            if sketches.len() as u64 != meta.count {
-                return Err(StoreError::Shard {
-                    file: meta.file.clone(),
-                    source: SketchError::Corrupt(format!(
-                        "holds {} records, manifest says {}",
-                        sketches.len(),
-                        meta.count
-                    )),
-                });
-            }
+            check_count(&meta.file, sketches.len(), meta.count)?;
             Ok(sketches)
         })?;
     let delta_contents: Vec<Vec<DeltaRecord>> = try_par_map(&manifest.deltas, threads, |meta| {
         let records = read_listed(dir, &meta.file, read_delta_shard)?;
-        if records.len() as u64 != meta.records {
-            return Err(StoreError::Shard {
-                file: meta.file.clone(),
-                source: SketchError::Corrupt(format!(
-                    "holds {} records, manifest says {}",
-                    records.len(),
-                    meta.records
-                )),
-            });
-        }
+        check_count(&meta.file, records.len(), meta.records)?;
         Ok(records)
     })?;
+    if let Some(bytes) = directory::read(dir) {
+        if let Some(directory) = IdDirectory::verify(&bytes, dir, &manifest) {
+            directory.cross_check(shard_contents.iter().flatten())?;
+        }
+    }
 
     // Replay serially in log order — deterministic for every thread count.
-    let mut live = LiveView::new(manifest.total as usize);
+    let records = shard_contents.iter().map(Vec::len).sum::<usize>()
+        + delta_contents.iter().map(Vec::len).sum::<usize>();
+    let mut live = LiveView::with_capacity(records);
     for sketches in shard_contents {
         for s in sketches {
-            live.append(s)?;
+            live.append(s.id().to_string(), s)?;
         }
     }
     for (meta, records) in manifest.deltas.iter().zip(delta_contents) {
         for record in records {
-            live.apply(record).map_err(|e| StoreError::Shard {
-                file: meta.file.clone(),
-                source: e,
-            })?;
+            live.apply(record).map_err(in_shard(&meta.file))?;
         }
     }
-    let live_count = live.by_id.len() as u64;
-    if live_count != manifest.total {
-        return Err(SketchError::Corrupt(format!(
-            "replaying the corpus log leaves {live_count} live records, \
-             manifest says {}",
-            manifest.total
-        ))
-        .into());
-    }
+    live.check_total(&manifest)?;
     Ok((manifest, live))
 }
 
 /// Load a packed corpus, validating every shard (magic, version,
 /// checksums, manifest record counts), replaying delta shards in
-/// generation order, and rejecting duplicate live ids and tombstones for
-/// unknown ids. Returns the manifest the corpus was validated against
-/// alongside the live sketches.
+/// generation order, rejecting duplicate live ids and tombstones for
+/// unknown ids, and holding the id directory — when it verifies — to the
+/// ids the base shards decoded to. Returns the manifest the corpus was
+/// validated against alongside the live sketches.
 ///
 /// Shards are read with up to `threads` workers; the live order (base
 /// survivors in pack order, then surviving appends in append order) is
@@ -364,7 +487,8 @@ fn load_live(dir: &Path, threads: usize) -> Result<(Manifest, LiveView), StoreEr
 /// [`StoreError::Shard`] naming the offending file (with a typed
 /// [`SketchError`] inside) on per-shard corruption; [`StoreError::Sketch`]
 /// on corpus-level corruption (bad manifest, duplicate ids, stale
-/// generations, live-count mismatch) — never a silent partial load.
+/// generations, live-count mismatch, an id directory that disagrees with
+/// the base shards) — never a silent partial load.
 pub fn read_corpus_with_manifest(
     dir: &Path,
     threads: usize,
@@ -429,16 +553,7 @@ pub fn read_deltas_since(
         .collect();
     let contents: Vec<Vec<DeltaRecord>> = try_par_map(&wanted, threads, |meta| {
         let records = read_listed(dir, &meta.file, read_delta_shard)?;
-        if records.len() as u64 != meta.records {
-            return Err(StoreError::Shard {
-                file: meta.file.clone(),
-                source: SketchError::Corrupt(format!(
-                    "holds {} records, manifest says {}",
-                    records.len(),
-                    meta.records
-                )),
-            });
-        }
+        check_count(&meta.file, records.len(), meta.records)?;
         Ok(records)
     })?;
     Ok((manifest, contents.into_iter().flatten().collect()))
@@ -449,10 +564,12 @@ pub fn read_deltas_since(
 /// already live is rejected (retire it first with
 /// [`remove_from_corpus`]).
 ///
-/// The whole corpus is re-validated (every checksum) before the append,
-/// so a corrupted store is never silently extended. The delta shard is
-/// written before the manifest is atomically renamed into place; a crash
-/// in between leaves an unreferenced file, not a broken store.
+/// The append is validated against the id directory and the pending
+/// delta heads, and opens no base shard — see the module docs for what
+/// that verifies, what it leaves to the next load, and when it falls
+/// back to a full load (`threads` readers). The delta shard is written
+/// before the manifest is atomically renamed into place; a crash in
+/// between leaves an unreferenced file, not a broken store.
 ///
 /// # Errors
 ///
@@ -461,38 +578,131 @@ pub fn read_deltas_since(
 /// when an appended sketch was built with a different hasher
 /// configuration than the live corpus (it could never be joined with
 /// it, so accepting it would leave the store valid but unqueryable);
-/// otherwise the errors of [`read_corpus_with_manifest`] and
-/// [`StoreError::Io`].
+/// the typed corruption errors of the manifest and the pending delta
+/// shards (and, on the fallback, everything
+/// [`read_corpus_with_manifest`] reports); [`StoreError::MissingShard`]
+/// for a missing base or delta shard; [`StoreError::Io`].
 pub fn append_corpus(
     dir: &Path,
     sketches: &[CorrelationSketch],
     threads: usize,
 ) -> Result<Manifest, StoreError> {
-    mutate_corpus(
-        dir,
-        threads,
-        sketches.iter().cloned().map(DeltaRecord::Sketch),
-    )
+    let records: Vec<Mutation<'_>> = sketches.iter().map(Mutation::Append).collect();
+    mutate_corpus(dir, threads, &records)
 }
 
 /// Tombstone live sketch ids as one new delta shard, advancing the store
-/// generation by one.
+/// generation by one. Validated like [`append_corpus`].
 ///
 /// # Errors
 ///
 /// [`SketchError::TombstoneForUnknownId`] (wrapped) when an id is not
 /// live (unknown, already removed, or repeated within `ids`); otherwise
-/// the errors of [`read_corpus_with_manifest`] and [`StoreError::Io`].
+/// as [`append_corpus`].
 pub fn remove_from_corpus(
     dir: &Path,
     ids: &[String],
     threads: usize,
 ) -> Result<Manifest, StoreError> {
-    mutate_corpus(
-        dir,
-        threads,
-        ids.iter().cloned().map(DeltaRecord::Tombstone),
-    )
+    let records: Vec<Mutation<'_>> = ids.iter().map(|id| Mutation::Remove(id)).collect();
+    mutate_corpus(dir, threads, &records)
+}
+
+/// One record of a mutation as its caller holds it, so the delta shard is
+/// encoded straight from the caller's sketches.
+#[derive(Clone, Copy)]
+enum Mutation<'a> {
+    Append(&'a CorrelationSketch),
+    Remove(&'a str),
+}
+
+impl<'a> Mutation<'a> {
+    fn event(self) -> IdEvent<'a> {
+        match self {
+            Self::Append(s) => (s.id(), Some(s.hasher())),
+            Self::Remove(id) => (id, None),
+        }
+    }
+
+    /// The tagged delta payload — byte for byte what
+    /// [`DeltaRecord::write_bytes`] writes for the owned record.
+    fn payload(self) -> Result<Vec<u8>, SketchError> {
+        match self {
+            Self::Append(s) => {
+                let mut out = vec![DELTA_TAG_SKETCH];
+                s.write_bytes(&mut out)?;
+                Ok(out)
+            }
+            Self::Remove(id) => encode_tombstone(id),
+        }
+    }
+}
+
+/// The heads of every pending delta shard, in log order, each shard
+/// validated as a load validates it short of decoding entries: present,
+/// every record checksum, the manifest's record count.
+fn pending_heads(dir: &Path, manifest: &Manifest) -> Result<Vec<ShardEvents>, StoreError> {
+    let read = |path: &Path| std::fs::read(path).map_err(StoreError::io(path));
+    manifest
+        .deltas
+        .iter()
+        .map(|meta| {
+            let bytes = read_listed(dir, &meta.file, read)?;
+            let heads = decode_delta_heads(&bytes).map_err(in_shard(&meta.file))?;
+            check_count(&meta.file, heads.len(), meta.records)?;
+            Ok(heads
+                .into_iter()
+                .map(|head| match head {
+                    DeltaHead::Sketch(h) => (h.id.to_string(), Some(h.hasher)),
+                    DeltaHead::Tombstone(id) => (id.to_string(), None),
+                })
+                .collect())
+        })
+        .collect()
+}
+
+/// Replay the log's *ids* — the base from its directory, the pending
+/// deltas from their heads — under the rules and in the order
+/// [`load_live`] replays the records themselves.
+///
+/// Only the base ids that some record *names* get a slot: the ids of the
+/// pending heads and of `records`, the mutation about to be validated.
+/// No rule ever asks about another id — a duplicate check or a tombstone
+/// looks up the id its own record carries — so the rest of the base is
+/// carried as a count ([`LiveView::unnamed`]), and the replay costs the
+/// log's tail and a binary search per named id, not the lake.
+fn replay_heads(
+    dir: &Path,
+    manifest: &Manifest,
+    directory: &IdDirectory<'_>,
+    records: &[Mutation<'_>],
+) -> Result<LiveView<TupleHasher>, StoreError> {
+    let pending = pending_heads(dir, manifest)?;
+    let named = pending
+        .iter()
+        .flatten()
+        .map(|(id, _)| id.as_str())
+        .chain(records.iter().map(|r| r.event().0));
+    let mut live =
+        LiveView::with_capacity(pending.iter().map(Vec::len).sum::<usize>() + records.len());
+    // `verify` admits base records only beside a hasher.
+    if let Some(hasher) = directory.hasher {
+        for id in named {
+            if !live.by_id.contains_key(id) && directory.contains(id) {
+                live.append(id.to_string(), hasher)?;
+            }
+        }
+        let unnamed = directory.records - live.slots.len();
+        live.unnamed = (unnamed > 0).then_some((unnamed, hasher));
+    }
+    for (meta, heads) in manifest.deltas.iter().zip(&pending) {
+        for (id, appended_under) in heads {
+            live.apply((id, *appended_under))
+                .map_err(in_shard(&meta.file))?;
+        }
+    }
+    live.check_total(manifest)?;
+    Ok(live)
 }
 
 /// Shared append/remove implementation: validate the records against the
@@ -500,24 +710,33 @@ pub fn remove_from_corpus(
 fn mutate_corpus(
     dir: &Path,
     threads: usize,
-    records: impl Iterator<Item = DeltaRecord>,
+    records: &[Mutation<'_>],
 ) -> Result<Manifest, StoreError> {
-    let (mut manifest, mut live) = load_live(dir, threads)?;
-    let records: Vec<DeltaRecord> = records.collect();
+    let mut manifest = Manifest::load(dir)?;
+    // The live ids and their hashers: from the id directory and the
+    // pending delta heads when a directory verifies, else from the full
+    // load that every write used to pay for.
+    let directory_bytes = directory::read(dir);
+    let directory = directory_bytes
+        .as_deref()
+        .and_then(|bytes| IdDirectory::verify(bytes, dir, &manifest));
+    let mut live = match &directory {
+        Some(directory) => replay_heads(dir, &manifest, directory, records)?,
+        None => {
+            let loaded;
+            (manifest, loaded) = load_live(dir, threads)?;
+            loaded.heads()
+        }
+    };
     if records.is_empty() {
         return Ok(manifest);
     }
     // Appends must be joinable with the live corpus: enforce hasher
     // uniformity here, mirroring `SketchIndex::insert`, so a mutation
     // can never leave the store valid on disk but unindexable.
-    let mut hasher = live
-        .slots
-        .iter()
-        .flatten()
-        .next()
-        .map(CorrelationSketch::hasher);
-    for record in &records {
-        if let DeltaRecord::Sketch(s) = record {
+    let mut hasher = live.first_live().copied();
+    for record in records {
+        if let Mutation::Append(s) = record {
             match hasher {
                 Some(h) if h != s.hasher() => return Err(SketchError::HasherMismatch.into()),
                 None => hasher = Some(s.hasher()),
@@ -525,13 +744,18 @@ fn mutate_corpus(
             }
         }
     }
-    for record in &records {
-        live.apply(record.clone())?;
+    for record in records {
+        live.apply(record.event())?;
     }
 
     let gen = manifest.generation + 1;
     let file = delta_file_name(gen);
     let path = dir.join(&file);
+    let payloads = records
+        .iter()
+        .map(|r| r.payload())
+        .collect::<Result<Vec<_>, _>>()?;
+    let bytes = encode_records(KIND_DELTA, &payloads)?;
     // `create_new`: two writers racing on the same store both compute
     // generation G+1; the loser must collide loudly here instead of
     // truncate-overwriting the winner's acknowledged delta (the final
@@ -539,22 +763,28 @@ fn mutate_corpus(
     // The same error fires on an orphan file left by an append that
     // crashed before its manifest rename — `corpus compact` (which
     // deletes every delta file) clears either situation.
-    let bytes = crate::shard::encode_delta_shard(&records).map_err(StoreError::Sketch)?;
     let mut delta_file = std::fs::OpenOptions::new()
         .write(true)
         .create_new(true)
         .open(&path)
         .map_err(StoreError::io(&path))?;
-    std::io::Write::write_all(&mut delta_file, &bytes).map_err(StoreError::io(&path))?;
     manifest.deltas.push(DeltaMeta {
         file,
         records: records.len() as u64,
         generation: gen,
     });
     manifest.generation = gen;
-    manifest.total = live.by_id.len() as u64;
-    manifest.save(dir)?;
-    Ok(manifest)
+    manifest.total = live.live_count();
+    let published = std::io::Write::write_all(&mut delta_file, &bytes)
+        .map_err(StoreError::io(&path))
+        .and_then(|()| manifest.save(dir));
+    if published.is_err() {
+        // From here on the file is this call's own, so a failure takes it
+        // back: left behind, it would fail every later write of this
+        // generation with `AlreadyExists` until a compact.
+        let _ = std::fs::remove_file(&path);
+    }
+    published.map(|()| manifest)
 }
 
 /// Fold every delta shard (appends and tombstones) back into freshly
@@ -631,6 +861,20 @@ mod tests {
                 ))
             })
             .collect()
+    }
+
+    /// A sketch no sketch of [`corpus`] or [`extra`] can be joined with.
+    fn alien() -> CorrelationSketch {
+        SketchBuilder::new(
+            SketchConfig::with_size(32).hasher(sketch_hashing::TupleHasher::new_64(99)),
+        )
+        .build(&ColumnPair::new(
+            "alien",
+            "k",
+            "v",
+            (0..50).map(|i| format!("key-{i}")).collect(),
+            (0..50).map(|i| i as f64).collect(),
+        ))
     }
 
     #[test]
@@ -727,6 +971,23 @@ mod tests {
     }
 
     #[test]
+    fn mixed_hashers_rejected_at_pack_time() {
+        let dir = TempDir::new("mixed");
+        let mut sketches = corpus(2);
+        sketches.push(alien());
+        let err = pack_corpus(&dir.0, &sketches, &PackOptions::default()).unwrap_err();
+        assert!(
+            matches!(err.as_sketch_error(), Some(SketchError::HasherMismatch)),
+            "{err}"
+        );
+        // Rejected up front: nothing was written.
+        assert!(matches!(
+            read_corpus(&dir.0, 1),
+            Err(StoreError::MissingManifest { .. })
+        ));
+    }
+
+    #[test]
     fn missing_shard_file_is_typed() {
         let dir = TempDir::new("missing");
         pack_corpus(
@@ -760,7 +1021,7 @@ mod tests {
         )
         .unwrap();
         // Overwrite shard 1 with fewer records than the manifest claims.
-        write_shard(&dir.0.join("shard-0001.cskb"), &sketches[3..5]).unwrap();
+        crate::write_shard(&dir.0.join("shard-0001.cskb"), &sketches[3..5]).unwrap();
         let err = read_corpus(&dir.0, 1).unwrap_err();
         assert!(matches!(
             err.as_sketch_error(),
@@ -891,6 +1152,29 @@ mod tests {
     }
 
     #[test]
+    fn failed_publish_takes_its_delta_file_back() {
+        let dir = TempDir::new("unpublished");
+        pack_corpus(&dir.0, &corpus(3), &PackOptions::default()).unwrap();
+        // The manifest's temp file cannot be written: the save fails
+        // after the delta shard is already on disk.
+        let obstacle = dir.0.join("manifest.cskm.tmp");
+        std::fs::create_dir(&obstacle).unwrap();
+        let err = append_corpus(&dir.0, &extra(1, "w"), 1).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
+        assert!(
+            !dir.0.join("delta-000001.cskb").exists(),
+            "the failed append must not leave its delta shard behind"
+        );
+        assert_eq!(Manifest::load(&dir.0).unwrap().generation, 0);
+        // With the obstacle gone the retry goes through — no compact
+        // needed to clear an orphan.
+        std::fs::remove_dir(&obstacle).unwrap();
+        let m = append_corpus(&dir.0, &extra(1, "w"), 1).unwrap();
+        assert_eq!(m.generation, 1);
+        assert_eq!(read_corpus(&dir.0, 1).unwrap().len(), 4);
+    }
+
+    #[test]
     fn empty_mutations_are_noops() {
         let dir = TempDir::new("noop");
         pack_corpus(&dir.0, &corpus(3), &PackOptions::default()).unwrap();
@@ -959,21 +1243,10 @@ mod tests {
 
     #[test]
     fn hasher_incompatible_append_rejected() {
-        use correlation_sketches::{SketchBuilder, SketchConfig};
         let dir = TempDir::new("append-hasher");
         let base = corpus(3);
         pack_corpus(&dir.0, &base, &PackOptions::default()).unwrap();
-        let alien = SketchBuilder::new(
-            SketchConfig::with_size(32).hasher(sketch_hashing::TupleHasher::new_64(99)),
-        )
-        .build(&sketch_table::ColumnPair::new(
-            "alien",
-            "k",
-            "v",
-            (0..50).map(|i| format!("key-{i}")).collect(),
-            (0..50).map(|i| i as f64).collect(),
-        ));
-        let err = append_corpus(&dir.0, &[alien], 1).unwrap_err();
+        let err = append_corpus(&dir.0, &[alien()], 1).unwrap_err();
         assert!(
             matches!(err.as_sketch_error(), Some(SketchError::HasherMismatch)),
             "{err}"

@@ -1,21 +1,23 @@
 //! Cheap store metadata: the manifest-level shape of a corpus directory
 //! without loading (or validating) the base shards.
 //!
-//! [`stat_corpus`] reads the manifest plus the delta shards only — delta
-//! shards are tiny (one per mutation) but must be opened to split their
-//! records into appends and tombstones. This is the data behind
-//! `corrsketch corpus info --json` and the query server's `GET /corpus`
+//! [`stat_corpus`] reads the manifest, the id directory and the delta
+//! shards only — delta shards are small (one per mutation) but must be
+//! opened to split their records into appends and tombstones, which
+//! takes their record heads, not their sketches. This is the data behind
+//! `corrsketch corpus info` and the query server's `GET /corpus`
 //! endpoint; both need the store's generation and pending-delta shape on
 //! every poll, neither wants to pay a full checksum-verified corpus load
 //! for it.
 
 use std::path::Path;
 
-use correlation_sketches::{json, DeltaRecord};
+use correlation_sketches::{json, DeltaHead};
 
+use crate::directory::{self, DirectoryState};
 use crate::error::StoreError;
 use crate::manifest::Manifest;
-use crate::shard::read_delta_shard;
+use crate::shard::decode_delta_heads;
 
 /// One base shard: manifest entry plus its current on-disk size.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +58,11 @@ pub struct StoreInfo {
     pub shards: Vec<ShardInfo>,
     /// Delta shards in generation order.
     pub deltas: Vec<DeltaInfo>,
+    /// Whether the id directory verifies — that is, whether a write
+    /// costs the delta (`Ok`) or a full load of the base (otherwise).
+    pub directory: DirectoryState,
+    /// The id directory's size in bytes (0 when absent).
+    pub directory_bytes: u64,
 }
 
 impl StoreInfo {
@@ -77,11 +84,13 @@ impl StoreInfo {
         self.deltas.iter().map(|d| d.tombstones).sum()
     }
 
-    /// Total bytes of every shard and delta file on disk.
+    /// Total bytes of every shard and delta file on disk, and of the id
+    /// directory beside them.
     #[must_use]
     pub fn disk_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.bytes).sum::<u64>()
             + self.deltas.iter().map(|d| d.bytes).sum::<u64>()
+            + self.directory_bytes
     }
 
     /// Render as one deterministic JSON object — the payload of
@@ -103,6 +112,11 @@ impl StoreInfo {
         out.push_str(&self.pending_tombstones().to_string());
         out.push_str(",\"disk_bytes\":");
         out.push_str(&self.disk_bytes().to_string());
+        out.push_str(",\"id_directory\":{\"state\":\"");
+        out.push_str(self.directory.as_str());
+        out.push_str("\",\"bytes\":");
+        out.push_str(&self.directory_bytes.to_string());
+        out.push('}');
         out.push_str(",\"shards\":[");
         for (i, s) in self.shards.iter().enumerate() {
             if i > 0 {
@@ -138,10 +152,10 @@ impl StoreInfo {
     }
 }
 
-/// Read a store's manifest-level shape: the manifest plus every delta
-/// shard (to split records into appends and tombstones). Base shards are
-/// *not* opened — use [`crate::read_corpus`] when full checksum
-/// validation is wanted.
+/// Read a store's manifest-level shape: the manifest, the id directory,
+/// and the record heads of every delta shard (to split records into
+/// appends and tombstones). Base shards are *not* opened — use
+/// [`crate::read_corpus`] when full checksum validation is wanted.
 ///
 /// # Errors
 ///
@@ -165,10 +179,11 @@ pub fn stat_corpus(dir: &Path) -> Result<StoreInfo, StoreError> {
         .collect();
     let mut deltas = Vec::with_capacity(manifest.deltas.len());
     for d in &manifest.deltas {
-        let records = read_delta_shard(&dir.join(&d.file))?;
-        let tombstones = records
+        let path = dir.join(&d.file);
+        let bytes = std::fs::read(&path).map_err(StoreError::io(path))?;
+        let tombstones = decode_delta_heads(&bytes)?
             .iter()
-            .filter(|r| matches!(r, DeltaRecord::Tombstone(_)))
+            .filter(|head| matches!(head, DeltaHead::Tombstone(_)))
             .count() as u64;
         deltas.push(DeltaInfo {
             file: d.file.clone(),
@@ -178,12 +193,15 @@ pub fn stat_corpus(dir: &Path) -> Result<StoreInfo, StoreError> {
             bytes: file_bytes(&d.file),
         });
     }
+    let (directory, directory_bytes) = directory::stat(dir, &manifest);
     Ok(StoreInfo {
         generation: manifest.generation,
         base_generation: manifest.base_generation,
         live: manifest.total,
         shards,
         deltas,
+        directory,
+        directory_bytes,
     })
 }
 
@@ -242,7 +260,14 @@ mod tests {
         assert_eq!(info.shards.len(), 2);
         assert!(info.deltas.is_empty());
         assert_eq!(info.base_records(), 6);
-        assert!(info.disk_bytes() > 0);
+        assert_eq!(info.directory, DirectoryState::Ok);
+        // On-disk bytes are counted honestly: the directory is a file too.
+        let listed: u64 = ["shard-0000.cskb", "shard-0001.cskb", "ids.cskd"]
+            .map(|f| std::fs::metadata(dir.0.join(f)).unwrap().len())
+            .iter()
+            .sum();
+        assert_eq!(info.disk_bytes(), listed);
+        assert!(info.directory_bytes > 0);
 
         crate::append_corpus(&dir.0, &[sketch("extra", 0..40)], 1).unwrap();
         crate::remove_from_corpus(&dir.0, &["t0/k/v".to_string()], 1).unwrap();
@@ -294,6 +319,12 @@ mod tests {
         assert_eq!(
             obj.get("deltas").unwrap().as_array("deltas").unwrap().len(),
             1
+        );
+        let directory = obj.get("id_directory").unwrap().as_object("d").unwrap();
+        assert_eq!(directory.get("state").unwrap().as_str("s").unwrap(), "ok");
+        assert_eq!(
+            directory.get("bytes").unwrap().as_u64("b").unwrap(),
+            info.directory_bytes
         );
     }
 

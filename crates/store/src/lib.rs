@@ -21,6 +21,7 @@
 //!   shard-0000.cskb      base shard files, contiguous slices of the
 //!   shard-0001.cskb      packed corpus in input order
 //!   …
+//!   ids.cskd             id directory: the base records' ids + hasher
 //!   delta-000001.cskb    delta shard files, one per mutation, in
 //!   delta-000002.cskb    generation order
 //!   …
@@ -92,6 +93,47 @@
 //! …delta lines in strictly increasing generation order…
 //! ```
 //!
+//! # Id directory format (`ids.cskd`), byte by byte
+//!
+//! The ids of the base records, listed in shard order and indexed in
+//! sorted order, so that a write ([`append_corpus`],
+//! [`remove_from_corpus`]) can ask whether an id is in the base by binary
+//! search — without opening a base shard, or visiting the ids it does not
+//! name; see [`corpus`] for that contract. All integers are
+//! little-endian:
+//!
+//! | offset | size | field |
+//! |--------|------|-------|
+//! | 0      | 4    | magic `43 53 4B 44` (ASCII `"CSKD"`) |
+//! | 4      | 2    | format version (`u16`, currently `1`) |
+//! | 6      | 1    | hasher bits: `0` = 32-bit, `1` = 64-bit (a sketch payload's own codes), `2` = no base record |
+//! | 7      | 8    | hasher seed (`u64`; `0` when there is no base record) |
+//! | 15     | 8    | base generation the directory describes (`u64`) |
+//! | 23     | 8    | record count `N` (`u64`) |
+//! | 31     | 4    | base shard count `S` (`u32`) |
+//! | 35     | 8·S  | byte length of each base shard file, manifest order (`u64` each) |
+//! | +0     | …    | id list: `N` ids in shard order, `u32` length + UTF-8 bytes each |
+//! | +0     | 4·N  | sorted index: the byte offset of each id within the id list (`u32` each), ordered by id bytes |
+//! | end−8  | 8    | checksum (`u64`): low word of MurmurHash3 x64-128 of every preceding byte, seed 0 |
+//!
+//! One hasher serves the whole base because [`pack_corpus`] refuses a
+//! corpus of mixed hashers. The directory is *derived* data and is used
+//! only when it verifies: the checksum, then the stamp — base generation
+//! and record count against the manifest, each shard length against a
+//! stat of the file. Absent, stamped for another base, truncated or
+//! bit-flipped, it is ignored and the reader decodes the base shards
+//! instead; every full load cross-checks a verified directory — the id
+//! list against the ids it decoded, the sorted index against the id
+//! list ([`SketchError::Corrupt`] on disagreement).
+//!
+//! **Write order.** A base rewrite ([`pack_corpus`], [`compact_corpus`],
+//! and so [`shard_corpus`]) removes the manifest, writes the shards,
+//! deletes stale files (the previous directory among them), writes the
+//! directory, then renames the new manifest into place: a manifest never
+//! appears before the directory of its base. Appends and removes never
+//! touch the directory — it describes the base, and they only add to the
+//! delta log.
+//!
 //! # Generations
 //!
 //! Every mutation advances the store generation by one: a fresh pack is
@@ -119,6 +161,7 @@
 #![warn(missing_docs)]
 
 pub mod corpus;
+pub mod directory;
 pub mod error;
 pub mod info;
 pub mod manifest;
@@ -130,6 +173,7 @@ pub use corpus::{
     read_deltas_since, remove_from_corpus, PackOptions,
 };
 pub use correlation_sketches::{DeltaRecord, SketchError};
+pub use directory::{DirectoryState, DIRECTORY_NAME};
 pub use error::StoreError;
 pub use info::{stat_corpus, DeltaInfo, ShardInfo, StoreInfo};
 pub use manifest::{DeltaMeta, Manifest, ShardMeta, MANIFEST_NAME, MANIFEST_VERSION};

@@ -25,7 +25,7 @@
 
 use std::path::Path;
 
-use correlation_sketches::{CorrelationSketch, DeltaRecord, SketchError};
+use correlation_sketches::{CorrelationSketch, DeltaHead, DeltaRecord, SketchError, SketchHead};
 use sketch_hashing::murmur3::murmur3_x64_128;
 
 use crate::error::StoreError;
@@ -50,7 +50,7 @@ const HEADER_LEN: usize = 12;
 /// Seed of the per-record MurmurHash3 checksum.
 const CHECKSUM_SEED: u64 = 0;
 
-fn checksum(payload: &[u8]) -> u64 {
+pub(crate) fn checksum(payload: &[u8]) -> u64 {
     murmur3_x64_128(payload, CHECKSUM_SEED).0
 }
 
@@ -72,7 +72,7 @@ fn kind_name(kind: u16) -> &'static str {
 
 /// Frame already-encoded record payloads into shard-file bytes (header +
 /// checksummed records) for the given shard kind.
-fn encode_records(kind: u16, payloads: &[Vec<u8>]) -> Result<Vec<u8>, SketchError> {
+pub(crate) fn encode_records(kind: u16, payloads: &[Vec<u8>]) -> Result<Vec<u8>, SketchError> {
     let count = u32::try_from(payloads.len())
         .map_err(|_| SketchError::Corrupt("shard record count exceeds u32".into()))?;
     let body: usize = payloads.iter().map(|p| p.len() + 12).sum();
@@ -242,6 +242,37 @@ pub fn decode_delta_shard(bytes: &[u8]) -> Result<Vec<DeltaRecord>, SketchError>
     decode_records(bytes, KIND_DELTA)?
         .into_iter()
         .map(DeltaRecord::from_bytes)
+        .collect()
+}
+
+/// Decode only the record *heads* of base-shard bytes — each sketch's id
+/// and build configuration — with the container validated exactly as
+/// [`decode_shard`] validates it (every record checksum included) and no
+/// entry decoded.
+///
+/// # Errors
+///
+/// As [`decode_shard`], minus what only a full payload decode finds.
+pub fn decode_shard_heads(bytes: &[u8]) -> Result<Vec<SketchHead<'_>>, SketchError> {
+    decode_records(bytes, KIND_BASE)?
+        .into_iter()
+        .map(SketchHead::from_bytes)
+        .collect()
+}
+
+/// Decode only the record *heads* of delta-shard bytes — which id each
+/// record appends (under which configuration) or retires — with the
+/// container validated exactly as [`decode_delta_shard`] validates it
+/// (every record checksum included) and no entry decoded.
+///
+/// # Errors
+///
+/// As [`decode_delta_shard`], minus what only a full payload decode of
+/// an appended sketch finds.
+pub fn decode_delta_heads(bytes: &[u8]) -> Result<Vec<DeltaHead<'_>>, SketchError> {
+    decode_records(bytes, KIND_DELTA)?
+        .into_iter()
+        .map(DeltaHead::from_bytes)
         .collect()
 }
 

@@ -12,7 +12,7 @@ use correlation_sketches::{
 use sketch_store::shard::{decode_delta_shard, decode_shard, encode_delta_shard, encode_shard};
 use sketch_store::{
     append_corpus, pack_corpus, read_corpus, read_shard, remove_from_corpus, write_delta_shard,
-    write_shard, Manifest, PackOptions, StoreError, FORMAT_VERSION, MANIFEST_NAME,
+    write_shard, Manifest, PackOptions, StoreError, DIRECTORY_NAME, FORMAT_VERSION, MANIFEST_NAME,
 };
 use sketch_table::ColumnPair;
 
@@ -429,6 +429,122 @@ fn stale_and_duplicate_manifest_generations_are_typed() {
         matches!(
             err.as_sketch_error(),
             Some(SketchError::StaleGeneration { .. } | SketchError::Corrupt(_))
+        ),
+        "{err}"
+    );
+}
+
+/// The manifest's live total is a number a file merely states: forging it
+/// (on a store with a delta line, where no shard sum cross-checks it at
+/// parse) must end in the typed live-count mismatch on every load and
+/// every write — never in a view pre-sized from it (`capacity overflow`,
+/// or an aborting allocation for a smaller forgery).
+#[test]
+fn forged_manifest_total_is_typed_not_a_panic() {
+    let (dir, s) = mutated_store("forged-total");
+    let honest = std::fs::read_to_string(dir.path(MANIFEST_NAME)).unwrap();
+    assert!(honest.contains("\nsketches 5\n"), "{honest}");
+    let fresh = sketches(7).pop().unwrap();
+    for forged in ["1152921504606846976", "18446744073709551615", "40000000000"] {
+        let text = honest.replace("\nsketches 5\n", &format!("\nsketches {forged}\n"));
+        std::fs::write(dir.path(MANIFEST_NAME), text).unwrap();
+        let outcomes = [
+            read_corpus(&dir.0, 1).map(|_| ()),
+            append_corpus(&dir.0, std::slice::from_ref(&fresh), 1).map(|_| ()),
+            remove_from_corpus(&dir.0, &[s[0].id().to_string()], 1).map(|_| ()),
+        ];
+        for outcome in outcomes {
+            let err = outcome.unwrap_err();
+            assert!(
+                matches!(
+                    err.as_sketch_error(),
+                    Some(SketchError::Corrupt(msg))
+                        if msg.contains("5 live records") && msg.contains(forged)
+                ),
+                "{forged}: {err}"
+            );
+        }
+    }
+    // Nothing was written on the way; the honest manifest reads again.
+    std::fs::write(dir.path(MANIFEST_NAME), honest).unwrap();
+    assert_eq!(read_corpus(&dir.0, 1).unwrap().len(), 5);
+}
+
+/// A directory that verifies — checksum, base generation, record count,
+/// shard sizes — yet names other ids, or another hasher, than the shards
+/// beside it (same-sized shards swapped in under it) is caught by the
+/// cross-check of every full load.
+#[test]
+fn directory_disagreeing_with_the_base_shards_is_typed() {
+    let pack = PackOptions {
+        shards: 2,
+        threads: 1,
+    };
+    let ours = TempDir::new("directory-ours");
+    pack_corpus(&ours.0, &sketches(4), &pack).unwrap();
+    let directory = std::fs::read(ours.path(DIRECTORY_NAME)).unwrap();
+
+    // Same shapes, so same shard sizes: four other ids, then the same
+    // four ids under another hasher.
+    let other_ids = sketches(8).split_off(4);
+    let alien = SketchBuilder::new(
+        SketchConfig::with_size(8).hasher(sketch_hashing::TupleHasher::new_64(99)),
+    );
+    let other_hasher: Vec<CorrelationSketch> = (0..4)
+        .map(|t| {
+            alien.build(&ColumnPair::new(
+                format!("t{t}"),
+                "k",
+                "v",
+                (0..40).map(|i| format!("key-{i}")).collect(),
+                (0..40).map(|i| (i * (t + 1)) as f64).collect(),
+            ))
+        })
+        .collect();
+    for (theirs, first) in [(other_ids, "t4/k/v"), (other_hasher, "t0/k/v")] {
+        let dir = TempDir::new("directory-theirs");
+        pack_corpus(&dir.0, &theirs, &pack).unwrap();
+        assert_eq!(read_corpus(&dir.0, 1).unwrap(), theirs);
+        std::fs::write(dir.path(DIRECTORY_NAME), &directory).unwrap();
+        for threads in [1usize, 2] {
+            let err = read_corpus(&dir.0, threads).unwrap_err();
+            assert!(
+                matches!(
+                    err.as_sketch_error(),
+                    Some(SketchError::Corrupt(msg))
+                        if msg.contains(DIRECTORY_NAME) && msg.contains(first)
+                ),
+                "{err}"
+            );
+        }
+    }
+}
+
+/// The sorted index is what a write searches, so a load holds it to the
+/// id list too: two entries swapped (and the checksum made good again, as
+/// no accident would) verify, and fail the cross-check.
+#[test]
+fn directory_with_an_unsorted_index_is_typed() {
+    let dir = TempDir::new("directory-index");
+    pack_corpus(&dir.0, &sketches(4), &PackOptions::default()).unwrap();
+    let mut bytes = std::fs::read(dir.path(DIRECTORY_NAME)).unwrap();
+    // The file ends: … | 4 index entries (u32 each) | checksum (u64).
+    let index = bytes.len() - 8 - 4 * 4;
+    bytes.copy_within(index..index + 4, index + 8);
+    let body = bytes.len() - 8;
+    let sum = sketch_hashing::murmur3::murmur3_x64_128(&bytes[..body], 0).0;
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(dir.path(DIRECTORY_NAME), bytes).unwrap();
+    assert_eq!(
+        sketch_store::stat_corpus(&dir.0).unwrap().directory,
+        sketch_store::DirectoryState::Ok
+    );
+    let err = read_corpus(&dir.0, 1).unwrap_err();
+    assert!(
+        matches!(
+            err.as_sketch_error(),
+            Some(SketchError::Corrupt(msg))
+                if msg.contains(DIRECTORY_NAME) && msg.contains("sorted index")
         ),
         "{err}"
     );
