@@ -13,8 +13,8 @@
 
 use sketch_bench::Args;
 use sketch_datagen::{generate_open_data, split_corpus, OpenDataConfig};
-use sketch_ranking::evaluation::QueryMetrics;
-use sketch_ranking::{run_ranking_experiment, RankingConfig, ScoringFunction};
+use sketch_ranking::evaluation::Metric;
+use sketch_ranking::{run_ranking_experiment, RankingConfig};
 use sketch_stats::metrics::histogram;
 
 const BINS: usize = 10;
@@ -41,14 +41,13 @@ fn main() {
     let report = run_ranking_experiment(&split.queries, &split.corpus, &cfg);
     eprintln!("queries evaluated: {}", report.per_query.len());
 
-    type Metric = fn(&QueryMetrics) -> Option<f64>;
     let metrics: [(&str, Metric); 4] = [
         ("MAP(r>.75)", |m| m.map_high),
         ("MAP(r>.50)", |m| m.map_mid),
         ("nDCG@5", |m| m.ndcg_a),
         ("nDCG@10", |m| m.ndcg_b),
     ];
-    let scorers = [ScoringFunction::Jc, ScoringFunction::RpCih];
+    let scorers = ["jc", "rp*cih"];
 
     for (name, metric) in metrics {
         println!("\n=== {name} — queries per score bin (bins of width 0.1) ===");
@@ -56,7 +55,7 @@ fn main() {
             let scores = report.per_query_scores(scorer, metric);
             let hist = histogram(&scores, BINS, 0.0, 1.0000001);
             let max = hist.iter().copied().max().unwrap_or(1).max(1);
-            println!("{}:", scorer.name());
+            println!("{scorer}:");
             for (b, &count) in hist.iter().enumerate() {
                 let bar = "#".repeat(count * 40 / max);
                 println!(

@@ -30,8 +30,9 @@ use sketch_bench::args::Args;
 use sketch_bench::time_ms;
 use sketch_datagen::{generate_planted, PlantedConfig};
 use sketch_index::{engine, PlanMode, QueryOptions, QueryResult, Scorer, SketchIndex};
-use sketch_stats::{mean, pearson, recall_at_k, CorrelationEstimator};
-use sketch_table::{exact_join, Aggregation, ColumnPair};
+use sketch_ranking::ground_truth_grade;
+use sketch_stats::{mean, recall_at_k, CorrelationEstimator};
+use sketch_table::{Aggregation, ColumnPair};
 
 /// The expensive estimators the planner gate runs under: the costliest
 /// one on the live path and the rank-based one with the loosest relation
@@ -336,13 +337,10 @@ fn answer_recall(ranked: &[QueryResult], relevant: &[String], k: usize) -> f64 {
 fn relevant_ids(query: &ColumnPair, corpus: &[ColumnPair], threshold: f64) -> Vec<String> {
     corpus
         .iter()
-        .filter_map(|c| {
-            let joined = exact_join(query, c, Aggregation::Mean);
-            if joined.len() < MIN_JOIN {
-                return None;
-            }
-            let r = pearson(&joined.x, &joined.y).map_or(0.0, f64::abs);
-            (r >= threshold).then(|| c.id())
+        .filter(|c| {
+            ground_truth_grade(query, c, Aggregation::Mean, MIN_JOIN)
+                .is_some_and(|r| r >= threshold)
         })
+        .map(ColumnPair::id)
         .collect()
 }

@@ -53,7 +53,6 @@
 //! * [`kmv`] — everything a KMV synopsis supports: distinct-value
 //!   estimators, union/intersection cardinality, Jaccard similarity and
 //!   containment estimates (Sections 2.1, 3.3).
-//! * [`multi`] — multi-column sketches `L_⟨K,X,Z,…⟩` (Section 3.1).
 //! * [`mutual_info`] — mutual-information estimation from join samples,
 //!   demonstrating the "any statistic" claim of Theorem 1.
 //! * [`binary`] — the compact binary sketch codec (the payload of a
@@ -72,7 +71,6 @@ pub mod join;
 pub mod json;
 pub mod kmv;
 pub mod merge;
-pub mod multi;
 pub mod mutual_info;
 pub mod parallel;
 pub mod sketch;
@@ -91,7 +89,6 @@ pub use kmv::{
     union_estimate,
 };
 pub use merge::{is_decomposable, merge_partition_sketches};
-pub use multi::{join_multi_sketches, MultiColumnSketch, MultiJoinSample};
 pub use mutual_info::mutual_information;
 pub use parallel::build_sketches_parallel;
 pub use sketch::{CorrelationSketch, SketchEntry};

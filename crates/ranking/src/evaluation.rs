@@ -2,16 +2,39 @@
 //!
 //! For every query column pair: retrieve all joinable corpus pairs,
 //! compute the ground-truth after-join correlation (the relevance grade),
-//! rank the candidates with every scoring function, and measure MAP and
-//! nDCG against the ground truth.
+//! rank the candidates once per row of [`ROWS`], and measure MAP and nDCG
+//! against the ground truth.
+//!
+//! Every correlation row is ranked by the served scorer
+//! ([`score_estimates`]) over the served stage function's estimates
+//! ([`scored_estimate`]); the harness adds the interval source a paper
+//! row names, the three joinability baselines, and the metrics.
 
-use std::collections::HashMap;
+use correlation_sketches::{
+    containment_estimate, join_sketches, CorrelationSketch, SketchBuilder, SketchConfig,
+};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use sketch_stats::{
+    average_precision, mean, ndcg_at_k, pearson, scored_estimate, BootstrapScratch,
+    CorrelationEstimator, ScoredEstimate,
+};
+use sketch_table::{exact_join, jaccard_containment, Aggregation, ColumnPair};
 
-use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
-use sketch_stats::{average_precision, mean, ndcg_at_k, pearson};
-use sketch_table::{exact_join, Aggregation, ColumnPair};
+use crate::scored::{desc_score_nan_last, score_estimates, Scorer};
 
-use crate::scoring::{extract_features, score_candidates, CandidateFeatures, ScoringFunction};
+/// The rows of Table 1 by paper label, in [`QueryOutcome::rows`] order:
+/// `rp*cih` is `s4` over the paper's HFD interval, the `s4` row is `s4` over
+/// the Fisher z interval a `"scorer":"s4"` request runs on.
+pub const ROWS: [&str; 8] = [
+    "rp*cih", "rb*cib", "rp", "rp*sez", "s4", "jc", "jc_est", "random",
+];
+
+/// Confidence level of the intervals — the engine's default.
+const CONFIDENCE: f64 = 0.95;
+
+/// Significance of the HFD interval behind `rp*cih` (paper Section 4.3).
+const HFD_ALPHA: f64 = 0.05;
 
 /// Configuration of a ranking experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +68,7 @@ impl Default for RankingConfig {
     }
 }
 
-/// Metrics of one scorer on one query's ranked list. `None` when the
+/// Metrics of one row on one query's ranked list. `None` when the
 /// metric is undefined for the query (e.g. no relevant candidate for
 /// MAP, all-zero gains for nDCG) — such queries are excluded from that
 /// metric's average, trec-style.
@@ -61,15 +84,29 @@ pub struct QueryMetrics {
     pub ndcg_b: Option<f64>,
 }
 
-/// Outcome of one query: the candidate set size and per-scorer metrics.
+/// Reads one metric off a row's [`QueryMetrics`].
+pub type Metric = fn(&QueryMetrics) -> Option<f64>;
+
+/// One row of [`ROWS`] on one query.
+#[derive(Debug, Clone)]
+pub struct RowOutcome {
+    /// The row's paper label.
+    pub label: &'static str,
+    /// What the row ranked by, aligned with [`QueryOutcome::candidate_ids`].
+    pub scores: Vec<f64>,
+    /// Quality of the resulting ranking against the ground truth.
+    pub metrics: QueryMetrics,
+}
+
+/// Outcome of one query: the candidates and what each row made of them.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// Query column pair identifier.
     pub query_id: String,
-    /// Number of joinable candidates ranked.
-    pub candidates: usize,
-    /// Metrics per scoring function (in [`ScoringFunction::ALL`] order).
-    pub metrics: Vec<(ScoringFunction, QueryMetrics)>,
+    /// Ids of the joinable candidates ranked, in corpus order.
+    pub candidate_ids: Vec<String>,
+    /// One outcome per row, in [`ROWS`] order.
+    pub rows: Vec<RowOutcome>,
 }
 
 /// Aggregated report over all queries.
@@ -79,76 +116,53 @@ pub struct RankingReport {
     pub per_query: Vec<QueryOutcome>,
 }
 
-/// Aggregate (mean) metrics for one scorer.
+/// One metric averaged over the queries it is defined on.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScorerSummary {
-    /// The scorer.
-    pub scorer: ScoringFunction,
-    /// Mean MAP (`r > 0.75`) over queries where defined.
-    pub map_high: f64,
-    /// Mean MAP (`r > 0.50`).
-    pub map_mid: f64,
-    /// Mean nDCG@5.
-    pub ndcg_a: f64,
-    /// Mean nDCG@10.
-    pub ndcg_b: f64,
+pub struct MetricMean {
+    /// `None` when defined on no query — "undefined" is not zero.
+    pub mean: Option<f64>,
+    /// How many queries the metric is defined on.
+    pub queries: usize,
 }
 
 impl RankingReport {
-    /// Mean metrics per scorer (the numbers of Table 1).
+    /// One cell of Table 1: the row's `metric` averaged over the queries
+    /// it is defined on.
     #[must_use]
-    pub fn summaries(&self) -> Vec<ScorerSummary> {
-        ScoringFunction::ALL
-            .iter()
-            .map(|&scorer| {
-                let collect = |f: fn(&QueryMetrics) -> Option<f64>| -> f64 {
-                    let vals: Vec<f64> = self
-                        .per_query
-                        .iter()
-                        .filter_map(|q| {
-                            q.metrics
-                                .iter()
-                                .find(|(s, _)| s.name() == scorer.name())
-                                .and_then(|(_, m)| f(m))
-                        })
-                        .collect();
-                    mean(&vals)
-                };
-                ScorerSummary {
-                    scorer,
-                    map_high: collect(|m| m.map_high),
-                    map_mid: collect(|m| m.map_mid),
-                    ndcg_a: collect(|m| m.ndcg_a),
-                    ndcg_b: collect(|m| m.ndcg_b),
-                }
-            })
-            .collect()
+    pub fn mean_of(&self, label: &str, metric: Metric) -> MetricMean {
+        let vals = self.per_query_scores(label, metric);
+        MetricMean {
+            mean: (!vals.is_empty()).then(|| mean(&vals)),
+            queries: vals.len(),
+        }
     }
 
-    /// Per-query scores of one scorer/metric, for the Figure 5
+    /// Per-query values of one row's metric, for the Figure 5
     /// histograms.
     #[must_use]
-    pub fn per_query_scores(
-        &self,
-        scorer: ScoringFunction,
-        metric: fn(&QueryMetrics) -> Option<f64>,
-    ) -> Vec<f64> {
+    pub fn per_query_scores(&self, label: &str, metric: Metric) -> Vec<f64> {
         self.per_query
             .iter()
             .filter_map(|q| {
-                q.metrics
-                    .iter()
-                    .find(|(s, _)| s.name() == scorer.name())
-                    .and_then(|(_, m)| metric(m))
+                let row = q.rows.iter().find(|row| row.label == label)?;
+                metric(&row.metrics)
             })
             .collect()
     }
 }
 
-/// Ground truth for one candidate: the absolute after-join correlation.
-fn ground_truth_grade(q: &ColumnPair, c: &ColumnPair, cfg: &RankingConfig) -> Option<f64> {
-    let joined = exact_join(q, c, cfg.aggregation);
-    if joined.len() < cfg.min_overlap {
+/// Ground truth for one candidate: the absolute Pearson correlation of
+/// the exact join, `None` when the join has fewer than `min_overlap`
+/// rows (the pair is not joinable).
+#[must_use]
+pub fn ground_truth_grade(
+    q: &ColumnPair,
+    c: &ColumnPair,
+    aggregation: Aggregation,
+    min_overlap: usize,
+) -> Option<f64> {
+    let joined = exact_join(q, c, aggregation);
+    if joined.len() < min_overlap {
         return None;
     }
     Some(pearson(&joined.x, &joined.y).map_or(0.0, f64::abs))
@@ -183,66 +197,87 @@ pub fn run_ranking_experiment(
     let builder =
         SketchBuilder::new(SketchConfig::with_size(cfg.sketch_size).aggregation(cfg.aggregation));
     let corpus_sketches: Vec<CorrelationSketch> = corpus.iter().map(|p| builder.build(p)).collect();
+    let pm1_bootstrap = CorrelationEstimator::Pm1Bootstrap { seed: cfg.seed };
+    let mut scratch = BootstrapScratch::new();
 
     let mut per_query = Vec::new();
     for (qi, q) in queries.iter().enumerate() {
         let q_sketch = builder.build(q);
 
-        let mut grades: Vec<f64> = Vec::new();
-        let mut features: Vec<CandidateFeatures> = Vec::new();
+        // One estimate list per interval source, aligned with the ids.
+        let (mut ids, mut grades) = (Vec::new(), Vec::new());
+        let (mut fisher, mut pm1, mut hfd) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut jc, mut jc_est) = (Vec::new(), Vec::new());
         for (c, c_sketch) in corpus.iter().zip(&corpus_sketches) {
             if c.table == q.table {
                 continue; // never rank a table against itself
             }
-            let Some(grade) = ground_truth_grade(q, c, cfg) else {
+            let Some(grade) = ground_truth_grade(q, c, cfg.aggregation, cfg.min_overlap) else {
                 continue;
             };
+            let sample = join_sketches(&q_sketch, c_sketch).expect("one builder, one hasher");
+            let mut estimate = |estimator| {
+                scored_estimate(estimator, &sample.x, &sample.y, CONFIDENCE, &mut scratch).ok()
+            };
+            let rp = estimate(CorrelationEstimator::Pearson);
+            pm1.push(estimate(pm1_bootstrap));
+            // The paper's `ci_h`: the Pearson estimate, its risk read off
+            // the HFD interval instead of Fisher z.
+            hfd.push(rp.and_then(|e| {
+                let ci = sample.hfd_ci(HFD_ALPHA).ok()?;
+                Some(ScoredEstimate {
+                    ci_lo: ci.low,
+                    ci_hi: ci.high,
+                    ..e
+                })
+            }));
+            fisher.push(rp);
+            jc.push(jaccard_containment(q, c));
+            jc_est.push(containment_estimate(&q_sketch, c_sketch).unwrap_or(0.0));
+            ids.push(c_sketch.id().to_string());
             grades.push(grade);
-            features.push(extract_features(
-                &q_sketch,
-                c_sketch,
-                Some((q, c)),
-                cfg.seed,
-            ));
         }
-        if features.is_empty() {
+        if ids.is_empty() {
             continue;
         }
 
-        let mut metrics = Vec::new();
-        for scorer in ScoringFunction::ALL {
-            // The random baseline must differ per query but stay
-            // reproducible.
-            let scorer = match scorer {
-                ScoringFunction::Random { .. } => ScoringFunction::Random {
-                    seed: cfg.seed ^ (qi as u64).wrapping_mul(0x9e37_79b9),
-                },
-                other => other,
-            };
-            let scores = score_candidates(&features, scorer);
-            let mut order: Vec<usize> = (0..features.len()).collect();
-            order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-            metrics.push((scorer, metrics_for_ranking(&order, &grades, cfg)));
-        }
+        // The random baseline must differ per query but stay
+        // reproducible.
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ (qi as u64).wrapping_mul(0x9e37_79b9));
+        let random = ids.iter().map(|_| rng.random::<f64>()).collect();
+        // In `ROWS` order.
+        let scores = [
+            score_estimates(Scorer::S4, &hfd),
+            score_estimates(Scorer::S3, &pm1),
+            score_estimates(Scorer::S1, &fisher),
+            score_estimates(Scorer::S2, &fisher),
+            score_estimates(Scorer::S4, &fisher),
+            jc,
+            jc_est,
+            random,
+        ];
+        let rows = ROWS
+            .into_iter()
+            .zip(scores)
+            .map(|(label, scores)| {
+                let mut order: Vec<usize> = (0..scores.len()).collect();
+                order.sort_by(|&a, &b| desc_score_nan_last(scores[a], scores[b]));
+                RowOutcome {
+                    label,
+                    metrics: metrics_for_ranking(&order, &grades, cfg),
+                    scores,
+                }
+            })
+            .collect();
 
         per_query.push(QueryOutcome {
             query_id: q.id(),
-            candidates: features.len(),
-            metrics,
+            candidate_ids: ids,
+            rows,
         });
     }
 
     RankingReport { per_query }
-}
-
-/// Convenience: map scorer name → summary, for report printing.
-#[must_use]
-pub fn summaries_by_name(report: &RankingReport) -> HashMap<&'static str, ScorerSummary> {
-    report
-        .summaries()
-        .into_iter()
-        .map(|s| (s.scorer.name(), s))
-        .collect()
 }
 
 #[cfg(test)]
@@ -291,29 +326,23 @@ mod tests {
         let (queries, corpus) = fixture();
         let report = run_ranking_experiment(&queries, &corpus, &RankingConfig::default());
         assert_eq!(report.per_query.len(), 1);
-        let by_name = summaries_by_name(&report);
-        let rp = by_name["rp"];
-        let jc = by_name["jc"];
-        assert!(
-            rp.map_high > jc.map_high,
-            "rp {:?} must beat jc {:?}",
-            rp.map_high,
-            jc.map_high
-        );
-        assert_eq!(rp.map_high, 1.0, "single relevant doc must rank first");
-        assert!(jc.map_high < 0.5, "jc ranks the noise first");
+        let [rp, jc] = ["rp", "jc"].map(|row| report.mean_of(row, |m| m.map_high));
+        assert_eq!((rp.queries, jc.queries), (1, 1));
+        assert_eq!(rp.mean, Some(1.0), "single relevant doc must rank first");
+        assert!(jc.mean.unwrap() < 0.5, "jc ranks the noise first: {jc:?}");
     }
 
     #[test]
-    fn all_scorers_produce_metrics() {
+    fn every_row_produces_scores_and_metrics() {
         let (queries, corpus) = fixture();
         let report = run_ranking_experiment(&queries, &corpus, &RankingConfig::default());
         let q = &report.per_query[0];
-        assert_eq!(q.metrics.len(), ScoringFunction::ALL.len());
-        assert_eq!(q.candidates, 5);
-        for (s, m) in &q.metrics {
-            assert!(m.map_high.is_some(), "{s}: map_high missing");
-            assert!(m.ndcg_a.is_some(), "{s}: ndcg missing");
+        assert_eq!(q.rows.len(), ROWS.len());
+        assert_eq!(q.candidate_ids.len(), 5);
+        for row in &q.rows {
+            assert_eq!(row.scores.len(), 5, "{}", row.label);
+            assert!(row.metrics.map_high.is_some(), "{}: map_high", row.label);
+            assert!(row.metrics.ndcg_a.is_some(), "{}: ndcg", row.label);
         }
     }
 
@@ -321,9 +350,9 @@ mod tests {
     fn risk_aware_scorers_also_rank_the_needle_first() {
         let (queries, corpus) = fixture();
         let report = run_ranking_experiment(&queries, &corpus, &RankingConfig::default());
-        let by_name = summaries_by_name(&report);
-        for name in ["rp*cih", "rb*cib", "rp*sez"] {
-            assert!(by_name[name].map_high > 0.9, "{name}: {:?}", by_name[name]);
+        for name in ["rp*cih", "rb*cib", "rp*sez", "s4"] {
+            let map_high = report.mean_of(name, |m| m.map_high).mean.unwrap();
+            assert!(map_high > 0.9, "{name}: {map_high}");
         }
     }
 
@@ -333,12 +362,20 @@ mod tests {
         let a = run_ranking_experiment(&queries, &corpus, &RankingConfig::default());
         let b = run_ranking_experiment(&queries, &corpus, &RankingConfig::default());
         for (qa, qb) in a.per_query.iter().zip(&b.per_query) {
-            assert_eq!(qa.candidates, qb.candidates);
-            for ((sa, ma), (sb, mb)) in qa.metrics.iter().zip(&qb.metrics) {
-                assert_eq!(sa.name(), sb.name());
-                assert_eq!(ma, mb);
+            assert_eq!(qa.candidate_ids, qb.candidate_ids);
+            for (ra, rb) in qa.rows.iter().zip(&qb.rows) {
+                assert_eq!((ra.label, &ra.scores), (rb.label, &rb.scores));
+                assert_eq!(ra.metrics, rb.metrics);
             }
         }
+        // ... and the random baseline follows the seed.
+        let cfg = RankingConfig {
+            seed: 1,
+            ..RankingConfig::default()
+        };
+        let c = run_ranking_experiment(&queries, &corpus, &cfg);
+        let random = |r: &RankingReport| r.per_query[0].rows[7].scores.clone();
+        assert!(ROWS[7] == "random" && random(&a) != random(&c));
     }
 
     #[test]
@@ -362,12 +399,45 @@ mod tests {
     }
 
     #[test]
-    fn per_query_scores_feed_histograms() {
+    fn a_metric_defined_on_no_query_is_undefined_not_zero() {
+        // Only the uncorrelated candidates: nothing clears r > 0.75, so
+        // MAP there has no query to average over; nDCG still has one.
         let (queries, corpus) = fixture();
-        let report = run_ranking_experiment(&queries, &corpus, &RankingConfig::default());
-        let scores = report.per_query_scores(ScoringFunction::Rp, |m| m.map_high);
-        assert_eq!(scores.len(), 1);
-        let hist = sketch_stats::metrics::histogram(&scores, 10, 0.0, 1.0);
-        assert_eq!(hist.iter().sum::<usize>(), 1);
+        let report = run_ranking_experiment(&queries, &corpus[1..], &RankingConfig::default());
+        for label in ROWS {
+            let map = report.mean_of(label, |m| m.map_high);
+            let ndcg = report.mean_of(label, |m| m.ndcg_a);
+            assert_eq!((map.mean, map.queries), (None, 0), "{label}");
+            assert!(ndcg.mean.is_some() && ndcg.queries == 1, "{label}");
+        }
+    }
+
+    #[test]
+    fn a_candidate_without_an_estimate_stays_out_of_the_cih_normalization() {
+        let (queries, mut corpus) = fixture();
+        let (cfg, q) = (RankingConfig::default(), &queries[0]);
+        // Three query keys of which the query's sketch kept one: joinable
+        // (3 exact rows), but a one-row sketch join — no Pearson estimate,
+        // and an HFD interval of enormous length.
+        let builder = SketchBuilder::new(SketchConfig::with_size(cfg.sketch_size));
+        let sketch_join = |c: &ColumnPair| join_sketches(&builder.build(q), &builder.build(c));
+        let stub = (q.keys.windows(3))
+            .map(|w| ColumnPair::new("stub", "k", "v", w.to_vec(), vec![1.0, 2.0, 3.0]))
+            .find(|c| sketch_join(c).unwrap().len() == 1)
+            .expect("some window of three keys has one sketched key");
+        assert!(sketch_join(&stub).unwrap().hfd_ci(HFD_ALPHA).is_ok());
+
+        let cih = |corpus: &[ColumnPair]| {
+            let report = run_ranking_experiment(&queries, corpus, &cfg);
+            report.per_query[0].rows[0].scores.clone()
+        };
+        assert_eq!(ROWS[0], "rp*cih");
+        let without = cih(&corpus);
+        corpus.push(stub);
+        let with = cih(&corpus);
+        assert_eq!(with[..without.len()], without[..]);
+        assert_eq!(with.last(), Some(&0.0));
+        // The normalization is live on this list: the lengths differ.
+        assert!(without.iter().any(|&s| s > 0.0) && without.contains(&0.0));
     }
 }

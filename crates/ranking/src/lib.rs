@@ -6,31 +6,27 @@
 //! "simply by chance". The paper's fix is the scoring framework
 //! `score = |r̂| · (1 − risk)` (Eq. 5), with risk measured by Fisher's z
 //! standard error, a bootstrap confidence interval, or the new Hoeffding
-//! interval. This crate implements:
+//! interval. There is one implementation of the scorers, and everything
+//! that ranks — engine, server, CLI, evaluation — calls it:
 //!
-//! * [`scored`] — the live query path's `s1..s4` scorers over
-//!   confidence-aware estimates ([`sketch_stats::ScoredEstimate`]:
-//!   estimate + estimator-matched CI), consumed by the
-//!   `sketch-index` engine, the server, and the CLI;
-//! * [`scoring`] — candidate feature extraction and the scoring functions
-//!   `s1 = r_p`, `s2 = r_p·se_z`, `s3 = r_b·ci_b`, `s4 = r_p·ci_h`, plus
-//!   the `jc` (exact Jaccard containment), `ĵc` (sketch-estimated
-//!   containment) and `random` baselines;
-//! * [`evaluation`] — the experiment harness that replays Section 5.4:
-//!   for every query column, rank all joinable corpus columns with every
-//!   scorer and measure MAP (r > 0.75, r > 0.5) and nDCG@{5, 10} against
-//!   the ground-truth after-join correlations.
+//! * [`scored`] — the `s1..s4` scorers over confidence-aware estimates
+//!   ([`sketch_stats::ScoredEstimate`]: estimate + interval), the score
+//!   bounds the two-pass planner prunes on, and the NaN-last ordering;
+//! * [`evaluation`] — the Section 5.4 harness on top of it: rank every
+//!   query's joinable corpus columns once per row of Table 1 and measure
+//!   MAP (r > 0.75, r > 0.5) and nDCG@{5, 10} against the exact-join
+//!   correlations. It adds only what the paper's rows need and the
+//!   served path lacks: the interval source each row names (Fisher z,
+//!   PM1 percentile, HFD for `rp*cih`), the `jc` / `ĵc` / `random`
+//!   joinability baselines, and the metrics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod evaluation;
 pub mod scored;
-pub mod scoring;
 
-pub use evaluation::{run_ranking_experiment, QueryOutcome, RankingConfig, RankingReport};
-pub use scored::{score_bounds, score_estimates, Scorer};
-pub use scoring::{
-    desc_score_nan_last, extract_features, features_from_sample, rank_candidates, score_candidates,
-    CandidateFeatures, ScoringFunction,
+pub use evaluation::{
+    ground_truth_grade, run_ranking_experiment, QueryOutcome, RankingConfig, RankingReport, ROWS,
 };
+pub use scored::{desc_score_nan_last, score_bounds, score_estimates, Scorer};

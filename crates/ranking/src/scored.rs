@@ -1,7 +1,7 @@
-//! The `s1`–`s4` scoring functions on the live query path (paper
-//! Section 4.4), operating on confidence-aware estimates
-//! ([`ScoredEstimate`]: point estimate + matched CI) instead of the
-//! evaluation harness's full feature vectors.
+//! The `s1`–`s4` scoring functions (paper Section 4.4) — the one
+//! implementation the query engine, the server and the evaluation
+//! harness all rank with — operating on confidence-aware estimates
+//! ([`ScoredEstimate`]: point estimate + interval).
 //!
 //! ```text
 //! s1 = |r̂|                                      (no penalization)
@@ -96,6 +96,20 @@ impl std::str::FromStr for Scorer {
                 "unknown scorer '{other}' (expected s1|s2|s3|s4; aliases rp, rp*sez, rb*cib, rp*cih)"
             )),
         }
+    }
+}
+
+/// Descending-score comparison that deterministically ranks NaN *last*.
+/// `f64::total_cmp` alone would put NaN above +∞ in a descending sort,
+/// so one degenerate candidate (constant column → undefined correlation)
+/// would float to the top of the ranking instead of the bottom.
+#[must_use]
+pub fn desc_score_nan_last(a: f64, b: f64) -> std::cmp::Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (true, true) => std::cmp::Ordering::Equal,
+        (true, false) => std::cmp::Ordering::Greater, // a sorts after b
+        (false, true) => std::cmp::Ordering::Less,
+        (false, false) => b.total_cmp(&a),
     }
 }
 

@@ -3,16 +3,18 @@
 //! A data scientist holds an hourly taxi-pickups table and hunts for
 //! augmentation features. This example shows the **risk-aware scoring**
 //! of paper Section 4: a tiny accidentally-overlapping table can produce
-//! a spuriously perfect correlation estimate; the `rp*cih` scorer
-//! (Hoeffding-CI penalization) demotes it while plain `rp` is fooled.
+//! a spuriously high correlation estimate; the served `s4` scorer (CI
+//! length normalized over the candidate list) demotes it to the bottom
+//! while plain `s1 = |r_p|` ranks it next to the real signal.
 //!
 //! ```text
 //! cargo run --release --example taxi_demand
 //! ```
 
 use join_correlation::datagen::Dist;
-use join_correlation::ranking::{extract_features, score_candidates, ScoringFunction};
-use join_correlation::sketches::{SketchBuilder, SketchConfig};
+use join_correlation::ranking::{desc_score_nan_last, score_estimates, Scorer};
+use join_correlation::sketches::{join_sketches, SketchBuilder, SketchConfig};
+use join_correlation::stats::{scored_estimate, BootstrapScratch, CorrelationEstimator::Pearson};
 use join_correlation::table::ColumnPair;
 
 fn day_keys(n: usize) -> Vec<String> {
@@ -92,40 +94,37 @@ fn main() {
     let builder = SketchBuilder::new(SketchConfig::with_size(256));
     let q_sketch = builder.build(&taxi);
     let candidates = [&weather, &events, &sensor];
-    let features: Vec<_> = candidates
+    // The engine's stage 2: Pearson with its Fisher z interval at 95%.
+    let mut scratch = BootstrapScratch::new();
+    let estimates: Vec<_> = candidates
         .iter()
-        .map(|c| extract_features(&q_sketch, &builder.build(c), Some((&taxi, c)), 7))
+        .map(|c| {
+            let s = join_sketches(&q_sketch, &builder.build(c)).expect("one hasher");
+            scored_estimate(Pearson, &s.x, &s.y, 0.95, &mut scratch).ok()
+        })
         .collect();
 
-    println!("candidate features (n = sketch-join sample size):");
-    for f in &features {
-        println!(
-            "  {:<22} n={:<5} r_p={:<8} hfd_ci_len={:.3}",
-            f.id,
-            f.sample_size,
-            f.rp.map_or_else(|| "-".into(), |r| format!("{r:+.3}")),
-            f.hfd_ci_length.unwrap_or(f64::NAN),
-        );
+    println!("candidate estimates (n = sketch-join sample size):");
+    for (c, e) in candidates.iter().zip(&estimates) {
+        let e = e.expect("every candidate joins on at least four rows");
+        let (id, n, r, lo, hi) = (c.id(), e.sample_size, e.estimate, e.ci_lo, e.ci_hi);
+        println!("  {id:<28} n={n:<5} r_p={r:+.3}  95% CI [{lo:+.3}, {hi:+.3}]");
     }
 
-    for scorer in [ScoringFunction::Rp, ScoringFunction::RpCih] {
-        let scores = score_candidates(&features, scorer);
-        let mut order: Vec<usize> = (0..features.len()).collect();
-        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-        println!("\nranking under {}:", scorer.name());
+    for scorer in [Scorer::S1, Scorer::S4] {
+        let scores = score_estimates(scorer, &estimates);
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        order.sort_by(|&a, &b| desc_score_nan_last(scores[a], scores[b]));
+        println!("\nranking under {scorer}:");
         for (rank, &i) in order.iter().enumerate() {
-            println!(
-                "  {}. {:<22} score={:.3}",
-                rank + 1,
-                features[i].id,
-                scores[i]
-            );
+            let id = candidates[i].id();
+            println!("  {}. {id:<28} score={:.3}", rank + 1, scores[i]);
         }
     }
 
     println!(
-        "\nThe tiny 'events' table pairs 4 points monotonically and fools \
-         the raw estimate; the Hoeffding-penalized scorer puts the \
-         genuinely predictive weather column first (paper Section 4)."
+        "\nThe tiny 'events' table pairs 4 points monotonically and scores like \
+         a real signal under s1; s4 drops it below even the unrelated sensor and \
+         keeps the genuinely predictive weather column first (paper Section 4)."
     );
 }

@@ -131,57 +131,54 @@ fn sketches_survive_persistence_through_the_whole_pipeline() {
 }
 
 #[test]
-fn multi_column_sketch_agrees_with_per_pair_sketches() {
-    use join_correlation::hashing::TupleHasher;
-    use join_correlation::sketches::{join_multi_sketches, MultiColumnSketch};
+fn ranking_harness_scores_what_the_engine_serves() {
+    use join_correlation::ranking::{run_ranking_experiment, RankingConfig, Scorer};
+    use join_correlation::stats::CorrelationEstimator::{Pearson, Pm1Bootstrap};
 
-    let tables = corpus();
-    // Find two joinable tables with ≥ 2 numeric columns.
-    let (ta, tb) = {
-        let mut found = None;
-        'outer: for a in &tables {
-            for b in &tables {
-                if a.name == b.name || a.numeric_names().len() < 2 || b.numeric_names().len() < 2 {
+    // Table 1 measures the served scorer only if the scores its harness
+    // ranks by are the scores a query gets: on the three paper rows whose
+    // scorer is per-candidate (s4 normalizes over the list, and the two
+    // lists differ), every candidate both see scores the same, bit for bit.
+    let split = split_corpus(&corpus(), 0.2, 1);
+    let cfg = RankingConfig::default();
+    let report = run_ranking_experiment(&split.queries, &split.corpus, &cfg);
+
+    let builder = SketchBuilder::new(SketchConfig::with_size(cfg.sketch_size));
+    let index = SketchIndex::from_sketches(split.corpus.iter().map(|p| builder.build(p))).unwrap();
+    let served = [
+        ("rp", Scorer::S1, Pearson),
+        ("rp*sez", Scorer::S2, Pearson),
+        ("rb*cib", Scorer::S3, Pm1Bootstrap { seed: cfg.seed }),
+    ];
+
+    let mut estimated = 0usize;
+    for outcome in &report.per_query {
+        let q = split.queries.iter().find(|q| q.id() == outcome.query_id);
+        let q_sketch = builder.build(q.unwrap());
+        for (label, scorer, estimator) in served {
+            let row = outcome.rows.iter().find(|r| r.label == label).unwrap();
+            // One query through `engine::execute`, every candidate kept.
+            let opts = QueryOptions {
+                overlap_candidates: index.len(),
+                k: index.len(),
+                min_sample: 0,
+                estimator,
+                scorer,
+                ..QueryOptions::default()
+            };
+            for r in engine::top_k_with_plan_stats(&index, &q_sketch, &opts).0 {
+                let Some(i) = outcome.candidate_ids.iter().position(|id| *id == r.id) else {
                     continue;
-                }
-                let pa = a.column_pairs().into_iter().next().unwrap();
-                let pb = b.column_pairs().into_iter().next().unwrap();
-                if join_correlation::table::key_overlap(&pa, &pb) > 50 {
-                    found = Some((a.clone(), b.clone()));
-                    break 'outer;
-                }
+                };
+                let (harness, served, q, c) = (row.scores[i], r.score, &outcome.query_id, &r.id);
+                let same = harness.to_bits() == served.to_bits();
+                assert!(
+                    same,
+                    "{label}: {q} vs {c}: harness {harness}, served {served}"
+                );
+                estimated += usize::from(r.estimate.is_some());
             }
         }
-        found.expect("corpus contains joinable multi-column tables")
-    };
-
-    let hasher = TupleHasher::default();
-    let ma = MultiColumnSketch::build(&ta, "key", 256, hasher, Aggregation::Mean).unwrap();
-    let mb = MultiColumnSketch::build(&tb, "key", 256, hasher, Aggregation::Mean).unwrap();
-    let multi = join_multi_sketches(&ma, &mb).unwrap();
-
-    let builder = SketchBuilder::new(SketchConfig::with_size(256));
-    let pa = ta.column_pair("key", ta.numeric_names()[0]).unwrap();
-    let pb = tb.column_pair("key", tb.numeric_names()[0]).unwrap();
-    let single =
-        join_correlation::sketches::join_sketches(&builder.build(&pa), &builder.build(&pb))
-            .unwrap();
-
-    // The multi-column sketch keeps a key as long as *any* numeric column
-    // is non-null for it, while the per-pair sketch drops rows whose
-    // specific value is null — so the single-pair join keys are a subset
-    // of the multi join keys (and most keys coincide).
-    let multi_keys: std::collections::HashSet<_> = multi.key_hashes.iter().copied().collect();
-    for kh in &single.key_hashes {
-        assert!(
-            multi_keys.contains(kh),
-            "single-join key missing from multi join"
-        );
     }
-    assert!(
-        single.key_hashes.len() as f64 >= 0.8 * multi.key_hashes.len() as f64,
-        "unexpectedly large divergence: single {} vs multi {}",
-        single.key_hashes.len(),
-        multi.key_hashes.len()
-    );
+    assert!(estimated >= 150, "too few shared candidates: {estimated}");
 }
