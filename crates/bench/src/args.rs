@@ -1,12 +1,17 @@
 //! Minimal `--key value` CLI parsing for the experiment binaries (keeps
 //! the dependency set to the approved list — no clap).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Parsed `--key value` arguments.
+/// Parsed `--key value` arguments. A binary reads its flags, then calls
+/// [`Args::finish`] before it does any work, so a flag it never asked
+/// for — a typo, another binary's flag — fails instead of leaving a
+/// silently applied default.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
+    values: BTreeMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -28,7 +33,7 @@ impl Args {
     ///
     /// See [`Args::from_env`].
     pub fn parse_args(args: impl IntoIterator<Item = String>) -> Self {
-        let mut values = HashMap::new();
+        let mut values = BTreeMap::new();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let key = arg
@@ -41,12 +46,16 @@ impl Args {
             };
             values.insert(key, value);
         }
-        Self { values }
+        Self {
+            values,
+            read: RefCell::default(),
+        }
     }
 
     /// String value of a flag.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.values.get(key).map(String::as_str)
     }
 
@@ -59,7 +68,7 @@ impl Args {
     where
         T::Err: std::fmt::Debug,
     {
-        match self.values.get(key) {
+        match self.get(key) {
             Some(v) => v.parse().unwrap_or_else(|e| panic!("--{key} {v}: {e:?}")),
             None => default,
         }
@@ -69,6 +78,28 @@ impl Args {
     #[must_use]
     pub fn flag(&self, key: &str) -> bool {
         self.get(key) == Some("true")
+    }
+
+    /// Every flag `bin` reads has been read: whatever is left is a flag
+    /// it does not know.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the leftover flags and `bin`.
+    pub fn finish(self, bin: &str) {
+        let read = self.read.into_inner();
+        let unknown: Vec<String> = self
+            .values
+            .keys()
+            .filter(|k| !read.contains(*k))
+            .map(|k| format!("--{k}"))
+            .collect();
+        let s = if unknown.len() == 1 { "" } else { "s" };
+        assert!(
+            unknown.is_empty(),
+            "unknown flag{s} {} for `{bin}`",
+            unknown.join(", ")
+        );
     }
 }
 
@@ -88,6 +119,16 @@ mod tests {
         assert!(a.flag("verbose"));
         assert!(!a.flag("quiet"));
         assert_eq!(a.get_or("missing", 42i32), 42);
+        a.finish("demo");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flags --sketch-size, --sketch-szes for `fig4_rmse`")]
+    fn finish_names_the_flags_the_bin_never_read() {
+        let a = parse("--sketch-size 64 --seed 3 --sketch-szes 64");
+        assert_eq!(a.get("sketch-sizes"), None);
+        assert_eq!(a.get_or("seed", 0u64), 3);
+        a.finish("fig4_rmse");
     }
 
     #[test]

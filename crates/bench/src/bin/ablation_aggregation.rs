@@ -22,6 +22,7 @@ fn main() {
     let max_pairs = args.get_or("max-pairs", 1_000usize);
     let sketch_size = args.get_or("sketch-size", 256usize);
     let seed = args.get_or("seed", 0xab2u64);
+    args.finish("ablation_aggregation");
 
     eprintln!("ablation_aggregation: scale={scale} max_pairs={max_pairs} k={sketch_size}");
     // NYC-like data has Zipf-repeated keys, so aggregation genuinely

@@ -54,6 +54,7 @@ fn main() {
     let sketch_size = args.get_or("sketch-size", 256usize);
     let alpha = args.get_or("alpha", 0.05f64);
     let seed = args.get_or("seed", 0xab3u64);
+    args.finish("ablation_ci");
 
     eprintln!("ablation_ci: scale={scale} max_pairs={max_pairs} alpha={alpha}");
     let pairs = corpus_pairs(CorpusChoice::Nyc, scale, seed, max_pairs);

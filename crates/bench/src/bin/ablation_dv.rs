@@ -33,6 +33,7 @@ fn main() {
     let args = Args::from_env();
     let trials = args.get_or("trials", 20usize);
     let cardinality = args.get_or("cardinality", 200_000usize);
+    args.finish("ablation_dv");
 
     eprintln!("ablation_dv: trials={trials} cardinality={cardinality}");
 

@@ -23,6 +23,7 @@ fn main() {
     let max_pairs = args.get_or("max-pairs", 1_200usize);
     let sketch_size = args.get_or("sketch-size", 256usize);
     let seed = args.get_or("seed", 0xab4u64);
+    args.finish("ablation_hashing");
 
     eprintln!("ablation_hashing: scale={scale} max_pairs={max_pairs} k={sketch_size}");
     let pairs = corpus_pairs(CorpusChoice::Nyc, scale, seed, max_pairs);

@@ -22,6 +22,7 @@ fn main() {
     let max_pairs = args.get_or("max-pairs", 1_500usize);
     let seed = args.get_or("seed", 0xab1u64);
     let budget = args.get_or("budget", 256usize); // target tuples per sketch
+    args.finish("ablation_selection");
 
     eprintln!("ablation_selection: scale={scale} max_pairs={max_pairs} budget={budget}");
     let pairs = corpus_pairs(CorpusChoice::Nyc, scale, seed, max_pairs);

@@ -166,6 +166,7 @@ fn main() {
             v.parse().unwrap_or_else(|e| panic!("--assert {v}: {e:?}"))
         }
     });
+    args.finish("bootstrap_kernel");
 
     let sizes = [32usize, 256, 4096];
     let mut rows = Vec::new();

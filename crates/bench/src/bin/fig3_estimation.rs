@@ -14,12 +14,19 @@
 //!
 //! Paper reference points: SBN estimates hug the diagonal; NYC/WBF show a
 //! vertical over-estimation band at truth ≈ 0 that disappears when
-//! filtering to join samples ≥ 20 (Figure 3d).
+//! filtering to join samples ≥ 20 (Figure 3d). Both are checked below, at
+//! bands from the default run; the exit code is the gate (`--csv` only
+//! dumps).
 
 use correlation_sketches::{join_sketches, SketchBuilder, SketchConfig};
 use sketch_bench::{corpus_pairs, Args, CorpusChoice};
 use sketch_stats::{pearson, rmse, CorrelationEstimator};
 use sketch_table::{exact_join, Aggregation};
+
+/// The default run measures RMSE 0.1035 over all pairs.
+const MAX_RMSE: f64 = 0.12;
+/// The default run has 0.822 of its estimates within ±0.10 of the truth.
+const MIN_WITHIN_010: f64 = 0.78;
 
 struct Point {
     truth: f64,
@@ -47,6 +54,7 @@ fn main() {
     let max_pairs = args.get_or("max-pairs", 5_000usize);
     let seed = args.get_or("seed", 0x316u64);
     let dump_csv = args.flag("csv");
+    args.finish("fig3_estimation");
 
     eprintln!(
         "fig3: dataset={dataset} scale={scale} sketch_size={sketch_size} \
@@ -90,19 +98,47 @@ fn main() {
         return;
     }
 
-    report(&points, min_sample);
+    let Some((all_rmse, within_010)) = report(&points, min_sample) else {
+        println!("fig3: FAIL — no evaluable pairs");
+        std::process::exit(1);
+    };
+    let mut failures = Vec::new();
+    if all_rmse > MAX_RMSE {
+        failures.push(format!("RMSE {all_rmse:.4} above {MAX_RMSE}"));
+    }
+    if within_010 < MIN_WITHIN_010 {
+        failures.push(format!(
+            "{within_010:.3} within +-0.10, below {MIN_WITHIN_010}"
+        ));
+    }
     // Figure 3d: re-filter at n ≥ 20 for the real-data collections.
     if min_sample < 20 {
         let filtered: Vec<Point> = points.into_iter().filter(|p| p.sample >= 20).collect();
         println!("\n--- filtered to join samples >= 20 (Figure 3d view) ---");
-        report(&filtered, 20);
+        match report(&filtered, 20) {
+            Some((rmse_20, _)) if rmse_20 > all_rmse => failures.push(format!(
+                "RMSE {rmse_20:.4} at n >= 20 above {all_rmse:.4} over all samples"
+            )),
+            None => failures.push("no pair with a join sample >= 20".to_string()),
+            Some(_) => {}
+        }
+    }
+    if failures.is_empty() {
+        println!(
+            "fig3: OK — RMSE <= {MAX_RMSE}, >= {MIN_WITHIN_010} within +-0.10, \
+             and RMSE at n >= 20 no higher than over all samples"
+        );
+    } else {
+        println!("fig3: FAIL — {}", failures.join("; "));
+        std::process::exit(1);
     }
 }
 
-fn report(points: &[Point], min_sample: usize) {
+/// Print one accuracy block; `(RMSE, share within ±0.10)` unless empty.
+fn report(points: &[Point], min_sample: usize) -> Option<(f64, f64)> {
     if points.is_empty() {
         println!("no evaluable pairs (min_sample={min_sample})");
-        return;
+        return None;
     }
     let truths: Vec<f64> = points.iter().map(|p| p.truth).collect();
     let ests: Vec<f64> = points.iter().map(|p| p.estimate).collect();
@@ -144,4 +180,5 @@ fn report(points: &[Point], min_sample: usize) {
         println!("|{line}|");
     }
     println!("(diagonal concentration = accurate estimates)");
+    Some((err_rmse, within(0.10)))
 }

@@ -6,7 +6,10 @@
 //! for each estimator (Pearson, Spearman, RIN, Qn, PM1) and each maximum
 //! sketch size `k ∈ {256, 512, 1024}`. The expected shape: RMSE falls as
 //! the intersection grows and stabilizes around ~0.1; `Qn` is the least
-//! stable.
+//! stable. The first is checked per `k` and estimator — RMSE in the largest
+//! populated bucket below RMSE in the smallest — and the exit code is the
+//! gate; a cell that is exact in its smallest bucket (the sketches hold
+//! every joined row) has nothing to fall and is reported, not gated.
 //!
 //! ```text
 //! cargo run --release -p sketch-bench --bin fig4_rmse -- \
@@ -28,6 +31,9 @@ const BUCKETS: [(usize, usize); 7] = [
     (81, 160),
     (161, usize::MAX),
 ];
+
+/// RMSE below this is rounding error on exact estimates.
+const EXACT: f64 = 1e-9;
 
 fn bucket_label(b: (usize, usize)) -> String {
     if b.1 == usize::MAX {
@@ -53,6 +59,7 @@ fn main() {
         .split(',')
         .map(|s| s.trim().parse().expect("--sketch-sizes 256,512,1024"))
         .collect();
+    args.finish("fig4_rmse");
 
     eprintln!("fig4: dataset={dataset} scale={scale} max_pairs={max_pairs} k={sketch_sizes:?}");
 
@@ -63,6 +70,7 @@ fn main() {
         "{:<6} {:<9} {:<10} {:>8} {:>8}",
         "k", "estimator", "intersect", "pairs", "RMSE"
     );
+    let (mut gated, mut exact, mut failures) = (0usize, Vec::new(), Vec::new());
     for &k in &sketch_sizes {
         let builder = SketchBuilder::new(SketchConfig::with_size(k));
         // (estimator, bucket) → (estimates, truths)
@@ -99,22 +107,45 @@ fn main() {
         }
 
         for (ei, est) in estimators.iter().enumerate() {
+            // RMSE per populated bucket, smallest intersection first.
+            let mut curve = Vec::new();
             for (bi, &bucket) in BUCKETS.iter().enumerate() {
                 let (ests, truths) = &cells[ei][bi];
                 if ests.is_empty() {
                     continue;
                 }
+                let err = rmse(ests, truths);
                 println!(
                     "{:<6} {:<9} {:<10} {:>8} {:>8.4}",
                     k,
                     est.name(),
                     bucket_label(bucket),
                     ests.len(),
-                    rmse(ests, truths)
+                    err
                 );
+                curve.push(err);
+            }
+            let cell = format!("k={k} {}", est.name());
+            match (curve.first(), curve.last()) {
+                (Some(&small), _) if small < EXACT => exact.push(cell),
+                (Some(&small), Some(&large)) if large >= small => failures.push(format!(
+                    "{cell}: RMSE {large:.4} in the largest bucket is not below {small:.4}"
+                )),
+                (Some(_), _) => gated += 1,
+                (None, _) => failures.push(format!("{cell}: no populated bucket")),
             }
         }
     }
     println!("\nExpected shape (paper Fig. 4): RMSE decreases with intersection size");
     println!("and stabilizes around ~0.1; qn is the least robust of the estimators.");
+    if failures.is_empty() {
+        println!(
+            "fig4: OK — RMSE falls from the smallest to the largest bucket in {gated} cells; \
+             exact in the smallest bucket, not gated: [{}]",
+            exact.join(", ")
+        );
+    } else {
+        println!("fig4: FAIL — {}", failures.join("; "));
+        std::process::exit(1);
+    }
 }

@@ -24,6 +24,7 @@ fn main() {
     let tables = args.get_or("tables", 200usize);
     let queries = args.get_or("queries", 60usize);
     let seed = args.get_or("seed", 0x515u64);
+    args.finish("fig5_histograms");
 
     eprintln!("fig5: tables={tables} queries={queries} seed={seed}");
 

@@ -22,6 +22,7 @@ fn main() {
     let days = args.get_or("days", 1_500usize);
     let sketch_size = args.get_or("sketch-size", 1024usize);
     let seed = args.get_or("seed", 0x1a_1au64);
+    args.finish("intro_anecdote");
 
     eprintln!("intro: taxi rows={rows}, weather days={days}, sketch_size={sketch_size}");
 

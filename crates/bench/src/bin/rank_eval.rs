@@ -63,6 +63,17 @@ fn main() {
     let k = args.get_or("k", 5usize);
     let relevance = args.get_or("relevance", 0.6f64);
     let threads = args.get_or("threads", 2usize);
+    let plan_scorer: Scorer = args
+        .get("plan-scorer")
+        .unwrap_or("s2")
+        .parse()
+        .expect("--plan-scorer");
+    // Pruning needs the k-th best pass-1 lower bound to sit above the
+    // trap herd, so the plan section queries at a k within the planted
+    // strong-partner count (the scorer section keeps its own k).
+    let plan_k = args.get_or("plan-k", cfg.true_per_query.min(k));
+    let assert = args.flag("assert");
+    args.finish("rank_eval");
 
     let planted = generate_planted(&cfg);
     eprintln!(
@@ -147,15 +158,6 @@ fn main() {
     // estimator, exhaustive vs the two-pass planner. The planner's
     // losslessness contract means the answers must be *identical*; what
     // changes is how many times the expensive estimator runs.
-    let plan_scorer: Scorer = args
-        .get("plan-scorer")
-        .unwrap_or("s2")
-        .parse()
-        .expect("--plan-scorer");
-    // Pruning needs the k-th best pass-1 lower bound to sit above the
-    // trap herd, so the plan section queries at a k within the planted
-    // strong-partner count (the scorer section above keeps its own k).
-    let plan_k = args.get_or("plan-k", cfg.true_per_query.min(k));
     println!(
         "plan ({})  estimator  recall@{plan_k}  calls/query  cost/query",
         plan_scorer.name()
@@ -228,7 +230,7 @@ fn main() {
         plan_json.join(","),
     );
 
-    if args.flag("assert") {
+    if assert {
         let mut ok = true;
         for &(scorer, recall) in &recalls[1..] {
             if recall + 1e-12 < point {

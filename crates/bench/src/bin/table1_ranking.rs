@@ -43,6 +43,7 @@ fn main() {
     let queries = args.get_or("queries", 60usize);
     let sketch_size = args.get_or("sketch-size", 256usize);
     let seed = args.get_or("seed", 0x7ab1u64);
+    args.finish("table1_ranking");
 
     eprintln!("table1: tables={tables} queries={queries} sketch_size={sketch_size} seed={seed}");
 

@@ -30,6 +30,7 @@ fn main() {
     let max_pairs = args.get_or("max-pairs", 800usize);
     let sketch_size = args.get_or("sketch-size", 1024usize);
     let seed = args.get_or("seed", 0x7ab2u64);
+    args.finish("table2_runtime");
 
     eprintln!(
         "table2: dataset={dataset} scale={scale} max_pairs={max_pairs} sketch_size={sketch_size}"

@@ -66,7 +66,7 @@ impl SourceFile {
             }
         }
         let n_lines = line_starts.len();
-        let whole_file_test = path.contains("/tests/") || path.contains("/benches/");
+        let whole_file_test = path.contains("/tests/");
         let mut test_lines = vec![whole_file_test; n_lines + 2];
         if !whole_file_test {
             mark_test_regions(&src, &tokens, &sig, &mut test_lines);

@@ -2,8 +2,8 @@
 //! that enforces the workspace's determinism, panic-safety, and
 //! unsafe-hygiene invariants (see [`rules`] for the rule table).
 //!
-//! In the same hand-rolled spirit as the in-tree rand/proptest/
-//! criterion shims: a real Rust [`lexer`] (raw strings, nested block
+//! In the same hand-rolled spirit as the in-tree rand/proptest
+//! shims: a real Rust [`lexer`] (raw strings, nested block
 //! comments, char-vs-lifetime disambiguation, byte literals), a
 //! line/column-aware rule [`engine`], and six [`rules`] distilled from
 //! this repository's own bug history. Every invariant the proptest

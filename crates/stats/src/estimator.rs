@@ -180,20 +180,6 @@ impl std::str::FromStr for CorrelationEstimator {
     }
 }
 
-/// Free-function convenience wrapper around
-/// [`CorrelationEstimator::estimate`].
-///
-/// # Errors
-///
-/// Propagates the underlying estimator's [`StatsError`]s.
-pub fn estimate_correlation(
-    estimator: CorrelationEstimator,
-    x: &[f64],
-    y: &[f64],
-) -> Result<f64, StatsError> {
-    estimator.estimate(x, y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

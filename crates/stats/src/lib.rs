@@ -51,7 +51,7 @@ pub use ci::{
 };
 pub use distance::distance_correlation;
 pub use error::StatsError;
-pub use estimator::{estimate_correlation, CorrelationEstimator};
+pub use estimator::CorrelationEstimator;
 pub use kendall::kendall_tau;
 pub use metrics::{average_precision, dcg_at_k, mean, ndcg_at_k, recall_at_k, rmse};
 pub use moments::{Moments, SummaryStats};
