@@ -1,5 +1,5 @@
 //! Shared plumbing for the experiment binaries (one per paper
-//! table/figure, the ablations and the two CI-gated harnesses — see
+//! table/figure, the ablations and the `rank_eval` CI gate — see
 //! `src/bin/`). Serving, store and cluster performance is measured by
 //! the ledger (`benchmark/`), not here.
 

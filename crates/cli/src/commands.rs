@@ -308,7 +308,7 @@ pub mod corpus {
     /// into `--workers` per-worker stores (deterministic contiguous
     /// slices, in live-view order) plus a `partition.cskp` manifest, for
     /// scatter-gather serving: boot one `corrsketch serve` per worker
-    /// directory, then a `serve --coordinator` over them. Worker order
+    /// directory, then `serve --workers` over them. Worker order
     /// in the manifest is the shard order the coordinator must use.
     ///
     /// # Errors
@@ -631,18 +631,17 @@ pub mod serve {
 
     /// Run the subcommand. Blocks until a termination signal; the bound
     /// address is printed to stdout immediately so scripts can wait for
-    /// readiness. With `--workers` (or `--coordinator true`) it boots
-    /// the scatter-gather coordinator over already-running worker
-    /// servers instead of serving a store directly.
+    /// readiness. With `--workers` it boots the scatter-gather
+    /// coordinator over already-running worker servers instead of
+    /// serving a store directly.
     ///
     /// # Errors
     ///
     /// [`CliError`] on missing or unknown flags, unreadable stores,
     /// unreachable workers, or unbindable addresses.
     pub fn run(mut args: CliArgs) -> Result<String, CliError> {
-        let workers = args.optional("workers");
-        if args.parse_or("coordinator", false)? || workers.is_some() {
-            return run_coordinator(args, workers);
+        if let Some(workers) = args.optional("workers") {
+            return run_coordinator(args, &workers);
         }
         let store = args.required("store")?;
         let front = front_flags(&mut args)?;
@@ -678,13 +677,12 @@ pub mod serve {
     /// The coordinator mode: fan `/query` and `/query_batch` out over
     /// `--workers` (comma-separated `host:port`, **in partition order**
     /// — the order `corpus shard` wrote them) and merge losslessly.
-    fn run_coordinator(mut args: CliArgs, workers: Option<String>) -> Result<String, CliError> {
-        // `--coordinator true` alone lands here without the flag.
-        let workers = comma_list(&workers.map_or_else(|| args.required("workers"), Ok)?);
+    fn run_coordinator(mut args: CliArgs, workers: &str) -> Result<String, CliError> {
+        let workers = comma_list(workers);
         let front = front_flags(&mut args)?;
         let worker_timeout = millis(&mut args, "worker-timeout-ms", 2_000)?;
         let startup_timeout = millis(&mut args, "startup-timeout-ms", 10_000)?;
-        args.finish("serve --coordinator")?;
+        args.finish("serve --workers")?;
         if workers.is_empty() {
             return Err(CliError::Usage(
                 "--workers needs at least one host:port address".into(),

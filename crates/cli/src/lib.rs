@@ -117,7 +117,7 @@ USAGE:
                       (HTTP: POST /query, POST /query_batch, GET /corpus,
                        GET /healthz, GET /stats, GET /metrics — Prometheus
                        text; graceful stop on SIGTERM)
-  corrsketch serve    --coordinator true --workers <host:port>[,<host:port>…]
+  corrsketch serve    --workers <host:port>[,<host:port>…]
                       [--worker-timeout-ms 2000] [--startup-timeout-ms 10000]
                       (plus every serve flag above except --store and
                        --load-threads. Scatter-gather over worker servers,

@@ -367,8 +367,6 @@ fn helpful_errors() {
     // store, and refuses one before contacting any worker.
     let err = sketch_cli::run(&argv(&[
         "serve",
-        "--coordinator",
-        "true",
         "--workers",
         "127.0.0.1:1",
         "--store",
@@ -377,9 +375,21 @@ fn helpful_errors() {
     .unwrap_err()
     .to_string();
     assert!(
-        err.contains("--store") && err.contains("serve --coordinator"),
+        err.contains("--store") && err.contains("serve --workers"),
         "{err}"
     );
+    // `--workers` alone selects the coordinator; the retired
+    // `--coordinator` switch is an unknown flag like any other.
+    let err = sketch_cli::run(&argv(&[
+        "serve",
+        "--coordinator",
+        "true",
+        "--store",
+        &store,
+    ]))
+    .unwrap_err()
+    .to_string();
+    assert!(err.contains("--coordinator"), "{err}");
 }
 
 #[test]

@@ -9,9 +9,8 @@
 //! *same* hash functions, two sketches built independently tend to retain
 //! the *same* keys, and joining them on `h(k)` reconstructs a **uniform
 //! random sample of the joined table** (Theorem 1). Any sample statistic —
-//! Pearson, Spearman, RIN, Qn, bootstrap correlations, mutual information,
-//! cardinalities, containment — can then be estimated without ever
-//! executing the join.
+//! Pearson, Spearman, RIN, Qn, bootstrap correlations, cardinalities,
+//! containment — can then be estimated without ever executing the join.
 //!
 //! # Quick start
 //!
@@ -53,8 +52,6 @@
 //! * [`kmv`] — everything a KMV synopsis supports: distinct-value
 //!   estimators, union/intersection cardinality, Jaccard similarity and
 //!   containment estimates (Sections 2.1, 3.3).
-//! * [`mutual_info`] — mutual-information estimation from join samples,
-//!   demonstrating the "any statistic" claim of Theorem 1.
 //! * [`binary`] — the compact binary sketch codec (the payload of a
 //!   `sketch-store` shard record, and the one persisted sketch format).
 //! * [`json`] — the JSON reader and writers under the server's request
@@ -70,8 +67,6 @@ pub mod hll;
 pub mod join;
 pub mod json;
 pub mod kmv;
-pub mod merge;
-pub mod mutual_info;
 pub mod parallel;
 pub mod sketch;
 pub mod stream;
@@ -88,8 +83,6 @@ pub use kmv::{
     containment_estimate, distinct_value_estimate, intersection_estimate, jaccard_estimate,
     union_estimate,
 };
-pub use merge::{is_decomposable, merge_partition_sketches};
-pub use mutual_info::mutual_information;
 pub use parallel::build_sketches_parallel;
 pub use sketch::{CorrelationSketch, SketchEntry};
 pub use stream::StreamingSketchBuilder;

@@ -197,7 +197,7 @@ pub fn run_ranking_experiment(
     let builder =
         SketchBuilder::new(SketchConfig::with_size(cfg.sketch_size).aggregation(cfg.aggregation));
     let corpus_sketches: Vec<CorrelationSketch> = corpus.iter().map(|p| builder.build(p)).collect();
-    let pm1_bootstrap = CorrelationEstimator::Pm1Bootstrap { seed: cfg.seed };
+    let pm1_estimator = CorrelationEstimator::Pm1Bootstrap { seed: cfg.seed };
     let mut scratch = BootstrapScratch::new();
 
     let mut per_query = Vec::new();
@@ -220,7 +220,7 @@ pub fn run_ranking_experiment(
                 scored_estimate(estimator, &sample.x, &sample.y, CONFIDENCE, &mut scratch).ok()
             };
             let rp = estimate(CorrelationEstimator::Pearson);
-            pm1.push(estimate(pm1_bootstrap));
+            pm1.push(estimate(pm1_estimator));
             // The paper's `ci_h`: the Pearson estimate, its risk read off
             // the HFD interval instead of Fisher z.
             hfd.push(rp.and_then(|e| {

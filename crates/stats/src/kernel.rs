@@ -461,8 +461,7 @@ pub fn pearson_from_gather(n: usize, sums: &GatherSums) -> Option<f64> {
 /// baseline: gather `(x[idx[i]], y[idx[i]])` into `bx`/`by`, then run the
 /// classic two-pass mean-centered Pearson over the materialized buffers.
 /// The `prop_kernel` battery bounds the fused kernel's divergence from
-/// this path, and the `bootstrap_kernel` microbench reports the speedup
-/// against it.
+/// this path.
 ///
 /// # Panics
 ///

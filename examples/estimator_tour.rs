@@ -1,7 +1,7 @@
 //! Tour of the correlation estimators and KMV statistics a single pair of
 //! sketches supports (paper Sections 3.3 and 5.3): Pearson, Spearman,
-//! RIN, Qn, PM1 bootstrap, mutual information, distinct values, join
-//! cardinality, Jaccard similarity and containment.
+//! RIN, Qn, PM1 bootstrap, distinct values, join cardinality, Jaccard
+//! similarity and containment.
 //!
 //! ```text
 //! cargo run --release --example estimator_tour
@@ -10,7 +10,7 @@
 use join_correlation::datagen::Dist;
 use join_correlation::sketches::{
     containment_estimate, distinct_value_estimate, intersection_estimate, jaccard_estimate,
-    join_sketches, mutual_info, union_estimate, SketchBuilder, SketchConfig,
+    join_sketches, union_estimate, SketchBuilder, SketchConfig,
 };
 use join_correlation::stats::CorrelationEstimator;
 use join_correlation::table::{exact_join, Aggregation, ColumnPair};
@@ -70,12 +70,6 @@ fn main() {
     println!(
         "\nPearson is dragged below the rank estimators by the exponential \
          tail; Spearman/RIN see the monotone link (paper Section 2.2)."
-    );
-
-    let mi = mutual_info::join_sample_mutual_information(&sample);
-    println!(
-        "\nmutual information (plug-in, nats): {}",
-        mi.map_or_else(|| "-".into(), |v| format!("{v:.3}"))
     );
 
     println!("\nKMV statistics from the same sketches:");

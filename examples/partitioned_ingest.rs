@@ -1,23 +1,20 @@
-//! Production-shaped ingestion: data arrives in shards, each shard is
-//! sketched incrementally (push API), shard sketches are merged, and the
-//! corpus is sketched in parallel — all while staying bit-identical to a
-//! single-pass build.
+//! Production-shaped ingestion: rows arrive in shards and are sketched
+//! incrementally (push API), and the rest of the lake is sketched in
+//! parallel — both bit-identical to a one-shot build.
 //!
 //! ```text
 //! cargo run --release --example partitioned_ingest
 //! ```
 
 use join_correlation::sketches::{
-    build_sketches_parallel, join_sketches, merge_partition_sketches, SketchBuilder, SketchConfig,
-    StreamingSketchBuilder,
+    build_sketches_parallel, join_sketches, SketchBuilder, SketchConfig, StreamingSketchBuilder,
 };
 use join_correlation::stats::CorrelationEstimator;
 use join_correlation::table::{Aggregation, ColumnPair};
 
 fn main() {
-    // A "sensor" table too large to sketch in one place: four shards of
-    // (station, reading-count) rows. Count is decomposable, so shard
-    // sketches merge exactly.
+    // A "sensor" table that arrives in four shards of (station,
+    // reading-count) rows.
     let config = SketchConfig::with_size(256).aggregation(Aggregation::Count);
     let shard_rows = |s: usize| -> Vec<(String, f64)> {
         (0..50_000)
@@ -28,29 +25,22 @@ fn main() {
             .collect()
     };
 
-    // 1. Incremental (push-based) sketching per shard — the shape of a
-    //    streaming ingestion pipeline.
-    let mut shard_sketches = Vec::new();
+    // 1. Incremental (push-based) sketching — the shape of a streaming
+    //    ingestion pipeline: one builder, each shard pushed as it lands.
+    let mut builder = StreamingSketchBuilder::new("sensors/station/events", config);
     for s in 0..4 {
-        let mut builder = StreamingSketchBuilder::new("sensors/station/events", config);
         for (k, v) in shard_rows(s) {
             builder.push(&k, v);
         }
         println!(
-            "shard {s}: {} rows pushed, {} tuples retained",
+            "after shard {s}: {} rows pushed, {} tuples retained",
             builder.rows_scanned(),
             builder.len()
         );
-        shard_sketches.push(builder.finish());
     }
+    let streamed = builder.finish();
 
-    // 2. Merge the shard sketches (exact for decomposable aggregations).
-    let merged = shard_sketches
-        .into_iter()
-        .reduce(|a, b| merge_partition_sketches(&a, &b).expect("same config, decomposable"))
-        .expect("at least one shard");
-
-    // Cross-check against a single pass over the concatenated shards.
+    // Cross-check against a one-shot build over the concatenated shards.
     let mut all_keys = Vec::new();
     let mut all_vals = Vec::new();
     for s in 0..4 {
@@ -60,15 +50,14 @@ fn main() {
         }
     }
     let whole = ColumnPair::new("sensors", "station", "events", all_keys, all_vals);
-    let single_pass = SketchBuilder::new(config).build(&whole);
-    assert_eq!(merged.entries(), single_pass.entries());
+    assert_eq!(streamed, SketchBuilder::new(config).build(&whole));
     println!(
-        "\nmerged sketch == single-pass sketch over {} rows ({} tuples)",
-        merged.rows_scanned(),
-        merged.len()
+        "\nstreamed sketch == one-shot sketch over {} rows ({} tuples)",
+        streamed.rows_scanned(),
+        streamed.len()
     );
 
-    // 3. Parallel corpus sketching for the rest of the lake.
+    // 2. Parallel corpus sketching for the rest of the lake.
     let corpus: Vec<ColumnPair> = (0..64)
         .map(|t| {
             ColumnPair::new(
@@ -98,11 +87,11 @@ fn main() {
         t_serial.as_secs_f64() * 1e3,
     );
 
-    // 4. The merged sketch is a first-class citizen: join it against a
+    // 3. The streamed sketch is a first-class citizen: join it against a
     //    corpus sketch and estimate.
-    let sample = join_sketches(&merged, &parallel[0]).expect("same hasher");
+    let sample = join_sketches(&streamed, &parallel[0]).expect("same hasher");
     println!(
-        "\nmerged-shard sketch ⨝ corpus sketch: {} shared stations, r^ = {}",
+        "\nstreamed sketch ⨝ corpus sketch: {} shared stations, r^ = {}",
         sample.len(),
         sample
             .estimate(CorrelationEstimator::Pearson)

@@ -175,7 +175,7 @@ done
 
 CPORT=$((PORT + 4))
 CBASE="http://127.0.0.1:$CPORT"
-"$CORRSKETCH" serve --coordinator true --workers "$WORKER_ADDRS" --port "$CPORT" \
+"$CORRSKETCH" serve --workers "$WORKER_ADDRS" --port "$CPORT" \
   --threads 2 --poll-ms 100 > "$WORK/coordinator.log" 2>&1 &
 COORD_PID=$!
 for _ in $(seq 1 100); do
