@@ -3,9 +3,10 @@
 //! The builder performs one pass over the key/value rows while maintaining
 //! the tuples with minimum `g(k) = h_u(h(k))` — the paper's "tree-based
 //! algorithm similar to the one described in [Beyer et al.]", realized here
-//! as a max-heap over unit hashes plus a hash map for streaming
-//! repeated-key aggregation. Both selection strategies discussed in the
-//! paper are implemented:
+//! as a hash map for streaming repeated-key aggregation, plus a max-heap
+//! over unit hashes that is built only once a fixed-size sketch is full
+//! and must evict (an unsaturated sketch never builds it). Both selection
+//! strategies discussed in the paper are implemented:
 //!
 //! * [`SelectionStrategy::FixedSize`] — keep the `n` smallest (the paper's
 //!   choice: predictable space and query latency);

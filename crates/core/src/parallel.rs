@@ -7,10 +7,17 @@
 //! scoped threads; results are bit-identical to the serial build and
 //! returned in input order.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use sketch_table::ColumnPair;
 
 use crate::builder::{SketchBuilder, SketchConfig};
 use crate::sketch::CorrelationSketch;
+
+/// Pairs a worker claims at a time: small enough that a worker that drew
+/// long columns does not leave the others idle at the end, large enough
+/// that the shared cursor is touched rarely.
+const BLOCK: usize = 8;
 
 /// Build sketches for every column pair using up to `threads` worker
 /// threads. Deterministic: output order matches `pairs` and each sketch
@@ -25,30 +32,42 @@ pub fn build_sketches_parallel(
     threads: usize,
 ) -> Vec<CorrelationSketch> {
     let threads = threads.clamp(1, pairs.len().max(1));
-    if threads == 1 || pairs.len() < 2 {
-        let builder = SketchBuilder::new(config);
+    let builder = SketchBuilder::new(config);
+    if threads == 1 {
         return pairs.iter().map(|p| builder.build(p)).collect();
     }
 
-    // Static chunking: sketch cost is roughly proportional to row count,
-    // and contiguous chunks keep the result concatenation trivial.
-    let chunk_len = pairs.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(pairs.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let builder = SketchBuilder::new(config);
-                    chunk.iter().map(|p| builder.build(p)).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("sketching workers do not panic"));
+    // Workers claim blocks of pairs from one cursor, so each ends within
+    // about a block's work of the others whatever the row counts; every
+    // block comes back tagged with its start and is put back in place.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let start = cursor.fetch_add(BLOCK, Ordering::Relaxed);
+            if start >= pairs.len() {
+                return done;
+            }
+            let block = &pairs[start..(start + BLOCK).min(pairs.len())];
+            done.push((
+                start,
+                block.iter().map(|p| builder.build(p)).collect::<Vec<_>>(),
+            ));
         }
+    };
+    let mut blocks = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut blocks = work();
+        for h in helpers {
+            blocks.extend(h.join().expect("sketching workers do not panic"));
+        }
+        blocks
     });
-    out
+    blocks.sort_unstable_by_key(|&(start, _)| start);
+    blocks
+        .into_iter()
+        .flat_map(|(_, sketches)| sketches)
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! synopses "can be pre-computed" online as data arrives, one pass,
 //! `O(sketch size)` memory.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasher, Hasher};
 
 use sketch_hashing::{KeyHash, KeyHasher};
 use sketch_stats::ValueBounds;
@@ -27,9 +28,14 @@ use crate::sketch::{CorrelationSketch, SketchEntry};
 pub struct StreamingSketchBuilder {
     id: String,
     config: SketchConfig,
-    members: HashMap<KeyHash, (f64, AggState)>,
-    /// Max-heap over `(unit hash, key)`; only used by the fixed-size
-    /// strategy (empty for threshold sketches).
+    /// Retained key → (unit hash, aggregation state). Grows until a
+    /// fixed-size sketch holds `n` keys, then stays at `n`.
+    members: HashMap<KeyHash, (f64, AggState), FoldedMultiply>,
+    /// Max-heap over the retained `(unit hash, key)`s, built once from
+    /// `members` when a fixed-size sketch first meets a new key while
+    /// full, and kept in step with it from then on. Empty before that,
+    /// and always for threshold sketches: an unsaturated sketch never
+    /// pays for it.
     heap: BinaryHeap<HeapKey>,
     bounds_min: f64,
     bounds_max: f64,
@@ -48,8 +54,8 @@ impl StreamingSketchBuilder {
         Self {
             id: id.into(),
             config,
-            members: HashMap::with_capacity(cap),
-            heap: BinaryHeap::with_capacity(cap + 1),
+            members: HashMap::with_capacity_and_hasher(cap, FoldedMultiply::new()),
+            heap: BinaryHeap::new(),
             bounds_min: f64::INFINITY,
             bounds_max: f64::NEG_INFINITY,
             rows_scanned: 0,
@@ -84,24 +90,16 @@ impl StreamingSketchBuilder {
         let agg = self.config.aggregation;
         let (kh, unit) = self.config.hasher.g(key.as_bytes());
         match self.config.strategy {
-            SelectionStrategy::FixedSize(n) => match self.members.entry(kh) {
-                Entry::Occupied(mut e) => e.get_mut().1.update(value),
-                Entry::Vacant(e) => {
-                    let hk = HeapKey { unit, key: kh };
-                    if self.heap.len() < n {
+            SelectionStrategy::FixedSize(n) => {
+                let full = self.members.len() >= n;
+                match self.members.entry(kh) {
+                    Entry::Occupied(mut e) => e.get_mut().1.update(value),
+                    Entry::Vacant(e) if !full => {
                         e.insert((unit, agg.start(value)));
-                        self.heap.push(hk);
-                    } else if n > 0 && hk < *self.heap.peek().expect("heap full, n > 0") {
-                        e.insert((unit, agg.start(value)));
-                        self.heap.push(hk);
-                        let evicted = self.heap.pop().expect("non-empty heap");
-                        self.members.remove(&evicted.key);
-                        self.saturated = true;
-                    } else {
-                        self.saturated = true;
                     }
+                    Entry::Vacant(_) => self.offer(HeapKey { unit, key: kh }, value),
                 }
-            },
+            }
             SelectionStrategy::Threshold(t) => {
                 if unit <= t {
                     match self.members.entry(kh) {
@@ -117,21 +115,54 @@ impl StreamingSketchBuilder {
         }
     }
 
+    /// A new key meets a full fixed-size sketch: it replaces the retained
+    /// maximum when it sorts below it, and is dropped otherwise. Either
+    /// way the sketch is now saturated. `HeapKey` is a strict total order,
+    /// so the evicted key is the unique maximum whatever the heap's
+    /// layout, and a key evicted once can never re-enter (it compares
+    /// above the shrinking maximum).
+    fn offer(&mut self, hk: HeapKey, value: f64) {
+        self.saturated = true;
+        if self.members.is_empty() {
+            return; // n == 0 keeps nothing
+        }
+        if self.heap.is_empty() {
+            self.heap = self
+                .members
+                .iter() // lint: ordered (heapified: the heap's layout decides no output, see above)
+                .map(|(&key, &(unit, _))| HeapKey { unit, key })
+                .collect();
+        }
+        let mut max = self
+            .heap
+            .peek_mut()
+            .expect("the heap holds the n > 0 retained keys");
+        if hk < *max {
+            let evicted = std::mem::replace(&mut *max, hk);
+            drop(max);
+            self.members.remove(&evicted.key);
+            let agg = self.config.aggregation;
+            self.members.insert(hk.key, (hk.unit, agg.start(value)));
+        }
+    }
+
     /// Finalize into an immutable [`CorrelationSketch`].
     #[must_use]
     pub fn finish(self) -> CorrelationSketch {
-        // Units were captured at push time; no key is rehashed here.
-        let mut tagged: Vec<(HeapKey, f64)> = self
+        // Units were captured at push time; no key is rehashed here. Keys
+        // are distinct, so an unstable sort on the integer image of
+        // `HeapKey`'s order is the same order.
+        let mut tagged: Vec<(u64, KeyHash, f64, f64)> = self
             .members
-            .into_iter() // lint: ordered (sorted by HeapKey before any output below)
-            .map(|(kh, (unit, state))| (HeapKey { unit, key: kh }, state.value()))
+            .into_iter() // lint: ordered (sorted by (unit, key) before any output below)
+            .map(|(kh, (unit, state))| (total_order_bits(unit), kh, unit, state.value()))
             .collect();
-        tagged.sort_by_key(|e| e.0);
+        tagged.sort_unstable_by_key(|&(bits, kh, _, _)| (bits, kh));
         let mut entries = Vec::with_capacity(tagged.len());
         let mut units = Vec::with_capacity(tagged.len());
-        for (hk, value) in tagged {
-            entries.push(SketchEntry { key: hk.key, value });
-            units.push(hk.unit);
+        for (_, key, unit, value) in tagged {
+            entries.push(SketchEntry { key, value });
+            units.push(unit);
         }
         CorrelationSketch {
             id: self.id,
@@ -144,6 +175,73 @@ impl StreamingSketchBuilder {
                 .then(|| ValueBounds::new(self.bounds_min, self.bounds_max)),
             rows_scanned: self.rows_scanned,
             saturated: self.saturated,
+        }
+    }
+}
+
+/// `x`'s bits as an unsigned integer that orders exactly as
+/// [`f64::total_cmp`] orders floats: the sign-folded bits `total_cmp`
+/// compares as `i64`, shifted into unsigned range by flipping the sign bit.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    let folded = bits ^ ((((bits as i64) >> 63) as u64) >> 1);
+    folded ^ (1 << 63)
+}
+
+/// Hasher of the members map: a folded multiply (the 128-bit product of
+/// the key, xored with one secret, and another secret, its halves xored
+/// together). A [`KeyHash`] is already a murmur3 output, so this is
+/// enough mixing at a fraction of SipHash's cost; the secrets, drawn per
+/// builder from [`RandomState`], keep it keyed: the server sketches
+/// untrusted query keys, and an unkeyed multiply would let a client
+/// grind murmur3 outputs into one bucket.
+#[derive(Debug, Clone, Copy)]
+struct FoldedMultiply {
+    xor: u64,
+    mul: u64,
+}
+
+impl FoldedMultiply {
+    fn new() -> Self {
+        let secrets = RandomState::new();
+        Self {
+            xor: secrets.hash_one(0u64),
+            mul: secrets.hash_one(1u64) | 1,
+        }
+    }
+}
+
+impl BuildHasher for FoldedMultiply {
+    type Hasher = FoldedMultiplyHasher;
+
+    fn build_hasher(&self) -> FoldedMultiplyHasher {
+        FoldedMultiplyHasher {
+            keys: *self,
+            state: 0,
+        }
+    }
+}
+
+#[derive(Debug)]
+struct FoldedMultiplyHasher {
+    keys: FoldedMultiply,
+    state: u64,
+}
+
+impl Hasher for FoldedMultiplyHasher {
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.state ^ n ^ self.keys.xor) * u128::from(self.keys.mul);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    /// `KeyHash` hashes through `write_u64`; this keeps the trait total.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
 }
@@ -203,6 +301,35 @@ mod tests {
         assert_eq!(s.rows_scanned(), 3);
         let sketch = s.finish();
         assert_eq!(sketch.len(), 2);
+    }
+
+    #[test]
+    fn total_order_bits_order_as_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.25,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -84,6 +84,16 @@ pub fn murmur3_x86_32(data: &[u8], seed: u32) -> u32 {
     fmix32(h1)
 }
 
+/// The two little-endian `u64` lanes of a 16-byte block.
+#[inline]
+fn le_lanes(block: &[u8]) -> (u64, u64) {
+    let (lo, hi) = block.split_at(8);
+    (
+        u64::from_le_bytes(lo.try_into().expect("8-byte lane")),
+        u64::from_le_bytes(hi.try_into().expect("8-byte lane")),
+    )
+}
+
 /// MurmurHash3_x64_128: hashes `data` with the given `seed` into 128 bits,
 /// returned as `(low64, high64)` matching the reference output order
 /// `(h1, h2)`.
@@ -94,12 +104,11 @@ pub fn murmur3_x64_128(data: &[u8], seed: u64) -> (u64, u64) {
 
     let mut h1 = seed;
     let mut h2 = seed;
-    let n_blocks = data.len() / 16;
 
     // Body: process 16-byte blocks as two u64 lanes.
-    for block in data.chunks_exact(16) {
-        let mut k1 = u64::from_le_bytes(block[0..8].try_into().expect("8-byte slice"));
-        let mut k2 = u64::from_le_bytes(block[8..16].try_into().expect("8-byte slice"));
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let (mut k1, mut k2) = le_lanes(block);
 
         k1 = k1.wrapping_mul(C1);
         k1 = k1.rotate_left(31);
@@ -118,17 +127,13 @@ pub fn murmur3_x64_128(data: &[u8], seed: u64) -> (u64, u64) {
         h2 = h2.wrapping_mul(5).wrapping_add(0x3849_5ab5);
     }
 
-    // Tail: up to 15 remaining bytes.
-    let tail = &data[n_blocks * 16..];
-    let mut k1: u64 = 0;
-    let mut k2: u64 = 0;
-    for (i, &byte) in tail.iter().enumerate().rev() {
-        match i {
-            0..=7 => k1 ^= u64::from(byte) << (8 * i),
-            8..=15 => k2 ^= u64::from(byte) << (8 * (i - 8)),
-            _ => unreachable!("tail is at most 15 bytes"),
-        }
-    }
+    // Tail: up to 15 remaining bytes, read as the two lanes of a
+    // zero-padded block (the reference's byte-by-byte switch XORs each
+    // byte into the same position, over zeros).
+    let tail = blocks.remainder();
+    let mut padded = [0u8; 16];
+    padded[..tail.len()].copy_from_slice(tail);
+    let (mut k1, mut k2) = le_lanes(&padded);
     if tail.len() > 8 {
         k2 = k2.wrapping_mul(C2);
         k2 = k2.rotate_left(33);

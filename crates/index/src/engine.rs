@@ -603,8 +603,9 @@ pub fn top_k_with_reports(
 }
 
 /// [`execute`] for one query without reports: the ranked results and
-/// the plan's execution statistics — the observability hook the planner
-/// benches and the lossless-pruning oracle are built on.
+/// the plan's execution statistics — the observability hook behind
+/// `rank_eval --assert`'s plan rows, the `prop_plan` lossless-pruning
+/// oracle and the ledger's `lake_churn` reads.
 #[must_use]
 pub fn top_k_with_plan_stats(
     index: &SketchIndex,

@@ -38,6 +38,14 @@
 //! (slots only grow, so every list is ascending) and shifts both columns
 //! — the same `O(sketch size · posting length)` bound.
 //!
+//! # Bulk construction
+//!
+//! [`SketchIndex::from_sketches`] and [`SketchIndex::from_store`] build
+//! the same index `insert` would, in bulk: a counting pass sizes every
+//! posting list before it is filled, so each is allocated once at its
+//! final length, and `from_store` inverts contiguous slot ranges on its
+//! loader threads and appends the parts per key in slot order.
+//!
 //! # The postings map skips SipHash
 //!
 //! A [`KeyHash`] is already the output of a seeded murmur3, so the map
@@ -47,6 +55,7 @@
 //! `apply_delta`, the store loaders); query keys from the outside are
 //! only ever *looked up*, which cannot grow a bucket chain.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -88,6 +97,59 @@ struct PostingList {
     slots: Vec<u32>,
     /// `values[i]` is the value slot `slots[i]`'s sketch stores for this key.
     values: Vec<f64>,
+}
+
+/// The postings map: `h(k)` → that key's postings.
+type Postings = HashMap<KeyHash, PostingList, BuildHasherDefault<KeyHashHasher>>;
+
+/// The postings of `sketches`, numbered from slot `first`: a first pass
+/// counts every key's postings, so the second allocates each list once,
+/// at its final length, and fills it in slot order.
+fn invert(sketches: &[CorrelationSketch], first: usize) -> Postings {
+    let mut lens: HashMap<KeyHash, usize, BuildHasherDefault<KeyHashHasher>> = HashMap::default();
+    for e in sketches.iter().flat_map(CorrelationSketch::entries) {
+        *lens.entry(e.key).or_default() += 1;
+    }
+    let mut postings: Postings = lens
+        .into_iter() // lint: ordered (collected into a map; no order escapes)
+        .map(|(key, n)| {
+            let list = PostingList {
+                slots: Vec::with_capacity(n),
+                values: Vec::with_capacity(n),
+            };
+            (key, list)
+        })
+        .collect();
+    for (slot, s) in (first..).zip(sketches) {
+        let slot = u32::try_from(slot).expect("fewer than 2^32 sketches");
+        for e in s.entries() {
+            let list = postings.get_mut(&e.key).expect("every key was counted");
+            list.slots.push(slot);
+            list.values.push(e.value);
+        }
+    }
+    postings
+}
+
+/// Append `tail`'s lists, whose slots all follow `postings`', to
+/// `postings` key by key: slots stay ascending and every list is grown
+/// once, to exactly its new length.
+fn append_postings(postings: &mut Postings, tail: Postings) {
+    // lint: ordered (each key's list is extended on its own; which key goes first is unobservable)
+    for (key, mut more) in tail {
+        match postings.entry(key) {
+            Entry::Occupied(mut list) => {
+                let PostingList { slots, values } = list.get_mut();
+                slots.reserve_exact(more.slots.len());
+                slots.append(&mut more.slots);
+                values.reserve_exact(more.values.len());
+                values.append(&mut more.values);
+            }
+            Entry::Vacant(list) => {
+                list.insert(more);
+            }
+        }
+    }
 }
 
 /// A retrieval's output and its scratch, reused across queries by one
@@ -200,7 +262,7 @@ pub struct SketchIndex {
     by_id: HashMap<String, u32>,
     /// Posting lists of `(slot, value)`, incrementally maintained:
     /// removal unthreads the slot from every list its sketch appears in.
-    postings: HashMap<KeyHash, PostingList, BuildHasherDefault<KeyHashHasher>>,
+    postings: Postings,
     /// Store generation this index has applied (see
     /// [`Self::refresh_from_store`]). `0` for indices not built from a
     /// store.
@@ -299,9 +361,7 @@ impl SketchIndex {
             .take()
             .expect("by_id only maps live slots");
         for e in sketch.entries() {
-            if let std::collections::hash_map::Entry::Occupied(mut list) =
-                self.postings.entry(e.key)
-            {
+            if let Entry::Occupied(mut list) = self.postings.entry(e.key) {
                 let PostingList { slots, values } = list.get_mut();
                 if let Ok(at) = slots.binary_search(&slot) {
                     slots.remove(at);
@@ -351,7 +411,8 @@ impl SketchIndex {
     }
 
     /// Build an index from a sequence of sketches; doc ids follow the
-    /// iteration order.
+    /// iteration order. The result equals inserting the sketches one by
+    /// one, but every posting list is allocated once, at its final length.
     ///
     /// # Errors
     ///
@@ -360,19 +421,16 @@ impl SketchIndex {
     pub fn from_sketches(
         sketches: impl IntoIterator<Item = CorrelationSketch>,
     ) -> Result<Self, SketchError> {
-        let mut index = Self::new();
-        for s in sketches {
-            index.insert(s)?;
-        }
-        Ok(index)
+        Self::bulk(sketches.into_iter().collect(), 1)
     }
 
     /// Build the inverted index directly from a binary corpus store
-    /// (`sketch-store` shards + manifest), loading shards with up to
-    /// `threads` workers and replaying any delta shards. Doc ids follow
-    /// the store's live order, so an index built this way is
-    /// interchangeable with one maintained incrementally through the
-    /// same log of inserts and removes.
+    /// (`sketch-store` shards + manifest): shards are loaded and delta
+    /// shards replayed, then the live sketches are inverted, each step
+    /// with up to `threads` workers (`0` means 1). Doc ids follow the
+    /// store's live order, so an index built this way is interchangeable
+    /// with one maintained incrementally through the same log of inserts
+    /// and removes, whatever `threads` is.
     ///
     /// # Errors
     ///
@@ -384,9 +442,49 @@ impl SketchIndex {
         threads: usize,
     ) -> Result<Self, sketch_store::StoreError> {
         let (manifest, sketches) = sketch_store::read_corpus_with_manifest(dir.as_ref(), threads)?;
-        let mut index = Self::from_sketches(sketches).map_err(sketch_store::StoreError::from)?;
+        let mut index = Self::bulk(sketches, threads).map_err(sketch_store::StoreError::from)?;
         index.generation = manifest.generation;
         Ok(index)
+    }
+
+    /// The bulk constructor behind [`Self::from_sketches`] and
+    /// [`Self::from_store`]: the index `insert` would build from
+    /// `sketches` in order. Contiguous slot ranges are inverted on up to
+    /// `threads` workers; the parts' lists are then concatenated per key
+    /// in range order, so slots stay ascending.
+    fn bulk(sketches: Vec<CorrelationSketch>, threads: usize) -> Result<Self, SketchError> {
+        let hasher = sketches.first().map(CorrelationSketch::hasher);
+        if sketches.iter().any(|s| Some(s.hasher()) != hasher) {
+            return Err(SketchError::HasherMismatch);
+        }
+        let len = u32::try_from(sketches.len()).expect("fewer than 2^32 sketches");
+        let range_len = sketches.len().div_ceil(threads.max(1)).max(1);
+        let mut ranges = sketches.chunks(range_len).zip((0..).step_by(range_len));
+        let head = ranges.next();
+        let postings = std::thread::scope(|scope| {
+            let workers: Vec<_> = ranges
+                .map(|(range, first)| scope.spawn(move || invert(range, first)))
+                .collect();
+            let mut postings =
+                head.map_or_else(Postings::default, |(range, first)| invert(range, first));
+            for worker in workers {
+                let part = worker.join().expect("inversion workers do not panic");
+                append_postings(&mut postings, part);
+            }
+            postings
+        });
+        Ok(Self {
+            hasher,
+            by_id: sketches
+                .iter()
+                .zip(0..len)
+                .map(|(s, slot)| (s.id().to_string(), slot))
+                .collect(),
+            live: (0..len).collect(),
+            slots: sketches.into_iter().map(Some).collect(),
+            postings,
+            generation: 0,
+        })
     }
 
     /// Catch up with a store this index was built from, applying only the
@@ -603,6 +701,115 @@ mod tests {
         assert!(idx.doc_for_id("nope").is_none());
         assert!(idx.distinct_keys() > 0);
         assert_eq!(idx.generation(), 0);
+    }
+
+    /// Everything an index holds, posting lists in their stored order.
+    fn assert_same_index(got: &SketchIndex, want: &SketchIndex, case: &str) {
+        fn postings(idx: &SketchIndex) -> Vec<(KeyHash, Vec<u32>, Vec<u64>)> {
+            let mut lists: Vec<_> = idx
+                .postings
+                .iter() // lint: ordered (sorted by key below)
+                .map(|(&key, l)| {
+                    let values = l.values.iter().map(|v| v.to_bits()).collect();
+                    (key, l.slots.clone(), values)
+                })
+                .collect();
+            lists.sort_unstable_by_key(|l| l.0);
+            lists
+        }
+        assert_eq!(got.hasher, want.hasher, "{case}: hasher");
+        assert_eq!(got.slots, want.slots, "{case}: slots");
+        assert_eq!(got.live, want.live, "{case}: live");
+        assert_eq!(got.by_id, want.by_id, "{case}: by_id");
+        assert_eq!(postings(got), postings(want), "{case}: postings");
+        assert_eq!(got.generation, want.generation, "{case}: generation");
+    }
+
+    fn inserted(sketches: &[CorrelationSketch]) -> SketchIndex {
+        let mut idx = SketchIndex::new();
+        for s in sketches {
+            idx.insert(s.clone()).unwrap();
+        }
+        idx
+    }
+
+    fn overlapping_corpus(tables: usize) -> Vec<CorrelationSketch> {
+        (0..tables)
+            .map(|t| builder().build(&pair(&format!("t{t}"), (t * 17)..(t * 17 + 90))))
+            .collect()
+    }
+
+    /// The bulk constructors build exactly the index `insert` builds one
+    /// sketch at a time, with every posting list sized once.
+    #[test]
+    fn bulk_construction_equals_one_insert_at_a_time() {
+        let mut corpus = overlapping_corpus(12);
+        // A repeated id: both are indexed, the later one owns the id.
+        corpus.push(builder().build(&pair("t3", 500..560)));
+        let want = inserted(&corpus);
+        assert_eq!(want.by_id["t3/k/v"], 12);
+        let from_sketches = SketchIndex::from_sketches(corpus.clone()).unwrap();
+        assert_same_index(&from_sketches, &want, "from_sketches");
+        for threads in [0, 1, 2, 7, 16] {
+            let bulk = SketchIndex::bulk(corpus.clone(), threads).unwrap();
+            assert_same_index(&bulk, &want, &format!("bulk threads={threads}"));
+            for list in bulk.postings.values() {
+                assert_eq!(list.slots.capacity(), list.slots.len());
+                assert_eq!(list.values.capacity(), list.values.len());
+            }
+        }
+        for threads in [0, 1, 16] {
+            assert_same_index(
+                &SketchIndex::bulk(Vec::new(), threads).unwrap(),
+                &SketchIndex::new(),
+                &format!("empty threads={threads}"),
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_construction_rejects_a_mismatched_hasher_in_the_second_half() {
+        use sketch_hashing::TupleHasher;
+        let mut corpus = overlapping_corpus(8);
+        let alien = SketchBuilder::new(SketchConfig::with_size(128).hasher(TupleHasher::new_64(9)))
+            .build(&pair("alien", 0..50));
+        corpus.insert(6, alien.clone());
+        let mut idx = inserted(&corpus[..6]);
+        assert_eq!(idx.insert(alien), Err(SketchError::HasherMismatch));
+        assert_eq!(
+            SketchIndex::from_sketches(corpus.clone()).unwrap_err(),
+            SketchError::HasherMismatch
+        );
+        for threads in [0, 1, 2, 7, 16] {
+            assert_eq!(
+                SketchIndex::bulk(corpus.clone(), threads).unwrap_err(),
+                SketchError::HasherMismatch,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn from_store_equals_one_insert_at_a_time_at_every_thread_count() {
+        let dir = std::env::temp_dir().join(format!("cskb-inverted-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let corpus = overlapping_corpus(11);
+        let opts = sketch_store::PackOptions {
+            shards: 3,
+            threads: 1,
+        };
+        sketch_store::pack_corpus(&dir, &corpus[..9], &opts).unwrap();
+        sketch_store::append_corpus(&dir, &corpus[9..], 1).unwrap();
+        sketch_store::remove_from_corpus(&dir, &["t4/k/v".to_string()], 1).unwrap();
+        let live: Vec<CorrelationSketch> =
+            corpus.into_iter().filter(|s| s.id() != "t4/k/v").collect();
+        let mut want = inserted(&live);
+        want.generation = 2;
+        for threads in [0, 1, 2, 7, 16] {
+            let got = SketchIndex::from_store(&dir, threads).unwrap();
+            assert_same_index(&got, &want, &format!("from_store threads={threads}"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,6 +22,8 @@ use std::time::{Duration, Instant};
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+/// The most body bytes one `read` asks for.
+const BODY_READ_STEP: usize = 64 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,7 +112,6 @@ pub fn read_request(
     idle_deadline: Option<Instant>,
     request_timeout: Option<Duration>,
 ) -> Result<Request, RecvError> {
-    let mut chunk = [0u8; 4096];
     // Armed when the first request byte arrives (or immediately, for a
     // request already started by pipelined leftovers).
     let mut request_deadline: Option<Instant> = if buf.is_empty() {
@@ -123,17 +124,19 @@ pub fn read_request(
     // read, not just on timeout ticks — so a client trickling bytes
     // faster than the socket read timeout cannot sidestep it; a request
     // that completes is never rejected.
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(buf) {
+        if let Some(pos) = find_head_end(buf, scanned) {
             break pos;
         }
+        scanned = buf.len();
         if buf.len() > MAX_HEAD_BYTES {
             return Err(RecvError::TooLarge);
         }
         if stalled_past(request_deadline) {
             return Err(RecvError::TimedOut);
         }
-        match stream.read(&mut chunk) {
+        match read_head_step(stream, buf) {
             Ok(0) => {
                 return if buf.is_empty() {
                     Err(RecvError::Closed)
@@ -142,7 +145,6 @@ pub fn read_request(
                 };
             }
             Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
                 if request_deadline.is_none() {
                     request_deadline = request_timeout.map(|t| Instant::now() + t);
                 } else {
@@ -243,17 +245,27 @@ pub fn read_request(
         return Err(RecvError::TooLarge);
     }
 
-    // Phase 2: the body.
+    // Phase 2: the body, read into its own buffer: only the bytes that
+    // arrived with the head are copied, the rest is read in place, as
+    // much per call as the socket has (up to a step, so the buffer grows
+    // with the bytes received, not with the length a client declares).
     let body_start = head_end + 4;
-    let total = body_start + content_length;
-    while buf.len() < total {
+    let arrived = buf.get(body_start..).unwrap_or_default();
+    let arrived = arrived.get(..content_length).unwrap_or(arrived);
+    let mut body = Vec::with_capacity(content_length.min(arrived.len() + BODY_READ_STEP));
+    body.extend_from_slice(arrived);
+    // Keep pipelined leftovers for the next call.
+    buf.drain(..body_start + body.len());
+    let mut filled = body.len();
+    while filled < content_length {
         if stalled_past(request_deadline) {
             return Err(RecvError::TimedOut);
         }
-        match stream.read(&mut chunk) {
+        body.resize(content_length.min(filled + BODY_READ_STEP), 0);
+        match stream.read(body.get_mut(filled..).unwrap_or_default()) {
             Ok(0) => return Err(RecvError::Malformed("connection closed mid-body".into())),
             Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
+                filled += n;
                 credit_progress(&mut request_deadline, n);
             }
             Err(e) if is_timeout(&e) => {
@@ -264,10 +276,6 @@ pub fn read_request(
             Err(e) => return Err(RecvError::Io(e)),
         }
     }
-
-    let body = buf[body_start..total].to_vec();
-    // Keep pipelined leftovers for the next call.
-    buf.drain(..total);
     Ok(Request {
         method,
         path,
@@ -276,8 +284,23 @@ pub fn read_request(
     })
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Append one `read` of up to a whole head's worth of bytes to `buf`,
+/// returning what the read returned.
+fn read_head_step(stream: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+    let filled = buf.len();
+    buf.resize(filled + MAX_HEAD_BYTES, 0);
+    let got = stream.read(buf.get_mut(filled..).unwrap_or_default());
+    buf.truncate(filled + got.as_ref().map_or(0, |&n| n));
+    got
+}
+
+/// Where the blank line ending the head starts, searching only past the
+/// first `scanned` bytes (already searched by an earlier call), less the
+/// three a terminator split across reads may have begun in.
+fn find_head_end(buf: &[u8], scanned: usize) -> Option<usize> {
+    let from = scanned.saturating_sub(3);
+    let pos = buf.get(from..)?.windows(4).position(|w| w == b"\r\n\r\n")?;
+    Some(from + pos)
 }
 
 /// The content type every response carries unless the route overrides
