@@ -13,7 +13,7 @@
 
 use correlation_sketches::{join_sketches, SketchBuilder, SketchConfig};
 use sketch_bench::{corpus_pairs, time_ms, Args, CorpusChoice};
-use sketch_stats::fisher_z_interval;
+use sketch_stats::{fisher_z_interval, scored_estimate, BootstrapScratch, CorrelationEstimator};
 use sketch_table::{exact_join, Aggregation};
 
 #[derive(Default)]
@@ -65,6 +65,7 @@ fn main() {
     let mut hfd = Tally::default();
     let mut fisher = Tally::default();
     let mut pm1 = Tally::default();
+    let mut scratch = BootstrapScratch::new();
 
     for (a, b) in &pairs {
         let joined = exact_join(a, b, Aggregation::Mean);
@@ -80,7 +81,7 @@ fn main() {
         if sample.len() < 10 {
             continue;
         }
-        let Ok(r_est) = sample.estimate(sketch_stats::CorrelationEstimator::Pearson) else {
+        let Ok(r_est) = sample.estimate(CorrelationEstimator::Pearson) else {
             continue;
         };
 
@@ -96,8 +97,11 @@ fn main() {
         let (ci, t) = time_ms(|| fisher_z_interval(r_est, sample.len(), alpha));
         fisher.add(ci.contains(truth), ci.length(), t);
 
-        let (ci, t) = time_ms(|| sample.pm1_ci(seed));
-        if let Ok(ci) = ci {
+        // Wilcox's interval is tabulated at 95% only, whatever `--alpha`.
+        let pm1_boot = CorrelationEstimator::Pm1Bootstrap { seed };
+        let (scored, t) =
+            time_ms(|| scored_estimate(pm1_boot, &sample.x, &sample.y, 0.95, &mut scratch));
+        if let Ok(ci) = scored.map(|s| s.interval()) {
             pm1.add(ci.contains(truth), ci.length(), t);
         }
     }

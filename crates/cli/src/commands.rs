@@ -382,7 +382,8 @@ pub mod corpus {
 /// the same engine path the server uses.
 pub mod query {
     use super::*;
-    use sketch_index::{engine, PlanMode, QueryOptions, Scorer, SketchIndex};
+    use sketch_index::{engine, PlanMode, QueryOptions, Scorer};
+    use sketch_server::IndexSnapshot;
 
     /// Run the subcommand.
     ///
@@ -419,15 +420,14 @@ pub mod query {
         args.finish("query")?;
         let (key, value) = (key.as_str(), value.as_str());
 
-        let sketches = sketch_store::read_corpus(Path::new(&store), threads).map_err(store_err)?;
-        let Some(first) = sketches.first() else {
+        // The loader `serve` uses; its snapshot builds the query sketch
+        // with the store's configuration, so it is joinable and
+        // comparably sized.
+        let snapshot = IndexSnapshot::from_store(Path::new(&store), threads).map_err(store_err)?;
+        let index = snapshot.index();
+        if index.is_empty() {
             return Err(CliError::Data(format!("{store} contains no sketches")));
-        };
-        // Reuse the store's full configuration so the query sketch is
-        // joinable and comparably sized.
-        let config = first.head().config();
-        let index =
-            SketchIndex::from_sketches(sketches).map_err(|e| CliError::Data(e.to_string()))?;
+        }
 
         let table = load_table(&table_path)?;
         let pair = table.column_pair(key, value).ok_or_else(|| {
@@ -438,11 +438,11 @@ pub mod query {
                 table.numeric_names()
             ))
         })?;
-        let q_sketch = SketchBuilder::new(config).build(&pair);
+        let q_sketch = snapshot.build_query(&pair.id(), pair.keys, pair.values);
 
         // The live engine path: retrieve, fused estimate + CI (fanned
         // out over --threads workers), re-rank by the scorer.
-        let (results, stats) = engine::top_k_with_plan_stats(&index, &q_sketch, &opts);
+        let (results, stats) = engine::top_k_with_plan_stats(index, &q_sketch, &opts);
 
         let mut out = String::new();
         let _ = writeln!(

@@ -19,7 +19,7 @@
 //! | 4      | `id_len` | sketch id, UTF-8 |
 //! | +0     | 1    | hasher bits: `0` = 32-bit, `1` = 64-bit |
 //! | +1     | 8    | hasher seed (`u64`) |
-//! | +9     | 1    | aggregation code (see [`agg_code`]) |
+//! | +9     | 1    | aggregation code (see `agg_code`) |
 //! | +10    | 1    | strategy tag: `0` = fixed-size, `1` = threshold |
 //! | +11    | 8    | strategy argument: size as `u64`, or threshold `f64` bits |
 //! | +19    | 1    | bounds flag: `0` = none, `1` = present |
@@ -228,9 +228,7 @@ impl CorrelationSketch {
     ///
     /// # Errors
     ///
-    /// [`SketchError::Corrupt`] if the sketch holds non-finite values —
-    /// the same write-time validation as [`Self::to_json`], so the two
-    /// formats accept exactly the same sketches.
+    /// [`SketchError::Corrupt`] if the sketch holds non-finite values.
     pub fn write_bytes(&self, out: &mut Vec<u8>) -> Result<(), SketchError> {
         if self.entries.iter().any(|e| !e.value.is_finite()) {
             return Err(SketchError::Corrupt("non-finite entry value".into()));
@@ -452,7 +450,7 @@ pub fn encode_tombstone(id: &str) -> Result<Vec<u8>, SketchError> {
 /// [`SketchError::Truncated`] when bytes end mid-field,
 /// [`SketchError::Corrupt`] on a wrong tag, trailing bytes, an empty id,
 /// or non-UTF-8 id bytes.
-pub fn decode_tombstone(payload: &[u8]) -> Result<String, SketchError> {
+pub(crate) fn decode_tombstone(payload: &[u8]) -> Result<String, SketchError> {
     tombstone_id(payload).map(str::to_string)
 }
 
@@ -564,7 +562,7 @@ impl DeltaRecord {
     ///
     /// [`SketchError::Truncated`] / [`SketchError::Corrupt`] with the
     /// same validation as [`CorrelationSketch::from_bytes`] and
-    /// [`decode_tombstone`].
+    /// `decode_tombstone`.
     pub fn from_bytes(payload: &[u8]) -> Result<Self, SketchError> {
         match delta_tag(payload)? {
             DELTA_TAG_SKETCH => CorrelationSketch::from_bytes(&payload[1..]).map(Self::Sketch),

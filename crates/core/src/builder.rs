@@ -147,7 +147,7 @@ impl SketchBuilder {
     /// One pass, `O(sketch size)` memory: repeated keys are aggregated
     /// in-stream (`x_k^t = f(x_k, x_k^{t−1})`, Section 3.1).
     #[must_use]
-    pub fn build_from_rows<'a>(
+    fn build_from_rows<'a>(
         &self,
         id: String,
         rows: impl Iterator<Item = (&'a str, f64)>,

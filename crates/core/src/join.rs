@@ -3,8 +3,8 @@
 
 use sketch_hashing::KeyHash;
 use sketch_stats::{
-    fisher_z_se, hfd_interval, hoeffding_interval, pm1_ci, ConfidenceInterval,
-    CorrelationEstimator, StatsError, ValueBounds,
+    fisher_z_se, hfd_interval, hoeffding_interval, ConfidenceInterval, CorrelationEstimator,
+    StatsError, ValueBounds,
 };
 
 use crate::error::SketchError;
@@ -105,15 +105,6 @@ impl JoinSample {
     #[must_use]
     pub fn fisher_se(&self) -> f64 {
         fisher_z_se(self.len())
-    }
-
-    /// PM1 modified percentile bootstrap interval on this sample.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError`] if the sample is degenerate.
-    pub fn pm1_ci(&self, seed: u64) -> Result<ConfidenceInterval, StatsError> {
-        pm1_ci(&self.x, &self.y, seed)
     }
 
     /// One-call summary: estimate plus every Section 4 risk statistic.
@@ -398,8 +389,6 @@ mod tests {
         assert!(hoeff.contains(r));
         assert!(hfd.length().is_finite() && hfd.length() > 0.0);
         assert!(s.fisher_se() < 0.1);
-        let pm1 = s.pm1_ci(7).unwrap();
-        assert!(pm1.length() > 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! KMV statistics retained by correlation sketches (paper Sections 2.1 and
-//! 3.3): distinct values, union/intersection cardinalities, Jaccard
-//! similarity and containment.
+//! 3.3): distinct values and Jaccard containment, through the
+//! intersection cardinality of paper Eq. 1.
 //!
 //! "Another benefit of Correlation Sketches is that it retains all
 //! information contained in a KMV sketch … it also enables the estimation
@@ -36,20 +36,6 @@ pub fn distinct_value_estimate(s: &CorrelationSketch) -> f64 {
                 s.len() as f64
             }
         }
-    }
-}
-
-/// The basic estimator `D̂_BE = k/U(k)` (Bar-Yossef et al.), kept for the
-/// estimator-comparison ablation; biased but historically the baseline.
-#[must_use]
-pub fn basic_distinct_estimate(s: &CorrelationSketch) -> f64 {
-    if !s.is_saturated() || s.is_empty() {
-        return s.len() as f64;
-    }
-    let k = s.len() as f64;
-    match s.kth_unit_hash() {
-        Some(u) if u > 0.0 => k / u,
-        _ => k,
     }
 }
 
@@ -115,42 +101,10 @@ fn combine(
     Ok((taken, last_unit, common))
 }
 
-/// Estimate the number of distinct keys in the union `K_A ∪ K_B` by
-/// applying `D̂_UB` to the combined synopsis `L_A ⊕ L_B`.
-///
-/// # Errors
-///
-/// [`SketchError::HasherMismatch`] for incompatible sketches.
-pub fn union_estimate(a: &CorrelationSketch, b: &CorrelationSketch) -> Result<f64, SketchError> {
-    if a.hasher() != b.hasher() {
-        return Err(SketchError::HasherMismatch);
-    }
-    // An empty side contributes nothing: the union is the other column.
-    if a.is_empty() {
-        return Ok(distinct_value_estimate(b));
-    }
-    if b.is_empty() {
-        return Ok(distinct_value_estimate(a));
-    }
-    if !a.is_saturated() && !b.is_saturated() {
-        // Exact: count distinct union of the (complete) key sets.
-        let (union, _) = combine_full(a, b);
-        return Ok(union as f64);
-    }
-    let (k, u_k, _) = combine(a, b)?;
-    if k == 0 {
-        return Ok(0.0);
-    }
-    if u_k <= 0.0 {
-        return Ok(k as f64);
-    }
-    Ok((k as f64 - 1.0) / u_k)
-}
-
-/// Exact `(union, intersection)` counts over complete (unsaturated)
-/// sketches. Both entry lists are sorted by `(unit hash, key)`, so a
-/// single merge walk suffices — no hash sets.
-fn combine_full(a: &CorrelationSketch, b: &CorrelationSketch) -> (usize, usize) {
+/// Exact intersection count over complete (unsaturated) sketches. Both
+/// entry lists are sorted by `(unit hash, key)`, so a single merge walk
+/// suffices — no hash sets.
+fn intersection_full(a: &CorrelationSketch, b: &CorrelationSketch) -> usize {
     let (ea, eb) = (a.entries(), b.entries());
     let (ua, ub) = (a.units(), b.units());
     let (mut i, mut j) = (0usize, 0usize);
@@ -166,7 +120,7 @@ fn combine_full(a: &CorrelationSketch, b: &CorrelationSketch) -> (usize, usize) 
             std::cmp::Ordering::Greater => j += 1,
         }
     }
-    (ea.len() + eb.len() - inter, inter)
+    inter
 }
 
 /// Estimate the number of distinct keys in the intersection `K_A ∩ K_B`
@@ -178,16 +132,12 @@ fn combine_full(a: &CorrelationSketch, b: &CorrelationSketch) -> (usize, usize) 
 /// # Errors
 ///
 /// [`SketchError::HasherMismatch`] for incompatible sketches.
-pub fn intersection_estimate(
-    a: &CorrelationSketch,
-    b: &CorrelationSketch,
-) -> Result<f64, SketchError> {
+fn intersection_estimate(a: &CorrelationSketch, b: &CorrelationSketch) -> Result<f64, SketchError> {
     if a.hasher() != b.hasher() {
         return Err(SketchError::HasherMismatch);
     }
     if !a.is_saturated() && !b.is_saturated() {
-        let (_, inter) = combine_full(a, b);
-        return Ok(inter as f64);
+        return Ok(intersection_full(a, b) as f64);
     }
     let (k, u_k, common) = combine(a, b)?;
     if k == 0 {
@@ -197,31 +147,6 @@ pub fn intersection_estimate(
         return Ok(common as f64);
     }
     Ok((common as f64 / k as f64) * ((k as f64 - 1.0) / u_k))
-}
-
-/// Estimate the Jaccard similarity `|K_A ∩ K_B| / |K_A ∪ K_B|` as
-/// `K∩ / k` over the combined synopsis.
-///
-/// # Errors
-///
-/// [`SketchError::HasherMismatch`] for incompatible sketches.
-pub fn jaccard_estimate(a: &CorrelationSketch, b: &CorrelationSketch) -> Result<f64, SketchError> {
-    if !a.is_saturated() && !b.is_saturated() {
-        if a.hasher() != b.hasher() {
-            return Err(SketchError::HasherMismatch);
-        }
-        let (union, inter) = combine_full(a, b);
-        return Ok(if union == 0 {
-            0.0
-        } else {
-            inter as f64 / union as f64
-        });
-    }
-    let (k, _, common) = combine(a, b)?;
-    if k == 0 {
-        return Ok(0.0);
-    }
-    Ok(common as f64 / k as f64)
 }
 
 /// Estimate the Jaccard containment `|K_A ∩ K_B| / |K_A|` of `a`'s keys in
@@ -267,7 +192,6 @@ mod tests {
     fn dv_estimate_exact_when_unsaturated() {
         let s = sketch(&keyed_pair("t", 0..100), 256);
         assert_eq!(distinct_value_estimate(&s), 100.0);
-        assert_eq!(basic_distinct_estimate(&s), 100.0);
     }
 
     #[test]
@@ -283,34 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn basic_estimator_close_to_unbiased_for_large_k() {
-        let s = sketch(&keyed_pair("t", 0..20_000), 512);
-        let ub = distinct_value_estimate(&s);
-        let be = basic_distinct_estimate(&s);
-        assert!((ub - be).abs() / ub < 0.01);
-        assert!(be > ub); // k/U(k) > (k−1)/U(k)
-    }
-
-    #[test]
-    fn union_exact_for_small_tables() {
+    fn overlap_exact_for_small_tables() {
         let a = sketch(&keyed_pair("a", 0..50), 256);
         let b = sketch(&keyed_pair("b", 25..75), 256);
-        assert_eq!(union_estimate(&a, &b).unwrap(), 75.0);
         assert_eq!(intersection_estimate(&a, &b).unwrap(), 25.0);
-        assert!((jaccard_estimate(&a, &b).unwrap() - 25.0 / 75.0).abs() < 1e-12);
         assert!((containment_estimate(&a, &b).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn union_estimate_large_overlapping_sets() {
-        let a = sketch(&keyed_pair("a", 0..30_000), 512);
-        let b = sketch(&keyed_pair("b", 10_000..40_000), 512);
-        let est = union_estimate(&a, &b).unwrap();
-        let truth = 40_000.0;
-        assert!(
-            (est - truth).abs() / truth < 0.2,
-            "union est {est} vs {truth}"
-        );
     }
 
     #[test]
@@ -323,15 +224,6 @@ mod tests {
             (est - truth).abs() / truth < 0.25,
             "intersection est {est} vs {truth}"
         );
-    }
-
-    #[test]
-    fn jaccard_estimate_tracks_truth() {
-        let a = sketch(&keyed_pair("a", 0..20_000), 512);
-        let b = sketch(&keyed_pair("b", 5_000..25_000), 512);
-        let est = jaccard_estimate(&a, &b).unwrap();
-        let truth = 15_000.0 / 25_000.0;
-        assert!((est - truth).abs() < 0.1, "jc est {est} vs {truth}");
     }
 
     #[test]
@@ -360,7 +252,6 @@ mod tests {
             256,
         );
         assert_eq!(intersection_estimate(&a, &b).unwrap(), 0.0);
-        assert_eq!(jaccard_estimate(&a, &b).unwrap(), 0.0);
         assert_eq!(containment_estimate(&a, &b).unwrap(), 0.0);
     }
 
@@ -369,7 +260,6 @@ mod tests {
         let e = sketch(&keyed_pair("e", 0..0), 64);
         let a = sketch(&keyed_pair("a", 0..100), 256);
         assert_eq!(distinct_value_estimate(&e), 0.0);
-        assert_eq!(union_estimate(&e, &a).unwrap(), 100.0);
         assert_eq!(intersection_estimate(&e, &a).unwrap(), 0.0);
         assert_eq!(containment_estimate(&e, &a).unwrap(), 0.0);
     }
@@ -382,7 +272,7 @@ mod tests {
         let c = SketchBuilder::new(SketchConfig::with_size(16).hasher(TupleHasher::new_64(5)))
             .build(&p);
         assert!(intersection_estimate(&a, &c).is_err());
-        assert!(union_estimate(&a, &c).is_err());
+        assert!(containment_estimate(&a, &c).is_err());
     }
 
     #[test]

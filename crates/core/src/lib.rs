@@ -49,9 +49,9 @@
 //! * [`join`] — sketch joins and [`join::JoinSample`], the reconstructed
 //!   uniform sample with correlation estimates and the Section 4
 //!   confidence intervals attached.
-//! * [`kmv`] — everything a KMV synopsis supports: distinct-value
-//!   estimators, union/intersection cardinality, Jaccard similarity and
-//!   containment estimates (Sections 2.1, 3.3).
+//! * [`kmv`] — the KMV statistics the system measures: the distinct-value
+//!   estimate and the Jaccard containment of the `ĵc` baseline (Sections
+//!   2.1, 3.3).
 //! * [`binary`] — the compact binary sketch codec (the payload of a
 //!   `sketch-store` shard record, and the one persisted sketch format).
 //! * [`json`] — the JSON reader and writers under the server's request
@@ -72,17 +72,13 @@ pub mod sketch;
 pub mod stream;
 
 pub use binary::{
-    decode_tombstone, encode_tombstone, DeltaHead, DeltaRecord, SketchHead, DELTA_TAG_SKETCH,
-    DELTA_TAG_TOMBSTONE,
+    encode_tombstone, DeltaHead, DeltaRecord, SketchHead, DELTA_TAG_SKETCH, DELTA_TAG_TOMBSTONE,
 };
 pub use builder::{SelectionStrategy, SketchBuilder, SketchConfig};
 pub use error::SketchError;
 pub use hll::HyperLogLog;
 pub use join::{join_sketches, join_sketches_into, EstimateReport, JoinSample};
-pub use kmv::{
-    containment_estimate, distinct_value_estimate, intersection_estimate, jaccard_estimate,
-    union_estimate,
-};
+pub use kmv::{containment_estimate, distinct_value_estimate};
 pub use parallel::build_sketches_parallel;
 pub use sketch::{CorrelationSketch, SketchEntry};
 pub use stream::StreamingSketchBuilder;

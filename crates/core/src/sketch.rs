@@ -127,40 +127,8 @@ impl CorrelationSketch {
     /// The k-th smallest unit hash `U(k)` — i.e. the largest unit hash
     /// retained. `None` for an empty sketch.
     #[must_use]
-    pub fn kth_unit_hash(&self) -> Option<f64> {
+    pub(crate) fn kth_unit_hash(&self) -> Option<f64> {
         self.units.last().copied()
-    }
-
-    /// Binary search over the cached `(unit hash, key)` order. The
-    /// query's unit hash is computed exactly once (it is loop-invariant),
-    /// and the probe reads cached units instead of rehashing entries.
-    fn position_of(&self, key: KeyHash) -> Option<usize> {
-        let ku = self.hasher.unit_hash(key);
-        let (mut lo, mut hi) = (0usize, self.entries.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.units[mid]
-                .total_cmp(&ku)
-                .then(self.entries[mid].key.cmp(&key))
-            {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
-    }
-
-    /// Does the sketch contain this hashed key?
-    #[must_use]
-    pub fn contains_key(&self, key: KeyHash) -> bool {
-        self.position_of(key).is_some()
-    }
-
-    /// Look up the aggregated value stored for a hashed key.
-    #[must_use]
-    pub fn value_of(&self, key: KeyHash) -> Option<f64> {
-        self.position_of(key).map(|i| self.entries[i].value)
     }
 
     /// Approximate heap memory footprint in bytes — the space-accuracy
@@ -217,17 +185,6 @@ mod tests {
             .map(|e| s.unit_hash(e))
             .fold(0.0f64, f64::max);
         assert_eq!(s.kth_unit_hash().unwrap(), max);
-    }
-
-    #[test]
-    fn contains_and_value_of() {
-        let s = SketchBuilder::new(SketchConfig::with_size(16)).build(&pair(100));
-        for e in s.entries() {
-            assert!(s.contains_key(e.key));
-            assert_eq!(s.value_of(e.key), Some(e.value));
-        }
-        assert!(!s.contains_key(sketch_hashing::KeyHash(0xdead_beef_dead_beef)));
-        assert_eq!(s.value_of(sketch_hashing::KeyHash(1)), None);
     }
 
     #[test]

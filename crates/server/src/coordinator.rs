@@ -35,7 +35,7 @@
 //! landing between the phases would pair rows from one generation with
 //! reports from another. The coordinator detects this — every internal
 //! response carries the worker's generation — and re-scatters (up to
-//! [`MAX_ATTEMPTS`] attempts) until both phases agree per shard, else
+//! `MAX_ATTEMPTS` attempts) until both phases agree per shard, else
 //! answers 503. Responses are cached under `(query fingerprint,
 //! generation-vector hash)`, so mixed-generation answers can never
 //! alias across mutations; degraded answers are never cached.

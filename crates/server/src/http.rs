@@ -96,7 +96,7 @@ fn credit_progress(deadline: &mut Option<Instant>, bytes: usize) {
 /// so the worker can go back to accepting. Once request bytes have
 /// arrived, `request_timeout` bounds the remaining head/body phases
 /// instead: a client that stops making progress — stalled outright or
-/// trickling bytes below [`MIN_PROGRESS_BYTES_PER_SEC`] — gets a
+/// trickling bytes below `MIN_PROGRESS_BYTES_PER_SEC` — gets a
 /// [`RecvError::TimedOut`] rather than pinning the worker (a
 /// slow-loris defense), while received bytes credit the deadline so a
 /// large body on a modest link is never rejected for duration alone.
@@ -163,8 +163,10 @@ pub fn read_request(
         }
     };
 
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| RecvError::Malformed("non-utf8 request head".into()))?;
+    let head = buf
+        .get(..head_end)
+        .and_then(|head| std::str::from_utf8(head).ok())
+        .ok_or_else(|| RecvError::Malformed("non-utf8 request head".into()))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split(' ');
@@ -381,7 +383,7 @@ pub fn write_response(
 /// [`write_response`] under the same progress deadline as the receive
 /// side: the stream must have a short write timeout, and every write
 /// that makes progress credits the deadline at
-/// [`MIN_PROGRESS_BYTES_PER_SEC`] — so a reader that drains slowly but
+/// `MIN_PROGRESS_BYTES_PER_SEC` — so a reader that drains slowly but
 /// steadily completes, while one holding its window shut (or trickling
 /// a byte per timeout tick to reset a naive per-syscall timeout) is cut
 /// off near `timeout`. Timeout ticks also honor `shutdown`, so a
@@ -406,14 +408,14 @@ pub fn write_response_bounded(
     );
     let mut deadline = timeout.map(|t| Instant::now() + t);
     let mut pos = 0;
-    while pos < out.len() {
+    while let Some(rest) = out.get(pos..).filter(|rest| !rest.is_empty()) {
         if stalled_past(deadline) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::TimedOut,
                 "response write timed out",
             ));
         }
-        match stream.write(&out[pos..]) {
+        match stream.write(rest) {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::WriteZero,

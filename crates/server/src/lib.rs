@@ -33,7 +33,7 @@
 //!   runs [`sketch_index::engine::execute`] on the current snapshot,
 //!   `Cluster` scatters to its workers and gathers.
 //! * **Snapshot reads.** Queries run on an immutable
-//!   [`IndexSnapshot`](snapshot::IndexSnapshot) behind an `Arc`; the only
+//!   [`IndexSnapshot`] behind an `Arc`; the only
 //!   synchronized step is cloning that `Arc`. No query ever blocks on a
 //!   mutation, and no mutation ever tears a query.
 //! * **Generation-aware caching.** The LRU response cache is keyed by

@@ -1,7 +1,7 @@
 //! The server itself: the request `pipeline`'s `Local` backend — a
 //! fixed pool of worker threads accepting on one shared listener,
 //! answering cache misses from the current
-//! [`IndexSnapshot`](crate::snapshot::IndexSnapshot) — plus a background
+//! [`IndexSnapshot`] — plus a background
 //! refresher thread that polls the store manifest and swaps fresh
 //! snapshots in off the hot path.
 //!

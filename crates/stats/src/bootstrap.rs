@@ -12,15 +12,14 @@
 //! both from the same draws, each under the stopping rule and attempt
 //! budget it has standalone: the estimate is the adaptive-rule prefix
 //! mean of the interval's replicates, summed in draw order. Replicates
-//! of `r` have `sd ≤ 1`, so the default rule
+//! of `r` have `sd ≤ 1`, so the paper's rule
 //! (`2(1 − Φ(0.01·(count + 1)/sd)) < 5e-4`) closes the mean by replicate
-//! 348 < 599 and the estimate costs no resample of its own; any other
-//! [`BootstrapConfig`] keeps drawing for as long as its rule asks.
+//! 348 < 599 and the estimate costs no resample of its own.
 //!
 //! A resample is `n` indices `word % n` over the raw words of
 //! `StdRng::seed_from_u64(seed)` — a stream that depends on the seed
 //! alone, so [`BootstrapScratch`] keeps a bounded prefix of it
-//! ([`WordStream`]) for every later call under that seed: each
+//! (`WordStream`) for every later call under that seed: each
 //! candidate of a query, each query under one estimator. A kept word is
 //! the word the generator yields at that position, so reuse cannot
 //! change a bit; [`IndexDraw`] takes the remainder exactly, without a
@@ -30,7 +29,7 @@
 //!
 //! The Pearson passes run on the fused SoA kernel of [`crate::kernel`]:
 //! the columns are centered once at their full-sample means and
-//! [`kernel::gather_sums_by`] reduces each word to its index and
+//! `kernel::gather_sums_by` reduces each word to its index and
 //! accumulates the five Pearson sums in one chunked pass — no index
 //! block, no `bx`/`by` materialization, no per-resample validation (the
 //! full columns are validated once; every resample is a multiset of
@@ -46,44 +45,15 @@ use crate::kernel::{self, IndexDraw, WordStream};
 use crate::normal::normal_cdf;
 use crate::pearson::pearson;
 
-/// Tuning knobs for the PM1 bootstrap.
-#[derive(Debug, Clone, Copy)]
-pub struct BootstrapConfig {
-    /// Resamples drawn before the adaptive stopping rule may trigger.
-    pub min_resamples: usize,
-    /// Hard cap on resamples.
-    pub max_resamples: usize,
-    /// The paper's stopping rule: stop once the probability of the next
-    /// resample changing the running mean by more than this threshold…
-    pub mean_change_threshold: f64,
-    /// …falls below this probability (paper: 0.05% = 5e-4).
-    pub stop_probability: f64,
-    /// RNG seed (the estimator is fully deterministic given the seed).
-    pub seed: u64,
-}
-
-impl Default for BootstrapConfig {
-    fn default() -> Self {
-        Self {
-            min_resamples: 100,
-            max_resamples: 10_000,
-            mean_change_threshold: 0.01,
-            stop_probability: 5e-4,
-            seed: 0x5eed,
-        }
-    }
-}
-
-/// Outcome of a PM1 bootstrap run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BootstrapResult {
-    /// Mean of the resampled Pearson correlations — the PM1 point estimate.
-    pub estimate: f64,
-    /// Number of successful resamples actually drawn.
-    pub resamples: usize,
-    /// Sample standard deviation of the resampled correlations.
-    pub std_dev: f64,
-}
+/// The paper's adaptive stopping rule (Section 5.3): draw at least
+/// `MIN_RESAMPLES` replicates, then stop once the probability that the
+/// next one moves the running mean by more than `MEAN_CHANGE_THRESHOLD`
+/// falls below `STOP_PROBABILITY` (0.05%); never more than
+/// `MAX_RESAMPLES` replicates or twice as many attempts.
+const MIN_RESAMPLES: usize = 100;
+const MAX_RESAMPLES: usize = 10_000;
+const MEAN_CHANGE_THRESHOLD: f64 = 0.01;
+const STOP_PROBABILITY: f64 = 5e-4;
 
 /// Reusable buffers for the bootstrap estimators and intervals. One
 /// scratch per worker amortizes the per-candidate allocations away on
@@ -96,7 +66,7 @@ pub struct BootstrapResult {
 /// `bx`/`by` the generic robust-estimator path, which must materialize
 /// each resample; `stream` holds the last seed's words — 8 bytes per
 /// index the longest call under it drew, at most
-/// [`kernel::KEPT_WORDS`] of them (6 MiB).
+/// `kernel::KEPT_WORDS` of them (6 MiB).
 #[derive(Debug, Default, Clone)]
 pub struct BootstrapScratch {
     bx: Vec<f64>,
@@ -132,7 +102,6 @@ fn center_columns(x: &[f64], y: &[f64], cx: &mut Vec<f64>, cy: &mut Vec<f64>) {
 /// of the replicates it is handed, closed by the paper's adaptive rule.
 #[derive(Default)]
 struct AdaptiveMean {
-    cfg: BootstrapConfig,
     sum: f64,
     sum_sq: f64,
     count: usize,
@@ -140,52 +109,37 @@ struct AdaptiveMean {
 }
 
 impl AdaptiveMean {
-    fn new(cfg: &BootstrapConfig) -> Self {
-        Self {
-            cfg: *cfg,
-            ..Self::default()
-        }
-    }
-
     /// Whether the mean takes the next attempt's replicate: not stopped,
     /// under its resample cap, within its attempt budget (twice the cap).
     fn open(&self, attempts: usize) -> bool {
-        !self.stopped
-            && self.count < self.cfg.max_resamples
-            && attempts < self.cfg.max_resamples.saturating_mul(2)
+        !self.stopped && self.count < MAX_RESAMPLES && attempts < MAX_RESAMPLES * 2
     }
 
     fn push(&mut self, r: f64) {
         self.count += 1;
         self.sum += r;
         self.sum_sq += r * r;
-        if self.count >= self.cfg.min_resamples {
-            let sd = self.result().std_dev;
+        if self.count >= MIN_RESAMPLES {
+            let mean = self.sum / self.count as f64;
+            let sd = (self.sum_sq / self.count as f64 - mean * mean)
+                .max(0.0)
+                .sqrt();
             // The next resample r* changes the mean by (r* − mean)/(count+1).
             // P(|change| > θ) = P(|r* − mean| > θ(count+1))
             //                 ≈ 2(1 − Φ(θ(count+1)/sd)).
-            let z = self.cfg.mean_change_threshold * (self.count as f64 + 1.0) / sd;
+            let z = MEAN_CHANGE_THRESHOLD * (self.count as f64 + 1.0) / sd;
             let p_change = 2.0 * (1.0 - normal_cdf(z));
-            self.stopped = sd == 0.0 || p_change < self.cfg.stop_probability;
+            self.stopped = sd == 0.0 || p_change < STOP_PROBABILITY;
         }
     }
 
-    /// The mean so far (`count > 0`).
-    fn result(&self) -> BootstrapResult {
-        let mean = self.sum / self.count as f64;
-        let var = (self.sum_sq / self.count as f64 - mean * mean).max(0.0);
-        BootstrapResult {
-            estimate: mean.clamp(-1.0, 1.0),
-            resamples: self.count,
-            std_dev: var.sqrt(),
-        }
-    }
-
-    fn finish(&self) -> Result<BootstrapResult, StatsError> {
+    /// The PM1 estimate: the mean of the replicates taken, clamped to
+    /// `[−1, 1]`.
+    fn finish(&self) -> Result<f64, StatsError> {
         if self.count == 0 {
             return Err(StatsError::ZeroVariance);
         }
-        Ok(self.result())
+        Ok((self.sum / self.count as f64).clamp(-1.0, 1.0))
     }
 }
 
@@ -233,7 +187,7 @@ fn pearson_pass(
     x: &[f64],
     y: &[f64],
     seed: u64,
-    mean: Option<&mut AdaptiveMean>,
+    mean: &mut AdaptiveMean,
     replicates: usize,
     scratch: &mut BootstrapScratch,
 ) -> Result<(), StatsError> {
@@ -248,47 +202,32 @@ fn pearson_pass(
     center_columns(x, y, cx, cy);
     let words = stream.rewind(seed);
     let draw = IndexDraw::new(n);
-    replicate_pass(mean, replicates, rs, || {
+    replicate_pass(Some(mean), replicates, rs, || {
         let sums = kernel::gather_sums_by(cx, cy, words.next(n), |w| draw.index(w));
         kernel::pearson_from_gather(n, &sums)
     })
 }
 
-/// PM1 bootstrap estimate of Pearson's correlation.
+/// PM1 bootstrap estimate of Pearson's correlation — what
+/// [`crate::CorrelationEstimator::Pm1Bootstrap`] serves.
 ///
 /// Repeatedly resamples the paired data with replacement, recomputes the
-/// Pearson sample correlation, and returns the running mean. Instead of a
-/// fixed resample budget, it implements the paper's adaptive rule: stop as
-/// soon as the (normal-approximation) probability that one more resample
-/// moves the mean by more than `mean_change_threshold` drops below
-/// `stop_probability`.
+/// Pearson sample correlation, and returns the running mean, closed by
+/// the paper's adaptive rule (module constants) instead of a fixed
+/// resample budget.
 ///
 /// # Errors
 ///
 /// Propagates the validation errors of [`pearson`]; additionally returns
 /// [`StatsError::ZeroVariance`] if every resample is degenerate.
-pub fn pm1_bootstrap(
+pub(crate) fn pm1_estimate(
     x: &[f64],
     y: &[f64],
-    cfg: &BootstrapConfig,
-) -> Result<BootstrapResult, StatsError> {
-    pm1_bootstrap_with_scratch(x, y, cfg, &mut BootstrapScratch::new())
-}
-
-/// As [`pm1_bootstrap`], reusing caller-owned resample buffers.
-/// Bit-identical to the allocating variant for every scratch state.
-///
-/// # Errors
-///
-/// Same failure modes as [`pm1_bootstrap`].
-pub fn pm1_bootstrap_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    cfg: &BootstrapConfig,
+    seed: u64,
     scratch: &mut BootstrapScratch,
-) -> Result<BootstrapResult, StatsError> {
-    let mut mean = AdaptiveMean::new(cfg);
-    pearson_pass(x, y, cfg.seed, Some(&mut mean), 0, scratch)?;
+) -> Result<f64, StatsError> {
+    let mut mean = AdaptiveMean::default();
+    pearson_pass(x, y, seed, &mut mean, 0, scratch)?;
     mean.finish()
 }
 
@@ -320,55 +259,37 @@ fn modified_interval(rs: &mut [f64], n: usize) -> ConfidenceInterval {
     ConfidenceInterval::new(lo, hi)
 }
 
-/// Modified percentile bootstrap (PM1) 95% confidence interval for
-/// Pearson's correlation (Wilcox 1996) — the basis of the paper's `ci_b`
-/// risk-penalization factor.
+/// The PM1 estimate of the resamples of `seed` and its interval at level
+/// `confidence`, from one replicate pass.
 ///
-/// Draws 599 resamples and returns the order statistics at
-/// sample-size-adjusted positions; the adjustment corrects the percentile
-/// method's poor small-sample coverage for `r`.
+/// At 95% the interval is Wilcox's (1996) modified percentile bootstrap
+/// interval for Pearson's correlation — the basis of the paper's `ci_b`
+/// risk-penalization factor: 599 replicates, read at sample-size-adjusted
+/// order statistics that correct the percentile method's poor
+/// small-sample coverage for `r`. At any other level (the adjustment is
+/// tabulated for 95% only) it is the plain percentile interval of the
+/// same replicates.
 ///
-/// # Errors
-///
-/// Same failure modes as [`pm1_bootstrap`].
-pub fn pm1_ci(x: &[f64], y: &[f64], seed: u64) -> Result<ConfidenceInterval, StatsError> {
-    pm1_ci_with_scratch(x, y, seed, &mut BootstrapScratch::new())
-}
-
-/// As [`pm1_ci`], reusing caller-owned resample buffers. Bit-identical
-/// to the allocating variant for every scratch state.
-///
-/// # Errors
-///
-/// Same failure modes as [`pm1_bootstrap`].
-pub fn pm1_ci_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Result<ConfidenceInterval, StatsError> {
-    pearson_pass(x, y, seed, None, PM1_CI_REPLICATES, scratch)?;
-    Ok(modified_interval(&mut scratch.rs, x.len()))
-}
-
-/// The PM1 estimate under `cfg` and its interval at level `confidence`
-/// from one replicate pass — bit for bit [`pm1_bootstrap`] beside
-/// [`pm1_ci`] (at 95%, the only level Wilcox's index adjustment is
-/// tabulated for) or [`pearson_percentile_ci`] over 599 replicates (at
-/// any other level), all seeded with `cfg.seed`.
+/// The estimate equals [`crate::CorrelationEstimator::estimate`]'s bit
+/// for bit, and the interval is the one a pass that drew for the
+/// interval alone would give: both take the first successful replicates
+/// of the same draws, each under its own stopping rule and attempt
+/// budget.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`pm1_bootstrap`].
+/// Propagates the validation errors of [`pearson`], and returns
+/// [`StatsError::ZeroVariance`] when more than half of the interval's
+/// resamples are degenerate.
 pub fn pm1_with_ci(
     x: &[f64],
     y: &[f64],
-    cfg: &BootstrapConfig,
+    seed: u64,
     confidence: f64,
     scratch: &mut BootstrapScratch,
-) -> Result<(BootstrapResult, ConfidenceInterval), StatsError> {
-    let mut mean = AdaptiveMean::new(cfg);
-    pearson_pass(x, y, cfg.seed, Some(&mut mean), PM1_CI_REPLICATES, scratch)?;
+) -> Result<(f64, ConfidenceInterval), StatsError> {
+    let mut mean = AdaptiveMean::default();
+    pearson_pass(x, y, seed, &mut mean, PM1_CI_REPLICATES, scratch)?;
     let ci = if (confidence - 0.95).abs() < 1e-12 {
         modified_interval(&mut scratch.rs, x.len())
     } else {
@@ -376,9 +297,6 @@ pub fn pm1_with_ci(
     };
     Ok((mean.finish()?, ci))
 }
-
-/// A paired-sample statistic as the generic bootstrap consumes it.
-pub type PairedStat<'a> = dyn Fn(&[f64], &[f64]) -> Result<f64, StatsError> + 'a;
 
 /// Select the `(lo, hi)` order statistics (0-based, `lo <= hi`) of `rs`
 /// under the `total_cmp` total order without sorting the whole buffer:
@@ -408,6 +326,9 @@ fn percentile_interval(rs: &mut [f64], confidence: f64) -> ConfidenceInterval {
     let (lo, hi) = order_stat_pair(rs, lo_rank.min(hi_rank) - 1, lo_rank.max(hi_rank) - 1);
     ConfidenceInterval::new(lo, hi)
 }
+
+/// A paired-sample statistic as the generic bootstrap consumes it.
+pub type PairedStat<'a> = dyn Fn(&[f64], &[f64]) -> Result<f64, StatsError> + 'a;
 
 /// Plain percentile bootstrap confidence interval of an arbitrary paired
 /// statistic at level `confidence` — the CI source for the robust
@@ -456,25 +377,6 @@ pub fn percentile_bootstrap_ci(
     Ok(percentile_interval(rs, confidence))
 }
 
-/// As [`percentile_bootstrap_ci`] specialized to Pearson's `r` on the
-/// fused kernel path: no resample materialization, no per-replicate
-/// validation.
-///
-/// # Errors
-///
-/// Same failure modes as [`pm1_bootstrap`].
-pub fn pearson_percentile_ci(
-    x: &[f64],
-    y: &[f64],
-    replicates: usize,
-    confidence: f64,
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Result<ConfidenceInterval, StatsError> {
-    pearson_pass(x, y, seed, None, replicates, scratch)?;
-    Ok(percentile_interval(&mut scratch.rs, confidence))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,59 +390,54 @@ mod tests {
         (x, y)
     }
 
+    fn estimate(x: &[f64], y: &[f64], seed: u64) -> Result<f64, StatsError> {
+        pm1_estimate(x, y, seed, &mut BootstrapScratch::new())
+    }
+
+    fn interval(x: &[f64], y: &[f64], seed: u64) -> ConfidenceInterval {
+        pm1_with_ci(x, y, seed, 0.95, &mut BootstrapScratch::new())
+            .unwrap()
+            .1
+    }
+
     #[test]
     fn pm1_estimate_close_to_pearson_on_clean_data() {
         let (x, y) = linear_data(200);
         let r = pearson(&x, &y).unwrap();
-        let b = pm1_bootstrap(&x, &y, &BootstrapConfig::default()).unwrap();
-        assert!((b.estimate - r).abs() < 0.02, "r={r} pm1={}", b.estimate);
-        assert!(b.resamples >= 100);
+        let b = estimate(&x, &y, 0x5eed).unwrap();
+        assert!((b - r).abs() < 0.02, "r={r} pm1={b}");
     }
 
     #[test]
     fn pm1_is_deterministic_given_seed() {
         let (x, y) = linear_data(50);
-        let cfg = BootstrapConfig::default();
-        let a = pm1_bootstrap(&x, &y, &cfg).unwrap();
-        let b = pm1_bootstrap(&x, &y, &cfg).unwrap();
-        assert_eq!(a, b);
+        let a = estimate(&x, &y, 0x5eed).unwrap();
+        let b = estimate(&x, &y, 0x5eed).unwrap();
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
     fn different_seeds_give_slightly_different_estimates() {
         let (x, y) = linear_data(30);
-        let a = pm1_bootstrap(
-            &x,
-            &y,
-            &BootstrapConfig {
-                seed: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let b = pm1_bootstrap(
-            &x,
-            &y,
-            &BootstrapConfig {
-                seed: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_ne!(a.estimate, b.estimate);
-        assert!((a.estimate - b.estimate).abs() < 0.1);
+        let a = estimate(&x, &y, 1).unwrap();
+        let b = estimate(&x, &y, 2).unwrap();
+        assert_ne!(a, b);
+        assert!((a - b).abs() < 0.1);
     }
 
     #[test]
     fn adaptive_stopping_uses_fewer_resamples_for_stable_data() {
-        // Near-perfect correlation → tiny resample variance → early stop.
+        // Near-perfect correlation → tiny resample variance → early stop,
+        // but never before the rule's minimum.
         let x: Vec<f64> = (0..500).map(f64::from).collect();
         let y: Vec<f64> = x.iter().map(|v| v * 3.0).collect();
-        let b = pm1_bootstrap(&x, &y, &BootstrapConfig::default()).unwrap();
+        let mut mean = AdaptiveMean::default();
+        pearson_pass(&x, &y, 0x5eed, &mut mean, 0, &mut BootstrapScratch::new()).unwrap();
+        assert!(mean.stopped);
         assert!(
-            b.resamples < 1_000,
+            (MIN_RESAMPLES..1_000).contains(&mean.count),
             "expected early stop, used {}",
-            b.resamples
+            mean.count
         );
     }
 
@@ -548,18 +445,14 @@ mod tests {
     fn estimate_is_clamped() {
         let x = [1.0, 2.0, 3.0];
         let y = [2.0, 4.0, 6.0];
-        let b = pm1_bootstrap(&x, &y, &BootstrapConfig::default()).unwrap();
-        assert!((-1.0..=1.0).contains(&b.estimate));
+        let b = estimate(&x, &y, 0x5eed).unwrap();
+        assert!((-1.0..=1.0).contains(&b));
     }
 
     #[test]
     fn degenerate_input_is_an_error() {
         assert!(matches!(
-            pm1_bootstrap(
-                &[1.0, 1.0, 1.0],
-                &[1.0, 2.0, 3.0],
-                &BootstrapConfig::default()
-            ),
+            estimate(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0], 0x5eed),
             Err(StatsError::ZeroVariance)
         ));
     }
@@ -568,7 +461,7 @@ mod tests {
     fn pm1_ci_contains_point_estimate_on_clean_data() {
         let (x, y) = linear_data(100);
         let r = pearson(&x, &y).unwrap();
-        let ci = pm1_ci(&x, &y, 42).unwrap();
+        let ci = interval(&x, &y, 42);
         assert!(ci.low <= r && r <= ci.high, "r={r} ci={ci:?}");
         assert!(ci.length() < 0.3);
     }
@@ -576,9 +469,9 @@ mod tests {
     #[test]
     fn pm1_ci_wider_for_smaller_samples() {
         let (x_big, y_big) = linear_data(400);
-        let ci_big = pm1_ci(&x_big, &y_big, 7).unwrap();
+        let ci_big = interval(&x_big, &y_big, 7);
         let (x_small, y_small) = linear_data(12);
-        let ci_small = pm1_ci(&x_small, &y_small, 7).unwrap();
+        let ci_small = interval(&x_small, &y_small, 7);
         assert!(
             ci_small.length() > ci_big.length(),
             "small={:?} big={:?}",
@@ -644,18 +537,18 @@ mod tests {
     }
 
     #[test]
-    fn pearson_percentile_ci_close_to_generic_stat_path() {
-        // Fused Pearson replicates visit the same resamples as the
-        // generic materializing path (same RNG stream), so the intervals
-        // differ only by kernel float reassociation.
+    fn pm1_percentile_interval_close_to_generic_stat_path() {
+        // Off 95%, the PM1 interval is the plain percentile interval of
+        // the fused Pearson replicates, which visit the same resamples as
+        // the generic materializing path (same word stream): the
+        // intervals differ only by kernel float reassociation.
         let (x, y) = linear_data(90);
-        let fused =
-            pearson_percentile_ci(&x, &y, 599, 0.9, 17, &mut BootstrapScratch::new()).unwrap();
+        let (_, fused) = pm1_with_ci(&x, &y, 17, 0.9, &mut BootstrapScratch::new()).unwrap();
         let generic = percentile_bootstrap_ci(
             &|a, b| pearson(a, b),
             &x,
             &y,
-            599,
+            PM1_CI_REPLICATES,
             0.9,
             17,
             &mut BootstrapScratch::new(),

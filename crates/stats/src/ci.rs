@@ -53,7 +53,7 @@ impl ConfidenceInterval {
     /// Interval covering the whole correlation range — the "no information"
     /// interval.
     #[must_use]
-    pub const fn vacuous() -> Self {
+    pub(crate) const fn vacuous() -> Self {
         Self {
             low: -1.0,
             high: 1.0,
@@ -71,15 +71,12 @@ impl ConfidenceInterval {
     pub fn contains(&self, v: f64) -> bool {
         self.low <= v && v <= self.high
     }
+}
 
-    /// Clamp both endpoints into `[−1, 1]`.
-    #[must_use]
-    pub fn clamped_to_unit(self) -> Self {
-        Self {
-            low: self.low.clamp(-1.0, 1.0),
-            high: self.high.clamp(-1.0, 1.0),
-        }
-    }
+/// The interval between `a` and `b` with both endpoints clamped into
+/// `[−1, 1]`.
+fn unit_interval(a: f64, b: f64) -> ConfidenceInterval {
+    ConfidenceInterval::new(a.clamp(-1.0, 1.0), b.clamp(-1.0, 1.0))
 }
 
 /// Standard error of the Fisher z-transformed correlation,
@@ -111,8 +108,7 @@ pub fn fisher_z_interval(r: f64, n: usize, alpha: f64) -> ConfidenceInterval {
     let z = 0.5 * ((1.0 + bounded) / (1.0 - bounded)).ln(); // atanh(bounded)
     let zcrit = crate::normal::inverse_normal_cdf(1.0 - alpha / 2.0);
     let se = fisher_z_se(n);
-    let ci =
-        ConfidenceInterval::new((z - zcrit * se).tanh(), (z + zcrit * se).tanh()).clamped_to_unit();
+    let ci = unit_interval((z - zcrit * se).tanh(), (z + zcrit * se).tanh());
     let r_unit = r.clamp(-1.0, 1.0);
     ConfidenceInterval::new(ci.low.min(r_unit), ci.high.max(r_unit))
 }
@@ -279,12 +275,12 @@ fn assemble_interval(
 
     let low = if rho_low.is_nan() { -1.0 } else { rho_low };
     let high = if rho_high.is_nan() { 1.0 } else { rho_high };
-    let ci = ConfidenceInterval::new(low, high);
     if clamp {
-        ci.clamped_to_unit()
+        unit_interval(low, high)
     } else {
         // Cap at a finite width so downstream length normalization stays
         // well-behaved when the denominator collapses.
+        let ci = ConfidenceInterval::new(low, high);
         ConfidenceInterval::new(ci.low.max(-1e12), ci.high.min(1e12))
     }
 }

@@ -44,7 +44,7 @@ fn centered_distances(v: &[f64]) -> Vec<f64> {
 ///
 /// Standard paired-sample validation errors; a constant variable yields
 /// [`StatsError::ZeroVariance`].
-pub fn distance_correlation(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
+pub(crate) fn distance_correlation(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
     validate_pairs(x, y, 2)?;
     let n = x.len();
     let a = centered_distances(x);

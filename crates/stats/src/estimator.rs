@@ -1,7 +1,7 @@
 //! Unified interface over the five correlation estimators the paper
 //! evaluates (Section 5.3).
 
-use crate::bootstrap::{pm1_bootstrap_with_scratch, BootstrapConfig, BootstrapScratch};
+use crate::bootstrap::{pm1_estimate, BootstrapScratch};
 use crate::distance::distance_correlation;
 use crate::error::StatsError;
 use crate::kendall::kendall_tau;
@@ -121,13 +121,7 @@ impl CorrelationEstimator {
             Self::Spearman => spearman(x, y),
             Self::Rin => rin_correlation(x, y),
             Self::Qn => qn_correlation(x, y),
-            Self::Pm1Bootstrap { seed } => {
-                let cfg = BootstrapConfig {
-                    seed: *seed,
-                    ..BootstrapConfig::default()
-                };
-                pm1_bootstrap_with_scratch(x, y, &cfg, scratch).map(|b| b.estimate)
-            }
+            Self::Pm1Bootstrap { seed } => pm1_estimate(x, y, *seed, scratch),
             Self::Kendall => kendall_tau(x, y),
             Self::DistanceCorrelation => distance_correlation(x, y),
         }

@@ -74,7 +74,7 @@ fn tie_pairs(sorted: &[f64]) -> u64 {
 ///
 /// Same failure modes as [`crate::pearson::pearson`]; all-tied variables
 /// yield [`StatsError::ZeroVariance`].
-pub fn kendall_tau(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
+pub(crate) fn kendall_tau(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
     validate_pairs(x, y, 2)?;
     let n = x.len();
 

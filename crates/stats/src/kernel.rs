@@ -5,7 +5,7 @@
 //! # Layout and chunking
 //!
 //! Every kernel consumes contiguous column slices (`x[]`, `y[]`, index
-//! blocks) and accumulates into [`LANES`] independent partial sums:
+//! blocks) and accumulates into `LANES` independent partial sums:
 //! element `i` always lands in lane `i % LANES`, and the lanes are
 //! reduced left-to-right at the end. Splitting the accumulation across
 //! independent lanes removes the loop-carried dependence on a single
@@ -43,7 +43,7 @@
 //!
 //! The kernels are raw sum machines: they accept NaN/∞ and simply
 //! propagate them (IEEE semantics); validation and degeneracy policy
-//! live in the callers ([`crate::pearson`], [`crate::bootstrap`]).
+//! live in the callers ([`crate::pearson()`], [`crate::bootstrap`]).
 //!
 //! # Index draws without a division
 //!
@@ -62,14 +62,14 @@
 //! two), decided by the word's low bits, so a branch there would
 //! mispredict at that rate and give the division's cost back. The
 //! argument holds for every `n ≥ 1` and every word, so the index stream
-//! — and with it every resample — is unchanged; [`gather_sums_by`]
+//! — and with it every resample — is unchanged; `gather_sums_by`
 //! fuses the reduction into the gather loop, so a resample reads
 //! generator words and never materializes an index block.
 //!
 //! The words themselves are a function of the seed alone, and every
 //! candidate of a query (and every query under one estimator) draws
-//! under the same seed. A [`WordStream`] therefore keeps the first
-//! [`KEPT_WORDS`] of its seed's stream, generated on first demand, and
+//! under the same seed. A `WordStream` therefore keeps the first
+//! `KEPT_WORDS` of its seed's stream, generated on first demand, and
 //! serves each later call from them; a resample that ends past the cap
 //! takes what the prefix still holds and the rest from the generator
 //! state at the prefix's end. Word `i` of a seed is the same word
@@ -82,21 +82,21 @@ use rand::{RngCore, SeedableRng};
 /// Number of independent accumulator lanes. Eight f64 lanes fill two
 /// AVX2 registers (or one AVX-512 register) per sum and still fit the
 /// 16 architectural vector registers of x86-64 when five sums are live.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// The five raw sums of one gathered resample over (centered) columns:
 /// Σx, Σy, Σx², Σy², Σxy — everything Pearson's `r` needs, in one pass.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GatherSums {
-    /// Σ x[idx[i]]
+    /// `Σ x[idx[i]]`
     pub sx: f64,
-    /// Σ y[idx[i]]
+    /// `Σ y[idx[i]]`
     pub sy: f64,
-    /// Σ x[idx[i]]²
+    /// `Σ x[idx[i]]²`
     pub sxx: f64,
-    /// Σ y[idx[i]]²
+    /// `Σ y[idx[i]]²`
     pub syy: f64,
-    /// Σ x[idx[i]]·y[idx[i]]
+    /// `Σ x[idx[i]]·y[idx[i]]`
     pub sxy: f64,
 }
 
@@ -162,13 +162,13 @@ impl IndexDraw {
 /// resamples of a full 1024-row join sample with a quarter to spare for
 /// degenerate attempts. A constant, not an option: a shorter prefix only
 /// sends more of a long call to the generator.
-pub const KEPT_WORDS: usize = 768 * 1024;
+pub(crate) const KEPT_WORDS: usize = 768 * 1024;
 
 /// The raw word stream of `StdRng::seed_from_u64(seed)` as the
 /// bootstrap reads it, one resample's words at a time: the kept prefix
 /// (module docs), and the cursor of the call reading it.
 #[derive(Debug, Clone)]
-pub struct WordStream {
+pub(crate) struct WordStream {
     seed: u64,
     /// The generator, positioned just past `words`.
     rng: StdRng,
@@ -254,7 +254,7 @@ pub fn gather_sums(x: &[f64], y: &[f64], idx: &[u32]) -> GatherSums {
 /// Panics if `index` yields a row out of bounds for `x`/`y`.
 #[must_use]
 #[inline]
-pub fn gather_sums_by<T: Copy>(
+pub(crate) fn gather_sums_by<T: Copy>(
     x: &[f64],
     y: &[f64],
     src: &[T],
@@ -336,7 +336,7 @@ pub fn gather_sums_scalar(x: &[f64], y: &[f64], idx: &[u32]) -> GatherSums {
 }
 
 /// Chunked column means: `(Σx/n, Σy/n)` with lane-split sums. The first
-/// pass of [`crate::pearson`] and the centering step of the bootstrap
+/// pass of [`crate::pearson()`] and the centering step of the bootstrap
 /// kernels.
 #[must_use]
 #[inline]
@@ -376,7 +376,7 @@ pub fn lane_sum_scalar(v: &[f64]) -> f64 {
 }
 
 /// Chunked centered second moments — the fused second pass of
-/// [`crate::pearson`]: Σdx², Σdy², Σdx·dy in one loop.
+/// [`crate::pearson()`]: Σdx², Σdy², Σdx·dy in one loop.
 #[must_use]
 #[inline]
 pub fn centered_sums(x: &[f64], y: &[f64], mean_x: f64, mean_y: f64) -> CenteredSums {

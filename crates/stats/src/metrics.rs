@@ -66,7 +66,7 @@ pub fn recall_at_k(relevant: &[bool], k: usize) -> Option<f64> {
 /// Discounted cumulative gain at cutoff `k` for graded relevance `gains`
 /// (best-first ranked order): `Σ_{i<k} gain_i / log2(i + 2)`.
 #[must_use]
-pub fn dcg_at_k(gains: &[f64], k: usize) -> f64 {
+pub(crate) fn dcg_at_k(gains: &[f64], k: usize) -> f64 {
     gains
         .iter()
         .take(k)

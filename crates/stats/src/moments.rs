@@ -56,42 +56,6 @@ impl Moments {
         }
     }
 
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Self) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        let delta2 = delta * delta;
-        let delta3 = delta2 * delta;
-        let delta4 = delta2 * delta2;
-
-        let m4 = self.m4
-            + other.m4
-            + delta4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * delta2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
-        let m3 = self.m3
-            + other.m3
-            + delta3 * na * nb * (na - nb) / (n * n)
-            + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
-
-        self.mean += delta * nb / n;
-        self.m2 = m2;
-        self.m3 = m3;
-        self.m4 = m4;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of accumulated observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -110,16 +74,11 @@ impl Moments {
         (self.n > 0).then(|| self.m2 / self.n as f64)
     }
 
-    /// Sample variance (divides by `n − 1`); `None` if `n < 2`.
-    #[must_use]
-    pub fn sample_variance(&self) -> Option<f64> {
-        (self.n > 1).then(|| self.m2 / (self.n as f64 - 1.0))
-    }
-
-    /// Sample standard deviation; `None` if `n < 2`.
+    /// Sample standard deviation (variance divided by `n − 1`); `None` if
+    /// `n < 2`.
     #[must_use]
     pub fn sample_std(&self) -> Option<f64> {
-        self.sample_variance().map(f64::sqrt)
+        (self.n > 1).then(|| (self.m2 / (self.n as f64 - 1.0)).sqrt())
     }
 
     /// Skewness `g1 = m3 / m2^{3/2}` (population form); `None` if `n < 2`
@@ -155,20 +114,6 @@ impl Moments {
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
     }
-
-    /// Freeze into a [`SummaryStats`] snapshot.
-    #[must_use]
-    pub fn summary(&self) -> Option<SummaryStats> {
-        Some(SummaryStats {
-            count: self.n,
-            mean: self.mean()?,
-            variance: self.population_variance()?,
-            min: self.min()?,
-            max: self.max()?,
-            skewness: self.skewness(),
-            excess_kurtosis: self.excess_kurtosis(),
-        })
-    }
 }
 
 impl Extend<f64> for Moments {
@@ -187,25 +132,6 @@ impl FromIterator<f64> for Moments {
     }
 }
 
-/// Immutable snapshot of column statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SummaryStats {
-    /// Number of observations.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population variance.
-    pub variance: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// Skewness, if defined.
-    pub skewness: Option<f64>,
-    /// Excess kurtosis, if defined.
-    pub excess_kurtosis: Option<f64>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +148,6 @@ mod tests {
         assert!(m.population_variance().is_none());
         assert!(m.min().is_none());
         assert!(m.max().is_none());
-        assert!(m.summary().is_none());
     }
 
     #[test]
@@ -232,7 +157,11 @@ mod tests {
         assert_eq!(m.count(), 8);
         assert!(close(m.mean().unwrap(), 5.0, 1e-12));
         assert!(close(m.population_variance().unwrap(), 4.0, 1e-12));
-        assert!(close(m.sample_variance().unwrap(), 32.0 / 7.0, 1e-12));
+        assert!(close(
+            m.sample_std().unwrap(),
+            (32.0f64 / 7.0).sqrt(),
+            1e-12
+        ));
         assert_eq!(m.min().unwrap(), 2.0);
         assert_eq!(m.max().unwrap(), 9.0);
     }
@@ -251,62 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100)
-            .map(|i| (i as f64).sin() * 10.0 + i as f64)
-            .collect();
-        let whole: Moments = data.iter().copied().collect();
-        let mut left: Moments = data[..37].iter().copied().collect();
-        let right: Moments = data[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!(close(left.mean().unwrap(), whole.mean().unwrap(), 1e-9));
-        assert!(close(
-            left.population_variance().unwrap(),
-            whole.population_variance().unwrap(),
-            1e-9
-        ));
-        assert!(close(
-            left.skewness().unwrap(),
-            whole.skewness().unwrap(),
-            1e-9
-        ));
-        assert!(close(
-            left.excess_kurtosis().unwrap(),
-            whole.excess_kurtosis().unwrap(),
-            1e-9
-        ));
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut m: Moments = [1.0, 2.0, 3.0].iter().copied().collect();
-        let before = m;
-        m.merge(&Moments::new());
-        assert_eq!(m, before);
-
-        let mut e = Moments::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
     fn constant_data_has_zero_variance_and_no_skew() {
         let m: Moments = std::iter::repeat_n(5.0, 10).collect();
         assert!(close(m.population_variance().unwrap(), 0.0, 1e-12));
         assert!(m.skewness().is_none());
         assert!(m.excess_kurtosis().is_none());
-    }
-
-    #[test]
-    fn summary_snapshot_matches_accessors() {
-        let m: Moments = [1.0, 2.0, 3.0, 4.0].iter().copied().collect();
-        let s = m.summary().unwrap();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.mean, m.mean().unwrap());
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
     }
 }

@@ -36,12 +36,6 @@ pub fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc_cheb(-x / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal density `φ(x)`.
-#[must_use]
-pub fn normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Inverse standard normal CDF `Φ⁻¹(p)` for `p ∈ (0, 1)`.
 ///
 /// Returns `-∞`/`+∞` for `p = 0`/`p = 1` and NaN outside `[0, 1]`.
@@ -50,7 +44,7 @@ pub fn normal_pdf(x: f64) -> f64 {
 /// limited by the ~1e-7 absolute error of the Chebyshev-fitted CDF, which
 /// is far below what any estimator in this workspace can resolve.
 #[must_use]
-pub fn inverse_normal_cdf(p: f64) -> f64 {
+pub(crate) fn inverse_normal_cdf(p: f64) -> f64 {
     if p.is_nan() || !(0.0..=1.0).contains(&p) {
         return f64::NAN;
     }
@@ -184,11 +178,5 @@ mod tests {
             assert!(x > prev, "non-monotone at p={p}");
             prev = x;
         }
-    }
-
-    #[test]
-    fn pdf_is_standard_normal_density() {
-        assert!((normal_pdf(0.0) - 0.398_942_280_401_432_7).abs() < 1e-15);
-        assert!((normal_pdf(1.0) - 0.241_970_724_519_143_37).abs() < 1e-15);
     }
 }

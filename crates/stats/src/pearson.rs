@@ -21,7 +21,7 @@ use crate::kernel::{centered_sums, column_means};
 /// (means, then the three centered sums fused in one loop), so the
 /// moment accumulation autovectorizes. Lane-splitting reassociates the
 /// float additions, which can move the result by a few ulps relative to
-/// a single-accumulator loop for `n >` [`crate::kernel::LANES`]; for
+/// a single-accumulator loop for `n >` `kernel::LANES`; for
 /// shorter inputs the kernels degenerate to the plain left-to-right sum
 /// and the result is bit-identical to the textbook implementation. The
 /// result remains a pure function of `(x, y)` — see the determinism

@@ -43,7 +43,7 @@ fn small_sample_factor(n: usize) -> f64 {
 /// # Errors
 ///
 /// [`StatsError::TooFewSamples`] for fewer than 2 observations.
-pub fn qn_scale(data: &[f64]) -> Result<f64, StatsError> {
+pub(crate) fn qn_scale(data: &[f64]) -> Result<f64, StatsError> {
     let n = data.len();
     if n < 2 {
         return Err(StatsError::TooFewSamples { needed: 2, got: n });
@@ -81,7 +81,7 @@ pub fn qn_scale(data: &[f64]) -> Result<f64, StatsError> {
 /// * [`StatsError::ZeroVariance`] if either variable has zero `Qn` scale
 ///   (more than half of the pairwise differences are zero).
 /// * Other failure modes as in [`qn_scale`].
-pub fn qn_correlation(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
+pub(crate) fn qn_correlation(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
     validate_pairs(x, y, 2)?;
     let sx = qn_scale(x)?;
     let sy = qn_scale(y)?;

@@ -8,10 +8,10 @@
 //!   ([`crate::fisher_z_interval`]): transform, add ±z·SE, transform
 //!   back. Closed-form, O(1) after the moment pass.
 //! * **PM1 bootstrap** — Wilcox's modified percentile bootstrap interval
-//!   ([`crate::pm1_ci`]) at its native 95% level, the plain percentile
-//!   interval at any other level; estimate and interval come out of one
-//!   replicate pass ([`crate::pm1_with_ci`]), so a scored PM1 candidate
-//!   costs the interval's 599 resamples and no more.
+//!   at its native 95% level, the plain percentile interval at any other
+//!   level; estimate and interval come out of one replicate pass
+//!   ([`crate::pm1_with_ci`]), so a scored PM1 candidate costs the
+//!   interval's 599 resamples and no more.
 //! * **Robust estimators** (Spearman, RIN, Qn, Kendall, distance
 //!   correlation) — the plain percentile bootstrap
 //!   ([`crate::percentile_bootstrap_ci`]) of the estimator itself.
@@ -21,7 +21,7 @@
 //! [`BootstrapScratch`], so scored queries are bit-identical across
 //! thread counts and allocation-free on the hot path.
 
-use crate::bootstrap::{percentile_bootstrap_ci, pm1_with_ci, BootstrapConfig, BootstrapScratch};
+use crate::bootstrap::{percentile_bootstrap_ci, pm1_with_ci, BootstrapScratch};
 use crate::ci::{fisher_z_interval, ConfidenceInterval};
 use crate::error::StatsError;
 use crate::estimator::CorrelationEstimator;
@@ -30,7 +30,7 @@ use crate::pearson::pearson;
 /// Fixed seed for the robust-estimator bootstrap intervals. A constant —
 /// not worker or query state — so a candidate's interval depends only on
 /// its own join sample.
-pub const SCORED_CI_SEED: u64 = 0x00c1_5eed;
+pub(crate) const SCORED_CI_SEED: u64 = 0x00c1_5eed;
 
 /// Bootstrap replicates for the robust-estimator intervals. Fewer than
 /// the 599 of the PM1 interval: the robust estimators cost `O(n log n)`
@@ -101,15 +101,10 @@ pub fn scored_estimate(
             // candidate.
             (r, fisher_z_interval(r, x.len(), alpha))
         }
+        // One replicate pass: the estimate is the adaptive-rule prefix
+        // mean of the interval's 599 replicates.
         CorrelationEstimator::Pm1Bootstrap { seed } => {
-            let cfg = BootstrapConfig {
-                seed,
-                ..BootstrapConfig::default()
-            };
-            // One replicate pass: the estimate is the adaptive-rule
-            // prefix mean of the interval's 599 replicates.
-            let (est, ci) = pm1_with_ci(x, y, &cfg, confidence, scratch)?;
-            (est.estimate, ci)
+            pm1_with_ci(x, y, seed, confidence, scratch)?
         }
         other => {
             let est = other.estimate(x, y)?;
@@ -272,21 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn pm1_scored_matches_standalone_pieces() {
+    fn pm1_scored_estimate_matches_the_estimator() {
         let (x, y) = noisy_linear(80);
         let est = CorrelationEstimator::Pm1Bootstrap { seed: 42 };
         let s = scored_estimate(est, &x, &y, 0.95, &mut BootstrapScratch::new()).unwrap();
-        let standalone = crate::bootstrap::pm1_bootstrap(
-            &x,
-            &y,
-            &BootstrapConfig {
-                seed: 42,
-                ..BootstrapConfig::default()
-            },
-        )
-        .unwrap();
-        let ci = crate::bootstrap::pm1_ci(&x, &y, 42).unwrap();
-        assert_eq!(s.estimate, standalone.estimate);
-        assert_eq!((s.ci_lo, s.ci_hi), (ci.low, ci.high));
+        assert_eq!(
+            s.estimate.to_bits(),
+            est.estimate(&x, &y).unwrap().to_bits()
+        );
     }
 }

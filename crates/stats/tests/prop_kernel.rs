@@ -26,16 +26,16 @@
 //!    rounding noise, and the new path may classify them degenerate
 //!    (`None`) instead. The PM1 *estimate* under the adaptive stopping
 //!    rule gets a looser documented bound (the stopping iteration can
-//!    flip on an ε change in one replicate), so the tight property runs
-//!    on a fixed replicate budget.
+//!    flip on an ε change in one replicate).
 //! 3. **One word stream, unconditional**: the division-free index draw,
 //!    the kept word stream and the single replicate pass change *how*
 //!    the resamples of a seed are produced and who reads them, never
 //!    which resamples they are — so the draw equals `%` for every
 //!    modulus and word, and the one-pass PM1 estimate + interval equals
 //!    the two separately seeded legacy loops (reimplemented literally
-//!    below, `random_range` and all) `to_bits`-exactly, for every
-//!    config, confidence level and scratch history.
+//!    below, `random_range` and all, under the paper's stopping rule)
+//!    `to_bits`-exactly, for every confidence level and scratch history,
+//!    including inputs where an attempt budget ends a loop.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -46,9 +46,18 @@ use sketch_stats::kernel::{
     lane_sum_scalar, pearson_from_gather, resample_pearson_twopass, IndexDraw,
 };
 use sketch_stats::{
-    pearson, pearson_percentile_ci, percentile_bootstrap_ci, pm1_bootstrap, pm1_ci, pm1_with_ci,
-    scored_estimate, spearman, BootstrapConfig, BootstrapScratch, CorrelationEstimator,
+    pearson, percentile_bootstrap_ci, pm1_with_ci, scored_estimate, spearman, BootstrapScratch,
+    CorrelationEstimator,
 };
+
+/// The paper's PM1 stopping rule (Section 5.3), written out for the
+/// legacy loops: at least 100 replicates, then stop once the probability
+/// that the next one moves the mean by more than 0.01 is below 5e-4; at
+/// most 10 000 replicates in twice as many attempts.
+const MIN_RESAMPLES: usize = 100;
+const MAX_RESAMPLES: usize = 10_000;
+const MEAN_CHANGE_THRESHOLD: f64 = 0.01;
+const STOP_PROBABILITY: f64 = 5e-4;
 
 /// Bitwise equality with NaN compared as a class: every non-NaN value
 /// (including -0.0 vs 0.0 and ±∞) must match to the bit, but any NaN
@@ -174,39 +183,24 @@ fn moduli() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Tie-heavy paired columns (values from a two- or three-letter
-/// alphabet): most short resamples of them are constant on one side, so
-/// the attempt budgets — not the replicate targets — end the loops.
-fn tied_columns(len: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
-    len.prop_flat_map(|n| (vec(0u8..2, n..n + 1), vec(0u8..3, n..n + 1)))
-        .prop_map(|(x, y)| {
-            (
-                x.into_iter().map(f64::from).collect(),
-                y.into_iter().map(f64::from).collect(),
-            )
-        })
-}
-
-/// The PM1 stopping rules the one-pass estimator must keep: the default,
-/// budgets that end before the rule can fire (`max_resamples` < 100),
-/// rules that cannot fire before the interval's 599 replicates are in
-/// (`min_resamples` > 599), and a fixed budget.
-fn configs() -> impl Strategy<Value = BootstrapConfig> {
-    let with = |min_resamples, max_resamples| BootstrapConfig {
-        min_resamples,
-        max_resamples,
-        ..BootstrapConfig::default()
-    };
-    prop_oneof![
-        Just(BootstrapConfig::default()),
-        (1usize..100).prop_map(move |max| with(100, max)),
-        (600usize..900).prop_map(move |min| with(min, 10_000)),
-        (1usize..700).prop_map(move |both| with(both, both)),
-        (1usize..50, 0.001f64..0.2).prop_map(move |(min, threshold)| BootstrapConfig {
-            mean_change_threshold: threshold,
-            ..with(min, 2_000)
-        }),
-    ]
+/// Degenerate-heavy paired columns: six rows at ±1.2e154, equal in both
+/// columns, then three small rows. A resample that draws two large rows
+/// (or one twice) overflows the kernel's sums and is degenerate, so only
+/// about one resample in a thousand survives — too few for the estimate
+/// to reach the rule's 100 replicates in its 20 000 attempts, or for the
+/// interval to reach half of its 599 in 4·599: both attempt budgets end
+/// their loops.
+fn overflow_heavy_columns() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    vec((-4.0f64..4.0, -4.0f64..4.0), 3..4).prop_map(|small| {
+        let a = 1.2e154;
+        let mut x = vec![a, -a, a, -a, a, -a];
+        let mut y = x.clone();
+        for (sx, sy) in small {
+            x.push(sx);
+            y.push(sy);
+        }
+        (x, y)
+    })
 }
 
 /// The pre-unification fused resample draw, literally: `n` calls of
@@ -227,15 +221,16 @@ fn centered(x: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>) {
     )
 }
 
-/// The pre-unification `pm1_bootstrap`, literally: its own generator,
-/// its own adaptive loop. `None` where it returned an error.
-fn legacy_pm1_estimate(x: &[f64], y: &[f64], cfg: &BootstrapConfig) -> Option<(f64, usize)> {
+/// The pre-unification PM1 estimate, literally: its own generator, its
+/// own adaptive loop. `None` where it returned an error; else the
+/// estimate and the replicates it took.
+fn legacy_pm1_estimate(x: &[f64], y: &[f64], seed: u64) -> Option<(f64, usize)> {
     pearson(x, y).ok()?;
     let (cx, cy) = centered(x, y);
     let mut idx = vec![0u32; x.len()];
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let (mut sum, mut sum_sq, mut count, mut attempts) = (0.0f64, 0.0f64, 0usize, 0usize);
-    while count < cfg.max_resamples && attempts < cfg.max_resamples.saturating_mul(2) {
+    while count < MAX_RESAMPLES && attempts < MAX_RESAMPLES * 2 {
         attempts += 1;
         let Some(r) = legacy_fused_draw(&cx, &cy, &mut rng, &mut idx) else {
             continue;
@@ -243,14 +238,14 @@ fn legacy_pm1_estimate(x: &[f64], y: &[f64], cfg: &BootstrapConfig) -> Option<(f
         count += 1;
         sum += r;
         sum_sq += r * r;
-        if count >= cfg.min_resamples {
+        if count >= MIN_RESAMPLES {
             let mean = sum / count as f64;
             let sd = (sum_sq / count as f64 - mean * mean).max(0.0).sqrt();
             if sd == 0.0 {
                 break;
             }
-            let z = cfg.mean_change_threshold * (count as f64 + 1.0) / sd;
-            if 2.0 * (1.0 - sketch_stats::normal_cdf(z)) < cfg.stop_probability {
+            let z = MEAN_CHANGE_THRESHOLD * (count as f64 + 1.0) / sd;
+            if 2.0 * (1.0 - sketch_stats::normal_cdf(z)) < STOP_PROBABILITY {
                 break;
             }
         }
@@ -309,18 +304,17 @@ fn legacy_pm1_interval(
 fn assert_one_pass_matches_legacy(
     x: &[f64],
     y: &[f64],
-    cfg: &BootstrapConfig,
+    seed: u64,
     confidence: f64,
     scratch: &mut BootstrapScratch,
 ) -> Result<(), TestCaseError> {
-    let legacy =
-        legacy_pm1_estimate(x, y, cfg).zip(legacy_pm1_interval(x, y, 599, confidence, cfg.seed));
-    let new = pm1_with_ci(x, y, cfg, confidence, scratch).ok();
-    let bits = |(est, ci): ((f64, usize), (f64, f64))| {
-        (est.0.to_bits(), est.1, ci.0.to_bits(), ci.1.to_bits())
-    };
+    let legacy = legacy_pm1_estimate(x, y, seed)
+        .map(|(est, _)| est)
+        .zip(legacy_pm1_interval(x, y, 599, confidence, seed));
+    let new = pm1_with_ci(x, y, seed, confidence, scratch).ok();
+    let bits = |(est, ci): (f64, (f64, f64))| (est.to_bits(), ci.0.to_bits(), ci.1.to_bits());
     prop_assert_eq!(
-        new.map(|(est, ci)| bits(((est.estimate, est.resamples), (ci.low, ci.high)))),
+        new.map(|(est, ci)| bits((est, (ci.low, ci.high)))),
         legacy.map(bits)
     );
     Ok(())
@@ -408,47 +402,21 @@ proptest! {
         }
     }
 
-    /// Contract 2, interval endpoints: the fused `pm1_ci` vs the legacy
-    /// sort-and-index implementation over the same RNG stream, within
-    /// 1e-9 per endpoint on well-conditioned data.
+    /// Contract 2, interval endpoints: the fused 95% PM1 interval vs the
+    /// legacy sort-and-index implementation over the same RNG stream,
+    /// within 1e-9 per endpoint on well-conditioned data.
     #[test]
     fn pm1_ci_endpoints_within_1e9_of_legacy(
         (x, y) in conditioned_columns(10..60),
         seed in any::<u64>(),
     ) {
-        let new = pm1_ci(&x, &y, seed).unwrap();
+        let (_, new) = pm1_with_ci(&x, &y, seed, 0.95, &mut BootstrapScratch::new()).unwrap();
         let mut rs = legacy_replicates(&x, &y, 599, seed);
         prop_assume!(rs.len() == 599); // knife-edge resamples excluded
         rs.sort_by(f64::total_cmp);
         let (a, c) = pm1_indices(x.len());
         prop_assert!((new.low - rs[a - 1]).abs() < 1e-9, "{} vs {}", new.low, rs[a - 1]);
         prop_assert!((new.high - rs[c - 1]).abs() < 1e-9, "{} vs {}", new.high, rs[c - 1]);
-    }
-
-    /// Contract 2, point estimate on a *fixed* replicate budget (the
-    /// adaptive stopping rule disabled by `min == max`): the mean of 200
-    /// replicates each within 1e-9 stays within 1e-9.
-    #[test]
-    fn pm1_fixed_budget_estimate_within_1e9_of_legacy(
-        (x, y) in conditioned_columns(10..60),
-        seed in any::<u64>(),
-    ) {
-        let cfg = BootstrapConfig {
-            min_resamples: 200,
-            max_resamples: 200,
-            seed,
-            ..BootstrapConfig::default()
-        };
-        let new = pm1_bootstrap(&x, &y, &cfg).unwrap();
-        let rs = legacy_replicates(&x, &y, 200, seed);
-        prop_assume!(rs.len() == 200);
-        let legacy_mean = (rs.iter().sum::<f64>() / 200.0).clamp(-1.0, 1.0);
-        prop_assert_eq!(new.resamples, 200);
-        prop_assert!(
-            (new.estimate - legacy_mean).abs() < 1e-9,
-            "new={} legacy={legacy_mean}",
-            new.estimate
-        );
     }
 
     /// Satellite regression: the generic (robust-estimator) percentile
@@ -538,68 +506,66 @@ proptest! {
 
     /// Contract 3, the pass: estimate and interval out of one replicate
     /// pass ≡ the two legacy loops, over well-conditioned columns of
-    /// every small and mid size, every stopping rule, both interval
-    /// kinds — on a scratch that has served another seed, a longer and
-    /// a shorter sample before.
+    /// every small and mid size, both interval kinds — on a scratch that
+    /// has served another seed, a longer and a shorter sample and the
+    /// generic path before.
     #[test]
     fn one_pass_pm1_bit_identical_to_legacy_loops(
         (x, y) in conditioned_columns(3..90),
         (dx, dy) in conditioned_columns(3..200),
-        cfg in configs(),
         seed in any::<u64>(),
         other_seed in any::<u64>(),
         confidence in prop_oneof![Just(0.95f64), 0.5f64..0.999],
     ) {
-        let cfg = BootstrapConfig { seed, ..cfg };
-        assert_one_pass_matches_legacy(&x, &y, &cfg, confidence, &mut BootstrapScratch::new())?;
+        assert_one_pass_matches_legacy(&x, &y, seed, confidence, &mut BootstrapScratch::new())?;
 
         let mut dirty = BootstrapScratch::new();
-        let other = BootstrapConfig { seed: other_seed, ..BootstrapConfig::default() };
-        let _ = pm1_with_ci(&dx, &dy, &other, 0.9, &mut dirty);
-        let _ = pm1_with_ci(&dx, &dy, &cfg, 0.95, &mut dirty);
-        let _ = sketch_stats::pm1_ci_with_scratch(&x[..3], &y[..3], seed, &mut dirty);
-        let _ = pearson_percentile_ci(&x[..3], &y[..3], 50, 0.8, seed, &mut dirty);
-        assert_one_pass_matches_legacy(&x, &y, &cfg, confidence, &mut dirty)?;
+        let _ = pm1_with_ci(&dx, &dy, other_seed, 0.9, &mut dirty);
+        let _ = pm1_with_ci(&dx, &dy, seed, 0.95, &mut dirty);
+        let _ = pm1_with_ci(&x[..3], &y[..3], seed, 0.8, &mut dirty);
+        let _ = percentile_bootstrap_ci(&|a, b| spearman(a, b), &x[..3], &y[..3], 50, 0.8, seed, &mut dirty);
+        assert_one_pass_matches_legacy(&x, &y, seed, confidence, &mut dirty)?;
     }
 
-    /// Contract 3 where the estimate's attempt budget binds: tie-heavy
-    /// columns of 3 to 8 rows lose about half their resamples as
-    /// degenerate, so under a small `max_resamples` the estimate stops
-    /// on `2·max_resamples` attempts — exactly where its legacy loop
-    /// did — while the interval draws on.
+    /// Contract 3 where the estimate's attempt budget binds: on
+    /// overflow-heavy columns the legacy loop ends on its 20 000
+    /// attempts with fewer replicates than the rule's minimum, and the
+    /// estimate-only pass must stop on exactly that attempt — one more
+    /// surviving replicate changes the mean. The interval fails on its
+    /// own budget there, in both implementations.
     #[test]
     fn one_pass_pm1_keeps_the_estimate_attempt_budget(
-        (x, y) in tied_columns(3..9),
-        cfg in configs(),
+        (x, y) in overflow_heavy_columns(),
         seed in any::<u64>(),
         confidence in prop_oneof![Just(0.95f64), 0.5f64..0.999],
     ) {
-        let cfg = BootstrapConfig { seed, ..cfg };
-        assert_one_pass_matches_legacy(&x, &y, &cfg, confidence, &mut BootstrapScratch::new())?;
+        let (mean, taken) = legacy_pm1_estimate(&x, &y, seed).unwrap();
+        prop_assert!(taken < MIN_RESAMPLES, "the rule fired after {} replicates", taken);
+        let est = CorrelationEstimator::Pm1Bootstrap { seed };
+        let new = est.estimate_with_scratch(&x, &y, &mut BootstrapScratch::new()).unwrap();
+        prop_assert_eq!(new.to_bits(), mean.to_bits());
+        prop_assert_eq!(legacy_fused_replicates(&x, &y, 599, seed), None);
+        assert_one_pass_matches_legacy(&x, &y, seed, confidence, &mut BootstrapScratch::new())?;
     }
 
-    /// The scored pipeline's PM1 arm is that pass under the default
-    /// rule, and the standalone estimators are projections of it.
+    /// The scored pipeline's PM1 arm is that pass, and the served
+    /// estimate-only pass is its projection.
     #[test]
     fn scored_pm1_and_projections_bit_identical_to_legacy(
         (x, y) in conditioned_columns(3..70),
         seed in any::<u64>(),
         confidence in prop_oneof![Just(0.95f64), 0.5f64..0.999],
-        replicates in 1usize..300,
     ) {
-        let cfg = BootstrapConfig { seed, ..BootstrapConfig::default() };
         let mut scratch = BootstrapScratch::new();
         let est = CorrelationEstimator::Pm1Bootstrap { seed };
         let scored = scored_estimate(est, &x, &y, confidence, &mut scratch).unwrap();
-        let (mean, _) = legacy_pm1_estimate(&x, &y, &cfg).unwrap();
+        let (mean, _) = legacy_pm1_estimate(&x, &y, seed).unwrap();
         let (lo, hi) = legacy_pm1_interval(&x, &y, 599, confidence, seed).unwrap();
         prop_assert_eq!(scored.estimate.to_bits(), mean.to_bits());
         prop_assert_eq!((scored.ci_lo.to_bits(), scored.ci_hi.to_bits()), (lo.to_bits(), hi.to_bits()));
 
-        prop_assert_eq!(pm1_bootstrap(&x, &y, &cfg).unwrap().estimate.to_bits(), mean.to_bits());
-        let ci = pearson_percentile_ci(&x, &y, replicates, 0.9, seed, &mut scratch).unwrap();
-        let (lo, hi) = legacy_pm1_interval(&x, &y, replicates, 0.9, seed).unwrap();
-        prop_assert_eq!((ci.low.to_bits(), ci.high.to_bits()), (lo.to_bits(), hi.to_bits()));
+        let projected = est.estimate_with_scratch(&x, &y, &mut scratch).unwrap();
+        prop_assert_eq!(projected.to_bits(), mean.to_bits());
     }
 }
 
@@ -618,14 +584,16 @@ fn adaptive_pm1_documented_divergence_bound() {
             .enumerate()
             .map(|(i, v)| 0.7 * v + 10.0 * ((i as f64) * 0.9).sin())
             .collect();
-        let cfg = BootstrapConfig::default();
-        let new = pm1_bootstrap(&x, &y, &cfg).unwrap();
+        let seed = 0x5eed;
+        let new = CorrelationEstimator::Pm1Bootstrap { seed }
+            .estimate(&x, &y)
+            .unwrap();
 
         // Legacy adaptive loop, literally (two-pass pearson resamples).
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let (mut bx, mut by) = (vec![0.0; n], vec![0.0; n]);
         let (mut sum, mut sum_sq, mut count, mut attempts) = (0.0f64, 0.0f64, 0usize, 0usize);
-        while count < cfg.max_resamples && attempts < cfg.max_resamples * 2 {
+        while count < MAX_RESAMPLES && attempts < MAX_RESAMPLES * 2 {
             attempts += 1;
             for i in 0..n {
                 let j = rng.random_range(0..n);
@@ -636,25 +604,23 @@ fn adaptive_pm1_documented_divergence_bound() {
             count += 1;
             sum += r;
             sum_sq += r * r;
-            if count >= cfg.min_resamples {
+            if count >= MIN_RESAMPLES {
                 let mean = sum / count as f64;
                 let sd = (sum_sq / count as f64 - mean * mean).max(0.0).sqrt();
                 if sd == 0.0 {
                     break;
                 }
-                let z = cfg.mean_change_threshold * (count as f64 + 1.0) / sd;
+                let z = MEAN_CHANGE_THRESHOLD * (count as f64 + 1.0) / sd;
                 let p = 2.0 * (1.0 - sketch_stats::normal_cdf(z));
-                if p < cfg.stop_probability {
+                if p < STOP_PROBABILITY {
                     break;
                 }
             }
         }
         let legacy = (sum / count as f64).clamp(-1.0, 1.0);
         assert!(
-            (new.estimate - legacy).abs() < 0.02,
-            "n={n}: new={} legacy={legacy} (counts {} vs {count})",
-            new.estimate,
-            new.resamples
+            (new - legacy).abs() < 0.02,
+            "n={n}: new={new} legacy={legacy} (legacy count {count})"
         );
     }
 }
@@ -677,15 +643,15 @@ fn one_pass_pm1_crosses_the_kept_stream_cap_unchanged() {
             .collect();
         (x, y)
     };
-    let cfg = BootstrapConfig::default();
+    let seed = 0x5eed;
     let (x, y) = columns(1400);
     let fresh = &mut BootstrapScratch::new();
-    assert_one_pass_matches_legacy(&x, &y, &cfg, 0.95, fresh).unwrap();
+    assert_one_pass_matches_legacy(&x, &y, seed, 0.95, fresh).unwrap();
     let dirty = &mut BootstrapScratch::new();
     let (dx, dy) = columns(1312);
-    assert_one_pass_matches_legacy(&dx, &dy, &cfg, 0.95, dirty).unwrap();
-    assert_one_pass_matches_legacy(&x, &y, &cfg, 0.9, dirty).unwrap();
-    assert_one_pass_matches_legacy(&dx[..40], &dy[..40], &cfg, 0.95, dirty).unwrap();
+    assert_one_pass_matches_legacy(&dx, &dy, seed, 0.95, dirty).unwrap();
+    assert_one_pass_matches_legacy(&x, &y, seed, 0.9, dirty).unwrap();
+    assert_one_pass_matches_legacy(&dx[..40], &dy[..40], seed, 0.95, dirty).unwrap();
 }
 
 /// Contract 3 where the *interval's* attempt budget binds. Rows near
@@ -701,21 +667,17 @@ fn one_pass_pm1_keeps_the_interval_attempt_budget() {
     let a = 1.2e154;
     let (x, y) = ([a, -a, 0.0], [a, -a, 1.0]);
     for seed in 0..8 {
-        let cfg = BootstrapConfig {
-            seed,
-            ..BootstrapConfig::default()
-        };
         let kept = legacy_fused_replicates(&x, &y, 599, seed).unwrap().len();
         assert!((299..599).contains(&kept), "seed {seed}: {kept} replicates");
         for confidence in [0.95, 0.8] {
             let scratch = &mut BootstrapScratch::new();
-            assert_one_pass_matches_legacy(&x, &y, &cfg, confidence, scratch).unwrap();
+            assert_one_pass_matches_legacy(&x, &y, seed, confidence, scratch).unwrap();
         }
 
         let b = 1.0e154;
         let (x, y) = ([a, -a, b, -b, 0.0], [a, -a, b, -b, 1.0]);
-        assert!(legacy_pm1_estimate(&x, &y, &cfg).is_some());
+        assert!(legacy_pm1_estimate(&x, &y, seed).is_some());
         assert_eq!(legacy_fused_replicates(&x, &y, 599, seed), None);
-        assert!(pm1_with_ci(&x, &y, &cfg, 0.95, &mut BootstrapScratch::new()).is_err());
+        assert!(pm1_with_ci(&x, &y, seed, 0.95, &mut BootstrapScratch::new()).is_err());
     }
 }

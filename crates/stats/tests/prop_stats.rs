@@ -107,18 +107,6 @@ proptest! {
         prop_assert_eq!(m.max().unwrap(), x.iter().copied().fold(f64::NEG_INFINITY, f64::max));
     }
 
-    /// Merging moment accumulators equals one-shot accumulation.
-    #[test]
-    fn moments_merge_associative(x in finite_vec(2..200), split in any::<prop::sample::Index>()) {
-        let k = split.index(x.len() - 1) + 1;
-        let whole: Moments = x.iter().copied().collect();
-        let mut left: Moments = x[..k].iter().copied().collect();
-        let right: Moments = x[k..].iter().copied().collect();
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-6 * (1.0 + whole.mean().unwrap().abs()));
-    }
-
     /// The Hoeffding interval always contains the plain Pearson estimate
     /// computed on the same sample, for any alpha.
     #[test]

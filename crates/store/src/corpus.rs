@@ -9,7 +9,7 @@
 //! each holding appends and tombstones in the order they were issued.
 //! Reading replays the log into the **live view**: base records in base
 //! order with tombstoned records dropped, then surviving appends in
-//! append order. Every reader (and [`sketch-index`]'s `from_store`)
+//! append order. Every reader (and `sketch-index`'s `from_store`)
 //! sees exactly this order, so doc ids, tie-breaks, and query reports
 //! are reproducible across loads, thread counts, and compactions.
 //!

@@ -6,7 +6,7 @@
 //! write order.
 //!
 //! The directory is derived data. It is *used* only when it
-//! [verifies](IdDirectory::verify) — whole-file checksum, then its stamp
+//! verifies — whole-file checksum, then its stamp
 //! (base generation, record count, byte length of every base shard)
 //! against the manifest and an `O(#shards)` stat — and a directory that
 //! does not verify is exactly as good as none: the reader falls back to

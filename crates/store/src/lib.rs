@@ -176,12 +176,6 @@ pub use correlation_sketches::{DeltaRecord, SketchError};
 pub use directory::{DirectoryState, DIRECTORY_NAME};
 pub use error::StoreError;
 pub use info::{stat_corpus, DeltaInfo, ShardInfo, StoreInfo};
-pub use manifest::{DeltaMeta, Manifest, ShardMeta, MANIFEST_NAME, MANIFEST_VERSION};
-pub use partition::{
-    read_partition, shard_corpus, worker_dir_name, PartitionManifest, PartitionShard,
-    PARTITION_NAME, PARTITION_VERSION,
-};
-pub use shard::{
-    read_delta_shard, read_shard, write_delta_shard, write_shard, FORMAT_VERSION, KIND_BASE,
-    KIND_DELTA, MAGIC,
-};
+pub use manifest::{DeltaMeta, Manifest, ShardMeta, MANIFEST_NAME};
+pub use partition::{shard_corpus, PartitionManifest, PartitionShard};
+pub use shard::{read_shard, write_delta_shard, write_shard, FORMAT_VERSION};

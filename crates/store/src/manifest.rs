@@ -18,7 +18,7 @@ const HEADER_TAG: &str = "cskb-manifest";
 /// Newest manifest version this build writes and reads. Version 1 (the
 /// pre-delta format) is still written for stores that have never been
 /// mutated, and always read.
-pub const MANIFEST_VERSION: u16 = 2;
+pub(crate) const MANIFEST_VERSION: u16 = 2;
 
 /// One base shard as listed in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +81,7 @@ impl Manifest {
     /// deltas) renders as version 1, byte-identical to the pre-delta
     /// format; anything else renders as version 2.
     #[must_use]
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let v2 = self.generation != 0 || self.base_generation != 0 || !self.deltas.is_empty();
         let mut out = String::with_capacity(96 + 40 * (self.shards.len() + self.deltas.len()));
         out.push_str(HEADER_TAG);

@@ -37,19 +37,17 @@
 
 use std::path::Path;
 
-use correlation_sketches::SketchError;
-
 use crate::corpus::{pack_corpus, read_corpus_with_manifest, PackOptions};
 use crate::error::StoreError;
 
 /// File name of the partition manifest inside a partition directory.
-pub const PARTITION_NAME: &str = "partition.cskp";
+pub(crate) const PARTITION_NAME: &str = "partition.cskp";
 
 /// Partition manifest header tag (first line is `cskb-partition 1`).
 const PARTITION_TAG: &str = "cskb-partition";
 
-/// Newest partition manifest version this build writes and reads.
-pub const PARTITION_VERSION: u16 = 1;
+/// Partition manifest version this build writes.
+const PARTITION_VERSION: u16 = 1;
 
 /// One worker store as listed in the partition manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +59,8 @@ pub struct PartitionShard {
     pub count: u64,
 }
 
-/// Parsed partition manifest: how a corpus was split across workers.
+/// The partition manifest [`shard_corpus`] writes: how a corpus was
+/// split across workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionManifest {
     /// Number of worker stores (equals `shards.len()`).
@@ -77,7 +76,7 @@ pub struct PartitionManifest {
 impl PartitionManifest {
     /// Render to the text format.
     #[must_use]
-    pub fn to_text(&self) -> String {
+    fn to_text(&self) -> String {
         let mut out = String::with_capacity(96 + 32 * self.shards.len());
         out.push_str(PARTITION_TAG);
         out.push(' ');
@@ -98,84 +97,11 @@ impl PartitionManifest {
         }
         out
     }
-
-    /// Parse the text format, validating the header, field syntax, the
-    /// worker count against the shard table, and the total against the
-    /// per-shard counts.
-    ///
-    /// # Errors
-    ///
-    /// [`SketchError::Corrupt`] on any malformed or inconsistent line,
-    /// [`SketchError::UnsupportedVersion`] on a newer version.
-    pub fn parse(text: &str) -> Result<Self, SketchError> {
-        let corrupt = |reason: &str| SketchError::Corrupt(format!("partition manifest: {reason}"));
-        let mut lines = text.lines();
-        let header = lines.next().ok_or_else(|| corrupt("empty file"))?;
-        let version = header
-            .strip_prefix(PARTITION_TAG)
-            .map(str::trim)
-            .and_then(|v| v.parse::<u16>().ok())
-            .ok_or_else(|| corrupt("bad header line"))?;
-        if version != PARTITION_VERSION {
-            return Err(SketchError::UnsupportedVersion {
-                found: version,
-                supported: PARTITION_VERSION,
-            });
-        }
-        let mut field = |name: &str| -> Result<u64, SketchError> {
-            lines
-                .next()
-                .and_then(|l| l.strip_prefix(name))
-                .and_then(|v| v.strip_prefix(' '))
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| corrupt(&format!("missing or malformed `{name}` line")))
-        };
-        let workers = field("workers")?;
-        let source_generation = field("source-generation")?;
-        let total = field("sketches")?;
-        let mut shards = Vec::new();
-        for line in lines {
-            let rest = line
-                .strip_prefix("shard ")
-                .ok_or_else(|| corrupt(&format!("unexpected line `{line}`")))?;
-            let (dir, count) = rest
-                .rsplit_once(' ')
-                .ok_or_else(|| corrupt(&format!("malformed shard line `{line}`")))?;
-            let count = count
-                .parse::<u64>()
-                .map_err(|_| corrupt(&format!("bad shard count in `{line}`")))?;
-            if dir.is_empty() {
-                return Err(corrupt(&format!("empty shard dir in `{line}`")));
-            }
-            shards.push(PartitionShard {
-                dir: dir.to_string(),
-                count,
-            });
-        }
-        if shards.len() as u64 != workers {
-            return Err(corrupt(&format!(
-                "workers says {workers} but {} shard lines follow",
-                shards.len()
-            )));
-        }
-        let sum: u64 = shards.iter().map(|s| s.count).sum();
-        if sum != total {
-            return Err(corrupt(&format!(
-                "sketches says {total} but shard counts sum to {sum}"
-            )));
-        }
-        Ok(Self {
-            workers: shards.len(),
-            source_generation,
-            total,
-            shards,
-        })
-    }
 }
 
 /// Directory name of worker `i` inside a partition directory.
 #[must_use]
-pub fn worker_dir_name(i: usize) -> String {
+pub(crate) fn worker_dir_name(i: usize) -> String {
     format!("worker-{i:04}")
 }
 
@@ -230,27 +156,6 @@ pub fn shard_corpus(
     let path = out.join(PARTITION_NAME);
     std::fs::write(&path, partition.to_text()).map_err(StoreError::io(path))?;
     Ok(partition)
-}
-
-/// Load the partition manifest from a partition directory.
-///
-/// # Errors
-///
-/// [`StoreError::MissingManifest`] when `partition.cskp` does not
-/// exist (the directory is not a partition), otherwise I/O or the
-/// typed parse errors of [`PartitionManifest::parse`].
-pub fn read_partition(dir: &Path) -> Result<PartitionManifest, StoreError> {
-    let path = dir.join(PARTITION_NAME);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(StoreError::MissingManifest {
-                dir: dir.to_path_buf(),
-            })
-        }
-        Err(e) => return Err(StoreError::io(path)(e)),
-    };
-    PartitionManifest::parse(&text).map_err(StoreError::from)
 }
 
 #[cfg(test)]
@@ -316,8 +221,6 @@ mod tests {
                 union.extend(got);
             }
             assert_eq!(union, sketches, "workers={workers}");
-            // And the manifest round-trips through disk.
-            assert_eq!(read_partition(&out).unwrap(), part);
         }
     }
 
@@ -344,29 +247,21 @@ mod tests {
         assert_eq!(union, expected);
     }
 
+    /// `partition.cskp` is exactly the documented text: header, the
+    /// three counts, then one `shard` line per worker in worker order,
+    /// chunks of `ceil(total / workers)`.
     #[test]
-    fn parse_rejects_malformed_manifests() {
-        for (text, why) in [
-            ("", "empty"),
-            ("cskb-partition 9\nworkers 0\nsource-generation 0\nsketches 0\n", "future version"),
-            ("cskb-manifest 1\nsketches 0\n", "wrong tag"),
-            ("cskb-partition 1\nworkers 2\nsource-generation 0\nsketches 0\n", "missing shard lines"),
-            (
-                "cskb-partition 1\nworkers 1\nsource-generation 0\nsketches 5\nshard worker-0000 4\n",
-                "total mismatch",
-            ),
-            (
-                "cskb-partition 1\nworkers 1\nsource-generation 0\nsketches 4\nshard worker-0000 x\n",
-                "bad count",
-            ),
-            (
-                "cskb-partition 1\nworkers 1\nsource-generation 0\nsketches 4\njunk line\n",
-                "unknown line",
-            ),
-        ] {
-            assert!(PartitionManifest::parse(text).is_err(), "{why}");
-        }
-        let err = read_partition(&std::env::temp_dir().join("definitely-not-a-partition-dir"));
-        assert!(matches!(err, Err(StoreError::MissingManifest { .. })));
+    fn partition_manifest_file_is_the_documented_text() {
+        let tmp = TempDir::new("golden");
+        let src = tmp.0.join("src");
+        pack_corpus(&src, &corpus(10), &PackOptions::default()).unwrap();
+        let out = tmp.0.join("split");
+        shard_corpus(&src, &out, 3, 1).unwrap();
+        let bytes = std::fs::read(out.join(PARTITION_NAME)).unwrap();
+        assert_eq!(
+            String::from_utf8(bytes).unwrap(),
+            "cskb-partition 1\nworkers 3\nsource-generation 0\nsketches 10\n\
+             shard worker-0000 4\nshard worker-0001 4\nshard worker-0002 2\n"
+        );
     }
 }

@@ -6,12 +6,12 @@
 //! by `count` length-prefixed, checksummed records. They differ only in
 //! the header's *kind* field and in what a record payload is:
 //!
-//! * **base** shards (`kind = 0`, [`KIND_BASE`]): every record payload is
+//! * **base** shards (`kind = 0`, `KIND_BASE`): every record payload is
 //!   one [`CorrelationSketch`] in the [`correlation_sketches::binary`]
 //!   layout — exactly the original `.cskb` format (the kind field
 //!   occupies the bytes that were previously reserved-as-zero, so every
 //!   pre-delta shard file is a valid base shard byte for byte).
-//! * **delta** shards (`kind = 1`, [`KIND_DELTA`]): every record payload
+//! * **delta** shards (`kind = 1`, `KIND_DELTA`): every record payload
 //!   is a tagged [`DeltaRecord`] — one tag byte
 //!   ([`correlation_sketches::DELTA_TAG_SKETCH`] = append,
 //!   [`correlation_sketches::DELTA_TAG_TOMBSTONE`] = delete) followed by
@@ -32,16 +32,16 @@ use crate::error::StoreError;
 
 /// First four bytes of every shard file (ASCII `"CSKB"` — Correlation
 /// SKetch Binary).
-pub const MAGIC: [u8; 4] = *b"CSKB";
+pub(crate) const MAGIC: [u8; 4] = *b"CSKB";
 
 /// Newest shard format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 1;
 
 /// Header kind field of a base corpus shard (sketch records only).
-pub const KIND_BASE: u16 = 0;
+pub(crate) const KIND_BASE: u16 = 0;
 
 /// Header kind field of a delta shard (tagged append/tombstone records).
-pub const KIND_DELTA: u16 = 1;
+pub(crate) const KIND_DELTA: u16 = 1;
 
 /// Fixed shard header size: magic (4) + version (2) + kind (2) +
 /// record count (4).
@@ -316,7 +316,7 @@ pub fn write_delta_shard(path: &Path, records: &[DeltaRecord]) -> Result<(), Sto
 /// [`StoreError::Io`] on filesystem failure, [`StoreError::Sketch`] with
 /// a typed corruption variant on invalid bytes (see
 /// [`decode_delta_shard`]).
-pub fn read_delta_shard(path: &Path) -> Result<Vec<DeltaRecord>, StoreError> {
+pub(crate) fn read_delta_shard(path: &Path) -> Result<Vec<DeltaRecord>, StoreError> {
     let bytes = std::fs::read(path).map_err(StoreError::io(path))?;
     decode_delta_shard(&bytes).map_err(StoreError::Sketch)
 }

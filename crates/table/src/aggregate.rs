@@ -139,12 +139,6 @@ impl AggState {
             _ => self.acc,
         }
     }
-
-    /// Number of occurrences folded so far.
-    #[must_use]
-    pub fn occurrences(&self) -> u64 {
-        self.count
-    }
 }
 
 #[cfg(test)]
@@ -189,14 +183,6 @@ mod tests {
         // Key "2021-02": {3.9, 2.0} → mean 2.95 (paper shows 3.0 rounded).
         let v = Aggregation::Mean.aggregate_slice(&[3.9, 2.0]).unwrap();
         assert!((v - 2.95).abs() < 1e-12);
-    }
-
-    #[test]
-    fn occurrences_counted() {
-        let mut s = AggState::new(Aggregation::Mean, 1.0);
-        s.update(2.0);
-        s.update(3.0);
-        assert_eq!(s.occurrences(), 3);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Nullable column storage: categorical (join-key candidates) and numeric
 //! (correlation candidates).
 
-use sketch_stats::Moments;
-
 /// Column payload. Missing values are represented as `None`, mirroring the
 /// missing data the paper reports in the World Bank Finances collection.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,13 +38,13 @@ impl ColumnData {
 
     /// Is this a categorical column?
     #[must_use]
-    pub fn is_categorical(&self) -> bool {
+    pub(crate) fn is_categorical(&self) -> bool {
         matches!(self, Self::Categorical(_))
     }
 
     /// Is this a numeric column?
     #[must_use]
-    pub fn is_numeric(&self) -> bool {
+    pub(crate) fn is_numeric(&self) -> bool {
         matches!(self, Self::Numeric(_))
     }
 }
@@ -70,52 +68,12 @@ impl NamedColumn {
         }
     }
 
-    /// Construct a categorical column from non-null strings.
-    #[must_use]
-    pub fn categorical_dense<S: Into<String>>(name: impl Into<String>, values: Vec<S>) -> Self {
-        Self::categorical(name, values.into_iter().map(|s| Some(s.into())).collect())
-    }
-
     /// Construct a numeric column from optional values.
     #[must_use]
     pub fn numeric(name: impl Into<String>, values: Vec<Option<f64>>) -> Self {
         Self {
             name: name.into(),
             data: ColumnData::Numeric(values),
-        }
-    }
-
-    /// Construct a numeric column from non-null values.
-    #[must_use]
-    pub fn numeric_dense(name: impl Into<String>, values: Vec<f64>) -> Self {
-        Self::numeric(name, values.into_iter().map(Some).collect())
-    }
-
-    /// Summary moments of a numeric column's non-null values; `None` for
-    /// categorical columns or all-null numeric columns.
-    #[must_use]
-    pub fn numeric_moments(&self) -> Option<Moments> {
-        match &self.data {
-            ColumnData::Numeric(v) => {
-                let m: Moments = v.iter().flatten().copied().collect();
-                (m.count() > 0).then_some(m)
-            }
-            ColumnData::Categorical(_) => None,
-        }
-    }
-
-    /// Number of distinct non-null categorical values; `None` for numeric
-    /// columns.
-    #[must_use]
-    pub fn distinct_categorical(&self) -> Option<usize> {
-        match &self.data {
-            ColumnData::Categorical(v) => {
-                let mut set: Vec<&str> = v.iter().flatten().map(String::as_str).collect();
-                set.sort_unstable();
-                set.dedup();
-                Some(set.len())
-            }
-            ColumnData::Numeric(_) => None,
         }
     }
 }
@@ -136,37 +94,8 @@ mod tests {
 
     #[test]
     fn dense_constructors() {
-        let c = NamedColumn::categorical_dense("k", vec!["x", "y"]);
-        assert_eq!(c.data.null_count(), 0);
-        let n = NamedColumn::numeric_dense("v", vec![1.0, 2.0]);
+        let n = NamedColumn::numeric("v", vec![Some(1.0), Some(2.0)]);
         assert_eq!(n.data.len(), 2);
         assert!(n.data.is_numeric());
-    }
-
-    #[test]
-    fn numeric_moments_skip_nulls() {
-        let n = NamedColumn::numeric("v", vec![Some(1.0), None, Some(3.0)]);
-        let m = n.numeric_moments().unwrap();
-        assert_eq!(m.count(), 2);
-        assert_eq!(m.mean(), Some(2.0));
-        assert_eq!(m.min(), Some(1.0));
-        assert_eq!(m.max(), Some(3.0));
-    }
-
-    #[test]
-    fn all_null_numeric_has_no_moments() {
-        let n = NamedColumn::numeric("v", vec![None, None]);
-        assert!(n.numeric_moments().is_none());
-    }
-
-    #[test]
-    fn distinct_categorical_counts() {
-        let c = NamedColumn::categorical(
-            "k",
-            vec![Some("a".into()), Some("b".into()), Some("a".into()), None],
-        );
-        assert_eq!(c.distinct_categorical(), Some(2));
-        let n = NamedColumn::numeric_dense("v", vec![1.0]);
-        assert_eq!(n.distinct_categorical(), None);
     }
 }

@@ -307,8 +307,8 @@ NY-10003,2021-01-02,NA,3.4
         let _ = Table::from_columns(
             "t",
             vec![
-                NamedColumn::numeric_dense("a", vec![1.0]),
-                NamedColumn::numeric_dense("b", vec![1.0, 2.0]),
+                NamedColumn::numeric("a", vec![Some(1.0)]),
+                NamedColumn::numeric("b", vec![Some(1.0), Some(2.0)]),
             ],
         );
     }
@@ -319,8 +319,8 @@ NY-10003,2021-01-02,NA,3.4
         let _ = Table::from_columns(
             "t",
             vec![
-                NamedColumn::numeric_dense("a", vec![1.0]),
-                NamedColumn::numeric_dense("a", vec![2.0]),
+                NamedColumn::numeric("a", vec![Some(1.0)]),
+                NamedColumn::numeric("a", vec![Some(2.0)]),
             ],
         );
     }
