@@ -7,10 +7,10 @@
 //! point fraction yields a value in `[0, 1)`.
 
 /// `⌊2^64 / φ⌋`, the 64-bit Fibonacci hashing multiplier (odd).
-pub const FIB_MULT_64: u64 = 0x9e37_79b9_7f4a_7c15;
+const FIB_MULT_64: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// `⌊2^32 / φ⌋`, the 32-bit Fibonacci hashing multiplier (odd).
-pub const FIB_MULT_32: u32 = 0x9e37_79b9;
+const FIB_MULT_32: u32 = 0x9e37_79b9;
 
 /// Scale factor that maps the top 53 bits of a u64 into `[0, 1)` without
 /// precision loss (f64 has a 53-bit significand).

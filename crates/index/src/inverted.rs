@@ -310,15 +310,6 @@ impl SketchIndex {
         self.slots[slot as usize].as_ref()
     }
 
-    /// The current doc id of the live sketch with this id, if any.
-    #[must_use]
-    pub fn doc_for_id(&self, id: &str) -> Option<DocId> {
-        let &slot = self.by_id.get(id)?;
-        let doc = self.live.partition_point(|&s| s < slot);
-        debug_assert_eq!(self.live[doc], slot);
-        Some(doc as DocId)
-    }
-
     /// Insert a sketch, returning its doc id (always `len() - 1`: new
     /// sketches enter at the end of the live order).
     ///
@@ -695,10 +686,8 @@ mod tests {
         let s = builder().build(&pair("a", 0..100));
         let doc = idx.insert(s.clone()).unwrap();
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.get(doc).unwrap().id(), "a/k/v");
-        assert_eq!(idx.doc_for_id("a/k/v"), Some(doc));
+        assert_eq!(idx.get(doc).map(CorrelationSketch::id), Some("a/k/v"));
         assert!(idx.get(99).is_none());
-        assert!(idx.doc_for_id("nope").is_none());
         assert!(idx.distinct_keys() > 0);
         assert_eq!(idx.generation(), 0);
     }
@@ -874,9 +863,8 @@ mod tests {
         assert_eq!(idx.len(), 1);
         // Doc ids shift down: the survivor is now doc 0, exactly as a
         // rebuild over the survivors would number it.
-        assert_eq!(idx.get(0).unwrap().id(), "b/k/v");
+        assert_eq!(idx.get(0).map(CorrelationSketch::id), Some("b/k/v"));
         assert!(idx.get(1).is_none());
-        assert_eq!(idx.doc_for_id("b/k/v"), Some(0));
 
         let q = b.build(&pair("q", 0..100));
         let hits = idx.overlap_candidates(&q, 10);

@@ -42,7 +42,7 @@ use sketch_stats::CorrelationEstimator;
 /// Pass-1 confidence level used when a plan string does not specify one
 /// (`"two-pass"`). Deliberately above the default scoring confidence:
 /// the wider the cheap interval, the safer the pruning bound.
-pub const DEFAULT_TWO_PASS_CONFIDENCE: f64 = 0.99;
+const DEFAULT_TWO_PASS_CONFIDENCE: f64 = 0.99;
 
 /// How the engine spends its estimator budget on a scored query.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -151,7 +151,7 @@ impl std::str::FromStr for PlanMode {
 /// surrogate exists. Pearson itself is excluded because a two-pass plan
 /// over it would run the identical estimator twice.
 #[must_use]
-pub fn has_pearson_surrogate(estimator: CorrelationEstimator) -> bool {
+fn has_pearson_surrogate(estimator: CorrelationEstimator) -> bool {
     !matches!(
         estimator,
         CorrelationEstimator::Pearson | CorrelationEstimator::DistanceCorrelation

@@ -1,6 +1,6 @@
 //! The rule engine: per-file token context (with `#[cfg(test)]` region
-//! tracking and justification-comment lookup), workspace walking, the
-//! allowlist, and diagnostic plumbing.
+//! tracking and justification-comment lookup), workspace walking, and
+//! diagnostic plumbing.
 
 use std::path::{Path, PathBuf};
 
@@ -251,123 +251,6 @@ fn parse_attribute(src: &str, tokens: &[Token], sig: &[usize], i: usize) -> Opti
     None
 }
 
-/// One allowlist entry: a reviewed carve-out for a diagnostic.
-#[derive(Debug, Clone)]
-pub struct AllowEntry {
-    /// Rule id this entry suppresses.
-    pub rule: String,
-    /// Path suffix the entry applies to.
-    pub file: String,
-    /// Substring of the flagged source line.
-    pub snippet: String,
-    /// Why this site is allowed (one line, reviewed).
-    pub justification: String,
-}
-
-/// The parsed allowlist plus per-entry usage tracking. Every entry must
-/// suppress at least one current diagnostic — stale entries fail the
-/// run, so the file can shrink but never silently pad.
-pub struct Allowlist {
-    /// Entries in file order.
-    pub entries: Vec<AllowEntry>,
-    used: Vec<bool>,
-}
-
-impl Allowlist {
-    /// Parse the tab-separated allowlist format:
-    /// `rule<TAB>file<TAB>snippet<TAB>justification`, `#` comments and
-    /// blank lines ignored.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the first malformed line.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = line.split('\t').collect();
-            if fields.len() != 4 {
-                return Err(format!(
-                    "allowlist line {}: expected 4 tab-separated fields \
-                     (rule, file, snippet, justification), got {}",
-                    lineno + 1,
-                    fields.len()
-                ));
-            }
-            if fields.iter().any(|f| f.trim().is_empty()) {
-                return Err(format!(
-                    "allowlist line {}: empty field (every entry needs a justification)",
-                    lineno + 1
-                ));
-            }
-            entries.push(AllowEntry {
-                rule: fields[0].to_string(),
-                file: fields[1].to_string(),
-                snippet: fields[2].to_string(),
-                justification: fields[3].to_string(),
-            });
-        }
-        let used = vec![false; entries.len()];
-        Ok(Self { entries, used })
-    }
-
-    /// An empty allowlist.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            entries: Vec::new(),
-            used: Vec::new(),
-        }
-    }
-
-    /// Whether `diag` (whose source line reads `line_text`) is covered
-    /// by an entry; marks the entry used.
-    pub fn suppresses(&mut self, diag: &Diagnostic, line_text: &str) -> bool {
-        let mut hit = false;
-        for (k, e) in self.entries.iter().enumerate() {
-            if e.rule == diag.rule && diag.file.ends_with(&e.file) && line_text.contains(&e.snippet)
-            {
-                self.used[k] = true;
-                hit = true;
-            }
-        }
-        hit
-    }
-
-    /// Entries that suppressed nothing this run — each is an error:
-    /// the allowlist must shrink when the code it excused improves.
-    #[must_use]
-    pub fn stale(&self) -> Vec<&AllowEntry> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| !self.used[k])
-            .map(|(_, e)| e)
-            .collect()
-    }
-
-    /// Render back to the on-disk format (used by `--fix-allowlist`).
-    #[must_use]
-    pub fn render(entries: &[AllowEntry]) -> String {
-        let mut out = String::from(
-            "# sketch-lint allowlist: reviewed carve-outs, one per line.\n\
-             # Format: rule<TAB>path-suffix<TAB>line-snippet<TAB>justification\n\
-             # This file may shrink freely; additions require review. Entries that\n\
-             # no longer match anything make the lint run fail as stale.\n",
-        );
-        for e in entries {
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\n",
-                e.rule, e.file, e.snippet, e.justification
-            ));
-        }
-        out
-    }
-}
-
 /// Collect every `.rs` file under `paths`, skipping build output, VCS
 /// metadata, and the lint fixtures (which violate the rules on
 /// purpose). Files are returned sorted for deterministic output.
@@ -463,32 +346,6 @@ mod tests {
     fn files_under_tests_dirs_are_all_test() {
         let f = SourceFile::new("crates/x/tests/battery.rs".into(), "fn a() {}".into());
         assert!(f.is_test_line(1));
-    }
-
-    #[test]
-    fn allowlist_round_trips_and_tracks_staleness() {
-        let text = "# comment\nR3\tsrc/a.rs\t.expect(\"spawn\")\tstartup only\n";
-        let mut al = Allowlist::parse(text).unwrap();
-        assert_eq!(al.entries.len(), 1);
-        let diag = Diagnostic {
-            file: "crates/x/src/a.rs".into(),
-            line: 3,
-            col: 9,
-            rule: "R3",
-            message: "x".into(),
-        };
-        assert!(al.suppresses(&diag, "    thread.spawn().expect(\"spawn\");"));
-        assert!(al.stale().is_empty());
-
-        let mut unused = Allowlist::parse(text).unwrap();
-        assert!(!unused.suppresses(&diag, "    nothing matching here"));
-        assert_eq!(unused.stale().len(), 1);
-    }
-
-    #[test]
-    fn allowlist_rejects_malformed_lines() {
-        assert!(Allowlist::parse("R3\tonly-two-fields\t\n").is_err());
-        assert!(Allowlist::parse("R3\ta\tb\t \n").is_err());
     }
 
     #[test]

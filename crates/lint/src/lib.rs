@@ -13,11 +13,9 @@
 //! crate checks those disciplines statically, so a regression fails CI
 //! at the offending line instead of (at best) a distant oracle test.
 //!
-//! Escape hatches are explicit and reviewed: `// lint: ordered (…)`
-//! and `// lint: cast-ok (…)` inline justifications, and the
-//! tab-separated `crates/lint/allowlist.tsv` whose entries must each
-//! still match something — stale entries fail the run, so the file can
-//! shrink but never silently pad.
+//! The only escape hatches are explicit inline justifications,
+//! `// lint: ordered (…)` and `// lint: cast-ok (…)`. R3 has none: a
+//! request-path panic is fixed by restructuring the code.
 
 #![forbid(unsafe_code)]
 
@@ -27,41 +25,33 @@ pub mod rules;
 
 use std::path::PathBuf;
 
-use engine::{Allowlist, Diagnostic, SourceFile};
+use engine::{Diagnostic, SourceFile};
 
 /// A resolved lint invocation.
 pub struct Options {
     /// Paths (files or directories) to lint.
     pub paths: Vec<PathBuf>,
-    /// Exit non-zero on any violation or stale allowlist entry.
+    /// Exit non-zero on any violation.
     pub deny: bool,
     /// Emit the machine-readable JSON summary instead of text.
     pub json: bool,
-    /// Rewrite the allowlist from current violations.
-    pub fix_allowlist: bool,
-    /// Allowlist file path (when present on disk).
-    pub allowlist_path: Option<PathBuf>,
 }
 
 /// Everything one run produced, for rendering and exit-code logic.
 pub struct RunReport {
     /// Files scanned.
     pub files: usize,
-    /// Violations not covered by the allowlist, sorted by position.
+    /// Violations, sorted by position.
     pub violations: Vec<Diagnostic>,
-    /// Diagnostics suppressed by allowlist entries.
-    pub allowlisted: usize,
-    /// Allowlist entries that suppressed nothing (each is an error).
-    pub stale: Vec<String>,
     /// Per-rule violation counts, in rule order (id, count).
     pub counts: Vec<(&'static str, usize)>,
 }
 
 impl RunReport {
-    /// Whether a `--deny` run should fail.
+    /// Whether a `--deny` run should fail: any violation.
     #[must_use]
     pub fn failed(&self) -> bool {
-        !self.violations.is_empty() || !self.stale.is_empty()
+        !self.violations.is_empty()
     }
 }
 
@@ -69,109 +59,32 @@ impl RunReport {
 ///
 /// # Errors
 ///
-/// I/O or allowlist-parse failures, as a printable message.
+/// I/O failures, as a printable message.
 pub fn run(opts: &Options) -> Result<RunReport, String> {
-    let mut allowlist = match &opts.allowlist_path {
-        Some(p) => {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-            Allowlist::parse(&text)?
-        }
-        None => Allowlist::empty(),
-    };
-
     let files = engine::collect_files(&opts.paths)?;
-    // Violations paired with their source-line text (the text is what
-    // `--fix-allowlist` records as the match snippet).
-    let mut violations: Vec<(Diagnostic, String)> = Vec::new();
-    let mut allowlisted = 0usize;
+    let mut violations: Vec<Diagnostic> = Vec::new();
     for path in &files {
         let rel = engine::path_str(path);
         let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let file = SourceFile::new(rel, src);
         for rule in rules::RULES {
-            if !(rule.applies)(&file.path) {
-                continue;
-            }
-            for diag in (rule.check)(&file) {
-                let line_text = file.line_text(diag.line).trim().to_string();
-                if allowlist.suppresses(&diag, &line_text) {
-                    allowlisted += 1;
-                } else {
-                    violations.push((diag, line_text));
-                }
+            if (rule.applies)(&file.path) {
+                violations.extend((rule.check)(&file));
             }
         }
     }
-    violations.sort_by(|a, b| {
-        (&a.0.file, a.0.line, a.0.col, a.0.rule).cmp(&(&b.0.file, b.0.line, b.0.col, b.0.rule))
-    });
-
-    if opts.fix_allowlist {
-        if let Some(p) = &opts.allowlist_path {
-            let rewritten = fix_allowlist(&allowlist, &violations);
-            std::fs::write(p, Allowlist::render(&rewritten))
-                .map_err(|e| format!("{}: {e}", p.display()))?;
-        }
-    }
-    let violations: Vec<Diagnostic> = violations.into_iter().map(|(d, _)| d).collect();
+    violations
+        .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
 
     let counts = rules::RULES
         .iter()
         .map(|r| (r.id, violations.iter().filter(|d| d.rule == r.id).count()))
         .collect();
-    let stale = allowlist
-        .stale()
-        .iter()
-        .map(|e| {
-            format!(
-                "stale allowlist entry ({} {} {:?}): nothing matches — remove it",
-                e.rule, e.file, e.snippet
-            )
-        })
-        .collect();
     Ok(RunReport {
         files: files.len(),
         violations,
-        allowlisted,
-        stale,
         counts,
     })
-}
-
-/// The `--fix-allowlist` rewrite: keep entries that still match, drop
-/// stale ones, and append an entry (with a TODO justification awaiting
-/// review) for every currently-unsuppressed violation. The new entry's
-/// snippet is the flagged source line, trimmed — robust to the line
-/// moving, invalidated when its content changes.
-fn fix_allowlist(
-    current: &Allowlist,
-    violations: &[(Diagnostic, String)],
-) -> Vec<engine::AllowEntry> {
-    let stale: Vec<String> = current
-        .stale()
-        .iter()
-        .map(|e| format!("{}\t{}\t{}", e.rule, e.file, e.snippet))
-        .collect();
-    let mut out: Vec<engine::AllowEntry> = current
-        .entries
-        .iter()
-        .filter(|e| !stale.contains(&format!("{}\t{}\t{}", e.rule, e.file, e.snippet)))
-        .cloned()
-        .collect();
-    for (d, line_text) in violations {
-        let snippet = if line_text.is_empty() {
-            d.message.clone()
-        } else {
-            line_text.clone()
-        };
-        out.push(engine::AllowEntry {
-            rule: d.rule.to_string(),
-            file: d.file.clone(),
-            snippet,
-            justification: "TODO: justify or fix".to_string(),
-        });
-    }
-    out
 }
 
 /// Render the JSON summary (hand-rolled, deterministic key order).
@@ -181,10 +94,6 @@ pub fn render_json(report: &RunReport) -> String {
     out.push_str(&report.files.to_string());
     out.push_str(",\"violations\":");
     out.push_str(&report.violations.len().to_string());
-    out.push_str(",\"allowlisted\":");
-    out.push_str(&report.allowlisted.to_string());
-    out.push_str(",\"stale_allowlist\":");
-    out.push_str(&report.stale.len().to_string());
     out.push_str(",\"counts\":{");
     for (i, (id, n)) in report.counts.iter().enumerate() {
         if i > 0 {

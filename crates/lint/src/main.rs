@@ -1,12 +1,12 @@
 //! CLI for `sketch-lint`:
 //!
 //! ```text
-//! sketch-lint [--deny] [--json] [--fix-allowlist] [--allowlist PATH] [paths…]
+//! sketch-lint [--deny] [--json] [paths…]
 //! ```
 //!
 //! Without paths, lints the current directory tree. Without `--deny`
-//! the run always exits 0 (report-only); with it, any violation or
-//! stale allowlist entry is a failure — the CI mode.
+//! the run always exits 0 (report-only); with it, any violation is a
+//! failure — the CI mode.
 
 #![forbid(unsafe_code)]
 
@@ -15,50 +15,27 @@ use std::process::ExitCode;
 
 use sketch_lint::{render_json, rules, run, Options};
 
-const USAGE: &str = "usage: sketch-lint [--deny] [--json] [--fix-allowlist] \
-                     [--allowlist PATH] [paths...]";
+const USAGE: &str = "usage: sketch-lint [--deny] [--json] [paths...]";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         paths: Vec::new(),
         deny: false,
         json: false,
-        fix_allowlist: false,
-        allowlist_path: None,
     };
-    let mut explicit_allowlist = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for arg in args {
+        match arg.as_str() {
             "--deny" => opts.deny = true,
             "--json" => opts.json = true,
-            "--fix-allowlist" => opts.fix_allowlist = true,
-            "--allowlist" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .ok_or_else(|| format!("--allowlist needs a path\n{USAGE}"))?;
-                opts.allowlist_path = Some(PathBuf::from(p));
-                explicit_allowlist = true;
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown flag {flag}\n{USAGE}"));
             }
             path => opts.paths.push(PathBuf::from(path)),
         }
-        i += 1;
     }
     if opts.paths.is_empty() {
         opts.paths.push(PathBuf::from("."));
-    }
-    // Default allowlist: the checked-in file, when it exists relative
-    // to the invocation directory (the workspace root in CI).
-    if !explicit_allowlist {
-        let default = PathBuf::from("crates/lint/allowlist.tsv");
-        if default.is_file() {
-            opts.allowlist_path = Some(default);
-        }
     }
     Ok(opts)
 }
@@ -86,22 +63,16 @@ fn main() -> ExitCode {
         for d in &report.violations {
             println!("{}", d.render());
         }
-        for s in &report.stale {
-            println!("{s}");
-        }
         let rule_list = rules::RULES
             .iter()
             .map(|r| r.id)
             .collect::<Vec<_>>()
             .join(",");
         println!(
-            "sketch-lint: {} file(s), rules [{}]: {} violation(s), \
-             {} allowlisted, {} stale allowlist entr(y/ies)",
+            "sketch-lint: {} file(s), rules [{}]: {} violation(s)",
             report.files,
             rule_list,
-            report.violations.len(),
-            report.allowlisted,
-            report.stale.len()
+            report.violations.len()
         );
     }
 

@@ -14,14 +14,14 @@
 //! strings and comments can never false-positive) and is deliberately
 //! heuristic where full type inference would be needed — with an
 //! explicit, greppable escape hatch (`// lint: ordered`,
-//! `// lint: cast-ok`, or the reviewed allowlist) where the heuristic
-//! or the rule itself needs a carve-out.
+//! `// lint: cast-ok`) where the heuristic or the rule itself needs a
+//! carve-out. R3 has none.
 
 use crate::engine::{Diagnostic, SourceFile};
 
 /// A rule: id, one-line summary, path scope, and the checker.
 pub struct Rule {
-    /// Stable id used in diagnostics and the allowlist.
+    /// Stable id used in diagnostics and the `--json` counts.
     pub id: &'static str,
     /// One-line description (shown in `--json` summaries).
     pub summary: &'static str,
@@ -51,7 +51,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "R3",
         summary: "no unwrap/expect/panic!/indexing in server request paths \
-                  outside tests (allowlist for provably-infallible sites)",
+                  outside tests (no escape hatch: restructure)",
         applies: r3_applies,
         check: check_r3,
     },
@@ -369,8 +369,8 @@ fn check_r3(f: &SourceFile) -> Vec<Diagnostic> {
                 "R3",
                 format!(
                     "`.{t}()` in a request-path file can panic on hostile input; \
-                     return a typed error response (or allowlist with a proof of \
-                     infallibility)"
+                     return a typed error response (or restructure so it cannot \
+                     fail)"
                 ),
             ));
         }
@@ -411,7 +411,7 @@ fn check_r3(f: &SourceFile) -> Vec<Diagnostic> {
                         i,
                         "R3",
                         "slice/array indexing in a request-path file can panic; use \
-                     `.get(..)` or allowlist with a bounds proof"
+                     `.get(..)` or restructure (iterate, zip) instead"
                             .to_string(),
                     ),
                 );

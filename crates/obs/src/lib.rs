@@ -13,7 +13,7 @@
 //!
 //! # Bounded by construction
 //!
-//! An enabled trace caps both the span count ([`MAX_SPANS`]) and the
+//! An enabled trace caps both the span count (`MAX_SPANS`) and the
 //! nesting depth ([`MAX_DEPTH`]); spans beyond either bound are counted
 //! in `dropped` rather than recorded, so a pathological request can
 //! never make its own trace allocate without bound. Timings come from
@@ -27,7 +27,7 @@ pub mod promtext;
 
 /// Ceiling on recorded spans per trace; later spans are dropped (and
 /// counted) rather than recorded.
-pub const MAX_SPANS: usize = 128;
+const MAX_SPANS: usize = 128;
 
 /// Ceiling on span nesting depth; deeper `begin`s are dropped (and
 /// counted) rather than recorded.
@@ -207,7 +207,7 @@ impl Trace {
     }
 
     /// Attach a numeric annotation (plan statistics, shard counts, …).
-    /// Bounded by [`MAX_SPANS`] like spans.
+    /// Bounded by `MAX_SPANS` like spans.
     pub fn note(&mut self, name: &'static str, value: u64) {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;

@@ -68,7 +68,7 @@ pub fn push_sample_u64(out: &mut String, name: &str, labels: &[(&str, &str)], va
 
 /// Write one sample line with a float value (finite; callers pass
 /// derived gauges like seconds).
-pub fn push_sample_f64(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
+fn push_sample_f64(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
     out.push_str(name);
     push_labels(out, labels);
     out.push(' ');

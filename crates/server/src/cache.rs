@@ -9,7 +9,7 @@
 //! output to the miss that populated it, by construction.
 //!
 //! Retention is bounded two ways: by entry count (`capacity`) and by
-//! total value bytes ([`BYTE_BUDGET`]) — request parameters size the
+//! total value bytes (64 MiB, `BYTE_BUDGET`) — request parameters size the
 //! rendered bodies, so an entry-count bound alone would let a client
 //! asking huge-`k` queries pin memory proportional to
 //! `capacity × max body`.
@@ -22,7 +22,7 @@ pub type CacheKey = (u128, u64);
 
 /// Upper bound on the summed length of cached response bodies. Bodies
 /// larger than the whole budget are never cached at all.
-pub const BYTE_BUDGET: usize = 64 << 20;
+const BYTE_BUDGET: usize = 64 << 20;
 
 const NIL: usize = usize::MAX;
 
@@ -186,7 +186,7 @@ impl<V: Copy> ParseMemo<V> {
 
 impl QueryCache {
     /// An empty cache holding at most `capacity` responses totalling at
-    /// most [`BYTE_BUDGET`] bytes.
+    /// most 64 MiB.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self::with_byte_budget(capacity, BYTE_BUDGET)
@@ -194,7 +194,7 @@ impl QueryCache {
 
     /// An empty cache with an explicit byte budget (tests).
     #[must_use]
-    pub fn with_byte_budget(capacity: usize, byte_budget: usize) -> Self {
+    fn with_byte_budget(capacity: usize, byte_budget: usize) -> Self {
         Self {
             inner: Mutex::new(Lru::empty(capacity, byte_budget)),
         }

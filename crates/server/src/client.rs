@@ -137,7 +137,9 @@ impl HttpClient {
                 }
             }
         }
-        let total = head_end + 4 + content_length;
+        let total = (head_end + 4)
+            .checked_add(content_length)
+            .ok_or_else(|| malformed("bad content-length"))?;
         while self.buf.len() < total {
             match self.stream.read(&mut chunk)? {
                 0 => return Err(malformed("connection closed mid-body")),
@@ -148,5 +150,29 @@ impl HttpClient {
             .map_err(|_| malformed("non-utf8 response body"))?;
         self.buf.drain(..total);
         Ok(Response { status, body })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn overflowing_content_length_is_invalid_data_not_a_panic() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; 1024];
+            let _ = stream.read(&mut request).unwrap();
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n")
+                .unwrap();
+        });
+        let mut client = HttpClient::connect(addr).unwrap();
+        let err = client.get("/healthz").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        server.join().unwrap();
     }
 }

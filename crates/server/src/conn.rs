@@ -91,10 +91,14 @@ pub(crate) fn finish_traced(
     (status, body)
 }
 
+/// How long a keep-alive connection may sit idle (no request bytes)
+/// before its worker closes it and returns to accepting. Bounds worker
+/// starvation by parked clients; active requests are never cut off.
+const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(10);
+
 /// Per-connection deadlines, taken from the front end's config.
 #[derive(Clone, Copy)]
 pub(crate) struct ConnLimits {
-    pub keep_alive_idle: Duration,
     pub request_timeout: Duration,
 }
 
@@ -169,7 +173,7 @@ fn serve_connection(
     let _ = stream.set_nodelay(true);
     let mut buf = Vec::new();
     loop {
-        let idle_deadline = Some(Instant::now() + limits.keep_alive_idle);
+        let idle_deadline = Some(Instant::now() + KEEP_ALIVE_IDLE);
         match http::read_request(
             &mut stream,
             &mut buf,
@@ -209,49 +213,20 @@ fn serve_connection(
                     return;
                 }
             }
-            Err(RecvError::Closed | RecvError::Shutdown | RecvError::Io(_)) => return,
-            Err(RecvError::Malformed(msg)) => {
+            Err(err) => {
+                let (status, msg) = match &err {
+                    RecvError::Malformed(msg) => (400, msg.as_str()),
+                    RecvError::TimedOut => (408, "request timed out"),
+                    RecvError::TooLarge => (413, "request too large"),
+                    RecvError::Closed | RecvError::Shutdown | RecvError::Io(_) => return,
+                };
                 ServerStats::bump(requests);
                 ServerStats::bump(errors);
                 let _ = http::write_response_bounded(
                     &mut stream,
                     &http::ResponsePayload {
-                        status: 400,
-                        body: &api::render_error(&msg),
-                        keep_alive: false,
-                        allow: None,
-                        content_type: http::CONTENT_TYPE_JSON,
-                    },
-                    shutdown,
-                    request_timeout,
-                );
-                return;
-            }
-            Err(RecvError::TimedOut) => {
-                ServerStats::bump(requests);
-                ServerStats::bump(errors);
-                let _ = http::write_response_bounded(
-                    &mut stream,
-                    &http::ResponsePayload {
-                        status: 408,
-                        body: &api::render_error("request timed out"),
-                        keep_alive: false,
-                        allow: None,
-                        content_type: http::CONTENT_TYPE_JSON,
-                    },
-                    shutdown,
-                    request_timeout,
-                );
-                return;
-            }
-            Err(RecvError::TooLarge) => {
-                ServerStats::bump(requests);
-                ServerStats::bump(errors);
-                let _ = http::write_response_bounded(
-                    &mut stream,
-                    &http::ResponsePayload {
-                        status: 413,
-                        body: &api::render_error("request too large"),
+                        status,
+                        body: &api::render_error(msg),
                         keep_alive: false,
                         allow: None,
                         content_type: http::CONTENT_TYPE_JSON,

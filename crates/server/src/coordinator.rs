@@ -84,8 +84,6 @@ pub struct CoordinatorConfig {
     pub cache_capacity: usize,
     /// How often the health poller refreshes worker generations.
     pub poll_interval: Duration,
-    /// Keep-alive idle reclaim for public connections.
-    pub keep_alive_idle: Duration,
     /// Per-request receive/send deadline for public connections.
     pub request_timeout: Duration,
     /// Deadline for each internal worker call (connect, read, write).
@@ -116,7 +114,6 @@ impl CoordinatorConfig {
             threads: 4,
             cache_capacity: 1024,
             poll_interval: Duration::from_millis(200),
-            keep_alive_idle: Duration::from_secs(10),
             request_timeout: Duration::from_secs(10),
             worker_timeout: Duration::from_secs(2),
             startup_timeout: Duration::from_secs(10),
@@ -357,7 +354,6 @@ pub fn start_coordinator(config: CoordinatorConfig) -> Result<CoordinatorHandle,
         worker_timeout: config.worker_timeout,
     });
     let limits = ConnLimits {
-        keep_alive_idle: config.keep_alive_idle,
         request_timeout: config.request_timeout,
     };
     let (addr, workers) = pipeline::listen(&ctx, &config.addr, config.threads, limits)?;
@@ -376,6 +372,22 @@ pub fn start_coordinator(config: CoordinatorConfig) -> Result<CoordinatorHandle,
     })
 }
 
+/// Run `call` on every item at once, one scoped thread each, and
+/// return one answer per item, in item order. A call that panics
+/// answers `None` instead of unwinding into the caller.
+fn fan_out<I: Send, T: Send>(
+    items: impl IntoIterator<Item = I>,
+    call: impl Fn(I) -> T + Sync,
+) -> Vec<Option<T>> {
+    let call = &call;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (items.into_iter())
+            .map(|item| s.spawn(move || call(item)))
+            .collect();
+        handles.into_iter().map(|h| h.join().ok()).collect()
+    })
+}
+
 /// Poll every worker's `/healthz` each `interval`. This is how a
 /// mutation on a worker's store reaches the coordinator's cache key
 /// (generation-vector hash) without any query traffic, and how a dead
@@ -387,13 +399,13 @@ fn poller_loop(ctx: &Cluster, interval: Duration, timeout: Duration) {
         if Instant::now() >= next_poll {
             next_poll = Instant::now() + interval;
             let before = ctx.known_generations();
-            std::thread::scope(|s| {
-                for slot in &ctx.slots {
-                    s.spawn(move || {
-                        slot.probe(timeout);
-                    });
+            let probes = fan_out(&ctx.slots, |slot| slot.probe(timeout));
+            // A probe that panicked is a failed probe.
+            for (slot, probe) in ctx.slots.iter().zip(probes) {
+                if probe.is_none() {
+                    slot.mark_unhealthy();
                 }
-            });
+            }
             if ctx.known_generations() != before {
                 ServerStats::bump(&ctx.front.stats.refreshes);
             }
@@ -466,61 +478,52 @@ impl ShardFetch {
 /// lists) comes back degraded with its last-known state; successes
 /// update the slot's state.
 fn scatter(ctx: &Cluster, path: &str, wire: &str, query_count: usize) -> Vec<ShardFetch> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ctx
-            .slots
-            .iter()
-            .map(|slot| {
-                s.spawn(move || {
-                    let started = Instant::now();
-                    let parsed = slot
-                        .call(ctx.worker_timeout, "POST", path, wire)
-                        .and_then(|body| {
-                            if path == "/shard_query" {
-                                api::parse_shard_query_response(&body)
-                                    .ok()
-                                    .map(|r| (r.generation, r.sketches, vec![r.rows]))
-                            } else {
-                                api::parse_shard_batch_response(&body)
-                                    .ok()
-                                    .map(|r| (r.generation, r.sketches, r.queries))
-                            }
-                        })
-                        .filter(|(_, _, queries)| queries.len() == query_count);
-                    let rtt = started.elapsed();
-                    match parsed {
-                        Some((generation, sketches, queries)) => {
-                            slot.observe(generation, sketches as u64);
-                            ShardFetch {
-                                generation,
-                                sketches: sketches as u64,
-                                degraded: false,
-                                started,
-                                rtt,
-                                queries,
-                            }
-                        }
-                        None => {
-                            let state = slot.state();
-                            slot.mark_unhealthy();
-                            let mut fetch = ShardFetch::degraded_from(state, query_count);
-                            fetch.started = started;
-                            fetch.rtt = rtt;
-                            fetch
-                        }
-                    }
-                })
+    let fetches = fan_out(&ctx.slots, |slot| {
+        let started = Instant::now();
+        let parsed = slot
+            .call(ctx.worker_timeout, "POST", path, wire)
+            .and_then(|body| {
+                if path == "/shard_query" {
+                    api::parse_shard_query_response(&body)
+                        .ok()
+                        .map(|r| (r.generation, r.sketches, vec![r.rows]))
+                } else {
+                    api::parse_shard_batch_response(&body)
+                        .ok()
+                        .map(|r| (r.generation, r.sketches, r.queries))
+                }
             })
-            .collect();
-        handles
-            .into_iter()
-            .zip(&ctx.slots)
-            .map(|(h, slot)| {
-                h.join()
-                    .unwrap_or_else(|_| ShardFetch::degraded_from(slot.state(), query_count))
-            })
-            .collect()
-    })
+            .filter(|(_, _, queries)| queries.len() == query_count);
+        let rtt = started.elapsed();
+        match parsed {
+            Some((generation, sketches, queries)) => {
+                slot.observe(generation, sketches as u64);
+                ShardFetch {
+                    generation,
+                    sketches: sketches as u64,
+                    degraded: false,
+                    started,
+                    rtt,
+                    queries,
+                }
+            }
+            None => {
+                let state = slot.state();
+                slot.mark_unhealthy();
+                let mut fetch = ShardFetch::degraded_from(state, query_count);
+                fetch.started = started;
+                fetch.rtt = rtt;
+                fetch
+            }
+        }
+    });
+    fetches
+        .into_iter()
+        .zip(&ctx.slots)
+        .map(|(fetch, slot)| {
+            fetch.unwrap_or_else(|| ShardFetch::degraded_from(slot.state(), query_count))
+        })
+        .collect()
 }
 
 /// The per-query gather outcome: final results plus the termination
@@ -543,14 +546,14 @@ fn gather(
     params: &QueryParams,
 ) -> Result<Vec<Gather>, ()> {
     let opts = params.to_options();
-    let query_count = bodies.len();
-    // Merge each query over the per-shard row lists.
-    let outcomes: Vec<_> = (0..query_count)
+    // Merge each query over the per-shard row lists (phase 1 gave every
+    // fetch one list per query).
+    let outcomes: Vec<_> = (0..bodies.len())
         .map(|qi| {
             let shard_rows: Vec<ShardRows<'_>> = fetches
                 .iter()
                 .map(|f| ShardRows {
-                    rows: &f.queries[qi],
+                    rows: f.queries.get(qi).map_or(&[], Vec::as_slice),
                     sketches: f.sketches as usize,
                 })
                 .collect();
@@ -558,71 +561,66 @@ fn gather(
         })
         .collect();
 
-    // Group surviving winners by (shard, query): these are the only
-    // docs whose reports cross the wire — everything the bound
+    // Each shard's surviving winners per query, in rank order: these are
+    // the only docs whose reports cross the wire — everything the bound
     // terminated stays on its worker.
-    let mut docs: Vec<Vec<Vec<DocId>>> = vec![vec![Vec::new(); query_count]; fetches.len()];
-    for (qi, outcome) in outcomes.iter().enumerate() {
-        for w in &outcome.winners {
-            docs[w.shard][qi].push(w.local_doc);
-        }
-    }
+    let wanted: Vec<Vec<Vec<DocId>>> = (0..fetches.len())
+        .map(|shard| {
+            (outcomes.iter())
+                .map(|o| {
+                    (o.winners.iter())
+                        .filter(|w| w.shard == shard)
+                        .map(|w| w.local_doc)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
 
     // Fetch reports per shard (queries serially over one keep-alive
     // connection, shards concurrently). Every response must match the
     // shard's phase-1 generation.
-    let reports: Vec<Option<Vec<Vec<Option<correlation_sketches::EstimateReport>>>>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = ctx
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(si, slot)| {
-                    let shard_docs = &docs[si];
-                    let fetch = &fetches[si];
-                    s.spawn(move || {
-                        let mut per_query = Vec::with_capacity(query_count);
-                        for (qi, body) in bodies.iter().enumerate() {
-                            if shard_docs[qi].is_empty() {
-                                per_query.push(Vec::new());
-                                continue;
-                            }
-                            let wire =
-                                api::render_shard_reports_request(body, params, &shard_docs[qi]);
-                            let response = slot
-                                .call(ctx.worker_timeout, "POST", "/shard_reports", &wire)
-                                .and_then(|b| {
-                                    api::parse_shard_reports_response(&b, params.estimator).ok()
-                                })?;
-                            if response.generation != fetch.generation
-                                || response.reports.len() != shard_docs[qi].len()
-                            {
-                                return None;
-                            }
-                            per_query.push(response.reports);
-                        }
-                        Some(per_query)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(None))
-                .collect()
-        });
+    let shards = ctx.slots.iter().zip(fetches).zip(&wanted);
+    let reports: Vec<Option<Vec<_>>> = fan_out(shards, |((slot, fetch), shard_wanted)| {
+        (bodies.iter().zip(shard_wanted))
+            .map(|(body, docs)| {
+                if docs.is_empty() {
+                    return Some(Vec::new());
+                }
+                let wire = api::render_shard_reports_request(body, params, docs);
+                let response = slot
+                    .call(ctx.worker_timeout, "POST", "/shard_reports", &wire)
+                    .and_then(|b| api::parse_shard_reports_response(&b, params.estimator).ok())?;
+                (response.generation == fetch.generation && response.reports.len() == docs.len())
+                    .then_some(response.reports)
+            })
+            .collect()
+    })
+    .into_iter()
+    .map(Option::flatten)
+    .collect();
 
     // A shard that answered phase 1 but failed phase 2 poisons the
     // attempt (stale reports must never ship); a shard that was already
     // degraded contributed no winners and fetched nothing.
-    for (si, fetch) in fetches.iter().enumerate() {
-        if !fetch.degraded && reports[si].is_none() && docs[si].iter().any(|d| !d.is_empty()) {
-            return Err(());
-        }
+    let poisoned = (fetches.iter().zip(&reports).zip(&wanted)).any(|((fetch, got), docs)| {
+        !fetch.degraded && got.is_none() && docs.iter().any(|d| !d.is_empty())
+    });
+    if poisoned {
+        return Err(());
     }
 
-    // Stitch: walk each query's winners in rank order, pairing them
-    // with their shard's reports in the same order they were requested.
-    let mut cursors: Vec<Vec<usize>> = vec![vec![0; query_count]; fetches.len()];
+    // Stitch: walk each query's winners in rank order, pulling the next
+    // report of their (shard, query) stream — the order the docs were
+    // requested in.
+    let mut streams: Vec<Vec<_>> = (reports.into_iter())
+        .map(|r| {
+            r.unwrap_or_default()
+                .into_iter()
+                .map(Vec::into_iter)
+                .collect()
+        })
+        .collect();
     Ok(outcomes
         .into_iter()
         .enumerate()
@@ -630,17 +628,12 @@ fn gather(
             let results = outcome
                 .winners
                 .into_iter()
-                .map(|w| {
-                    let idx = cursors[w.shard][qi];
-                    cursors[w.shard][qi] += 1;
-                    let report = reports[w.shard]
-                        .as_ref()
-                        .and_then(|per_query| per_query[qi].get(idx).copied())
-                        .flatten();
-                    ReportedResult {
-                        result: w.result,
-                        report,
-                    }
+                .map(|w| ReportedResult {
+                    report: (streams.get_mut(w.shard))
+                        .and_then(|per_query| per_query.get_mut(qi))
+                        .and_then(Iterator::next)
+                        .flatten(),
+                    result: w.result,
                 })
                 .collect();
             Gather {
@@ -760,5 +753,23 @@ impl Backend for Cluster {
             self.front.cache.evictions(),
         );
         (200, Body::Text(body, promtext::CONTENT_TYPE))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fan_out_answers_in_worker_order_and_contains_a_panic() {
+        let slots: Vec<WorkerSlot> = (1..=3)
+            .map(|port| WorkerSlot::new(SocketAddr::from(([127, 0, 0, 1], port))))
+            .collect();
+        let answers = fan_out(&slots, |slot| {
+            let port = slot.addr.port();
+            assert_ne!(port, 2, "worker 1 panics");
+            port
+        });
+        assert_eq!(answers, vec![Some(1), None, Some(3)]);
     }
 }

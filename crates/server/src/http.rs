@@ -19,9 +19,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Upper bound on the request line + headers.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
-pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 /// The most body bytes one `read` asks for.
 const BODY_READ_STEP: usize = 64 * 1024;
 
@@ -54,7 +54,7 @@ pub enum RecvError {
     /// Request bytes stopped arriving in full (stalled or trickled)
     /// before the caller's per-request deadline; respond 408.
     TimedOut,
-    /// Head or body exceeded [`MAX_HEAD_BYTES`] / [`MAX_BODY_BYTES`].
+    /// Head or body exceeded its cap (16 KiB / 16 MiB).
     TooLarge,
     /// A non-timeout I/O failure on the stream.
     Io(std::io::Error),

@@ -12,10 +12,9 @@
 //!   shared, so an idle worker picks up the next connection without a
 //!   dispatcher thread or a channel. A worker serves one connection at a
 //!   time, so the pool size bounds concurrent connections; to keep a
-//!   parked client from pinning a worker, a connection idle past
-//!   `keep_alive_idle` is closed and the worker returns to accepting
-//!   (active clients are unaffected — the deadline only applies between
-//!   requests). Connection streams use a short read timeout, and every
+//!   parked client from pinning a worker, a connection idle for 10 s is
+//!   closed and the worker returns to accepting (active clients are
+//!   unaffected — the deadline only applies between requests). Connection streams use a short read timeout, and every
 //!   timeout tick honors shutdown — even mid-request on a stalled
 //!   client — so graceful shutdown always completes.
 //! * **Queries never take a lock**: a cache miss loads the current
@@ -46,7 +45,7 @@ use crate::api::{self, BatchRequest, QueryParams, QueryRequest};
 use crate::conn::{Body, ConnLimits};
 use crate::metrics;
 use crate::pipeline::{self, Backend, FrontEnd, Kind, Parsed};
-use crate::snapshot::{refresh_with_generation, IndexSnapshot, RefreshOutcome, SnapshotCell};
+use crate::snapshot::{refresh, IndexSnapshot, RefreshOutcome, SnapshotCell};
 use crate::stats::ServerStats;
 
 /// Server configuration.
@@ -64,11 +63,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// How often the refresher polls the store manifest.
     pub poll_interval: Duration,
-    /// How long a keep-alive connection may sit idle (no request bytes)
-    /// before its worker closes it and returns to accepting. Bounds
-    /// worker starvation by parked clients; active requests are never
-    /// cut off.
-    pub keep_alive_idle: Duration,
     /// How long a single request may take to arrive in full once its
     /// first byte has been read, and how long a response write may sit
     /// with no progress. Bounds worker starvation by slow-loris clients
@@ -87,7 +81,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Sensible defaults for serving `store`: ephemeral loopback port,
     /// 4 workers, 1024-entry cache, 200 ms manifest polling, 10 s
-    /// keep-alive idle reclaim, 10 s per-request receive deadline.
+    /// per-request receive deadline.
     #[must_use]
     pub fn new(store: impl Into<PathBuf>) -> Self {
         Self {
@@ -97,7 +91,6 @@ impl ServerConfig {
             load_threads: 4,
             cache_capacity: 1024,
             poll_interval: Duration::from_millis(200),
-            keep_alive_idle: Duration::from_secs(10),
             request_timeout: Duration::from_secs(10),
             slow_query: None,
             defaults: QueryParams::default(),
@@ -233,7 +226,6 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         corpus_info: Mutex::new(None),
     });
     let limits = ConnLimits {
-        keep_alive_idle: config.keep_alive_idle,
         request_timeout: config.request_timeout,
     };
     let (addr, workers) = pipeline::listen(&ctx, &config.addr, config.threads, limits)?;
@@ -264,7 +256,7 @@ fn refresher_loop(ctx: &Local, interval: Duration) {
             // silently kill generation tracking while the server keeps
             // answering 200 from an ever-staler snapshot.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                refresh_with_generation(&ctx.cell, &ctx.store, ctx.load_threads)
+                refresh(&ctx.cell, &ctx.store, ctx.load_threads)
             }));
             match outcome {
                 Ok(Ok((outcome, store_generation))) => {

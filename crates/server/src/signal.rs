@@ -20,9 +20,8 @@ pub fn termination_requested() -> bool {
     TERMINATE.load(Ordering::SeqCst)
 }
 
-/// Raise the flag by hand — what the signal handler does, exposed so
-/// tests (and embedders without signals) can drive the same path.
-pub fn request_termination() {
+/// Raise the flag — what the signal handler does.
+fn request_termination() {
     TERMINATE.store(true, Ordering::SeqCst);
 }
 

@@ -120,27 +120,16 @@ pub enum RefreshOutcome {
 /// past the served generation (`StaleGeneration`). The new snapshot is
 /// swapped in atomically; concurrent readers are never blocked.
 ///
+/// Also returns the store's *on-disk* manifest generation — what
+/// `/metrics` exposes as the refresher's view of the store, so
+/// generation lag (disk ahead of served) is observable even while a
+/// refresh is failing.
+///
 /// # Errors
 ///
 /// [`StoreError`] when the store cannot be read; the served snapshot is
 /// left unchanged (the caller retries on its next poll).
 pub fn refresh(
-    cell: &SnapshotCell,
-    dir: &Path,
-    threads: usize,
-) -> Result<RefreshOutcome, StoreError> {
-    refresh_with_generation(cell, dir, threads).map(|(outcome, _)| outcome)
-}
-
-/// [`refresh`], additionally reporting the store's *on-disk* manifest
-/// generation — what `/metrics` exposes as the refresher's view of the
-/// store, so generation lag (disk ahead of served) is observable even
-/// while a refresh is failing.
-///
-/// # Errors
-///
-/// As [`refresh`].
-pub fn refresh_with_generation(
     cell: &SnapshotCell,
     dir: &Path,
     threads: usize,
@@ -226,13 +215,13 @@ mod tests {
         assert_eq!(cell.load().generation(), 0);
         assert_eq!(
             refresh(&cell, &dir.0, 1).unwrap(),
-            RefreshOutcome::Unchanged
+            (RefreshOutcome::Unchanged, 0)
         );
 
         sketch_store::append_corpus(&dir.0, &[sketch("extra", 0..50)], 1).unwrap();
         assert_eq!(
             refresh(&cell, &dir.0, 1).unwrap(),
-            RefreshOutcome::Refreshed(1)
+            (RefreshOutcome::Refreshed(1), 1)
         );
         assert_eq!(cell.load().generation(), 1);
         assert_eq!(cell.load().index().len(), 5);
@@ -240,7 +229,7 @@ mod tests {
         sketch_store::remove_from_corpus(&dir.0, &["t0/k/v".to_string()], 1).unwrap();
         assert_eq!(
             refresh(&cell, &dir.0, 1).unwrap(),
-            RefreshOutcome::Refreshed(1)
+            (RefreshOutcome::Refreshed(1), 2)
         );
         assert_eq!(cell.load().index().len(), 4);
 
@@ -252,7 +241,10 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(refresh(&cell, &dir.0, 1).unwrap(), RefreshOutcome::Rebuilt);
+        assert_eq!(
+            refresh(&cell, &dir.0, 1).unwrap(),
+            (RefreshOutcome::Rebuilt, 3)
+        );
         assert_eq!(cell.load().generation(), 3);
 
         // Post-refresh snapshots answer exactly like a fresh load.

@@ -38,7 +38,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// Record one latency in microseconds.
-    pub fn record_us(&self, us: u64) {
+    pub(crate) fn record_us(&self, us: u64) {
         let bucket = (64 - us.leading_zeros() as usize).min(BUCKETS - 1);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
@@ -64,7 +64,7 @@ impl LatencyHistogram {
 
     /// Exact smallest recorded latency, µs (`None` before any sample).
     #[must_use]
-    pub fn min_us(&self) -> Option<u64> {
+    fn min_us(&self) -> Option<u64> {
         let v = self.min_us.load(Ordering::Relaxed);
         (v != u64::MAX).then_some(v)
     }
@@ -72,7 +72,7 @@ impl LatencyHistogram {
     /// Exact largest recorded latency, µs (`None` before any sample —
     /// distinguishable from a genuine 0 µs fastest-path sample).
     #[must_use]
-    pub fn max_us(&self) -> Option<u64> {
+    fn max_us(&self) -> Option<u64> {
         self.min_us().map(|_| self.max_us.load(Ordering::Relaxed))
     }
 
@@ -86,7 +86,7 @@ impl LatencyHistogram {
     /// lower bound (the clamp value, the largest latency the histogram
     /// can resolve) rather than a fabricated midpoint above it.
     #[must_use]
-    pub fn percentile_ms(counts: &[u64; BUCKETS], p: f64) -> f64 {
+    fn percentile_ms(counts: &[u64; BUCKETS], p: f64) -> f64 {
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0.0;

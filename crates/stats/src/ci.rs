@@ -150,24 +150,6 @@ impl ValueBounds {
         }
     }
 
-    /// Bounds observed in a paired sample (used when the caller has no
-    /// pre-computed column statistics; valid but looser than full-column
-    /// bounds only in the sense that they may *under*-estimate `C` — the
-    /// sketch layer always passes full-column bounds).
-    #[must_use]
-    pub fn from_samples(x: &[f64], y: &[f64]) -> Self {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &v in x.iter().chain(y) {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        Self {
-            c_low: lo,
-            c_high: hi,
-        }
-    }
-
     /// Range width `C = C_high − C_low`.
     #[must_use]
     pub fn range(&self) -> f64 {
@@ -308,7 +290,7 @@ fn hoeffding_widths(n: usize, c: f64, alpha: f64) -> (f64, f64) {
 /// use sketch_stats::{hoeffding_interval, pearson, ValueBounds};
 /// let x: Vec<f64> = (0..500).map(|i| (f64::from(i) * 0.1).sin()).collect();
 /// let y: Vec<f64> = x.iter().map(|v| v * 2.0 + 0.1).collect();
-/// let bounds = ValueBounds::from_samples(&x, &y);
+/// let bounds = ValueBounds::new(-2.0, 2.2); // both columns' range
 /// let ci = hoeffding_interval(&x, &y, bounds, 0.05).unwrap();
 /// let r = pearson(&x, &y).unwrap();
 /// assert!(ci.contains(r));
@@ -428,6 +410,15 @@ mod tests {
     use super::*;
     use crate::pearson::pearson;
 
+    /// The tightest bounds covering both samples.
+    fn sample_bounds(x: &[f64], y: &[f64]) -> ValueBounds {
+        let (lo, hi) = (x.iter().chain(y))
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
+        ValueBounds::new(lo, hi)
+    }
+
     fn correlated_sample(n: usize, noise: f64) -> (Vec<f64>, Vec<f64>) {
         // Deterministic pseudo-random pattern, bounded in [0, ~3].
         let x: Vec<f64> = (0..n)
@@ -519,7 +510,7 @@ mod tests {
         let u = ValueBounds::union(ValueBounds::new(0.0, 2.0), ValueBounds::new(-1.0, 1.0));
         assert_eq!(u.c_low, -1.0);
         assert_eq!(u.c_high, 2.0);
-        let s = ValueBounds::from_samples(&[1.0, 3.0], &[-2.0, 0.5]);
+        let s = sample_bounds(&[1.0, 3.0], &[-2.0, 0.5]);
         assert_eq!(s.c_low, -2.0);
         assert_eq!(s.c_high, 3.0);
         assert_eq!(s.range(), 5.0);
@@ -529,7 +520,7 @@ mod tests {
     fn hoeffding_interval_contains_truth_for_large_samples() {
         let (x, y) = correlated_sample(5_000, 0.4);
         let r_full = pearson(&x, &y).unwrap();
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         // Use the first 2000 points as "the sample".
         let ci = hoeffding_interval(&x[..2000], &y[..2000], bounds, 0.05).unwrap();
         assert!(
@@ -542,7 +533,7 @@ mod tests {
     #[test]
     fn hoeffding_interval_shrinks_with_sample_size() {
         let (x, y) = correlated_sample(20_000, 0.3);
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let small = hoeffding_interval(&x[..100], &y[..100], bounds, 0.05).unwrap();
         let large = hoeffding_interval(&x[..10_000], &y[..10_000], bounds, 0.05).unwrap();
         assert!(
@@ -555,7 +546,7 @@ mod tests {
     fn hoeffding_scaling_matches_one_over_sqrt_n() {
         // For fixed data distribution, width should scale ≈ 1/√n.
         let (x, y) = correlated_sample(40_000, 0.3);
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let w1 = hoeffding_interval(&x[..2_000], &y[..2_000], bounds, 0.05)
             .unwrap()
             .length();
@@ -571,7 +562,7 @@ mod tests {
     #[test]
     fn hoeffding_small_sample_is_vacuous_but_valid() {
         let (x, y) = correlated_sample(5, 0.1);
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let ci = hoeffding_interval(&x, &y, bounds, 0.05).unwrap();
         // At n=5 the bound has no power — must clamp to (nearly) [−1, 1].
         assert!(ci.length() > 1.9, "{ci:?}");
@@ -584,7 +575,7 @@ mod tests {
         // 2 for both candidates; the unclamped HFD lengths still order
         // them by risk.
         let (x, y) = correlated_sample(4_000, 0.3);
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let h_small = hoeffding_interval(&x[..10], &y[..10], bounds, 0.05).unwrap();
         let h_big = hoeffding_interval(&x[..40], &y[..40], bounds, 0.05).unwrap();
         assert_eq!(h_small.length(), 2.0);
@@ -601,7 +592,7 @@ mod tests {
     fn hfd_length_orders_risk_by_sample_size() {
         // The s4 ranking factor needs: more samples ⇒ shorter HFD interval.
         let (x, y) = correlated_sample(4_000, 0.5);
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let mut prev = f64::INFINITY;
         for &n in &[20usize, 100, 500, 3_000] {
             let len = hfd_interval(&x[..n], &y[..n], bounds, 0.05)
@@ -633,7 +624,7 @@ mod tests {
         x.push(100.0);
         y.push(0.0);
         let r_full = pearson(&x, &y).unwrap();
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
 
         let m = 20_000;
         let h = hoeffding_interval(&x[..m], &y[..m], bounds, 0.05).unwrap();
@@ -649,7 +640,7 @@ mod tests {
     #[test]
     fn bernstein_contains_sample_estimate() {
         let (x, y) = correlated_sample(400, 0.5);
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let r = pearson(&x, &y).unwrap();
         let ci = bernstein_interval(&x, &y, bounds, 0.05).unwrap();
         assert!(ci.contains(r), "r={r} not in {ci:?}");
@@ -661,7 +652,7 @@ mod tests {
         // Both bounds clamp the same plug-in estimator; for uniform-ish
         // data (variance ≈ C²/12) Bernstein ≈ Hoeffding up to constants.
         let (x, y) = correlated_sample(5_000, 0.4);
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let h = hoeffding_interval(&x, &y, bounds, 0.05).unwrap();
         let b = bernstein_interval(&x, &y, bounds, 0.05).unwrap();
         assert!(b.length() <= 2.5 * h.length() + 0.1, "b={b:?} h={h:?}");
@@ -671,7 +662,7 @@ mod tests {
     fn bernstein_coverage_on_subsamples() {
         let (x, y) = correlated_sample(10_000, 0.6);
         let rho = pearson(&x, &y).unwrap();
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let mut covered = 0;
         let trials = 40;
         for t in 0..trials {
@@ -687,7 +678,7 @@ mod tests {
     fn degenerate_range_gives_vacuous_interval() {
         let x = [2.0, 2.0, 2.0];
         let y = [2.0, 2.0, 2.0];
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let ci = hoeffding_interval(&x, &y, bounds, 0.05).unwrap();
         assert_eq!(ci, ConfidenceInterval::vacuous());
     }
@@ -695,7 +686,7 @@ mod tests {
     #[test]
     fn interval_endpoints_always_in_unit_range() {
         let (x, y) = correlated_sample(64, 1.5);
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         for alpha in [0.01, 0.05, 0.2] {
             let ci = hoeffding_interval(&x, &y, bounds, alpha).unwrap();
             assert!(ci.low >= -1.0 && ci.high <= 1.0, "alpha={alpha} {ci:?}");
@@ -711,7 +702,7 @@ mod tests {
     #[test]
     fn smaller_alpha_gives_wider_interval() {
         let (x, y) = correlated_sample(2_000, 0.4);
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let strict = hoeffding_interval(&x, &y, bounds, 0.01).unwrap();
         let loose = hoeffding_interval(&x, &y, bounds, 0.20).unwrap();
         assert!(strict.length() >= loose.length());
@@ -724,7 +715,7 @@ mod tests {
         // conservative bound, so coverage should be ~100%).
         let (x, y) = correlated_sample(10_000, 0.6);
         let rho = pearson(&x, &y).unwrap();
-        let bounds = ValueBounds::from_samples(&x, &y);
+        let bounds = sample_bounds(&x, &y);
         let mut covered = 0;
         let trials = 50;
         for t in 0..trials {

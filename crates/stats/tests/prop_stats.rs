@@ -7,6 +7,14 @@ use sketch_stats::{
     spearman, Moments, ValueBounds,
 };
 
+/// The tightest bounds covering both samples.
+fn sample_bounds(x: &[f64], y: &[f64]) -> ValueBounds {
+    let (lo, hi) = (x.iter().chain(y)).fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+        (lo.min(v), hi.max(v))
+    });
+    ValueBounds::new(lo, hi)
+}
+
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     vec(-1e4f64..1e4, len)
 }
@@ -117,7 +125,7 @@ proptest! {
     ) {
         let n = x.len().min(y.len());
         let (x, y) = (&x[..n], &y[..n]);
-        let bounds = ValueBounds::from_samples(x, y);
+        let bounds = sample_bounds(x, y);
         if let (Ok(r), Ok(ci)) = (pearson(x, y), hoeffding_interval(x, y, bounds, alpha)) {
             prop_assert!(ci.contains(r), "r={r} not in {ci:?}");
             prop_assert!(ci.low >= -1.0 && ci.high <= 1.0);
@@ -129,7 +137,7 @@ proptest! {
     fn hoeffding_monotone_in_alpha(x in finite_vec(5..100), y in finite_vec(5..100)) {
         let n = x.len().min(y.len());
         let (x, y) = (&x[..n], &y[..n]);
-        let bounds = ValueBounds::from_samples(x, y);
+        let bounds = sample_bounds(x, y);
         if let (Ok(strict), Ok(loose)) = (
             hoeffding_interval(x, y, bounds, 0.01),
             hoeffding_interval(x, y, bounds, 0.3),
@@ -143,7 +151,7 @@ proptest! {
     fn hfd_length_sane(x in finite_vec(3..100), y in finite_vec(3..100)) {
         let n = x.len().min(y.len());
         let (x, y) = (&x[..n], &y[..n]);
-        let bounds = ValueBounds::from_samples(x, y);
+        let bounds = sample_bounds(x, y);
         if let Ok(ci) = hfd_interval(x, y, bounds, 0.05) {
             prop_assert!(ci.length() >= 0.0);
             prop_assert!(ci.length().is_finite());
