@@ -572,6 +572,7 @@ impl DeltaRecord {
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions)] // R6 exempts tests
 mod tests {
     use super::*;
     use crate::builder::{SketchBuilder, SketchConfig};

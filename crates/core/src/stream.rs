@@ -121,6 +121,10 @@ impl StreamingSketchBuilder {
     /// so the evicted key is the unique maximum whatever the heap's
     /// layout, and a key evicted once can never re-enter (it compares
     /// above the shrinking maximum).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "heapified: the heap's layout decides no output, see above"
+    )]
     fn offer(&mut self, hk: HeapKey, value: f64) {
         self.saturated = true;
         if self.members.is_empty() {
@@ -129,7 +133,7 @@ impl StreamingSketchBuilder {
         if self.heap.is_empty() {
             self.heap = self
                 .members
-                .iter() // lint: ordered (heapified: the heap's layout decides no output, see above)
+                .iter()
                 .map(|(&key, &(unit, _))| HeapKey { unit, key })
                 .collect();
         }
@@ -148,13 +152,17 @@ impl StreamingSketchBuilder {
 
     /// Finalize into an immutable [`CorrelationSketch`].
     #[must_use]
-    pub fn finish(self) -> CorrelationSketch {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sorted by (unit, key) before any output below"
+    )]
+    pub fn finish(mut self) -> CorrelationSketch {
         // Units were captured at push time; no key is rehashed here. Keys
         // are distinct, so an unstable sort on the integer image of
         // `HeapKey`'s order is the same order.
         let mut tagged: Vec<(u64, KeyHash, f64, f64)> = self
             .members
-            .into_iter() // lint: ordered (sorted by (unit, key) before any output below)
+            .drain()
             .map(|(kh, (unit, state))| (total_order_bits(unit), kh, unit, state.value()))
             .collect();
         tagged.sort_unstable_by_key(|&(bits, kh, _, _)| (bits, kh));

@@ -26,6 +26,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// R5 (README "Static analysis"): key identity reads no clock.
+#![deny(clippy::disallowed_types)]
 
 pub mod fibonacci;
 pub mod key;

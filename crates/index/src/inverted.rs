@@ -105,13 +105,17 @@ type Postings = HashMap<KeyHash, PostingList, BuildHasherDefault<KeyHashHasher>>
 /// The postings of `sketches`, numbered from slot `first`: a first pass
 /// counts every key's postings, so the second allocates each list once,
 /// at its final length, and fills it in slot order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "collected into a map; no order escapes"
+)]
 fn invert(sketches: &[CorrelationSketch], first: usize) -> Postings {
     let mut lens: HashMap<KeyHash, usize, BuildHasherDefault<KeyHashHasher>> = HashMap::default();
     for e in sketches.iter().flat_map(CorrelationSketch::entries) {
         *lens.entry(e.key).or_default() += 1;
     }
     let mut postings: Postings = lens
-        .into_iter() // lint: ordered (collected into a map; no order escapes)
+        .drain()
         .map(|(key, n)| {
             let list = PostingList {
                 slots: Vec::with_capacity(n),
@@ -134,8 +138,11 @@ fn invert(sketches: &[CorrelationSketch], first: usize) -> Postings {
 /// Append `tail`'s lists, whose slots all follow `postings`', to
 /// `postings` key by key: slots stay ascending and every list is grown
 /// once, to exactly its new length.
+#[expect(
+    clippy::iter_over_hash_type,
+    reason = "each key's list is extended on its own; which key goes first is unobservable"
+)]
 fn append_postings(postings: &mut Postings, tail: Postings) {
-    // lint: ordered (each key's list is extended on its own; which key goes first is unobservable)
     for (key, mut more) in tail {
         match postings.entry(key) {
             Entry::Occupied(mut list) => {
@@ -694,10 +701,11 @@ mod tests {
 
     /// Everything an index holds, posting lists in their stored order.
     fn assert_same_index(got: &SketchIndex, want: &SketchIndex, case: &str) {
+        #[expect(clippy::disallowed_methods, reason = "sorted by key below")]
         fn postings(idx: &SketchIndex) -> Vec<(KeyHash, Vec<u32>, Vec<u64>)> {
             let mut lists: Vec<_> = idx
                 .postings
-                .iter() // lint: ordered (sorted by key below)
+                .iter()
                 .map(|(&key, l)| {
                     let values = l.values.iter().map(|v| v.to_bits()).collect();
                     (key, l.slots.clone(), values)
@@ -731,6 +739,11 @@ mod tests {
     /// The bulk constructors build exactly the index `insert` builds one
     /// sketch at a time, with every posting list sized once.
     #[test]
+    #[expect(
+        clippy::iter_over_hash_type,
+        clippy::disallowed_methods,
+        reason = "every list is checked on its own; their order is unobservable"
+    )]
     fn bulk_construction_equals_one_insert_at_a_time() {
         let mut corpus = overlapping_corpus(12);
         // A repeated id: both are indexed, the later one owns the id.

@@ -85,8 +85,9 @@ fn push_sample_f64(out: &mut String, name: &str, labels: &[(&str, &str)], value:
 /// bucket `i ≥ 1` covers `[2^(i-1), 2^i)` µs, last bucket saturates)
 /// as a Prometheus histogram in seconds: cumulative
 /// `name_bucket{le="…"}` lines (the saturation bucket folds into
-/// `+Inf`), then `name_sum` and `name_count`. Extra fixed labels (e.g.
-/// an endpoint) apply to every line.
+/// `+Inf`), then `name_sum` and `name_count`. Samples are whole µs, so
+/// bucket `i`'s inclusive bound `le` is `2^i − 1` µs. Extra fixed
+/// labels (e.g. an endpoint) apply to every line.
 pub fn push_log2_us_histogram(
     out: &mut String,
     name: &str,
@@ -102,12 +103,12 @@ pub fn push_log2_us_histogram(
         .take(counts.len().saturating_sub(1))
     {
         cumulative += c;
-        // Upper edge of bucket i in seconds: 0 for the zero bucket,
-        // 2^i µs otherwise.
+        // Largest sample in bucket i, in seconds: 0 for the zero
+        // bucket, 2^i − 1 µs otherwise.
         let le = if i == 0 {
             "0".to_string()
         } else {
-            format!("{}", (1u64 << i) as f64 / 1e6)
+            format!("{}", ((1u64 << i) - 1) as f64 / 1e6)
         };
         let mut with_le = Vec::with_capacity(labels.len() + 1);
         with_le.extend_from_slice(labels);
@@ -177,8 +178,8 @@ mod tests {
         push_log2_us_histogram(&mut out, "lat_seconds", &[], &counts, 7_000_000);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "lat_seconds_bucket{le=\"0\"} 2");
-        assert_eq!(lines[1], "lat_seconds_bucket{le=\"0.000002\"} 5");
-        assert_eq!(lines[2], "lat_seconds_bucket{le=\"0.000004\"} 6");
+        assert_eq!(lines[1], "lat_seconds_bucket{le=\"0.000001\"} 5");
+        assert_eq!(lines[2], "lat_seconds_bucket{le=\"0.000003\"} 6");
         assert_eq!(lines[3], "lat_seconds_bucket{le=\"+Inf\"} 10");
         assert_eq!(lines[4], "lat_seconds_sum 7.0");
         assert_eq!(lines[5], "lat_seconds_count 10");

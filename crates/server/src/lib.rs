@@ -52,16 +52,82 @@
 #![deny(unsafe_code)] // `signal.rs` carves out the one allowed exception.
 #![warn(missing_docs)]
 
+// Workspace invariants scoped to modules (README "Static analysis"):
+// the request path cannot panic on any input (R3), cache identity reads
+// no clock (R5) and the HTTP parser has no `as` casts (R6).
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::disallowed_types
+)]
 pub mod api;
+#[deny(clippy::disallowed_types)]
 pub mod cache;
 pub mod client;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 mod conn;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 pub mod coordinator;
 #[cfg(test)]
 mod decode_battery;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::as_conversions
+)]
 pub mod http;
 mod metrics;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 mod pipeline;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 pub mod server;
 pub mod signal;
 pub mod snapshot;

@@ -336,6 +336,36 @@ mod tests {
         assert!(body.contains("sketch_query_latency_seconds_bucket{le=\"+Inf\"} 1\n"));
     }
 
+    /// Prometheus reads `le` as an inclusive bound: every bucket line
+    /// counts exactly the samples at or below it, edges included.
+    #[test]
+    fn latency_buckets_count_the_samples_at_or_below_le() {
+        let stats = ServerStats::default();
+        let samples_us = [0u64, 1, 2, 3, 4, 1023, 1024, 1025];
+        for us in samples_us {
+            stats.latency.record_us(us);
+        }
+        let body = render_server(&stats, 0, 0, 0, 0);
+        let prefix = "sketch_query_latency_seconds_bucket{le=\"";
+        let mut buckets = 0;
+        for line in body.lines().filter_map(|l| l.strip_prefix(prefix)) {
+            let (le, count) = line.split_once("\"} ").unwrap();
+            let count: usize = count.parse().unwrap();
+            let want = if le == "+Inf" {
+                samples_us.len()
+            } else {
+                let le_s: f64 = le.parse().unwrap();
+                samples_us
+                    .iter()
+                    .filter(|&&us| us as f64 / 1e6 <= le_s)
+                    .count()
+            };
+            assert_eq!(count, want, "le={le}");
+            buckets += 1;
+        }
+        assert_eq!(buckets, crate::stats::BUCKETS);
+    }
+
     #[test]
     fn generation_lag_is_disk_minus_served_floored_at_zero() {
         let stats = ServerStats::default();

@@ -61,9 +61,9 @@ mod imp {
     }
 
     pub(super) fn install() {
+        let handler = on_signal as *const () as usize;
         // SAFETY: `signal` is the POSIX API linked by std; the handler
         // only performs an atomic store, which is async-signal-safe.
-        let handler = on_signal as *const () as usize;
         unsafe {
             signal(SIGTERM, handler);
             signal(SIGINT, handler);

@@ -450,7 +450,7 @@ pub fn pearson_from_gather(n: usize, sums: &GatherSums) -> Option<f64> {
     let sxy = sums.sxy - sums.sx * sums.sy / nf;
     // Requiring a strictly-positive comparison to *hold* (rather than
     // rejecting `<= 0.0`) also catches NaN from ∞−∞ cancellation.
-    let positive = |v: f64| matches!(v.partial_cmp(&0.0), Some(std::cmp::Ordering::Greater));
+    let positive = |v: f64| v > 0.0;
     if !positive(sxx) || !positive(syy) || !sxy.is_finite() {
         return None;
     }

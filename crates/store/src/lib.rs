@@ -166,6 +166,8 @@ pub mod error;
 pub mod info;
 pub mod manifest;
 pub mod partition;
+// R6 (README "Static analysis"): the shard codec has no `as` casts.
+#[deny(clippy::as_conversions)]
 pub mod shard;
 
 pub use corpus::{

@@ -322,6 +322,7 @@ pub(crate) fn read_delta_shard(path: &Path) -> Result<Vec<DeltaRecord>, StoreErr
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions)] // R6 exempts tests
 mod tests {
     use super::*;
     use correlation_sketches::{SketchBuilder, SketchConfig};
