@@ -674,7 +674,7 @@ pub mod serve {
         Ok(format!("graceful shutdown; final stats: {summary}"))
     }
 
-    /// The coordinator mode: fan `/query` and `/query_batch` out over
+    /// The coordinator mode: fan each `/query` out over
     /// `--workers` (comma-separated `host:port`, **in partition order**
     /// — the order `corpus shard` wrote them) and merge losslessly.
     fn run_coordinator(mut args: CliArgs, workers: &str) -> Result<String, CliError> {

@@ -114,9 +114,9 @@ USAGE:
                       [--request-timeout-ms 10000]      (0 disables)
                       [--slow-query-ms 0]  (0 off; else trace internally
                        and log requests at/over the threshold to stderr)
-                      (HTTP: POST /query, POST /query_batch, GET /corpus,
-                       GET /healthz, GET /stats, GET /metrics — Prometheus
-                       text; graceful stop on SIGTERM)
+                      (HTTP: POST /query, one query column per request;
+                       GET /corpus, GET /healthz, GET /stats, GET /metrics
+                       — Prometheus text; graceful stop on SIGTERM)
   corrsketch serve    --workers <host:port>[,<host:port>…]
                       [--worker-timeout-ms 2000] [--startup-timeout-ms 10000]
                       (plus every serve flag above except --store and

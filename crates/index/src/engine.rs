@@ -59,10 +59,10 @@ pub struct QueryOptions {
     /// Minimum join-sample size for a candidate to receive an estimate
     /// (below this the estimate is `None` and the candidate ranks last).
     pub min_sample: usize,
-    /// Worker threads. One query fans them out over its candidates
-    /// (estimation), many queries fan them out over the queries.
-    /// `0` and `1` both mean serial; results are bit-identical for every
-    /// value (the fan-out uses deterministic contiguous chunking, like
+    /// Worker threads the query fans out over its candidates
+    /// (estimation). `0` and `1` both mean serial; results are
+    /// bit-identical for every value (the fan-out uses deterministic
+    /// contiguous chunking, like
     /// `correlation_sketches::build_sketches_parallel`).
     pub threads: usize,
     /// Scoring function for the re-rank stage: `s1` ranks by the raw
@@ -139,8 +139,8 @@ pub struct QueryOutput {
     pub stats: PlanStats,
 }
 
-/// Per-worker scratch, reused across every query of the worker's chunk:
-/// the retrieval's counters and join-sample arena, and the bootstrap
+/// Per-thread scratch, reused across every query the thread answers: the
+/// retrieval's counters and join-sample arena, and the bootstrap
 /// resample buffers. Every candidate's output is a pure function of its
 /// own join sample, so buffer reuse (and the thread count) never changes
 /// a bit of it.
@@ -210,7 +210,6 @@ fn estimate_hits(
     joined: &JoinedHits,
     which: &[usize],
     opts: &QueryOptions,
-    threads: usize,
     ci: &mut BootstrapScratch,
 ) -> Vec<ScoredRow> {
     // The admission gate folds in the estimator's honest minimum: a call
@@ -218,7 +217,7 @@ fn estimate_hits(
     // only spares the doomed invocation — which keeps the planner's
     // invocation accounting honest on both plans.
     let min_sample = opts.min_sample.max(opts.estimator.min_samples());
-    chunked(which, threads, ci, |chunk, ci| {
+    chunked(which, opts.threads, ci, |chunk, ci| {
         chunk
             .iter()
             .map(|&hit| {
@@ -239,11 +238,10 @@ fn estimate_hits(
 fn estimate_all(
     joined: &JoinedHits,
     opts: &QueryOptions,
-    threads: usize,
     ci: &mut BootstrapScratch,
 ) -> Vec<ScoredRow> {
     let all: Vec<usize> = (0..joined.hits().len()).collect();
-    estimate_hits(joined, &all, opts, threads, ci)
+    estimate_hits(joined, &all, opts, ci)
 }
 
 /// Stage 2 under the configured plan: either one exhaustive pass with
@@ -263,14 +261,13 @@ fn estimate_all(
 fn plan_rows(
     joined: &JoinedHits,
     opts: &QueryOptions,
-    threads: usize,
     ci: &mut BootstrapScratch,
     trace: &mut Trace,
 ) -> (Vec<ScoredRow>, PlanStats) {
     let effective_min = opts.min_sample.max(opts.estimator.min_samples());
     let exhaustive = |ci: &mut BootstrapScratch, trace: &mut Trace| {
         let guard = trace.begin("estimate");
-        let rows = estimate_all(joined, opts, threads, ci);
+        let rows = estimate_all(joined, opts, ci);
         trace.end(guard);
         let stats = PlanStats {
             candidates: rows.len(),
@@ -299,7 +296,7 @@ fn plan_rows(
         ..*opts
     };
     let cheap_guard = trace.begin("cheap_pass");
-    let cheap = estimate_all(joined, &cheap_opts, threads, ci);
+    let cheap = estimate_all(joined, &cheap_opts, ci);
     trace.end(cheap_guard);
     let cheap_min = opts
         .min_sample
@@ -345,7 +342,7 @@ fn plan_rows(
     let mut rounds = 0usize;
     let tau = loop {
         if !to_estimate.is_empty() {
-            let rows = estimate_hits(joined, &to_estimate, opts, threads, ci);
+            let rows = estimate_hits(joined, &to_estimate, opts, ci);
             for (&hit, row) in to_estimate.iter().zip(rows) {
                 est[hit] = row.est;
                 in_band[hit] = true;
@@ -493,101 +490,73 @@ fn sample_report(
     })
 }
 
-/// One query through every stage, fanning `opts.threads` over its
-/// candidates and recording each stage as a span of `trace`.
-fn run_query(
+/// Execute one top-k join-correlation query — the engine's one entry
+/// point. The answer is ranked by [`QueryOptions::scorer`] (by default
+/// `s1`, the absolute correlation estimate — negative correlations count
+/// as much as positive ones; `s2`–`s4` penalize uncertain estimates by
+/// their confidence interval; candidates without an estimate score
+/// zero), and always carries its [`PlanStats`]. With `alpha = Some(a)`
+/// each result also carries the Section 4 uncertainty report (Hoeffding
+/// interval at significance `a`, HFD length, Fisher SE); with `None` no
+/// report work is done.
+///
+/// The query fans `opts.threads` out over its candidates and records its
+/// stages into `trace` (`retrieval`, then `estimate` or
+/// `cheap_pass`/`band_estimate` depending on the plan, `rank`,
+/// `reports`), with the plan statistics as the trace's notes; a disabled
+/// trace costs nothing. The answer is bit-identical for every thread
+/// count and trace state — which is what lets a server answer traced and
+/// untraced requests from one cache entry.
+#[must_use]
+pub fn execute(
     index: &SketchIndex,
     query: &CorrelationSketch,
     opts: &QueryOptions,
     alpha: Option<f64>,
-    scratch: &mut Scratch,
     trace: &mut Trace,
 ) -> QueryOutput {
-    let guard = trace.begin("retrieval");
-    index.retrieve_joined(query, opts.overlap_candidates, &mut scratch.joined);
-    trace.end(guard);
-    let Scratch { joined, ci } = scratch;
-    let (rows, stats) = plan_rows(joined, opts, opts.threads, ci, trace);
-    let guard = trace.begin("rank");
-    let ranked = rank_rows(index, joined, &rows, opts);
-    trace.end(guard);
-    let guard = alpha.map(|_| trace.begin("reports"));
-    let results = ranked
-        .into_iter()
-        .map(|(hit, result)| ReportedResult {
-            report: alpha.and_then(|alpha| {
-                let (x, y) = joined.sample(hit);
-                let bounds = query
-                    .value_bounds()
-                    .zip(index.get(result.doc)?.value_bounds())
-                    .map(|(q, d)| ValueBounds::union(q, d));
-                sample_report(x, y, bounds, result.estimate, opts, alpha, ci)
-            }),
-            result,
-        })
-        .collect();
-    if let Some(guard) = guard {
+    let output = with_scratch(|scratch| {
+        let guard = trace.begin("retrieval");
+        index.retrieve_joined(query, opts.overlap_candidates, &mut scratch.joined);
         trace.end(guard);
-    }
-    QueryOutput { results, stats }
-}
-
-/// Execute top-k join-correlation queries — the engine's one entry
-/// point. Answer `i` corresponds to `queries[i]`, ranked by
-/// [`QueryOptions::scorer`] (by default `s1`, the absolute correlation
-/// estimate — negative correlations count as much as positive ones;
-/// `s2`–`s4` penalize uncertain estimates by their confidence interval;
-/// candidates without an estimate score zero), and always carries its
-/// [`PlanStats`]. With `alpha = Some(a)` each result also carries the
-/// Section 4 uncertainty report (Hoeffding interval at significance `a`,
-/// HFD length, Fisher SE); with `None` no report work is done.
-///
-/// A single query fans `opts.threads` out over its *candidates* and
-/// records its stages into `trace` (`retrieval`, then `estimate` or
-/// `cheap_pass`/`band_estimate` depending on the plan, `rank`,
-/// `reports`). Several queries fan the threads out over the *queries*
-/// (contiguous chunks, each worker reusing one scratch for its whole
-/// chunk) and record no per-query spans — the workers run concurrently
-/// and a trace records from one thread. Either way the plan statistics,
-/// summed over the queries, are folded into the trace's notes; a
-/// disabled trace costs nothing. Every answer is bit-identical for every
-/// thread count, batch size, and trace state — which is what lets a
-/// server answer traced and untraced requests from one cache entry.
-#[must_use]
-pub fn execute(
-    index: &SketchIndex,
-    queries: &[CorrelationSketch],
-    opts: &QueryOptions,
-    alpha: Option<f64>,
-    trace: &mut Trace,
-) -> Vec<QueryOutput> {
-    let outputs = with_scratch(|scratch| {
-        if let [query] = queries {
-            return vec![run_query(index, query, opts, alpha, scratch, trace)];
+        let Scratch { joined, ci } = scratch;
+        let (rows, stats) = plan_rows(joined, opts, ci, trace);
+        let guard = trace.begin("rank");
+        let ranked = rank_rows(index, joined, &rows, opts);
+        trace.end(guard);
+        let guard = alpha.map(|_| trace.begin("reports"));
+        let results = ranked
+            .into_iter()
+            .map(|(hit, result)| ReportedResult {
+                report: alpha.and_then(|alpha| {
+                    let (x, y) = joined.sample(hit);
+                    let bounds = query
+                        .value_bounds()
+                        .zip(index.get(result.doc)?.value_bounds())
+                        .map(|(q, d)| ValueBounds::union(q, d));
+                    sample_report(x, y, bounds, result.estimate, opts, alpha, ci)
+                }),
+                result,
+            })
+            .collect();
+        if let Some(guard) = guard {
+            trace.end(guard);
         }
-        let serial = &QueryOptions {
-            threads: 1,
-            ..*opts
-        };
-        chunked(queries, opts.threads, scratch, |chunk, scratch| {
-            let run = |q| run_query(index, q, serial, alpha, scratch, &mut Trace::disabled());
-            chunk.iter().map(run).collect()
-        })
+        QueryOutput { results, stats }
     });
     if trace.is_enabled() {
-        let mut total = PlanStats::default();
-        outputs.iter().for_each(|o| total.absorb(&o.stats));
-        trace.note("plan_two_pass", u64::from(total.two_pass));
-        trace.note("plan_candidates", total.candidates as u64);
-        trace.note("plan_cheap_invocations", total.cheap_invocations as u64);
+        let stats = &output.stats;
+        trace.note("plan_two_pass", u64::from(stats.two_pass));
+        trace.note("plan_candidates", stats.candidates as u64);
+        trace.note("plan_cheap_invocations", stats.cheap_invocations as u64);
         trace.note(
             "plan_expensive_invocations",
-            total.expensive_invocations as u64,
+            stats.expensive_invocations as u64,
         );
-        trace.note("plan_pruned", total.pruned as u64);
-        trace.note("plan_promotion_rounds", total.promotion_rounds as u64);
+        trace.note("plan_pruned", stats.pruned as u64);
+        trace.note("plan_promotion_rounds", stats.promotion_rounds as u64);
     }
-    outputs
+    output
 }
 
 /// [`execute`] for one query with uncertainty reports and no trace.
@@ -598,8 +567,7 @@ pub fn top_k_with_reports(
     opts: &QueryOptions,
     alpha: f64,
 ) -> Vec<ReportedResult> {
-    let trace = &mut Trace::disabled();
-    with_scratch(|scratch| run_query(index, query, opts, Some(alpha), scratch, trace)).results
+    execute(index, query, opts, Some(alpha), &mut Trace::disabled()).results
 }
 
 /// [`execute`] for one query without reports: the ranked results and
@@ -612,8 +580,7 @@ pub fn top_k_with_plan_stats(
     query: &CorrelationSketch,
     opts: &QueryOptions,
 ) -> (Vec<QueryResult>, PlanStats) {
-    let trace = &mut Trace::disabled();
-    let out = with_scratch(|scratch| run_query(index, query, opts, None, scratch, trace));
+    let out = execute(index, query, opts, None, &mut Trace::disabled());
     (
         out.results.into_iter().map(|r| r.result).collect(),
         out.stats,
@@ -670,7 +637,7 @@ pub fn shard_candidates(
     with_scratch(|scratch| {
         index.retrieve_joined(query, opts.overlap_candidates, &mut scratch.joined);
         let joined = &scratch.joined;
-        estimate_all(joined, opts, opts.threads, &mut scratch.ci)
+        estimate_all(joined, opts, &mut scratch.ci)
             .into_iter()
             .zip(joined.hits())
             .map(|(row, &(doc, overlap))| ShardCandidate {
@@ -1235,7 +1202,7 @@ mod tests {
 
     /// Thread-count invariance extends to the planner: the two-pass
     /// answer and its statistics are bit-identical for every thread
-    /// count, and the batch path matches the single-query path.
+    /// count.
     #[test]
     fn two_pass_plan_is_thread_count_invariant() {
         let (idx, q) = wide_fixture(40);
@@ -1254,18 +1221,12 @@ mod tests {
             let (got, stats) = top_k_with_plan_stats(&idx, &q, &opts);
             assert_eq!(got, expected, "threads={threads}");
             assert_eq!(stats, expected_stats, "threads={threads}");
-            let batch: Vec<Vec<QueryResult>> = [[q.clone()].as_slice(), &[q.clone(), q.clone()]]
-                .into_iter()
-                .flat_map(|qs| execute(&idx, qs, &opts, None, &mut Trace::disabled()))
-                .map(|o| o.results.into_iter().map(|r| r.result).collect())
-                .collect();
-            assert_eq!(batch, vec![expected.clone(); 3], "batch, threads={threads}");
         }
     }
 
     /// What only [`execute`] can show: reports appear exactly when asked
-    /// for, one query is traced stage by stage, several are not, and the
-    /// plan notes are the sum over the batch either way.
+    /// for, a traced query is recorded stage by stage with its plan
+    /// statistics as notes, and an untraced one records nothing.
     #[test]
     fn execute_attaches_reports_and_spans_only_as_asked() {
         let (idx, q) = wide_fixture(20);
@@ -1273,28 +1234,21 @@ mod tests {
         let note = |t: &Trace, name| t.notes().iter().find(|n| n.0 == name).map(|n| n.1);
         let names = |t: &Trace| t.spans().iter().map(|s| s.name).collect::<Vec<_>>();
 
-        let mut one = Trace::enabled();
-        let reported = execute(&idx, std::slice::from_ref(&q), &opts, Some(0.05), &mut one);
-        assert_eq!(names(&one), ["retrieval", "estimate", "rank", "reports"]);
-        assert_eq!(
-            reported[0].results,
-            top_k_with_reports(&idx, &q, &opts, 0.05)
-        );
-        assert!(reported[0].results.iter().all(|r| r.report.is_some()));
+        let mut traced = Trace::enabled();
+        let reported = execute(&idx, &q, &opts, Some(0.05), &mut traced);
+        assert_eq!(names(&traced), ["retrieval", "estimate", "rank", "reports"]);
+        assert_eq!(reported.results, top_k_with_reports(&idx, &q, &opts, 0.05));
+        assert!(reported.results.iter().all(|r| r.report.is_some()));
+        let candidates = reported.stats.candidates as u64;
+        assert_eq!(note(&traced, "plan_candidates"), Some(candidates));
 
-        let mut many = Trace::enabled();
-        let plain = execute(&idx, &[q.clone(), q.clone()], &opts, None, &mut many);
-        assert!(names(&many).is_empty(), "{:?}", names(&many));
-        for out in &plain {
-            assert_eq!(out.stats, reported[0].stats);
-            assert!(out.results.iter().all(|r| r.report.is_none()));
-            let results = out.results.iter().map(|r| &r.result);
-            assert!(results.eq(reported[0].results.iter().map(|r| &r.result)));
-        }
-        let candidates = reported[0].stats.candidates as u64;
-        assert_eq!(note(&one, "plan_candidates"), Some(candidates));
-        assert_eq!(note(&many, "plan_candidates"), Some(2 * candidates));
-        assert!(execute(&idx, &[], &opts, None, &mut Trace::disabled()).is_empty());
+        let mut untraced = Trace::disabled();
+        let plain = execute(&idx, &q, &opts, None, &mut untraced);
+        assert!(names(&untraced).is_empty());
+        assert_eq!(plain.stats, reported.stats);
+        assert!(plain.results.iter().all(|r| r.report.is_none()));
+        let results = plain.results.iter().map(|r| &r.result);
+        assert!(results.eq(reported.results.iter().map(|r| &r.result)));
     }
 
     /// k at (or above) the candidate count leaves nothing to prune: the

@@ -11,8 +11,9 @@
 //!   the sketches containing them and the values they store, with top-N
 //!   retrieval by key overlap that emits the winners' join samples;
 //! * [`engine`] — the query pipeline of Sections 4 and 5.5 behind one
-//!   entry point, [`engine::execute`]: retrieve the top-N candidates by
-//!   overlap together with their join samples, then estimate +
+//!   entry point, [`engine::execute`], which answers one query column
+//!   per call: retrieve the top-N candidates by overlap together with
+//!   their join samples, then estimate +
 //!   confidence interval per candidate, re-rank with one of the `s1..s4`
 //!   scorers of `sketch-ranking`
 //!   ([`QueryOptions::scorer`]/[`QueryOptions::confidence`]), and

@@ -185,25 +185,6 @@ pub struct PlanStats {
     pub threshold: f64,
 }
 
-impl PlanStats {
-    /// Fold another query's statistics into this accumulator — how the
-    /// batch path and the server's plan-total counters aggregate.
-    /// Counts sum, `two_pass` ORs; the per-query threshold `τ*` has no
-    /// meaningful aggregate, so the accumulated value keeps the last
-    /// engaged query's threshold (and is best ignored on aggregates).
-    pub fn absorb(&mut self, other: &Self) {
-        self.two_pass |= other.two_pass;
-        self.candidates += other.candidates;
-        self.cheap_invocations += other.cheap_invocations;
-        self.expensive_invocations += other.expensive_invocations;
-        self.pruned += other.pruned;
-        self.promotion_rounds += other.promotion_rounds;
-        if other.two_pass {
-            self.threshold = other.threshold;
-        }
-    }
-}
-
 /// The k-th largest value of `values` (descending), or `0.0` when fewer
 /// than `k` values exist — the planner's band seed (over score lower
 /// bounds) and pruning threshold `τ*` (over actual band scores). Scores

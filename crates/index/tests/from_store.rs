@@ -1,9 +1,9 @@
-//! Batch query determinism (mirroring PR 1's thread-equivalence tests)
-//! and index construction from a packed binary corpus store.
+//! Index construction from a packed binary corpus store: the same
+//! answers as an index built in insertion order, and corruption
+//! surfaced as a typed error.
 
 use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
-use sketch_index::{engine, QueryOptions, QueryResult, ReportedResult, SketchIndex};
-use sketch_obs::Trace;
+use sketch_index::{engine, QueryOptions, SketchIndex};
 use sketch_store::{pack_corpus, PackOptions};
 use sketch_table::ColumnPair;
 
@@ -58,84 +58,6 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-/// `engine::execute` over a batch with reports, untraced.
-fn execute_batch_with_reports(
-    index: &SketchIndex,
-    queries: &[CorrelationSketch],
-    opts: &QueryOptions,
-    alpha: f64,
-) -> Vec<Vec<ReportedResult>> {
-    engine::execute(index, queries, opts, Some(alpha), &mut Trace::disabled())
-        .into_iter()
-        .map(|out| out.results)
-        .collect()
-}
-
-/// `engine::execute` over a batch without reports: the ranked results.
-fn execute_batch(
-    index: &SketchIndex,
-    queries: &[CorrelationSketch],
-    opts: &QueryOptions,
-) -> Vec<Vec<QueryResult>> {
-    engine::execute(index, queries, opts, None, &mut Trace::disabled())
-        .into_iter()
-        .map(|out| out.results.into_iter().map(|r| r.result).collect())
-        .collect()
-}
-
-#[test]
-fn batch_identical_to_looping_for_every_thread_count() {
-    let (corpus, queries) = fixture(30, 12);
-    let index = SketchIndex::from_sketches(corpus).unwrap();
-    let serial = QueryOptions {
-        k: 15,
-        threads: 1,
-        ..QueryOptions::default()
-    };
-
-    // The reference: one serial single-query call per query sketch.
-    let looped: Vec<Vec<_>> = queries
-        .iter()
-        .map(|q| engine::top_k_with_plan_stats(&index, q, &serial).0)
-        .collect();
-    let looped_reports: Vec<Vec<_>> = queries
-        .iter()
-        .map(|q| engine::top_k_with_reports(&index, q, &serial, 0.05))
-        .collect();
-    assert!(looped.iter().any(|r| !r.is_empty()));
-
-    for threads in [0usize, 1, 2, 7, 16] {
-        let opts = QueryOptions { threads, ..serial };
-        assert_eq!(
-            execute_batch(&index, &queries, &opts),
-            looped,
-            "threads={threads}"
-        );
-        assert_eq!(
-            execute_batch_with_reports(&index, &queries, &opts, 0.05),
-            looped_reports,
-            "reports, threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn batch_of_one_and_empty_batch() {
-    let (corpus, queries) = fixture(8, 2);
-    let index = SketchIndex::from_sketches(corpus).unwrap();
-    let opts = QueryOptions {
-        threads: 4,
-        ..QueryOptions::default()
-    };
-    assert!(execute_batch(&index, &[], &opts).is_empty());
-    let single = execute_batch(&index, &queries[..1], &opts);
-    assert_eq!(single.len(), 1);
-    assert_eq!(
-        single[0],
-        engine::top_k_with_plan_stats(&index, &queries[0], &opts).0
-    );
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! call" testable as exact byte equality.
 //!
 //! Requests go the other way in one pass: body bytes through a pull
-//! [`Reader`] straight into [`QueryRequest`] / [`BatchRequest`], the
-//! `trace` flag learned along the way — no `json::Value` tree on the
+//! [`Reader`] straight into a [`QueryRequest`] — one query column per
+//! request — the `trace` flag learned along the way — no `json::Value` tree on the
 //! public request path. The tree ([`json::parse`]) remains under the
 //! coordinator-side decoders of worker *responses* and the two client
 //! helpers ([`extract_u64`], [`is_error_body`]): that JSON wire is due
@@ -24,8 +24,8 @@ use sketch_hashing::murmur3_x64_128;
 use sketch_index::{DocId, PlanMode, QueryOptions, ReportedResult, Scorer, ShardCandidate};
 use sketch_stats::{ConfidenceInterval, CorrelationEstimator, ScoredEstimate};
 
-/// Ranking parameters shared by `/query` and `/query_batch`, resolved
-/// against the server's defaults when a field is absent.
+/// The ranking parameters of a `/query` request, resolved against the
+/// server's defaults when a field is absent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryParams {
     /// Results returned after re-ranking.
@@ -109,24 +109,11 @@ pub struct QueryRequest {
     pub trace: bool,
 }
 
-/// A parsed `POST /query_batch` request: many query columns ranked
-/// under one shared set of parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchRequest {
-    /// The query columns, answered in order.
-    pub queries: Vec<QueryBody>,
-    /// Resolved ranking parameters (shared by every query).
-    pub params: QueryParams,
-    /// `"trace": true` — attach the span tree (excluded from the
-    /// fingerprint, like [`QueryRequest::trace`]).
-    pub trace: bool,
-}
-
 /// Ceiling on request-supplied `k` and `candidates`. Both size
 /// selection heaps, so an untrusted request must not be able to demand
 /// an enormous allocation; far beyond any useful top-k over any corpus
 /// this serves.
-pub const MAX_SELECTION: usize = 100_000;
+pub(crate) const MAX_SELECTION: usize = 100_000;
 
 // ---------------------------------------------------------------------
 // Request decoding: body bytes → typed request in one pass over a
@@ -276,10 +263,10 @@ impl ColumnFields {
     }
 }
 
-/// The fields `/query` and `/query_batch` share: the ranking parameters
+/// The request fields beside the query column: the ranking parameters
 /// and the trace flag.
 #[derive(Default)]
-struct SharedFields {
+struct ParamFields {
     k: Option<usize>,
     candidates: Option<usize>,
     estimator: Option<CorrelationEstimator>,
@@ -291,8 +278,8 @@ struct SharedFields {
     trace: Option<bool>,
 }
 
-impl SharedFields {
-    /// Decode `name`'s value if it is a shared field; `false` leaves the
+impl ParamFields {
+    /// Decode `name`'s value if it is a parameter field; `false` leaves the
     /// value unread.
     fn read(&mut self, r: &mut Reader<'_>, name: &str) -> Result<bool, String> {
         match name {
@@ -330,7 +317,7 @@ impl SharedFields {
 }
 
 /// Decode a `/query`-shaped body; `other` is handed every field that is
-/// neither a column field nor a shared one, and must read or skip it.
+/// neither a column field nor a parameter one, and must read or skip it.
 fn decode_query(
     body: &[u8],
     defaults: &QueryParams,
@@ -340,43 +327,20 @@ fn decode_query(
         rows_hint: body.len() / ROW_BYTES,
         ..ColumnFields::default()
     };
-    let mut shared = SharedFields::default();
+    let mut param_fields = ParamFields::default();
     request_fields(body, |r, name| {
-        if column.read(r, name)? || shared.read(r, name)? {
+        if column.read(r, name)? || param_fields.read(r, name)? {
             Ok(())
         } else {
             other(r, name)
         }
     })?;
-    let (params, trace) = shared.resolve(defaults);
+    let (params, trace) = param_fields.resolve(defaults);
     Ok(QueryRequest {
         body: column.finish()?,
         params,
         trace,
     })
-}
-
-/// The `queries` array of a `/query_batch` body. An element's arrays
-/// start unsized: a batch may hold many columns, and each sizing its own
-/// from the whole body's length would multiply the body's claim on
-/// memory by their number.
-fn decode_queries(r: &mut Reader<'_>) -> Result<Vec<QueryBody>, String> {
-    let mut queries = Vec::new();
-    r.array("queries", |r| {
-        let mut column = ColumnFields::default();
-        let query = r
-            .object("queries[]", |r, name| {
-                if column.read(r, &name)? {
-                    Ok(())
-                } else {
-                    r.skip_value()
-                }
-            })
-            .and_then(|()| column.finish());
-        queries.push(query.map_err(|e| format!("queries[{}]: {e}", queries.len()))?);
-        Ok(())
-    })?;
-    Ok(queries)
 }
 
 /// Decode `name`'s value if it is the `docs` field of a
@@ -420,45 +384,7 @@ impl QueryRequest {
     /// order, whitespace, or spelled-out defaults.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
-        canonical_fingerprint(b"query\x00", &self.params, std::slice::from_ref(&self.body))
-    }
-}
-
-impl BatchRequest {
-    /// Parse a `POST /query_batch` body: `{"queries":[...]}` plus the
-    /// shared parameter fields of [`QueryParams`].
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason, safe to echo in a 400 response.
-    pub fn parse(body: &[u8], defaults: &QueryParams) -> Result<Self, String> {
-        let mut queries = None;
-        let mut shared = SharedFields::default();
-        request_fields(body, |r, name| {
-            if name == "queries" {
-                first(&mut queries, r, decode_queries)
-            } else if shared.read(r, name)? {
-                Ok(())
-            } else {
-                r.skip_value()
-            }
-        })?;
-        let queries = queries.ok_or_else(|| missing("queries"))?;
-        if queries.is_empty() {
-            return Err("queries must be non-empty".into());
-        }
-        let (params, trace) = shared.resolve(defaults);
-        Ok(Self {
-            queries,
-            params,
-            trace,
-        })
-    }
-
-    /// Canonical fingerprint of the whole batch, for cache keying.
-    #[must_use]
-    pub fn fingerprint(&self) -> u128 {
-        canonical_fingerprint(b"batch\x00", &self.params, &self.queries)
+        canonical_fingerprint(&self.params, &self.body)
     }
 }
 
@@ -482,19 +408,18 @@ pub fn raw_fingerprint(bytes: &[u8]) -> u128 {
     fingerprint_of(bytes)
 }
 
-/// Hash the canonical byte form of a request: `tag`, the resolved
-/// parameters, then each query column length-prefixed. The scratch
+/// Hash the canonical byte form of a request: a fixed tag, the resolved
+/// parameters, then the query column length-prefixed. The scratch
 /// buffer is sized exactly — a row is 16 bytes of key length and value
 /// bits *plus* the key's own bytes, so a per-row guess either wastes the
 /// buffer or regrows (and copies) it on every miss.
-fn canonical_fingerprint(tag: &[u8; 6], params: &QueryParams, queries: &[QueryBody]) -> u128 {
-    let len = tag.len() + params_len(params) + queries.iter().map(query_len).sum::<usize>();
+fn canonical_fingerprint(params: &QueryParams, query: &QueryBody) -> u128 {
+    const TAG: &[u8] = b"query\x00";
+    let len = TAG.len() + params_len(params) + query_len(query);
     let mut bytes = Vec::with_capacity(len);
-    bytes.extend_from_slice(tag);
+    bytes.extend_from_slice(TAG);
     push_params(&mut bytes, params);
-    for q in queries {
-        push_query(&mut bytes, q);
-    }
+    push_query(&mut bytes, query);
     debug_assert_eq!(bytes.len(), len, "fingerprint scratch sized exactly");
     fingerprint_of(&bytes)
 }
@@ -632,28 +557,6 @@ pub fn render_query_response(
     out
 }
 
-/// Render a `/query_batch` response; `answers[i]` answers `queries[i]`.
-#[must_use]
-pub fn render_batch_response(
-    generation: u64,
-    params: &QueryParams,
-    answers: &[Vec<ReportedResult>],
-) -> String {
-    let mut out = String::with_capacity(64 + 256 * answers.len());
-    push_preamble(&mut out, generation, params);
-    out.push_str(",\"count\":");
-    out.push_str(&answers.len().to_string());
-    out.push_str(",\"answers\":[");
-    for (i, results) in answers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_results(&mut out, results);
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Splice a rendered trace object into a finished response body:
 /// `{...}` becomes `{...,"trace":{...}}`.
 ///
@@ -662,7 +565,7 @@ pub fn render_batch_response(
 /// of a traced answer is byte-identical to the untraced answer for the
 /// same request, whether either was a cache hit or a miss.
 #[must_use]
-pub fn attach_trace(body: &str, trace_json: &str) -> String {
+pub(crate) fn attach_trace(body: &str, trace_json: &str) -> String {
     let mut out = String::with_capacity(body.len() + trace_json.len() + 16);
     match body.strip_suffix('}') {
         Some(head) => {
@@ -680,7 +583,7 @@ pub fn attach_trace(body: &str, trace_json: &str) -> String {
 
 /// Render an error payload: `{"error":"..."}`.
 #[must_use]
-pub fn render_error(message: &str) -> String {
+pub(crate) fn render_error(message: &str) -> String {
     let mut out = String::with_capacity(16 + message.len());
     out.push_str("{\"error\":");
     push_string(&mut out, message);
@@ -794,25 +697,6 @@ pub fn render_shard_query_request(body: &QueryBody, params: &QueryParams) -> Str
     out
 }
 
-/// Render the canonical `POST /shard_query_batch` request.
-#[must_use]
-pub fn render_shard_batch_request(queries: &[QueryBody], params: &QueryParams) -> String {
-    let mut out = String::with_capacity(64 + queries.len() * 128);
-    out.push_str("{\"queries\":[");
-    for (i, q) in queries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_body_fields(&mut out, q);
-        out.push('}');
-    }
-    out.push(']');
-    push_param_fields(&mut out, params);
-    out.push('}');
-    out
-}
-
 /// Render the canonical `POST /shard_reports` request: the query and
 /// parameters again (the worker re-derives the join) plus the
 /// shard-local doc ids whose reports the merge shipped.
@@ -877,17 +761,6 @@ fn push_shard_row(out: &mut String, row: &ShardCandidate) {
     out.push('}');
 }
 
-fn push_shard_rows(out: &mut String, rows: &[ShardCandidate]) {
-    out.push('[');
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_shard_row(out, row);
-    }
-    out.push(']');
-}
-
 /// Render a worker's `/shard_query` response: its generation, live
 /// sketch count (the coordinator's doc-offset unit), and candidate
 /// rows with bit-encoded estimates.
@@ -902,31 +775,12 @@ pub fn render_shard_query_response(
     out.push_str(&generation.to_string());
     out.push_str(",\"sketches\":");
     out.push_str(&sketches.to_string());
-    out.push_str(",\"rows\":");
-    push_shard_rows(&mut out, rows);
-    out.push('}');
-    out
-}
-
-/// Render a worker's `/shard_query_batch` response: one row list per
-/// query, all from one snapshot.
-#[must_use]
-pub fn render_shard_batch_response(
-    generation: u64,
-    sketches: usize,
-    queries: &[Vec<ShardCandidate>],
-) -> String {
-    let mut out = String::with_capacity(64 + queries.iter().map(|q| 128 * q.len()).sum::<usize>());
-    out.push_str("{\"generation\":");
-    out.push_str(&generation.to_string());
-    out.push_str(",\"sketches\":");
-    out.push_str(&sketches.to_string());
-    out.push_str(",\"queries\":[");
-    for (i, rows) in queries.iter().enumerate() {
+    out.push_str(",\"rows\":[");
+    for (i, row) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_shard_rows(&mut out, rows);
+        push_shard_row(&mut out, row);
     }
     out.push_str("]}");
     out
@@ -941,17 +795,6 @@ pub struct ShardQueryResponse {
     pub sketches: usize,
     /// Shard-local candidate rows, in retrieval order.
     pub rows: Vec<ShardCandidate>,
-}
-
-/// A worker's parsed `/shard_query_batch` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardBatchResponse {
-    /// Worker store generation the rows were computed against.
-    pub generation: u64,
-    /// The worker's live sketch count.
-    pub sketches: usize,
-    /// One candidate-row list per query, in request order.
-    pub queries: Vec<Vec<ShardCandidate>>,
 }
 
 fn parse_shard_row(v: &json::Value) -> Result<ShardCandidate, String> {
@@ -986,14 +829,6 @@ fn parse_shard_row(v: &json::Value) -> Result<ShardCandidate, String> {
     })
 }
 
-fn parse_shard_rows(v: &json::Value) -> Result<Vec<ShardCandidate>, String> {
-    v.as_array("rows")
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(parse_shard_row)
-        .collect()
-}
-
 /// Parse a `/shard_query` response body.
 ///
 /// # Errors
@@ -1008,30 +843,12 @@ pub fn parse_shard_query_response(body: &str) -> Result<ShardQueryResponse, Stri
             .and_then(|v| v.as_u64("generation"))
             .map_err(|e| e.to_string())?,
         sketches: usize_field(obj, "sketches")?,
-        rows: parse_shard_rows(obj.get("rows").map_err(|e| e.to_string())?)?,
-    })
-}
-
-/// Parse a `/shard_query_batch` response body.
-///
-/// # Errors
-///
-/// A human-readable reason (malformed worker reply).
-pub fn parse_shard_batch_response(body: &str) -> Result<ShardBatchResponse, String> {
-    let value = json::parse(body)?;
-    let obj = value.as_object("response").map_err(|e| e.to_string())?;
-    Ok(ShardBatchResponse {
-        generation: obj
-            .get("generation")
-            .and_then(|v| v.as_u64("generation"))
-            .map_err(|e| e.to_string())?,
-        sketches: usize_field(obj, "sketches")?,
-        queries: obj
-            .get("queries")
-            .and_then(|v| v.as_array("queries"))
+        rows: obj
+            .get("rows")
+            .and_then(|v| v.as_array("rows"))
             .map_err(|e| e.to_string())?
             .iter()
-            .map(parse_shard_rows)
+            .map(parse_shard_row)
             .collect::<Result<_, _>>()?,
     })
 }
@@ -1222,45 +1039,6 @@ pub fn render_coordinator_response(
     out
 }
 
-/// Render a coordinator `/query_batch` response; `answers[i]`,
-/// `merged[i]`, `shipped[i]` describe `queries[i]`.
-#[must_use]
-pub fn render_coordinator_batch_response(
-    shards: &[ShardState],
-    params: &QueryParams,
-    merged: &[usize],
-    shipped: &[usize],
-    answers: &[Vec<ReportedResult>],
-) -> String {
-    let mut out = String::with_capacity(128 + 256 * answers.len());
-    push_coordinator_preamble(&mut out, shards, params);
-    out.push_str(",\"merged\":[");
-    for (i, m) in merged.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&m.to_string());
-    }
-    out.push_str("],\"shipped\":[");
-    for (i, s) in shipped.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&s.to_string());
-    }
-    out.push_str("],\"count\":");
-    out.push_str(&answers.len().to_string());
-    out.push_str(",\"answers\":[");
-    for (i, results) in answers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_results(&mut out, results);
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Does this parsed response value look like `{"error": ...}`?
 #[must_use]
 pub fn is_error_body(body: &str) -> bool {
@@ -1385,12 +1163,11 @@ mod tests {
     /// Fingerprints key the response cache and show up in logs, so no
     /// change to how a request is decoded or hashed may move them. The
     /// constants are what the tree-walking decoder computed (the commit
-    /// before the one-pass reader) for a single request, a batch, and a
-    /// re-ordered body that spells out every default.
+    /// before the one-pass reader) for a request and a re-ordered body
+    /// that spells out every default.
     #[test]
     fn fingerprints_are_pinned() {
         let single = r#"{"id":"taxi","keys":["a","b","café"],"values":[1.5,-2.25,1e3],"k":3,"estimator":"spearman"}"#;
-        let batch = r#"{"queries":[{"keys":["a"],"values":[1]},{"id":"q2","keys":["b","😀"],"values":[2,-0]}],"scorer":"s4","plan":"two-pass@0.995"}"#;
         let spelled = r#"{ "plan":"exhaustive", "values":[1.5,-2.25,1e3], "confidence":0.95, "scorer":"s1", "alpha":0.05, "min_sample":3, "estimator":"pearson", "candidates":100, "k":10, "keys":["a","b","café"], "id":"query", "trace":true }"#;
         let minimal = r#"{"keys":["a","b","café"],"values":[1.5,-2.25,1e3]}"#;
         let query = |body: &str| {
@@ -1401,11 +1178,6 @@ mod tests {
         assert_eq!(query(single), 0x77d7_e383_4b8f_1ad5_d4f8_6a05_c085_6d88);
         assert_eq!(query(spelled), 0x79a9_c276_ab82_cc96_32ba_d19d_a132_63a4);
         assert_eq!(query(minimal), query(spelled));
-        let batch = BatchRequest::parse(batch.as_bytes(), &defaults()).unwrap();
-        assert_eq!(
-            batch.fingerprint(),
-            0x243f_90b1_1c1c_fb00_525f_a535_c9d2_e7a8
-        );
     }
 
     #[test]
@@ -1469,16 +1241,6 @@ mod tests {
             QueryRequest::parse(br#"{"keys":["a"],"values":[1],"trace":"yes"}"#, &defaults())
                 .is_err()
         );
-        let batch = BatchRequest::parse(
-            br#"{"queries":[{"keys":["a"],"values":[1]}],"trace":true}"#,
-            &defaults(),
-        )
-        .unwrap();
-        assert!(batch.trace);
-        let plain_batch =
-            BatchRequest::parse(br#"{"queries":[{"keys":["a"],"values":[1]}]}"#, &defaults())
-                .unwrap();
-        assert_eq!(batch.fingerprint(), plain_batch.fingerprint());
     }
 
     #[test]
@@ -1500,38 +1262,6 @@ mod tests {
             traced.strip_suffix(suffix).unwrap(),
             body.strip_suffix('}').unwrap()
         );
-    }
-
-    #[test]
-    fn batch_parses_and_fingerprints() {
-        let batch = BatchRequest::parse(
-            br#"{"queries":[{"keys":["a"],"values":[1]},{"id":"q2","keys":["b"],"values":[2]}],"k":5}"#,
-            &defaults(),
-        )
-        .unwrap();
-        assert_eq!(batch.queries.len(), 2);
-        assert_eq!(batch.params.k, 5);
-        assert_eq!(batch.queries[1].id, "q2");
-
-        let reordered = BatchRequest::parse(
-            br#"{"queries":[{"id":"q2","keys":["b"],"values":[2]},{"keys":["a"],"values":[1]}],"k":5}"#,
-            &defaults(),
-        )
-        .unwrap();
-        assert_ne!(batch.fingerprint(), reordered.fingerprint());
-
-        assert!(BatchRequest::parse(br#"{"queries":[]}"#, &defaults()).is_err());
-        let err = BatchRequest::parse(br#"{"queries":[{"keys":["a"]}]}"#, &defaults()).unwrap_err();
-        assert!(err.contains("queries[0]"), "{err}");
-    }
-
-    #[test]
-    fn batch_and_single_fingerprints_never_collide() {
-        let single = QueryRequest::parse(br#"{"keys":["a"],"values":[1]}"#, &defaults()).unwrap();
-        let batch =
-            BatchRequest::parse(br#"{"queries":[{"keys":["a"],"values":[1]}]}"#, &defaults())
-                .unwrap();
-        assert_ne!(single.fingerprint(), batch.fingerprint());
     }
 
     #[test]
@@ -1604,10 +1334,6 @@ mod tests {
         assert_eq!(est.estimate.to_bits(), f64::NAN.to_bits());
         assert_eq!(est.ci_lo, f64::NEG_INFINITY);
         assert_eq!(est.ci_hi, f64::INFINITY);
-
-        let batch = render_shard_batch_response(3, 50, &[rows.clone(), vec![]]);
-        let parsed = parse_shard_batch_response(&batch).unwrap();
-        assert_eq!(parsed.queries, vec![rows, vec![]]);
     }
 
     #[test]
@@ -1636,16 +1362,7 @@ mod tests {
         assert_eq!(reparsed, req);
         assert_eq!(reparsed.fingerprint(), req.fingerprint());
 
-        // Same for the batch and reports forms.
-        let batch = BatchRequest {
-            queries: vec![req.body.clone(), req.body.clone()],
-            params: req.params,
-            trace: false,
-        };
-        let wire = render_shard_batch_request(&batch.queries, &batch.params);
-        let reparsed = BatchRequest::parse(wire.as_bytes(), &hostile_defaults).unwrap();
-        assert_eq!(reparsed, batch);
-
+        // Same for the reports form.
         let wire = render_shard_reports_request(&req.body, &req.params, &[4, 0, 9]);
         let reparsed = QueryRequest::parse(wire.as_bytes(), &hostile_defaults).unwrap();
         assert_eq!(reparsed, req);

@@ -44,7 +44,10 @@ impl HttpClient {
     /// # Errors
     ///
     /// Propagates connection failures (including timeout).
-    pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
+    pub(crate) fn connect_with_timeout(
+        addr: SocketAddr,
+        timeout: Duration,
+    ) -> std::io::Result<Self> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;

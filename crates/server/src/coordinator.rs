@@ -1,6 +1,6 @@
 //! The scatter-gather coordinator: the request `pipeline`'s `Cluster`
-//! backend — a front end that partitions a `/query` or `/query_batch`
-//! cache miss over N worker servers (one per corpus partition,
+//! backend — a front end that partitions a `/query` cache miss (one
+//! query column) over N worker servers (one per corpus partition,
 //! see `sketch_store::shard_corpus`) and merges their candidate rows
 //! into the *same answer bytes* a single process would serve over the
 //! union corpus.
@@ -57,11 +57,11 @@ use std::time::{Duration, Instant};
 use sketch_index::{merge_shard_candidates, DocId, ReportedResult, ShardCandidate, ShardRows};
 use sketch_obs::{promtext, Trace};
 
-use crate::api::{self, QueryBody, QueryParams, ShardState};
+use crate::api::{self, QueryBody, QueryParams, QueryRequest, ShardState};
 use crate::client::HttpClient;
 use crate::conn::{Body, ConnLimits};
 use crate::metrics::{self, ShardView};
-use crate::pipeline::{self, Backend, FrontEnd, Kind, Parsed};
+use crate::pipeline::{self, Backend, FrontEnd};
 use crate::server::ServerError;
 use crate::stats::ServerStats;
 
@@ -92,10 +92,9 @@ pub struct CoordinatorConfig {
     /// How long `start_coordinator` waits for every worker to answer
     /// its first health probe before giving up.
     pub startup_timeout: Duration,
-    /// When set, trace every `/query` and `/query_batch` internally and
-    /// log one structured line (with the full span tree, including
-    /// per-shard scatter round trips) for each request whose total
-    /// reaches the threshold. `None` disables both the logging and the
+    /// When set, trace every `/query` internally and log one structured
+    /// line (with the full span tree, including per-shard scatter round
+    /// trips) for each request whose total reaches the threshold. `None` disables both the logging and the
     /// always-on tracing it requires.
     pub slow_query: Option<Duration>,
     /// Default ranking parameters for requests that omit them.
@@ -449,19 +448,19 @@ struct ShardFetch {
     /// join as `shard_rtt` spans.
     started: Instant,
     rtt: Duration,
-    /// One row list per query (a single `/query` has exactly one).
-    queries: Vec<Vec<ShardCandidate>>,
+    /// The shard-local candidate rows, in retrieval order.
+    rows: Vec<ShardCandidate>,
 }
 
 impl ShardFetch {
-    fn degraded_from(state: ShardView, query_count: usize) -> Self {
+    fn degraded_from(state: ShardView) -> Self {
         Self {
             generation: state.generation,
             sketches: state.sketches,
             degraded: true,
             started: Instant::now(),
             rtt: Duration::ZERO,
-            queries: vec![Vec::new(); query_count],
+            rows: Vec::new(),
         }
     }
 
@@ -473,44 +472,32 @@ impl ShardFetch {
     }
 }
 
-/// Phase 1: post `wire` to `path` on every worker concurrently. A
-/// worker that fails (or whose answer does not carry `query_count` row
-/// lists) comes back degraded with its last-known state; successes
-/// update the slot's state.
-fn scatter(ctx: &Cluster, path: &str, wire: &str, query_count: usize) -> Vec<ShardFetch> {
+/// Phase 1: post `wire` to every worker's `/shard_query` concurrently. A
+/// worker that fails (or answers garbage) comes back degraded with its
+/// last-known state; successes update the slot's state.
+fn scatter(ctx: &Cluster, wire: &str) -> Vec<ShardFetch> {
     let fetches = fan_out(&ctx.slots, |slot| {
         let started = Instant::now();
         let parsed = slot
-            .call(ctx.worker_timeout, "POST", path, wire)
-            .and_then(|body| {
-                if path == "/shard_query" {
-                    api::parse_shard_query_response(&body)
-                        .ok()
-                        .map(|r| (r.generation, r.sketches, vec![r.rows]))
-                } else {
-                    api::parse_shard_batch_response(&body)
-                        .ok()
-                        .map(|r| (r.generation, r.sketches, r.queries))
-                }
-            })
-            .filter(|(_, _, queries)| queries.len() == query_count);
+            .call(ctx.worker_timeout, "POST", "/shard_query", wire)
+            .and_then(|body| api::parse_shard_query_response(&body).ok());
         let rtt = started.elapsed();
         match parsed {
-            Some((generation, sketches, queries)) => {
-                slot.observe(generation, sketches as u64);
+            Some(r) => {
+                slot.observe(r.generation, r.sketches as u64);
                 ShardFetch {
-                    generation,
-                    sketches: sketches as u64,
+                    generation: r.generation,
+                    sketches: r.sketches as u64,
                     degraded: false,
                     started,
                     rtt,
-                    queries,
+                    rows: r.rows,
                 }
             }
             None => {
                 let state = slot.state();
                 slot.mark_unhealthy();
-                let mut fetch = ShardFetch::degraded_from(state, query_count);
+                let mut fetch = ShardFetch::degraded_from(state);
                 fetch.started = started;
                 fetch.rtt = rtt;
                 fetch
@@ -520,81 +507,62 @@ fn scatter(ctx: &Cluster, path: &str, wire: &str, query_count: usize) -> Vec<Sha
     fetches
         .into_iter()
         .zip(&ctx.slots)
-        .map(|(fetch, slot)| {
-            fetch.unwrap_or_else(|| ShardFetch::degraded_from(slot.state(), query_count))
-        })
+        .map(|(fetch, slot)| fetch.unwrap_or_else(|| ShardFetch::degraded_from(slot.state())))
         .collect()
 }
 
-/// The per-query gather outcome: final results plus the termination
-/// accounting the public response reports.
+/// The gather outcome: final results plus the termination accounting
+/// the public response reports.
 struct Gather {
     results: Vec<ReportedResult>,
     merged: usize,
     shipped: usize,
 }
 
-/// Phase 2 + merge for every query at once. `Err(())` means a healthy
-/// shard's reports could not be fetched at the phase-1 generation (a
-/// mutation raced the two phases, or the worker died between them) —
-/// the caller re-scatters.
+/// Phase 2 + merge. `Err(())` means a healthy shard's reports could not
+/// be fetched at the phase-1 generation (a mutation raced the two
+/// phases, or the worker died between them) — the caller re-scatters.
 #[allow(clippy::result_unit_err)]
 fn gather(
     ctx: &Cluster,
     fetches: &[ShardFetch],
-    bodies: &[QueryBody],
+    query: &QueryBody,
     params: &QueryParams,
-) -> Result<Vec<Gather>, ()> {
-    let opts = params.to_options();
-    // Merge each query over the per-shard row lists (phase 1 gave every
-    // fetch one list per query).
-    let outcomes: Vec<_> = (0..bodies.len())
-        .map(|qi| {
-            let shard_rows: Vec<ShardRows<'_>> = fetches
-                .iter()
-                .map(|f| ShardRows {
-                    rows: f.queries.get(qi).map_or(&[], Vec::as_slice),
-                    sketches: f.sketches as usize,
-                })
-                .collect();
-            merge_shard_candidates(&shard_rows, &opts)
+) -> Result<Gather, ()> {
+    let shard_rows: Vec<ShardRows<'_>> = fetches
+        .iter()
+        .map(|f| ShardRows {
+            rows: &f.rows,
+            sketches: f.sketches as usize,
         })
         .collect();
+    let outcome = merge_shard_candidates(&shard_rows, &params.to_options());
 
-    // Each shard's surviving winners per query, in rank order: these are
-    // the only docs whose reports cross the wire — everything the bound
+    // Each shard's surviving winners, in rank order: these are the only
+    // docs whose reports cross the wire — everything the bound
     // terminated stays on its worker.
-    let wanted: Vec<Vec<Vec<DocId>>> = (0..fetches.len())
+    let wanted: Vec<Vec<DocId>> = (0..fetches.len())
         .map(|shard| {
-            (outcomes.iter())
-                .map(|o| {
-                    (o.winners.iter())
-                        .filter(|w| w.shard == shard)
-                        .map(|w| w.local_doc)
-                        .collect()
-                })
+            (outcome.winners.iter())
+                .filter(|w| w.shard == shard)
+                .map(|w| w.local_doc)
                 .collect()
         })
         .collect();
 
-    // Fetch reports per shard (queries serially over one keep-alive
-    // connection, shards concurrently). Every response must match the
+    // Fetch reports, shards concurrently. Every response must match the
     // shard's phase-1 generation.
     let shards = ctx.slots.iter().zip(fetches).zip(&wanted);
-    let reports: Vec<Option<Vec<_>>> = fan_out(shards, |((slot, fetch), shard_wanted)| {
-        (bodies.iter().zip(shard_wanted))
-            .map(|(body, docs)| {
-                if docs.is_empty() {
-                    return Some(Vec::new());
-                }
-                let wire = api::render_shard_reports_request(body, params, docs);
-                let response = slot
-                    .call(ctx.worker_timeout, "POST", "/shard_reports", &wire)
-                    .and_then(|b| api::parse_shard_reports_response(&b, params.estimator).ok())?;
-                (response.generation == fetch.generation && response.reports.len() == docs.len())
-                    .then_some(response.reports)
-            })
-            .collect()
+    let reports: Vec<Option<Vec<_>>> = fan_out(shards, |((slot, fetch), docs)| {
+        if docs.is_empty() {
+            return Some(Vec::new());
+        }
+        let wire = api::render_shard_reports_request(query, params, docs);
+        let response = slot
+            .call(ctx.worker_timeout, "POST", "/shard_reports", &wire)
+            .and_then(|b| api::parse_shard_reports_response(&b, params.estimator).ok())?;
+        (response.generation == fetch.generation && response.reports.len() == docs.len())
+            .then_some(response.reports)
     })
     .into_iter()
     .map(Option::flatten)
@@ -603,46 +571,30 @@ fn gather(
     // A shard that answered phase 1 but failed phase 2 poisons the
     // attempt (stale reports must never ship); a shard that was already
     // degraded contributed no winners and fetched nothing.
-    let poisoned = (fetches.iter().zip(&reports).zip(&wanted)).any(|((fetch, got), docs)| {
-        !fetch.degraded && got.is_none() && docs.iter().any(|d| !d.is_empty())
-    });
+    let poisoned = (fetches.iter().zip(&reports).zip(&wanted))
+        .any(|((fetch, got), docs)| !fetch.degraded && got.is_none() && !docs.is_empty());
     if poisoned {
         return Err(());
     }
 
-    // Stitch: walk each query's winners in rank order, pulling the next
-    // report of their (shard, query) stream — the order the docs were
-    // requested in.
-    let mut streams: Vec<Vec<_>> = (reports.into_iter())
-        .map(|r| {
-            r.unwrap_or_default()
-                .into_iter()
-                .map(Vec::into_iter)
-                .collect()
+    // Stitch: walk the winners in rank order, pulling the next report of
+    // their shard's stream — the order the docs were requested in.
+    let mut streams: Vec<_> = (reports.into_iter())
+        .map(|r| r.unwrap_or_default().into_iter())
+        .collect();
+    let results = outcome
+        .winners
+        .into_iter()
+        .map(|w| ReportedResult {
+            report: streams.get_mut(w.shard).and_then(Iterator::next).flatten(),
+            result: w.result,
         })
         .collect();
-    Ok(outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(qi, outcome)| {
-            let results = outcome
-                .winners
-                .into_iter()
-                .map(|w| ReportedResult {
-                    report: (streams.get_mut(w.shard))
-                        .and_then(|per_query| per_query.get_mut(qi))
-                        .and_then(Iterator::next)
-                        .flatten(),
-                    result: w.result,
-                })
-                .collect();
-            Gather {
-                results,
-                merged: outcome.merged,
-                shipped: outcome.shipped,
-            }
-        })
-        .collect())
+    Ok(Gather {
+        results,
+        merged: outcome.merged,
+        shipped: outcome.shipped,
+    })
 }
 
 /// Replay the per-shard scatter round trips (measured inside the
@@ -674,20 +626,15 @@ impl Backend for Cluster {
     /// *actual* phase-1 generation vector (which may be newer than the
     /// one the lookup used), so a cached body can never be replayed
     /// against a different mixture; a degraded one is never cached.
-    fn miss(&self, req: Parsed, trace: &mut Trace) -> Result<(String, Option<u64>), &'static str> {
-        let (path, wire) = match (req.kind, req.queries.as_slice()) {
-            (Kind::Single, [query]) => (
-                "/shard_query",
-                api::render_shard_query_request(query, &req.params),
-            ),
-            (_, queries) => (
-                "/shard_query_batch",
-                api::render_shard_batch_request(queries, &req.params),
-            ),
-        };
+    fn miss(
+        &self,
+        req: QueryRequest,
+        trace: &mut Trace,
+    ) -> Result<(String, Option<u64>), &'static str> {
+        let wire = api::render_shard_query_request(&req.body, &req.params);
         for attempt in 0..MAX_ATTEMPTS {
             let guard = trace.begin_indexed("scatter", attempt as u32);
-            let fetches = scatter(self, path, &wire, req.queries.len());
+            let fetches = scatter(self, &wire);
             record_shard_rtts(trace, &fetches);
             trace.end(guard);
             let degraded = fetches.iter().filter(|f| f.degraded).count();
@@ -695,37 +642,23 @@ impl Backend for Cluster {
                 return Err("every shard is unreachable");
             }
             let guard = trace.begin_indexed("gather", attempt as u32);
-            let gathered = gather(self, &fetches, &req.queries, &req.params);
+            let gathered = gather(self, &fetches, &req.body, &req.params);
             trace.end(guard);
-            let Ok(gathers) = gathered else {
+            let Ok(g) = gathered else {
                 continue;
             };
-            let merged: Vec<usize> = gathers.iter().map(|g| g.merged).collect();
-            let shipped: Vec<usize> = gathers.iter().map(|g| g.shipped).collect();
-            let (all_merged, all_shipped) = (merged.iter().sum(), shipped.iter().sum());
-            trace.note("merged", all_merged as u64);
-            trace.note("shipped", all_shipped as u64);
+            trace.note("merged", g.merged as u64);
+            trace.note("shipped", g.shipped as u64);
             trace.note("degraded_shards", degraded as u64);
             let shards: Vec<ShardState> = fetches.iter().map(ShardFetch::shard_state).collect();
-            let answers: Vec<Vec<ReportedResult>> =
-                gathers.into_iter().map(|g| g.results).collect();
             let guard = trace.begin("render");
-            let rendered = match (req.kind, answers.as_slice()) {
-                (Kind::Single, [answer]) => api::render_coordinator_response(
-                    &shards,
-                    &req.params,
-                    all_merged,
-                    all_shipped,
-                    answer,
-                ),
-                _ => api::render_coordinator_batch_response(
-                    &shards,
-                    &req.params,
-                    &merged,
-                    &shipped,
-                    &answers,
-                ),
-            };
+            let rendered = api::render_coordinator_response(
+                &shards,
+                &req.params,
+                g.merged,
+                g.shipped,
+                &g.results,
+            );
             trace.end(guard);
             if degraded > 0 {
                 ServerStats::bump(&self.front.stats.degraded);

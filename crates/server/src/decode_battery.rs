@@ -1,6 +1,6 @@
 //! Differential and hostile-input battery for the one-pass request
-//! decoder ([`QueryRequest::parse`], [`BatchRequest::parse`],
-//! `api::parse_reports_request`, [`api::extract_docs`]).
+//! decoder ([`QueryRequest::parse`], `api::parse_reports_request`,
+//! [`api::extract_docs`]).
 //!
 //! The reference is the decoder this crate shipped before: build the
 //! whole `json::Value` tree, then look each field up in it. It is kept
@@ -17,14 +17,14 @@ use proptest::TestRng;
 use sketch_index::{PlanMode, Scorer};
 use sketch_stats::CorrelationEstimator;
 
-use crate::api::{self, BatchRequest, QueryParams, QueryRequest};
+use crate::api::{self, QueryParams, QueryRequest};
 
 /// The tree-walking decoder, as it stood before the reader replaced it.
 mod reference {
     use correlation_sketches::json;
     use sketch_index::DocId;
 
-    use crate::api::{BatchRequest, QueryBody, QueryParams, QueryRequest, MAX_SELECTION};
+    use crate::api::{QueryBody, QueryParams, QueryRequest, MAX_SELECTION};
 
     fn bounded(v: &json::Value, field: &str) -> Result<usize, String> {
         let n = usize::try_from(v.as_u64(field).map_err(|e| e.to_string())?)
@@ -140,35 +140,6 @@ mod reference {
         })
     }
 
-    pub fn parse_batch(body: &[u8], defaults: &QueryParams) -> Result<BatchRequest, String> {
-        let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
-        let value = json::parse(text)?;
-        let obj = value.as_object("request").map_err(|e| e.to_string())?;
-        let params = parse_params(obj, defaults)?;
-        let queries = obj
-            .get("queries")
-            .and_then(|v| v.as_array("queries"))
-            .map_err(|e| e.to_string())?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let q = v
-                    .as_object("queries[]")
-                    .map_err(|e| e.to_string())
-                    .and_then(parse_body);
-                q.map_err(|e| format!("queries[{i}]: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if queries.is_empty() {
-            return Err("queries must be non-empty".into());
-        }
-        Ok(BatchRequest {
-            queries,
-            params,
-            trace: parse_trace(obj)?,
-        })
-    }
-
     pub fn extract_docs(body: &[u8]) -> Result<Vec<DocId>, String> {
         let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
         let value = json::parse(text)?;
@@ -202,14 +173,6 @@ fn defaults() -> [QueryParams; 2] {
     [QueryParams::default(), hostile]
 }
 
-/// `queries[i]: ` when `err` starts that way.
-fn element_prefix(err: &str) -> Option<&str> {
-    let rest = err.strip_prefix("queries[")?;
-    let digits = rest.find("]: ")?;
-    rest.get(..digits)?.parse::<usize>().ok()?;
-    err.get(.."queries[".len() + digits + "]: ".len())
-}
-
 /// Both decoders accepted — then with equal values — or both refused.
 fn same<T: PartialEq + std::fmt::Debug>(
     which: &str,
@@ -240,22 +203,6 @@ fn agree(body: &[u8]) {
             body,
             QueryRequest::parse(body, d).map(|req| (req.fingerprint(), req)),
             reference::parse_query(body, d).map(|req| (req.fingerprint(), req)),
-        );
-        let (new, old) = (
-            BatchRequest::parse(body, d),
-            reference::parse_batch(body, d),
-        );
-        // Both blame a query column: it is the same one.
-        if let (Err(new), Err(old)) = (&new, &old) {
-            if let (Some(new), Some(old)) = (element_prefix(new), element_prefix(old)) {
-                assert_eq!(new, old, "{}", String::from_utf8_lossy(body));
-            }
-        }
-        same(
-            "/query_batch",
-            body,
-            new.map(|req| (req.fingerprint(), req)),
-            old.map(|req| (req.fingerprint(), req)),
         );
         // `/shard_reports`: one pass against the two the worker used to
         // make.
@@ -611,7 +558,6 @@ impl Gen {
             "confidence",
             "plan",
             "trace",
-            "queries",
             "docs",
         ];
         self.extras(&mut fields, &known);
@@ -632,32 +578,6 @@ impl Gen {
                 .collect();
             let docs = self.array(docs);
             fields.push(self.field("docs", &docs));
-        }
-        self.object(fields)
-    }
-
-    /// A `/query_batch`-shaped body.
-    fn batch(&mut self) -> String {
-        let count = if self.chance(3) { 0 } else { 1 + self.below(3) };
-        let queries = (0..count)
-            .map(|_| {
-                if self.chance(2) {
-                    self.junk(1)
-                } else {
-                    let column = self.column();
-                    self.object(column)
-                }
-            })
-            .collect();
-        let queries = self.array(queries);
-        let mut fields = self.shared();
-        if !self.chance(3) {
-            fields.push(self.field("queries", &queries));
-        }
-        // Column fields beside `queries` are unknown there — and make
-        // the body one `/query` accepts too.
-        if self.chance(20) {
-            fields.extend(self.column());
         }
         self.object(fields)
     }
@@ -697,47 +617,25 @@ proptest! {
     #[test]
     fn generated_bodies_decode_as_the_tree_walk_did(seed in any::<u64>()) {
         let mut g = Gen(TestRng::new(seed));
-        let body = if g.chance(50) { g.single() } else { g.batch() };
+        let body = g.single();
         agree(body.as_bytes());
     }
 
     #[test]
     fn mutated_bodies_decode_as_the_tree_walk_did(seed in any::<u64>()) {
         let mut g = Gen(TestRng::new(seed));
-        let mut body = if g.chance(50) { g.single() } else { g.batch() }.into_bytes();
+        let mut body = g.single().into_bytes();
         g.mutate(&mut body);
         agree(&body);
     }
 
-    /// One defect planted in one column of an otherwise valid batch is
-    /// blamed on that column, in the reference's words.
-    #[test]
-    fn batch_errors_keep_their_element_prefix(at in 0usize..4, which in 0usize..8) {
-        let good = r#"{"id":"q","keys":["a","b"],"values":[1,2]}"#;
-        let bad = [
-            r#"{"keys":["a"]}"#,
-            r#"{"values":[1]}"#,
-            r#"{"keys":["a","b"],"values":[1]}"#,
-            r#"{"keys":[],"values":[]}"#,
-            r#"{"keys":["a"],"values":[1e999]}"#,
-            r#"{"keys":[7],"values":[1]}"#,
-            r#"{"keys":["a"],"values":["1"]}"#,
-            r#"[]"#,
-        ][which];
-        let queries: Vec<&str> = (0..4).map(|i| if i == at { bad } else { good }).collect();
-        let body = format!(r#"{{"k":3,"queries":[{}],"trace":true}}"#, queries.join(","));
-        agree(body.as_bytes());
-        let [d, _] = defaults();
-        let new = BatchRequest::parse(body.as_bytes(), &d).unwrap_err();
-        prop_assert!(new.starts_with(&format!("queries[{at}]: ")), "{}", new);
-        prop_assert_eq!(new, reference::parse_batch(body.as_bytes(), &d).unwrap_err());
-    }
 }
 
 const SINGLE: &str = r#"{"id":"taxi 😀","keys":["a","café","\"q\""], "values":[1.5,-0,1e3],
     "k":3,"candidates":7,"estimator":"spearman","min_sample":5,"alpha":0.1,"scorer":"s4",
     "confidence":0.9,"plan":"two-pass@0.995","trace":true,"docs":[4,0,9],"extra":{"a":[1,{"b":null}]}}"#;
-const BATCH: &str = r#"{"queries":[{"keys":["a"],"values":[1]},{"id":"q2","keys":["b","c"],"values":[2,-3e-2],"note":[[]]}],
+/// Nested objects and arrays in an unknown field, beside a valid column.
+const NESTED: &str = r#"{"queries":[{"keys":["a"],"values":[1]},{"id":"q2","keys":["b","c"],"values":[2,-3e-2],"note":[[]]}],
     "k":5,"trace":true,"keys":["x"],"values":[1]}"#;
 
 /// Cutting a request short anywhere is an error on every decoder (the
@@ -745,17 +643,14 @@ const BATCH: &str = r#"{"queries":[{"keys":["a"],"values":[1]},{"id":"q2","keys"
 /// cuts).
 #[test]
 fn truncation_at_every_byte_of_a_fixture() {
-    for fixture in [SINGLE, BATCH] {
+    for fixture in [SINGLE, NESTED] {
         let bytes = fixture.as_bytes();
         let [d, _] = defaults();
-        assert!(
-            api::parse_reports_request(bytes, &d).is_ok() || BatchRequest::parse(bytes, &d).is_ok()
-        );
+        assert!(QueryRequest::parse(bytes, &d).is_ok());
         for cut in 0..bytes.len() {
             let head = &bytes[..cut];
             agree(head);
             assert!(QueryRequest::parse(head, &d).is_err(), "cut at {cut}");
-            assert!(BatchRequest::parse(head, &d).is_err(), "cut at {cut}");
             assert!(api::extract_docs(head).is_err(), "cut at {cut}");
         }
         agree(bytes);
@@ -814,11 +709,6 @@ fn single_defects_keep_their_wording() {
             "{body}"
         );
         assert_eq!(
-            BatchRequest::parse(bytes, &d).err(),
-            reference::parse_batch(bytes, &d).err(),
-            "{body}"
-        );
-        assert_eq!(
             api::extract_docs(bytes).err(),
             reference::extract_docs(bytes).err(),
             "{body}"
@@ -836,12 +726,11 @@ fn a_bracket_bomb_in_an_unknown_field_is_an_error() {
     let [d, _] = defaults();
     for bomb in ["[".repeat(512 * 1024), "{\"a\":".repeat(128 * 1024)] {
         let single = format!(r#"{{"keys":["a"],"values":[1],"docs":[1],"x":{bomb}"#);
-        let batch = format!(r#"{{"queries":[{{"keys":["a"],"values":[1],"x":{bomb}"#);
-        for body in [single, batch] {
+        let nested = format!(r#"{{"queries":[{{"keys":["a"],"values":[1],"x":{bomb}"#);
+        for body in [single, nested] {
             agree(body.as_bytes());
             let err = QueryRequest::parse(body.as_bytes(), &d).unwrap_err();
             assert!(err.contains("nesting") || err.contains("missing"), "{err}");
-            assert!(BatchRequest::parse(body.as_bytes(), &d).is_err());
             assert!(api::extract_docs(body.as_bytes())
                 .unwrap_err()
                 .contains("nesting"));

@@ -307,11 +307,11 @@ fn find_head_end(buf: &[u8], scanned: usize) -> Option<usize> {
 
 /// The content type every response carries unless the route overrides
 /// it (only `/metrics` does, with the Prometheus text type).
-pub const CONTENT_TYPE_JSON: &str = "application/json";
+pub(crate) const CONTENT_TYPE_JSON: &str = "application/json";
 
 /// Everything that shapes one rendered response: status line, body,
 /// connection handling, and headers.
-pub struct ResponsePayload<'a> {
+pub(crate) struct ResponsePayload<'a> {
     /// HTTP status code.
     pub status: u16,
     /// Response body.
@@ -393,7 +393,7 @@ pub fn write_response(
 ///
 /// `TimedOut` past the deadline or on shutdown, otherwise the stream's
 /// write error.
-pub fn write_response_bounded(
+pub(crate) fn write_response_bounded(
     stream: &mut impl Write,
     payload: &ResponsePayload<'_>,
     shutdown: &AtomicBool,

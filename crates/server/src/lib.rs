@@ -12,26 +12,26 @@
 //!
 //! | method & path        | purpose |
 //! |----------------------|---------|
-//! | `POST /query`        | top-k join-correlation query with uncertainty reports |
-//! | `POST /query_batch`  | many queries ranked under shared parameters |
+//! | `POST /query`        | top-k join-correlation query (one query column) with uncertainty reports |
 //! | `GET /corpus`        | store generation + shard/tombstone shape |
 //! | `GET /healthz`       | liveness + served generation |
 //! | `GET /stats`         | request counters, cache hits, latency percentiles |
 //! | `GET /metrics`       | the same counters as Prometheus text |
-//! | `POST /shard_query`, `/shard_query_batch` | a worker's half of a coordinator's scatter: candidate rows with score bounds, no reports |
+//! | `POST /shard_query`  | a worker's half of a coordinator's scatter: candidate rows with score bounds, no reports |
 //! | `POST /shard_reports` | full uncertainty reports for the shard-local docs the coordinator's merge kept |
 //!
 //! The `/shard_*` endpoints exist on a store-serving server only; a
-//! [`coordinator`] answers the first six and calls the rest.
+//! [`coordinator`] answers the first five and calls the rest.
 //!
 //! # Design invariants
 //!
-//! * **One request pipeline.** `/query` and `/query_batch`, on a single
-//!   server and on a [`coordinator`], run the same memo → cache → parse →
-//!   *miss* → cache → trace sequence (`pipeline`), generic over the
-//!   request kind and over the backend that computes a miss: `Local`
-//!   runs [`sketch_index::engine::execute`] on the current snapshot,
-//!   `Cluster` scatters to its workers and gathers.
+//! * **One request pipeline, one query per request.** `/query`, on a
+//!   single server and on a [`coordinator`], runs the memo → cache →
+//!   parse → *miss* → cache → trace sequence (`pipeline`), generic over
+//!   the backend that computes a miss: `Local` runs
+//!   [`sketch_index::engine::execute`] on the current snapshot, `Cluster`
+//!   scatters to its workers and gathers. Many queries are many
+//!   requests, on one keep-alive connection if the client likes.
 //! * **Snapshot reads.** Queries run on an immutable
 //!   [`IndexSnapshot`] behind an `Arc`; the only
 //!   synchronized step is cloning that `Arc`. No query ever blocks on a
@@ -133,10 +133,10 @@ pub mod signal;
 pub mod snapshot;
 pub mod stats;
 
-pub use api::{render_batch_response, render_query_response, QueryParams};
+pub use api::QueryParams;
 pub use cache::QueryCache;
 pub use client::{HttpClient, Response};
 pub use coordinator::{start_coordinator, CoordinatorConfig, CoordinatorHandle};
 pub use server::{start, ServerConfig, ServerError, ServerHandle};
-pub use snapshot::{IndexSnapshot, SnapshotCell};
+pub use snapshot::IndexSnapshot;
 pub use stats::ServerStats;

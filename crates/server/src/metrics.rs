@@ -50,7 +50,6 @@ fn push_common(out: &mut String, stats: &ServerStats, cache_entries: u64, cache_
     );
     for (endpoint, c) in [
         ("query", &stats.query),
-        ("query_batch", &stats.query_batch),
         ("shard", &stats.shard),
         ("corpus", &stats.corpus),
         ("healthz", &stats.healthz),
@@ -69,12 +68,6 @@ fn push_common(out: &mut String, stats: &ServerStats, cache_entries: u64, cache_
         "sketch_errors_total",
         "Responses with a non-2xx status.",
         load(&stats.errors),
-    );
-    counter(
-        out,
-        "sketch_batched_queries_total",
-        "Individual queries inside /query_batch requests.",
-        load(&stats.batched_queries),
     );
     counter(
         out,
@@ -168,7 +161,7 @@ fn push_common(out: &mut String, stats: &ServerStats, cache_entries: u64, cache_
         out,
         "sketch_query_latency_seconds",
         "histogram",
-        "Answered /query and /query_batch latency.",
+        "Answered /query latency.",
     );
     promtext::push_log2_us_histogram(
         out,

@@ -1,5 +1,6 @@
-//! The one request pipeline under `/query` and `/query_batch`, shared by
-//! the single-store server and the scatter-gather coordinator.
+//! The one request pipeline under `/query` — one query column per
+//! request — shared by the single-store server and the scatter-gather
+//! coordinator.
 //!
 //! Both front ends answer a query the same way until the moment the
 //! answer has to be computed: hash the raw body, consult the parse memo,
@@ -8,10 +9,11 @@
 //! the trace (started, when only the decoded body asks for one, back at
 //! the instant the decode began). That sequence, the routing table in
 //! front of it and the accept pool underneath it are written once here,
-//! generic over the request [`Kind`] (a single query is a batch of one)
-//! and over a [`Backend`] that supplies the one step that differs:
+//! generic over a [`Backend`] that supplies the one step that differs:
 //! `Local` ([`crate::server`]) runs the engine on its snapshot, `Cluster`
-//! ([`crate::coordinator`]) scatters to its workers and gathers.
+//! ([`crate::coordinator`]) scatters to its workers and gathers. A batch
+//! of queries is that many `/query` requests, on one keep-alive
+//! connection if the client likes.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,72 +23,19 @@ use std::time::{Duration, Instant};
 
 use sketch_obs::{Trace, NO_INDEX};
 
-use crate::api::{self, BatchRequest, QueryBody, QueryParams, QueryRequest};
+use crate::api::{self, QueryParams, QueryRequest};
 use crate::cache::{self, CacheKey, ParseMemo, QueryCache};
 use crate::conn::{self, Body, ConnLimits};
 use crate::http::Request;
 use crate::stats::ServerStats;
 
-/// Which public query endpoint a request came in on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kind {
-    /// `POST /query`.
-    Single,
-    /// `POST /query_batch`.
-    Batch,
-}
-
-/// A parsed request of either kind: the query columns (exactly one for
-/// [`Kind::Single`]) ranked under one set of parameters.
-pub(crate) struct Parsed {
-    pub kind: Kind,
-    pub queries: Vec<QueryBody>,
-    pub params: QueryParams,
-    memo: Memoized,
-}
-
 /// What the parse memo remembers about a raw body: everything the
-/// cache-hit path needs without parsing — the endpoint the bytes were
-/// parsed for (one body can be valid on both), the canonical
-/// fingerprint, the query count `batched_queries` accounts (0 for a
-/// single query), and whether the request asked for its trace.
+/// cache-hit path needs without parsing — the canonical fingerprint and
+/// whether the request asked for its trace.
 #[derive(Clone, Copy)]
 struct Memoized {
-    kind: Kind,
     fingerprint: u128,
-    batched: u64,
     trace: bool,
-}
-
-impl Kind {
-    fn parse(self, body: &[u8], defaults: &QueryParams) -> Result<Parsed, String> {
-        let memo = |fingerprint, batched, trace| Memoized {
-            kind: self,
-            fingerprint,
-            batched,
-            trace,
-        };
-        Ok(match self {
-            Self::Single => {
-                let req = QueryRequest::parse(body, defaults)?;
-                Parsed {
-                    kind: self,
-                    memo: memo(req.fingerprint(), 0, req.trace),
-                    queries: vec![req.body],
-                    params: req.params,
-                }
-            }
-            Self::Batch => {
-                let req = BatchRequest::parse(body, defaults)?;
-                Parsed {
-                    kind: self,
-                    memo: memo(req.fingerprint(), req.queries.len() as u64, req.trace),
-                    queries: req.queries,
-                    params: req.params,
-                }
-            }
-        })
-    }
 }
 
 /// The state every front end keeps in front of its backend.
@@ -124,15 +73,12 @@ impl FrontEnd {
     }
 
     /// Probe the response cache, accounting a hit.
-    fn probe(&self, trace: &mut Trace, key: CacheKey, batched: u64) -> Option<Arc<str>> {
+    fn probe(&self, trace: &mut Trace, key: CacheKey) -> Option<Arc<str>> {
         let guard = trace.begin("cache_probe");
         let cached = self.cache.get(&key);
         trace.end(guard);
         if cached.is_some() {
             ServerStats::bump(&self.stats.cache_hits);
-            self.stats
-                .batched_queries
-                .fetch_add(batched, Ordering::Relaxed);
         }
         cached
     }
@@ -157,19 +103,22 @@ pub(crate) trait Backend: Send + Sync + 'static {
     /// cached under, which may be newer than the one the probe used;
     /// `None` keeps the body out of the cache. `Err` is the reason for a
     /// 503.
-    fn miss(&self, req: Parsed, trace: &mut Trace) -> Result<(String, Option<u64>), &'static str>;
+    fn miss(
+        &self,
+        req: QueryRequest,
+        trace: &mut Trace,
+    ) -> Result<(String, Option<u64>), &'static str>;
 
-    /// Serve any endpoint other than `/query`, `/query_batch`, `/stats`.
+    /// Serve any endpoint other than `/query` and `/stats`.
     fn endpoint(&self, path: &str, body: &[u8]) -> (u16, Body);
 }
 
 /// The endpoints both front ends serve, each with the method it allows.
-const SHARED: [(&str, &str); 5] = [
+const SHARED: [(&str, &str); 4] = [
     ("/healthz", "GET"),
     ("/stats", "GET"),
     ("/metrics", "GET"),
     ("/query", "POST"),
-    ("/query_batch", "POST"),
 ];
 
 /// Bind `addr` and start `threads` accept loops routing into `backend`.
@@ -242,8 +191,7 @@ pub(crate) fn route<B: Backend>(backend: &B, req: &Request) -> (u16, Body, Optio
         return (405, body, Some(method));
     }
     let (status, body) = match path {
-        "/query" => query(backend, Kind::Single, &req.body),
-        "/query_batch" => query(backend, Kind::Batch, &req.body),
+        "/query" => query(backend, &req.body),
         "/stats" => {
             ServerStats::bump(&backend.front().stats.stats);
             (200, Body::Owned(stats_json(backend)))
@@ -253,15 +201,12 @@ pub(crate) fn route<B: Backend>(backend: &B, req: &Request) -> (u16, Body, Optio
     (status, body, None)
 }
 
-/// `POST /query` / `POST /query_batch`: count, answer, time.
-fn query<B: Backend>(backend: &B, kind: Kind, body: &[u8]) -> (u16, Body) {
+/// `POST /query`: count, answer, time.
+fn query<B: Backend>(backend: &B, body: &[u8]) -> (u16, Body) {
     let stats = &backend.front().stats;
-    ServerStats::bump(match kind {
-        Kind::Single => &stats.query,
-        Kind::Batch => &stats.query_batch,
-    });
+    ServerStats::bump(&stats.query);
     let t0 = Instant::now();
-    let response = answer(backend, kind, body);
+    let response = answer(backend, body);
     // Only answered queries feed the histogram — microsecond 400
     // rejections would otherwise drag p50/p95 down and mask real
     // served-query latency.
@@ -272,11 +217,11 @@ fn query<B: Backend>(backend: &B, kind: Kind, body: &[u8]) -> (u16, Body) {
     response
 }
 
-fn answer<B: Backend>(backend: &B, kind: Kind, body: &[u8]) -> (u16, Body) {
+fn answer<B: Backend>(backend: &B, body: &[u8]) -> (u16, Body) {
     let front = backend.front();
     let raw = api::raw_fingerprint(body);
     let generation = backend.generation();
-    let memo = front.memo.get(raw).filter(|m| m.kind == kind);
+    let memo = front.memo.get(raw);
     // Trace when the slow-query log needs every request traced, or the
     // request asked: the memo knows for bytes seen before; new bytes say
     // so only once decoded, below.
@@ -291,36 +236,36 @@ fn answer<B: Backend>(backend: &B, kind: Kind, body: &[u8]) -> (u16, Body) {
     // fingerprint (and trace flag) before — skip the parse when the
     // answer is cached.
     if let Some(m) = memo {
-        if let Some(hit) = front.probe(&mut trace, (m.fingerprint, generation), m.batched) {
+        if let Some(hit) = front.probe(&mut trace, (m.fingerprint, generation)) {
             return finish(&trace, m.trace, 200, Body::Shared(hit));
         }
     }
     let decode_started = Instant::now();
-    let parsed = kind.parse(body, &front.defaults);
+    // The `parse` span covers the decode and the fingerprint.
+    let parsed = QueryRequest::parse(body, &front.defaults).map(|req| {
+        let fingerprint = req.fingerprint();
+        let trace = req.trace;
+        (req, Memoized { fingerprint, trace })
+    });
     // The decoded flag is the source of truth for new bytes, wherever in
     // the body and however spelled: a trace asked for only now starts
     // where the decode did, so its `parse` span is never lost.
-    if !trace.is_enabled() && parsed.as_ref().is_ok_and(|req| req.memo.trace) {
+    if !trace.is_enabled() && parsed.as_ref().is_ok_and(|(_, m)| m.trace) {
         trace = Trace::enabled_at(decode_started);
     }
     if trace.is_enabled() {
         let took = decode_started.elapsed();
         trace.record("parse", NO_INDEX, decode_started, took);
     }
-    let req = match parsed {
-        Ok(req) => req,
+    let (req, m) = match parsed {
+        Ok(parsed) => parsed,
         Err(msg) => return finish(&trace, false, 400, Body::Owned(api::render_error(&msg))),
     };
-    let m = req.memo;
     front.memo.put(raw, m);
-    if let Some(hit) = front.probe(&mut trace, (m.fingerprint, generation), m.batched) {
+    if let Some(hit) = front.probe(&mut trace, (m.fingerprint, generation)) {
         return finish(&trace, m.trace, 200, Body::Shared(hit));
     }
     ServerStats::bump(&front.stats.cache_misses);
-    front
-        .stats
-        .batched_queries
-        .fetch_add(m.batched, Ordering::Relaxed);
     match backend.miss(req, &mut trace) {
         Ok((rendered, answered_at)) => {
             // The cache stores only the untraced body: a traced request
@@ -376,7 +321,7 @@ mod tests {
 
         fn miss(
             &self,
-            req: Parsed,
+            req: QueryRequest,
             trace: &mut Trace,
         ) -> Result<(String, Option<u64>), &'static str> {
             self.executed.fetch_add(1, Ordering::Relaxed);
@@ -384,8 +329,8 @@ mod tests {
                 .fetch_add(u64::from(trace.is_enabled()), Ordering::Relaxed);
             let generation = self.generation();
             let body = format!(
-                "{{\"generation\":{generation},\"n\":{}}}",
-                req.queries.len()
+                "{{\"generation\":{generation},\"keys\":{}}}",
+                req.body.keys.len()
             );
             let healthy = !self.degraded.load(Ordering::Relaxed);
             Ok((body, healthy.then_some(generation)))
@@ -463,19 +408,9 @@ mod tests {
         ("bump: old entries are unreachable", Y, [0, 1, 1, 0], "4"),
     ];
 
-    /// The query as `kind`'s endpoint takes it: bare, or a batch of one
-    /// (with the shared `trace` field lifted to the batch object).
-    fn spell(kind: Kind, query: &str) -> String {
-        match (kind, query.rsplit_once(r#"],"tr"#)) {
-            (Kind::Single, _) => query.to_string(),
-            (Kind::Batch, None) => format!(r#"{{"queries":[{query}]}}"#),
-            (Kind::Batch, Some((q, flag))) => format!(r#"{{"queries":[{q}]}}],"tr{flag}"#),
-        }
-    }
-
-    /// Runs [`SCRIPT`] through `route`; returns the final `[cache_hits,
-    /// cache_misses, batched_queries]`.
-    fn run_script(kind: Kind) -> [u64; 3] {
+    /// Runs [`SCRIPT`] through `route`, row by row.
+    #[test]
+    fn front_half_follows_the_script() {
         let stub = stub(8);
         let stats = &stub.front.stats;
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
@@ -484,37 +419,25 @@ mod tests {
             let (hits, misses) = (load(&stats.cache_hits), load(&stats.cache_misses));
             [hits, misses, load(&stub.executed), cached]
         };
-        let path = match kind {
-            Kind::Single => "/query",
-            Kind::Batch => "/query_batch",
-        };
         for (what, query, delta, answer) in SCRIPT {
             if what.starts_with("bump") || what.starts_with("degrade") {
                 stub.generation.fetch_add(1, Ordering::Relaxed);
                 stub.degraded
                     .fetch_or(what.starts_with("degrade"), Ordering::Relaxed);
             }
-            let request = post(path, spell(kind, query));
-            let (was, batched_was) = (observe(), load(&stats.batched_queries));
+            let request = post("/query", query.to_string());
+            let was = observe();
             let live_was = load(&stub.traced);
             let (status, body, _) = route(&stub, &request);
-            let (what, body) = (format!("{kind:?}: {what}"), body.as_str());
+            let body = body.as_str();
             let now = observe();
             assert_eq!([0, 1, 2, 3].map(|i| now[i] - was[i]), delta, "{what}");
             let answered = answer != "400";
             assert_eq!(status, if answered { 200 } else { 400 }, "{what}");
-            // Only an answered batch counts its (one) query — on every
-            // path: memo hit, parsed hit, miss, degraded.
-            let batched = u64::from(kind == Kind::Batch && answered);
-            assert_eq!(
-                load(&stats.batched_queries) - batched_was,
-                batched,
-                "{what}"
-            );
             let memo = stub.front.memo.get(api::raw_fingerprint(&request.body));
             assert_eq!(memo.is_some(), answered, "{what}");
             let (generation, traced) = answer.split_once(' ').unwrap_or((answer, ""));
-            let prefix = format!("{{\"generation\":{generation},\"n\":1");
+            let prefix = format!("{{\"generation\":{generation},\"keys\":");
             assert_eq!(body.starts_with(&prefix), answered, "{what}: {body}");
             let traced = traced == "traced";
             assert_eq!(body.contains("\"trace\":{"), traced, "{what}");
@@ -529,34 +452,7 @@ mod tests {
             13,
             "400s are untimed"
         );
-        let batched = load(&stats.batched_queries);
-        [load(&stats.cache_hits), load(&stats.cache_misses), batched]
-    }
-
-    /// The front half behaves the same whichever endpoint a query comes
-    /// in on: `/query` X and `/query_batch` [X] move `cache_hits` and
-    /// `cache_misses` in lockstep, and `batched_queries` stays what
-    /// `/stats` documents — queries inside answered batches.
-    #[test]
-    fn front_half_is_one_pipeline_for_both_kinds() {
-        assert_eq!(run_script(Kind::Single), [6, 7, 0]);
-        assert_eq!(run_script(Kind::Batch), [6, 7, 13]);
-    }
-
-    /// One body can be valid on both endpoints; the memo must not let
-    /// `/query_batch` replay what `/query` cached for the same bytes.
-    #[test]
-    fn the_memo_keeps_the_two_endpoints_apart() {
-        let stub = stub(8);
-        let both = format!(r#"{{"keys":["a"],"values":[1.0],"queries":[{X},{Y}]}}"#);
-        for _ in 0..2 {
-            for (kind, n) in [(Kind::Single, 1), (Kind::Batch, 2)] {
-                let (status, body) = answer(&stub, kind, both.as_bytes());
-                assert_eq!(status, 200);
-                assert_eq!(body.as_str(), format!("{{\"generation\":1,\"n\":{n}}}"));
-            }
-        }
-        assert_eq!(stub.executed.load(Ordering::Relaxed), 2);
+        assert_eq!([load(&stats.cache_hits), load(&stats.cache_misses)], [6, 7]);
     }
 
     #[test]
@@ -573,8 +469,10 @@ mod tests {
         assert_eq!(ask("GET", "/healthz?probe=1"), (200, None));
         assert_eq!(ask("GET", "/stats"), (200, None));
         assert_eq!(ask("HEAD", "/metrics"), (405, Some("GET")));
-        assert_eq!(ask("GET", "/query_batch"), (405, Some("POST")));
+        assert_eq!(ask("GET", "/query"), (405, Some("POST")));
         assert_eq!(ask("POST", "/query"), (400, None));
+        // The many-query route is gone: a batch is N `/query` requests.
+        assert_eq!(ask("POST", concat!("/query", "_batch")), (404, None));
         assert_eq!(ask("POST", "/shard_query"), (404, None));
         assert_eq!(ask("GET", "/"), (404, None));
     }

@@ -41,10 +41,10 @@ use sketch_index::engine;
 use sketch_obs::{promtext, Trace};
 use sketch_store::StoreError;
 
-use crate::api::{self, BatchRequest, QueryParams, QueryRequest};
+use crate::api::{self, QueryParams, QueryRequest};
 use crate::conn::{Body, ConnLimits};
 use crate::metrics;
-use crate::pipeline::{self, Backend, FrontEnd, Kind, Parsed};
+use crate::pipeline::{self, Backend, FrontEnd};
 use crate::snapshot::{refresh, IndexSnapshot, RefreshOutcome, SnapshotCell};
 use crate::stats::ServerStats;
 
@@ -69,10 +69,10 @@ pub struct ServerConfig {
     /// that trickle a partial head or body forever and by clients that
     /// never drain their response; zero disables both deadlines.
     pub request_timeout: Duration,
-    /// When set, trace every `/query` and `/query_batch` internally and
-    /// log one structured line (with the full span tree) for each
-    /// request whose total reaches the threshold. `None` disables both
-    /// the logging and the always-on tracing it requires.
+    /// When set, trace every `/query` internally and log one structured
+    /// line (with the full span tree) for each request whose total
+    /// reaches the threshold. `None` disables both the logging and the
+    /// always-on tracing it requires.
     pub slow_query: Option<Duration>,
     /// Default ranking parameters for requests that omit them.
     pub defaults: QueryParams,
@@ -272,7 +272,11 @@ fn refresher_loop(ctx: &Local, interval: Duration) {
                         RefreshOutcome::Rebuilt => ServerStats::bump(&stats.rebuilds),
                     }
                 }
-                Ok(Err(e)) => {
+                Ok(Err((e, store_generation))) => {
+                    // The lag stays visible while the catch-up fails.
+                    if let Some(generation) = store_generation {
+                        stats.store_generation.store(generation, Ordering::Relaxed);
+                    }
                     // Keep serving the old snapshot; a mutation that is
                     // mid-write will be complete by a later poll.
                     eprintln!("sketch-serve: refresh failed (will retry): {e}");
@@ -297,7 +301,6 @@ impl Backend for Local {
         // and are deliberately uncached — the coordinator caches merged
         // responses under the shard-generation vector.
         ("/shard_query", "POST"),
-        ("/shard_query_batch", "POST"),
         ("/shard_reports", "POST"),
     ];
 
@@ -309,38 +312,26 @@ impl Backend for Local {
         self.cell.load().generation()
     }
 
-    /// Snapshot → sketch the query columns → [`engine::execute`] →
+    /// Snapshot → sketch the query column → [`engine::execute`] →
     /// render. Queries never take a lock: the whole miss runs on one
     /// immutable snapshot, whose generation the answer is cached under.
-    fn miss(&self, req: Parsed, trace: &mut Trace) -> Result<(String, Option<u64>), &'static str> {
+    fn miss(
+        &self,
+        req: QueryRequest,
+        trace: &mut Trace,
+    ) -> Result<(String, Option<u64>), &'static str> {
         let snap = self.cell.load();
         let guard = trace.begin("build_query");
-        let sketches: Vec<_> = req
-            .queries
-            .into_iter()
-            .map(|q| snap.build_query(&q.id, q.keys, q.values))
-            .collect();
+        let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
         trace.end(guard);
-        let guard = trace.begin(match req.kind {
-            Kind::Single => "execute",
-            Kind::Batch => "batch_execute",
-        });
+        let guard = trace.begin("execute");
         let (opts, alpha) = (req.params.to_options(), Some(req.params.alpha));
-        let outputs = engine::execute(snap.index(), &sketches, &opts, alpha, trace);
+        let out = engine::execute(snap.index(), &sketch, &opts, alpha, trace);
         trace.end(guard);
-        let answers: Vec<_> = outputs
-            .into_iter()
-            .map(|out| {
-                self.front.stats.absorb_plan(&out.stats);
-                out.results
-            })
-            .collect();
+        self.front.stats.absorb_plan(&out.stats);
         let guard = trace.begin("render");
         let generation = snap.generation();
-        let rendered = match (req.kind, answers.as_slice()) {
-            (Kind::Single, [answer]) => api::render_query_response(generation, &req.params, answer),
-            (_, answers) => api::render_batch_response(generation, &req.params, answers),
-        };
+        let rendered = api::render_query_response(generation, &req.params, &out.results);
         trace.end(guard);
         Ok((rendered, Some(generation)))
     }
@@ -377,7 +368,6 @@ impl Backend for Local {
                 ServerStats::bump(&stats.shard);
                 let answered = match path {
                     "/shard_query" => self.shard_query(&snap, body),
-                    "/shard_query_batch" => self.shard_batch(&snap, body),
                     _ => self.shard_reports(&snap, body),
                 };
                 match answered {
@@ -433,25 +423,6 @@ impl Local {
         let (generation, sketches) = (snap.generation(), snap.index().len());
         Ok(api::render_shard_query_response(
             generation, sketches, &rows,
-        ))
-    }
-
-    /// `POST /shard_query_batch`: the scattered `/query_batch` half — one
-    /// candidate-row list per query, all from one snapshot.
-    fn shard_batch(&self, snap: &IndexSnapshot, body: &[u8]) -> Result<String, String> {
-        let req = BatchRequest::parse(body, &self.front.defaults)?;
-        let opts = req.params.to_options();
-        let queries: Vec<_> = req
-            .queries
-            .into_iter()
-            .map(|q| {
-                let sketch = snap.build_query(&q.id, q.keys, q.values);
-                engine::shard_candidates(snap.index(), &sketch, &opts)
-            })
-            .collect();
-        let (generation, sketches) = (snap.generation(), snap.index().len());
-        Ok(api::render_shard_batch_response(
-            generation, sketches, &queries,
         ))
     }
 

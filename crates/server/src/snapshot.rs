@@ -127,16 +127,19 @@ pub enum RefreshOutcome {
 ///
 /// # Errors
 ///
-/// [`StoreError`] when the store cannot be read; the served snapshot is
-/// left unchanged (the caller retries on its next poll).
+/// [`StoreError`] when the store cannot be read, paired with the
+/// on-disk generation when the manifest itself was read (the catch-up
+/// or the rebuild is what failed); the served snapshot is left
+/// unchanged (the caller retries on its next poll).
 pub fn refresh(
     cell: &SnapshotCell,
     dir: &Path,
     threads: usize,
-) -> Result<(RefreshOutcome, u64), StoreError> {
+) -> Result<(RefreshOutcome, u64), (StoreError, Option<u64>)> {
     let current = cell.load();
-    let manifest = Manifest::load(dir)?;
+    let manifest = Manifest::load(dir).map_err(|e| (e, None))?;
     let store_generation = manifest.generation;
+    let failed = |e| (e, Some(store_generation));
     if manifest.generation == current.generation() {
         return Ok((RefreshOutcome::Unchanged, store_generation));
     }
@@ -154,11 +157,11 @@ pub fn refresh(
                 Some(SketchError::StaleGeneration { .. })
             ) =>
         {
-            let rebuilt = IndexSnapshot::from_store(dir, threads)?;
+            let rebuilt = IndexSnapshot::from_store(dir, threads).map_err(failed)?;
             cell.store(Arc::new(rebuilt));
             Ok((RefreshOutcome::Rebuilt, store_generation))
         }
-        Err(e) => Err(e),
+        Err(e) => Err(failed(e)),
     }
 }
 

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Number of log2 histogram buckets: covers up to ~2^40 µs ≈ 12 days.
-pub const BUCKETS: usize = 40;
+pub(crate) const BUCKETS: usize = 40;
 
 /// A latency histogram with power-of-two microsecond buckets, plus
 /// exact sum/min/max — the log2 buckets alone are accurate to ~50% per
@@ -48,7 +48,7 @@ impl LatencyHistogram {
 
     /// Copy out the bucket counts.
     #[must_use]
-    pub fn snapshot(&self) -> [u64; BUCKETS] {
+    pub(crate) fn snapshot(&self) -> [u64; BUCKETS] {
         let mut out = [0u64; BUCKETS];
         for (o, b) in out.iter_mut().zip(&self.buckets) {
             *o = b.load(Ordering::Relaxed);
@@ -58,7 +58,7 @@ impl LatencyHistogram {
 
     /// Exact sum of every recorded latency, µs.
     #[must_use]
-    pub fn sum_us(&self) -> u64 {
+    pub(crate) fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
     }
 
@@ -128,12 +128,8 @@ pub struct ServerStats {
     pub requests: AtomicU64,
     /// `POST /query` requests.
     pub query: AtomicU64,
-    /// `POST /query_batch` requests.
-    pub query_batch: AtomicU64,
-    /// Individual queries inside batch requests.
-    pub batched_queries: AtomicU64,
-    /// Internal shard endpoints (`/shard_query`, `/shard_query_batch`,
-    /// `/shard_reports`) served for a coordinator.
+    /// Internal shard endpoints (`/shard_query`, `/shard_reports`)
+    /// served for a coordinator.
     pub shard: AtomicU64,
     /// `GET /corpus` requests.
     pub corpus: AtomicU64,
@@ -178,8 +174,7 @@ pub struct ServerStats {
     pub plan_pruned: AtomicU64,
     /// Planner totals: promotion fixed-point rounds.
     pub plan_promotion_rounds: AtomicU64,
-    /// Query latency histogram (`/query` and `/query_batch`, cache hits
-    /// included).
+    /// `/query` latency histogram (cache hits included).
     pub latency: LatencyHistogram,
 }
 
@@ -192,8 +187,6 @@ impl Default for ServerStats {
                 .map_or(0, |d| d.as_secs()),
             requests: AtomicU64::new(0),
             query: AtomicU64::new(0),
-            query_batch: AtomicU64::new(0),
-            batched_queries: AtomicU64::new(0),
             shard: AtomicU64::new(0),
             corpus: AtomicU64::new(0),
             healthz: AtomicU64::new(0),
@@ -220,18 +213,18 @@ impl Default for ServerStats {
 
 impl ServerStats {
     /// Bump a counter by one.
-    pub fn bump(counter: &AtomicU64) {
+    pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Whole seconds since the server started.
     #[must_use]
-    pub fn uptime_s(&self) -> u64 {
+    pub(crate) fn uptime_s(&self) -> u64 {
         self.started.elapsed().as_secs()
     }
 
     /// Fold one answered query's planner statistics into the totals.
-    pub fn absorb_plan(&self, plan: &sketch_index::PlanStats) {
+    pub(crate) fn absorb_plan(&self, plan: &sketch_index::PlanStats) {
         self.plan_candidates
             .fetch_add(plan.candidates as u64, Ordering::Relaxed);
         self.plan_cheap_invocations
@@ -248,14 +241,13 @@ impl ServerStats {
     /// with `cached` (current cache entry count) and `generation` passed
     /// in by the caller.
     #[must_use]
-    pub fn to_json(&self, generation: u64, cached: usize) -> String {
+    pub(crate) fn to_json(&self, generation: u64, cached: usize) -> String {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let counts = self.latency.snapshot();
         let served: u64 = counts.iter().sum();
         format!(
             "{{\"generation\":{generation},\"uptime_s\":{},\"started_unix\":{},\
-             \"requests\":{},\"query\":{},\
-             \"query_batch\":{},\"batched_queries\":{},\"shard\":{},\"corpus\":{},\
+             \"requests\":{},\"query\":{},\"shard\":{},\"corpus\":{},\
              \"healthz\":{},\"stats\":{},\"errors\":{},\"degraded\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{cached},\
              \"refreshes\":{},\"rebuilds\":{},\"latency\":{{\"count\":{served},\
@@ -265,8 +257,6 @@ impl ServerStats {
             self.started_unix,
             load(&self.requests),
             load(&self.query),
-            load(&self.query_batch),
-            load(&self.batched_queries),
             load(&self.shard),
             load(&self.corpus),
             load(&self.healthz),

@@ -359,104 +359,3 @@ fn early_termination_ships_strictly_fewer_rows() {
     assert!(shipped >= 3, "must ship at least k rows");
     cluster.shutdown();
 }
-
-/// Batch scatter-gather: `/query_batch` over the cluster answers every
-/// query byte-identically to the single-process batch engine, with
-/// per-query merged/shipped accounting from the replay.
-#[test]
-fn coordinator_batch_matches_single_process() {
-    let planted = generate_planted(&PlantedConfig {
-        queries: 2,
-        true_per_query: 4,
-        noise_per_query: 8,
-        traps_per_query: 4,
-        rows: 200,
-        trap_keys: 8,
-        seed: 7,
-    });
-    let builder = SketchBuilder::new(SketchConfig::with_size(128));
-    let sketches: Vec<_> = planted.corpus.iter().map(|p| builder.build(p)).collect();
-
-    let dir = TempDir::new("batch");
-    let union_store = dir.0.join("union");
-    pack_corpus(
-        &union_store,
-        &sketches,
-        &PackOptions {
-            shards: 2,
-            threads: 2,
-        },
-    )
-    .unwrap();
-    let cluster = Cluster::boot(&union_store, &dir.0.join("parts"), 3);
-    let mut client = HttpClient::connect(cluster.coordinator.addr()).unwrap();
-
-    let body = format!(
-        "{{\"queries\":[{{\"id\":\"a\",{}}},{{\"id\":\"b\",{}}}],\
-         \"k\":3,\"estimator\":\"spearman\",\"scorer\":\"s3\"}}",
-        keys_values_json(&planted.queries[0]),
-        keys_values_json(&planted.queries[1]),
-    );
-    let req = api::BatchRequest::parse(body.as_bytes(), &QueryParams::default()).unwrap();
-    let opts = req.params.to_options();
-
-    let union_snap = IndexSnapshot::from_store(&union_store, 2).unwrap();
-    let query_sketches: Vec<_> = req
-        .queries
-        .iter()
-        .map(|q| union_snap.build_query(&q.id, q.keys.clone(), q.values.clone()))
-        .collect();
-    let answers = engine::execute(
-        union_snap.index(),
-        &query_sketches,
-        &opts,
-        Some(req.params.alpha),
-        &mut sketch_obs::Trace::disabled(),
-    )
-    .into_iter()
-    .map(|out| out.results)
-    .collect::<Vec<_>>();
-
-    let mut merged = Vec::new();
-    let mut shipped = Vec::new();
-    let mut states = Vec::new();
-    for (qi, q) in req.queries.iter().enumerate() {
-        let single = api::QueryRequest {
-            body: q.clone(),
-            params: req.params,
-            trace: false,
-        };
-        let (outcome, s) = replay_merge(&cluster.worker_dirs, &single, &opts);
-        assert_eq!(
-            outcome
-                .winners
-                .iter()
-                .map(|w| &w.result)
-                .collect::<Vec<_>>(),
-            answers[qi].iter().map(|r| &r.result).collect::<Vec<_>>(),
-            "query {qi}: replayed merge differs from the batch engine"
-        );
-        merged.push(outcome.merged);
-        shipped.push(outcome.shipped);
-        states = s;
-    }
-    let expected =
-        api::render_coordinator_batch_response(&states, &req.params, &merged, &shipped, &answers);
-
-    let resp = client.post("/query_batch", &body).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    assert_eq!(resp.body, expected);
-
-    // Repeat is a cache hit, byte-identical.
-    let resp2 = client.post("/query_batch", &body).unwrap();
-    assert_eq!(resp, resp2);
-    assert!(
-        cluster
-            .coordinator
-            .stats()
-            .cache_hits
-            .load(Ordering::Relaxed)
-            >= 1
-    );
-    cluster.shutdown();
-}

@@ -263,104 +263,6 @@ fn served_answers_stay_byte_identical_under_mutation() {
 }
 
 #[test]
-fn batch_answers_match_engine_and_cache() {
-    let dir = TempDir::new("batch");
-    sketch_store::pack_corpus(
-        &dir.0,
-        &corpus(10),
-        &PackOptions {
-            shards: 2,
-            threads: 1,
-        },
-    )
-    .unwrap();
-    let handle = sketch_server::start(ServerConfig::new(&dir.0)).unwrap();
-    let mut client = HttpClient::connect(handle.addr()).unwrap();
-
-    let q1: Vec<String> = (0..60).map(|i| format!("\"key-{i}\"")).collect();
-    let q2: Vec<String> = (20..80).map(|i| format!("\"key-{i}\"")).collect();
-    let vals = |n: usize, f: f64| {
-        (0..n)
-            .map(|i| format!("{:?}", (i as f64 * f).cos()))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let body = format!(
-        "{{\"queries\":[{{\"id\":\"a\",\"keys\":[{}],\"values\":[{}]}},\
-         {{\"id\":\"b\",\"keys\":[{}],\"values\":[{}]}}],\"k\":5}}",
-        q1.join(","),
-        vals(60, 0.21),
-        q2.join(","),
-        vals(60, 0.13)
-    );
-
-    let resp = client.post("/query_batch", &body).unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.body);
-
-    // Reproduce single-process: parse the same request, run the batch
-    // engine on a fresh load, render identically.
-    let req = api::BatchRequest::parse(body.as_bytes(), &QueryParams::default()).unwrap();
-    let snap = IndexSnapshot::from_store(&dir.0, 1).unwrap();
-    let sketches: Vec<_> = req
-        .queries
-        .iter()
-        .map(|q| snap.build_query(&q.id, q.keys.clone(), q.values.clone()))
-        .collect();
-    let answers = sketch_index::engine::execute(
-        snap.index(),
-        &sketches,
-        &req.params.to_options(),
-        Some(req.params.alpha),
-        &mut sketch_obs::Trace::disabled(),
-    )
-    .into_iter()
-    .map(|out| out.results)
-    .collect::<Vec<_>>();
-    assert_eq!(
-        resp.body,
-        api::render_batch_response(snap.generation(), &req.params, &answers)
-    );
-
-    // And the batch is answered from cache on repeat, byte-identically.
-    let resp2 = client.post("/query_batch", &body).unwrap();
-    assert_eq!(resp, resp2);
-    assert!(
-        handle
-            .stats()
-            .cache_hits
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1
-    );
-
-    // Batch answers are also identical to looping the single-query
-    // endpoint (the engine equivalence, observed over HTTP).
-    for (i, q) in req.queries.iter().enumerate() {
-        let single = format!(
-            "{{\"id\":{:?},\"keys\":[{}],\"values\":[{}],\"k\":5}}",
-            q.id,
-            q.keys
-                .iter()
-                .map(|k| format!("{k:?}"))
-                .collect::<Vec<_>>()
-                .join(","),
-            q.values
-                .iter()
-                .map(|v| format!("{v:?}"))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        let resp = client.post("/query", &single).unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        assert_eq!(
-            resp.body,
-            api::render_query_response(snap.generation(), &req.params, &answers[i])
-        );
-    }
-
-    let _ = handle.shutdown();
-}
-
-#[test]
 fn health_stats_corpus_and_error_paths() {
     let dir = TempDir::new("endpoints");
     sketch_store::pack_corpus(
@@ -434,6 +336,14 @@ fn health_stats_corpus_and_error_paths() {
     assert_eq!(resp.status, 405);
     let resp = client.request_with_method("HEAD", "/healthz").unwrap();
     assert_eq!(resp.status, 405);
+    // The many-query routes are gone: a batch is N `/query` requests.
+    for gone in [
+        concat!("/query", "_batch"),
+        concat!("/shard_query", "_batch"),
+    ] {
+        let resp = client.post(gone, "{}").unwrap();
+        assert_eq!(resp.status, 404, "{gone}");
+    }
 
     // The connection survived all of that (keep-alive).
     let again = client.get("/healthz").unwrap();
@@ -445,6 +355,74 @@ fn health_stats_corpus_and_error_paths() {
     let obj = v.as_object("stats").unwrap();
     assert!(obj.get("requests").unwrap().as_u64("r").unwrap() >= 8);
     assert!(obj.get("errors").unwrap().as_u64("e").unwrap() >= 5);
+
+    let _ = handle.shutdown();
+}
+
+/// The `sketch_generation_lag` sample of a `/metrics` body.
+fn generation_lag(metrics: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("sketch_generation_lag "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no sketch_generation_lag in {metrics}"))
+}
+
+/// A refresh that keeps failing must not hide how far behind the served
+/// snapshot is: with the newest delta shard corrupt, `/metrics` reports
+/// the lag while `/query` keeps answering at the old generation.
+#[test]
+fn generation_lag_shows_while_a_refresh_keeps_failing() {
+    let dir = TempDir::new("lag");
+    let pack = PackOptions {
+        shards: 2,
+        threads: 1,
+    };
+    sketch_store::pack_corpus(&dir.0, &corpus(6), &pack).unwrap();
+    let mut config = ServerConfig::new(&dir.0);
+    config.poll_interval = Duration::from_millis(25);
+    let handle = sketch_server::start(config).unwrap();
+    let mut client = HttpClient::connect(handle.addr()).unwrap();
+    let body = query_json("");
+    let served = client.post("/query", &body).unwrap();
+    assert_eq!(api::extract_u64(&served.body, "generation").unwrap(), 0);
+
+    // Generation 1 is written beside the served store and its delta
+    // shard corrupted there, then published: the delta first, the
+    // manifest naming it last, so the refresher never sees it intact.
+    let next = TempDir::new("lag-next");
+    sketch_store::pack_corpus(&next.0, &corpus(6), &pack).unwrap();
+    sketch_store::append_corpus(&next.0, &[sketch("fresh", 0, 80, 2.5)], 1).unwrap();
+    for entry in std::fs::read_dir(&next.0).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        if name.starts_with("delta-") && name.ends_with(".cskb") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x10;
+            std::fs::write(dir.0.join(&name), bytes).unwrap();
+        }
+    }
+    let staged = dir.0.join("manifest.staged");
+    std::fs::copy(next.0.join("manifest.cskm"), &staged).unwrap();
+    std::fs::rename(&staged, dir.0.join("manifest.cskm")).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let metrics = client.get("/metrics").unwrap().body;
+        if generation_lag(&metrics) >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the lag never showed while the refresh failed:\n{metrics}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let still = client.post("/query", &body).unwrap();
+    assert_eq!(still.status, 200, "{}", still.body);
+    assert_eq!(still.body, served.body, "still answering at generation 0");
+    assert_eq!(handle.generation(), 0);
 
     let _ = handle.shutdown();
 }

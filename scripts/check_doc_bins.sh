@@ -5,8 +5,12 @@
 # crates/*/benches/<name>.rs or examples/<name>.rs respectively, and
 # every package they name after `-p` or `--package` must be the
 # [package] name of the root Cargo.toml or of a crate under crates/.
-# Deleting a target without its mentions (or documenting one that was
-# never written) fails here instead of in front of a reader.
+# Every HTTP route that README.md or the sketch-server and CLI crate
+# docs name as `GET /x` or `POST /x` must be served: an entry
+# ("/x", "METHOD") of SHARED in crates/server/src/pipeline.rs or of
+# Local::EXTRA in crates/server/src/server.rs.
+# Deleting a target or a route without its mentions (or documenting one
+# that was never written) fails here instead of in front of a reader.
 #
 # Used by CI (.github/workflows/ci.yml, `check` job) and runnable
 # locally from the repo root:  bash scripts/check_doc_bins.sh
@@ -43,6 +47,19 @@ while read -r name; do
   fi
 done < <(grep -ohE -- "(^|[[:space:]\`])(-p|--package)[ =]+[A-Za-z][A-Za-z0-9_-]*" "${FILES[@]}" |
   sed -E 's/^.*(-p|--package)[ =]+//' | sort -u)
+
+ROUTE_DOCS=(README.md crates/server/src/lib.rs crates/cli/src/lib.rs)
+routes=$({ awk '/^const SHARED/,/^\];/' crates/server/src/pipeline.rs
+  awk '/const EXTRA.*= &\[$/,/\];/' crates/server/src/server.rs; } |
+  grep -v '^ *//' | sed -nE 's/.*\("(\/[A-Za-z0-9_]+)", "([A-Z]+)"\).*/\2 \1/p')
+while read -r route; do
+  if ! grep -qxF -- "$route" <<< "$routes"; then
+    echo "check_doc_bins: FAIL: route '$route' is named in:" >&2
+    grep -lE -- "$route\b" "${ROUTE_DOCS[@]}" | sed 's/^/  /' >&2
+    echo "  but neither SHARED (pipeline.rs) nor Local::EXTRA (server.rs) serves it" >&2
+    status=1
+  fi
+done < <(grep -ohE -- "\b(GET|POST) /[A-Za-z0-9_]+" "${ROUTE_DOCS[@]}" | sort -u)
 
 [ "$status" -eq 0 ] && echo "check_doc_bins: OK"
 exit "$status"
