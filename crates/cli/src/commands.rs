@@ -438,7 +438,7 @@ pub mod query {
                 table.numeric_names()
             ))
         })?;
-        let q_sketch = snapshot.build_query(&pair.id(), pair.keys, pair.values);
+        let q_sketch = snapshot.build_query(&pair.id(), pair.keys.into(), pair.values);
 
         // The live engine path: retrieve, fused estimate + CI (fanned
         // out over --threads workers), re-rank by the scorer.

@@ -16,7 +16,7 @@
 //! rely on.
 
 use std::borrow::Cow;
-use std::fmt::Display;
+use std::fmt::{Display, Write as _};
 use std::str::FromStr;
 
 use crate::error::SketchError;
@@ -33,7 +33,8 @@ pub fn push_string(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -43,9 +44,11 @@ pub fn push_string(out: &mut String, s: &str) {
 
 /// Append the shortest decimal representation of `v` that round-trips
 /// through `f64` parsing (Rust's `Debug` float formatting guarantees
-/// this). The caller must ensure `v` is finite — JSON has no inf/NaN.
+/// this), formatted straight into `out`. The caller must ensure `v` is
+/// finite — JSON has no inf/NaN.
 pub fn push_f64(out: &mut String, v: f64) {
-    out.push_str(&format!("{v:?}"));
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{v:?}");
 }
 
 /// A parsed JSON value. Numbers keep their raw text so `u64` keys and
@@ -294,16 +297,25 @@ impl<'a> Reader<'a> {
             return Ok(());
         }
         loop {
-            self.skip_ws();
             item(self)?;
+            // The separator usually follows the element directly.
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => break,
+                _ => {
+                    self.skip_ws();
+                    if self.peek() == Some(b']') {
+                        break;
+                    }
+                    if !self.eat(b',') {
+                        return Err(format!("expected ',' or ']' at offset {}", self.pos));
+                    }
+                }
+            }
             self.skip_ws();
-            if self.close(b']') {
-                return Ok(());
-            }
-            if !self.eat(b',') {
-                return Err(format!("expected ',' or ']' at offset {}", self.pos));
-            }
         }
+        self.close(b']');
+        Ok(())
     }
 
     /// Read a string: borrowed from the input unless it contains an
@@ -419,7 +431,10 @@ impl<'a> Reader<'a> {
     }
 
     fn skip_ws(&mut self) {
-        self.pos += run(self.rest(), |b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+        // Compact JSON has no whitespace at most positions.
+        if self.peek().is_some_and(is_ws) {
+            self.pos += run(self.rest(), is_ws);
+        }
     }
 
     /// Step over `b` if it is next.
@@ -511,9 +526,8 @@ impl<'a> Reader<'a> {
     /// The one string lexer.
     fn lex_string(&mut self) -> Result<Cow<'a, str>, String> {
         self.require(b'"')?;
-        let plain = |b: u8| b != b'"' && b != b'\\' && b >= 0x20;
         let start = self.pos;
-        self.pos += run(self.rest(), plain);
+        self.pos += plain_run(self.rest());
         if self.peek() == Some(b'"') {
             let s = self.since(start)?;
             self.pos += 1;
@@ -534,7 +548,7 @@ impl<'a> Reader<'a> {
             }
             // Copy the maximal escape-free run in one go.
             let start = self.pos;
-            self.pos += run(self.rest(), plain);
+            self.pos += plain_run(self.rest());
             out.push_str(self.since(start)?);
         }
     }
@@ -592,6 +606,44 @@ impl<'a> Reader<'a> {
 /// `keep`.
 fn run(bytes: &[u8], keep: impl Fn(u8) -> bool) -> usize {
     bytes.iter().take_while(|&&b| keep(b)).count()
+}
+
+fn is_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\r')
+}
+
+/// A byte a string may hold as itself: not `"`, not `\\`, not a control
+/// character.
+fn is_plain(b: u8) -> bool {
+    b != b'"' && b != b'\\' && b >= 0x20
+}
+
+/// Length of the longest prefix of `bytes` that [`is_plain`] keeps:
+/// eight bytes per step while no word holds a stop byte, then byte by
+/// byte from the word that does.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    // A high bit in each byte of `w` that is zero. Borrows can also mark
+    // a byte above a zero one, never one below it: a word with no zero
+    // byte yields no mark.
+    let zero = |w: u64| w.wrapping_sub(ONES) & !w & HIGHS;
+    let mut words = bytes.chunks_exact(8);
+    let mut skipped = 0;
+    for word in words.by_ref() {
+        let Ok(word) = <[u8; 8]>::try_from(word) else {
+            break;
+        };
+        let w = u64::from_le_bytes(word);
+        // `w - 0x20…` borrows through a byte below 0x20 the way `zero`
+        // borrows through a zero byte; `& !w` keeps bytes >= 0x80 out.
+        let control = w.wrapping_sub(ONES * 0x20) & !w & HIGHS;
+        if zero(w ^ (ONES * u64::from(b'"'))) | zero(w ^ (ONES * u64::from(b'\\'))) | control != 0 {
+            break;
+        }
+        skipped += 8;
+    }
+    skipped + run(bytes.get(skipped..).unwrap_or_default(), is_plain)
 }
 
 /// Parse a number's raw text, wording a failure like the [`Value`]

@@ -92,42 +92,102 @@ impl Hasher for KeyHashHasher {
 }
 
 /// One key's postings as two parallel columns, ascending by slot.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 struct PostingList {
+    /// The key these are the postings of.
+    key: KeyHash,
     slots: Vec<u32>,
     /// `values[i]` is the value slot `slots[i]`'s sketch stores for this key.
     values: Vec<f64>,
 }
 
-/// The postings map: `h(k)` → that key's postings.
-type Postings = HashMap<KeyHash, PostingList, BuildHasherDefault<KeyHashHasher>>;
+impl PostingList {
+    fn with_capacity(key: KeyHash, n: usize) -> Self {
+        Self {
+            key,
+            slots: Vec::with_capacity(n),
+            values: Vec::with_capacity(n),
+        }
+    }
+}
+
+/// Every key's posting list, and `h(k)` → the position of that key's
+/// list. A lookup yields a position, so a retrieval finds each query
+/// key's list once and keeps the position for its second walk
+/// ([`JoinedHits`]).
+#[derive(Debug, Default, Clone)]
+struct Postings {
+    at: HashMap<KeyHash, u32, BuildHasherDefault<KeyHashHasher>>,
+    lists: Vec<PostingList>,
+}
+
+impl Postings {
+    /// The position of `key`'s list, if it has postings.
+    fn find(&self, key: KeyHash) -> Option<u32> {
+        self.at.get(&key).copied()
+    }
+
+    /// The list at a position [`Self::find`] returned.
+    fn list(&self, at: u32) -> &PostingList {
+        &self.lists[at as usize]
+    }
+
+    /// `key`'s list, created empty if it has none.
+    fn list_mut(&mut self, key: KeyHash) -> &mut PostingList {
+        let Self { at, lists } = self;
+        let at = *at.entry(key).or_insert_with(|| {
+            lists.push(PostingList::with_capacity(key, 0));
+            u32::try_from(lists.len() - 1).expect("fewer than 2^32 keys")
+        });
+        &mut lists[at as usize]
+    }
+
+    /// Take `slot` out of `key`'s list; a list left empty is dropped, and
+    /// the last list moves into its position.
+    fn unthread(&mut self, key: KeyHash, slot: u32) {
+        let Some(at) = self.find(key) else {
+            return;
+        };
+        let list = &mut self.lists[at as usize];
+        if let Ok(i) = list.slots.binary_search(&slot) {
+            list.slots.remove(i);
+            list.values.remove(i);
+        }
+        if list.slots.is_empty() {
+            self.at.remove(&key);
+            self.lists.swap_remove(at as usize);
+            if let Some(moved) = self.lists.get(at as usize) {
+                self.at.insert(moved.key, at);
+            }
+        }
+    }
+}
 
 /// The postings of `sketches`, numbered from slot `first`: a first pass
 /// counts every key's postings, so the second allocates each list once,
 /// at its final length, and fills it in slot order.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "collected into a map; no order escapes"
-)]
 fn invert(sketches: &[CorrelationSketch], first: usize) -> Postings {
-    let mut lens: HashMap<KeyHash, usize, BuildHasherDefault<KeyHashHasher>> = HashMap::default();
+    let mut at: HashMap<KeyHash, u32, BuildHasherDefault<KeyHashHasher>> = HashMap::default();
+    let mut counted: Vec<(KeyHash, usize)> = Vec::new();
     for e in sketches.iter().flat_map(CorrelationSketch::entries) {
-        *lens.entry(e.key).or_default() += 1;
+        match at.entry(e.key) {
+            Entry::Occupied(i) => counted[*i.get() as usize].1 += 1,
+            Entry::Vacant(i) => {
+                i.insert(u32::try_from(counted.len()).expect("fewer than 2^32 keys"));
+                counted.push((e.key, 1));
+            }
+        }
     }
-    let mut postings: Postings = lens
-        .drain()
-        .map(|(key, n)| {
-            let list = PostingList {
-                slots: Vec::with_capacity(n),
-                values: Vec::with_capacity(n),
-            };
-            (key, list)
-        })
+    let lists = counted
+        .into_iter()
+        .map(|(key, n)| PostingList::with_capacity(key, n))
         .collect();
+    let mut postings = Postings { at, lists };
     for (slot, s) in (first..).zip(sketches) {
         let slot = u32::try_from(slot).expect("fewer than 2^32 sketches");
         for e in s.entries() {
-            let list = postings.get_mut(&e.key).expect("every key was counted");
+            let at = postings.find(e.key).expect("every key was counted");
+            let list = &mut postings.lists[at as usize];
             list.slots.push(slot);
             list.values.push(e.value);
         }
@@ -138,22 +198,19 @@ fn invert(sketches: &[CorrelationSketch], first: usize) -> Postings {
 /// Append `tail`'s lists, whose slots all follow `postings`', to
 /// `postings` key by key: slots stay ascending and every list is grown
 /// once, to exactly its new length.
-#[expect(
-    clippy::iter_over_hash_type,
-    reason = "each key's list is extended on its own; which key goes first is unobservable"
-)]
 fn append_postings(postings: &mut Postings, tail: Postings) {
-    for (key, mut more) in tail {
-        match postings.entry(key) {
-            Entry::Occupied(mut list) => {
-                let PostingList { slots, values } = list.get_mut();
-                slots.reserve_exact(more.slots.len());
-                slots.append(&mut more.slots);
-                values.reserve_exact(more.values.len());
-                values.append(&mut more.values);
+    for mut more in tail.lists {
+        match postings.at.entry(more.key) {
+            Entry::Occupied(at) => {
+                let list = &mut postings.lists[*at.get() as usize];
+                list.slots.reserve_exact(more.slots.len());
+                list.slots.append(&mut more.slots);
+                list.values.reserve_exact(more.values.len());
+                list.values.append(&mut more.values);
             }
-            Entry::Vacant(list) => {
-                list.insert(more);
+            Entry::Vacant(at) => {
+                at.insert(u32::try_from(postings.lists.len()).expect("fewer than 2^32 keys"));
+                postings.lists.push(more);
             }
         }
     }
@@ -174,6 +231,10 @@ pub struct JoinedHits {
     y: Vec<f64>,
     /// Per-slot overlap counters of the count walk.
     counts: Vec<u32>,
+    /// The count walk's finds, for the gather walk: the query's value
+    /// and the posting-list position of every query key with postings,
+    /// in the query's sketch order.
+    found: Vec<(f64, u32)>,
     /// Per-slot [`Cursor`]s of the gather walk.
     cursors: Vec<Cursor>,
 }
@@ -299,7 +360,7 @@ impl SketchIndex {
     /// Number of distinct hashed keys with non-empty posting lists.
     #[must_use]
     pub fn distinct_keys(&self) -> usize {
-        self.postings.len()
+        self.postings.lists.len()
     }
 
     /// The store generation this index has applied — advanced by
@@ -337,7 +398,7 @@ impl SketchIndex {
         }
         let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 inserts");
         for e in sketch.entries() {
-            let list = self.postings.entry(e.key).or_default();
+            let list = self.postings.list_mut(e.key);
             list.slots.push(slot);
             list.values.push(e.value);
         }
@@ -359,16 +420,7 @@ impl SketchIndex {
             .take()
             .expect("by_id only maps live slots");
         for e in sketch.entries() {
-            if let Entry::Occupied(mut list) = self.postings.entry(e.key) {
-                let PostingList { slots, values } = list.get_mut();
-                if let Ok(at) = slots.binary_search(&slot) {
-                    slots.remove(at);
-                    values.remove(at);
-                }
-                if slots.is_empty() {
-                    list.remove();
-                }
-            }
+            self.postings.unthread(e.key, slot);
         }
         let doc = self.live.partition_point(|&s| s < slot);
         debug_assert_eq!(self.live[doc], slot);
@@ -554,7 +606,7 @@ impl SketchIndex {
         query: &CorrelationSketch,
         top_n: usize,
     ) -> Vec<(DocId, usize)> {
-        self.count_and_select(query, top_n, &mut Vec::new())
+        self.count_and_select(query, top_n, &mut Vec::new(), &mut Vec::new())
     }
 
     /// Stage 1 of a query, emitting the join: retrieve the hits of
@@ -562,13 +614,15 @@ impl SketchIndex {
     /// join sample** ([`JoinedHits::sample`]).
     ///
     /// Two walks over the posting lists of the query's keys, in the
-    /// query's sketch order. The *count walk* adds one per posting into a
-    /// flat per-slot counter (slots are dense: no hashing, and removed
-    /// sketches are already absent from every list, so no liveness
-    /// filter), and a bounded heap picks the winners. Their counts are
+    /// query's sketch order. The *count walk* looks each query key up
+    /// once, keeps the position of every list it finds, and adds one per
+    /// posting into a flat per-slot counter (slots are dense: no hashing,
+    /// and removed sketches are already absent from every list, so no
+    /// liveness filter); a bounded heap picks the winners. Their counts are
     /// their sample sizes, so each gets a `[start, end)` range of the
-    /// arena up front; the *gather walk* then writes `(x_query, value)` at
-    /// the cursor of every posting, which advances through the range of a
+    /// arena up front; the *gather walk* then revisits the lists the count
+    /// walk found and writes `(x_query, value)` at the cursor of every
+    /// posting, which advances through the range of a
     /// selected slot and parks every other slot on a spare row. A sketch's
     /// keys are unique and strictly ascending by `(g(k), h(k))` (the
     /// builder and every decoder enforce it), so a slot meets each shared
@@ -579,8 +633,9 @@ impl SketchIndex {
     /// key space with it (its join with every doc is a
     /// [`SketchError::HasherMismatch`]), so it retrieves nothing here.
     pub fn retrieve_joined(&self, query: &CorrelationSketch, top_n: usize, out: &mut JoinedHits) {
+        out.found.clear();
         out.hits = if self.hasher == Some(query.hasher()) {
-            self.count_and_select(query, top_n, &mut out.counts)
+            self.count_and_select(query, top_n, &mut out.counts, &mut out.found)
         } else {
             Vec::new()
         };
@@ -606,46 +661,43 @@ impl SketchIndex {
             out.cursors[self.live[doc as usize] as usize] = Cursor::new(start, true);
         }
         let (xs, ys, cursors) = (&mut out.x[..], &mut out.y[..], &mut out.cursors[..]);
-        self.walk_postings(query, |x, list| {
+        for &(x, at) in &out.found {
+            let list = self.postings.list(at);
             for (&slot, &y) in list.slots.iter().zip(&list.values) {
                 let cursor = &mut cursors[slot as usize];
                 xs[cursor.row()] = x;
                 ys[cursor.row()] = y;
                 *cursor = cursor.advanced();
             }
-        });
-    }
-
-    /// The one posting walk: the posting list of every query key that has
-    /// one, with the query's value for that key, in the query's sketch
-    /// order.
-    fn walk_postings(&self, query: &CorrelationSketch, mut visit: impl FnMut(f64, &PostingList)) {
-        for e in query.entries() {
-            if let Some(list) = self.postings.get(&e.key) {
-                visit(e.value, list);
-            }
         }
     }
 
-    /// Count every slot's overlap with `query` into `counts` (cleared and
-    /// re-zeroed here) and select the `top_n` live docs under the
-    /// retrieval order.
+    /// The count walk: look up the posting list of every query key, in
+    /// the query's sketch order, recording `(query value, list position)`
+    /// of each found in `found` and every slot's overlap with `query` in
+    /// `counts` (both cleared here); then select the `top_n` live docs
+    /// under the retrieval order.
     fn count_and_select(
         &self,
         query: &CorrelationSketch,
         top_n: usize,
         counts: &mut Vec<u32>,
+        found: &mut Vec<(f64, u32)>,
     ) -> Vec<(DocId, usize)> {
+        found.clear();
         if top_n == 0 || self.live.is_empty() {
             return Vec::new();
         }
         counts.clear();
         counts.resize(self.slots.len(), 0);
-        self.walk_postings(query, |_, list| {
-            for &slot in &list.slots {
-                counts[slot as usize] += 1;
+        for e in query.entries() {
+            if let Some(at) = self.postings.find(e.key) {
+                found.push((e.value, at));
+                for &slot in &self.postings.list(at).slots {
+                    counts[slot as usize] += 1;
+                }
             }
-        });
+        }
         let hits = self
             .live
             .iter()
@@ -699,16 +751,21 @@ mod tests {
         assert_eq!(idx.generation(), 0);
     }
 
-    /// Everything an index holds, posting lists in their stored order.
+    /// Everything an index holds, each posting list in its stored order
+    /// (the lists themselves by key: their positions are unobservable).
     fn assert_same_index(got: &SketchIndex, want: &SketchIndex, case: &str) {
-        #[expect(clippy::disallowed_methods, reason = "sorted by key below")]
         fn postings(idx: &SketchIndex) -> Vec<(KeyHash, Vec<u32>, Vec<u64>)> {
-            let mut lists: Vec<_> = idx
-                .postings
+            let Postings { at, lists } = &idx.postings;
+            assert_eq!(at.len(), lists.len());
+            for (i, l) in lists.iter().enumerate() {
+                assert_eq!(at[&l.key] as usize, i, "a key maps to its list");
+                assert!(!l.slots.is_empty(), "no list is left empty");
+            }
+            let mut lists: Vec<_> = lists
                 .iter()
-                .map(|(&key, l)| {
+                .map(|l| {
                     let values = l.values.iter().map(|v| v.to_bits()).collect();
-                    (key, l.slots.clone(), values)
+                    (l.key, l.slots.clone(), values)
                 })
                 .collect();
             lists.sort_unstable_by_key(|l| l.0);
@@ -739,11 +796,6 @@ mod tests {
     /// The bulk constructors build exactly the index `insert` builds one
     /// sketch at a time, with every posting list sized once.
     #[test]
-    #[expect(
-        clippy::iter_over_hash_type,
-        clippy::disallowed_methods,
-        reason = "every list is checked on its own; their order is unobservable"
-    )]
     fn bulk_construction_equals_one_insert_at_a_time() {
         let mut corpus = overlapping_corpus(12);
         // A repeated id: both are indexed, the later one owns the id.
@@ -755,7 +807,7 @@ mod tests {
         for threads in [0, 1, 2, 7, 16] {
             let bulk = SketchIndex::bulk(corpus.clone(), threads).unwrap();
             assert_same_index(&bulk, &want, &format!("bulk threads={threads}"));
-            for list in bulk.postings.values() {
+            for list in &bulk.postings.lists {
                 assert_eq!(list.slots.capacity(), list.slots.len());
                 assert_eq!(list.values.capacity(), list.values.len());
             }

@@ -18,6 +18,8 @@
 //!
 //! [`engine::top_k_with_reports`]: sketch_index::engine::top_k_with_reports
 
+use std::fmt::Write as _;
+
 use correlation_sketches::json::{self, push_f64, push_string, Reader};
 use correlation_sketches::{EstimateReport, SketchError};
 use sketch_hashing::murmur3_x64_128;
@@ -90,9 +92,81 @@ pub struct QueryBody {
     /// name; purely cosmetic).
     pub id: String,
     /// Categorical join-key column.
-    pub keys: Vec<String>,
+    pub keys: KeyColumn,
     /// Numeric value column, same length as `keys`.
     pub values: Vec<f64>,
+}
+
+/// A column of string keys held as one buffer: every key's text back to
+/// back, and where each key ends. A decoded request appends each key
+/// where it stands in the body, so a query of any length costs two
+/// allocations, not one per row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KeyColumn {
+    text: String,
+    /// Key `i` is `text[ends[i - 1]..ends[i]]` (from 0 for the first).
+    ends: Vec<usize>,
+}
+
+impl KeyColumn {
+    /// An empty column with room for `rows` keys.
+    #[must_use]
+    pub fn with_capacity(rows: usize, text_bytes: usize) -> Self {
+        Self {
+            text: String::with_capacity(text_bytes),
+            ends: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Append a key.
+    pub fn push(&mut self, key: &str) {
+        self.text.push_str(key);
+        self.ends.push(self.text.len());
+    }
+
+    /// Number of keys.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the column holds no key.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Total bytes of key text.
+    #[must_use]
+    pub fn text_len(&self) -> usize {
+        self.text.len()
+    }
+
+    /// The keys in row order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let key = self.text.get(start..end).unwrap_or_default();
+            start = end;
+            key
+        })
+    }
+}
+
+impl From<Vec<String>> for KeyColumn {
+    fn from(keys: Vec<String>) -> Self {
+        keys.iter().collect()
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for KeyColumn {
+    fn from_iter<I: IntoIterator<Item = S>>(keys: I) -> Self {
+        let mut column = Self::default();
+        for key in keys {
+            column.push(key.as_ref());
+        }
+        column
+    }
 }
 
 /// A parsed `POST /query` request.
@@ -132,6 +206,9 @@ pub(crate) const MAX_SELECTION: usize = 100_000;
 /// ten-odd bytes and a decimal value, with their commas. Shorter rows
 /// cost the doublings an unsized `Vec` would have paid anyway.
 const ROW_BYTES: usize = 24;
+
+/// Text bytes one key is assumed to take when sizing a [`KeyColumn`].
+const KEY_BYTES: usize = 12;
 
 /// Walk a request body — one JSON object and nothing after it —
 /// handing each field's name to `field` with the reader on its value.
@@ -211,7 +288,7 @@ where
 #[derive(Default)]
 struct ColumnFields {
     id: Option<String>,
-    keys: Option<Vec<String>>,
+    keys: Option<KeyColumn>,
     values: Option<Vec<f64>>,
     /// Capacity for whichever of `keys`/`values` comes first (the second
     /// takes the first's length). Bounded by the caller: reserving from
@@ -228,11 +305,16 @@ impl ColumnFields {
             "keys" => {
                 let rows = self.values.as_ref().map_or(self.rows_hint, Vec::len);
                 first(&mut self.keys, r, |r| {
-                    list(r, "keys", rows, |r| Ok(r.string("keys[]")?.into_owned()))
+                    let mut keys = KeyColumn::with_capacity(rows, rows * KEY_BYTES);
+                    r.array("keys", |r| {
+                        keys.push(&r.string("keys[]")?);
+                        Ok(())
+                    })?;
+                    Ok(keys)
                 })
             }
             "values" => {
-                let rows = self.keys.as_ref().map_or(self.rows_hint, Vec::len);
+                let rows = self.keys.as_ref().map_or(self.rows_hint, KeyColumn::len);
                 first(&mut self.values, r, |r| {
                     list(r, "values", rows, |r| r.f64("values[]"))
                 })
@@ -432,8 +514,7 @@ fn params_len(p: &QueryParams) -> usize {
 
 /// Bytes [`push_query`] appends.
 fn query_len(q: &QueryBody) -> usize {
-    let rows = q.keys.iter().zip(&q.values);
-    16 + q.id.len() + rows.map(|(k, _)| 16 + k.len()).sum::<usize>()
+    16 + q.id.len() + 16 * q.keys.len() + q.keys.text_len()
 }
 
 fn push_params(bytes: &mut Vec<u8>, p: &QueryParams) {
@@ -466,15 +547,22 @@ fn push_query(bytes: &mut Vec<u8>, q: &QueryBody) {
     }
 }
 
+/// Append an integer (or any other `Display` value) in its decimal
+/// form, formatted straight into `out`.
+fn push_num(out: &mut String, n: impl std::fmt::Display) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
 fn push_result(out: &mut String, r: &ReportedResult) {
     out.push_str("{\"id\":");
     push_string(out, &r.result.id);
     out.push_str(",\"doc\":");
-    out.push_str(&r.result.doc.to_string());
+    push_num(out, r.result.doc);
     out.push_str(",\"overlap\":");
-    out.push_str(&r.result.overlap.to_string());
+    push_num(out, r.result.overlap);
     out.push_str(",\"sample_size\":");
-    out.push_str(&r.result.sample_size.to_string());
+    push_num(out, r.result.sample_size);
     out.push_str(",\"estimate\":");
     match r.result.estimate {
         Some(e) => push_f64(out, e),
@@ -500,7 +588,7 @@ fn push_result(out: &mut String, r: &ReportedResult) {
             out.push_str("\",\"estimate\":");
             push_f64(out, rep.estimate);
             out.push_str(",\"sample_size\":");
-            out.push_str(&rep.sample_size.to_string());
+            push_num(out, rep.sample_size);
             out.push_str(",\"hoeffding\":[");
             push_f64(out, rep.hoeffding.low);
             out.push(',');
@@ -532,7 +620,7 @@ fn push_results(out: &mut String, results: &[ReportedResult]) {
 /// which scorer produced an answer — defaults included.
 fn push_preamble(out: &mut String, generation: u64, params: &QueryParams) {
     out.push_str("{\"generation\":");
-    out.push_str(&generation.to_string());
+    push_num(out, generation);
     out.push_str(",\"scorer\":\"");
     out.push_str(params.scorer.name());
     out.push_str("\",\"confidence\":");
@@ -550,7 +638,7 @@ pub fn render_query_response(
     let mut out = String::with_capacity(64 + 256 * results.len());
     push_preamble(&mut out, generation, params);
     out.push_str(",\"count\":");
-    out.push_str(&results.len().to_string());
+    push_num(&mut out, results.len());
     out.push_str(",\"results\":");
     push_results(&mut out, results);
     out.push('}');
@@ -617,7 +705,7 @@ pub fn extract_u64(body: &str, field: &str) -> Result<u64, String> {
 // ---------------------------------------------------------------------
 
 fn push_bits(out: &mut String, v: f64) {
-    out.push_str(&v.to_bits().to_string());
+    push_num(out, v.to_bits());
 }
 
 fn bits_field(obj: json::Obj<'_>, field: &str) -> Result<f64, String> {
@@ -666,13 +754,13 @@ fn push_body_fields(out: &mut String, body: &QueryBody) {
 /// resolution path `/query` clients use).
 fn push_param_fields(out: &mut String, p: &QueryParams) {
     out.push_str(",\"k\":");
-    out.push_str(&p.k.to_string());
+    push_num(out, p.k);
     out.push_str(",\"candidates\":");
-    out.push_str(&p.candidates.to_string());
+    push_num(out, p.candidates);
     out.push_str(",\"estimator\":\"");
     out.push_str(p.estimator.name());
     out.push_str("\",\"min_sample\":");
-    out.push_str(&p.min_sample.to_string());
+    push_num(out, p.min_sample);
     out.push_str(",\"alpha\":");
     push_f64(out, p.alpha);
     out.push_str(",\"scorer\":\"");
@@ -680,7 +768,7 @@ fn push_param_fields(out: &mut String, p: &QueryParams) {
     out.push_str("\",\"confidence\":");
     push_f64(out, p.confidence);
     out.push_str(",\"plan\":\"");
-    out.push_str(&p.plan.to_string());
+    push_num(out, p.plan);
     out.push('"');
 }
 
@@ -715,7 +803,7 @@ pub fn render_shard_reports_request(
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&d.to_string());
+        push_num(&mut out, d);
     }
     out.push_str("]}");
     out
@@ -736,13 +824,13 @@ pub fn extract_docs(body: &[u8]) -> Result<Vec<DocId>, String> {
 
 fn push_shard_row(out: &mut String, row: &ShardCandidate) {
     out.push_str("{\"doc\":");
-    out.push_str(&row.doc.to_string());
+    push_num(out, row.doc);
     out.push_str(",\"id\":");
     push_string(out, &row.id);
     out.push_str(",\"overlap\":");
-    out.push_str(&row.overlap.to_string());
+    push_num(out, row.overlap);
     out.push_str(",\"n\":");
-    out.push_str(&row.sample_size.to_string());
+    push_num(out, row.sample_size);
     out.push_str(",\"est\":");
     match &row.est {
         Some(e) => {
@@ -753,7 +841,7 @@ fn push_shard_row(out: &mut String, row: &ShardCandidate) {
             out.push_str(",\"hi\":");
             push_bits(out, e.ci_hi);
             out.push_str(",\"n\":");
-            out.push_str(&e.sample_size.to_string());
+            push_num(out, e.sample_size);
             out.push('}');
         }
         None => out.push_str("null"),
@@ -772,9 +860,9 @@ pub fn render_shard_query_response(
 ) -> String {
     let mut out = String::with_capacity(64 + 128 * rows.len());
     out.push_str("{\"generation\":");
-    out.push_str(&generation.to_string());
+    push_num(&mut out, generation);
     out.push_str(",\"sketches\":");
-    out.push_str(&sketches.to_string());
+    push_num(&mut out, sketches);
     out.push_str(",\"rows\":[");
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
@@ -862,7 +950,7 @@ pub fn render_shard_reports_response(
 ) -> String {
     let mut out = String::with_capacity(64 + 128 * reports.len());
     out.push_str("{\"generation\":");
-    out.push_str(&generation.to_string());
+    push_num(&mut out, generation);
     out.push_str(",\"reports\":[");
     for (i, rep) in reports.iter().enumerate() {
         if i > 0 {
@@ -873,7 +961,7 @@ pub fn render_shard_reports_response(
                 out.push_str("{\"e\":");
                 push_bits(&mut out, r.estimate);
                 out.push_str(",\"n\":");
-                out.push_str(&r.sample_size.to_string());
+                push_num(&mut out, r.sample_size);
                 out.push_str(",\"lo\":");
                 push_bits(&mut out, r.hoeffding.low);
                 out.push_str(",\"hi\":");
@@ -989,7 +1077,7 @@ fn push_coordinator_preamble(out: &mut String, shards: &[ShardState], params: &Q
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&s.generation.to_string());
+        push_num(out, s.generation);
     }
     out.push_str("],\"degraded\":[");
     let mut first = true;
@@ -1000,9 +1088,9 @@ fn push_coordinator_preamble(out: &mut String, shards: &[ShardState], params: &Q
             }
             first = false;
             out.push_str("{\"shard\":");
-            out.push_str(&i.to_string());
+            push_num(out, i);
             out.push_str(",\"generation\":");
-            out.push_str(&s.generation.to_string());
+            push_num(out, s.generation);
             out.push('}');
         }
     }
@@ -1028,11 +1116,11 @@ pub fn render_coordinator_response(
     let mut out = String::with_capacity(128 + 256 * results.len());
     push_coordinator_preamble(&mut out, shards, params);
     out.push_str(",\"merged\":");
-    out.push_str(&merged.to_string());
+    push_num(&mut out, merged);
     out.push_str(",\"shipped\":");
-    out.push_str(&shipped.to_string());
+    push_num(&mut out, shipped);
     out.push_str(",\"count\":");
-    out.push_str(&results.len().to_string());
+    push_num(&mut out, results.len());
     out.push_str(",\"results\":");
     push_results(&mut out, results);
     out.push('}');
@@ -1065,7 +1153,7 @@ mod tests {
         let req =
             QueryRequest::parse(br#"{"keys":["a","b"],"values":[1.0,2.5]}"#, &defaults()).unwrap();
         assert_eq!(req.body.id, "query");
-        assert_eq!(req.body.keys, vec!["a", "b"]);
+        assert_eq!(req.body.keys.iter().collect::<Vec<_>>(), ["a", "b"]);
         assert_eq!(req.body.values, vec![1.0, 2.5]);
         assert_eq!(req.params, defaults());
         let opts = req.params.to_options();

@@ -126,7 +126,11 @@ mod reference {
         if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
             return Err(format!("values must be finite, got {bad}"));
         }
-        Ok(QueryBody { id, keys, values })
+        Ok(QueryBody {
+            id,
+            keys: keys.into(),
+            values,
+        })
     }
 
     pub fn parse_query(body: &[u8], defaults: &QueryParams) -> Result<QueryRequest, String> {
@@ -353,6 +357,61 @@ impl Gen {
         (0..len).map(|_| self.pick(&CHARS)).collect()
     }
 
+    /// A key as a data column holds one: up to 40 characters, mostly
+    /// plain ASCII, so its escapes, control and non-ASCII characters
+    /// fall anywhere — inside an eight-byte word of the body or across
+    /// two.
+    fn key(&mut self) -> String {
+        let len = self.below(41);
+        let text: String = (0..len)
+            .map(|_| {
+                if self.chance(85) {
+                    self.pick(&['a', 'Z', '0', '9', '-', '_', ' ', '.'])
+                } else {
+                    self.pick(&CHARS)
+                }
+            })
+            .collect();
+        let escape = self.pick(&[0, 0, 2, 10]);
+        self.spell(&text, escape)
+    }
+
+    /// A number spelled from parts: a sign, leading zeros, digits, a
+    /// fraction, an exponent with or without its sign — and now and
+    /// then a part missing that the grammar needs (a lone `-`, `1.`,
+    /// `1e+`).
+    fn number(&mut self) -> String {
+        let mut out = String::new();
+        if self.chance(30) {
+            out.push('-');
+        }
+        if self.chance(5) {
+            return out; // a lone sign, or nothing
+        }
+        for _ in 0..self.pick(&[0, 0, 0, 1, 2]) {
+            out.push('0');
+        }
+        for _ in 0..1 + self.below(6) {
+            out.push(self.pick(&['0', '1', '5', '9']));
+        }
+        if self.chance(40) {
+            out.push('.');
+            for _ in 0..self.pick(&[0, 1, 3, 17]) {
+                out.push(self.pick(&['0', '2', '7']));
+            }
+        }
+        if self.chance(25) {
+            out.push(self.pick(&['e', 'E']));
+            if self.chance(60) {
+                out.push(self.pick(&['+', '-']));
+            }
+            for _ in 0..self.pick(&[0, 1, 2, 3]) {
+                out.push(self.pick(&['0', '3', '9']));
+            }
+        }
+        out
+    }
+
     /// A string value: usually fine, sometimes malformed, sometimes not
     /// a string at all.
     fn string(&mut self) -> String {
@@ -450,8 +509,11 @@ impl Gen {
     fn column(&mut self) -> Vec<String> {
         let rows = if self.chance(2) { 0 } else { 1 + self.below(6) };
         let mut fields = Vec::new();
+        let long = self.chance(50);
         if !self.chance(1) {
-            let keys = (0..rows).map(|_| self.string()).collect();
+            let keys = (0..rows)
+                .map(|_| if long { self.key() } else { self.string() })
+                .collect();
             let keys = if self.chance(1) {
                 self.junk(1)
             } else {
@@ -459,10 +521,19 @@ impl Gen {
             };
             fields.push(self.field("keys", &keys));
         }
+        if self.chance(5) {
+            // A second, well-formed `keys`: only the first counts.
+            let keys = (0..1 + self.below(3)).map(|_| self.key()).collect();
+            let keys = self.array(keys);
+            fields.push(self.field("keys", &keys));
+        }
         if !self.chance(1) {
             let rows = if self.chance(2) { rows + 1 } else { rows };
             let values = (0..rows)
                 .map(|_| {
+                    if long && self.chance(80) {
+                        return self.number();
+                    }
                     let upto = if self.chance(97) { 11 } else { NUMBERS.len() };
                     NUMBERS[self.below(upto)].to_string()
                 })
@@ -627,6 +698,21 @@ proptest! {
         let mut body = g.single().into_bytes();
         g.mutate(&mut body);
         agree(&body);
+    }
+
+    /// A body cut short inside its `keys` or `values` array: mid-key,
+    /// mid-escape, mid-number, right after a comma or an element.
+    #[test]
+    fn bodies_cut_inside_an_array_decode_as_the_tree_walk_did(seed in any::<u64>()) {
+        let mut g = Gen(TestRng::new(seed));
+        let body = g.single();
+        let arrays: Vec<usize> = ["\"keys\"", "\"values\""]
+            .iter()
+            .filter_map(|name| body.find(name))
+            .collect();
+        let from = arrays.get(g.below(arrays.len().max(1))).copied().unwrap_or(0);
+        let cut = from + g.below(body.len() - from + 1);
+        agree(&body.as_bytes()[..cut]);
     }
 
 }

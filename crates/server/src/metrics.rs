@@ -201,6 +201,12 @@ pub(crate) fn render_server(
         "Store generation currently served.",
         generation,
     );
+    counter(
+        &mut out,
+        "sketch_refresh_failures_total",
+        "Snapshot refresh attempts that failed (each poll retries).",
+        stats.refresh_failures.load(Ordering::Relaxed),
+    );
     let store_generation = stats.store_generation.load(Ordering::Relaxed);
     gauge(
         &mut out,

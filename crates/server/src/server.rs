@@ -249,6 +249,7 @@ fn refresher_loop(ctx: &Local, interval: Duration) {
     // long poll intervals.
     let tick = interval.min(Duration::from_millis(50));
     let mut next_poll = Instant::now();
+    let mut logged = FailureLog::default();
     while !ctx.front.shutdown.load(Ordering::Relaxed) {
         if Instant::now() >= next_poll {
             next_poll = Instant::now() + interval;
@@ -273,21 +274,61 @@ fn refresher_loop(ctx: &Local, interval: Duration) {
                     }
                 }
                 Ok(Err((e, store_generation))) => {
+                    ServerStats::bump(&stats.refresh_failures);
                     // The lag stays visible while the catch-up fails.
                     if let Some(generation) = store_generation {
                         stats.store_generation.store(generation, Ordering::Relaxed);
                     }
                     // Keep serving the old snapshot; a mutation that is
-                    // mid-write will be complete by a later poll.
-                    eprintln!("sketch-serve: refresh failed (will retry): {e}");
+                    // mid-write will be complete by a later poll. A
+                    // failure that will not heal (a corrupt shard) fails
+                    // every poll the same way: it is logged once.
+                    let e = e.to_string();
+                    if logged.first_sighting(&e, store_generation) {
+                        eprintln!("sketch-serve: refresh failed (will retry): {e}");
+                    }
                 }
                 Err(_) => {
+                    ServerStats::bump(&stats.refresh_failures);
                     ServerStats::bump(&stats.errors);
-                    eprintln!("sketch-serve: refresh panicked (will retry)");
+                    if logged.first_sighting("panicked", None) {
+                        eprintln!("sketch-serve: refresh panicked (will retry)");
+                    }
                 }
             }
         }
         std::thread::sleep(tick);
+    }
+}
+
+/// The refresh failures already logged, so a failure that repeats on
+/// every poll is logged once for each distinct `(error, store
+/// generation)` pair rather than once per poll.
+#[derive(Debug, Default)]
+struct FailureLog {
+    seen: Vec<(String, Option<u64>)>,
+}
+
+impl FailureLog {
+    /// Distinct failures remembered; past this many the memory starts
+    /// over (a store failing in that many ways is logged again).
+    const CAPACITY: usize = 64;
+
+    /// True when `(error, generation)` has not been logged yet, which
+    /// also records it.
+    fn first_sighting(&mut self, error: &str, generation: Option<u64>) -> bool {
+        if self
+            .seen
+            .iter()
+            .any(|(e, g)| e == error && *g == generation)
+        {
+            return false;
+        }
+        if self.seen.len() >= Self::CAPACITY {
+            self.seen.clear();
+        }
+        self.seen.push((error.to_string(), generation));
+        true
     }
 }
 
@@ -444,5 +485,33 @@ impl Local {
             snap.generation(),
             &reports,
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FailureLog;
+
+    #[test]
+    fn a_repeated_refresh_failure_is_logged_once() {
+        let mut log = FailureLog::default();
+        let corrupt = "shard delta-000001.cskb: checksum mismatch on record 0";
+        assert!(log.first_sighting(corrupt, Some(1)));
+        for _ in 0..100 {
+            assert!(!log.first_sighting(corrupt, Some(1)));
+        }
+        // A new store generation or a new error is news.
+        assert!(log.first_sighting(corrupt, Some(2)));
+        assert!(log.first_sighting("manifest: truncated", Some(2)));
+        assert!(log.first_sighting("manifest: truncated", None));
+        // Interleaving does not bring a seen pair back.
+        assert!(!log.first_sighting(corrupt, Some(1)));
+        assert!(!log.first_sighting("manifest: truncated", None));
+        // Past its capacity the memory starts over.
+        for g in 0..FailureLog::CAPACITY as u64 {
+            log.first_sighting("flood", Some(100 + g));
+        }
+        assert!(log.seen.len() <= FailureLog::CAPACITY);
+        assert!(log.first_sighting(corrupt, Some(1)));
     }
 }

@@ -15,10 +15,11 @@
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 
-use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
+use correlation_sketches::{CorrelationSketch, SketchConfig, StreamingSketchBuilder};
 use sketch_index::SketchIndex;
 use sketch_store::{Manifest, SketchError, StoreError};
-use sketch_table::ColumnPair;
+
+use crate::api::KeyColumn;
 
 /// An immutable view of the corpus at one store generation: the inverted
 /// index plus the sketch configuration queries must be built with to be
@@ -66,11 +67,18 @@ impl IndexSnapshot {
 
     /// Build a query sketch over `keys`/`values` with the corpus
     /// configuration, so it is joinable against every indexed sketch.
-    /// `id` becomes the sketch's table name.
+    /// `id` becomes the sketch's table name (the sketch id is
+    /// `{id}/k/v`). The rows stream into the builder as they stand in
+    /// the key column: no key is copied.
     #[must_use]
-    pub fn build_query(&self, id: &str, keys: Vec<String>, values: Vec<f64>) -> CorrelationSketch {
+    pub fn build_query(&self, id: &str, keys: KeyColumn, values: Vec<f64>) -> CorrelationSketch {
+        debug_assert_eq!(keys.len(), values.len(), "aligned query column");
         let config = self.config.unwrap_or_else(|| SketchConfig::with_size(256));
-        SketchBuilder::new(config).build(&ColumnPair::new(id, "k", "v", keys, values))
+        let mut builder = StreamingSketchBuilder::new(format!("{id}/k/v"), config);
+        for (key, value) in keys.iter().zip(values) {
+            builder.push(key, value);
+        }
+        builder.finish()
     }
 }
 
@@ -168,8 +176,10 @@ pub fn refresh(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use correlation_sketches::SketchBuilder;
     use sketch_index::{engine, QueryOptions};
     use sketch_store::PackOptions;
+    use sketch_table::ColumnPair;
 
     fn sketch(table: &str, range: std::ops::Range<usize>) -> CorrelationSketch {
         SketchBuilder::new(SketchConfig::with_size(64)).build(&ColumnPair::new(
@@ -286,7 +296,7 @@ mod tests {
         let dir = TempDir::new("empty");
         sketch_store::pack_corpus(&dir.0, &[], &PackOptions::default()).unwrap();
         let snap = IndexSnapshot::from_store(&dir.0, 1).unwrap();
-        let q = snap.build_query("q", vec!["a".into()], vec![1.0]);
+        let q = snap.build_query("q", ["a"].into_iter().collect(), vec![1.0]);
         assert!(
             engine::top_k_with_reports(snap.index(), &q, &QueryOptions::default(), 0.05).is_empty()
         );

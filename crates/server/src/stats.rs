@@ -152,6 +152,9 @@ pub struct ServerStats {
     pub refreshes: AtomicU64,
     /// Full index rebuilds (post-compaction `StaleGeneration`).
     pub rebuilds: AtomicU64,
+    /// Refresh attempts that failed (an error or a caught panic); the
+    /// refresher retries on every poll, so a stuck store counts up.
+    pub refresh_failures: AtomicU64,
     /// The store generation the refresher last observed on disk; with
     /// [`Self::store_generation`] ≥ served generation always, the
     /// difference is the refresher's generation lag.
@@ -198,6 +201,7 @@ impl Default for ServerStats {
             cache_misses: AtomicU64::new(0),
             refreshes: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
+            refresh_failures: AtomicU64::new(0),
             store_generation: AtomicU64::new(0),
             traced: AtomicU64::new(0),
             slow_queries: AtomicU64::new(0),

@@ -361,11 +361,16 @@ fn health_stats_corpus_and_error_paths() {
 
 /// The `sketch_generation_lag` sample of a `/metrics` body.
 fn generation_lag(metrics: &str) -> u64 {
+    sample(metrics, "sketch_generation_lag")
+}
+
+/// The value of the unlabelled `/metrics` sample `name`.
+fn sample(metrics: &str, name: &str) -> u64 {
     metrics
         .lines()
-        .find_map(|l| l.strip_prefix("sketch_generation_lag "))
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
         .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("no sketch_generation_lag in {metrics}"))
+        .unwrap_or_else(|| panic!("no {name} in {metrics}"))
 }
 
 /// A refresh that keeps failing must not hide how far behind the served
@@ -423,6 +428,21 @@ fn generation_lag_shows_while_a_refresh_keeps_failing() {
     assert_eq!(still.status, 200, "{}", still.body);
     assert_eq!(still.body, served.body, "still answering at generation 0");
     assert_eq!(handle.generation(), 0);
+
+    // Every failed attempt counts, poll after poll.
+    let failures = |client: &mut HttpClient| {
+        sample(
+            &client.get("/metrics").unwrap().body,
+            "sketch_refresh_failures_total",
+        )
+    };
+    let first = failures(&mut client);
+    assert!(first >= 1, "the failed refresh was not counted");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while failures(&mut client) <= first {
+        assert!(Instant::now() < deadline, "the failure count never rose");
+        std::thread::sleep(Duration::from_millis(25));
+    }
 
     let _ = handle.shutdown();
 }

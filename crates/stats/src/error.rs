@@ -44,6 +44,13 @@ impl std::error::Error for StatsError {}
 /// Validate that `x` and `y` form a usable paired sample of at least
 /// `min_len` observations with only finite values.
 pub(crate) fn validate_pairs(x: &[f64], y: &[f64], min_len: usize) -> Result<(), StatsError> {
+    validate_shape(x, y, min_len)?;
+    validate_finite(x, y)
+}
+
+/// The shape half of [`validate_pairs`]: equal lengths, at least
+/// `min_len` observations.
+pub(crate) fn validate_shape(x: &[f64], y: &[f64], min_len: usize) -> Result<(), StatsError> {
     if x.len() != y.len() {
         return Err(StatsError::LengthMismatch {
             left: x.len(),
@@ -56,6 +63,11 @@ pub(crate) fn validate_pairs(x: &[f64], y: &[f64], min_len: usize) -> Result<(),
             got: x.len(),
         });
     }
+    Ok(())
+}
+
+/// The value half of [`validate_pairs`]: no NaN or ±∞ anywhere.
+pub(crate) fn validate_finite(x: &[f64], y: &[f64]) -> Result<(), StatsError> {
     if !x.iter().chain(y.iter()).all(|v| v.is_finite()) {
         return Err(StatsError::NonFiniteInput);
     }

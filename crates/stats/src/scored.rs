@@ -23,9 +23,9 @@
 
 use crate::bootstrap::{percentile_bootstrap_ci, pm1_with_ci, BootstrapScratch};
 use crate::ci::{fisher_z_interval, ConfidenceInterval};
-use crate::error::StatsError;
+use crate::error::{validate_pairs, StatsError};
 use crate::estimator::CorrelationEstimator;
-use crate::pearson::pearson;
+use crate::pearson::pearson_checked;
 
 /// Fixed seed for the robust-estimator bootstrap intervals. A constant —
 /// not worker or query state — so a candidate's interval depends only on
@@ -87,12 +87,12 @@ pub fn scored_estimate(
     confidence: f64,
     scratch: &mut BootstrapScratch,
 ) -> Result<ScoredEstimate, StatsError> {
-    crate::error::validate_pairs(x, y, estimator.min_samples())?;
     let confidence = confidence.clamp(1e-6, 1.0 - 1e-6);
     let alpha = 1.0 - confidence;
     let (estimate, ci) = match estimator {
         CorrelationEstimator::Pearson => {
-            let r = pearson(x, y)?;
+            // The sample is checked once, inside the moment pass.
+            let r = pearson_checked(x, y, estimator.min_samples())?;
             // The |r| → 1 degeneracy guard lives inside
             // [`fisher_z_interval`] now: |r| is bounded away from ±1 by
             // 1/(2n) for the transform and the interval re-widened to
@@ -104,9 +104,11 @@ pub fn scored_estimate(
         // One replicate pass: the estimate is the adaptive-rule prefix
         // mean of the interval's 599 replicates.
         CorrelationEstimator::Pm1Bootstrap { seed } => {
+            validate_pairs(x, y, estimator.min_samples())?;
             pm1_with_ci(x, y, seed, confidence, scratch)?
         }
         other => {
+            validate_pairs(x, y, other.min_samples())?;
             let est = other.estimate(x, y)?;
             let ci = percentile_bootstrap_ci(
                 &|a, b| other.estimate(a, b),

@@ -2,9 +2,11 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use sketch_stats::kernel::{centered_sums, column_means};
 use sketch_stats::{
-    average_ranks, hfd_interval, hoeffding_interval, pearson, rankit_transform, rin_correlation,
-    spearman, Moments, ValueBounds,
+    average_ranks, fisher_z_interval, hfd_interval, hoeffding_interval, pearson, rankit_transform,
+    rin_correlation, scored_estimate, spearman, BootstrapScratch, CorrelationEstimator, Moments,
+    StatsError, ValueBounds,
 };
 
 /// The tightest bounds covering both samples.
@@ -155,6 +157,119 @@ proptest! {
         if let Ok(ci) = hfd_interval(x, y, bounds, 0.05) {
             prop_assert!(ci.length() >= 0.0);
             prop_assert!(ci.length().is_finite());
+        }
+    }
+}
+
+/// Pearson as it stood with two checks of every sample: the whole
+/// sample validated (lengths, size, every value finite) before the
+/// two-pass moment kernels ran.
+fn pearson_validated_twice(x: &[f64], y: &[f64], min_len: usize) -> Result<f64, StatsError> {
+    if x.len() != y.len() {
+        return Err(StatsError::LengthMismatch {
+            left: x.len(),
+            right: y.len(),
+        });
+    }
+    if x.len() < min_len {
+        return Err(StatsError::TooFewSamples {
+            needed: min_len,
+            got: x.len(),
+        });
+    }
+    if !x.iter().chain(y).all(|v| v.is_finite()) {
+        return Err(StatsError::NonFiniteInput);
+    }
+    let (mean_x, mean_y) = column_means(x, y);
+    let s = centered_sums(x, y, mean_x, mean_y);
+    if s.sxx <= 0.0 || s.syy <= 0.0 {
+        return Err(StatsError::ZeroVariance);
+    }
+    Ok((s.sxy / (s.sxx.sqrt() * s.syy.sqrt())).clamp(-1.0, 1.0))
+}
+
+/// A sample value from a `(kind, ordinary value)` draw: mostly the
+/// ordinary value; otherwise one whose column sum overflows while every
+/// value is finite, NaN, an infinity, or a constant.
+fn hostile_value((kind, v): (usize, f64)) -> f64 {
+    match kind {
+        0 => f64::MAX,
+        1 => -f64::MAX,
+        2 => 1.5e308,
+        3 => f64::NAN,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        6 => 3.0,
+        _ => v,
+    }
+}
+
+/// A paired sample of up to 40 rows, now and then of unequal lengths,
+/// whose columns are ordinary or hostile (a hostile value in about one
+/// row in three) or constant.
+fn hostile_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    let column = || (vec((0usize..20, -1e4f64..1e4), 0..41), 0usize..4);
+    (column(), column(), 0usize..10).prop_map(|(x, y, skew)| {
+        let make = |(draws, mode): (Vec<(usize, f64)>, usize)| -> Vec<f64> {
+            match mode {
+                0 => draws.iter().map(|&(_, v)| v).collect(),
+                1 => draws.iter().map(|_| 7.0).collect(),
+                _ => draws.into_iter().map(hostile_value).collect(),
+            }
+        };
+        let (mut x, mut y) = (make(x), make(y));
+        if skew > 0 {
+            // Equal lengths nine times in ten.
+            let n = x.len().min(y.len());
+            x.truncate(n);
+            y.truncate(n);
+        }
+        (x, y)
+    })
+}
+
+fn same_bits(a: Result<f64, StatsError>, b: Result<f64, StatsError>) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => a.to_bits() == b.to_bits(),
+        (a, b) => a == b,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `pearson` checks its sample once, judging the values from the
+    /// column means: bit for bit (or error for error) what validating
+    /// the whole sample first gave, on NaN, ±∞, and finite values whose
+    /// sums overflow.
+    #[test]
+    fn single_validation_pearson_is_the_validated_one((x, y) in hostile_pair()) {
+        let want = pearson_validated_twice(&x, &y, 2);
+        prop_assert!(same_bits(pearson(&x, &y), want), "{:?} vs {want:?}", pearson(&x, &y));
+    }
+
+    /// The scored Pearson path checks the sample once too: the same
+    /// estimate, interval and error as validating it, then estimating.
+    #[test]
+    fn scored_pearson_checks_once_and_answers_the_same(
+        (x, y) in hostile_pair(),
+        confidence in 0.5f64..0.999,
+    ) {
+        let est = CorrelationEstimator::Pearson;
+        let got = scored_estimate(est, &x, &y, confidence, &mut BootstrapScratch::new());
+        let want = pearson_validated_twice(&x, &y, est.min_samples()).map(|r| {
+            let ci = fisher_z_interval(r, x.len(), 1.0 - confidence.clamp(1e-6, 1.0 - 1e-6));
+            (r, ci.low, ci.high)
+        });
+        match (got, want) {
+            (Ok(g), Ok((r, lo, hi))) => {
+                prop_assert_eq!(g.estimate.to_bits(), r.to_bits());
+                prop_assert_eq!(g.ci_lo.to_bits(), lo.to_bits());
+                prop_assert_eq!(g.ci_hi.to_bits(), hi.to_bits());
+                prop_assert_eq!(g.sample_size, x.len());
+            }
+            (Err(g), Err(w)) => prop_assert_eq!(g, w),
+            (g, w) => prop_assert!(false, "{:?} vs {:?}", g, w),
         }
     }
 }

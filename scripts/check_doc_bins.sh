@@ -9,8 +9,15 @@
 # docs name as `GET /x` or `POST /x` must be served: an entry
 # ("/x", "METHOD") of SHARED in crates/server/src/pipeline.rs or of
 # Local::EXTRA in crates/server/src/server.rs.
-# Deleting a target or a route without its mentions (or documenting one
-# that was never written) fails here instead of in front of a reader.
+# Every span name README.md's request-tracing paragraph lists (a
+# backticked lower_snake word) must be recorded by the code: a
+# trace.begin / trace.begin_indexed / trace.record call in crates/ with
+# that name, or a trace.note call for the coordinator's notes — stage
+# costs are read from those spans, so a renamed span must not leave the
+# docs pointing at nothing.
+# Deleting a target, a route or a span without its mentions (or
+# documenting one that was never written) fails here instead of in
+# front of a reader.
 #
 # Used by CI (.github/workflows/ci.yml, `check` job) and runnable
 # locally from the repo root:  bash scripts/check_doc_bins.sh
@@ -60,6 +67,16 @@ while read -r route; do
     status=1
   fi
 done < <(grep -ohE -- "\b(GET|POST) /[A-Za-z0-9_]+" "${ROUTE_DOCS[@]}" | sort -u)
+
+emitted=$(grep -rhoE 'trace\.(begin|begin_indexed|record|note)\("[a-z_]+"' crates --include='*.rs' |
+  sed -E 's/^.*\("//; s/"$//' | sort -u)
+while read -r span; do
+  if ! grep -qxF -- "$span" <<< "$emitted"; then
+    echo "check_doc_bins: FAIL: span '$span' is named in README.md's request-tracing paragraph" >&2
+    echo "  but no trace.begin/begin_indexed/record/note call in crates/ records it" >&2
+    status=1
+  fi
+done < <(awk '/^\*\*Request tracing\.\*\*/,/^$/' README.md | grep -oE '`[a-z_]+`' | tr -d '`' | sort -u)
 
 [ "$status" -eq 0 ] && echo "check_doc_bins: OK"
 exit "$status"
