@@ -628,9 +628,8 @@ fn plain_run(bytes: &[u8]) -> usize {
     // a byte above a zero one, never one below it: a word with no zero
     // byte yields no mark.
     let zero = |w: u64| w.wrapping_sub(ONES) & !w & HIGHS;
-    let mut words = bytes.chunks_exact(8);
     let mut skipped = 0;
-    for word in words.by_ref() {
+    for word in bytes.chunks_exact(8) {
         let Ok(word) = <[u8; 8]>::try_from(word) else {
             break;
         };
@@ -828,6 +827,37 @@ mod tests {
         let mut r = Reader::new("{} junk");
         r.skip_value().unwrap();
         assert_eq!(r.finish().unwrap_err(), "trailing bytes at offset 3");
+    }
+
+    /// The word-at-a-time scan stops exactly where the byte-at-a-time
+    /// one does: every stop byte (and its non-stop neighbours) at every
+    /// offset of strings spanning several words, alone and behind an
+    /// earlier stop.
+    #[test]
+    fn plain_run_stops_where_the_bytewise_scan_stops() {
+        let bytes = [
+            b'"', b'\\', 0x00, 0x01, 0x1f, 0x20, 0x21, 0x5b, 0x7f, 0x80, 0xc3, 0xff,
+        ];
+        for len in 0..26 {
+            for at in 0..len {
+                for &b in &bytes {
+                    let mut text = vec![b'a'; len];
+                    text[at] = b;
+                    assert_eq!(
+                        plain_run(&text),
+                        run(&text, is_plain),
+                        "{b:#x} at {at} of {len}"
+                    );
+                    for &later in &bytes {
+                        let mut two = text.clone();
+                        if let Some(slot) = two.get_mut(at + 9) {
+                            *slot = later;
+                        }
+                        assert_eq!(plain_run(&two), run(&two, is_plain), "{b:#x}, {later:#x}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -109,9 +109,10 @@ pub struct KeyColumn {
 }
 
 impl KeyColumn {
-    /// An empty column with room for `rows` keys.
+    /// An empty column with room for `rows` keys of `text_bytes` bytes
+    /// in all.
     #[must_use]
-    pub fn with_capacity(rows: usize, text_bytes: usize) -> Self {
+    pub(crate) fn with_capacity(rows: usize, text_bytes: usize) -> Self {
         Self {
             text: String::with_capacity(text_bytes),
             ends: Vec::with_capacity(rows),
@@ -119,7 +120,7 @@ impl KeyColumn {
     }
 
     /// Append a key.
-    pub fn push(&mut self, key: &str) {
+    pub(crate) fn push(&mut self, key: &str) {
         self.text.push_str(key);
         self.ends.push(self.text.len());
     }
@@ -138,7 +139,7 @@ impl KeyColumn {
 
     /// Total bytes of key text.
     #[must_use]
-    pub fn text_len(&self) -> usize {
+    pub(crate) fn text_len(&self) -> usize {
         self.text.len()
     }
 
@@ -1160,6 +1161,23 @@ mod tests {
         assert_eq!(opts.k, 10);
         assert_eq!(opts.overlap_candidates, 100);
         assert_eq!(opts.threads, 1);
+    }
+
+    #[test]
+    fn key_column_keeps_its_rows_apart() {
+        let rows = ["ab", "", "c", "café", ""];
+        let column: KeyColumn = rows.iter().collect();
+        assert_eq!(column.len(), 5);
+        assert_eq!(column.text_len(), "abccafé".len());
+        assert_eq!(column.iter().collect::<Vec<_>>(), rows);
+        let owned: Vec<String> = rows.iter().map(|k| k.to_string()).collect();
+        assert_eq!(KeyColumn::from(owned), column);
+        // The same text split elsewhere is another column.
+        assert_ne!(
+            ["a", "b", "", "ccafé", ""].iter().collect::<KeyColumn>(),
+            column
+        );
+        assert!(KeyColumn::default().is_empty());
     }
 
     #[test]

@@ -373,7 +373,17 @@ impl Gen {
             })
             .collect();
         let escape = self.pick(&[0, 0, 2, 10]);
-        self.spell(&text, escape)
+        let mut literal = self.spell(&text, escape);
+        if self.chance(3) {
+            // A raw control character, which no string may hold,
+            // anywhere between the quotes.
+            let mut at = 1 + self.below(literal.len() - 1);
+            while !literal.is_char_boundary(at) {
+                at += 1;
+            }
+            literal.insert(at, self.pick(&['\u{0}', '\t', '\u{1f}']));
+        }
+        literal
     }
 
     /// A number spelled from parts: a sign, leading zeros, digits, a
@@ -802,6 +812,29 @@ fn single_defects_keep_their_wording() {
     }
     // Invalid UTF-8 never reaches the reader.
     agree(b"{\"keys\":[\"\xff\"],\"values\":[1]}");
+}
+
+/// A raw control character is refused wherever it sits in a long key —
+/// inside an eight-byte word of the string or in its tail — and an
+/// escaped one is decoded.
+#[test]
+fn a_raw_control_character_in_a_long_key_is_refused() {
+    let [d, _] = defaults();
+    let key = "key-0123456789-abcdefghij-klmnopqrst";
+    for at in 0..=key.len() {
+        for raw in ['\u{0}', '\t', '\u{1f}'] {
+            let mut spelled = key.to_string();
+            spelled.insert(at, raw);
+            let body = format!(r#"{{"keys":["{spelled}"],"values":[1]}}"#);
+            agree(body.as_bytes());
+            assert!(QueryRequest::parse(body.as_bytes(), &d).is_err(), "{at}");
+            let escaped = format!("{}\\u001f{}", &key[..at], &key[at..]);
+            let body = format!(r#"{{"keys":["{escaped}"],"values":[1]}}"#);
+            let req = QueryRequest::parse(body.as_bytes(), &d).unwrap();
+            let want = format!("{}\u{1f}{}", &key[..at], &key[at..]);
+            assert_eq!(req.body.keys.iter().collect::<Vec<_>>(), [want.as_str()]);
+        }
+    }
 }
 
 /// The attack the nesting ceiling exists for, aimed at a field the
