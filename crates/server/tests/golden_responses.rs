@@ -138,10 +138,13 @@ fn query_answers_are_pinned() {
     let snap = IndexSnapshot::new(SketchIndex::from_sketches(sketches).unwrap());
     assert!(split.queries.len() > 15, "{}", split.queries.len());
 
-    let got: Vec<(usize, u64, u64)> = CASES
+    let answers: Vec<String> = CASES
         .iter()
-        .map(|&(query, extra)| {
-            let rendered = answer(&snap, &body(&split.queries[query], extra));
+        .map(|&(query, extra)| answer(&snap, &body(&split.queries[query], extra)))
+        .collect();
+    let got: Vec<(usize, u64, u64)> = answers
+        .iter()
+        .map(|rendered| {
             let (h1, h2) = murmur3_x64_128(rendered.as_bytes(), 0);
             (rendered.len(), h1, h2)
         })
@@ -152,26 +155,10 @@ fn query_answers_are_pinned() {
     assert_eq!(got, PINNED);
     // The escaped spelling decodes to its plain twin's column.
     assert_eq!(got[15], got[14]);
-}
-
-#[test]
-fn the_pinned_answers_rank_something() {
-    // A lake where nothing joined would pin sixteen empty answers.
-    let tables = generate_open_data(&OpenDataConfig {
-        tables: 80,
-        ..OpenDataConfig::nyc(LAKE_SEED)
-    });
-    let split = split_corpus(&tables, 0.3, LAKE_SEED);
-    let builder = SketchBuilder::new(SketchConfig::with_size(256));
-    let snap = IndexSnapshot::new(
-        SketchIndex::from_sketches(split.corpus.iter().map(|p| builder.build(p))).unwrap(),
-    );
-    let counted = CASES
+    // A lake where nothing joined would pin empty answers.
+    let ranked = answers
         .iter()
-        .filter(|&&(query, extra)| {
-            let rendered = answer(&snap, &body(&split.queries[query], extra));
-            api::extract_u64(&rendered, "count").unwrap() > 0
-        })
+        .filter(|a| api::extract_u64(a, "count").unwrap() > 0)
         .count();
-    assert!(counted >= 12, "{counted} of 16 answers rank a column");
+    assert!(ranked >= 12, "{ranked} of 16 answers rank a column");
 }

@@ -41,17 +41,13 @@ use crate::kernel::{centered_sums, column_means};
 /// * [`StatsError::ZeroVariance`] if either variable is constant.
 /// * [`StatsError::NonFiniteInput`] on NaN/∞ inputs.
 pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
-    pearson_checked(x, y, 2)
-}
-
-/// [`pearson`] on a sample of at least `min_len` pairs, which it checks
-/// exactly once: its shape up front, its values through the first pass.
-/// A NaN or ±∞ makes its column's sum non-finite, so finite means clear
-/// every value; only a non-finite mean (a bad value, or finite values
-/// whose sum overflowed) pays for the per-value check. The errors, and
-/// the order they are tried in, are [`crate::error::validate_pairs`]'.
-pub(crate) fn pearson_checked(x: &[f64], y: &[f64], min_len: usize) -> Result<f64, StatsError> {
-    validate_shape(x, y, min_len)?;
+    // The sample is checked once: its shape up front, its values through
+    // the first pass. A NaN or ±∞ makes its column's sum non-finite, so
+    // finite means clear every value; only a non-finite mean (a bad
+    // value, or finite values whose sum overflowed) pays for the
+    // per-value check. The errors, and the order they are tried in, are
+    // those of validating the whole sample first.
+    validate_shape(x, y, 2)?;
     let (mean_x, mean_y) = column_means(x, y);
     if !(mean_x.is_finite() && mean_y.is_finite()) {
         validate_finite(x, y)?;

@@ -25,7 +25,7 @@ use crate::bootstrap::{percentile_bootstrap_ci, pm1_with_ci, BootstrapScratch};
 use crate::ci::{fisher_z_interval, ConfidenceInterval};
 use crate::error::{validate_pairs, StatsError};
 use crate::estimator::CorrelationEstimator;
-use crate::pearson::pearson_checked;
+use crate::pearson::pearson;
 
 /// Fixed seed for the robust-estimator bootstrap intervals. A constant —
 /// not worker or query state — so a candidate's interval depends only on
@@ -91,8 +91,9 @@ pub fn scored_estimate(
     let alpha = 1.0 - confidence;
     let (estimate, ci) = match estimator {
         CorrelationEstimator::Pearson => {
-            // The sample is checked once, inside the moment pass.
-            let r = pearson_checked(x, y, estimator.min_samples())?;
+            // `pearson` checks the sample (against Pearson's minimum of
+            // two pairs) itself, once.
+            let r = pearson(x, y)?;
             // The |r| → 1 degeneracy guard lives inside
             // [`fisher_z_interval`] now: |r| is bounded away from ±1 by
             // 1/(2n) for the transform and the interval re-widened to
