@@ -164,35 +164,42 @@ impl Postings {
 }
 
 /// The postings of `sketches`, numbered from slot `first`: a first pass
-/// counts every key's postings, so the second allocates each list once,
-/// at its final length, and fills it in slot order.
+/// looks every key up once and notes each entry's list position, so
+/// every list is allocated once, at its final length, and the second
+/// pass fills it in slot order without hashing again.
 fn invert(sketches: &[CorrelationSketch], first: usize) -> Postings {
     let mut at: HashMap<KeyHash, u32, BuildHasherDefault<KeyHashHasher>> = HashMap::default();
-    let mut counted: Vec<(KeyHash, usize)> = Vec::new();
-    for e in sketches.iter().flat_map(CorrelationSketch::entries) {
-        match at.entry(e.key) {
-            Entry::Occupied(i) => counted[*i.get() as usize].1 += 1,
-            Entry::Vacant(i) => {
-                i.insert(u32::try_from(counted.len()).expect("fewer than 2^32 keys"));
-                counted.push((e.key, 1));
-            }
-        }
+    let mut keys = Vec::new();
+    let positions: Vec<u32> = sketches
+        .iter()
+        .flat_map(CorrelationSketch::entries)
+        .map(|e| {
+            *at.entry(e.key).or_insert_with(|| {
+                keys.push(e.key);
+                u32::try_from(keys.len() - 1).expect("fewer than 2^32 keys")
+            })
+        })
+        .collect();
+    let mut lens = vec![0usize; keys.len()];
+    for &i in &positions {
+        lens[i as usize] += 1;
     }
-    let lists = counted
+    let mut lists: Vec<PostingList> = keys
         .into_iter()
+        .zip(lens)
         .map(|(key, n)| PostingList::with_capacity(key, n))
         .collect();
-    let mut postings = Postings { at, lists };
+    let mut positions = positions.into_iter();
     for (slot, s) in (first..).zip(sketches) {
         let slot = u32::try_from(slot).expect("fewer than 2^32 sketches");
         for e in s.entries() {
-            let at = postings.find(e.key).expect("every key was counted");
-            let list = &mut postings.lists[at as usize];
+            let i = positions.next().expect("one position per entry");
+            let list = &mut lists[i as usize];
             list.slots.push(slot);
             list.values.push(e.value);
         }
     }
-    postings
+    Postings { at, lists }
 }
 
 /// Append `tail`'s lists, whose slots all follow `postings`', to
