@@ -1,5 +1,5 @@
-//! The inverted index over sketch key hashes, incrementally maintained
-//! under inserts and removes.
+//! The inverted index over sketch key hashes: an immutable base, an
+//! overlay of later inserts, and removals that touch no posting.
 //!
 //! # Doc ids under mutation
 //!
@@ -8,56 +8,71 @@
 //! shifts the doc ids of everything inserted after it down by one, which
 //! is exactly how a from-scratch rebuild over the surviving sketches
 //! would number them. This is the index's central equivalence contract:
-//! after *any* interleaving of inserts and removes, the index is
-//! bit-identical — doc ids, tie-breaks, query reports — to
-//! [`SketchIndex::from_sketches`] over the surviving sketches in
+//! after *any* interleaving of inserts and removes, the index answers
+//! bit-identically — doc ids, tie-breaks, join samples, query reports —
+//! to [`SketchIndex::from_sketches`] over the surviving sketches in
 //! insertion order (and to [`SketchIndex::from_store`] over a store that
 //! replayed the same log). Because ids shift, removal is keyed by the
 //! stable sketch id string, not by doc id.
 //!
 //! Internally the index never renumbers anything: sketches live in
-//! append-only *slots*, posting lists hold slot numbers, and a sorted
-//! slot→doc translation (`live`) is maintained at the edges. Removal
-//! incrementally unthreads the sketch from its posting lists
-//! (`O(sketch size · posting length)`) rather than rebuilding.
+//! append-only *slots*, postings hold slot numbers, and a sorted
+//! slot→doc translation (`live`) is maintained at the edges. The
+//! postings are in two parts:
+//!
+//! * the **base**, built once by the bulk constructors and never changed
+//!   after: every posting of the slots it was built over, one key's
+//!   after another in two flat columns (compressed sparse rows), with a
+//!   key → `start..end` map. It sits behind an [`Arc`], so a clone of the
+//!   index — the server's refresher takes one per delta — shares it, and
+//!   shares every sketch too;
+//! * the **overlay**: a posting list per key, holding only the slots
+//!   inserted since the base was built. A query key probes the overlay
+//!   only when it is not empty.
+//!
+//! Removal touches no posting. A removed slot leaves `live`, and the
+//! live order is all retrieval selects from, so the postings it leaves
+//! behind are counted and never read. They last until
+//! [`SketchIndex::compact`] or the next [`SketchIndex::from_store`]
+//! rebuilds the base over the live sketches.
 //!
 //! # Postings carry values
 //!
 //! A posting is `(slot, x_k)`: the sketch's slot **and the value it
-//! stores for that key** — `h(k) → [(slot, x_k)]`, kept per key as two
-//! parallel columns (`slots`, `values`) and maintained by the same
-//! `insert`/`remove`/`compact` that maintain the slots. Retrieval already
-//! visits every (query key, candidate) match; with the value in the
-//! posting the same visit yields the join row `(x_query, y_candidate)`,
-//! so [`SketchIndex::retrieve_joined`] hands the estimators each
-//! winner's join sample without a merge walk per candidate. The price is
-//! memory: 12 bytes per posting (`u32` slot + `f64` value) where a
-//! slot-only posting took 4, plus one more `Vec` header per distinct
-//! key. Counting reads only the `slots` column, so the count walk touches
-//! the same bytes as before. Removal finds the slot by binary search
-//! (slots only grow, so every list is ascending) and shifts both columns
-//! — the same `O(sketch size · posting length)` bound.
+//! stores for that key** — `h(k) → [(slot, x_k)]`, kept as two parallel
+//! columns (`slots`, `values`). Retrieval already visits every (query
+//! key, candidate) match; with the value in the posting the same visit
+//! yields the join row `(x_query, y_candidate)`, so
+//! [`SketchIndex::retrieve_joined`] hands the estimators each winner's
+//! join sample without a merge walk per candidate. The price is memory:
+//! 12 bytes per posting (`u32` slot + `f64` value). Counting reads only
+//! the `slots` column. Every key's postings are ascending by slot: base
+//! slots precede overlay slots, and both parts are appended in slot
+//! order.
 //!
 //! # Bulk construction
 //!
-//! [`SketchIndex::from_sketches`] and [`SketchIndex::from_store`] build
-//! the same index `insert` would, in bulk: a counting pass sizes every
-//! posting list before it is filled, so each is allocated once at its
-//! final length, and `from_store` inverts contiguous slot ranges on its
-//! loader threads and appends the parts per key in slot order.
+//! [`SketchIndex::from_sketches`], [`SketchIndex::from_store`] and
+//! [`SketchIndex::compact`] write the base directly: a counting pass
+//! over contiguous slot ranges on the loader threads notes each entry's
+//! key, prefix sums place every key's range, and one fill — the same
+//! threads, each writing its own slot range's share of every key — puts
+//! each posting in place. Keys keep their first-seen order. The same
+//! build ranks the base slots by sketch id, so retrieval breaks overlap
+//! ties by comparing two integers instead of two id strings.
 //!
-//! # The postings map skips SipHash
+//! # The postings maps skip SipHash
 //!
-//! A [`KeyHash`] is already the output of a seeded murmur3, so the map
-//! hashes it with one multiply instead of SipHash — which is what pays
-//! for the fatter postings at load time. Hash flooding is not a concern
-//! here: only operator-packed corpora are ever *inserted* (`insert`,
-//! `apply_delta`, the store loaders); query keys from the outside are
-//! only ever *looked up*, which cannot grow a bucket chain.
+//! A [`KeyHash`] is already the output of a seeded murmur3, so the maps
+//! hash it with one multiply instead of SipHash. Hash flooding is not a
+//! concern here: only operator-packed corpora are ever *inserted*
+//! (`insert`, `apply_delta`, the store loaders); query keys from the
+//! outside are only ever *looked up*, which cannot grow a bucket chain.
 
-use std::collections::hash_map::Entry;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use correlation_sketches::{CorrelationSketch, DeltaRecord, SketchError};
 use sketch_hashing::{KeyHash, TupleHasher};
@@ -67,7 +82,7 @@ use sketch_hashing::{KeyHash, TupleHasher};
 /// see the module docs for the equivalence contract this buys.
 pub type DocId = u32;
 
-/// Hasher of the postings map (module docs: why not SipHash). The
+/// Hasher of the postings maps (module docs: why not SipHash). The
 /// multiply by an odd constant carries the key's low bits into the high
 /// ones, which the 32-bit tuple hasher leaves zero and the table reads
 /// its control bytes from.
@@ -91,33 +106,51 @@ impl Hasher for KeyHashHasher {
     }
 }
 
-/// One key's postings as two parallel columns, ascending by slot.
-#[derive(Debug, Clone)]
+type KeyMap<V> = HashMap<KeyHash, V, BuildHasherDefault<KeyHashHasher>>;
+
+/// The immutable postings of the slots `0..ranks.len()`: every key's
+/// postings contiguous in two parallel columns, ascending by slot.
+#[derive(Debug, Default)]
+struct Base {
+    /// `h(k)` → the range `start..end` of `slots` and `values` holding
+    /// that key's postings.
+    at: KeyMap<(u32, u32)>,
+    slots: Vec<u32>,
+    /// `values[i]` is the value slot `slots[i]`'s sketch stores for the
+    /// key whose range holds `i`.
+    values: Vec<f64>,
+    /// `ranks[slot]` is the slot's position in ascending sketch-id order
+    /// over the base slots; equal ids share the rank of the first.
+    ranks: Vec<u32>,
+}
+
+impl Base {
+    /// `key`'s range of the columns, if it has postings here.
+    fn find(&self, key: KeyHash) -> Option<(u32, u32)> {
+        self.at.get(&key).copied()
+    }
+
+    /// The slots of a range [`Self::find`] returned.
+    fn slots(&self, (start, end): (u32, u32)) -> &[u32] {
+        &self.slots[start as usize..end as usize]
+    }
+}
+
+/// One key's overlay postings as two parallel columns, ascending by slot.
+#[derive(Debug, Clone, Default)]
 struct PostingList {
-    /// The key these are the postings of.
-    key: KeyHash,
     slots: Vec<u32>,
     /// `values[i]` is the value slot `slots[i]`'s sketch stores for this key.
     values: Vec<f64>,
 }
 
-impl PostingList {
-    fn with_capacity(key: KeyHash, n: usize) -> Self {
-        Self {
-            key,
-            slots: Vec::with_capacity(n),
-            values: Vec::with_capacity(n),
-        }
-    }
-}
-
-/// Every key's posting list, and `h(k)` → the position of that key's
-/// list. A lookup yields a position, so a retrieval finds each query
-/// key's list once and keeps the position for its second walk
-/// ([`JoinedHits`]).
+/// The overlay: a posting list per key, and `h(k)` → the position of
+/// that key's list. A lookup yields a position, so a retrieval finds
+/// each query key's list once and keeps the position for its second
+/// walk ([`JoinedHits`]).
 #[derive(Debug, Default, Clone)]
 struct Postings {
-    at: HashMap<KeyHash, u32, BuildHasherDefault<KeyHashHasher>>,
+    at: KeyMap<u32>,
     lists: Vec<PostingList>,
 }
 
@@ -136,91 +169,194 @@ impl Postings {
     fn list_mut(&mut self, key: KeyHash) -> &mut PostingList {
         let Self { at, lists } = self;
         let at = *at.entry(key).or_insert_with(|| {
-            lists.push(PostingList::with_capacity(key, 0));
+            lists.push(PostingList::default());
             u32::try_from(lists.len() - 1).expect("fewer than 2^32 keys")
         });
         &mut lists[at as usize]
     }
-
-    /// Take `slot` out of `key`'s list; a list left empty is dropped, and
-    /// the last list moves into its position.
-    fn unthread(&mut self, key: KeyHash, slot: u32) {
-        let Some(at) = self.find(key) else {
-            return;
-        };
-        let list = &mut self.lists[at as usize];
-        if let Ok(i) = list.slots.binary_search(&slot) {
-            list.slots.remove(i);
-            list.values.remove(i);
-        }
-        if list.slots.is_empty() {
-            self.at.remove(&key);
-            self.lists.swap_remove(at as usize);
-            if let Some(moved) = self.lists.get(at as usize) {
-                self.at.insert(moved.key, at);
-            }
-        }
-    }
 }
 
-/// The postings of `sketches`, numbered from slot `first`: a first pass
-/// looks every key up once and notes each entry's list position, so
-/// every list is allocated once, at its final length, and the second
-/// pass fills it in slot order without hashing again.
-fn invert(sketches: &[CorrelationSketch], first: usize) -> Postings {
-    let mut at: HashMap<KeyHash, u32, BuildHasherDefault<KeyHashHasher>> = HashMap::default();
-    let mut keys = Vec::new();
-    let positions: Vec<u32> = sketches
+/// Run `f` on every item, the first on this thread and each other on a
+/// thread of its own; the results come back in item order.
+fn on_threads<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    std::thread::scope(|scope| {
+        let mut items = items.into_iter();
+        let head = items.next();
+        let workers: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        head.map(f)
+            .into_iter()
+            .chain(
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("index build workers do not panic")),
+            )
+            .collect()
+    })
+}
+
+/// The counting pass over one contiguous slot range: its keys in
+/// first-seen order, how many postings each has in the range, and the
+/// key position of every entry, so the fill hashes nothing.
+struct Counted {
+    keys: Vec<KeyHash>,
+    lens: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+fn count(sketches: &[Arc<CorrelationSketch>]) -> Counted {
+    let mut at: KeyMap<u32> = HashMap::default();
+    let (mut keys, mut lens) = (Vec::new(), Vec::new());
+    let positions = sketches
         .iter()
-        .flat_map(CorrelationSketch::entries)
+        .flat_map(|s| s.entries())
         .map(|e| {
-            *at.entry(e.key).or_insert_with(|| {
+            let i = *at.entry(e.key).or_insert_with(|| {
                 keys.push(e.key);
+                lens.push(0);
                 u32::try_from(keys.len() - 1).expect("fewer than 2^32 keys")
-            })
+            });
+            lens[i as usize] += 1;
+            i
         })
         .collect();
-    let mut lens = vec![0usize; keys.len()];
-    for &i in &positions {
-        lens[i as usize] += 1;
+    Counted {
+        keys,
+        lens,
+        positions,
     }
-    let mut lists: Vec<PostingList> = keys
-        .into_iter()
-        .zip(lens)
-        .map(|(key, n)| PostingList::with_capacity(key, n))
-        .collect();
-    let mut positions = positions.into_iter();
-    for (slot, s) in (first..).zip(sketches) {
-        let slot = u32::try_from(slot).expect("fewer than 2^32 sketches");
-        for e in s.entries() {
-            let i = positions.next().expect("one position per entry");
-            let list = &mut lists[i as usize];
-            list.slots.push(slot);
-            list.values.push(e.value);
-        }
-    }
-    Postings { at, lists }
 }
 
-/// Append `tail`'s lists, whose slots all follow `postings`', to
-/// `postings` key by key: slots stay ascending and every list is grown
-/// once, to exactly its new length.
-fn append_postings(postings: &mut Postings, tail: Postings) {
-    for mut more in tail.lists {
-        match postings.at.entry(more.key) {
-            Entry::Occupied(at) => {
-                let list = &mut postings.lists[*at.get() as usize];
-                list.slots.reserve_exact(more.slots.len());
-                list.slots.append(&mut more.slots);
-                list.values.reserve_exact(more.values.len());
-                list.values.append(&mut more.values);
+/// One range's share of the base columns: for each of its keys (by
+/// position in its [`Counted::keys`]), the slice of that key's range its
+/// postings fill, in slot order.
+type Shares<'a> = Vec<(&'a mut [u32], &'a mut [f64])>;
+
+/// The base over `sketches`, numbered from slot 0, built on up to
+/// `threads` workers (`0` means 1). The columns hold exactly what
+/// appending every sketch's entries to per-key lists in slot order
+/// would, with the keys in first-seen order.
+fn build_base(sketches: &[Arc<CorrelationSketch>], threads: usize) -> Base {
+    let range_len = sketches.len().div_ceil(threads.max(1)).max(1);
+    let ranges: Vec<&[Arc<CorrelationSketch>]> = sketches.chunks(range_len).collect();
+    let parts = on_threads(ranges.clone(), count);
+
+    // Number the keys across ranges in first-seen order; `at` maps each
+    // to `(its number, 0)` until the ranges are placed.
+    let mut at: KeyMap<(u32, u32)> = HashMap::default();
+    let (mut keys, mut lens) = (Vec::new(), Vec::<u32>::new());
+    let numbers: Vec<Vec<u32>> = parts
+        .iter()
+        .map(|part| {
+            part.keys
+                .iter()
+                .zip(&part.lens)
+                .map(|(&key, &n)| {
+                    let g = at.entry(key).or_insert_with(|| {
+                        keys.push(key);
+                        lens.push(0);
+                        (
+                            u32::try_from(keys.len() - 1).expect("fewer than 2^32 keys"),
+                            0,
+                        )
+                    });
+                    lens[g.0 as usize] += n;
+                    g.0
+                })
+                .collect()
+        })
+        .collect();
+    let mut start = 0u32;
+    for (&key, &n) in keys.iter().zip(&lens) {
+        let end = start.checked_add(n).expect("fewer than 2^32 postings");
+        *at.get_mut(&key).expect("every key is numbered") = (start, end);
+        start = end;
+    }
+
+    // Cut the columns into each range's share of each key's range: per
+    // key, the ranges' shares follow each other in range order.
+    let total = start as usize;
+    let (mut slots, mut values) = (vec![0u32; total], vec![0f64; total]);
+    let mut shares: Vec<Shares<'_>> = parts
+        .iter()
+        .map(|part| {
+            std::iter::repeat_with(Default::default)
+                .take(part.keys.len())
+                .collect()
+        })
+        .collect();
+    // `local[r][g]` is key `g`'s position among range `r`'s keys.
+    let local: Vec<Vec<u32>> = numbers
+        .iter()
+        .map(|numbers| {
+            let mut local = vec![u32::MAX; keys.len()];
+            for (i, &g) in (0..).zip(numbers) {
+                local[g as usize] = i;
             }
-            Entry::Vacant(at) => {
-                at.insert(u32::try_from(postings.lists.len()).expect("fewer than 2^32 keys"));
-                postings.lists.push(more);
-            }
+            local
+        })
+        .collect();
+    let (mut rest_slots, mut rest_values) = (&mut slots[..], &mut values[..]);
+    for g in 0..keys.len() {
+        for (r, local) in local.iter().enumerate() {
+            let i = local[g] as usize;
+            let Some(&n) = parts[r].lens.get(i) else {
+                continue;
+            };
+            let n = n as usize;
+            let (s, more_slots) = std::mem::take(&mut rest_slots).split_at_mut(n);
+            let (v, more_values) = std::mem::take(&mut rest_values).split_at_mut(n);
+            shares[r][i] = (s, v);
+            (rest_slots, rest_values) = (more_slots, more_values);
         }
     }
+
+    let work: Vec<_> = ranges
+        .iter()
+        .zip((0..).step_by(range_len))
+        .zip(parts.iter().zip(shares))
+        .collect();
+    on_threads(work, |((range, first), (part, mut shares))| {
+        let mut positions = part.positions.iter();
+        for (slot, s) in (first..).zip(range.iter()) {
+            let slot = u32::try_from(slot).expect("fewer than 2^32 sketches");
+            for e in s.entries() {
+                let i = *positions.next().expect("one position per entry") as usize;
+                let (s, v) = std::mem::take(&mut shares[i]);
+                let ((s0, s), (v0, v)) = (
+                    s.split_first_mut().expect("the count sized the share"),
+                    v.split_first_mut().expect("the count sized the share"),
+                );
+                (*s0, *v0) = (slot, e.value);
+                shares[i] = (s, v);
+            }
+        }
+    });
+
+    Base {
+        at,
+        slots,
+        values,
+        ranks: id_ranks(sketches),
+    }
+}
+
+/// Each sketch's position in ascending id order; equal ids share the
+/// position of the first.
+fn id_ranks(sketches: &[Arc<CorrelationSketch>]) -> Vec<u32> {
+    let mut order: Vec<u32> =
+        (0..u32::try_from(sketches.len()).expect("fewer than 2^32 sketches")).collect();
+    let id = |slot: u32| sketches[slot as usize].id();
+    order.sort_unstable_by(|&a, &b| id(a).cmp(id(b)));
+    let mut ranks = vec![0u32; sketches.len()];
+    let mut rank = 0;
+    for (i, &slot) in (0u32..).zip(&order) {
+        if i > 0 && id(order[i as usize - 1]) != id(slot) {
+            rank = i;
+        }
+        ranks[slot as usize] = rank;
+    }
+    ranks
 }
 
 /// A retrieval's output and its scratch, reused across queries by one
@@ -238,10 +374,13 @@ pub struct JoinedHits {
     y: Vec<f64>,
     /// Per-slot overlap counters of the count walk.
     counts: Vec<u32>,
-    /// The count walk's finds, for the gather walk: the query's value
-    /// and the posting-list position of every query key with postings,
-    /// in the query's sketch order.
-    found: Vec<(f64, u32)>,
+    /// The lookups' finds in the base, for both walks: the query's value
+    /// and the key's range of the base columns, in the query's sketch
+    /// order.
+    found: Vec<(f64, (u32, u32))>,
+    /// The same for the overlay: the query's value and the position of
+    /// the key's overlay list.
+    found_overlay: Vec<(f64, u32)>,
     /// Per-slot [`Cursor`]s of the gather walk.
     cursors: Vec<Cursor>,
 }
@@ -295,11 +434,13 @@ impl JoinedHits {
 
 /// In-memory inverted index: `h(k) → [(sketch containing k, its x_k)]`.
 ///
-/// Insertion is `O(sketch size)`; removal is `O(sketch size · posting
-/// length)`; retrieval of overlap candidates is `O(Σ posting-list
+/// Insertion is `O(sketch size)`; removal touches no posting and is
+/// `O(sketch size)` lookups, each reading its key's postings up to the
+/// first live one; retrieval of overlap candidates is `O(Σ posting-list
 /// lengths)` over the query sketch's keys — the same set-overlap-search
 /// shape as the Lucene index the paper used — and emits the winners'
-/// join samples on the way ([`Self::retrieve_joined`]).
+/// join samples on the way ([`Self::retrieve_joined`]). A clone shares
+/// the base postings and every sketch.
 ///
 /// ```
 /// use correlation_sketches::{SketchBuilder, SketchConfig};
@@ -328,16 +469,19 @@ impl JoinedHits {
 pub struct SketchIndex {
     hasher: Option<TupleHasher>,
     /// Append-only insertion log; removed slots are `None`.
-    slots: Vec<Option<CorrelationSketch>>,
+    slots: Vec<Option<Arc<CorrelationSketch>>>,
     /// Live slots in ascending (= insertion) order; a [`DocId`] is a
     /// position in this vector.
     live: Vec<u32>,
     /// Live sketch id → slot. On duplicate ids the latest insert wins
     /// (ids are unique in any store-backed corpus; see [`Self::insert`]).
     by_id: HashMap<String, u32>,
-    /// Posting lists of `(slot, value)`, incrementally maintained:
-    /// removal unthreads the slot from every list its sketch appears in.
-    postings: Postings,
+    /// Postings of the slots the bulk constructor was given.
+    base: Arc<Base>,
+    /// Postings of the slots inserted since.
+    overlay: Postings,
+    /// Number of distinct keys with a live posting.
+    live_keys: usize,
     /// Store generation this index has applied (see
     /// [`Self::refresh_from_store`]). `0` for indices not built from a
     /// store.
@@ -364,10 +508,13 @@ impl SketchIndex {
         self.live.is_empty()
     }
 
-    /// Number of distinct hashed keys with non-empty posting lists.
+    /// Number of distinct hashed keys some live sketch holds — exactly a
+    /// rebuild's, however many dead postings a key has left behind.
+    /// Kept as a count: [`Self::insert`] and [`Self::remove`] each check,
+    /// per key of their sketch, whether the key had (has) a live posting.
     #[must_use]
     pub fn distinct_keys(&self) -> usize {
-        self.postings.lists.len()
+        self.live_keys
     }
 
     /// The store generation this index has applied — advanced by
@@ -382,11 +529,12 @@ impl SketchIndex {
     #[must_use]
     pub fn get(&self, doc: DocId) -> Option<&CorrelationSketch> {
         let &slot = self.live.get(doc as usize)?;
-        self.slots[slot as usize].as_ref()
+        self.slots[slot as usize].as_deref()
     }
 
     /// Insert a sketch, returning its doc id (always `len() - 1`: new
-    /// sketches enter at the end of the live order).
+    /// sketches enter at the end of the live order). Its postings go to
+    /// the overlay.
     ///
     /// Sketch ids are not required to be unique here (a JSON corpus may
     /// legitimately repeat column ids), but [`Self::remove`] and
@@ -405,20 +553,24 @@ impl SketchIndex {
         }
         let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 inserts");
         for e in sketch.entries() {
-            let list = self.postings.list_mut(e.key);
+            if !self.has_live_posting(e.key) {
+                self.live_keys += 1;
+            }
+            let list = self.overlay.list_mut(e.key);
             list.slots.push(slot);
             list.values.push(e.value);
         }
         self.by_id.insert(sketch.id().to_string(), slot);
         self.live.push(slot);
-        self.slots.push(Some(sketch));
+        self.slots.push(Some(Arc::new(sketch)));
         Ok((self.live.len() - 1) as DocId)
     }
 
-    /// Remove the live sketch with this id, incrementally unthreading it
-    /// from every posting list it appears in. Doc ids of later sketches
-    /// shift down by one — the index stays bit-equivalent to a rebuild
-    /// over the survivors. Returns `false` for ids that are not live.
+    /// Remove the live sketch with this id. Its postings stay where they
+    /// are, dead: retrieval selects from the live sketches only (module
+    /// docs). Doc ids of later sketches shift down by one — the index
+    /// stays bit-equivalent to a rebuild over the survivors. Returns
+    /// `false` for ids that are not live.
     pub fn remove(&mut self, id: &str) -> bool {
         let Some(slot) = self.by_id.remove(id) else {
             return false;
@@ -426,13 +578,28 @@ impl SketchIndex {
         let sketch = self.slots[slot as usize]
             .take()
             .expect("by_id only maps live slots");
-        for e in sketch.entries() {
-            self.postings.unthread(e.key, slot);
-        }
         let doc = self.live.partition_point(|&s| s < slot);
         debug_assert_eq!(self.live[doc], slot);
         self.live.remove(doc);
+        for e in sketch.entries() {
+            if !self.has_live_posting(e.key) {
+                self.live_keys -= 1;
+            }
+        }
         true
+    }
+
+    /// Whether some live sketch holds `key`: its postings are read up to
+    /// the first live one.
+    fn has_live_posting(&self, key: KeyHash) -> bool {
+        let live = |&slot: &u32| self.slots[slot as usize].is_some();
+        self.base
+            .find(key)
+            .is_some_and(|range| self.base.slots(range).iter().any(live))
+            || self
+                .overlay
+                .find(key)
+                .is_some_and(|at| self.overlay.list(at).slots.iter().any(live))
     }
 
     /// Apply one run of corpus delta records (appends and tombstones) in
@@ -468,8 +635,8 @@ impl SketchIndex {
     }
 
     /// Build an index from a sequence of sketches; doc ids follow the
-    /// iteration order. The result equals inserting the sketches one by
-    /// one, but every posting list is allocated once, at its final length.
+    /// iteration order. The result answers exactly as inserting the
+    /// sketches one by one would, with every posting in the base.
     ///
     /// # Errors
     ///
@@ -478,7 +645,7 @@ impl SketchIndex {
     pub fn from_sketches(
         sketches: impl IntoIterator<Item = CorrelationSketch>,
     ) -> Result<Self, SketchError> {
-        Self::bulk(sketches.into_iter().collect(), 1)
+        Self::bulk(sketches.into_iter().map(Arc::new).collect(), 1)
     }
 
     /// Build the inverted index directly from a binary corpus store
@@ -499,37 +666,23 @@ impl SketchIndex {
         threads: usize,
     ) -> Result<Self, sketch_store::StoreError> {
         let (manifest, sketches) = sketch_store::read_corpus_with_manifest(dir.as_ref(), threads)?;
-        let mut index = Self::bulk(sketches, threads).map_err(sketch_store::StoreError::from)?;
+        let mut index = Self::bulk(sketches.into_iter().map(Arc::new).collect(), threads)
+            .map_err(sketch_store::StoreError::from)?;
         index.generation = manifest.generation;
         Ok(index)
     }
 
-    /// The bulk constructor behind [`Self::from_sketches`] and
-    /// [`Self::from_store`]: the index `insert` would build from
-    /// `sketches` in order. Contiguous slot ranges are inverted on up to
-    /// `threads` workers; the parts' lists are then concatenated per key
-    /// in range order, so slots stay ascending.
-    fn bulk(sketches: Vec<CorrelationSketch>, threads: usize) -> Result<Self, SketchError> {
-        let hasher = sketches.first().map(CorrelationSketch::hasher);
+    /// The bulk constructor behind [`Self::from_sketches`],
+    /// [`Self::from_store`] and [`Self::compact`]: `sketches` in slots
+    /// `0..`, all live, every posting in a base built on up to `threads`
+    /// workers, and an empty overlay.
+    fn bulk(sketches: Vec<Arc<CorrelationSketch>>, threads: usize) -> Result<Self, SketchError> {
+        let hasher = sketches.first().map(|s| s.hasher());
         if sketches.iter().any(|s| Some(s.hasher()) != hasher) {
             return Err(SketchError::HasherMismatch);
         }
         let len = u32::try_from(sketches.len()).expect("fewer than 2^32 sketches");
-        let range_len = sketches.len().div_ceil(threads.max(1)).max(1);
-        let mut ranges = sketches.chunks(range_len).zip((0..).step_by(range_len));
-        let head = ranges.next();
-        let postings = std::thread::scope(|scope| {
-            let workers: Vec<_> = ranges
-                .map(|(range, first)| scope.spawn(move || invert(range, first)))
-                .collect();
-            let mut postings =
-                head.map_or_else(Postings::default, |(range, first)| invert(range, first));
-            for worker in workers {
-                let part = worker.join().expect("inversion workers do not panic");
-                append_postings(&mut postings, part);
-            }
-            postings
-        });
+        let base = build_base(&sketches, threads);
         Ok(Self {
             hasher,
             by_id: sketches
@@ -539,7 +692,9 @@ impl SketchIndex {
                 .collect(),
             live: (0..len).collect(),
             slots: sketches.into_iter().map(Some).collect(),
-            postings,
+            live_keys: base.at.len(),
+            base: Arc::new(base),
+            overlay: Postings::default(),
             generation: 0,
         })
     }
@@ -571,19 +726,23 @@ impl SketchIndex {
         Ok(records.len())
     }
 
-    /// Reclaim the memory of removed sketches by renumbering slots
-    /// densely — the in-memory sibling of `sketch_store::compact_corpus`.
+    /// Rebuild the base over the live sketches, in slots `0..len` — the
+    /// in-memory sibling of `sketch_store::compact_corpus`. This is what
+    /// drops the postings removed sketches left behind and folds the
+    /// overlay into the base; no sketch is copied.
     ///
-    /// Slots are append-only, so under sustained remove/insert churn the
-    /// slot space (and the per-query overlap counter sized to it) grows
-    /// with the *historical* insert count rather than the live size;
-    /// long-lived indices should call this periodically. Queries are
-    /// unaffected: the live order, doc ids, and every report are
-    /// bit-identical before and after (the equivalence contract in the
-    /// module docs), and [`Self::generation`] is preserved.
+    /// Slots are append-only and removal leaves its postings in place,
+    /// so under sustained remove/insert churn the slot space (and the
+    /// per-query overlap counter sized to it) and the postings a query
+    /// walks grow with the *historical* insert count rather than the
+    /// live size; long-lived indices should call this periodically (or
+    /// reload with [`Self::from_store`] after compacting the store).
+    /// Queries are unaffected: the live order, doc ids, and every report
+    /// are bit-identical before and after (the equivalence contract in
+    /// the module docs), and [`Self::generation`] is preserved.
     pub fn compact(&mut self) {
         let generation = self.generation;
-        let live: Vec<CorrelationSketch> = self
+        let live: Vec<Arc<CorrelationSketch>> = self
             .live
             .iter()
             .map(|&slot| {
@@ -592,7 +751,7 @@ impl SketchIndex {
                     .expect("live only lists occupied slots")
             })
             .collect();
-        *self = Self::from_sketches(live).expect("live sketches share one hasher");
+        *self = Self::bulk(live, 1).expect("live sketches share one hasher");
         self.generation = generation;
     }
 
@@ -606,46 +765,50 @@ impl SketchIndex {
     /// JSON corpus). Documents with zero overlap are never returned.
     ///
     /// This is the count-only projection of [`Self::retrieve_joined`]:
-    /// the same count walk and selection, without the gather.
+    /// the same lookups, count walk and selection, without the gather.
     #[must_use]
     pub fn overlap_candidates(
         &self,
         query: &CorrelationSketch,
         top_n: usize,
     ) -> Vec<(DocId, usize)> {
-        self.count_and_select(query, top_n, &mut Vec::new(), &mut Vec::new())
+        let mut out = JoinedHits::default();
+        self.count_and_select(query, top_n, &mut out);
+        out.hits
     }
 
     /// Stage 1 of a query, emitting the join: retrieve the hits of
     /// [`Self::overlap_candidates`] into `out` **together with each hit's
     /// join sample** ([`JoinedHits::sample`]).
     ///
-    /// Two walks over the posting lists of the query's keys, in the
-    /// query's sketch order. The *count walk* looks each query key up
-    /// once, keeps the position of every list it finds, and adds one per
-    /// posting into a flat per-slot counter (slots are dense: no hashing,
-    /// and removed sketches are already absent from every list, so no
-    /// liveness filter); a bounded heap picks the winners. Their counts are
-    /// their sample sizes, so each gets a `[start, end)` range of the
-    /// arena up front; the *gather walk* then revisits the lists the count
-    /// walk found and writes `(x_query, value)` at the cursor of every
-    /// posting, which advances through the range of a
-    /// selected slot and parks every other slot on a spare row. A sketch's
-    /// keys are unique and strictly ascending by `(g(k), h(k))` (the
-    /// builder and every decoder enforce it), so a slot meets each shared
-    /// key exactly once, in the order a merge walk of the two sketches
-    /// would — the rows are those of `join_sketches`, bit for bit.
+    /// Every query key is looked up first, in the query's sketch order:
+    /// its range of the base columns, and its overlay list when the
+    /// overlay holds any. The *count walk* then adds one per posting of
+    /// those ranges and lists into a flat per-slot counter (slots are
+    /// dense: no hashing); a bounded heap picks the winners among the
+    /// live slots, so dead postings are counted and never selected. The
+    /// winners' counts are their sample sizes, so each gets a
+    /// `[start, end)` range of the arena up front; the *gather walk* then
+    /// revisits the same ranges and lists and writes `(x_query, value)`
+    /// at the cursor of every posting, which advances through the range
+    /// of a selected slot and parks every other slot, dead ones included,
+    /// on a spare row. A sketch's keys are unique and strictly ascending
+    /// by `(g(k), h(k))` (the builder and every decoder enforce it), and
+    /// a slot's postings are all in the base or all in the overlay, so a
+    /// slot meets each shared key exactly once, in the order a merge walk
+    /// of the two sketches would — the rows are those of
+    /// `join_sketches`, bit for bit.
     ///
     /// A query built under a different hasher than the index shares no
     /// key space with it (its join with every doc is a
     /// [`SketchError::HasherMismatch`]), so it retrieves nothing here.
     pub fn retrieve_joined(&self, query: &CorrelationSketch, top_n: usize, out: &mut JoinedHits) {
-        out.found.clear();
-        out.hits = if self.hasher == Some(query.hasher()) {
-            self.count_and_select(query, top_n, &mut out.counts, &mut out.found)
+        let top_n = if self.hasher == Some(query.hasher()) {
+            top_n
         } else {
-            Vec::new()
+            0
         };
+        self.count_and_select(query, top_n, out);
         out.starts.clear();
         let mut total = 0usize;
         for &(_, overlap) in &out.hits {
@@ -668,54 +831,91 @@ impl SketchIndex {
             out.cursors[self.live[doc as usize] as usize] = Cursor::new(start, true);
         }
         let (xs, ys, cursors) = (&mut out.x[..], &mut out.y[..], &mut out.cursors[..]);
-        for &(x, at) in &out.found {
-            let list = self.postings.list(at);
-            for (&slot, &y) in list.slots.iter().zip(&list.values) {
+        let mut gather = |x: f64, slots: &[u32], values: &[f64]| {
+            for (&slot, &y) in slots.iter().zip(values) {
                 let cursor = &mut cursors[slot as usize];
                 xs[cursor.row()] = x;
                 ys[cursor.row()] = y;
                 *cursor = cursor.advanced();
             }
+        };
+        for &(x, (start, end)) in &out.found {
+            let range = start as usize..end as usize;
+            gather(x, &self.base.slots[range.clone()], &self.base.values[range]);
+        }
+        for &(x, at) in &out.found_overlay {
+            let list = self.overlay.list(at);
+            gather(x, &list.slots, &list.values);
         }
     }
 
-    /// The count walk: look up the posting list of every query key, in
-    /// the query's sketch order, recording `(query value, list position)`
-    /// of each found in `found` and every slot's overlap with `query` in
-    /// `counts` (both cleared here); then select the `top_n` live docs
-    /// under the retrieval order.
-    fn count_and_select(
-        &self,
-        query: &CorrelationSketch,
-        top_n: usize,
-        counts: &mut Vec<u32>,
-        found: &mut Vec<(f64, u32)>,
-    ) -> Vec<(DocId, usize)> {
-        found.clear();
+    /// Look up every query key, in the query's sketch order, into
+    /// `out.found` and `out.found_overlay`; count every slot's overlap
+    /// with `query` into `out.counts` over what was found; then select
+    /// the `top_n` live docs under the retrieval order into `out.hits`.
+    fn count_and_select(&self, query: &CorrelationSketch, top_n: usize, out: &mut JoinedHits) {
+        out.hits.clear();
+        out.found.clear();
+        out.found_overlay.clear();
         if top_n == 0 || self.live.is_empty() {
-            return Vec::new();
+            return;
         }
+        out.found.extend(
+            query
+                .entries()
+                .iter()
+                .filter_map(|e| Some((e.value, self.base.find(e.key)?))),
+        );
+        if !self.overlay.lists.is_empty() {
+            out.found_overlay.extend(
+                query
+                    .entries()
+                    .iter()
+                    .filter_map(|e| Some((e.value, self.overlay.find(e.key)?))),
+            );
+        }
+        let counts = &mut out.counts;
         counts.clear();
         counts.resize(self.slots.len(), 0);
-        for e in query.entries() {
-            if let Some(at) = self.postings.find(e.key) {
-                found.push((e.value, at));
-                for &slot in &self.postings.list(at).slots {
-                    counts[slot as usize] += 1;
-                }
+        let found_slots = (out.found.iter().map(|&(_, range)| self.base.slots(range)))
+            .chain((out.found_overlay.iter()).map(|&(_, at)| &self.overlay.list(at).slots[..]));
+        for slots in found_slots {
+            for &slot in slots {
+                counts[slot as usize] += 1;
             }
         }
-        let hits = self
-            .live
-            .iter()
-            .enumerate()
-            .filter(|&(_, &slot)| counts[slot as usize] > 0)
-            .map(|(doc, &slot)| (doc as DocId, counts[slot as usize] as usize));
-        crate::select::top_k_by(hits, top_n, |a, b| {
+        let hits = (0..).zip(&self.live).filter_map(|(doc, &slot)| {
+            let count = counts[slot as usize];
+            (count > 0).then_some((doc, count, slot))
+        });
+        let winners = crate::select::top_k_by(hits, top_n, |a, b| {
             b.1.cmp(&a.1)
-                .then_with(|| self.id_of(a.0).cmp(self.id_of(b.0)))
+                .then_with(|| self.id_order(a.2, b.2))
                 .then(a.0.cmp(&b.0))
-        })
+        });
+        out.hits.extend(
+            winners
+                .into_iter()
+                .map(|(doc, count, _)| (doc, count as usize)),
+        );
+    }
+
+    /// The order of two live slots' sketch ids: by rank when both are
+    /// base slots, else by the ids themselves — the same total order.
+    fn id_order(&self, a: u32, b: u32) -> Ordering {
+        let ranks = &self.base.ranks;
+        match (ranks.get(a as usize), ranks.get(b as usize)) {
+            (Some(ra), Some(rb)) => ra.cmp(rb),
+            _ => self.slot_id(a).cmp(self.slot_id(b)),
+        }
+    }
+
+    /// The sketch id in a slot (the empty string for a removed one,
+    /// which keeps comparators total).
+    fn slot_id(&self, slot: u32) -> &str {
+        self.slots[slot as usize]
+            .as_deref()
+            .map_or("", CorrelationSketch::id)
     }
 
     /// The sketch id of a doc — retrieval's and ranking's tie-break. Live
@@ -731,6 +931,7 @@ mod tests {
     use super::*;
     use correlation_sketches::{SketchBuilder, SketchConfig};
     use sketch_table::ColumnPair;
+    use std::collections::BTreeMap;
 
     fn pair(table: &str, range: std::ops::Range<usize>) -> ColumnPair {
         ColumnPair::new(
@@ -758,31 +959,94 @@ mod tests {
         assert_eq!(idx.generation(), 0);
     }
 
-    /// Everything an index holds, each posting list in its stored order
-    /// (the lists themselves by key: their positions are unobservable).
-    fn assert_same_index(got: &SketchIndex, want: &SketchIndex, case: &str) {
-        fn postings(idx: &SketchIndex) -> Vec<(KeyHash, Vec<u32>, Vec<u64>)> {
-            let Postings { at, lists } = &idx.postings;
-            assert_eq!(at.len(), lists.len());
-            for (i, l) in lists.iter().enumerate() {
-                assert_eq!(at[&l.key] as usize, i, "a key maps to its list");
-                assert!(!l.slots.is_empty(), "no list is left empty");
+    /// The live postings view: every key some live sketch holds, mapped
+    /// to its live `(doc, value bits)` postings in doc order. This is
+    /// what retrieval answers from; where a posting is kept (base or
+    /// overlay), slot numbers, and the postings removed sketches left
+    /// behind do not show in it.
+    #[expect(clippy::disallowed_methods, reason = "the keys are sorted before use")]
+    fn live_postings(idx: &SketchIndex) -> BTreeMap<KeyHash, Vec<(DocId, u64)>> {
+        let doc_of: HashMap<u32, DocId> = idx.live.iter().copied().zip(0..).collect();
+        let mut view: BTreeMap<KeyHash, Vec<(DocId, u64)>> = BTreeMap::new();
+        let mut add = |key: KeyHash, slots: &[u32], values: &[f64]| {
+            for (slot, value) in slots.iter().zip(values) {
+                if let Some(&doc) = doc_of.get(slot) {
+                    view.entry(key).or_default().push((doc, value.to_bits()));
+                }
             }
-            let mut lists: Vec<_> = lists
-                .iter()
-                .map(|l| {
-                    let values = l.values.iter().map(|v| v.to_bits()).collect();
-                    (l.key, l.slots.clone(), values)
+        };
+        let mut base_keys: Vec<(KeyHash, (u32, u32))> =
+            idx.base.at.keys().map(|&k| (k, idx.base.at[&k])).collect();
+        base_keys.sort_unstable();
+        for (key, (start, end)) in base_keys {
+            let range = start as usize..end as usize;
+            add(key, &idx.base.slots[range.clone()], &idx.base.values[range]);
+        }
+        let mut overlay_keys: Vec<(KeyHash, u32)> = idx
+            .overlay
+            .at
+            .keys()
+            .map(|&k| (k, idx.overlay.at[&k]))
+            .collect();
+        overlay_keys.sort_unstable();
+        for (key, at) in overlay_keys {
+            let list = idx.overlay.list(at);
+            add(key, &list.slots, &list.values);
+        }
+        for postings in view.values() {
+            assert!(postings.windows(2).all(|w| w[0].0 < w[1].0), "docs ascend");
+        }
+        view
+    }
+
+    /// Two indices hold the same live content: hasher, live sketches in
+    /// doc order, ids, the live postings view, the distinct-key count,
+    /// the retrieval tie-break order, and generation. It compares what
+    /// queries can observe, not the internal layout — the base/overlay
+    /// split, slot numbers and dead postings may differ.
+    #[expect(clippy::disallowed_methods, reason = "the ids are sorted before use")]
+    fn assert_same_index(got: &SketchIndex, want: &SketchIndex, case: &str) {
+        let docs = |idx: &SketchIndex| -> Vec<CorrelationSketch> {
+            (0..idx.len() as DocId)
+                .map(|d| idx.get(d).unwrap().clone())
+                .collect()
+        };
+        let ids = |idx: &SketchIndex| -> BTreeMap<String, DocId> {
+            let mut ids: Vec<(String, DocId)> = idx
+                .by_id
+                .keys()
+                .map(|id| {
+                    let slot = idx.by_id[id];
+                    (id.clone(), idx.live.binary_search(&slot).unwrap() as DocId)
                 })
                 .collect();
-            lists.sort_unstable_by_key(|l| l.0);
-            lists
-        }
+            ids.sort_unstable();
+            ids.into_iter().collect()
+        };
+        // Every pair of live docs, in the order retrieval breaks ties.
+        let tie_order = |idx: &SketchIndex| -> Vec<Ordering> {
+            let live = &idx.live;
+            live.iter()
+                .flat_map(|&a| live.iter().map(move |&b| idx.id_order(a, b)))
+                .collect()
+        };
         assert_eq!(got.hasher, want.hasher, "{case}: hasher");
-        assert_eq!(got.slots, want.slots, "{case}: slots");
-        assert_eq!(got.live, want.live, "{case}: live");
-        assert_eq!(got.by_id, want.by_id, "{case}: by_id");
-        assert_eq!(postings(got), postings(want), "{case}: postings");
+        assert_eq!(docs(got), docs(want), "{case}: live sketches");
+        assert_eq!(ids(got), ids(want), "{case}: ids");
+        let view = live_postings(got);
+        assert_eq!(view, live_postings(want), "{case}: live postings");
+        assert_eq!(got.distinct_keys(), view.len(), "{case}: distinct keys");
+        assert_eq!(
+            got.distinct_keys(),
+            want.distinct_keys(),
+            "{case}: distinct keys"
+        );
+        assert_eq!(tie_order(got), tie_order(want), "{case}: tie-break order");
+        let by_id: Vec<Ordering> = docs(got)
+            .iter()
+            .flat_map(|a| docs(got).into_iter().map(move |b| a.id().cmp(b.id())))
+            .collect();
+        assert_eq!(tie_order(got), by_id, "{case}: ties break by sketch id");
         assert_eq!(got.generation, want.generation, "{case}: generation");
     }
 
@@ -812,12 +1076,14 @@ mod tests {
         let from_sketches = SketchIndex::from_sketches(corpus.clone()).unwrap();
         assert_same_index(&from_sketches, &want, "from_sketches");
         for threads in [0, 1, 2, 7, 16] {
-            let bulk = SketchIndex::bulk(corpus.clone(), threads).unwrap();
+            let bulk =
+                SketchIndex::bulk(corpus.iter().cloned().map(Arc::new).collect(), threads).unwrap();
             assert_same_index(&bulk, &want, &format!("bulk threads={threads}"));
-            for list in &bulk.postings.lists {
-                assert_eq!(list.slots.capacity(), list.slots.len());
-                assert_eq!(list.values.capacity(), list.values.len());
-            }
+            assert!(
+                bulk.overlay.lists.is_empty(),
+                "every posting is in the base"
+            );
+            assert_eq!(bulk.base.ranks.len(), corpus.len());
         }
         for threads in [0, 1, 16] {
             assert_same_index(
@@ -843,7 +1109,8 @@ mod tests {
         );
         for threads in [0, 1, 2, 7, 16] {
             assert_eq!(
-                SketchIndex::bulk(corpus.clone(), threads).unwrap_err(),
+                SketchIndex::bulk(corpus.iter().cloned().map(Arc::new).collect(), threads)
+                    .unwrap_err(),
                 SketchError::HasherMismatch,
                 "threads={threads}"
             );
@@ -1126,5 +1393,152 @@ mod tests {
             .map(|(id, _)| id.as_str())
             .collect();
         assert_eq!(ids, vec!["t0/k/v", "t1/k/v", "t2/k/v"]);
+    }
+
+    /// One query's retrieval, hits and samples, as comparable values.
+    fn retrieved(
+        idx: &SketchIndex,
+        q: &CorrelationSketch,
+        top_n: usize,
+    ) -> Vec<(String, usize, Vec<u64>, Vec<u64>)> {
+        let mut out = JoinedHits::default();
+        idx.retrieve_joined(q, top_n, &mut out);
+        assert_eq!(out.hits(), idx.overlap_candidates(q, top_n));
+        (0..out.hits().len())
+            .map(|i| {
+                let (doc, overlap) = out.hits()[i];
+                let (x, y) = out.sample(i);
+                let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect();
+                (idx.id_of(doc).to_string(), overlap, bits(x), bits(y))
+            })
+            .collect()
+    }
+
+    /// A group of sketches that tie on overlap straddles base and
+    /// overlay at the top-N cut, overlay ids sorting between base ids:
+    /// ranks decide base pairs, the ids every other pair, and the
+    /// answer is a rebuild's at every cut.
+    #[test]
+    fn a_tie_group_straddling_base_and_overlay_retrieves_what_a_rebuild_does() {
+        let b = builder();
+        let tied = |t: &str| b.build(&pair(t, 0..60));
+        let base: Vec<CorrelationSketch> = ["t6", "t0", "t4", "t2"].map(tied).into();
+        let mut idx = SketchIndex::from_sketches(base.clone()).unwrap();
+        let mut all = base;
+        // An overlay of one key is probed too.
+        let one = b.build(&pair("one", 0..1));
+        idx.insert(one.clone()).unwrap();
+        all.push(one);
+        let rebuilt = SketchIndex::from_sketches(all.clone()).unwrap();
+        let q = b.build(&pair("q", 0..90));
+        assert_eq!(retrieved(&idx, &q, 10), retrieved(&rebuilt, &q, 10));
+        for t in ["t5", "t1", "t3"] {
+            idx.insert(tied(t)).unwrap();
+            all.push(tied(t));
+        }
+        // `top` outranks the tie group; `one` ranks below it.
+        idx.insert(b.build(&pair("top", 0..90))).unwrap();
+        all.push(b.build(&pair("top", 0..90)));
+        let rebuilt = SketchIndex::from_sketches(all).unwrap();
+        assert_same_index(&idx, &rebuilt, "straddling tie group");
+        for top_n in 0..10 {
+            assert_eq!(
+                retrieved(&idx, &q, top_n),
+                retrieved(&rebuilt, &q, top_n),
+                "top_n={top_n}"
+            );
+        }
+        let ids: Vec<String> = retrieved(&idx, &q, 5).into_iter().map(|h| h.0).collect();
+        assert_eq!(ids, ["top/k/v", "t0/k/v", "t1/k/v", "t2/k/v", "t3/k/v"]);
+    }
+
+    /// Removing the base sketch of highest overlap drops it from the
+    /// hits and leaves every other hit's sample bit for bit a rebuild's.
+    #[test]
+    fn removing_the_best_base_sketch_leaves_the_rest_as_a_rebuild() {
+        let corpus = overlapping_corpus(10);
+        let mut idx = SketchIndex::from_sketches(corpus.clone()).unwrap();
+        idx.insert(builder().build(&pair("late", 5..70))).unwrap();
+        let q = builder().build(&pair("q", 20..110));
+        let before = retrieved(&idx, &q, 6);
+        let best = before[0].0.clone();
+        assert!(
+            corpus.iter().any(|s| s.id() == best),
+            "the best hit is a base sketch"
+        );
+        assert!(before[0].1 > before[1].1, "and the only one of its overlap");
+        assert!(idx.remove(&best));
+        let after = retrieved(&idx, &q, 6);
+        assert!(
+            after.iter().all(|h| h.0 != best),
+            "{best} is gone from the hits"
+        );
+        let survivors = corpus
+            .into_iter()
+            .filter(|s| s.id() != best)
+            .chain([builder().build(&pair("late", 5..70))]);
+        let rebuilt = SketchIndex::from_sketches(survivors).unwrap();
+        assert_eq!(after, retrieved(&rebuilt, &q, 6));
+        assert_eq!(after[..5], before[1..], "the others keep their samples");
+        assert_same_index(&idx, &rebuilt, "best base sketch removed");
+    }
+
+    /// Keys left with dead postings only — in the base, in the overlay,
+    /// and in both — no longer count as distinct keys, and count again
+    /// once a live sketch holds them: `distinct_keys()` and `len()` are
+    /// always a rebuild's.
+    #[test]
+    fn keys_with_only_dead_postings_are_not_distinct_keys() {
+        let b = builder();
+        let a = b.build(&pair("a", 0..100));
+        let c = b.build(&pair("c", 50..150));
+        let mut idx = SketchIndex::from_sketches([a.clone(), c.clone()]).unwrap();
+        let check = |idx: &SketchIndex, live: &[&CorrelationSketch], case: &str| {
+            let rebuilt = SketchIndex::from_sketches(live.iter().map(|&s| s.clone())).unwrap();
+            assert_eq!(idx.len(), rebuilt.len(), "{case}: len");
+            assert_eq!(
+                idx.distinct_keys(),
+                rebuilt.distinct_keys(),
+                "{case}: distinct keys"
+            );
+            assert_same_index(idx, &rebuilt, case);
+        };
+        assert!(idx.remove("a/k/v"));
+        check(&idx, &[&c], "base keys of a dead");
+        let d = b.build(&pair("d", 200..260));
+        let e = b.build(&pair("e", 0..30));
+        idx.insert(d.clone()).unwrap();
+        idx.insert(e.clone()).unwrap();
+        check(
+            &idx,
+            &[&c, &d, &e],
+            "dead base keys revived from the overlay",
+        );
+        assert!(idx.remove("d/k/v"));
+        check(&idx, &[&c, &e], "overlay keys of d dead");
+        assert!(idx.remove("e/k/v"));
+        assert!(idx.remove("c/k/v"));
+        // An emptied index keeps its hasher, which a rebuild over no
+        // sketch has not got: compare the counts and the view alone.
+        assert_eq!((idx.len(), idx.distinct_keys()), (0, 0));
+        assert!(
+            live_postings(&idx).is_empty(),
+            "every key dead in both parts"
+        );
+        idx.insert(a.clone()).unwrap();
+        check(&idx, &[&a], "a back");
+    }
+
+    /// A clone shares the base postings and every sketch, so cloning
+    /// copies no posting of the base and no sketch.
+    #[test]
+    fn a_clone_shares_its_sketches_and_base() {
+        let mut idx = SketchIndex::from_sketches(overlapping_corpus(4)).unwrap();
+        idx.insert(builder().build(&pair("late", 0..40))).unwrap();
+        let clone = idx.clone();
+        for doc in 0..idx.len() as DocId {
+            assert!(std::ptr::eq(idx.get(doc).unwrap(), clone.get(doc).unwrap()));
+        }
+        assert!(Arc::ptr_eq(&idx.base, &clone.base));
     }
 }

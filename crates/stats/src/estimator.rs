@@ -3,7 +3,7 @@
 
 use crate::bootstrap::{pm1_estimate, BootstrapScratch};
 use crate::distance::distance_correlation;
-use crate::error::StatsError;
+use crate::error::{validate_finite, validate_shape, StatsError};
 use crate::kendall::kendall_tau;
 use crate::pearson::pearson;
 use crate::qn::qn_correlation;
@@ -115,11 +115,18 @@ impl CorrelationEstimator {
         y: &[f64],
         scratch: &mut BootstrapScratch,
     ) -> Result<f64, StatsError> {
-        crate::error::validate_pairs(x, y, self.min_samples())?;
+        // The shape is checked here, against this estimator's minimum;
+        // the values once, by whichever side reads them first. Pearson
+        // judges them from its column means, and Qn, PM1, Kendall and
+        // distance correlation validate their input themselves. The
+        // rank transforms would turn a NaN or ±∞ into an ordinary rank,
+        // so Spearman and RIN are scanned here. The errors, and the
+        // order they are tried in, are those of validating first.
+        validate_shape(x, y, self.min_samples())?;
         match self {
             Self::Pearson => pearson(x, y),
-            Self::Spearman => spearman(x, y),
-            Self::Rin => rin_correlation(x, y),
+            Self::Spearman => validate_finite(x, y).and_then(|()| spearman(x, y)),
+            Self::Rin => validate_finite(x, y).and_then(|()| rin_correlation(x, y)),
             Self::Qn => qn_correlation(x, y),
             Self::Pm1Bootstrap { seed } => pm1_estimate(x, y, *seed, scratch),
             Self::Kendall => kendall_tau(x, y),

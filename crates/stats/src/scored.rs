@@ -23,7 +23,7 @@
 
 use crate::bootstrap::{percentile_bootstrap_ci, pm1_with_ci, BootstrapScratch};
 use crate::ci::{fisher_z_interval, ConfidenceInterval};
-use crate::error::{validate_pairs, StatsError};
+use crate::error::{validate_shape, StatsError};
 use crate::estimator::CorrelationEstimator;
 use crate::pearson::pearson;
 
@@ -103,13 +103,14 @@ pub fn scored_estimate(
             (r, fisher_z_interval(r, x.len(), alpha))
         }
         // One replicate pass: the estimate is the adaptive-rule prefix
-        // mean of the interval's 599 replicates.
+        // mean of the interval's 599 replicates. The pass validates the
+        // values itself; the shape is checked here, against PM1's minimum.
         CorrelationEstimator::Pm1Bootstrap { seed } => {
-            validate_pairs(x, y, estimator.min_samples())?;
+            validate_shape(x, y, estimator.min_samples())?;
             pm1_with_ci(x, y, seed, confidence, scratch)?
         }
+        // `estimate` answers exactly as validating first would.
         other => {
-            validate_pairs(x, y, other.min_samples())?;
             let est = other.estimate(x, y)?;
             let ci = percentile_bootstrap_ci(
                 &|a, b| other.estimate(a, b),

@@ -272,4 +272,49 @@ proptest! {
             (g, w) => prop_assert!(false, "{:?} vs {:?}", g, w),
         }
     }
+
+    /// Every estimator checks its sample once: bit for bit (or error for
+    /// error) what validating the whole sample against the estimator's
+    /// minimum and then computing gave — on NaN, ±∞, sums that overflow,
+    /// constant columns, unequal lengths and samples below the minimum
+    /// (PM1 and distance correlation at two rows included).
+    #[test]
+    fn every_estimator_checks_once_and_answers_the_same((x, y) in hostile_pair()) {
+        for est in CorrelationEstimator::EXTENDED {
+            let got = est.estimate(&x, &y);
+            let want = validated_then_computed(est, &x, &y);
+            prop_assert!(same_bits(got, want), "{est}: {got:?} vs {want:?}");
+        }
+    }
+}
+
+/// An estimate as it stood with two checks of every sample: lengths,
+/// size (against the estimator's minimum) and every value validated,
+/// then the estimator run. Each estimator but PM1 is run through its
+/// population target, which is the bare estimator; PM1's target is
+/// Pearson, so its value is `estimate`'s on the sample validation passed.
+fn validated_then_computed(
+    est: CorrelationEstimator,
+    x: &[f64],
+    y: &[f64],
+) -> Result<f64, StatsError> {
+    if x.len() != y.len() {
+        return Err(StatsError::LengthMismatch {
+            left: x.len(),
+            right: y.len(),
+        });
+    }
+    if x.len() < est.min_samples() {
+        return Err(StatsError::TooFewSamples {
+            needed: est.min_samples(),
+            got: x.len(),
+        });
+    }
+    if !x.iter().chain(y).all(|v| v.is_finite()) {
+        return Err(StatsError::NonFiniteInput);
+    }
+    match est {
+        CorrelationEstimator::Pm1Bootstrap { .. } => est.estimate(x, y),
+        _ => est.population_target(x, y),
+    }
 }
