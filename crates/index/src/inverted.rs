@@ -615,18 +615,22 @@ impl SketchIndex {
     /// append — the same validation the store's read path applies, so a
     /// delta the store accepts always applies cleanly. On error the index
     /// may have applied a prefix of `records`; rebuild it from the store.
-    pub fn apply_delta(&mut self, records: &[DeltaRecord]) -> Result<(), SketchError> {
+    /// Appended sketches move into the index; none is copied.
+    pub fn apply_delta(
+        &mut self,
+        records: impl IntoIterator<Item = DeltaRecord>,
+    ) -> Result<(), SketchError> {
         for record in records {
             match record {
                 DeltaRecord::Sketch(s) => {
                     if self.by_id.contains_key(s.id()) {
                         return Err(SketchError::DuplicateId(s.id().to_string()));
                     }
-                    self.insert(s.clone())?;
+                    self.insert(s)?;
                 }
                 DeltaRecord::Tombstone(id) => {
-                    if !self.remove(id) {
-                        return Err(SketchError::TombstoneForUnknownId(id.clone()));
+                    if !self.remove(&id) {
+                        return Err(SketchError::TombstoneForUnknownId(id));
                     }
                 }
             }
@@ -720,10 +724,11 @@ impl SketchIndex {
     ) -> Result<usize, sketch_store::StoreError> {
         let (manifest, records) =
             sketch_store::read_deltas_since(dir.as_ref(), self.generation, threads)?;
-        self.apply_delta(&records)
+        let applied = records.len();
+        self.apply_delta(records)
             .map_err(sketch_store::StoreError::from)?;
         self.generation = manifest.generation;
-        Ok(records.len())
+        Ok(applied)
     }
 
     /// Rebuild the base over the live sketches, in slots `0..len` — the
@@ -1258,7 +1263,7 @@ mod tests {
         idx.insert(b.build(&pair("a", 0..50))).unwrap();
 
         // A valid delta: append then tombstone.
-        idx.apply_delta(&[
+        idx.apply_delta([
             DeltaRecord::Sketch(b.build(&pair("c", 0..50))),
             DeltaRecord::Tombstone("a/k/v".into()),
         ])
@@ -1268,18 +1273,18 @@ mod tests {
 
         // Appending a live id is a typed duplicate.
         let err = idx
-            .apply_delta(&[DeltaRecord::Sketch(b.build(&pair("c", 0..50)))])
+            .apply_delta([DeltaRecord::Sketch(b.build(&pair("c", 0..50)))])
             .unwrap_err();
         assert!(matches!(err, SketchError::DuplicateId(id) if id == "c/k/v"));
 
         // Tombstoning a non-live id is typed too.
         let err = idx
-            .apply_delta(&[DeltaRecord::Tombstone("a/k/v".into())])
+            .apply_delta([DeltaRecord::Tombstone("a/k/v".into())])
             .unwrap_err();
         assert!(matches!(err, SketchError::TombstoneForUnknownId(id) if id == "a/k/v"));
 
         // Tombstone-then-re-append revives an id at the end.
-        idx.apply_delta(&[
+        idx.apply_delta([
             DeltaRecord::Tombstone("c/k/v".into()),
             DeltaRecord::Sketch(b.build(&pair("c", 10..60))),
         ])

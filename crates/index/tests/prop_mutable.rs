@@ -250,7 +250,7 @@ proptest! {
                     live_ids.extend(added.iter().map(|s| s.id().to_string()));
                     let records: Vec<DeltaRecord> =
                         added.into_iter().map(DeltaRecord::Sketch).collect();
-                    inc.apply_delta(&records)
+                    inc.apply_delta(records)
                         .map_err(|e| TestCaseError::fail(format!("{ctx}: {e}")))?;
                 }
                 Op::Remove(which) => {
@@ -270,7 +270,7 @@ proptest! {
                     let id = live_ids.remove(which.index(live_ids.len()));
                     remove_from_corpus(store, std::slice::from_ref(&id), 1)
                         .map_err(|e| TestCaseError::fail(format!("{ctx}: {e}")))?;
-                    inc.apply_delta(&[DeltaRecord::Tombstone(id)])
+                    inc.apply_delta([DeltaRecord::Tombstone(id)])
                         .map_err(|e| TestCaseError::fail(format!("{ctx}: {e}")))?;
                 }
                 Op::Compact => {
@@ -362,7 +362,7 @@ fn scripted_interleaving_matches_rebuild_everywhere() {
     let added: Vec<CorrelationSketch> = (6..8).map(|n| sketch(&b, n)).collect();
     append_corpus(store, &added, 2).unwrap();
     inc.apply_delta(
-        &added
+        added
             .iter()
             .cloned()
             .map(DeltaRecord::Sketch)
@@ -374,8 +374,7 @@ fn scripted_interleaving_matches_rebuild_everywhere() {
     let gone = vec![base[2].id().to_string(), added[0].id().to_string()];
     remove_from_corpus(store, &gone, 1).unwrap();
     inc.apply_delta(
-        &gone
-            .iter()
+        gone.iter()
             .cloned()
             .map(DeltaRecord::Tombstone)
             .collect::<Vec<_>>(),
@@ -398,7 +397,7 @@ fn scripted_interleaving_matches_rebuild_everywhere() {
         s
     };
     append_corpus(store, std::slice::from_ref(&revived), 1).unwrap();
-    inc.apply_delta(&[DeltaRecord::Sketch(revived)]).unwrap();
+    inc.apply_delta([DeltaRecord::Sketch(revived)]).unwrap();
     step(&inc, "after revival");
 
     compact_corpus(
@@ -414,15 +413,14 @@ fn scripted_interleaving_matches_rebuild_everywhere() {
     let late: Vec<CorrelationSketch> = (8..10).map(|n| sketch(&b, n)).collect();
     append_corpus(store, &late, 1).unwrap();
     inc.apply_delta(
-        &late
-            .iter()
+        late.iter()
             .cloned()
             .map(DeltaRecord::Sketch)
             .collect::<Vec<_>>(),
     )
     .unwrap();
     remove_from_corpus(store, &[base[5].id().to_string()], 1).unwrap();
-    inc.apply_delta(&[DeltaRecord::Tombstone(base[5].id().to_string())])
+    inc.apply_delta([DeltaRecord::Tombstone(base[5].id().to_string())])
         .unwrap();
     step(&inc, "after post-compact churn");
 }

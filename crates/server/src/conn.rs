@@ -7,7 +7,7 @@
 //! panic containment) because it is literally the same loop.
 
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,7 +15,7 @@ use sketch_obs::Trace;
 
 use crate::api;
 use crate::http::{self, RecvError, Request};
-use crate::stats::ServerStats;
+use crate::stats::{Counter, ServerStats};
 
 /// A response body: freshly rendered JSON, JSON shared straight out of
 /// the cache (no copy on the hit path), or a plain-text payload with an
@@ -73,7 +73,7 @@ pub(crate) fn finish_traced(
         let total_us = trace.total_us();
         let threshold_us = u64::try_from(threshold.as_micros()).unwrap_or(u64::MAX);
         if total_us >= threshold_us {
-            ServerStats::bump(&stats.slow_queries);
+            stats.bump(Counter::SlowQueries);
             eprintln!(
                 "{log_tag}: slow-query status={status} total_us={total_us} \
                  threshold_us={threshold_us} trace={}",
@@ -82,7 +82,7 @@ pub(crate) fn finish_traced(
         }
     }
     if want_trace {
-        ServerStats::bump(&stats.traced);
+        stats.bump(Counter::Traced);
         if status < 300 {
             let spliced = api::attach_trace(body.as_str(), &trace.render_json());
             return (status, Body::Owned(spliced));
@@ -105,12 +105,11 @@ pub(crate) struct ConnLimits {
 /// One worker's accept loop: `accept → serve connection (keep-alive) →
 /// accept`, with exponential idle backoff and per-connection panic
 /// containment. `route` dispatches one request to `(status, body,
-/// allow-header)`; `requests`/`errors` are the front end's counters.
+/// allow-header)`; `stats` counts every request and error.
 pub(crate) fn accept_loop(
     listener: &TcpListener,
     shutdown: &AtomicBool,
-    requests: &AtomicU64,
-    errors: &AtomicU64,
+    stats: &ServerStats,
     limits: ConnLimits,
     route: impl Fn(&Request) -> (u16, Body, Option<&'static str>),
 ) {
@@ -130,10 +129,10 @@ pub(crate) fn accept_loop(
                 // escaped panic would permanently shrink capacity until
                 // the server silently stopped accepting.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    serve_connection(stream, shutdown, requests, errors, limits, &route);
+                    serve_connection(stream, shutdown, stats, limits, &route);
                 }));
                 if result.is_err() {
-                    ServerStats::bump(errors);
+                    stats.bump(Counter::Errors);
                     eprintln!("sketch-serve: worker caught a panic while serving a connection");
                 }
             }
@@ -149,8 +148,7 @@ pub(crate) fn accept_loop(
 fn serve_connection(
     mut stream: TcpStream,
     shutdown: &AtomicBool,
-    requests: &AtomicU64,
-    errors: &AtomicU64,
+    stats: &ServerStats,
     limits: ConnLimits,
     route: &impl Fn(&Request) -> (u16, Body, Option<&'static str>),
 ) {
@@ -183,9 +181,9 @@ fn serve_connection(
         ) {
             Ok(req) => {
                 let (status, body, allow) = route(&req);
-                ServerStats::bump(requests);
+                stats.bump(Counter::Requests);
                 if status >= 300 {
-                    ServerStats::bump(errors);
+                    stats.bump(Counter::Errors);
                 }
                 // RFC 9110: a response to HEAD must not carry a body —
                 // a spec-compliant peer would leave the unread bytes in
@@ -220,8 +218,8 @@ fn serve_connection(
                     RecvError::TooLarge => (413, "request too large"),
                     RecvError::Closed | RecvError::Shutdown | RecvError::Io(_) => return,
                 };
-                ServerStats::bump(requests);
-                ServerStats::bump(errors);
+                stats.bump(Counter::Requests);
+                stats.bump(Counter::Errors);
                 let _ = http::write_response_bounded(
                     &mut stream,
                     &http::ResponsePayload {
@@ -263,8 +261,8 @@ mod tests {
         );
         assert_eq!(status, 200);
         assert_eq!(body.as_str(), "{\"a\":1}");
-        assert_eq!(stats.slow_queries.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.traced.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.get(Counter::SlowQueries), 0);
+        assert_eq!(stats.get(Counter::Traced), 0);
     }
 
     #[test]
@@ -289,7 +287,7 @@ mod tests {
             body.as_str()
         );
         assert!(body.as_str().contains("\"name\":\"parse\""));
-        assert_eq!(stats.traced.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.get(Counter::Traced), 1);
     }
 
     #[test]
@@ -307,8 +305,8 @@ mod tests {
         );
         assert_eq!(status, 400);
         assert_eq!(body.as_str(), "{\"error\":\"x\"}");
-        assert_eq!(stats.traced.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.get(Counter::Traced), 1);
         // A zero threshold marks every traced request slow.
-        assert_eq!(stats.slow_queries.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.get(Counter::SlowQueries), 1);
     }
 }

@@ -63,7 +63,7 @@ use crate::conn::{Body, ConnLimits};
 use crate::metrics::{self, ShardView};
 use crate::pipeline::{self, Backend, FrontEnd};
 use crate::server::ServerError;
-use crate::stats::ServerStats;
+use crate::stats::{Counter, ServerStats};
 
 /// Scatter attempts before a phase-1/phase-2 generation mismatch (a
 /// mutation racing the query) becomes a 503.
@@ -406,7 +406,7 @@ fn poller_loop(ctx: &Cluster, interval: Duration, timeout: Duration) {
                 }
             }
             if ctx.known_generations() != before {
-                ServerStats::bump(&ctx.front.stats.refreshes);
+                ctx.front.stats.bump(Counter::Refreshes);
             }
         }
         std::thread::sleep(tick);
@@ -661,7 +661,7 @@ impl Backend for Cluster {
             );
             trace.end(guard);
             if degraded > 0 {
-                ServerStats::bump(&self.front.stats.degraded);
+                self.front.stats.bump(Counter::Degraded);
                 return Ok((rendered, None));
             }
             let actual: Vec<(u64, u64)> =
@@ -674,10 +674,10 @@ impl Backend for Cluster {
     fn endpoint(&self, path: &str, _body: &[u8]) -> (u16, Body) {
         let stats = &self.front.stats;
         if path == "/healthz" {
-            ServerStats::bump(&stats.healthz);
+            stats.bump(Counter::Healthz);
             return (200, Body::Owned(healthz_body(self)));
         }
-        ServerStats::bump(&stats.metrics);
+        stats.bump(Counter::Metrics);
         let shards: Vec<ShardView> = self.slots.iter().map(WorkerSlot::state).collect();
         let body = metrics::render_coordinator(
             stats,

@@ -15,8 +15,8 @@
 //! | `POST /query`        | top-k join-correlation query (one query column) with uncertainty reports |
 //! | `GET /corpus`        | store generation + shard/tombstone shape |
 //! | `GET /healthz`       | liveness + served generation |
-//! | `GET /stats`         | request counters, cache hits, latency percentiles |
-//! | `GET /metrics`       | the same counters as Prometheus text |
+//! | `GET /stats`         | every server counter as JSON, plus latency percentiles |
+//! | `GET /metrics`       | the same counters as Prometheus text, plus the gauges and the latency histogram |
 //! | `POST /shard_query`  | a worker's half of a coordinator's scatter: candidate rows with score bounds, no reports |
 //! | `POST /shard_reports` | full uncertainty reports for the shard-local docs the coordinator's merge kept |
 //!
@@ -139,4 +139,4 @@ pub use client::{HttpClient, Response};
 pub use coordinator::{start_coordinator, CoordinatorConfig, CoordinatorHandle};
 pub use server::{start, ServerConfig, ServerError, ServerHandle};
 pub use snapshot::IndexSnapshot;
-pub use stats::ServerStats;
+pub use stats::{Counter, ServerStats};

@@ -1,23 +1,20 @@
-//! The `GET /metrics` surface: every [`ServerStats`] counter, the cache
-//! and refresher gauges, and the query latency histogram rendered in
-//! Prometheus text exposition format (version 0.0.4) via
-//! [`sketch_obs::promtext`].
-//!
-//! All families share the `sketch_` prefix. The single-store server and
-//! the coordinator expose the same common families (requests, errors,
-//! cache, latency, plan totals); the server adds corpus gauges
-//! (`sketch_generation`, `sketch_store_generation`,
-//! `sketch_generation_lag`, `sketch_sketches`), the coordinator adds
-//! per-shard gauges (`sketch_shard_healthy{shard="i"}`, …). Rendering
-//! reads relaxed atomics only — a scrape never touches a lock the query
-//! path contends on (the one exception is the cache's own mutex, for
-//! the entry/eviction gauges).
+//! The `GET /metrics` surface in Prometheus text exposition format
+//! (version 0.0.4, via [`sketch_obs::promtext`]), all families
+//! `sketch_`-prefixed: one family per family of the counter table
+//! ([`crate::stats::COUNTERS`], which `/stats` renders too), the cache
+//! gauges, the clock and the query latency histogram; then the
+//! single-store server's corpus gauges (`sketch_generation`,
+//! `sketch_store_generation`, `sketch_generation_lag`,
+//! `sketch_sketches`) or the coordinator's per-shard ones
+//! (`sketch_shard_healthy{shard="i"}`, …). Rendering reads relaxed
+//! atomics only, except for the cache gauges, which take the cache's
+//! own mutex.
 
 use std::sync::atomic::Ordering;
 
 use sketch_obs::promtext;
 
-use crate::stats::ServerStats;
+use crate::stats::{Family, ServerStats};
 
 /// One worker shard's last-known state, as the coordinator keeps and
 /// exposes it.
@@ -28,149 +25,36 @@ pub(crate) struct ShardView {
     pub healthy: bool,
 }
 
-fn counter(out: &mut String, name: &str, help: &str, value: u64) {
-    promtext::push_family(out, name, "counter", help);
-    promtext::push_sample_u64(out, name, &[], value);
-}
-
 fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
     promtext::push_family(out, name, "gauge", help);
     promtext::push_sample_u64(out, name, &[], value);
 }
 
-/// The families both front ends share.
+/// The families both front ends share: one per family of the counter
+/// table, then the cache's, the latency histogram and the clock.
 fn push_common(out: &mut String, stats: &ServerStats, cache_entries: u64, cache_evictions: u64) {
-    let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-
-    promtext::push_family(
-        out,
-        "sketch_requests_total",
-        "counter",
-        "Requests routed, by endpoint.",
-    );
-    for (endpoint, c) in [
-        ("query", &stats.query),
-        ("shard", &stats.shard),
-        ("corpus", &stats.corpus),
-        ("healthz", &stats.healthz),
-        ("stats", &stats.stats),
-        ("metrics", &stats.metrics),
-    ] {
-        promtext::push_sample_u64(
-            out,
-            "sketch_requests_total",
-            &[("endpoint", endpoint)],
-            load(c),
-        );
+    let counters: Vec<_> = stats.counters().collect();
+    for (i, (row, _)) in counters.iter().enumerate() {
+        let Family { name, help, label } = row.family;
+        // A family several counters share renders whole at its first row.
+        if counters[..i].iter().all(|(r, _)| r.family.name != name) {
+            promtext::push_family(out, name, "counter", help);
+            for (r, value) in counters[i..].iter().filter(|(r, _)| r.family.name == name) {
+                let label = label.map(|l| (l, r.key));
+                promtext::push_sample_u64(out, name, label.as_slice(), *value);
+            }
+        }
     }
-    counter(
-        out,
-        "sketch_errors_total",
-        "Responses with a non-2xx status.",
-        load(&stats.errors),
-    );
-    counter(
-        out,
-        "sketch_degraded_responses_total",
-        "Responses served with at least one degraded shard.",
-        load(&stats.degraded),
-    );
-    counter(
-        out,
-        "sketch_traced_requests_total",
-        "Requests that asked for a span trace.",
-        load(&stats.traced),
-    );
-    counter(
-        out,
-        "sketch_slow_queries_total",
-        "Requests at or over the slow-query threshold.",
-        load(&stats.slow_queries),
-    );
-
-    counter(
-        out,
-        "sketch_cache_hits_total",
-        "Query-cache hits.",
-        load(&stats.cache_hits),
-    );
-    counter(
-        out,
-        "sketch_cache_misses_total",
-        "Query-cache misses.",
-        load(&stats.cache_misses),
-    );
-    counter(
-        out,
-        "sketch_cache_evictions_total",
-        "Query-cache entries evicted by capacity or byte-budget pressure.",
-        cache_evictions,
-    );
+    let evictions = "sketch_cache_evictions_total";
+    let help = "Query-cache entries evicted by capacity or byte-budget pressure.";
+    promtext::push_family(out, evictions, "counter", help);
+    promtext::push_sample_u64(out, evictions, &[], cache_evictions);
     gauge(
         out,
         "sketch_cache_entries",
         "Query-cache entries currently resident.",
         cache_entries,
     );
-
-    counter(
-        out,
-        "sketch_refreshes_total",
-        "Incremental snapshot refreshes (generation observations on the coordinator).",
-        load(&stats.refreshes),
-    );
-    counter(
-        out,
-        "sketch_rebuilds_total",
-        "Full index rebuilds after a compaction.",
-        load(&stats.rebuilds),
-    );
-
-    counter(
-        out,
-        "sketch_plan_candidates_total",
-        "Planner: candidates that survived retrieval and join.",
-        load(&stats.plan_candidates),
-    );
-    counter(
-        out,
-        "sketch_plan_cheap_invocations_total",
-        "Planner: pass-1 (Pearson) estimator invocations.",
-        load(&stats.plan_cheap_invocations),
-    );
-    counter(
-        out,
-        "sketch_plan_expensive_invocations_total",
-        "Planner: requested-estimator invocations.",
-        load(&stats.plan_expensive_invocations),
-    );
-    counter(
-        out,
-        "sketch_plan_pruned_total",
-        "Planner: candidates pruned without the expensive estimator.",
-        load(&stats.plan_pruned),
-    );
-    counter(
-        out,
-        "sketch_plan_promotion_rounds_total",
-        "Planner: promotion fixed-point rounds.",
-        load(&stats.plan_promotion_rounds),
-    );
-
-    promtext::push_family(
-        out,
-        "sketch_query_latency_seconds",
-        "histogram",
-        "Answered /query latency.",
-    );
-    promtext::push_log2_us_histogram(
-        out,
-        "sketch_query_latency_seconds",
-        &[],
-        &stats.latency.snapshot(),
-        stats.latency.sum_us(),
-    );
-
     gauge(
         out,
         "sketch_uptime_seconds",
@@ -183,6 +67,10 @@ fn push_common(out: &mut String, stats: &ServerStats, cache_entries: u64, cache_
         "Unix time this process started, seconds.",
         stats.started_unix,
     );
+    let latency = "sketch_query_latency_seconds";
+    promtext::push_family(out, latency, "histogram", "Answered /query latency.");
+    let counts = stats.latency.snapshot();
+    promtext::push_log2_us_histogram(out, latency, &[], &counts, stats.latency.sum_us());
 }
 
 /// Render the single-store server's `/metrics` body.
@@ -200,12 +88,6 @@ pub(crate) fn render_server(
         "sketch_generation",
         "Store generation currently served.",
         generation,
-    );
-    counter(
-        &mut out,
-        "sketch_refresh_failures_total",
-        "Snapshot refresh attempts that failed (each poll retries).",
-        stats.refresh_failures.load(Ordering::Relaxed),
     );
     let store_generation = stats.store_generation.load(Ordering::Relaxed);
     gauge(
@@ -229,6 +111,9 @@ pub(crate) fn render_server(
     out
 }
 
+/// A per-shard gauge family: name, HELP text and each shard's value.
+type ShardGauge = (&'static str, &'static str, fn(&ShardView) -> u64);
+
 /// Render the coordinator's `/metrics` body: the common families plus
 /// one gauge sample per shard.
 pub(crate) fn render_coordinator(
@@ -245,48 +130,29 @@ pub(crate) fn render_coordinator(
         "Worker shards this coordinator fans out over.",
         shards.len() as u64,
     );
-    let labels: Vec<String> = (0..shards.len()).map(|i| i.to_string()).collect();
-    promtext::push_family(
-        &mut out,
-        "sketch_shard_healthy",
-        "gauge",
-        "1 when the shard answered its last probe or call, else 0.",
-    );
-    for (i, s) in shards.iter().enumerate() {
-        promtext::push_sample_u64(
-            &mut out,
+    let per_shard: [ShardGauge; 3] = [
+        (
             "sketch_shard_healthy",
-            &[("shard", &labels[i])],
-            u64::from(s.healthy),
-        );
-    }
-    promtext::push_family(
-        &mut out,
-        "sketch_shard_generation",
-        "gauge",
-        "Last-known store generation of the shard.",
-    );
-    for (i, s) in shards.iter().enumerate() {
-        promtext::push_sample_u64(
-            &mut out,
+            "1 when the shard answered its last probe or call, else 0.",
+            |s| u64::from(s.healthy),
+        ),
+        (
             "sketch_shard_generation",
-            &[("shard", &labels[i])],
-            s.generation,
-        );
-    }
-    promtext::push_family(
-        &mut out,
-        "sketch_shard_sketches",
-        "gauge",
-        "Last-known live sketch count of the shard.",
-    );
-    for (i, s) in shards.iter().enumerate() {
-        promtext::push_sample_u64(
-            &mut out,
+            "Last-known store generation of the shard.",
+            |s| s.generation,
+        ),
+        (
             "sketch_shard_sketches",
-            &[("shard", &labels[i])],
-            s.sketches,
-        );
+            "Last-known live sketch count of the shard.",
+            |s| s.sketches,
+        ),
+    ];
+    for (name, help, value) in per_shard {
+        promtext::push_family(&mut out, name, "gauge", help);
+        for (i, s) in shards.iter().enumerate() {
+            let shard = i.to_string();
+            promtext::push_sample_u64(&mut out, name, &[("shard", &shard)], value(s));
+        }
     }
     out
 }
@@ -294,15 +160,17 @@ pub(crate) fn render_coordinator(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Counter;
 
     #[test]
     fn server_metrics_render_every_family_once() {
         let stats = ServerStats::default();
-        ServerStats::bump(&stats.query);
+        stats.bump(Counter::Query);
         stats.latency.record_us(1500);
         let body = render_server(&stats, 4, 100, 7, 2);
         for family in [
             "sketch_requests_total",
+            "sketch_routed_requests_total",
             "sketch_errors_total",
             "sketch_cache_hits_total",
             "sketch_cache_evictions_total",
@@ -327,6 +195,7 @@ mod tests {
             );
         }
         assert!(body.contains("sketch_requests_total{endpoint=\"query\"} 1\n"));
+        assert!(body.contains("sketch_routed_requests_total 0\n"));
         assert!(body.contains("sketch_generation 4\n"));
         assert!(body.contains("sketch_sketches 100\n"));
         assert!(body.contains("sketch_cache_entries 7\n"));

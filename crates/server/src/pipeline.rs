@@ -27,7 +27,7 @@ use crate::api::{self, QueryParams, QueryRequest};
 use crate::cache::{self, CacheKey, ParseMemo, QueryCache};
 use crate::conn::{self, Body, ConnLimits};
 use crate::http::Request;
-use crate::stats::ServerStats;
+use crate::stats::{Counter, ServerStats};
 
 /// What the parse memo remembers about a raw body: everything the
 /// cache-hit path needs without parsing — the canonical fingerprint and
@@ -78,7 +78,7 @@ impl FrontEnd {
         let cached = self.cache.get(&key);
         trace.end(guard);
         if cached.is_some() {
-            ServerStats::bump(&self.stats.cache_hits);
+            self.stats.bump(Counter::CacheHits);
         }
         cached
     }
@@ -138,14 +138,9 @@ pub(crate) fn listen<B: Backend>(
                 .name(format!("{}-{i}", B::TAG))
                 .spawn(move || {
                     let front = backend.front();
-                    conn::accept_loop(
-                        &listener,
-                        &front.shutdown,
-                        &front.stats.requests,
-                        &front.stats.errors,
-                        limits,
-                        |req| route(&*backend, req),
-                    );
+                    conn::accept_loop(&listener, &front.shutdown, &front.stats, limits, |req| {
+                        route(&*backend, req)
+                    });
                 })
         })
         .collect::<std::io::Result<Vec<_>>>()?;
@@ -193,7 +188,7 @@ pub(crate) fn route<B: Backend>(backend: &B, req: &Request) -> (u16, Body, Optio
     let (status, body) = match path {
         "/query" => query(backend, &req.body),
         "/stats" => {
-            ServerStats::bump(&backend.front().stats.stats);
+            backend.front().stats.bump(Counter::Stats);
             (200, Body::Owned(stats_json(backend)))
         }
         _ => backend.endpoint(path, &req.body),
@@ -204,7 +199,7 @@ pub(crate) fn route<B: Backend>(backend: &B, req: &Request) -> (u16, Body, Optio
 /// `POST /query`: count, answer, time.
 fn query<B: Backend>(backend: &B, body: &[u8]) -> (u16, Body) {
     let stats = &backend.front().stats;
-    ServerStats::bump(&stats.query);
+    stats.bump(Counter::Query);
     let t0 = Instant::now();
     let response = answer(backend, body);
     // Only answered queries feed the histogram — microsecond 400
@@ -265,7 +260,7 @@ fn answer<B: Backend>(backend: &B, body: &[u8]) -> (u16, Body) {
     if let Some(hit) = front.probe(&mut trace, (m.fingerprint, generation)) {
         return finish(&trace, m.trace, 200, Body::Shared(hit));
     }
-    ServerStats::bump(&front.stats.cache_misses);
+    front.stats.bump(Counter::CacheMisses);
     match backend.miss(req, &mut trace) {
         Ok((rendered, answered_at)) => {
             // The cache stores only the untraced body: a traced request
@@ -414,9 +409,10 @@ mod tests {
         let stub = stub(8);
         let stats = &stub.front.stats;
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let hits_misses = || [Counter::CacheHits, Counter::CacheMisses].map(|c| stats.get(c));
         let observe = || {
             let cached = stub.front.cache.len() as u64;
-            let (hits, misses) = (load(&stats.cache_hits), load(&stats.cache_misses));
+            let [hits, misses] = hits_misses();
             [hits, misses, load(&stub.executed), cached]
         };
         for (what, query, delta, answer) in SCRIPT {
@@ -452,7 +448,7 @@ mod tests {
             13,
             "400s are untimed"
         );
-        assert_eq!([load(&stats.cache_hits), load(&stats.cache_misses)], [6, 7]);
+        assert_eq!(hits_misses(), [6, 7]);
     }
 
     #[test]

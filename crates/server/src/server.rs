@@ -34,7 +34,7 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sketch_index::engine;
@@ -46,7 +46,7 @@ use crate::conn::{Body, ConnLimits};
 use crate::metrics;
 use crate::pipeline::{self, Backend, FrontEnd};
 use crate::snapshot::{refresh, IndexSnapshot, RefreshOutcome, SnapshotCell};
-use crate::stats::ServerStats;
+use crate::stats::{Counter, ServerStats};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -145,15 +145,6 @@ struct Local {
     store: PathBuf,
     load_threads: usize,
     cell: SnapshotCell,
-    poll_interval: Duration,
-    /// `/corpus` body cached per served generation, so polling
-    /// dashboards don't re-stat the store (manifest + every delta
-    /// shard) from a worker thread on each hit. Entries also expire
-    /// after `poll_interval`: the body embeds on-disk store stats, and
-    /// a generation-only key would freeze them for as long as a stuck
-    /// refresher pins the served generation — hiding exactly the
-    /// disk-vs-served divergence a dashboard needs to see.
-    corpus_info: Mutex<Option<(u64, Instant, Arc<str>)>>,
 }
 
 /// A running server. Dropping the handle without calling
@@ -222,8 +213,6 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         store: config.store,
         load_threads: config.load_threads,
         cell: SnapshotCell::new(snapshot),
-        poll_interval: config.poll_interval,
-        corpus_info: Mutex::new(None),
     });
     let limits = ConnLimits {
         request_timeout: config.request_timeout,
@@ -231,9 +220,10 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let (addr, workers) = pipeline::listen(&ctx, &config.addr, config.threads, limits)?;
     let refresher = {
         let ctx = Arc::clone(&ctx);
+        let interval = config.poll_interval;
         std::thread::Builder::new()
             .name("sketch-serve-refresh".to_string())
-            .spawn(move || refresher_loop(&ctx, ctx.poll_interval))?
+            .spawn(move || refresher_loop(&ctx, interval))?
     };
     Ok(ServerHandle {
         addr,
@@ -269,12 +259,12 @@ fn refresher_loop(ctx: &Local, interval: Duration) {
                         .store(store_generation, Ordering::Relaxed);
                     match outcome {
                         RefreshOutcome::Unchanged => {}
-                        RefreshOutcome::Refreshed(_) => ServerStats::bump(&stats.refreshes),
-                        RefreshOutcome::Rebuilt => ServerStats::bump(&stats.rebuilds),
+                        RefreshOutcome::Refreshed(_) => stats.bump(Counter::Refreshes),
+                        RefreshOutcome::Rebuilt => stats.bump(Counter::Rebuilds),
                     }
                 }
                 Ok(Err((e, store_generation))) => {
-                    ServerStats::bump(&stats.refresh_failures);
+                    stats.bump(Counter::RefreshFailures);
                     // The lag stays visible while the catch-up fails.
                     if let Some(generation) = store_generation {
                         stats.store_generation.store(generation, Ordering::Relaxed);
@@ -289,8 +279,8 @@ fn refresher_loop(ctx: &Local, interval: Duration) {
                     }
                 }
                 Err(_) => {
-                    ServerStats::bump(&stats.refresh_failures);
-                    ServerStats::bump(&stats.errors);
+                    stats.bump(Counter::RefreshFailures);
+                    stats.bump(Counter::Errors);
                     if logged.first_sighting("panicked", None) {
                         eprintln!("sketch-serve: refresh panicked (will retry)");
                     }
@@ -382,7 +372,7 @@ impl Backend for Local {
         let snap = self.cell.load();
         match path {
             "/healthz" => {
-                ServerStats::bump(&stats.healthz);
+                stats.bump(Counter::Healthz);
                 let body = format!(
                     "{{\"status\":\"ok\",\"generation\":{},\"sketches\":{}}}",
                     snap.generation(),
@@ -391,7 +381,7 @@ impl Backend for Local {
                 (200, Body::Owned(body))
             }
             "/metrics" => {
-                ServerStats::bump(&stats.metrics);
+                stats.bump(Counter::Metrics);
                 let body = metrics::render_server(
                     stats,
                     snap.generation(),
@@ -402,11 +392,11 @@ impl Backend for Local {
                 (200, Body::Text(body, promtext::CONTENT_TYPE))
             }
             "/corpus" => {
-                ServerStats::bump(&stats.corpus);
+                stats.bump(Counter::Corpus);
                 self.corpus(&snap)
             }
             _ => {
-                ServerStats::bump(&stats.shard);
+                stats.bump(Counter::Shard);
                 let answered = match path {
                     "/shard_query" => self.shard_query(&snap, body),
                     _ => self.shard_reports(&snap, body),
@@ -421,33 +411,20 @@ impl Backend for Local {
 }
 
 impl Local {
-    /// `GET /corpus`: store generation + shard/tombstone shape.
+    /// `GET /corpus`: store generation + shard/tombstone shape, read
+    /// from the store on every request.
     fn corpus(&self, snap: &IndexSnapshot) -> (u16, Body) {
-        let generation = snap.generation();
-        // Poison-tolerant: the slot only ever holds a complete
-        // `Some`, so state after a caught panic is still valid.
-        let slot = || {
-            self.corpus_info
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        };
-        if let Some((g, at, body)) = slot().clone() {
-            if g == generation && at.elapsed() < self.poll_interval {
-                return (200, Body::Shared(body));
-            }
-        }
         match sketch_store::stat_corpus(&self.store) {
             Ok(info) => {
-                let body: Arc<str> = Arc::from(format!(
+                let body = format!(
                     "{{\"served_generation\":{},\"serving_sketches\":{},\
                      \"distinct_keys\":{},\"store\":{}}}",
-                    generation,
+                    snap.generation(),
                     snap.index().len(),
                     snap.index().distinct_keys(),
                     info.to_json()
-                ));
-                *slot() = Some((generation, Instant::now(), Arc::clone(&body)));
-                (200, Body::Shared(body))
+                );
+                (200, Body::Owned(body))
             }
             // Transient: a compact can briefly race the stat read.
             Err(e) => (503, Body::Owned(api::render_error(&e.to_string()))),

@@ -1,12 +1,17 @@
-//! Lock-free server counters and a log-bucketed latency histogram.
+//! The server's counters, one table behind `/stats` and `/metrics`, and
+//! a log-bucketed latency histogram.
 //!
-//! Everything is `AtomicU64` with relaxed ordering — the stats endpoint
-//! is observability, not accounting, and must never contend with the
-//! query hot path. The histogram buckets latencies by power-of-two
-//! microseconds (bucket 0 holds 0 µs; bucket `i ≥ 1` covers
-//! `[2^(i-1), 2^i)` µs), which is accurate to within ~50% per sample
-//! across nine decades — plenty for p50/p95/p99 reporting.
+//! Each counter is a row of [`COUNTERS`]: a [`Counter`] variant, its
+//! `/stats` key and its `/metrics` family. Both endpoints render the
+//! table in one loop, so both carry every counter, and a new counter
+//! takes one row plus the line that bumps it. The counters are one array
+//! of `AtomicU64`, bumped with relaxed ordering: observability, not
+//! accounting, never contending with the query hot path. The histogram
+//! buckets latencies by power-of-two microseconds (bucket 0 holds 0 µs;
+//! bucket `i ≥ 1` covers `[2^(i-1), 2^i)` µs), which is accurate to
+//! within ~50% per sample across nine decades — plenty for p50/p95/p99.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -115,8 +120,89 @@ impl LatencyHistogram {
     }
 }
 
-/// All server counters, shared by the workers, the refresher, and the
-/// `/stats` endpoint.
+/// A counter's Prometheus family.
+#[derive(Debug)]
+pub struct Family {
+    /// Family name, `sketch_`-prefixed.
+    pub name: &'static str,
+    /// HELP text: what the family counts.
+    pub help: &'static str,
+    /// For a family several counters share, the label that tells their
+    /// samples apart, valued with each counter's `/stats` key.
+    pub label: Option<&'static str>,
+}
+
+/// `sketch_requests_total{endpoint="…"}`, one sample per endpoint.
+const BY_ENDPOINT: Family = Family {
+    name: "sketch_requests_total",
+    help: "Requests routed, by endpoint.",
+    label: Some("endpoint"),
+};
+
+/// One counter's `/stats` key and `/metrics` family.
+#[derive(Debug)]
+pub struct Row {
+    /// Key in the `/stats` object.
+    pub key: &'static str,
+    /// Family in the `/metrics` exposition.
+    pub family: Family,
+}
+
+/// Declares [`Counter`] and [`COUNTERS`] from one list of rows. A row
+/// names a shared family, or gives its own family's name and HELP text.
+macro_rules! counters {
+    (@family $shared:ident) => { $shared };
+    (@family $name:literal, $help:literal) => { Family { name: $name, help: $help, label: None } };
+    ($($variant:ident => $key:literal, $($family:tt),+;)*) => {
+        /// A server counter: a slot of [`ServerStats`] and the row of
+        /// [`COUNTERS`] at its index, whose HELP text says what it counts.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[allow(missing_docs)]
+        pub enum Counter {
+            $($variant,)*
+        }
+
+        /// The table both `/stats` and `/metrics` render, in `/stats` order.
+        pub static COUNTERS: [Row; COUNT] =
+            [$(Row { key: $key, family: counters!(@family $($family),+) },)*];
+
+        const COUNT: usize = [$($key),*].len();
+    };
+}
+
+counters! {
+    Requests => "requests", "sketch_routed_requests_total", "Requests answered, any path and any status.";
+    Query => "query", BY_ENDPOINT;
+    Shard => "shard", BY_ENDPOINT;
+    Corpus => "corpus", BY_ENDPOINT;
+    Healthz => "healthz", BY_ENDPOINT;
+    Stats => "stats", BY_ENDPOINT;
+    Errors => "errors", "sketch_errors_total", "Responses with a non-2xx status.";
+    Degraded => "degraded", "sketch_degraded_responses_total", "Responses served with at least one degraded shard.";
+    CacheHits => "cache_hits", "sketch_cache_hits_total", "Query-cache hits.";
+    CacheMisses => "cache_misses", "sketch_cache_misses_total", "Query-cache misses.";
+    Refreshes => "refreshes", "sketch_refreshes_total", "Incremental snapshot refreshes (generation observations on the coordinator).";
+    Rebuilds => "rebuilds", "sketch_rebuilds_total", "Full index rebuilds after a compaction.";
+    Metrics => "metrics", BY_ENDPOINT;
+    Traced => "traced", "sketch_traced_requests_total", "Requests that asked for a span trace.";
+    SlowQueries => "slow_queries", "sketch_slow_queries_total", "Requests at or over the slow-query threshold.";
+    RefreshFailures => "refresh_failures", "sketch_refresh_failures_total", "Snapshot refresh attempts that failed (each poll retries).";
+    PlanCandidates => "plan_candidates", "sketch_plan_candidates_total", "Planner: candidates that survived retrieval and join.";
+    PlanCheapInvocations => "plan_cheap_invocations", "sketch_plan_cheap_invocations_total", "Planner: pass-1 (Pearson) estimator invocations.";
+    PlanExpensiveInvocations => "plan_expensive_invocations", "sketch_plan_expensive_invocations_total", "Planner: requested-estimator invocations.";
+    PlanPruned => "plan_pruned", "sketch_plan_pruned_total", "Planner: candidates pruned without the expensive estimator.";
+    PlanPromotionRounds => "plan_promotion_rounds", "sketch_plan_promotion_rounds_total", "Planner: promotion fixed-point rounds.";
+}
+
+/// `/stats` keeps its key order from before the table: the
+/// `cache_entries` gauge goes before the row at `CACHE_ENTRIES_AT`, the
+/// `latency` block before the row at `LATENCY_AT`, the first counter
+/// `/stats` gained.
+const CACHE_ENTRIES_AT: usize = Counter::Refreshes as usize;
+const LATENCY_AT: usize = Counter::Metrics as usize;
+
+/// The server's counters and gauges, shared by the workers, the
+/// refresher, and the `/stats` and `/metrics` endpoints.
 #[derive(Debug)]
 pub struct ServerStats {
     /// Monotonic start instant, for `uptime_s`.
@@ -124,59 +210,12 @@ pub struct ServerStats {
     /// Wall-clock start as a unix timestamp (seconds), so scrapers can
     /// align counter resets across restarts.
     pub started_unix: u64,
-    /// Requests that reached routing (any endpoint, any status).
-    pub requests: AtomicU64,
-    /// `POST /query` requests.
-    pub query: AtomicU64,
-    /// Internal shard endpoints (`/shard_query`, `/shard_reports`)
-    /// served for a coordinator.
-    pub shard: AtomicU64,
-    /// `GET /corpus` requests.
-    pub corpus: AtomicU64,
-    /// `GET /healthz` requests.
-    pub healthz: AtomicU64,
-    /// `GET /stats` requests.
-    pub stats: AtomicU64,
-    /// `GET /metrics` scrapes.
-    pub metrics: AtomicU64,
-    /// Responses with a non-2xx status.
-    pub errors: AtomicU64,
-    /// Coordinator responses served with at least one degraded shard
-    /// (always 0 on a single-store server).
-    pub degraded: AtomicU64,
-    /// Query-cache hits.
-    pub cache_hits: AtomicU64,
-    /// Query-cache misses.
-    pub cache_misses: AtomicU64,
-    /// Incremental snapshot refreshes applied by the background poller.
-    pub refreshes: AtomicU64,
-    /// Full index rebuilds (post-compaction `StaleGeneration`).
-    pub rebuilds: AtomicU64,
-    /// Refresh attempts that failed (an error or a caught panic); the
-    /// refresher retries on every poll, so a stuck store counts up.
-    pub refresh_failures: AtomicU64,
+    /// One slot per [`Counter`].
+    counters: [AtomicU64; COUNT],
     /// The store generation the refresher last observed on disk; with
     /// [`Self::store_generation`] ≥ served generation always, the
     /// difference is the refresher's generation lag.
     pub store_generation: AtomicU64,
-    /// Requests that carried `"trace": true`.
-    pub traced: AtomicU64,
-    /// Requests at or over the slow-query threshold (0 when no
-    /// threshold is armed).
-    pub slow_queries: AtomicU64,
-    /// Planner totals across answered queries: candidates that survived
-    /// retrieval + join.
-    pub plan_candidates: AtomicU64,
-    /// Planner totals: cheap (pass-1 Pearson) estimator invocations.
-    pub plan_cheap_invocations: AtomicU64,
-    /// Planner totals: requested-estimator invocations (the contested
-    /// band on the two-pass plan, every admitted candidate otherwise).
-    pub plan_expensive_invocations: AtomicU64,
-    /// Planner totals: candidates pruned without the expensive
-    /// estimator.
-    pub plan_pruned: AtomicU64,
-    /// Planner totals: promotion fixed-point rounds.
-    pub plan_promotion_rounds: AtomicU64,
     /// `/query` latency histogram (cache hits included).
     pub latency: LatencyHistogram,
 }
@@ -188,28 +227,8 @@ impl Default for ServerStats {
             started_unix: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map_or(0, |d| d.as_secs()),
-            requests: AtomicU64::new(0),
-            query: AtomicU64::new(0),
-            shard: AtomicU64::new(0),
-            corpus: AtomicU64::new(0),
-            healthz: AtomicU64::new(0),
-            stats: AtomicU64::new(0),
-            metrics: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            refreshes: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
-            refresh_failures: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             store_generation: AtomicU64::new(0),
-            traced: AtomicU64::new(0),
-            slow_queries: AtomicU64::new(0),
-            plan_candidates: AtomicU64::new(0),
-            plan_cheap_invocations: AtomicU64::new(0),
-            plan_expensive_invocations: AtomicU64::new(0),
-            plan_pruned: AtomicU64::new(0),
-            plan_promotion_rounds: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
         }
     }
@@ -217,8 +236,23 @@ impl Default for ServerStats {
 
 impl ServerStats {
     /// Bump a counter by one.
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    #[inline]
+    pub(crate) fn bump(&self, counter: Counter) {
+        self.counters[counter as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A counter's current value.
+    #[must_use]
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
+    }
+
+    /// Every counter's row and current value, in table order.
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&'static Row, u64)> + '_ {
+        COUNTERS
+            .iter()
+            .zip(&self.counters)
+            .map(|(row, c)| (row, c.load(Ordering::Relaxed)))
     }
 
     /// Whole seconds since the server started.
@@ -229,54 +263,52 @@ impl ServerStats {
 
     /// Fold one answered query's planner statistics into the totals.
     pub(crate) fn absorb_plan(&self, plan: &sketch_index::PlanStats) {
-        self.plan_candidates
-            .fetch_add(plan.candidates as u64, Ordering::Relaxed);
-        self.plan_cheap_invocations
-            .fetch_add(plan.cheap_invocations as u64, Ordering::Relaxed);
-        self.plan_expensive_invocations
-            .fetch_add(plan.expensive_invocations as u64, Ordering::Relaxed);
-        self.plan_pruned
-            .fetch_add(plan.pruned as u64, Ordering::Relaxed);
-        self.plan_promotion_rounds
-            .fetch_add(plan.promotion_rounds as u64, Ordering::Relaxed);
+        for (counter, n) in [
+            (Counter::PlanCandidates, plan.candidates),
+            (Counter::PlanCheapInvocations, plan.cheap_invocations),
+            (
+                Counter::PlanExpensiveInvocations,
+                plan.expensive_invocations,
+            ),
+            (Counter::PlanPruned, plan.pruned),
+            (Counter::PlanPromotionRounds, plan.promotion_rounds),
+        ] {
+            self.counters[counter as usize].fetch_add(n as u64, Ordering::Relaxed);
+        }
     }
 
-    /// Render the `/stats` payload: counters plus histogram percentiles,
-    /// with `cached` (current cache entry count) and `generation` passed
-    /// in by the caller.
+    /// Render the `/stats` payload: every counter plus histogram
+    /// percentiles, with `cached` (current cache entry count) and
+    /// `generation` passed in by the caller.
     #[must_use]
     pub(crate) fn to_json(&self, generation: u64, cached: usize) -> String {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let counts = self.latency.snapshot();
         let served: u64 = counts.iter().sum();
-        format!(
-            "{{\"generation\":{generation},\"uptime_s\":{},\"started_unix\":{},\
-             \"requests\":{},\"query\":{},\"shard\":{},\"corpus\":{},\
-             \"healthz\":{},\"stats\":{},\"errors\":{},\"degraded\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{cached},\
-             \"refreshes\":{},\"rebuilds\":{},\"latency\":{{\"count\":{served},\
-             \"p50_ms\":{:.4},\"p95_ms\":{:.4},\"p99_ms\":{:.4},\
-             \"min_ms\":{:.4},\"max_ms\":{:.4}}}}}",
+        let mut out = format!(
+            "{{\"generation\":{generation},\"uptime_s\":{},\"started_unix\":{}",
             self.uptime_s(),
             self.started_unix,
-            load(&self.requests),
-            load(&self.query),
-            load(&self.shard),
-            load(&self.corpus),
-            load(&self.healthz),
-            load(&self.stats),
-            load(&self.errors),
-            load(&self.degraded),
-            load(&self.cache_hits),
-            load(&self.cache_misses),
-            load(&self.refreshes),
-            load(&self.rebuilds),
-            LatencyHistogram::percentile_ms(&counts, 50.0),
-            LatencyHistogram::percentile_ms(&counts, 95.0),
-            LatencyHistogram::percentile_ms(&counts, 99.0),
-            self.latency.min_us().unwrap_or(0) as f64 / 1000.0,
-            self.latency.max_us().unwrap_or(0) as f64 / 1000.0,
-        )
+        );
+        for (i, (row, value)) in self.counters().enumerate() {
+            if i == CACHE_ENTRIES_AT {
+                let _ = write!(out, ",\"cache_entries\":{cached}");
+            }
+            if i == LATENCY_AT {
+                let _ = write!(
+                    out,
+                    ",\"latency\":{{\"count\":{served},\"p50_ms\":{:.4},\"p95_ms\":{:.4},\
+                     \"p99_ms\":{:.4},\"min_ms\":{:.4},\"max_ms\":{:.4}}}",
+                    LatencyHistogram::percentile_ms(&counts, 50.0),
+                    LatencyHistogram::percentile_ms(&counts, 95.0),
+                    LatencyHistogram::percentile_ms(&counts, 99.0),
+                    self.latency.min_us().unwrap_or(0) as f64 / 1000.0,
+                    self.latency.max_us().unwrap_or(0) as f64 / 1000.0,
+                );
+            }
+            let _ = write!(out, ",\"{}\":{value}", row.key);
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -348,9 +380,9 @@ mod tests {
     #[test]
     fn stats_json_is_parseable() {
         let s = ServerStats::default();
-        ServerStats::bump(&s.requests);
-        ServerStats::bump(&s.query);
-        ServerStats::bump(&s.cache_hits);
+        s.bump(Counter::Requests);
+        s.bump(Counter::Query);
+        s.bump(Counter::CacheHits);
         s.latency.record_us(250);
         let text = s.to_json(3, 7);
         let v = correlation_sketches::json::parse(&text).unwrap();
@@ -365,6 +397,30 @@ mod tests {
         assert_eq!(lat.get("max_ms").unwrap().as_f64("max").unwrap(), 0.25);
         assert!(obj.get("uptime_s").unwrap().as_u64("u").is_ok());
         assert!(obj.get("started_unix").unwrap().as_u64("s").unwrap() > 1_600_000_000);
+    }
+
+    /// `/stats` keeps every key it had before the table, in the same
+    /// order, and gains the rest of the table after them. Each row has a
+    /// key of its own, and a family of its own or a label in a shared one.
+    #[test]
+    fn stats_keeps_its_keys_and_the_table_names_each_counter_once() {
+        let text = ServerStats::default().to_json(0, 0);
+        let at = |key: &str| text.find(&format!("\"{key}\":")).unwrap();
+        let kept: Vec<&str> = "generation uptime_s started_unix requests query shard corpus \
+             healthz stats errors degraded cache_hits cache_misses cache_entries refreshes \
+             rebuilds latency"
+            .split_whitespace()
+            .collect();
+        assert!(kept.windows(2).all(|w| at(w[0]) < at(w[1])), "{text}");
+        let end = text.find('}').unwrap();
+        for row in COUNTERS.iter().filter(|r| !kept.contains(&r.key)) {
+            assert!(at(row.key) > end, "{}: {text}", row.key);
+        }
+        for (i, row) in COUNTERS.iter().enumerate() {
+            let (key, Family { name, label, .. }) = (row.key, &row.family);
+            let unique = |o: &Row| o.key != key && (o.family.name != *name || label.is_some());
+            assert!(COUNTERS[..i].iter().all(unique), "{key}");
+        }
     }
 
     #[test]

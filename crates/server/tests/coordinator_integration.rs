@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use sketch_datagen::{generate_planted, PlantedConfig};
 use sketch_index::{engine, merge_shard_candidates, ShardCandidate, ShardRows};
 use sketch_server::{
-    api, CoordinatorConfig, CoordinatorHandle, HttpClient, IndexSnapshot, QueryParams,
+    api, CoordinatorConfig, CoordinatorHandle, Counter, HttpClient, IndexSnapshot, QueryParams,
     ServerConfig, ServerHandle,
 };
 use sketch_store::{pack_corpus, PackOptions, PartitionManifest};
@@ -338,7 +338,7 @@ fn killed_worker_yields_typed_degraded_partial_result() {
         resp.body, expected,
         "degraded answer must equal the replay over the surviving shards"
     );
-    assert!(cluster.coordinator.stats().degraded.load(Ordering::Relaxed) >= 1);
+    assert!(cluster.coordinator.stats().get(Counter::Degraded) >= 1);
 
     // Degraded answers are never cached: asking again re-scatters and
     // answers identically (deterministic), still degraded.
@@ -611,21 +611,10 @@ fn mutation_under_shards_is_generation_exact_and_never_aliases() {
     );
 
     // Replaying the identical request is a pure cache hit, byte-equal.
-    let hits_before = cluster
-        .coordinator
-        .stats()
-        .cache_hits
-        .load(Ordering::Relaxed);
+    let hits_before = cluster.coordinator.stats().get(Counter::CacheHits);
     let resp_b2 = client.post("/query", &body).unwrap();
     assert_eq!(resp_b2, resp_b);
-    assert!(
-        cluster
-            .coordinator
-            .stats()
-            .cache_hits
-            .load(Ordering::Relaxed)
-            > hits_before
-    );
+    assert!(cluster.coordinator.stats().get(Counter::CacheHits) > hits_before);
 
     let _ = cluster.coordinator.shutdown();
     for w in cluster.workers {

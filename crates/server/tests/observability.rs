@@ -26,7 +26,9 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use sketch_datagen::{generate_planted, PlantedConfig};
-use sketch_server::{CoordinatorConfig, CoordinatorHandle, HttpClient, ServerConfig, ServerHandle};
+use sketch_server::{
+    CoordinatorConfig, CoordinatorHandle, Counter, HttpClient, ServerConfig, ServerHandle,
+};
 use sketch_store::{pack_corpus, PackOptions};
 use sketch_table::ColumnPair;
 
@@ -246,7 +248,7 @@ fn run_identity_case(seed: u64, noise: usize, rows: usize) {
         assert_trace_identity(&mut client, query, params);
     }
     // Every traced request above was counted.
-    let traced = handle.stats().traced.load(Ordering::Relaxed);
+    let traced = handle.stats().get(Counter::Traced);
     assert_eq!(traced, 2 * grid.len() as u64);
     drop(client);
     let _ = handle.shutdown();
@@ -512,6 +514,78 @@ fn metrics_exposition_is_scrape_conformant() {
     let _ = handle.shutdown();
 }
 
+/// Polls until `counter` reaches `at_least`.
+fn wait_for(handle: &ServerHandle, counter: Counter, at_least: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.stats().get(counter) < at_least {
+        assert!(Instant::now() < deadline, "{counter:?} stuck");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// `/stats` and `/metrics` render one counter table: after traffic that
+/// moves every counter a single server can move, each row reads the
+/// same on both surfaces.
+#[test]
+fn stats_and_metrics_report_every_counter_alike() {
+    let (queries, union_store, _dir) = planted(41, 6, 160);
+    let mut config = ServerConfig::new(&union_store);
+    config.threads = 2;
+    config.poll_interval = Duration::from_millis(25);
+    // A zero threshold makes every query a slow one.
+    config.slow_query = Some(Duration::ZERO);
+    let handle = sketch_server::start(config).unwrap();
+    let mut client = HttpClient::connect(handle.addr()).unwrap();
+
+    // The two-pass plan moves every planner total.
+    let params = ",\"k\":3,\"estimator\":\"spearman\",\"plan\":\"two-pass\"";
+    let body = query_json(&queries[0], params);
+    let traced = query_json(&queries[0], &format!("{params},\"trace\":true"));
+    // A miss, a hit, a traced request, a 400, a 405, a shard call, then
+    // a 404 and the other endpoints.
+    for (path, body, status) in [
+        ("/query", body.as_str(), 200),
+        ("/query", body.as_str(), 200),
+        ("/query", traced.as_str(), 200),
+        ("/query", "{oops", 400),
+        ("/healthz", "", 405),
+        ("/shard_query", "{}", 400),
+    ] {
+        assert_eq!(client.post(path, body).unwrap().status, status, "{path}");
+    }
+    for path in ["/nowhere", "/healthz", "/corpus", "/stats", "/metrics"] {
+        let status = client.get(path).unwrap().status;
+        assert_eq!(status, if path == "/nowhere" { 404 } else { 200 });
+    }
+    // A refresh after an append, a rebuild after a compaction.
+    let fresh = SketchBuilder::new(SketchConfig::with_size(128)).build(&queries[0]);
+    sketch_store::append_corpus(&union_store, &[fresh], 1).unwrap();
+    wait_for(&handle, Counter::Refreshes, 1);
+    let options = PackOptions {
+        shards: 2,
+        threads: 2,
+    };
+    sketch_store::compact_corpus(&union_store, &options).unwrap();
+    wait_for(&handle, Counter::Rebuilds, 1);
+
+    let stats = client.get("/stats").unwrap().body;
+    let (samples, _) = parse_exposition(&client.get("/metrics").unwrap().body);
+    for row in &sketch_server::stats::COUNTERS {
+        let on_stats = sketch_server::api::extract_u64(&stats, row.key).unwrap();
+        let label = row.family.label.map(|l| (l, row.key));
+        let on_metrics = sample_value(&samples, row.family.name, label.as_slice()) as u64;
+        // `/stats` is counted as a request once it has rendered, and a
+        // scrape counts itself before it renders.
+        let between = u64::from(matches!(row.key, "requests" | "metrics"));
+        assert_eq!(on_metrics, on_stats + between, "{}", row.key);
+        // Only a coordinator degrades, and no refresh failed here.
+        let moved = !matches!(row.key, "degraded" | "refresh_failures");
+        assert_eq!(on_metrics > 0, moved, "{}", row.key);
+    }
+
+    let _ = handle.shutdown();
+}
+
 #[test]
 fn coordinator_metrics_track_killed_worker_health() {
     let (queries, union_store, dir) = planted(23, 6, 160);
@@ -604,10 +678,10 @@ fn slow_query_tracing_counts_without_changing_bytes() {
         // Internal tracing never leaks into the response.
         assert_eq!(got.body, want.body, "slow-query tracing changed the bytes");
     }
-    assert!(slow.stats().slow_queries.load(Ordering::Relaxed) >= 3);
+    assert!(slow.stats().get(Counter::SlowQueries) >= 3);
     // Nothing asked for a trace in the response, so none were attached.
-    assert_eq!(slow.stats().traced.load(Ordering::Relaxed), 0);
-    assert_eq!(plain.stats().slow_queries.load(Ordering::Relaxed), 0);
+    assert_eq!(slow.stats().get(Counter::Traced), 0);
+    assert_eq!(plain.stats().get(Counter::SlowQueries), 0);
 
     let _ = plain.shutdown();
     let _ = slow.shutdown();

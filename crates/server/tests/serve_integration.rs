@@ -10,7 +10,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
-use sketch_server::{api, HttpClient, IndexSnapshot, QueryParams, ServerConfig};
+use sketch_server::{api, Counter, HttpClient, IndexSnapshot, QueryParams, ServerConfig};
 use sketch_store::PackOptions;
 use sketch_table::ColumnPair;
 
@@ -224,10 +224,7 @@ fn served_answers_stay_byte_identical_under_mutation() {
     // The same queries repeated at a settled generation are cache hits
     // and still byte-identical — for the scored request too, proving
     // scorer and confidence are part of the cache identity.
-    let hits_before = handle
-        .stats()
-        .cache_hits
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let hits_before = handle.stats().get(Counter::CacheHits);
     let mut client = HttpClient::connect(addr).unwrap();
     for (bi, body) in bodies.iter().enumerate() {
         let a = client.post("/query", body).unwrap();
@@ -240,20 +237,11 @@ fn served_answers_stay_byte_identical_under_mutation() {
         expected[&(1, 3)],
         "scored and unscored responses must not collide"
     );
-    let hits_after = handle
-        .stats()
-        .cache_hits
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let hits_after = handle.stats().get(Counter::CacheHits);
     assert!(hits_after > hits_before);
 
     // The rebuild path (post-compact) was exercised.
-    assert!(
-        handle
-            .stats()
-            .rebuilds
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1
-    );
+    assert!(handle.stats().get(Counter::Rebuilds) >= 1);
 
     let summary = handle.shutdown();
     assert!(summary.contains("\"generation\":3"), "{summary}");

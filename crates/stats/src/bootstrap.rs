@@ -342,7 +342,7 @@ pub type PairedStat<'a> = dyn Fn(&[f64], &[f64]) -> Result<f64, StatsError> + 'a
 ///
 /// # Errors
 ///
-/// Validation errors of the statistic itself, or
+/// The statistic's own error on the full sample, validation errors, or
 /// [`StatsError::ZeroVariance`] when more than half the resamples are
 /// degenerate.
 pub fn percentile_bootstrap_ci(
@@ -354,9 +354,23 @@ pub fn percentile_bootstrap_ci(
     seed: u64,
     scratch: &mut BootstrapScratch,
 ) -> Result<ConfidenceInterval, StatsError> {
+    estimate_with_percentile_ci(stat, x, y, replicates, confidence, seed, scratch).map(|(_, ci)| ci)
+}
+
+/// [`percentile_bootstrap_ci`] together with the statistic on the full
+/// sample, which it evaluates once: first, so a degenerate sample fails
+/// with the statistic's own error before any resampling.
+pub(crate) fn estimate_with_percentile_ci(
+    stat: &PairedStat<'_>,
+    x: &[f64],
+    y: &[f64],
+    replicates: usize,
+    confidence: f64,
+    seed: u64,
+    scratch: &mut BootstrapScratch,
+) -> Result<(f64, ConfidenceInterval), StatsError> {
+    let estimate = stat(x, y)?;
     validate_pairs(x, y, 2)?;
-    // Fail fast if the full sample is degenerate.
-    stat(x, y)?;
 
     let n = x.len();
     let BootstrapScratch {
@@ -374,7 +388,7 @@ pub fn percentile_bootstrap_ci(
         }
         stat(bx, by).ok()
     })?;
-    Ok(percentile_interval(rs, confidence))
+    Ok((estimate, percentile_interval(rs, confidence)))
 }
 
 #[cfg(test)]

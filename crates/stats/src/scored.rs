@@ -21,7 +21,7 @@
 //! [`BootstrapScratch`], so scored queries are bit-identical across
 //! thread counts and allocation-free on the hot path.
 
-use crate::bootstrap::{percentile_bootstrap_ci, pm1_with_ci, BootstrapScratch};
+use crate::bootstrap::{estimate_with_percentile_ci, pm1_with_ci, BootstrapScratch};
 use crate::ci::{fisher_z_interval, ConfidenceInterval};
 use crate::error::{validate_shape, StatsError};
 use crate::estimator::CorrelationEstimator;
@@ -109,20 +109,17 @@ pub fn scored_estimate(
             validate_shape(x, y, estimator.min_samples())?;
             pm1_with_ci(x, y, seed, confidence, scratch)?
         }
-        // `estimate` answers exactly as validating first would.
-        other => {
-            let est = other.estimate(x, y)?;
-            let ci = percentile_bootstrap_ci(
-                &|a, b| other.estimate(a, b),
-                x,
-                y,
-                ROBUST_REPLICATES,
-                confidence,
-                SCORED_CI_SEED,
-                scratch,
-            )?;
-            (est, ci)
-        }
+        // `estimate` answers exactly as validating first would; the
+        // bootstrap evaluates it on the full sample once, first.
+        other => estimate_with_percentile_ci(
+            &|a, b| other.estimate(a, b),
+            x,
+            y,
+            ROBUST_REPLICATES,
+            confidence,
+            SCORED_CI_SEED,
+            scratch,
+        )?,
     };
     Ok(ScoredEstimate {
         estimate,

@@ -4,9 +4,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sketch_stats::kernel::{centered_sums, column_means};
 use sketch_stats::{
-    average_ranks, fisher_z_interval, hfd_interval, hoeffding_interval, pearson, rankit_transform,
-    rin_correlation, scored_estimate, spearman, BootstrapScratch, CorrelationEstimator, Moments,
-    StatsError, ValueBounds,
+    average_ranks, fisher_z_interval, hfd_interval, hoeffding_interval, pearson,
+    percentile_bootstrap_ci, rankit_transform, rin_correlation, scored_estimate, spearman,
+    BootstrapScratch, CorrelationEstimator, Moments, StatsError, ValueBounds,
 };
 
 /// The tightest bounds covering both samples.
@@ -204,11 +204,11 @@ fn hostile_value((kind, v): (usize, f64)) -> f64 {
     }
 }
 
-/// A paired sample of up to 40 rows, now and then of unequal lengths,
-/// whose columns are ordinary or hostile (a hostile value in about one
-/// row in three) or constant.
-fn hostile_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
-    let column = || (vec((0usize..20, -1e4f64..1e4), 0..41), 0usize..4);
+/// A paired sample of up to `max_rows` rows, now and then of unequal
+/// lengths, whose columns are ordinary or hostile (a hostile value in
+/// about one row in three) or constant.
+fn hostile_pair(max_rows: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    let column = move || (vec((0usize..20, -1e4f64..1e4), 0..max_rows + 1), 0usize..4);
     (column(), column(), 0usize..10).prop_map(|(x, y, skew)| {
         let make = |(draws, mode): (Vec<(usize, f64)>, usize)| -> Vec<f64> {
             match mode {
@@ -243,7 +243,7 @@ proptest! {
     /// the whole sample first gave, on NaN, ±∞, and finite values whose
     /// sums overflow.
     #[test]
-    fn single_validation_pearson_is_the_validated_one((x, y) in hostile_pair()) {
+    fn single_validation_pearson_is_the_validated_one((x, y) in hostile_pair(40)) {
         let want = pearson_validated_twice(&x, &y, 2);
         prop_assert!(same_bits(pearson(&x, &y), want), "{:?} vs {want:?}", pearson(&x, &y));
     }
@@ -252,7 +252,7 @@ proptest! {
     /// estimate, interval and error as validating it, then estimating.
     #[test]
     fn scored_pearson_checks_once_and_answers_the_same(
-        (x, y) in hostile_pair(),
+        (x, y) in hostile_pair(40),
         confidence in 0.5f64..0.999,
     ) {
         let est = CorrelationEstimator::Pearson;
@@ -279,11 +279,40 @@ proptest! {
     /// constant columns, unequal lengths and samples below the minimum
     /// (PM1 and distance correlation at two rows included).
     #[test]
-    fn every_estimator_checks_once_and_answers_the_same((x, y) in hostile_pair()) {
+    fn every_estimator_checks_once_and_answers_the_same((x, y) in hostile_pair(40)) {
         for est in CorrelationEstimator::EXTENDED {
             let got = est.estimate(&x, &y);
             let want = validated_then_computed(est, &x, &y);
             prop_assert!(same_bits(got, want), "{est}: {got:?} vs {want:?}");
+        }
+    }
+
+    /// A scored robust estimate evaluates the estimator on the full
+    /// sample once: the same estimate, interval and error as estimating
+    /// and then bootstrapping the interval, which evaluated it again —
+    /// on 0 to 8 rows, NaN, ±∞ and unequal lengths.
+    #[test]
+    fn scored_robust_estimates_evaluate_the_sample_once(
+        (x, y) in hostile_pair(8),
+        confidence in 0.5f64..0.999,
+    ) {
+        use CorrelationEstimator::{DistanceCorrelation, Kendall, Qn, Rin, Spearman};
+        for est in [Spearman, Rin, Qn, Kendall, DistanceCorrelation] {
+            let got = scored_estimate(est, &x, &y, confidence, &mut BootstrapScratch::new())
+                .map(|g| [g.estimate, g.ci_lo, g.ci_hi].map(f64::to_bits));
+            let want = est.estimate(&x, &y).and_then(|r| {
+                let ci = percentile_bootstrap_ci(
+                    &|a, b| est.estimate(a, b),
+                    &x,
+                    &y,
+                    199,
+                    confidence.clamp(1e-6, 1.0 - 1e-6),
+                    0x00c1_5eed,
+                    &mut BootstrapScratch::new(),
+                )?;
+                Ok([r, ci.low, ci.high].map(f64::to_bits))
+            });
+            prop_assert_eq!(got, want, "{}", est);
         }
     }
 }

@@ -15,7 +15,12 @@
 # that name, or a trace.note call for the coordinator's notes — stage
 # costs are read from those spans, so a renamed span must not leave the
 # docs pointing at nothing.
-# Deleting a target, a route or a span without its mentions (or
+# Every metric family README.md's `GET /metrics` and slow-query
+# paragraphs or crates/server/src/lib.rs name (a sketch_ word that is not
+# a crate path like sketch_stats::kernel) must be rendered by the code: a
+# "sketch_…" string outside the tests of crates/server/src/stats.rs (the
+# counter table) or crates/server/src/metrics.rs (gauges, histogram).
+# Deleting a target, a route, a span or a family without its mentions (or
 # documenting one that was never written) fails here instead of in
 # front of a reader.
 #
@@ -77,6 +82,19 @@ while read -r span; do
     status=1
   fi
 done < <(awk '/^\*\*Request tracing\.\*\*/,/^$/' README.md | grep -oE '`[a-z_]+`' | tr -d '`' | sort -u)
+
+FAMILY_DOCS=(README.md crates/server/src/lib.rs)
+rendered=$(for f in crates/server/src/stats.rs crates/server/src/metrics.rs; do
+  sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -oE '"sketch_[a-z_]+"' | tr -d '"' | sort -u)
+while read -r family; do
+  if ! grep -qxF -- "$family" <<< "$rendered"; then
+    echo "check_doc_bins: FAIL: metric family '$family' is named in:" >&2
+    grep -lE -- "\b$family\b" "${FAMILY_DOCS[@]}" | sed 's/^/  /' >&2
+    echo "  but no counter-table row (stats.rs) or gauge (metrics.rs) renders it" >&2
+    status=1
+  fi
+done < <({ awk '/^\*\*`GET \/metrics`\*\*/,/^$/; /^\*\*Slow-query log\.\*\*/,/^$/' README.md
+  cat crates/server/src/lib.rs; } | grep -oE '\bsketch_[a-z_]+(::)?' | grep -v '::$' | sort -u)
 
 [ "$status" -eq 0 ] && echo "check_doc_bins: OK"
 exit "$status"
