@@ -6,6 +6,9 @@
 //! invariant this ablation demonstrates is that the sketch estimates the
 //! correlation of the *aggregated* join regardless of which function the
 //! application picks — i.e. accuracy should be similar across functions.
+//! The gate: every function's RMSE is at most `MAX_RMSE`, and the
+//! largest RMSE is at most `MAX_RATIO` times the smallest; the exit code
+//! is the gate.
 //!
 //! ```text
 //! cargo run --release -p sketch-bench --bin ablation_aggregation -- --scale 150
@@ -15,6 +18,11 @@ use correlation_sketches::{join_sketches, SketchBuilder, SketchConfig};
 use sketch_bench::{corpus_pairs, Args, CorpusChoice};
 use sketch_stats::{rmse, CorrelationEstimator};
 use sketch_table::{exact_join, Aggregation};
+
+/// Ceiling on any aggregation's RMSE against its own ground truth.
+const MAX_RMSE: f64 = 0.2;
+/// Ceiling on the largest RMSE over the smallest.
+const MAX_RATIO: f64 = 2.5;
 
 fn main() {
     let args = Args::from_env();
@@ -33,6 +41,8 @@ fn main() {
         "{:<8} {:>7} {:>9} {:>12}",
         "agg", "pairs", "RMSE", "mean |err|"
     );
+    let mut failures = Vec::new();
+    let (mut lowest, mut highest) = (f64::INFINITY, 0.0f64);
     for agg in Aggregation::ALL {
         let builder = SketchBuilder::new(SketchConfig::with_size(sketch_size).aggregation(agg));
         let mut ests = Vec::new();
@@ -65,17 +75,37 @@ fn main() {
                 .sum::<f64>()
                 / ests.len() as f64
         };
+        let err = rmse(&ests, &truths);
         println!(
             "{:<8} {:>7} {:>9.4} {:>12.4}",
             agg.name(),
             ests.len(),
-            rmse(&ests, &truths),
+            err,
             mean_abs
         );
+        if ests.is_empty() {
+            failures.push(format!("{}: no evaluable pairs", agg.name()));
+        } else if err > MAX_RMSE {
+            failures.push(format!("{}: RMSE {err:.4} above {MAX_RMSE}", agg.name()));
+        }
+        lowest = lowest.min(err);
+        highest = highest.max(err);
     }
-    println!(
-        "\nExpected shape: similar accuracy for every aggregate function — \
-         the sketch is agnostic to the aggregation because it applies the \
-         same function the ground truth uses, in-stream."
-    );
+    let ratio = highest / lowest;
+    if ratio > MAX_RATIO {
+        failures.push(format!(
+            "max/min RMSE {highest:.4}/{lowest:.4} = {ratio:.2} above {MAX_RATIO}"
+        ));
+    }
+    if failures.is_empty() {
+        println!(
+            "\nablation_aggregation: OK — every RMSE <= {MAX_RMSE} and max/min \
+             RMSE {ratio:.2} <= {MAX_RATIO}: the sketch is agnostic to the \
+             aggregation because it applies the same function the ground \
+             truth uses, in-stream"
+        );
+    } else {
+        println!("\nablation_aggregation: FAIL — {}", failures.join("; "));
+        std::process::exit(1);
+    }
 }

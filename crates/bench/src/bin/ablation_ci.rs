@@ -61,7 +61,6 @@ fn main() {
     let builder = SketchBuilder::new(SketchConfig::with_size(sketch_size));
 
     let mut hoeffding = Tally::default();
-    let mut bernstein = Tally::default();
     let mut hfd = Tally::default();
     let mut fisher = Tally::default();
     let mut pm1 = Tally::default();
@@ -88,9 +87,6 @@ fn main() {
         let (ci, t) = time_ms(|| sample.hoeffding_ci(alpha).unwrap());
         hoeffding.add(ci.contains(truth), ci.length(), t);
 
-        let (ci, t) = time_ms(|| sample.bernstein_ci(alpha).unwrap());
-        bernstein.add(ci.contains(truth), ci.length(), t);
-
         let (ci, t) = time_ms(|| sample.hfd_ci(alpha).unwrap());
         hfd.add(ci.contains(truth), ci.length(), t);
 
@@ -111,16 +107,13 @@ fn main() {
         "method", "coverage", "mean width", "mean ms/call"
     );
     hoeffding.row("hoeffding");
-    bernstein.row("bernstein");
     hfd.row("hfd");
     fisher.row("fisher-z");
     pm1.row("pm1-boot");
     println!(
         "\nExpected shape: hoeffding coverage ≥ 95% (conservative — often \
          saturating at width 2 for the small join samples of a sketch \
-         corpus); bernstein identical here but pulls ahead once samples \
-         reach ~10k and column variance ≪ range² (see the unit tests in \
-         sketch-stats::ci); fisher-z far narrower but can under-cover on \
+         corpus); fisher-z far narrower but can under-cover on \
          non-normal data; pm1 competitive coverage at orders-of-magnitude \
          higher cost. hfd is not a probabilistic bound and is unclamped: \
          its (sometimes huge) width is the relative risk signal the \

@@ -257,12 +257,7 @@ fn corpus_append_keeps_the_store_configuration() {
             "{}",
             s.id()
         );
-        assert_eq!(
-            s.strategy(),
-            correlation_sketches::SelectionStrategy::FixedSize(64),
-            "{}",
-            s.id()
-        );
+        assert_eq!(s.size(), 64, "{}", s.id());
     }
 
     // The appended sketch must be joinable with the originals: querying

@@ -20,8 +20,8 @@
 //! | +0     | 1    | hasher bits: `0` = 32-bit, `1` = 64-bit |
 //! | +1     | 8    | hasher seed (`u64`) |
 //! | +9     | 1    | aggregation code (see `agg_code`) |
-//! | +10    | 1    | strategy tag: `0` = fixed-size, `1` = threshold |
-//! | +11    | 8    | strategy argument: size as `u64`, or threshold `f64` bits |
+//! | +10    | 1    | strategy tag: always `0` (fixed size) |
+//! | +11    | 8    | sketch size `n` (`u64`) |
 //! | +19    | 1    | bounds flag: `0` = none, `1` = present |
 //! | +20    | 16   | `c_low`, `c_high` (`f64` each; only when flag = 1) |
 //! | +…     | 8    | `rows_scanned` (`u64`) |
@@ -29,7 +29,11 @@
 //! | +…     | 4    | entry count `n` (`u32`) |
 //! | +…     | 16·n | entries: `⟨h(k)⟩` as `u64`, then `x_k` as `f64` bits |
 //!
-//! The fields through the strategy argument are the payload's **head**
+//! Tag `1` once marked a threshold-selected sketch; that strategy is
+//! retired, and decoding it fails as [`SketchError::Corrupt`] naming the
+//! retired tag.
+//!
+//! The fields through the sketch size are the payload's **head**
 //! ([`SketchHead`]): which sketch the record holds and whether it joins
 //! with a corpus, readable without touching an entry.
 //!
@@ -43,9 +47,14 @@ use sketch_hashing::{HashBits, KeyHash, KeyHasher, TupleHasher};
 use sketch_stats::ValueBounds;
 use sketch_table::Aggregation;
 
-use crate::builder::{SelectionStrategy, SketchConfig};
+use crate::builder::SketchConfig;
 use crate::error::SketchError;
 use crate::sketch::{CorrelationSketch, SketchEntry};
+
+/// The strategy tag that once marked a threshold-selected sketch. Only
+/// fixed-size sketches (tag `0`) are built now; a record carrying this
+/// tag is refused by name rather than as an unknown code.
+const RETIRED_THRESHOLD_TAG: u8 = 1;
 
 /// Stable wire code of an aggregation (order of [`Aggregation::ALL`]).
 fn agg_code(agg: Aggregation) -> u8 {
@@ -134,8 +143,8 @@ pub struct SketchHead<'a> {
     pub hasher: TupleHasher,
     /// Aggregation applied to repeated keys.
     pub aggregation: Aggregation,
-    /// Tuple selection strategy.
-    pub strategy: SelectionStrategy,
+    /// Sketch size `n`.
+    pub size: usize,
 }
 
 impl<'a> SketchHead<'a> {
@@ -159,35 +168,32 @@ impl<'a> SketchHead<'a> {
 
         let aggregation = agg_from_code(r.u8("aggregation code")?)?;
 
-        let strategy = match r.u8("strategy tag")? {
-            0 => SelectionStrategy::FixedSize(
-                usize::try_from(r.u64("fixed-size argument")?)
-                    .map_err(|_| SketchError::Corrupt("fixed_size exceeds usize".into()))?,
-            ),
-            1 => {
-                let t = r.f64("threshold argument")?;
-                if !t.is_finite() {
-                    return Err(SketchError::Corrupt("non-finite threshold".into()));
-                }
-                SelectionStrategy::Threshold(t)
+        match r.u8("strategy tag")? {
+            0 => {}
+            RETIRED_THRESHOLD_TAG => {
+                return Err(SketchError::Corrupt(format!(
+                    "retired strategy tag {RETIRED_THRESHOLD_TAG} (threshold selection)"
+                )))
             }
             other => {
                 return Err(SketchError::Corrupt(format!(
                     "unknown strategy tag {other}"
                 )))
             }
-        };
+        }
+        let size = usize::try_from(r.u64("sketch size")?)
+            .map_err(|_| SketchError::Corrupt("sketch size exceeds usize".into()))?;
         Ok(Self {
             id,
             hasher,
             aggregation,
-            strategy,
+            size,
         })
     }
 
     /// Decode the head of a payload produced by
     /// [`CorrelationSketch::write_bytes`], reading no further than the
-    /// strategy argument.
+    /// sketch size.
     ///
     /// # Errors
     ///
@@ -202,7 +208,7 @@ impl<'a> SketchHead<'a> {
     #[must_use]
     pub fn config(&self) -> SketchConfig {
         SketchConfig {
-            strategy: self.strategy,
+            size: self.size,
             hasher: self.hasher,
             aggregation: self.aggregation,
         }
@@ -218,7 +224,7 @@ impl CorrelationSketch {
             id: &self.id,
             hasher: self.hasher,
             aggregation: self.aggregation,
-            strategy: self.strategy,
+            size: self.size,
         }
     }
 
@@ -239,11 +245,6 @@ impl CorrelationSketch {
         {
             return Err(SketchError::Corrupt("non-finite value bounds".into()));
         }
-        if let SelectionStrategy::Threshold(t) = self.strategy {
-            if !t.is_finite() {
-                return Err(SketchError::Corrupt("non-finite threshold".into()));
-            }
-        }
         let id_len = u32::try_from(self.id.len())
             .map_err(|_| SketchError::Corrupt("sketch id exceeds u32 length".into()))?;
         let n = u32::try_from(self.entries.len())
@@ -258,19 +259,10 @@ impl CorrelationSketch {
         });
         out.extend_from_slice(&self.hasher.seed().to_le_bytes());
         out.push(agg_code(self.aggregation));
-        match self.strategy {
-            SelectionStrategy::FixedSize(size) => {
-                out.push(0);
-                let size = u64::try_from(size).map_err(|_| {
-                    SketchError::Corrupt("fixed-size selection budget exceeds u64".into())
-                })?;
-                out.extend_from_slice(&size.to_le_bytes());
-            }
-            SelectionStrategy::Threshold(t) => {
-                out.push(1);
-                out.extend_from_slice(&t.to_bits().to_le_bytes());
-            }
-        }
+        out.push(0);
+        let size = u64::try_from(self.size)
+            .map_err(|_| SketchError::Corrupt("sketch size exceeds u64".into()))?;
+        out.extend_from_slice(&size.to_le_bytes());
         match self.bounds {
             None => out.push(0),
             Some(b) => {
@@ -314,7 +306,7 @@ impl CorrelationSketch {
             id,
             hasher,
             aggregation,
-            strategy,
+            size,
         } = SketchHead::read(&mut r)?;
         let id = id.to_string();
 
@@ -391,7 +383,7 @@ impl CorrelationSketch {
             id,
             hasher,
             aggregation,
-            strategy,
+            size,
             entries,
             units,
             bounds,
@@ -600,7 +592,6 @@ mod tests {
     fn every_config_roundtrips() {
         for cfg in [
             SketchConfig::with_size(32),
-            SketchConfig::with_threshold(0.07),
             SketchConfig::with_size(16).hasher(TupleHasher::paper_32(7)),
             SketchConfig::with_size(8).aggregation(Aggregation::Count),
         ] {
@@ -620,6 +611,24 @@ mod tests {
                 assert!(SketchHead::from_bytes(&bytes[..cut]).is_err(), "{cut}");
             }
         }
+    }
+
+    #[test]
+    fn retired_threshold_tag_is_refused_by_name() {
+        let s = SketchBuilder::new(SketchConfig::with_size(16)).build(&pair(200));
+        let mut bytes = s.to_bytes().unwrap();
+        let tag_off = 4 + s.id().len() + 10;
+        assert_eq!(bytes[tag_off], 0, "a fixed-size record writes tag 0");
+        bytes[tag_off] = RETIRED_THRESHOLD_TAG;
+        let expected = SketchError::Corrupt("retired strategy tag 1 (threshold selection)".into());
+        assert_eq!(SketchHead::from_bytes(&bytes), Err(expected.clone()));
+        assert_eq!(CorrelationSketch::from_bytes(&bytes), Err(expected));
+        // Any other tag stays an unknown code.
+        bytes[tag_off] = 2;
+        assert_eq!(
+            SketchHead::from_bytes(&bytes),
+            Err(SketchError::Corrupt("unknown strategy tag 2".into()))
+        );
     }
 
     #[test]

@@ -1,18 +1,12 @@
 //! Single-pass sketch construction (paper Sections 3.1 and 3.4).
 //!
 //! The builder performs one pass over the key/value rows while maintaining
-//! the tuples with minimum `g(k) = h_u(h(k))` — the paper's "tree-based
+//! the `n` tuples with minimum `g(k) = h_u(h(k))` — the paper's "tree-based
 //! algorithm similar to the one described in [Beyer et al.]", realized here
 //! as a hash map for streaming repeated-key aggregation, plus a max-heap
-//! over unit hashes that is built only once a fixed-size sketch is full
-//! and must evict (an unsaturated sketch never builds it). Both selection
-//! strategies discussed in the paper are implemented:
-//!
-//! * [`SelectionStrategy::FixedSize`] — keep the `n` smallest (the paper's
-//!   choice: predictable space and query latency);
-//! * [`SelectionStrategy::Threshold`] — keep every key with `g(k) ≤ t`
-//!   (the G-KMV-style variable-size strategy the paper lists as an
-//!   alternative/future-work design, used here for ablations).
+//! over unit hashes that is built only once the sketch is full and must
+//! evict (an unsaturated sketch never builds it). The size `n` is fixed,
+//! the paper's choice (Section 3.3): predictable space and query latency.
 
 use std::cmp::Ordering;
 
@@ -21,32 +15,11 @@ use sketch_table::{Aggregation, ColumnPair};
 
 use crate::sketch::CorrelationSketch;
 
-/// Which tuples are retained in the sketch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SelectionStrategy {
-    /// Keep the `n` tuples with smallest unit hash (the paper's strategy).
-    FixedSize(usize),
-    /// Keep every tuple with unit hash `≤ t` (G-KMV-style). Expected
-    /// sketch size is `t · D` for `D` distinct keys.
-    Threshold(f64),
-}
-
-impl SelectionStrategy {
-    /// Human-readable description for reports.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        match self {
-            Self::FixedSize(n) => format!("fixed-size(n={n})"),
-            Self::Threshold(t) => format!("threshold(t={t:.4})"),
-        }
-    }
-}
-
 /// Full configuration of a sketch build.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SketchConfig {
-    /// Tuple selection strategy.
-    pub strategy: SelectionStrategy,
+    /// Sketch size `n`: the number of tuples with smallest unit hash kept.
+    pub size: usize,
     /// Hash functions `h` and `h_u` (must be identical corpus-wide).
     pub hasher: TupleHasher,
     /// Aggregation applied to repeated keys (paper Figure 1 uses mean).
@@ -54,22 +27,12 @@ pub struct SketchConfig {
 }
 
 impl SketchConfig {
-    /// The paper's default setup: fixed sketch size `n`, mean aggregation,
+    /// The paper's default setup: sketch size `n`, mean aggregation,
     /// 64-bit hashing with seed 0.
     #[must_use]
     pub fn with_size(n: usize) -> Self {
         Self {
-            strategy: SelectionStrategy::FixedSize(n),
-            hasher: TupleHasher::default(),
-            aggregation: Aggregation::Mean,
-        }
-    }
-
-    /// G-KMV-style configuration with inclusion threshold `t ∈ (0, 1]`.
-    #[must_use]
-    pub fn with_threshold(t: f64) -> Self {
-        Self {
-            strategy: SelectionStrategy::Threshold(t),
+            size: n,
             hasher: TupleHasher::default(),
             aggregation: Aggregation::Mean,
         }
@@ -302,38 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_strategy_keeps_exactly_keys_below_t() {
-        let t = 0.1;
-        let p = range_pair(5000);
-        let cfg = SketchConfig::with_threshold(t);
-        let s = SketchBuilder::new(cfg).build(&p);
-        assert!(s.is_saturated());
-        // Every retained key's unit hash ≤ t, and the count matches a
-        // brute-force filter.
-        let hasher = cfg.hasher;
-        let expected = p
-            .keys
-            .iter()
-            .filter(|k| hasher.g(k.as_bytes()).1 <= t)
-            .count();
-        assert_eq!(s.len(), expected);
-        for e in s.entries() {
-            assert!(s.unit_hash(e) <= t);
-        }
-        // Expected size ≈ t·D within 20%.
-        let expected_size = t * 5000.0;
-        assert!((s.len() as f64 - expected_size).abs() < 0.2 * expected_size);
-    }
-
-    #[test]
-    fn threshold_one_keeps_all_keys() {
-        let p = range_pair(300);
-        let s = SketchBuilder::new(SketchConfig::with_threshold(1.0)).build(&p);
-        assert_eq!(s.len(), 300);
-        assert!(!s.is_saturated());
-    }
-
-    #[test]
     fn different_seeds_select_different_keys() {
         let p = range_pair(1000);
         let a = SketchBuilder::new(SketchConfig::with_size(32).hasher(TupleHasher::new_64(1)))
@@ -354,14 +285,5 @@ mod tests {
         for e in s.entries() {
             assert!(e.key.value() <= u64::from(u32::MAX));
         }
-    }
-
-    #[test]
-    fn describe_strategies() {
-        assert_eq!(
-            SelectionStrategy::FixedSize(256).describe(),
-            "fixed-size(n=256)"
-        );
-        assert!(SelectionStrategy::Threshold(0.5).describe().contains("0.5"));
     }
 }

@@ -85,22 +85,6 @@ impl JoinSample {
         hfd_interval(&self.x, &self.y, bounds, alpha)
     }
 
-    /// The empirical-Bernstein interval — the "tighter confidence bounds"
-    /// extension of paper Section 7: variance-aware, still
-    /// distribution-free and O(1) after the data pass. Tighter than
-    /// [`Self::hoeffding_ci`] whenever the columns' spread is small
-    /// relative to their range.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError`] if the sample is unusable.
-    pub fn bernstein_ci(&self, alpha: f64) -> Result<ConfidenceInterval, StatsError> {
-        let bounds = self
-            .bounds
-            .ok_or(StatsError::TooFewSamples { needed: 2, got: 0 })?;
-        sketch_stats::bernstein_interval(&self.x, &self.y, bounds, alpha)
-    }
-
     /// Fisher's z standard error `1/√(max(4,n) − 3)` of this sample size.
     #[must_use]
     pub fn fisher_se(&self) -> f64 {

@@ -8,34 +8,21 @@
 //! These estimates are what the `ĵc` ranking baseline and the join-size
 //! predictions use.
 
-use crate::builder::SelectionStrategy;
 use crate::error::SketchError;
 use crate::sketch::CorrelationSketch;
 
 /// Unbiased distinct-value estimator `D̂_UB = (k − 1)/U(k)` of Beyer et
-/// al. for a fixed-size sketch, or `|S|/t` for a threshold sketch. When
-/// the sketch is unsaturated (no key was ever excluded) the count is
-/// exact.
+/// al. When the sketch is unsaturated (no key was ever excluded) the
+/// count is exact.
 #[must_use]
 pub fn distinct_value_estimate(s: &CorrelationSketch) -> f64 {
+    let k = s.len() as f64;
     if !s.is_saturated() || s.is_empty() {
-        return s.len() as f64;
+        return k;
     }
-    match s.strategy() {
-        SelectionStrategy::FixedSize(_) => {
-            let k = s.len() as f64;
-            match s.kth_unit_hash() {
-                Some(u) if u > 0.0 => (k - 1.0) / u,
-                _ => k,
-            }
-        }
-        SelectionStrategy::Threshold(t) => {
-            if t > 0.0 {
-                s.len() as f64 / t
-            } else {
-                s.len() as f64
-            }
-        }
+    match s.kth_unit_hash() {
+        Some(u) if u > 0.0 => (k - 1.0) / u,
+        _ => k,
     }
 }
 
@@ -273,16 +260,5 @@ mod tests {
             .build(&p);
         assert!(intersection_estimate(&a, &c).is_err());
         assert!(containment_estimate(&a, &c).is_err());
-    }
-
-    #[test]
-    fn threshold_sketch_dv_estimate() {
-        let p = keyed_pair("t", 0..20_000);
-        let s = SketchBuilder::new(SketchConfig::with_threshold(0.02)).build(&p);
-        let est = distinct_value_estimate(&s);
-        assert!(
-            (est - 20_000.0).abs() / 20_000.0 < 0.2,
-            "threshold DV est {est}"
-        );
     }
 }

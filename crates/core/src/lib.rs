@@ -42,9 +42,8 @@
 //!
 //! # Module map
 //!
-//! * [`builder`] — single-pass sketch construction with streaming
-//!   repeated-key aggregation (Section 3.1) and the fixed-size /
-//!   threshold (G-KMV-style) selection strategies (Section 3.3).
+//! * [`builder`] — single-pass construction of a fixed-size sketch with
+//!   streaming repeated-key aggregation (Sections 3.1 and 3.3).
 //! * [`sketch`] — the sketch data structure and its per-column statistics.
 //! * [`join`] — sketch joins and [`join::JoinSample`], the reconstructed
 //!   uniform sample with correlation estimates and the Section 4
@@ -67,7 +66,6 @@
 pub mod binary;
 pub mod builder;
 pub mod error;
-pub mod hll;
 pub mod join;
 #[deny(
     clippy::unwrap_used,
@@ -89,9 +87,8 @@ pub mod stream;
 pub use binary::{
     encode_tombstone, DeltaHead, DeltaRecord, SketchHead, DELTA_TAG_SKETCH, DELTA_TAG_TOMBSTONE,
 };
-pub use builder::{SelectionStrategy, SketchBuilder, SketchConfig};
+pub use builder::{SketchBuilder, SketchConfig};
 pub use error::SketchError;
-pub use hll::HyperLogLog;
 pub use join::{join_sketches, join_sketches_into, EstimateReport, JoinSample};
 pub use kmv::{containment_estimate, distinct_value_estimate};
 pub use parallel::build_sketches_parallel;

@@ -4,8 +4,6 @@ use sketch_hashing::{KeyHash, KeyHasher, TupleHasher};
 use sketch_stats::ValueBounds;
 use sketch_table::Aggregation;
 
-use crate::builder::SelectionStrategy;
-
 /// One sketch tuple `⟨h(k), x_k⟩`.
 ///
 /// The unit-interval hash `h_u(h(k))` is *not* stored — exactly as the
@@ -30,7 +28,7 @@ pub struct CorrelationSketch {
     pub(crate) id: String,
     pub(crate) hasher: TupleHasher,
     pub(crate) aggregation: Aggregation,
-    pub(crate) strategy: SelectionStrategy,
+    pub(crate) size: usize,
     pub(crate) entries: Vec<SketchEntry>,
     /// Cached unit hashes `g(k)`, aligned with `entries`. Derived state:
     /// never serialized (the paper's Figure 2 note — `h_u(h(k))` "can be
@@ -83,10 +81,11 @@ impl CorrelationSketch {
         self.aggregation
     }
 
-    /// Selection strategy the sketch was built with.
+    /// Sketch size `n` the sketch was built with: the most tuples it
+    /// keeps (it holds fewer when the column has fewer distinct keys).
     #[must_use]
-    pub fn strategy(&self) -> SelectionStrategy {
-        self.strategy
+    pub fn size(&self) -> usize {
+        self.size
     }
 
     /// Full-column value bounds (`C_low`, `C_high` ingredients of the

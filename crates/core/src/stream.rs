@@ -15,7 +15,7 @@ use sketch_hashing::{KeyHash, KeyHasher};
 use sketch_stats::ValueBounds;
 use sketch_table::AggState;
 
-use crate::builder::{HeapKey, SelectionStrategy, SketchConfig};
+use crate::builder::{HeapKey, SketchConfig};
 use crate::sketch::{CorrelationSketch, SketchEntry};
 
 /// Incremental builder for one column pair's sketch.
@@ -28,14 +28,13 @@ use crate::sketch::{CorrelationSketch, SketchEntry};
 pub struct StreamingSketchBuilder {
     id: String,
     config: SketchConfig,
-    /// Retained key → (unit hash, aggregation state). Grows until a
-    /// fixed-size sketch holds `n` keys, then stays at `n`.
+    /// Retained key → (unit hash, aggregation state). Grows until the
+    /// sketch holds `n` keys, then stays at `n`.
     members: HashMap<KeyHash, (f64, AggState), FoldedMultiply>,
     /// Max-heap over the retained `(unit hash, key)`s, built once from
-    /// `members` when a fixed-size sketch first meets a new key while
-    /// full, and kept in step with it from then on. Empty before that,
-    /// and always for threshold sketches: an unsaturated sketch never
-    /// pays for it.
+    /// `members` when the sketch first meets a new key while full, and
+    /// kept in step with it from then on. Empty before that: an
+    /// unsaturated sketch never pays for it.
     heap: BinaryHeap<HeapKey>,
     bounds_min: f64,
     bounds_max: f64,
@@ -47,14 +46,13 @@ impl StreamingSketchBuilder {
     /// Start building a sketch identified by `id`.
     #[must_use]
     pub fn new(id: impl Into<String>, config: SketchConfig) -> Self {
-        let cap = match config.strategy {
-            SelectionStrategy::FixedSize(n) => n.min(1 << 16),
-            SelectionStrategy::Threshold(_) => 16,
-        };
         Self {
             id: id.into(),
             config,
-            members: HashMap::with_capacity_and_hasher(cap, FoldedMultiply::new()),
+            members: HashMap::with_capacity_and_hasher(
+                config.size.min(1 << 16),
+                FoldedMultiply::new(),
+            ),
             heap: BinaryHeap::new(),
             bounds_min: f64::INFINITY,
             bounds_max: f64::NEG_INFINITY,
@@ -89,33 +87,17 @@ impl StreamingSketchBuilder {
 
         let agg = self.config.aggregation;
         let (kh, unit) = self.config.hasher.g(key.as_bytes());
-        match self.config.strategy {
-            SelectionStrategy::FixedSize(n) => {
-                let full = self.members.len() >= n;
-                match self.members.entry(kh) {
-                    Entry::Occupied(mut e) => e.get_mut().1.update(value),
-                    Entry::Vacant(e) if !full => {
-                        e.insert((unit, agg.start(value)));
-                    }
-                    Entry::Vacant(_) => self.offer(HeapKey { unit, key: kh }, value),
-                }
+        let full = self.members.len() >= self.config.size;
+        match self.members.entry(kh) {
+            Entry::Occupied(mut e) => e.get_mut().1.update(value),
+            Entry::Vacant(e) if !full => {
+                e.insert((unit, agg.start(value)));
             }
-            SelectionStrategy::Threshold(t) => {
-                if unit <= t {
-                    match self.members.entry(kh) {
-                        Entry::Occupied(mut e) => e.get_mut().1.update(value),
-                        Entry::Vacant(e) => {
-                            e.insert((unit, agg.start(value)));
-                        }
-                    }
-                } else {
-                    self.saturated = true;
-                }
-            }
+            Entry::Vacant(_) => self.offer(HeapKey { unit, key: kh }, value),
         }
     }
 
-    /// A new key meets a full fixed-size sketch: it replaces the retained
+    /// A new key meets a full sketch: it replaces the retained
     /// maximum when it sorts below it, and is dropped otherwise. Either
     /// way the sketch is now saturated. `HeapKey` is a strict total order,
     /// so the evicted key is the unique maximum whatever the heap's
@@ -176,7 +158,7 @@ impl StreamingSketchBuilder {
             id: self.id,
             hasher: self.config.hasher,
             aggregation: self.config.aggregation,
-            strategy: self.config.strategy,
+            size: self.config.size,
             entries,
             units,
             bounds: (self.rows_scanned > 0)
@@ -281,18 +263,6 @@ mod tests {
             s.push(k, v);
         }
         assert_eq!(s.rows_scanned(), 3_000);
-        assert_eq!(s.finish(), batch);
-    }
-
-    #[test]
-    fn threshold_streaming_matches_batch() {
-        let p = pair(2_000);
-        let cfg = SketchConfig::with_threshold(0.05);
-        let batch = SketchBuilder::new(cfg).build(&p);
-        let mut s = StreamingSketchBuilder::new(p.id(), cfg);
-        for (k, v) in p.rows() {
-            s.push(k, v);
-        }
         assert_eq!(s.finish(), batch);
     }
 

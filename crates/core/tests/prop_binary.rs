@@ -1,8 +1,7 @@
 //! Property tests: the binary codec round-trips bit-exactly for every
 //! sketch shape the builder can produce — empty, single-entry,
-//! saturated, max-size (nothing excluded), threshold strategy, both
-//! hasher widths, every aggregation — including the rebuilt `units`
-//! caches.
+//! saturated, max-size (nothing excluded), both hasher widths, every
+//! aggregation — including the rebuilt `units` caches.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -46,26 +45,15 @@ fn assert_bit_identical(a: &CorrelationSketch, b: &CorrelationSketch) {
     }
 }
 
-fn config_for(
-    strat_kind: usize,
-    size: usize,
-    thresh: f64,
-    bits64: bool,
-    seed: u64,
-    agg_idx: usize,
-) -> SketchConfig {
-    let base = match strat_kind {
-        0 => SketchConfig::with_size(size),
-        // Clamp away a zero threshold (with_threshold(0.0) would keep
-        // nothing; still legal, but covered by the size-0 case).
-        _ => SketchConfig::with_threshold(thresh.max(1e-6)),
-    };
+fn config_for(size: usize, bits64: bool, seed: u64, agg_idx: usize) -> SketchConfig {
     let hasher = if bits64 {
         TupleHasher::new_64(seed)
     } else {
         TupleHasher::paper_32(seed as u32)
     };
-    base.hasher(hasher).aggregation(Aggregation::ALL[agg_idx])
+    SketchConfig::with_size(size)
+        .hasher(hasher)
+        .aggregation(Aggregation::ALL[agg_idx])
 }
 
 proptest! {
@@ -78,14 +66,12 @@ proptest! {
     fn binary_roundtrip_is_bit_identical(
         keys in vec(0u16..400, 0..130),
         values in vec(-1e6f64..1e6, 0..130),
-        strat_kind in 0usize..2,
         size in 0usize..80,
-        thresh in 0.0f64..1.0,
         bits64_sel in 0usize..2,
         seed in 0u64..(1u64 << 48),
         agg_idx in 0usize..7,
     ) {
-        let cfg = config_for(strat_kind, size, thresh, bits64_sel == 1, seed, agg_idx);
+        let cfg = config_for(size, bits64_sel == 1, seed, agg_idx);
         let s = SketchBuilder::new(cfg).build(&pair_from(&keys, &values));
 
         // NaN-free invariant: nothing the builder produces is non-finite.

@@ -6,16 +6,15 @@
 //!
 //! The reference: group each key's rows in row order and fold them with
 //! the aggregation, sort the distinct keys by `(g(k), h(k))` under
-//! `total_cmp`, then keep the first `n` (fixed size) or every key with
-//! `g(k) ≤ t` (threshold). `saturated` is "some key was left out",
-//! `bounds` the extremes of every value scanned.
+//! `total_cmp`, then keep the first `n`. `saturated` is "some key was
+//! left out", `bounds` the extremes of every value scanned.
 
 use std::collections::HashMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use correlation_sketches::{CorrelationSketch, SelectionStrategy, SketchBuilder, SketchConfig};
+use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
 use sketch_hashing::{murmur3_x64_128, KeyHash, KeyHasher, TupleHasher};
 use sketch_stats::ValueBounds;
 use sketch_table::{Aggregation, ColumnPair};
@@ -51,10 +50,7 @@ fn reference(pair: &ColumnPair, config: SketchConfig) -> Expected {
         })
         .collect();
     distinct.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let kept = match config.strategy {
-        SelectionStrategy::FixedSize(n) => n.min(distinct.len()),
-        SelectionStrategy::Threshold(t) => distinct.iter().take_while(|d| d.0 <= t).count(),
-    };
+    let kept = config.size.min(distinct.len());
     let saturated = kept < distinct.len();
     distinct.truncate(kept);
     let values: Vec<f64> = pair.rows().map(|(_, v)| v).collect();
@@ -93,7 +89,7 @@ fn assert_matches(got: &CorrelationSketch, want: &Expected, config: SketchConfig
     );
     assert_eq!(got.hasher(), config.hasher, "{case}: hasher");
     assert_eq!(got.aggregation(), config.aggregation, "{case}: aggregation");
-    assert_eq!(got.strategy(), config.strategy, "{case}: strategy");
+    assert_eq!(got.size(), config.size, "{case}: size");
 }
 
 /// Rows drawn from a key domain much smaller than the row count, so
@@ -140,26 +136,6 @@ proptest! {
                 let case = format!("n={n} agg={agg} bits64={bits64} seed={seed}");
                 assert_matches(&got, &reference(&pair, config), config, &case);
             }
-        }
-    }
-
-    /// Threshold sketches, every aggregation, both hash widths.
-    #[test]
-    fn threshold_build_equals_the_reference(
-        keys in vec(0u16..200, 0..400),
-        values in vec(-1e3f64..1e3, 0..400),
-        t in 0.0f64..1.0,
-        bits64 in any::<bool>(),
-        seed in 0u64..1_000,
-    ) {
-        let pair = pair_from(&keys, &values);
-        for agg in Aggregation::ALL {
-            let config = SketchConfig::with_threshold(t)
-                .hasher(hasher_for(bits64, seed))
-                .aggregation(agg);
-            let got = SketchBuilder::new(config).build(&pair);
-            let case = format!("t={t} agg={agg} bits64={bits64} seed={seed}");
-            assert_matches(&got, &reference(&pair, config), config, &case);
         }
     }
 

@@ -180,8 +180,11 @@ fn serve_connection(
             request_timeout,
         ) {
             Ok(req) => {
-                let (status, body, allow) = route(&req);
+                // Counted before routing, so a `/stats` or `/metrics`
+                // body includes its own request, as its endpoint
+                // counter does.
                 stats.bump(Counter::Requests);
+                let (status, body, allow) = route(&req);
                 if status >= 300 {
                     stats.bump(Counter::Errors);
                 }

@@ -37,7 +37,7 @@ impl IndexSnapshot {
     #[must_use]
     pub fn new(index: SketchIndex) -> Self {
         let config = index.get(0).map(|s| SketchConfig {
-            strategy: s.strategy(),
+            size: s.size(),
             hasher: s.hasher(),
             aggregation: s.aggregation(),
         });

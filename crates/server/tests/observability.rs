@@ -543,6 +543,7 @@ fn stats_and_metrics_report_every_counter_alike() {
     let traced = query_json(&queries[0], &format!("{params},\"trace\":true"));
     // A miss, a hit, a traced request, a 400, a 405, a shard call, then
     // a 404 and the other endpoints.
+    let mut sent = 0u64;
     for (path, body, status) in [
         ("/query", body.as_str(), 200),
         ("/query", body.as_str(), 200),
@@ -552,10 +553,12 @@ fn stats_and_metrics_report_every_counter_alike() {
         ("/shard_query", "{}", 400),
     ] {
         assert_eq!(client.post(path, body).unwrap().status, status, "{path}");
+        sent += 1;
     }
     for path in ["/nowhere", "/healthz", "/corpus", "/stats", "/metrics"] {
         let status = client.get(path).unwrap().status;
         assert_eq!(status, if path == "/nowhere" { 404 } else { 200 });
+        sent += 1;
     }
     // A refresh after an append, a rebuild after a compaction.
     let fresh = SketchBuilder::new(SketchConfig::with_size(128)).build(&queries[0]);
@@ -569,13 +572,25 @@ fn stats_and_metrics_report_every_counter_alike() {
     wait_for(&handle, Counter::Rebuilds, 1);
 
     let stats = client.get("/stats").unwrap().body;
+    sent += 1;
+    let requests = sketch_server::api::extract_u64(&stats, "requests").unwrap();
+    assert_eq!(
+        requests, sent,
+        "a /stats body counts every request, itself included"
+    );
     let (samples, _) = parse_exposition(&client.get("/metrics").unwrap().body);
+    sent += 1;
+    let requests = sample_value(&samples, "sketch_routed_requests_total", &[]) as u64;
+    assert_eq!(
+        requests, sent,
+        "a /metrics body counts every request, itself included"
+    );
     for row in &sketch_server::stats::COUNTERS {
         let on_stats = sketch_server::api::extract_u64(&stats, row.key).unwrap();
         let label = row.family.label.map(|l| (l, row.key));
         let on_metrics = sample_value(&samples, row.family.name, label.as_slice()) as u64;
-        // `/stats` is counted as a request once it has rendered, and a
-        // scrape counts itself before it renders.
+        // The scrape is one request after the `/stats` body and counts
+        // itself, as a request and as a `/metrics` call.
         let between = u64::from(matches!(row.key, "requests" | "metrics"));
         assert_eq!(on_metrics, on_stats + between, "{}", row.key);
         // Only a coordinator degrades, and no refresh failed here.

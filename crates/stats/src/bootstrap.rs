@@ -342,7 +342,7 @@ pub type PairedStat<'a> = dyn Fn(&[f64], &[f64]) -> Result<f64, StatsError> + 'a
 ///
 /// # Errors
 ///
-/// The statistic's own error on the full sample, validation errors, or
+/// Validation errors, the statistic's own error on the full sample, or
 /// [`StatsError::ZeroVariance`] when more than half the resamples are
 /// degenerate.
 pub fn percentile_bootstrap_ci(
@@ -354,12 +354,18 @@ pub fn percentile_bootstrap_ci(
     seed: u64,
     scratch: &mut BootstrapScratch,
 ) -> Result<ConfidenceInterval, StatsError> {
+    // The statistic is arbitrary: it may accept a sample the resampler
+    // cannot draw from (NaN, ±∞, unequal lengths, fewer than two rows).
+    validate_pairs(x, y, 2)?;
     estimate_with_percentile_ci(stat, x, y, replicates, confidence, seed, scratch).map(|(_, ci)| ci)
 }
 
 /// [`percentile_bootstrap_ci`] together with the statistic on the full
 /// sample, which it evaluates once: first, so a degenerate sample fails
-/// with the statistic's own error before any resampling.
+/// with the statistic's own error before any resampling. `stat` must
+/// refuse what [`validate_pairs`] refuses at a minimum of two rows, as
+/// every robust [`crate::CorrelationEstimator::estimate`] does, so the
+/// sample is not scanned a second time.
 pub(crate) fn estimate_with_percentile_ci(
     stat: &PairedStat<'_>,
     x: &[f64],
@@ -370,7 +376,6 @@ pub(crate) fn estimate_with_percentile_ci(
     scratch: &mut BootstrapScratch,
 ) -> Result<(f64, ConfidenceInterval), StatsError> {
     let estimate = stat(x, y)?;
-    validate_pairs(x, y, 2)?;
 
     let n = x.len();
     let BootstrapScratch {
@@ -547,6 +552,34 @@ mod tests {
             let ci = percentile_interval(&mut work, confidence);
             assert_eq!(ci.low.to_bits(), sorted[lo_rank - 1].to_bits());
             assert_eq!(ci.high.to_bits(), sorted[hi_rank - 1].to_bits());
+        }
+    }
+
+    #[test]
+    fn percentile_bootstrap_ci_validates_for_a_statistic_that_does_not() {
+        let accept_all = |_: &[f64], _: &[f64]| Ok(0.5);
+        let ci = |x: &[f64], y: &[f64]| {
+            percentile_bootstrap_ci(&accept_all, x, y, 50, 0.9, 7, &mut BootstrapScratch::new())
+        };
+        let (x, y) = linear_data(6);
+        assert!(ci(&x, &y).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut xb = x.clone();
+            xb[3] = bad;
+            assert_eq!(ci(&xb, &y), Err(StatsError::NonFiniteInput), "x {bad}");
+            let mut yb = y.clone();
+            yb[0] = bad;
+            assert_eq!(ci(&x, &yb), Err(StatsError::NonFiniteInput), "y {bad}");
+        }
+        assert_eq!(
+            ci(&x, &y[..5]),
+            Err(StatsError::LengthMismatch { left: 6, right: 5 })
+        );
+        for n in [0, 1] {
+            assert_eq!(
+                ci(&x[..n], &y[..n]),
+                Err(StatsError::TooFewSamples { needed: 2, got: n })
+            );
         }
     }
 

@@ -158,43 +158,33 @@ impl ValueBounds {
 }
 
 /// The five sufficient statistics of the Pearson estimator on the shifted
-/// sample `a = x − C_low`, `b = y − C_low`, plus the sample variance of
-/// each underlying term (needed by the empirical-Bernstein bounds).
+/// sample `a = x − C_low`, `b = y − C_low`.
 struct SampleParams {
     mu_a: f64,
     mu_b: f64,
     nu_a: f64,
     nu_b: f64,
     nu_ab: f64,
-    /// Sample variances of `a`, `b`, `a²`, `b²`, `ab` (population form).
-    var_terms: [f64; 5],
 }
 
 fn sample_params(x: &[f64], y: &[f64], c_low: f64) -> SampleParams {
     let n = x.len() as f64;
     let mut sums = [0.0f64; 5];
-    let mut sq_sums = [0.0f64; 5];
     for (&xi, &yi) in x.iter().zip(y) {
         let a = xi - c_low;
         let b = yi - c_low;
         let terms = [a, b, a * a, b * b, a * b];
-        for (i, t) in terms.into_iter().enumerate() {
-            sums[i] += t;
-            sq_sums[i] += t * t;
+        for (sum, t) in sums.iter_mut().zip(terms) {
+            *sum += t;
         }
     }
-    let means = sums.map(|s| s / n);
-    let mut var_terms = [0.0; 5];
-    for i in 0..5 {
-        var_terms[i] = (sq_sums[i] / n - means[i] * means[i]).max(0.0);
-    }
+    let [mu_a, mu_b, nu_a, nu_b, nu_ab] = sums.map(|s| s / n);
     SampleParams {
-        mu_a: means[0],
-        mu_b: means[1],
-        nu_a: means[2],
-        nu_b: means[3],
-        nu_ab: means[4],
-        var_terms,
+        mu_a,
+        mu_b,
+        nu_a,
+        nu_b,
+        nu_ab,
     }
 }
 
@@ -202,7 +192,7 @@ fn sample_params(x: &[f64], y: &[f64], c_low: f64) -> SampleParams {
 /// interval and the HFD variant (paper Eqs. 6–7).
 fn assemble_interval(
     p: &SampleParams,
-    widths: [f64; 5],
+    (t, t2): (f64, f64),
     c: f64,
     hfd_denominator: Option<f64>,
     clamp: bool,
@@ -210,19 +200,19 @@ fn assemble_interval(
     // Parameter bounds, clamped to their feasible ranges: means lie in
     // [0, C], raw second moments in [0, C²] (the clamp is valid because A
     // and B are bounded in [0, C] by construction, and only tightens the
-    // interval). `widths` are the per-parameter deviation bounds for
-    // (μ_A, μ_B, ν_A, ν_B, ν_AB).
+    // interval). `t` bounds the deviation of the means (μ_A, μ_B), `t2`
+    // that of the second moments (ν_A, ν_B, ν_AB).
     let c2 = c * c;
-    let mu_a_low = (p.mu_a - widths[0]).max(0.0);
-    let mu_a_high = (p.mu_a + widths[0]).min(c);
-    let mu_b_low = (p.mu_b - widths[1]).max(0.0);
-    let mu_b_high = (p.mu_b + widths[1]).min(c);
-    let nu_a_low = (p.nu_a - widths[2]).max(0.0);
-    let nu_a_high = (p.nu_a + widths[2]).min(c2);
-    let nu_b_low = (p.nu_b - widths[3]).max(0.0);
-    let nu_b_high = (p.nu_b + widths[3]).min(c2);
-    let nu_ab_low = (p.nu_ab - widths[4]).max(0.0);
-    let nu_ab_high = (p.nu_ab + widths[4]).min(c2);
+    let mu_a_low = (p.mu_a - t).max(0.0);
+    let mu_a_high = (p.mu_a + t).min(c);
+    let mu_b_low = (p.mu_b - t).max(0.0);
+    let mu_b_high = (p.mu_b + t).min(c);
+    let nu_a_low = (p.nu_a - t2).max(0.0);
+    let nu_a_high = (p.nu_a + t2).min(c2);
+    let nu_b_low = (p.nu_b - t2).max(0.0);
+    let nu_b_high = (p.nu_b + t2).min(c2);
+    let nu_ab_low = (p.nu_ab - t2).max(0.0);
+    let nu_ab_high = (p.nu_ab + t2).min(c2);
 
     let num_low = nu_ab_low - mu_a_high * mu_b_high;
     let num_high = nu_ab_high - mu_a_low * mu_b_low;
@@ -315,8 +305,8 @@ pub fn hoeffding_interval(
         return Ok(ConfidenceInterval::vacuous());
     }
     let p = sample_params(x, y, bounds.c_low);
-    let (t, t2) = hoeffding_widths(x.len(), c, alpha);
-    Ok(assemble_interval(&p, [t, t, t2, t2, t2], c, None, true))
+    let widths = hoeffding_widths(x.len(), c, alpha);
+    Ok(assemble_interval(&p, widths, c, None, true))
 }
 
 /// The HFD small-sample variant (paper Section 4.3, "Effect of Small
@@ -346,63 +336,11 @@ pub fn hfd_interval(
         return Ok(ConfidenceInterval::vacuous());
     }
     let p = sample_params(x, y, bounds.c_low);
-    let (t, t2) = hoeffding_widths(x.len(), c, alpha);
+    let widths = hoeffding_widths(x.len(), c, alpha);
     let var_a = (p.nu_a - p.mu_a * p.mu_a).max(0.0);
     let var_b = (p.nu_b - p.mu_b * p.mu_b).max(0.0);
     let den = (var_a * var_b).sqrt();
-    Ok(assemble_interval(
-        &p,
-        [t, t, t2, t2, t2],
-        c,
-        Some(den),
-        false,
-    ))
-}
-
-/// Empirical-Bernstein confidence interval for the population Pearson
-/// correlation — the "tighter confidence bounds" direction the paper
-/// names as future work (Section 7).
-///
-/// Same five-parameter union-bound construction as
-/// [`hoeffding_interval`], but each parameter's deviation uses the
-/// Maurer–Pontil empirical Bernstein inequality
-///
-/// ```text
-/// |μ − μ̂| ≤ √(2·V̂·ln(2/δ)/n) + 7·R·ln(2/δ)/(3(n−1))
-/// ```
-///
-/// where `V̂` is the *sample variance* of the term and `R` its range
-/// (`C` for means, `C²` for second moments). When the data's spread is
-/// much smaller than its range — ubiquitous for real columns with a few
-/// outliers — the variance term dominates and the interval is far
-/// tighter than Hoeffding's range-only bound, at identical
-/// distribution-free validity and still O(1) evaluation after the single
-/// data pass.
-///
-/// # Errors
-///
-/// Standard paired-sample validation errors (needs `n ≥ 2`).
-pub fn bernstein_interval(
-    x: &[f64],
-    y: &[f64],
-    bounds: ValueBounds,
-    alpha: f64,
-) -> Result<ConfidenceInterval, StatsError> {
-    validate_pairs(x, y, 2)?;
-    let c = bounds.range();
-    if c <= 0.0 {
-        return Ok(ConfidenceInterval::vacuous());
-    }
-    let p = sample_params(x, y, bounds.c_low);
-    let n = x.len() as f64;
-    let ln_term = (10.0 / alpha).ln(); // ln(2/δ) with δ = α/5
-    let ranges = [c, c, c * c, c * c, c * c];
-    let mut widths = [0.0f64; 5];
-    for i in 0..5 {
-        widths[i] = (2.0 * p.var_terms[i] * ln_term / n).sqrt()
-            + 7.0 * ranges[i] * ln_term / (3.0 * (n - 1.0));
-    }
-    Ok(assemble_interval(&p, widths, c, None, true))
+    Ok(assemble_interval(&p, widths, c, Some(den), false))
 }
 
 #[cfg(test)]
@@ -601,77 +539,6 @@ mod tests {
             assert!(len <= prev + 1e-9, "n={n} len={len} prev={prev}");
             prev = len;
         }
-    }
-
-    #[test]
-    fn bernstein_informative_where_hoeffding_saturates() {
-        // Bulk of the data spread over [30, 70], with outlier pairs at 0
-        // and 100 stretching the range. At n = 20k the Hoeffding ν-width
-        // scales with C² and saturates the interval, while the empirical
-        // Bernstein width scales with the (much smaller) sample variance
-        // and stays informative.
-        let n = 40_000usize;
-        let mut x: Vec<f64> = (0..n)
-            .map(|i| 50.0 + 20.0 * ((i as f64) * 0.37).sin())
-            .collect();
-        let mut y: Vec<f64> = x
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| v + 6.0 * ((i as f64) * 1.1).cos())
-            .collect();
-        x.push(0.0);
-        y.push(100.0);
-        x.push(100.0);
-        y.push(0.0);
-        let r_full = pearson(&x, &y).unwrap();
-        let bounds = sample_bounds(&x, &y);
-
-        let m = 20_000;
-        let h = hoeffding_interval(&x[..m], &y[..m], bounds, 0.05).unwrap();
-        let b = bernstein_interval(&x[..m], &y[..m], bounds, 0.05).unwrap();
-        assert!(h.length() > 1.9, "range-only bound ~saturates: {h:?}");
-        assert!(
-            b.length() < 1.5,
-            "variance-aware bound must stay informative: {b:?} (hoeffding {h:?})"
-        );
-        assert!(b.contains(r_full), "r={r_full} vs {b:?}");
-    }
-
-    #[test]
-    fn bernstein_contains_sample_estimate() {
-        let (x, y) = correlated_sample(400, 0.5);
-        let bounds = sample_bounds(&x, &y);
-        let r = pearson(&x, &y).unwrap();
-        let ci = bernstein_interval(&x, &y, bounds, 0.05).unwrap();
-        assert!(ci.contains(r), "r={r} not in {ci:?}");
-        assert!(ci.low >= -1.0 && ci.high <= 1.0);
-    }
-
-    #[test]
-    fn bernstein_never_much_worse_than_hoeffding() {
-        // Both bounds clamp the same plug-in estimator; for uniform-ish
-        // data (variance ≈ C²/12) Bernstein ≈ Hoeffding up to constants.
-        let (x, y) = correlated_sample(5_000, 0.4);
-        let bounds = sample_bounds(&x, &y);
-        let h = hoeffding_interval(&x, &y, bounds, 0.05).unwrap();
-        let b = bernstein_interval(&x, &y, bounds, 0.05).unwrap();
-        assert!(b.length() <= 2.5 * h.length() + 0.1, "b={b:?} h={h:?}");
-    }
-
-    #[test]
-    fn bernstein_coverage_on_subsamples() {
-        let (x, y) = correlated_sample(10_000, 0.6);
-        let rho = pearson(&x, &y).unwrap();
-        let bounds = sample_bounds(&x, &y);
-        let mut covered = 0;
-        let trials = 40;
-        for t in 0..trials {
-            let xs: Vec<f64> = x.iter().skip(t).step_by(25).copied().take(400).collect();
-            let ys: Vec<f64> = y.iter().skip(t).step_by(25).copied().take(400).collect();
-            let ci = bernstein_interval(&xs, &ys, bounds, 0.05).unwrap();
-            covered += usize::from(ci.contains(rho));
-        }
-        assert!(covered >= 38, "coverage {covered}/{trials}");
     }
 
     #[test]

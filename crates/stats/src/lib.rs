@@ -47,8 +47,8 @@ pub mod spearman;
 
 pub use bootstrap::{percentile_bootstrap_ci, pm1_with_ci, BootstrapScratch};
 pub use ci::{
-    bernstein_interval, fisher_z_interval, fisher_z_se, hfd_interval, hoeffding_interval,
-    ConfidenceInterval, ValueBounds,
+    fisher_z_interval, fisher_z_se, hfd_interval, hoeffding_interval, ConfidenceInterval,
+    ValueBounds,
 };
 pub use error::StatsError;
 pub use estimator::CorrelationEstimator;

@@ -214,6 +214,44 @@ fn truncated_shard_file_on_disk_is_detected() {
     }
 }
 
+/// A record whose strategy tag is the retired threshold tag `1`, with
+/// its checksum made good again, is refused by name on load.
+#[test]
+fn retired_threshold_tag_is_a_typed_sketch_error() {
+    let dir = TempDir::new("retired-tag");
+    let s = sketches(2);
+    pack_corpus(
+        &dir.0,
+        &s,
+        &PackOptions {
+            shards: 1,
+            threads: 1,
+        },
+    )
+    .unwrap();
+    let shard = dir.path("shard-0000.cskb");
+    let mut bytes = std::fs::read(&shard).unwrap();
+    // Record 0 opens at byte 12: a 4-byte length, then the payload, whose
+    // strategy tag sits 10 bytes past its id, then the 8-byte checksum.
+    let len0 = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let payload = 16..16 + len0;
+    let id_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    let tag = 20 + id_len + 10;
+    assert_eq!(bytes[tag], 0, "a fixed-size record writes tag 0");
+    bytes[tag] = 1;
+    let sum = sketch_hashing::murmur3::murmur3_x64_128(&bytes[payload.clone()], 0).0;
+    bytes[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&shard, bytes).unwrap();
+    let err = read_corpus(&dir.0, 1).unwrap_err();
+    assert_eq!(
+        err.as_sketch_error(),
+        Some(&SketchError::Corrupt(
+            "retired strategy tag 1 (threshold selection)".into()
+        )),
+        "{err}"
+    );
+}
+
 #[test]
 fn trailing_garbage_is_rejected() {
     let dir = TempDir::new("trailing");

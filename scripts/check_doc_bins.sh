@@ -5,6 +5,9 @@
 # crates/*/benches/<name>.rs or examples/<name>.rs respectively, and
 # every package they name after `-p` or `--package` must be the
 # [package] name of the root Cargo.toml or of a crate under crates/.
+# Every paper or ablation bin that README.md, the crate docs, the CI
+# workflow or the verify skill name bare, backticked (`ablation_x`,
+# `figN_x`, `tableN_x`), must exist as crates/*/src/bin/<name>.rs too.
 # Every HTTP route that README.md or the sketch-server and CLI crate
 # docs name as `GET /x` or `POST /x` must be served: an entry
 # ("/x", "METHOD") of SHARED in crates/server/src/pipeline.rs or of
@@ -46,6 +49,17 @@ check() {
 check bin 'crates/*/src/bin/NAME.rs'
 check bench 'crates/*/benches/NAME.rs'
 check example 'examples/NAME.rs'
+
+BIN_DOCS=(README.md crates/*/src/lib.rs .github/workflows/ci.yml .claude/skills/verify/SKILL.md)
+while read -r name; do
+  if ! compgen -G "crates/*/src/bin/$name.rs" > /dev/null; then
+    echo "check_doc_bins: FAIL: bin '$name' is named in:" >&2
+    grep -lF -- "\`$name\`" "${BIN_DOCS[@]}" | sed 's/^/  /' >&2
+    echo "  but no crates/*/src/bin/$name.rs exists" >&2
+    status=1
+  fi
+done < <(grep -ohE '`(ablation_[a-z]+|fig[0-9]+_[a-z]+|table[0-9]+_[a-z]+)`' "${BIN_DOCS[@]}" |
+  tr -d '`' | sort -u)
 
 packages=$(awk '/^\[/ { pkg = ($0 == "[package]") }
     pkg && /^name *=/ { gsub(/^name *= *"|"$/, ""); print }' \
