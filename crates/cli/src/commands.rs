@@ -546,7 +546,7 @@ pub mod estimate {
             let _ = writeln!(out, "join sample too small for estimation");
             return Ok(out);
         }
-        for est in CorrelationEstimator::EXTENDED {
+        for est in CorrelationEstimator::ALL {
             let _ = writeln!(
                 out,
                 "  {:<10} {}",

@@ -71,6 +71,25 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     }
 }
 
+/// Print a command's report, newline-terminated, to `out` (stdout in
+/// `main`). A reader that stops early (`corrsketch inspect | head`)
+/// closes the pipe; the report was wanted only that far, so a broken pipe
+/// is success.
+///
+/// # Errors
+///
+/// [`CliError::Io`] for any other write failure.
+pub fn write_report(mut out: impl std::io::Write, report: &str) -> Result<(), CliError> {
+    let written = out
+        .write_all(report.as_bytes())
+        .and_then(|()| out.write_all(b"\n"))
+        .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(CliError::Io(e)),
+        _ => Ok(()),
+    }
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 corrsketch — join-correlation queries over CSV collections
@@ -129,3 +148,43 @@ USAGE:
                       [--sketch-size 1024] [--aggregation mean] [--seed 0]
   corrsketch inspect  --store <store-dir>
   corrsketch help";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{self, ErrorKind, Write};
+
+    /// A sink whose every write fails with `kind`.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn write_report_ends_the_report_with_a_newline() {
+        let mut out = Vec::new();
+        write_report(&mut out, "report").unwrap();
+        assert_eq!(out, b"report\n");
+    }
+
+    #[test]
+    fn a_closed_pipe_is_not_an_error() {
+        assert!(write_report(Failing(ErrorKind::BrokenPipe), "report").is_ok());
+    }
+
+    #[test]
+    fn any_other_write_failure_is_an_io_error() {
+        let err = write_report(Failing(ErrorKind::PermissionDenied), "report").unwrap_err();
+        assert!(
+            matches!(&err, CliError::Io(e) if e.kind() == ErrorKind::PermissionDenied),
+            "{err:?}"
+        );
+    }
+}

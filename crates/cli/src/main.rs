@@ -2,11 +2,10 @@
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match sketch_cli::run(&argv) {
-        Ok(report) => println!("{report}"),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+    let done = sketch_cli::run(&argv)
+        .and_then(|report| sketch_cli::write_report(std::io::stdout().lock(), &report));
+    if let Err(e) = done {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
 }

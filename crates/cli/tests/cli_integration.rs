@@ -162,6 +162,14 @@ fn query_scorer_and_confidence_flags() {
     assert!(err.to_string().contains("scorer"), "{err}");
     let err = query_with(&["--confidence", "1.5"]).unwrap_err();
     assert!(err.to_string().contains("confidence"), "{err}");
+    // A retired estimator name is refused, not mapped to another one.
+    let err = query_with(&["--estimator", "tau"]).unwrap_err();
+    assert!(matches!(err, sketch_cli::CliError::Usage(_)), "{err:?}");
+    assert!(
+        err.to_string()
+            .contains("--estimator tau: unknown estimator 'tau'"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -188,7 +196,7 @@ fn estimate_between_two_files() {
     // pickups = 2·demand, rain = 30 − demand: perfectly anti-correlated.
     assert!(report.contains("pearson    -1.0000"), "{report}");
     assert!(report.contains("hoeffding 95% CI"), "{report}");
-    assert!(report.contains("kendall"), "{report}");
+    assert!(report.contains("qn"), "{report}");
 }
 
 /// `inspect --store` lists the live view: what was packed, plus what

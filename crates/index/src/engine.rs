@@ -1178,7 +1178,6 @@ mod tests {
         let (idx, q) = wide_fixture(25);
         let cases = [
             (Scorer::S4, CorrelationEstimator::Qn), // list-level normalization
-            (Scorer::S1, CorrelationEstimator::DistanceCorrelation), // no surrogate
             (Scorer::S1, CorrelationEstimator::Pearson), // cheap == expensive
         ];
         for (scorer, estimator) in cases {

@@ -25,15 +25,13 @@
 //! the plan's configured confidence level — so every pruned candidate
 //! ranks strictly below the k-th surviving score and the top-k (ids,
 //! estimates, scores, tie-breaks) is bit-identical to the exhaustive
-//! plan. Three situations fall back to exhaustive because no sound
+//! plan. Two situations fall back to exhaustive because no sound
 //! per-candidate bound exists:
 //!
 //! * **`s4`** normalizes CI lengths across the candidate list, so
 //!   removing a pruned candidate with an extreme interval shifts the
 //!   `(min, max)` normalization and can reorder — or re-tie — the
 //!   survivors ([`Scorer::prunable`]).
-//! * **`dcor`** detects dependence invisible to Pearson (and is
-//!   sign-blind), so a Pearson interval bounds nothing about it.
 //! * **Pearson itself** — the two passes would run the same estimator.
 
 use sketch_ranking::Scorer;
@@ -81,8 +79,8 @@ impl PlanMode {
     /// Does the two-pass machinery actually engage for this
     /// scorer/estimator pair? Returns the pass-1 confidence when it
     /// does; `None` means the query runs exhaustively (which is the
-    /// trivially lossless plan — see the module docs for why `s4`,
-    /// `dcor`, and Pearson-as-target cannot be pruned).
+    /// trivially lossless plan — see the module docs for why `s4` and
+    /// Pearson-as-target cannot be pruned).
     #[must_use]
     pub fn pruning_confidence(
         &self,
@@ -143,19 +141,15 @@ impl std::str::FromStr for PlanMode {
 
 /// Does this estimator estimate a quantity a Pearson interval can bound?
 ///
-/// `pm1` targets the Pearson correlation outright; `qn`, `spearman`,
-/// `rin`, and `kendall` are (rank-/robustness-transformed) linear
-/// association measures whose estimates track Pearson's interval on the
-/// same sample. `dcor` measures arbitrary dependence — a relationship
-/// invisible to Pearson is exactly its headline feature — so no Pearson
-/// surrogate exists. Pearson itself is excluded because a two-pass plan
-/// over it would run the identical estimator twice.
+/// Every estimator but Pearson does: `pm1` targets the Pearson
+/// correlation outright, and `qn`, `spearman` and `rin` are
+/// (rank-/robustness-transformed) linear association measures whose
+/// estimates track Pearson's interval on the same sample. Pearson itself
+/// is excluded because a two-pass plan over it would run the identical
+/// estimator twice.
 #[must_use]
 fn has_pearson_surrogate(estimator: CorrelationEstimator) -> bool {
-    !matches!(
-        estimator,
-        CorrelationEstimator::Pearson | CorrelationEstimator::DistanceCorrelation
-    )
+    estimator != CorrelationEstimator::Pearson
 }
 
 /// Per-query execution statistics of the planner — what `rank_eval`
@@ -240,11 +234,6 @@ mod tests {
             two.pruning_confidence(Scorer::S4, qn),
             None,
             "s4 is list-level"
-        );
-        assert_eq!(
-            two.pruning_confidence(Scorer::S1, CorrelationEstimator::DistanceCorrelation),
-            None,
-            "dcor has no Pearson surrogate"
         );
         assert_eq!(
             two.pruning_confidence(Scorer::S1, CorrelationEstimator::Pearson),

@@ -1,6 +1,6 @@
 //! The lossless-pruning oracle — the two-pass planner's headline
 //! guarantee: over arbitrary planted corpora, every scorer (`s1..s4`)
-//! and every expensive estimator (`pm1`, `qn`, `dcor`), the two-pass
+//! and every expensive estimator (`pm1`, `qn`), the two-pass
 //! plan answers every top-k query **bit-identical** to the exhaustive
 //! plan at every thread count in the tier-1 acceptance set — while
 //! never invoking the expensive estimator on more candidates.
@@ -28,14 +28,14 @@ use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
 /// Thread counts every comparison must hold at (tier-1 acceptance set).
 const THREADS: [usize; 5] = [0, 1, 2, 7, 16];
 
-/// The expensive estimators the planner is pointed at: the two with a
-/// Pearson surrogate (pruning engages) and `dcor` (no surrogate — the
-/// planner must fall back to exhaustive and still answer identically).
+/// The estimators the planner is pointed at: the two expensive ones
+/// (pruning engages) and Pearson (its own surrogate — the planner must
+/// fall back to exhaustive and still answer identically).
 fn arb_estimator() -> impl Strategy<Value = CorrelationEstimator> {
     prop_oneof![
         Just(CorrelationEstimator::Pm1Bootstrap { seed: 0x5eed }),
         Just(CorrelationEstimator::Qn),
-        Just(CorrelationEstimator::DistanceCorrelation),
+        Just(CorrelationEstimator::Pearson),
     ]
 }
 
@@ -261,7 +261,7 @@ proptest! {
     #![proptest_config(oracle_cases())]
 
     /// The headline property: arbitrary planted corpora, a sampled
-    /// scorer (`s1..s4`) × expensive estimator (`pm1`/`qn`/`dcor`)
+    /// scorer (`s1..s4`) × estimator (`pm1`/`qn`/`pearson`)
     /// combo per case — the full grid is covered across cases —
     /// identity at every thread count plus the replayed-fixed-point
     /// agreement. (Each fallback cell of the grid also has its own

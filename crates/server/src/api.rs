@@ -1219,6 +1219,16 @@ mod tests {
                 br#"{"keys":["a"],"values":[1],"estimator":"psychic"}"#,
                 "estimator",
             ),
+            // Retired estimator names are refused, and the error names
+            // the five accepted ones and no other.
+            (
+                br#"{"keys":["a"],"values":[1],"estimator":"kendall"}"#,
+                "estimator: unknown estimator 'kendall' (expected pearson|spearman|rin|qn|pm1)",
+            ),
+            (
+                br#"{"keys":["a"],"values":[1],"estimator":"dcor"}"#,
+                "estimator: unknown estimator 'dcor' (expected pearson|spearman|rin|qn|pm1)",
+            ),
             (br#"{"keys":["a"],"values":[1],"scorer":"s9"}"#, "scorer"),
             (
                 br#"{"keys":["a"],"values":[1],"confidence":1.5}"#,

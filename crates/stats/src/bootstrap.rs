@@ -332,8 +332,8 @@ pub type PairedStat<'a> = dyn Fn(&[f64], &[f64]) -> Result<f64, StatsError> + 'a
 
 /// Plain percentile bootstrap confidence interval of an arbitrary paired
 /// statistic at level `confidence` — the CI source for the robust
-/// estimators (Spearman, RIN, Qn, Kendall, …) on the scored query path,
-/// where no closed-form interval exists.
+/// estimators (Spearman, RIN, Qn) on the scored query path, where no
+/// closed-form interval exists.
 ///
 /// Draws `replicates` resamples with a fixed `seed` (fully deterministic)
 /// and returns the empirical `(α/2, 1 − α/2)` order statistics of the

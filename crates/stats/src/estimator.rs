@@ -2,9 +2,7 @@
 //! evaluates (Section 5.3).
 
 use crate::bootstrap::{pm1_estimate, BootstrapScratch};
-use crate::distance::distance_correlation;
 use crate::error::{validate_finite, validate_shape, StatsError};
-use crate::kendall::kendall_tau;
 use crate::pearson::pearson;
 use crate::qn::qn_correlation;
 use crate::rin::rin_correlation;
@@ -27,12 +25,6 @@ pub enum CorrelationEstimator {
         /// Seed for the deterministic resampling stream.
         seed: u64,
     },
-    /// Kendall's τ-b rank correlation (extension beyond the paper's five;
-    /// Theorem 1 makes any paired statistic estimable).
-    Kendall,
-    /// Distance correlation (Székely et al.) — detects arbitrary
-    /// dependence, sign-blind, in `[0, 1]` (extension, cited in paper §6).
-    DistanceCorrelation,
 }
 
 impl CorrelationEstimator {
@@ -46,18 +38,6 @@ impl CorrelationEstimator {
         Self::Pm1Bootstrap { seed: 0x5eed },
     ];
 
-    /// Paper estimators plus the extensions (Kendall, distance
-    /// correlation).
-    pub const EXTENDED: [Self; 7] = [
-        Self::Pearson,
-        Self::Spearman,
-        Self::Rin,
-        Self::Qn,
-        Self::Pm1Bootstrap { seed: 0x5eed },
-        Self::Kendall,
-        Self::DistanceCorrelation,
-    ];
-
     /// Short machine-friendly name (matches the labels in Figure 4).
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -67,8 +47,6 @@ impl CorrelationEstimator {
             Self::Rin => "rin",
             Self::Qn => "qn",
             Self::Pm1Bootstrap { .. } => "pm1",
-            Self::Kendall => "kendall",
-            Self::DistanceCorrelation => "dcor",
         }
     }
 
@@ -78,16 +56,14 @@ impl CorrelationEstimator {
     /// the query planner's pass-2 gate) can rely on.
     ///
     /// The moment/rank estimators are honest at `n = 2` (two distinct
-    /// points carry sign information). The two resampling-free composites
-    /// need one more row: at `n = 2` every nondegenerate PM1 resample is
-    /// the full sample (the bootstrap mean degenerates to plain Pearson),
-    /// and the distance-correlation centering algebra returns exactly 1
-    /// for *any* two distinct points — no information about the data.
+    /// points carry sign information). PM1 needs one more row: at `n = 2`
+    /// every nondegenerate resample is the full sample, so the bootstrap
+    /// mean degenerates to plain Pearson.
     #[must_use]
     pub fn min_samples(&self) -> usize {
         match self {
-            Self::Pearson | Self::Spearman | Self::Rin | Self::Qn | Self::Kendall => 2,
-            Self::Pm1Bootstrap { .. } | Self::DistanceCorrelation => 3,
+            Self::Pearson | Self::Spearman | Self::Rin | Self::Qn => 2,
+            Self::Pm1Bootstrap { .. } => 3,
         }
     }
 
@@ -117,9 +93,8 @@ impl CorrelationEstimator {
     ) -> Result<f64, StatsError> {
         // The shape is checked here, against this estimator's minimum;
         // the values once, by whichever side reads them first. Pearson
-        // judges them from its column means, and Qn, PM1, Kendall and
-        // distance correlation validate their input themselves. The
-        // rank transforms would turn a NaN or ±∞ into an ordinary rank,
+        // judges them from its column means, and Qn and PM1 validate
+        // their input themselves. The rank transforms would turn a NaN or ±∞ into an ordinary rank,
         // so Spearman and RIN are scanned here. The errors, and the
         // order they are tried in, are those of validating first.
         validate_shape(x, y, self.min_samples())?;
@@ -129,8 +104,6 @@ impl CorrelationEstimator {
             Self::Rin => validate_finite(x, y).and_then(|()| rin_correlation(x, y)),
             Self::Qn => qn_correlation(x, y),
             Self::Pm1Bootstrap { seed } => pm1_estimate(x, y, *seed, scratch),
-            Self::Kendall => kendall_tau(x, y),
-            Self::DistanceCorrelation => distance_correlation(x, y),
         }
     }
 
@@ -150,8 +123,6 @@ impl CorrelationEstimator {
             Self::Spearman => spearman(x, y),
             Self::Rin => rin_correlation(x, y),
             Self::Qn => qn_correlation(x, y),
-            Self::Kendall => kendall_tau(x, y),
-            Self::DistanceCorrelation => distance_correlation(x, y),
         }
     }
 }
@@ -172,10 +143,8 @@ impl std::str::FromStr for CorrelationEstimator {
             "rin" => Ok(Self::Rin),
             "qn" => Ok(Self::Qn),
             "pm1" | "bootstrap" => Ok(Self::Pm1Bootstrap { seed: 0x5eed }),
-            "kendall" | "tau" => Ok(Self::Kendall),
-            "dcor" | "distance" => Ok(Self::DistanceCorrelation),
             other => Err(format!(
-                "unknown estimator '{other}' (expected pearson|spearman|rin|qn|pm1|kendall|dcor)"
+                "unknown estimator '{other}' (expected pearson|spearman|rin|qn|pm1)"
             )),
         }
     }
@@ -247,7 +216,7 @@ mod tests {
         // must be a typed error, and the minimum itself must succeed.
         let x = [1.0, 2.0, 3.0, 5.0, 8.0, 13.0];
         let y = [2.0, 5.0, 7.0, 12.0, 18.0, 25.0];
-        for est in CorrelationEstimator::EXTENDED {
+        for est in CorrelationEstimator::ALL {
             let min = est.min_samples();
             for n in 0..min {
                 assert!(

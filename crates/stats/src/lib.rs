@@ -3,12 +3,14 @@
 //! This crate implements, from scratch, every statistical tool the paper
 //! relies on:
 //!
-//! * **Correlation estimators** (paper Section 5.3): Pearson's sample
-//!   correlation ([`pearson()`]), Spearman's rank correlation ([`spearman()`]),
-//!   the Rank-based Inverse Normal transformation ([`rin`]), the robust
-//!   `Qn` correlation ([`qn`]) and the `PM1` bootstrap ([`bootstrap`]),
-//!   all served through [`CorrelationEstimator`]. PM1 has the paper's one
-//!   stopping rule (θ = 0.01, p = 5e-4); nothing tunes it.
+//! * **Correlation estimators** — the five of paper Section 5.3, and no
+//!   others: Pearson's sample correlation ([`pearson()`]), Spearman's
+//!   rank correlation ([`spearman()`]), the Rank-based Inverse Normal
+//!   transformation ([`rin`]), the robust `Qn` correlation ([`qn`]) and
+//!   the `PM1` bootstrap ([`bootstrap`]), all served through
+//!   [`CorrelationEstimator`] from its one list,
+//!   [`CorrelationEstimator::ALL`]. PM1 has the paper's one stopping
+//!   rule (θ = 0.01, p = 5e-4); nothing tunes it.
 //! * **Error-risk statistics** (Sections 4.2–4.3): Fisher's z standard
 //!   error, the new distribution-free **Hoeffding confidence interval**
 //!   (union bound over five Hoeffding inequalities) together with its
@@ -30,10 +32,8 @@
 
 pub mod bootstrap;
 pub mod ci;
-pub mod distance;
 pub mod error;
 pub mod estimator;
-pub mod kendall;
 pub mod kernel;
 pub mod metrics;
 pub mod moments;

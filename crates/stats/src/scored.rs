@@ -12,9 +12,9 @@
 //!   level; estimate and interval come out of one replicate pass
 //!   ([`crate::pm1_with_ci`]), so a scored PM1 candidate costs the
 //!   interval's 599 resamples and no more.
-//! * **Robust estimators** (Spearman, RIN, Qn, Kendall, distance
-//!   correlation) — the plain percentile bootstrap
-//!   ([`crate::percentile_bootstrap_ci`]) of the estimator itself.
+//! * **Robust estimators** (Spearman, RIN, Qn) — the plain percentile
+//!   bootstrap ([`crate::percentile_bootstrap_ci`]) of the estimator
+//!   itself.
 //!
 //! Every bootstrap draw is seeded per candidate from a fixed constant
 //! (never from thread or iteration state) and reuses a caller-owned
@@ -168,7 +168,7 @@ mod tests {
     fn every_estimator_yields_a_finite_interval() {
         let (x, y) = noisy_linear(120);
         let mut scratch = BootstrapScratch::new();
-        for est in CorrelationEstimator::EXTENDED {
+        for est in CorrelationEstimator::ALL {
             let s = scored_estimate(est, &x, &y, 0.95, &mut scratch).unwrap_or_else(|e| {
                 panic!("{est}: {e}");
             });

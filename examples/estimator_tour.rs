@@ -48,11 +48,12 @@ fn main() {
     );
 
     println!("{:<10} {:>10} {:>10}", "estimator", "sketch", "exact");
-    for est in CorrelationEstimator::EXTENDED {
+    for est in CorrelationEstimator::ALL {
         let sketch_est = sample.estimate(est);
-        // Distance correlation is O(n²) time *and* memory; evaluate the
-        // "exact" reference on a prefix rather than the full 20k join.
-        let cap = if est == CorrelationEstimator::DistanceCorrelation {
+        // Qn's scale is O(n²) time *and* memory (it builds all pairwise
+        // differences); evaluate the "exact" reference on a prefix rather
+        // than the full 20k join.
+        let cap = if est == CorrelationEstimator::Qn {
             4_000.min(joined.x.len())
         } else {
             joined.x.len()
