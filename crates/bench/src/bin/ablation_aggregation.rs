@@ -14,10 +14,10 @@
 //! cargo run --release -p sketch-bench --bin ablation_aggregation -- --scale 150
 //! ```
 
-use correlation_sketches::{join_sketches, SketchBuilder, SketchConfig};
-use sketch_bench::{corpus_pairs, Args, CorpusChoice};
+use correlation_sketches::{SketchBuilder, SketchConfig};
+use sketch_bench::{corpus_pairs, evaluable_pairs, Args, CorpusChoice, Gate};
 use sketch_stats::{rmse, CorrelationEstimator};
-use sketch_table::{exact_join, Aggregation};
+use sketch_table::Aggregation;
 
 /// Ceiling on any aggregation's RMSE against its own ground truth.
 const MAX_RMSE: f64 = 0.2;
@@ -41,26 +41,13 @@ fn main() {
         "{:<8} {:>7} {:>9} {:>12}",
         "agg", "pairs", "RMSE", "mean |err|"
     );
-    let mut failures = Vec::new();
+    let mut gate = Gate::default();
     let (mut lowest, mut highest) = (f64::INFINITY, 0.0f64);
     for agg in Aggregation::ALL {
         let builder = SketchBuilder::new(SketchConfig::with_size(sketch_size).aggregation(agg));
         let mut ests = Vec::new();
         let mut truths = Vec::new();
-        for (a, b) in &pairs {
-            let joined = exact_join(a, b, agg);
-            if joined.len() < 10 {
-                continue;
-            }
-            let Ok(truth) = sketch_stats::pearson(&joined.x, &joined.y) else {
-                continue;
-            };
-            let Ok(sample) = join_sketches(&builder.build(a), &builder.build(b)) else {
-                continue;
-            };
-            if sample.len() < 10 {
-                continue;
-            }
+        for (truth, sample) in evaluable_pairs(&pairs, &builder, 10) {
             if let Ok(est) = sample.estimate(CorrelationEstimator::Pearson) {
                 ests.push(est);
                 truths.push(truth);
@@ -84,28 +71,23 @@ fn main() {
             mean_abs
         );
         if ests.is_empty() {
-            failures.push(format!("{}: no evaluable pairs", agg.name()));
+            gate.0.push(format!("{}: no evaluable pairs", agg.name()));
         } else if err > MAX_RMSE {
-            failures.push(format!("{}: RMSE {err:.4} above {MAX_RMSE}", agg.name()));
+            gate.0
+                .push(format!("{}: RMSE {err:.4} above {MAX_RMSE}", agg.name()));
         }
         lowest = lowest.min(err);
         highest = highest.max(err);
     }
     let ratio = highest / lowest;
-    if ratio > MAX_RATIO {
-        failures.push(format!(
-            "max/min RMSE {highest:.4}/{lowest:.4} = {ratio:.2} above {MAX_RATIO}"
-        ));
-    }
-    if failures.is_empty() {
-        println!(
-            "\nablation_aggregation: OK — every RMSE <= {MAX_RMSE} and max/min \
-             RMSE {ratio:.2} <= {MAX_RATIO}: the sketch is agnostic to the \
-             aggregation because it applies the same function the ground \
-             truth uses, in-stream"
-        );
-    } else {
-        println!("\nablation_aggregation: FAIL — {}", failures.join("; "));
-        std::process::exit(1);
-    }
+    gate.check(ratio <= MAX_RATIO, || {
+        format!("max/min RMSE {highest:.4}/{lowest:.4} = {ratio:.2} above {MAX_RATIO}")
+    });
+    let ok = format!(
+        "every RMSE <= {MAX_RMSE} and max/min RMSE {ratio:.2} <= {MAX_RATIO}: the sketch is \
+         agnostic to the aggregation because it applies the same function the ground truth \
+         uses, in-stream"
+    );
+    println!();
+    gate.verdict("ablation_aggregation", &ok);
 }

@@ -18,10 +18,9 @@
 //! bands from the default run; the exit code is the gate (`--csv` only
 //! dumps).
 
-use correlation_sketches::{join_sketches, SketchBuilder, SketchConfig};
-use sketch_bench::{corpus_pairs, Args, CorpusChoice};
-use sketch_stats::{pearson, rmse, CorrelationEstimator};
-use sketch_table::{exact_join, Aggregation};
+use correlation_sketches::{SketchBuilder, SketchConfig};
+use sketch_bench::{corpus_pairs, evaluable_pairs, Args, CorpusChoice, Gate};
+use sketch_stats::{rmse, CorrelationEstimator};
 
 /// The default run measures RMSE 0.1035 over all pairs.
 const MAX_RMSE: f64 = 0.12;
@@ -65,21 +64,7 @@ fn main() {
     let builder = SketchBuilder::new(SketchConfig::with_size(sketch_size));
 
     let mut points = Vec::new();
-    for (a, b) in &pairs {
-        let joined = exact_join(a, b, Aggregation::Mean);
-        if joined.len() < min_sample {
-            continue;
-        }
-        let Ok(truth) = pearson(&joined.x, &joined.y) else {
-            continue;
-        };
-        let sample = match join_sketches(&builder.build(a), &builder.build(b)) {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        if sample.len() < min_sample {
-            continue;
-        }
+    for (truth, sample) in evaluable_pairs(&pairs, &builder, min_sample) {
         let Ok(estimate) = sample.estimate(CorrelationEstimator::Pearson) else {
             continue;
         };
@@ -102,36 +87,30 @@ fn main() {
         println!("fig3: FAIL — no evaluable pairs");
         std::process::exit(1);
     };
-    let mut failures = Vec::new();
-    if all_rmse > MAX_RMSE {
-        failures.push(format!("RMSE {all_rmse:.4} above {MAX_RMSE}"));
-    }
-    if within_010 < MIN_WITHIN_010 {
-        failures.push(format!(
-            "{within_010:.3} within +-0.10, below {MIN_WITHIN_010}"
-        ));
-    }
+    let mut gate = Gate::default();
+    gate.check(all_rmse <= MAX_RMSE, || {
+        format!("RMSE {all_rmse:.4} above {MAX_RMSE}")
+    });
+    gate.check(within_010 >= MIN_WITHIN_010, || {
+        format!("{within_010:.3} within +-0.10, below {MIN_WITHIN_010}")
+    });
     // Figure 3d: re-filter at n ≥ 20 for the real-data collections.
     if min_sample < 20 {
         let filtered: Vec<Point> = points.into_iter().filter(|p| p.sample >= 20).collect();
         println!("\n--- filtered to join samples >= 20 (Figure 3d view) ---");
         match report(&filtered, 20) {
-            Some((rmse_20, _)) if rmse_20 > all_rmse => failures.push(format!(
+            Some((rmse_20, _)) if rmse_20 > all_rmse => gate.0.push(format!(
                 "RMSE {rmse_20:.4} at n >= 20 above {all_rmse:.4} over all samples"
             )),
-            None => failures.push("no pair with a join sample >= 20".to_string()),
+            None => gate.0.push("no pair with a join sample >= 20".to_string()),
             Some(_) => {}
         }
     }
-    if failures.is_empty() {
-        println!(
-            "fig3: OK — RMSE <= {MAX_RMSE}, >= {MIN_WITHIN_010} within +-0.10, \
-             and RMSE at n >= 20 no higher than over all samples"
-        );
-    } else {
-        println!("fig3: FAIL — {}", failures.join("; "));
-        std::process::exit(1);
-    }
+    let ok = format!(
+        "RMSE <= {MAX_RMSE}, >= {MIN_WITHIN_010} within +-0.10, and RMSE at n >= 20 no \
+         higher than over all samples"
+    );
+    gate.verdict("fig3", &ok);
 }
 
 /// Print one accuracy block; `(RMSE, share within ±0.10)` unless empty.

@@ -17,7 +17,7 @@
 //! ```
 
 use correlation_sketches::{join_sketches, SketchBuilder, SketchConfig};
-use sketch_bench::{corpus_pairs, Args, CorpusChoice};
+use sketch_bench::{corpus_pairs, Args, CorpusChoice, Gate};
 use sketch_stats::{rmse, CorrelationEstimator};
 use sketch_table::{exact_join, Aggregation};
 
@@ -70,7 +70,7 @@ fn main() {
         "{:<6} {:<9} {:<10} {:>8} {:>8}",
         "k", "estimator", "intersect", "pairs", "RMSE"
     );
-    let (mut gated, mut exact, mut failures) = (0usize, Vec::new(), Vec::new());
+    let (mut gated, mut exact, mut gate) = (0usize, Vec::new(), Gate::default());
     for &k in &sketch_sizes {
         let builder = SketchBuilder::new(SketchConfig::with_size(k));
         // (estimator, bucket) → (estimates, truths)
@@ -128,24 +128,20 @@ fn main() {
             let cell = format!("k={k} {}", est.name());
             match (curve.first(), curve.last()) {
                 (Some(&small), _) if small < EXACT => exact.push(cell),
-                (Some(&small), Some(&large)) if large >= small => failures.push(format!(
+                (Some(&small), Some(&large)) if large >= small => gate.0.push(format!(
                     "{cell}: RMSE {large:.4} in the largest bucket is not below {small:.4}"
                 )),
                 (Some(_), _) => gated += 1,
-                (None, _) => failures.push(format!("{cell}: no populated bucket")),
+                (None, _) => gate.0.push(format!("{cell}: no populated bucket")),
             }
         }
     }
     println!("\nExpected shape (paper Fig. 4): RMSE decreases with intersection size");
     println!("and stabilizes around ~0.1; qn is the least robust of the estimators.");
-    if failures.is_empty() {
-        println!(
-            "fig4: OK — RMSE falls from the smallest to the largest bucket in {gated} cells; \
-             exact in the smallest bucket, not gated: [{}]",
-            exact.join(", ")
-        );
-    } else {
-        println!("fig4: FAIL — {}", failures.join("; "));
-        std::process::exit(1);
-    }
+    let ok = format!(
+        "RMSE falls from the smallest to the largest bucket in {gated} cells; exact in the \
+         smallest bucket, not gated: [{}]",
+        exact.join(", ")
+    );
+    gate.verdict("fig4", &ok);
 }

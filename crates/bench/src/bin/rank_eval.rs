@@ -32,7 +32,7 @@ use sketch_datagen::{generate_planted, PlantedConfig};
 use sketch_index::{engine, PlanMode, QueryOptions, QueryResult, Scorer, SketchIndex};
 use sketch_ranking::ground_truth_grade;
 use sketch_stats::{mean, recall_at_k, CorrelationEstimator};
-use sketch_table::{Aggregation, ColumnPair};
+use sketch_table::ColumnPair;
 
 /// The expensive estimators the planner gate runs under: the costliest
 /// one on the live path and the rank-based one with the loosest relation
@@ -42,11 +42,6 @@ const PLAN_ESTIMATORS: [&str; 2] = ["pm1", "qn"];
 /// How many times fewer `pm1` calls the two-pass plan must spend than
 /// the exhaustive one.
 const PM1_MIN_RATIO: f64 = 2.0;
-
-/// Minimum exact-join size for a candidate to enter the ground truth at
-/// all; `relevant_ids` then applies the `--relevance` threshold to its
-/// full-data `|r|`. Matches the engine's default `min_sample`.
-const MIN_JOIN: usize = 3;
 
 fn main() {
     let args = Args::from_env();
@@ -339,10 +334,7 @@ fn answer_recall(ranked: &[QueryResult], relevant: &[String], k: usize) -> f64 {
 fn relevant_ids(query: &ColumnPair, corpus: &[ColumnPair], threshold: f64) -> Vec<String> {
     corpus
         .iter()
-        .filter(|c| {
-            ground_truth_grade(query, c, Aggregation::Mean, MIN_JOIN)
-                .is_some_and(|r| r >= threshold)
-        })
+        .filter(|c| ground_truth_grade(query, c).is_some_and(|r| r >= threshold))
         .map(ColumnPair::id)
         .collect()
 }

@@ -1,7 +1,9 @@
 //! Corpus selection shared by the experiment binaries.
 
+use correlation_sketches::{join_sketches, JoinSample, SketchBuilder};
 use sketch_datagen::{generate_open_data, generate_sbn, OpenDataConfig, SbnConfig};
-use sketch_table::{ColumnPair, Table};
+use sketch_stats::pearson;
+use sketch_table::{exact_join, ColumnPair, Table};
 
 /// Which of the paper's three data collections to synthesize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +83,26 @@ pub fn corpus_pairs(
             cross_table_pairs(&tables, max_pairs)
         }
     }
+}
+
+/// The `pairs` both of whose joins have at least `min_rows` rows — the
+/// exact join under `builder`'s aggregation and the join of the sketches
+/// `builder` makes — and a full-data Pearson correlation, as
+/// `(that correlation, the sketch join)`.
+pub fn evaluable_pairs<'a>(
+    pairs: &'a [(ColumnPair, ColumnPair)],
+    builder: &'a SketchBuilder,
+    min_rows: usize,
+) -> impl Iterator<Item = (f64, JoinSample)> + 'a {
+    pairs.iter().filter_map(move |(a, b)| {
+        let joined = exact_join(a, b, builder.config().aggregation);
+        if joined.len() < min_rows {
+            return None;
+        }
+        let truth = pearson(&joined.x, &joined.y).ok()?;
+        let sample = join_sketches(&builder.build(a), &builder.build(b)).ok()?;
+        (sample.len() >= min_rows).then_some((truth, sample))
+    })
 }
 
 /// Deterministic enumeration of cross-table column-pair 2-combinations.

@@ -17,7 +17,7 @@
 //! |--------|------|-------|
 //! | 0      | 4    | `id_len` (`u32`) |
 //! | 4      | `id_len` | sketch id, UTF-8 |
-//! | +0     | 1    | hasher bits: `0` = 32-bit, `1` = 64-bit |
+//! | +0     | 1    | hasher code: always `1` (64-bit MurmurHash3) |
 //! | +1     | 8    | hasher seed (`u64`) |
 //! | +9     | 1    | aggregation code (see `agg_code`) |
 //! | +10    | 1    | strategy tag: always `0` (fixed size) |
@@ -29,9 +29,9 @@
 //! | +…     | 4    | entry count `n` (`u32`) |
 //! | +…     | 16·n | entries: `⟨h(k)⟩` as `u64`, then `x_k` as `f64` bits |
 //!
-//! Tag `1` once marked a threshold-selected sketch; that strategy is
-//! retired, and decoding it fails as [`SketchError::Corrupt`] naming the
-//! retired tag.
+//! Tag `1` once marked a threshold-selected sketch, and hasher code `0` a
+//! sketch keyed by 32-bit MurmurHash3; both are retired, and decoding
+//! either fails as [`SketchError::Corrupt`] naming the retired code.
 //!
 //! The fields through the sketch size are the payload's **head**
 //! ([`SketchHead`]): which sketch the record holds and whether it joins
@@ -43,7 +43,7 @@
 //! could have produced. Floats round-trip bit-identically (the codec
 //! moves raw `f64` bits, never decimal text).
 
-use sketch_hashing::{HashBits, KeyHash, KeyHasher, TupleHasher};
+use sketch_hashing::{KeyHash, KeyHasher, TupleHasher};
 use sketch_stats::ValueBounds;
 use sketch_table::Aggregation;
 
@@ -55,6 +55,11 @@ use crate::sketch::{CorrelationSketch, SketchEntry};
 /// fixed-size sketches (tag `0`) are built now; a record carrying this
 /// tag is refused by name rather than as an unknown code.
 const RETIRED_THRESHOLD_TAG: u8 = 1;
+
+/// The hasher code every record writes (64-bit MurmurHash3 under the
+/// seed that follows), and the retired 32-bit one, refused by name.
+const HASHER_CODE: u8 = 1;
+const RETIRED_HASHER_CODE: u8 = 0;
 
 /// Stable wire code of an aggregation (order of [`Aggregation::ALL`]).
 fn agg_code(agg: Aggregation) -> u8 {
@@ -153,18 +158,20 @@ impl<'a> SketchHead<'a> {
         let id = std::str::from_utf8(r.take(id_len, "sketch id")?)
             .map_err(|e| SketchError::Corrupt(format!("sketch id is not UTF-8: {e}")))?;
 
-        let hasher = match r.u8("hasher bits")? {
-            0 => TupleHasher::paper_32(
-                u32::try_from(r.u64("hasher seed")?)
-                    .map_err(|_| SketchError::Corrupt("b32 hasher seed exceeds u32".into()))?,
-            ),
-            1 => TupleHasher::new_64(r.u64("hasher seed")?),
+        match r.u8("hasher code")? {
+            HASHER_CODE => {}
+            RETIRED_HASHER_CODE => {
+                return Err(SketchError::Corrupt(format!(
+                    "retired hasher code {RETIRED_HASHER_CODE} (32-bit MurmurHash3)"
+                )))
+            }
             other => {
                 return Err(SketchError::Corrupt(format!(
                     "unknown hasher bits code {other}"
                 )))
             }
-        };
+        }
+        let hasher = TupleHasher::new_64(r.u64("hasher seed")?);
 
         let aggregation = agg_from_code(r.u8("aggregation code")?)?;
 
@@ -253,10 +260,7 @@ impl CorrelationSketch {
         out.reserve(42 + self.id.len() + 16 * self.entries.len());
         out.extend_from_slice(&id_len.to_le_bytes());
         out.extend_from_slice(self.id.as_bytes());
-        out.push(match self.hasher.bits() {
-            HashBits::B32 => 0,
-            HashBits::B64 => 1,
-        });
+        out.push(HASHER_CODE);
         out.extend_from_slice(&self.hasher.seed().to_le_bytes());
         out.push(agg_code(self.aggregation));
         out.push(0);
@@ -592,7 +596,7 @@ mod tests {
     fn every_config_roundtrips() {
         for cfg in [
             SketchConfig::with_size(32),
-            SketchConfig::with_size(16).hasher(TupleHasher::paper_32(7)),
+            SketchConfig::with_size(16).hasher(TupleHasher::new_64(7)),
             SketchConfig::with_size(8).aggregation(Aggregation::Count),
         ] {
             let s = SketchBuilder::new(cfg).build(&pair(700));
@@ -616,19 +620,34 @@ mod tests {
     #[test]
     fn retired_threshold_tag_is_refused_by_name() {
         let s = SketchBuilder::new(SketchConfig::with_size(16)).build(&pair(200));
-        let mut bytes = s.to_bytes().unwrap();
-        let tag_off = 4 + s.id().len() + 10;
-        assert_eq!(bytes[tag_off], 0, "a fixed-size record writes tag 0");
-        bytes[tag_off] = RETIRED_THRESHOLD_TAG;
-        let expected = SketchError::Corrupt("retired strategy tag 1 (threshold selection)".into());
-        assert_eq!(SketchHead::from_bytes(&bytes), Err(expected.clone()));
-        assert_eq!(CorrelationSketch::from_bytes(&bytes), Err(expected));
-        // Any other tag stays an unknown code.
-        bytes[tag_off] = 2;
-        assert_eq!(
-            SketchHead::from_bytes(&bytes),
-            Err(SketchError::Corrupt("unknown strategy tag 2".into()))
-        );
+        let bytes = s.to_bytes().unwrap();
+        // The hasher code sits right past the id, the strategy tag 10
+        // bytes further.
+        let at = 4 + s.id().len();
+        assert_eq!((bytes[at], bytes[at + 10]), (HASHER_CODE, 0));
+        for (off, retired, why, unknown) in [
+            (
+                at + 10,
+                RETIRED_THRESHOLD_TAG,
+                "retired strategy tag 1 (threshold selection)",
+                "unknown strategy tag 2",
+            ),
+            (
+                at,
+                RETIRED_HASHER_CODE,
+                "retired hasher code 0 (32-bit MurmurHash3)",
+                "unknown hasher bits code 2",
+            ),
+        ] {
+            let mut bytes = bytes.clone();
+            bytes[off] = retired;
+            let expected = SketchError::Corrupt(why.into());
+            assert_eq!(SketchHead::from_bytes(&bytes), Err(expected.clone()));
+            assert_eq!(CorrelationSketch::from_bytes(&bytes), Err(expected));
+            bytes[off] = 2; // any other code stays an unknown code
+            let unknown = SketchError::Corrupt(unknown.into());
+            assert_eq!(SketchHead::from_bytes(&bytes), Err(unknown));
+        }
     }
 
     #[test]

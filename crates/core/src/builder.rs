@@ -275,15 +275,4 @@ mod tests {
         let kb: HashSet<KeyHash> = b.entries().iter().map(|e| e.key).collect();
         assert_ne!(ka, kb);
     }
-
-    #[test]
-    fn paper_32bit_mode_builds_valid_sketches() {
-        let p = range_pair(1000);
-        let cfg = SketchConfig::with_size(64).hasher(TupleHasher::paper_32(0));
-        let s = SketchBuilder::new(cfg).build(&p);
-        assert_eq!(s.len(), 64);
-        for e in s.entries() {
-            assert!(e.key.value() <= u64::from(u32::MAX));
-        }
-    }
 }

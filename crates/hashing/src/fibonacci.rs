@@ -9,9 +9,6 @@
 /// `⌊2^64 / φ⌋`, the 64-bit Fibonacci hashing multiplier (odd).
 const FIB_MULT_64: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// `⌊2^32 / φ⌋`, the 32-bit Fibonacci hashing multiplier (odd).
-const FIB_MULT_32: u32 = 0x9e37_79b9;
-
 /// Scale factor that maps the top 53 bits of a u64 into `[0, 1)` without
 /// precision loss (f64 has a 53-bit significand).
 const INV_2_53: f64 = 1.0 / ((1u64 << 53) as f64);
@@ -24,13 +21,6 @@ const INV_2_53: f64 = 1.0 / ((1u64 << 53) as f64);
 #[must_use]
 pub const fn fib_hash_u64(x: u64) -> u64 {
     x.wrapping_mul(FIB_MULT_64)
-}
-
-/// Fibonacci hash of a 32-bit integer: `x * ⌊2^32/φ⌋ mod 2^32`.
-#[inline]
-#[must_use]
-pub const fn fib_hash_u32(x: u32) -> u32 {
-    x.wrapping_mul(FIB_MULT_32)
 }
 
 /// The paper's `h_u`: maps an integer tuple identifier `h(k)` uniformly into
@@ -46,14 +36,6 @@ pub fn unit_hash_u64(x: u64) -> f64 {
     (fib_hash_u64(x) >> 11) as f64 * INV_2_53
 }
 
-/// 32-bit variant of [`unit_hash_u64`], matching the paper's 32-bit setup:
-/// maps `h(k)` (a u32) to `[0, 1)` with 32 bits of resolution.
-#[inline]
-#[must_use]
-pub fn unit_hash_u32(x: u32) -> f64 {
-    f64::from(fib_hash_u32(x)) / f64::from(u32::MAX) / (1.0 + f64::EPSILON)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,10 +44,6 @@ mod tests {
     fn unit_hash_is_in_unit_interval() {
         for x in [0u64, 1, 2, u64::MAX, u64::MAX - 1, 0xdead_beef] {
             let u = unit_hash_u64(x);
-            assert!((0.0..1.0).contains(&u), "x={x} u={u}");
-        }
-        for x in [0u32, 1, 2, u32::MAX, 0xdead_beef] {
-            let u = unit_hash_u32(x);
             assert!((0.0..1.0).contains(&u), "x={x} u={u}");
         }
     }

@@ -1,32 +1,18 @@
 //! Composition of the two hash functions into the tuple-identifier scheme
 //! used by sketch construction: `g(k) = h_u(h(k))`.
 //!
-//! [`TupleHasher`] bundles a MurmurHash3 key hash `h` (32- or 64-bit) with
-//! the Fibonacci unit-interval hash `h_u`. Every sketch in a corpus must be
-//! built with the *same* `TupleHasher` configuration — otherwise sketches
-//! are not joinable (the key identifiers would disagree). The configuration
-//! is therefore serializable and carries an explicit seed.
+//! [`TupleHasher`] bundles the 64-bit MurmurHash3 key hash `h` with the
+//! Fibonacci unit-interval hash `h_u`. Every sketch in a corpus must be
+//! built with the *same* `TupleHasher` seed — otherwise sketches are not
+//! joinable (the key identifiers would disagree). The seed is therefore
+//! serialized with every sketch.
 
-use crate::fibonacci::{unit_hash_u32, unit_hash_u64};
-use crate::murmur3::{murmur3_x64_128, murmur3_x86_32};
+use crate::fibonacci::unit_hash_u64;
+use crate::murmur3::murmur3_x64_128;
 
-/// Width of the key-identifier hash `h`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HashBits {
-    /// 32-bit MurmurHash3 (`murmur3_x86_32`) — the paper's configuration.
-    ///
-    /// Collisions start to matter beyond ~65k distinct keys per corpus
-    /// (birthday bound), exactly as in the reference implementation.
-    B32,
-    /// 64-bit identifiers (low word of `murmur3_x64_128`) — the default.
-    #[default]
-    B64,
-}
-
-/// A hashed key: the tuple identifier `h(k)` stored inside a sketch.
-///
-/// Stored as `u64` regardless of [`HashBits`]; in 32-bit mode the upper
-/// word is zero so identifiers from the two modes never mix silently.
+/// A hashed key: the tuple identifier `h(k)` stored inside a sketch, the
+/// low 64 bits of `murmur3_x64_128` (see [`crate::murmur3`] for why not
+/// the paper's 32-bit hash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeyHash(pub u64);
 
@@ -81,10 +67,10 @@ pub trait KeyHasher {
     }
 }
 
-/// The concrete hasher configuration used across a sketch corpus.
+/// The concrete hasher configuration used across a sketch corpus: the
+/// seed of `h`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TupleHasher {
-    bits: HashBits,
     seed: u64,
 }
 
@@ -95,30 +81,11 @@ impl Default for TupleHasher {
 }
 
 impl TupleHasher {
-    /// 64-bit configuration (recommended): `h` = low word of
-    /// `murmur3_x64_128`, `h_u` = 64-bit Fibonacci hashing.
-    #[must_use]
-    pub const fn new_64(seed: u64) -> Self {
-        Self {
-            bits: HashBits::B64,
-            seed,
-        }
-    }
-
-    /// The paper's configuration: `h` = `murmur3_x86_32`, `h_u` = 32-bit
+    /// `h` = low word of `murmur3_x64_128` under `seed`, `h_u` = 64-bit
     /// Fibonacci hashing.
     #[must_use]
-    pub const fn paper_32(seed: u32) -> Self {
-        Self {
-            bits: HashBits::B32,
-            seed: seed as u64,
-        }
-    }
-
-    /// Hash width of this configuration.
-    #[must_use]
-    pub const fn bits(&self) -> HashBits {
-        self.bits
+    pub const fn new_64(seed: u64) -> Self {
+        Self { seed }
     }
 
     /// Seed of this configuration.
@@ -131,18 +98,12 @@ impl TupleHasher {
 impl KeyHasher for TupleHasher {
     #[inline]
     fn hash_bytes(&self, key: &[u8]) -> KeyHash {
-        match self.bits {
-            HashBits::B32 => KeyHash(u64::from(murmur3_x86_32(key, self.seed as u32))),
-            HashBits::B64 => KeyHash(murmur3_x64_128(key, self.seed).0),
-        }
+        KeyHash(murmur3_x64_128(key, self.seed).0)
     }
 
     #[inline]
     fn unit_hash(&self, id: KeyHash) -> f64 {
-        match self.bits {
-            HashBits::B32 => unit_hash_u32(id.0 as u32),
-            HashBits::B64 => unit_hash_u64(id.0),
-        }
+        unit_hash_u64(id.0)
     }
 }
 
@@ -176,15 +137,6 @@ mod tests {
         let a = TupleHasher::new_64(1);
         let b = TupleHasher::new_64(2);
         assert_ne!(a.hash_bytes(b"key"), b.hash_bytes(b"key"));
-    }
-
-    #[test]
-    fn paper_mode_uses_32_bits() {
-        let h = TupleHasher::paper_32(0);
-        let id = h.hash_bytes(b"zip-10001");
-        assert!(id.0 <= u64::from(u32::MAX));
-        let u = h.unit_hash(id);
-        assert!((0.0..1.0).contains(&u));
     }
 
     #[test]

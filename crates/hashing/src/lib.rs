@@ -4,10 +4,10 @@
 //!
 //! * `h` — a (practically) collision-free hash that maps key values to
 //!   distinct integers, used as the tuple identifier stored in the sketch.
-//!   The paper uses the 32-bit **MurmurHash3** function ([`murmur3_x86_32`]);
-//!   this crate additionally provides the 128-bit x64 variant
-//!   ([`murmur3_x64_128`]) whose upper 64 bits give a far lower collision
-//!   probability for large corpora.
+//!   The paper uses the 32-bit **MurmurHash3** function; this crate uses
+//!   the low 64 bits of its 128-bit x64 variant ([`murmur3_x64_128`]),
+//!   because 32-bit identifiers start to collide at ~65k distinct keys
+//!   and a sketch stores a 64-bit identifier per entry either way.
 //! * `h_u` — a hash that maps the integers produced by `h` uniformly at
 //!   random into the unit interval `[0, 1)`. The paper uses **Fibonacci
 //!   hashing** (golden-ratio multiplicative hashing, Knuth TAOCP §6.4),
@@ -33,6 +33,6 @@ pub mod fibonacci;
 pub mod key;
 pub mod murmur3;
 
-pub use fibonacci::{fib_hash_u32, fib_hash_u64, unit_hash_u32, unit_hash_u64};
-pub use key::{HashBits, KeyHash, KeyHasher, TupleHasher};
-pub use murmur3::{fmix32, fmix64, murmur3_x64_128, murmur3_x86_32};
+pub use fibonacci::{fib_hash_u64, unit_hash_u64};
+pub use key::{KeyHash, KeyHasher, TupleHasher};
+pub use murmur3::{fmix64, murmur3_x64_128};

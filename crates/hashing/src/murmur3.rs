@@ -1,30 +1,13 @@
 //! From-scratch implementation of MurmurHash3 (Austin Appleby, public
 //! domain), the key-identifier hash `h` of the paper (Section 3.4).
 //!
-//! Two variants are provided:
-//!
-//! * [`murmur3_x86_32`] — the 32-bit variant used by the paper's reference
-//!   implementation.
-//! * [`murmur3_x64_128`] — the 128-bit x64 variant; its low 64 bits are used
-//!   by [`crate::key::KeyHasher`] when 64-bit identifiers are requested.
-//!
-//! Both are verified against the reference test vectors from the original
-//! `smhasher` suite (see the tests at the bottom of this module).
-
-/// 32-bit finalization mix ("fmix32") of MurmurHash3.
-///
-/// Forces all bits of a hash block to avalanche; also useful standalone as a
-/// fast high-quality integer mixer.
-#[inline]
-#[must_use]
-pub const fn fmix32(mut h: u32) -> u32 {
-    h ^= h >> 16;
-    h = h.wrapping_mul(0x85eb_ca6b);
-    h ^= h >> 13;
-    h = h.wrapping_mul(0xc2b2_ae35);
-    h ^= h >> 16;
-    h
-}
+//! Only the 128-bit x64 variant is provided: the key identifier `h(k)` of
+//! [`crate::key::TupleHasher`] is its low 64 bits, not the paper's 32-bit
+//! MurmurHash3, because 32-bit identifiers collide from ~65k distinct
+//! keys on (the birthday bound) and a collision merges two keys' values,
+//! while a sketch entry stores a `u64` identifier either way.
+//! It is verified against reference vectors from the C++ implementation
+//! (see the tests at the bottom of this module).
 
 /// 64-bit finalization mix ("fmix64") of MurmurHash3.
 #[inline]
@@ -36,52 +19,6 @@ pub const fn fmix64(mut k: u64) -> u64 {
     k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     k ^= k >> 33;
     k
-}
-
-/// MurmurHash3_x86_32: hashes `data` with the given `seed` into 32 bits.
-///
-/// This is the exact function the paper uses for `h` ("the well-known
-/// 32-bits MurmurHash3 function", Section 3.4).
-#[must_use]
-pub fn murmur3_x86_32(data: &[u8], seed: u32) -> u32 {
-    const C1: u32 = 0xcc9e_2d51;
-    const C2: u32 = 0x1b87_3593;
-
-    let mut h1 = seed;
-    let n_blocks = data.len() / 4;
-
-    // Body: process 4-byte blocks.
-    for block in data.chunks_exact(4) {
-        let mut k1 = u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
-        k1 = k1.wrapping_mul(C1);
-        k1 = k1.rotate_left(15);
-        k1 = k1.wrapping_mul(C2);
-
-        h1 ^= k1;
-        h1 = h1.rotate_left(13);
-        h1 = h1.wrapping_mul(5).wrapping_add(0xe654_6b64);
-    }
-
-    // Tail: up to 3 remaining bytes.
-    let tail = &data[n_blocks * 4..];
-    let mut k1: u32 = 0;
-    if !tail.is_empty() {
-        if tail.len() >= 3 {
-            k1 ^= u32::from(tail[2]) << 16;
-        }
-        if tail.len() >= 2 {
-            k1 ^= u32::from(tail[1]) << 8;
-        }
-        k1 ^= u32::from(tail[0]);
-        k1 = k1.wrapping_mul(C1);
-        k1 = k1.rotate_left(15);
-        k1 = k1.wrapping_mul(C2);
-        h1 ^= k1;
-    }
-
-    // Finalization.
-    h1 ^= data.len() as u32;
-    fmix32(h1)
 }
 
 /// The two little-endian `u64` lanes of a 16-byte block.
@@ -163,37 +100,6 @@ pub fn murmur3_x64_128(data: &[u8], seed: u64) -> (u64, u64) {
 mod tests {
     use super::*;
 
-    // Reference vectors from the original MurmurHash3 (smhasher) suite and
-    // the widely-cited Wikipedia table.
-    #[test]
-    fn x86_32_reference_vectors_seed_zero() {
-        assert_eq!(murmur3_x86_32(b"", 0), 0x0000_0000);
-        assert_eq!(murmur3_x86_32(b"", 1), 0x514e_28b7);
-        assert_eq!(murmur3_x86_32(b"", 0xffff_ffff), 0x81f1_6f39);
-    }
-
-    #[test]
-    fn x86_32_reference_vectors_seed_9747b28c() {
-        let seed = 0x9747_b28c;
-        assert_eq!(murmur3_x86_32(b"aaaa", seed), 0x5a97_808a);
-        assert_eq!(murmur3_x86_32(b"aaa", seed), 0x283e_0130);
-        assert_eq!(murmur3_x86_32(b"aa", seed), 0x5d21_1726);
-        assert_eq!(murmur3_x86_32(b"a", seed), 0x7fa0_9ea6);
-        assert_eq!(murmur3_x86_32(b"abcd", seed), 0xf047_8627);
-        assert_eq!(murmur3_x86_32(b"abc", seed), 0xc84a_62dd);
-        assert_eq!(murmur3_x86_32(b"ab", seed), 0x7487_5592);
-        assert_eq!(murmur3_x86_32(b"Hello, world!", seed), 0x2488_4cba);
-        assert_eq!(
-            murmur3_x86_32(b"The quick brown fox jumps over the lazy dog", seed),
-            0x2fa8_26cd
-        );
-    }
-
-    #[test]
-    fn x86_32_four_zero_bytes() {
-        assert_eq!(murmur3_x86_32(&[0, 0, 0, 0], 0), 0x2362_f9de);
-    }
-
     #[test]
     fn x64_128_empty_seed_zero_is_zero() {
         assert_eq!(murmur3_x64_128(b"", 0), (0, 0));
@@ -224,17 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn x86_32_all_tail_lengths_are_deterministic() {
-        // Exercise every tail length (0..=3 residual bytes).
-        let data = b"abcdefghijk";
-        for len in 0..=data.len() {
-            let h1 = murmur3_x86_32(&data[..len], 42);
-            let h2 = murmur3_x86_32(&data[..len], 42);
-            assert_eq!(h1, h2, "len={len}");
-        }
-    }
-
-    #[test]
     fn x64_128_all_tail_lengths_are_deterministic() {
         let data = b"abcdefghijklmnopqrstuvwxyz0123456789";
         for len in 0..=data.len() {
@@ -251,11 +146,5 @@ mod tests {
         outs.sort_unstable();
         outs.dedup();
         assert_eq!(outs.len(), 10_000);
-    }
-
-    #[test]
-    fn fmix32_zero_maps_to_zero() {
-        assert_eq!(fmix32(0), 0);
-        assert_eq!(fmix64(0), 0);
     }
 }

@@ -84,8 +84,7 @@ pub type DocId = u32;
 
 /// Hasher of the postings maps (module docs: why not SipHash). The
 /// multiply by an odd constant carries the key's low bits into the high
-/// ones, which the 32-bit tuple hasher leaves zero and the table reads
-/// its control bytes from.
+/// ones, which the table reads its control bytes from.
 #[derive(Debug, Default, Clone, Copy)]
 struct KeyHashHasher(u64);
 

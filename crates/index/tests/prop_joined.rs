@@ -48,7 +48,7 @@ struct Lake {
     twins: usize,
     name_modulus: usize,
     sketch_size: usize,
-    narrow_hash: bool,
+    other_seed: bool,
 }
 
 fn arb_lake() -> impl Strategy<Value = Lake> {
@@ -61,20 +61,20 @@ fn arb_lake() -> impl Strategy<Value = Lake> {
         any::<bool>(),
     )
         .prop_map(
-            |(columns, twins, name_modulus, sketch_size, narrow_hash)| Lake {
+            |(columns, twins, name_modulus, sketch_size, other_seed)| Lake {
                 columns,
                 twins,
                 name_modulus,
                 sketch_size,
-                narrow_hash,
+                other_seed,
             },
         )
 }
 
 impl Lake {
     fn builder(&self) -> SketchBuilder {
-        let hasher = if self.narrow_hash {
-            TupleHasher::paper_32(7)
+        let hasher = if self.other_seed {
+            TupleHasher::new_64(7)
         } else {
             TupleHasher::default()
         };

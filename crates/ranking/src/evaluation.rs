@@ -36,21 +36,25 @@ const CONFIDENCE: f64 = 0.95;
 /// Significance of the HFD interval behind `rp*cih` (paper Section 4.3).
 const HFD_ALPHA: f64 = 0.05;
 
+/// Minimum ground-truth join size for a corpus pair to count as joinable
+/// with the query (the engine's default `min_sample`).
+const MIN_OVERLAP: usize = 3;
+
+/// MAP relevance thresholds (Table 1 uses `r > 0.75` and `r > 0.50`).
+const MAP_THRESHOLDS: (f64, f64) = (0.75, 0.50);
+
+/// nDCG cutoffs (Table 1 uses 5 and 10).
+const NDCG_KS: (usize, usize) = (5, 10);
+
+/// Aggregation for repeated keys, in sketches and ground truth alike.
+const AGGREGATION: Aggregation = Aggregation::Mean;
+
 /// Configuration of a ranking experiment run.
 #[derive(Debug, Clone, Copy)]
 pub struct RankingConfig {
     /// Maximum sketch size (paper Section 5.2 uses 256 for accuracy plots;
     /// Section 5.5 uses 1024 for the query-latency study).
     pub sketch_size: usize,
-    /// Minimum ground-truth join size for a corpus pair to count as
-    /// joinable with the query.
-    pub min_overlap: usize,
-    /// MAP relevance thresholds (Table 1 uses 0.75 and 0.50).
-    pub map_thresholds: (f64, f64),
-    /// nDCG cutoffs (Table 1 uses 5 and 10).
-    pub ndcg_ks: (usize, usize),
-    /// Aggregation for repeated keys.
-    pub aggregation: Aggregation,
     /// Seed for the PM1 bootstrap and the random baseline.
     pub seed: u64,
 }
@@ -59,10 +63,6 @@ impl Default for RankingConfig {
     fn default() -> Self {
         Self {
             sketch_size: 256,
-            min_overlap: 3,
-            map_thresholds: (0.75, 0.50),
-            ndcg_ks: (5, 10),
-            aggregation: Aggregation::Mean,
             seed: 0x7a_11,
         }
     }
@@ -152,28 +152,23 @@ impl RankingReport {
 }
 
 /// Ground truth for one candidate: the absolute Pearson correlation of
-/// the exact join, `None` when the join has fewer than `min_overlap`
-/// rows (the pair is not joinable).
+/// the exact join, `None` when the join has fewer than three rows (the
+/// pair is not joinable).
 #[must_use]
-pub fn ground_truth_grade(
-    q: &ColumnPair,
-    c: &ColumnPair,
-    aggregation: Aggregation,
-    min_overlap: usize,
-) -> Option<f64> {
-    let joined = exact_join(q, c, aggregation);
-    if joined.len() < min_overlap {
+pub fn ground_truth_grade(q: &ColumnPair, c: &ColumnPair) -> Option<f64> {
+    let joined = exact_join(q, c, AGGREGATION);
+    if joined.len() < MIN_OVERLAP {
         return None;
     }
     Some(pearson(&joined.x, &joined.y).map_or(0.0, f64::abs))
 }
 
-fn metrics_for_ranking(order: &[usize], grades: &[f64], cfg: &RankingConfig) -> QueryMetrics {
+fn metrics_for_ranking(order: &[usize], grades: &[f64]) -> QueryMetrics {
     let ranked_grades: Vec<f64> = order.iter().map(|&i| grades[i]).collect();
-    let (thr_high, thr_mid) = cfg.map_thresholds;
+    let (thr_high, thr_mid) = MAP_THRESHOLDS;
     let rel_high: Vec<bool> = ranked_grades.iter().map(|&g| g > thr_high).collect();
     let rel_mid: Vec<bool> = ranked_grades.iter().map(|&g| g > thr_mid).collect();
-    let (k_a, k_b) = cfg.ndcg_ks;
+    let (k_a, k_b) = NDCG_KS;
     QueryMetrics {
         map_high: average_precision(&rel_high),
         map_mid: average_precision(&rel_mid),
@@ -195,7 +190,7 @@ pub fn run_ranking_experiment(
     cfg: &RankingConfig,
 ) -> RankingReport {
     let builder =
-        SketchBuilder::new(SketchConfig::with_size(cfg.sketch_size).aggregation(cfg.aggregation));
+        SketchBuilder::new(SketchConfig::with_size(cfg.sketch_size).aggregation(AGGREGATION));
     let corpus_sketches: Vec<CorrelationSketch> = corpus.iter().map(|p| builder.build(p)).collect();
     let pm1_estimator = CorrelationEstimator::Pm1Bootstrap { seed: cfg.seed };
     let mut scratch = BootstrapScratch::new();
@@ -212,7 +207,7 @@ pub fn run_ranking_experiment(
             if c.table == q.table {
                 continue; // never rank a table against itself
             }
-            let Some(grade) = ground_truth_grade(q, c, cfg.aggregation, cfg.min_overlap) else {
+            let Some(grade) = ground_truth_grade(q, c) else {
                 continue;
             };
             let sample = join_sketches(&q_sketch, c_sketch).expect("one builder, one hasher");
@@ -264,7 +259,7 @@ pub fn run_ranking_experiment(
                 order.sort_by(|&a, &b| desc_score_nan_last(scores[a], scores[b]));
                 RowOutcome {
                     label,
-                    metrics: metrics_for_ranking(&order, &grades, cfg),
+                    metrics: metrics_for_ranking(&order, &grades),
                     scores,
                 }
             })

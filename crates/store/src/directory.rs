@@ -17,7 +17,7 @@
 use std::path::Path;
 
 use correlation_sketches::{CorrelationSketch, SketchError};
-use sketch_hashing::{HashBits, TupleHasher};
+use sketch_hashing::TupleHasher;
 
 use crate::error::StoreError;
 use crate::manifest::Manifest;
@@ -33,8 +33,10 @@ const MAGIC: [u8; 4] = *b"CSKD";
 /// Newest directory version this build writes and reads.
 const VERSION: u16 = 1;
 
-/// Hasher code of a directory over no base record (there is no hasher
-/// to name); `0` and `1` are the record payload's own codes.
+/// Hasher code of a directory over base records (the record payload's
+/// own code) and over none (there is no hasher to name). Any other code,
+/// the payload's retired `0` included, does not verify.
+const HASHER: u8 = 1;
 const NO_HASHER: u8 = 2;
 
 /// Whether a store's id directory can stand in for its base shards.
@@ -112,11 +114,7 @@ fn encode(
     let mut out = Vec::with_capacity(43 + 8 * shard_lens.len() + ids);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(match hasher.map(|h| h.bits()) {
-        Some(HashBits::B32) => 0,
-        Some(HashBits::B64) => 1,
-        None => NO_HASHER,
-    });
+    out.push(if hasher.is_some() { HASHER } else { NO_HASHER });
     out.extend_from_slice(&hasher.map_or(0, |h| h.seed()).to_le_bytes());
     out.extend_from_slice(&base_generation.to_le_bytes());
     let records = u64::try_from(sketches.len()).map_err(|_| too_many("record count"))?;
@@ -186,8 +184,7 @@ impl<'a> IdDirectory<'a> {
         let hasher_code = take(body, 1)?[0];
         let seed = take_u64(body)?;
         let hasher = match hasher_code {
-            0 => Some(TupleHasher::paper_32(u32::try_from(seed).ok()?)),
-            1 => Some(TupleHasher::new_64(seed)),
+            HASHER => Some(TupleHasher::new_64(seed)),
             NO_HASHER if seed == 0 => None,
             _ => return None,
         };

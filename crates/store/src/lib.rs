@@ -106,7 +106,7 @@
 //! |--------|------|-------|
 //! | 0      | 4    | magic `43 53 4B 44` (ASCII `"CSKD"`) |
 //! | 4      | 2    | format version (`u16`, currently `1`) |
-//! | 6      | 1    | hasher bits: `0` = 32-bit, `1` = 64-bit (a sketch payload's own codes), `2` = no base record |
+//! | 6      | 1    | hasher code: `1` = 64-bit MurmurHash3 (a sketch payload's own code), `2` = no base record |
 //! | 7      | 8    | hasher seed (`u64`; `0` when there is no base record) |
 //! | 15     | 8    | base generation the directory describes (`u64`) |
 //! | 23     | 8    | record count `N` (`u64`) |

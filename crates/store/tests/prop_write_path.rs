@@ -899,6 +899,26 @@ fn a_directory_of_an_equal_but_older_base_is_stale() {
     assert_eq!(directory_state(&dir.0), DirectoryState::Stale);
 }
 
+/// A directory whose hasher byte is the payload's retired code `0`, its
+/// checksum made good again, does not verify, and the append falls back
+/// to the base shards.
+#[test]
+fn a_directory_with_the_retired_hasher_code_falls_back() {
+    let (dir, s) = small_store();
+    let mut bytes = std::fs::read(dir.path(DIRECTORY_NAME)).unwrap();
+    assert_eq!(bytes[6], 1, "a directory over base records writes code 1");
+    bytes[6] = 0;
+    let body = bytes.len() - 8;
+    let sum = sketch_hashing::murmur3::murmur3_x64_128(&bytes[..body], 0).0;
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(dir.path(DIRECTORY_NAME), &bytes).unwrap();
+    assert_eq!(directory_state(&dir.0), DirectoryState::Stale);
+    let theirs = TempDir::new();
+    materialize(&theirs.0, &snapshot(&dir.0));
+    let want = reference_append(&theirs.0, &s[7..]).unwrap();
+    assert_eq!(append_corpus(&dir.0, &s[7..], 1).unwrap(), want);
+}
+
 /// A store written by a build that knows no directories is this build's
 /// store minus one file, and is read, appended to and compacted as it is.
 #[test]

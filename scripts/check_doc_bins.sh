@@ -8,6 +8,10 @@
 # Every paper or ablation bin that README.md, the crate docs, the CI
 # workflow or the verify skill name bare, backticked (`ablation_x`,
 # `figN_x`, `tableN_x`), must exist as crates/*/src/bin/<name>.rs too.
+# Every binary that README.md, the CI workflow, the scripts here or the
+# verify skill run as target/release/<name> must be built by one: a
+# crates/*/src/bin/<name>.rs, a [[bin]] of a crate's Cargo.toml
+# (`corrsketch`) or the benchmark package (`ledger`).
 # Every HTTP route that README.md or the sketch-server and CLI crate
 # docs name as `GET /x` or `POST /x` must be served: an entry
 # ("/x", "METHOD") of SHARED in crates/server/src/pipeline.rs or of
@@ -60,6 +64,20 @@ while read -r name; do
   fi
 done < <(grep -ohE '`(ablation_[a-z]+|fig[0-9]+_[a-z]+|table[0-9]+_[a-z]+)`' "${BIN_DOCS[@]}" |
   tr -d '`' | sort -u)
+
+built=$(awk '/^\[/ { bin = ($0 == "[[bin]]") }
+    bin && /^name *=/ { gsub(/^name *= *"|"$/, ""); print }' crates/*/Cargo.toml
+  awk '/^\[/ { pkg = ($0 == "[package]") }
+    pkg && /^name *=/ { gsub(/^name *= *"|"$/, ""); print }' benchmark/Cargo.toml)
+while read -r name; do
+  if ! compgen -G "crates/*/src/bin/$name.rs" > /dev/null && ! grep -qxF -- "$name" <<< "$built"; then
+    echo "check_doc_bins: FAIL: target/release/$name is run in:" >&2
+    grep -lE -- "target/release/$name\b" "${FILES[@]}" | sed 's/^/  /' >&2
+    echo "  but no crates/*/src/bin/$name.rs, crate [[bin]] or benchmark package builds it" >&2
+    status=1
+  fi
+done < <(grep -ohE 'target/release/[A-Za-z0-9_-]+/?' "${FILES[@]}" | grep -v '/$' |
+  sed 's|^target/release/||' | sort -u)
 
 packages=$(awk '/^\[/ { pkg = ($0 == "[package]") }
     pkg && /^name *=/ { gsub(/^name *= *"|"$/, ""); print }' \
